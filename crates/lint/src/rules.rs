@@ -137,8 +137,9 @@ the one allowed home for such literals.",
         id: PANIC_PATH,
         summary: "no unwrap()/expect() in library code of the hot-path crates",
         explain: "The encoding, mlp, dram, accel and render crates sit on the training \
-hot path, and the trainer's inference render engine (crates/trainer/src/render.rs) on \
-the evaluation hot path; a panic there takes down a whole training, rendering or \
+hot path, as does the trainer's occupancy grid (crates/trainer/src/occupancy.rs), and \
+the trainer's inference render engine (crates/trainer/src/render.rs) on the evaluation \
+hot path; a panic there takes down a whole training, rendering or \
 co-simulation run. Library code in that scope must not call .unwrap() or .expect(): \
 return a Result, restructure so the invariant is type-enforced, or waive a genuinely \
 infallible site with a justification stating *why* it cannot fail. Test code is \
@@ -205,10 +206,14 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
 /// Crates whose library code is the training/co-simulation hot path.
 const HOT_PATH_CRATES: &[&str] = &["encoding", "mlp", "dram", "accel", "render"];
 /// Individual hot-path files in crates that are otherwise exempt: the
-/// trainer's inference render engine sits on the evaluation hot path even
-/// though the rest of the trainer crate (setup, checkpointing, reporting)
-/// does not.
-const HOT_PATH_FILES: &[&str] = &["crates/trainer/src/render.rs"];
+/// trainer's inference render engine sits on the evaluation hot path and
+/// its occupancy grid (per-sample filter, periodic refresh sweep) on the
+/// training one, even though the rest of the trainer crate (setup,
+/// checkpointing, reporting) does not.
+const HOT_PATH_FILES: &[&str] = &[
+    "crates/trainer/src/occupancy.rs",
+    "crates/trainer/src/render.rs",
+];
 /// Crates the entry-width rule covers (where byte widths become addresses
 /// and traffic).
 const WIDTH_CRATES: &[&str] = &["encoding", "accel", "dram"];

@@ -21,7 +21,7 @@ pub fn fine(rng: &mut SmallRng) -> String {
 }
 
 pub fn exempt_elsewhere(v: Option<u32>) -> u32 {
-    // The trainer crate is not hot-path scope outside render.rs: no
+    // The trainer crate is not hot-path scope outside the named files: no
     // panic-path finding here.
     v.unwrap()
 }

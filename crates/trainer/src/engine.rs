@@ -12,7 +12,8 @@
 //! (default: all available cores); [`crate::train::Trainer::with_threads`]
 //! overrides it per trainer, which is what the determinism tests use.
 
-use inerf_geom::Vec3;
+use crate::occupancy::RefreshScratch;
+use inerf_geom::{Ray, Vec3};
 use inerf_render::volume::RaySpan;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::sync::{Arc, OnceLock};
@@ -75,14 +76,15 @@ pub fn default_pool() -> Arc<ThreadPool> {
     Arc::clone(POOL.get_or_init(|| build_pool(default_threads())))
 }
 
-/// Pooled per-iteration buffers of the batched engine: every
-/// structure-of-arrays buffer `gather_batch`/`step_batched` fills lives
-/// here and is reused across iterations, so steady-state training performs
-/// no per-iteration heap allocation in the engine itself. (The remaining
-/// per-iteration allocations are the thread-pool spawn closures boxed
-/// inside the vendored rayon — a per-task fixed cost outside the arena's
-/// reach — and any model-internal scratch, which [`crate::model::IngpModel`]
-/// pools separately per chunk.)
+/// Pooled per-iteration buffers of the batched engine: the random pixel
+/// batch `train_step` draws, every structure-of-arrays buffer
+/// `gather_batch`/`step_batched` fills, and the occupancy refresh's block
+/// scratch live here and are reused across iterations, so steady-state
+/// training performs no per-iteration heap allocation in the engine
+/// itself. (The remaining per-iteration allocations are the thread-pool
+/// spawn closures boxed inside the vendored rayon — a per-task fixed cost
+/// outside the arena's reach — and any model-internal scratch, which
+/// [`crate::model::IngpModel`] pools separately per chunk.)
 ///
 /// The arena tracks its own *capacity-growth events*: an iteration that
 /// forces any pooled buffer to grow its capacity counts as one event.
@@ -91,6 +93,11 @@ pub fn default_pool() -> Arc<ThreadPool> {
 /// bench assert on.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BatchArena {
+    // Step (a): the random pixel batch of `train_step`.
+    pub pixel_rays: Vec<Ray>,
+    pub pixel_targets: Vec<Vec3>,
+    /// Block scratch of the periodic occupancy-grid refresh.
+    pub refresh: RefreshScratch,
     // Gather outputs (the iteration's sample batch, SoA).
     pub points: Vec<Vec3>,
     pub dirs: Vec<Vec3>,
@@ -125,7 +132,10 @@ impl BatchArena {
     /// never shrink (the arena never calls `shrink_to_fit`), so the sum
     /// grows if and only if some buffer reallocated.
     fn capacity_sum(&self) -> usize {
-        self.points.capacity()
+        self.pixel_rays.capacity()
+            + self.pixel_targets.capacity()
+            + self.refresh.capacity_sum()
+            + self.points.capacity()
             + self.dirs.capacity()
             + self.spans.capacity()
             + self.dts.capacity()

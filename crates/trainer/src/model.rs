@@ -225,6 +225,30 @@ pub trait TrainableField {
     fn stream_lookups(&self, _points: &[Vec3], _sink: &mut dyn TraceSink) {}
 }
 
+/// No-gradient densities of `points`, by whichever evaluation path the
+/// model has: the phased density query into `scratch` (returns `true`; the
+/// colour phase may follow with the same scratch), or — for per-point
+/// models, the Tab. IV baselines — the dense
+/// [`TrainableField::query_eval_batch`], whose colours land in `rgbs`
+/// (returns `false`). The one dispatch the render engine and the
+/// occupancy refresh share.
+pub(crate) fn eval_density_batch<M: TrainableField>(
+    model: &M,
+    points: &[Vec3],
+    dirs: &[Vec3],
+    sigmas: &mut [f32],
+    rgbs: &mut Vec<Vec3>,
+    scratch: &mut EvalScratch,
+    pool: &ThreadPool,
+) -> bool {
+    let phased = model.query_eval_batch_density(points, sigmas, scratch, pool);
+    if !phased {
+        rgbs.resize(points.len(), Vec3::ZERO);
+        model.query_eval_batch(points, dirs, sigmas, rgbs, pool);
+    }
+    phased
+}
+
 /// Execution path of the hash-grid optimizer.
 ///
 /// Both paths produce bitwise-identical training trajectories (losses,
@@ -371,7 +395,7 @@ struct PointCache {
 /// Points per chunk of the batched engine. Fixed (not derived from the
 /// worker count) so chunk boundaries — and therefore every gradient
 /// accumulation order — are identical at any thread count.
-const POINT_CHUNK: usize = 256;
+pub(crate) const POINT_CHUNK: usize = 256;
 
 /// Per-chunk scratch of the batched engine: forward activations (kept for
 /// the backward pass) and chunk-local parameter gradients. Buffers are

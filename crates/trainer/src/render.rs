@@ -59,7 +59,7 @@
 //! [`RenderEngine::growth_events`]).
 
 use crate::engine;
-use crate::model::{EvalScratch, TrainableField};
+use crate::model::{eval_density_batch, EvalScratch, TrainableField};
 use crate::occupancy::OccupancyGrid;
 use inerf_geom::{Aabb, Camera, Vec3};
 use inerf_render::volume::RaySpan;
@@ -529,25 +529,18 @@ impl RenderEngine {
         // inerf-lint: allow(wall-clock) -- stage telemetry only: feeds RenderStats/BENCH_render.json, never a simulated statistic
         let t_density = Instant::now();
         arena.sigmas.resize(n, 0.0);
-        let phased = model.query_eval_batch_density(
+        // Per-point baseline models take the dense fallback (both MLPs for
+        // every sample up front); culling and the scan's truncation still
+        // shape the composite below.
+        let phased = eval_density_batch(
+            model,
             &arena.points,
+            &arena.dirs,
             &mut arena.sigmas,
+            &mut arena.rgbs,
             &mut self.scratch,
             ctx.pool,
         );
-        if !phased {
-            // Dense fallback (per-point baseline models): both MLPs for
-            // every sample up front; culling and the scan's truncation
-            // still shape the composite below.
-            arena.rgbs.resize(n, Vec3::ZERO);
-            model.query_eval_batch(
-                &arena.points,
-                &arena.dirs,
-                &mut arena.sigmas,
-                &mut arena.rgbs,
-                ctx.pool,
-            );
-        }
         self.stats.density_ns += t_density.elapsed().as_nanos() as u64;
 
         // inerf-lint: allow(wall-clock) -- stage telemetry only: feeds RenderStats/BENCH_render.json, never a simulated statistic

@@ -332,28 +332,42 @@ impl<M: TrainableField> Trainer<M> {
         dataset: &Dataset,
         sink: Option<&mut (dyn TraceSink + '_)>,
     ) -> f64 {
+        self.arena.begin_iteration();
         if let Some(occ) = &mut self.occupancy {
             if occ.iteration % occ.refresh_every == 0 {
                 // The refresh probes model densities outside the training
                 // read set — flush any lazily deferred parameter updates
                 // first (no-op for dense-optimizer models).
                 self.model.sync_parameters();
-                occ.grid.refresh(&self.model, occ.threshold, 2);
+                occ.grid.refresh_with(
+                    &self.model,
+                    occ.threshold,
+                    2,
+                    &mut self.arena.refresh,
+                    &self.pool,
+                );
             }
             occ.iteration += 1;
         }
         let n_pixels = dataset.train_pixel_count();
         assert!(n_pixels > 0, "dataset has no training pixels");
-        // Step (a): random pixel batch.
-        let mut rays: Vec<Ray> = Vec::with_capacity(self.config.rays_per_batch);
-        let mut targets: Vec<Vec3> = Vec::with_capacity(self.config.rays_per_batch);
+        // Step (a): random pixel batch, into the arena's pooled buffers
+        // (taken out for the iteration, which borrows the trainer).
+        let mut rays = std::mem::take(&mut self.arena.pixel_rays);
+        let mut targets = std::mem::take(&mut self.arena.pixel_targets);
+        rays.clear();
+        targets.clear();
         for _ in 0..self.config.rays_per_batch {
             let idx = self.rng.gen_range(0..n_pixels);
             let (vi, px, py, color) = dataset.train_pixel(idx);
             rays.push(dataset.train_views[vi].camera.ray_for_pixel(px, py));
             targets.push(color);
         }
-        self.train_on_rays_with_sink(&rays, &targets, &dataset.bounds, sink)
+        let loss = self.run_iteration(&rays, &targets, &dataset.bounds, sink);
+        self.arena.pixel_rays = rays;
+        self.arena.pixel_targets = targets;
+        self.arena.end_iteration();
+        loss
     }
 
     /// Runs one iteration on explicit rays/targets (used by tests and the
@@ -380,15 +394,28 @@ impl<M: TrainableField> Trainer<M> {
         bounds: &Aabb,
         sink: Option<&mut (dyn TraceSink + '_)>,
     ) -> f64 {
+        self.arena.begin_iteration();
+        let loss = self.run_iteration(rays, targets, bounds, sink);
+        self.arena.end_iteration();
+        loss
+    }
+
+    /// One iteration's Steps (b)–(f) plus the optimizer step; the callers
+    /// bracket it with the arena's growth accounting.
+    fn run_iteration(
+        &mut self,
+        rays: &[Ray],
+        targets: &[Vec3],
+        bounds: &Aabb,
+        sink: Option<&mut (dyn TraceSink + '_)>,
+    ) -> f64 {
         self.steps += 1;
         self.model.begin_batch();
-        self.arena.begin_iteration();
         self.gather_batch(rays, targets, bounds);
         if self.arena.spans.is_empty() {
             if let Some(sink) = sink {
                 sink.end_batch(); // an empty iteration still closes a batch
             }
-            self.arena.end_iteration();
             return 0.0;
         }
         self.points_queried += self.arena.points.len() as u64;
@@ -401,7 +428,6 @@ impl<M: TrainableField> Trainer<M> {
             Engine::Batched => self.step_batched(),
         };
         self.model.apply_gradients();
-        self.arena.end_iteration();
         loss
     }
 

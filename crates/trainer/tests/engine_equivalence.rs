@@ -283,24 +283,39 @@ fn trajectories_identical_across_threads_for_every_backend() {
 #[test]
 fn arena_allocation_free_in_steady_state() {
     // Warm the arena with a full-size batch (every ray hits the bounds, so
-    // every pooled buffer reaches its steady-state high-water mark), then
-    // train on random dataset batches: no pooled buffer may grow again.
+    // every pooled buffer reaches its steady-state high-water mark) and one
+    // `train_step` (which fills the pooled pixel batch and, with a grid,
+    // runs the first refresh — its first probe visits every cell, so its
+    // blocks are full), then train on random dataset batches: no pooled
+    // buffer may grow again, through three more refreshes.
     let scene = zoo::scene(zoo::SceneKind::Mic);
     let dataset = DatasetConfig::tiny().generate(&scene);
     let config = TrainConfig::tiny();
     let (rays, targets) = random_rays(5, config.rays_per_batch);
-    let mut trainer = Trainer::new(IngpModel::new(ModelConfig::tiny(), 3), config, 9);
-    trainer.train_on_rays(&rays, &targets, &bounds());
-    let warm = trainer.arena_growth_events();
-    assert!(warm >= 1, "the first iteration must populate the arena");
-    for _ in 0..5 {
+    for with_grid in [false, true] {
+        let mut trainer = Trainer::new(IngpModel::new(ModelConfig::tiny(), 3), config, 9);
+        if with_grid {
+            trainer = trainer.with_occupancy_grid(16, 0.05, 2);
+        }
+        trainer.train_on_rays(&rays, &targets, &bounds());
+        let cold = trainer.arena_growth_events();
+        assert!(cold >= 1, "the first iteration must populate the arena");
         trainer.train_step(&dataset);
+        let warm = trainer.arena_growth_events();
+        assert_eq!(
+            warm,
+            cold + 1,
+            "the first train_step must populate the pixel batch (grid: {with_grid})"
+        );
+        for _ in 0..6 {
+            trainer.train_step(&dataset);
+        }
+        assert_eq!(
+            trainer.arena_growth_events(),
+            warm,
+            "steady-state iterations must not grow any pooled buffer (grid: {with_grid})"
+        );
     }
-    assert_eq!(
-        trainer.arena_growth_events(),
-        warm,
-        "steady-state iterations must not grow any pooled buffer"
-    );
 }
 
 #[test]
