@@ -38,6 +38,10 @@ pub struct CosimStats {
     pub ht_bank_conflicts: u64,
     /// DRAM requests issued by the HT and HT_b replays together.
     pub dram_requests: u64,
+    /// Cubes streamed on levels the mapping does not hold (a grid deeper
+    /// than the mapped table). They cause no DRAM request, so a non-zero
+    /// count means the totals above under-report the run's traffic.
+    pub dropped_cubes: u64,
     /// Peak heap bytes of the co-simulation state observed at any
     /// iteration boundary — the constant-memory claim, measured.
     pub peak_state_bytes: usize,
@@ -59,10 +63,11 @@ impl CosimStats {
 ///
 /// Stream order of operations per iteration: the trainer pushes every
 /// sample point's cubes (`push_cube`/`end_point`), then signals
-/// `end_batch`; the sink flushes the HT_b write-back drain, drains both
-/// incremental simulators, computes the iteration estimate and accumulates
-/// it. Bank state and request-generation registers are reset in place —
-/// the run's memory footprint stays constant regardless of length.
+/// `end_batch`; the sink forks the HT simulator off the shared read sweep,
+/// flushes the HT_b write-back drain, drains both incremental simulators,
+/// computes the iteration estimate and accumulates it. Bank state and
+/// request-generation registers are reset in place — the run's memory
+/// footprint stays constant regardless of length.
 #[derive(Debug, Clone)]
 pub struct CosimSink {
     model: PipelineModel,
@@ -148,6 +153,7 @@ impl TraceSink for CosimSink {
     fn end_batch(&mut self) {
         let state_bytes = self.inner.state_bytes();
         self.stats.peak_state_bytes = self.stats.peak_state_bytes.max(state_bytes);
+        self.stats.dropped_cubes = self.inner.dropped_cubes();
         let (ht, htb, points) = self.inner.drain();
         if points == 0 {
             return; // an empty iteration (all rays missed the bounds)
@@ -217,7 +223,10 @@ mod tests {
     #[test]
     fn state_stays_constant_across_iterations() {
         // The constant-memory claim: after a warm-up iteration sizes the
-        // buffers, further identical iterations must not grow the state.
+        // buffers, further identical iterations must not grow the state —
+        // the request stream and its touched-row filter, and the two
+        // simulators the fork copies between, all counted by
+        // `state_bytes` — and must repeat the first estimate exactly.
         let model_cfg = ModelConfig::paper(HashFunction::Morton);
         let grid = HashGrid::new(model_cfg.grid, 3);
         let mut cosim = CosimSink::new(PipelineModel::paper(model_cfg), 4096);
@@ -225,14 +234,42 @@ mod tests {
         grid.stream_batch(&pts, &mut cosim);
         cosim.end_batch();
         let after_first = cosim.state_bytes();
-        for _ in 0..4 {
+        let first = cosim.last_estimate().expect("estimate").clone();
+        for iter in 1..5 {
             grid.stream_batch(&pts, &mut cosim);
             cosim.end_batch();
+            assert_eq!(
+                cosim.state_bytes(),
+                after_first,
+                "co-simulation state must not grow with run length (iteration {iter})"
+            );
+            assert_eq!(cosim.last_estimate(), Some(&first), "iteration {iter}");
         }
-        assert_eq!(
-            cosim.state_bytes(),
-            after_first,
-            "co-simulation state must not grow with run length"
-        );
+        assert_eq!(cosim.stats().peak_state_bytes, after_first);
+    }
+
+    #[test]
+    fn cubes_on_unmapped_levels_are_reported() {
+        // A 17-level grid on the paper's 16-level mapping: one cube per
+        // point has no bank to go to. The run still co-simulates, and its
+        // statistics say how much traffic they leave out.
+        let mut model_cfg = ModelConfig::paper(HashFunction::Morton);
+        model_cfg.grid.table_size_log2 = 12;
+        let pts = ray_points(2, 32);
+        for (levels, dropped) in [(16, 0), (17, pts.len() as u64)] {
+            model_cfg.grid.levels = levels;
+            let grid = HashGrid::new(model_cfg.grid, 3);
+            let mut cosim = CosimSink::new(PipelineModel::paper(model_cfg), 4096);
+            for iter in 1..=2 {
+                grid.stream_batch(&pts, &mut cosim);
+                cosim.end_batch();
+                assert_eq!(
+                    cosim.stats().dropped_cubes,
+                    iter * dropped,
+                    "{levels} levels"
+                );
+            }
+            assert_eq!(cosim.stats().iterations, 2);
+        }
     }
 }

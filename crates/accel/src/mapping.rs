@@ -15,8 +15,6 @@ use inerf_dram::{AccessKind, DramConfig, DramSim, PhysAddr, Request};
 use inerf_encoding::trace::CubeLookup;
 use inerf_encoding::{EntryLayout, LookupTrace, TraceSink};
 use serde::{Deserialize, Serialize};
-// inerf-lint: allow(hash-order) -- membership-only set (see `touched_keys`); iteration never happens
-use std::collections::HashSet;
 
 /// Inter-level bank-assignment policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,6 +36,9 @@ pub struct HashTableMapping {
     scheme: MappingScheme,
     /// `assignment[level]` = bank holding that level.
     assignment: Vec<u32>,
+    /// Distinct banks in `assignment`, counted once here: the estimate
+    /// reads it every co-simulated iteration.
+    banks_used: u32,
     /// Subarrays per bank used by the intra-level spread.
     subarrays: u32,
     /// Row geometry at the table's storage width: 4 B entries for the
@@ -65,7 +66,7 @@ impl HashTableMapping {
             levels > 0 && banks > 0 && subarrays > 0,
             "mapping parameters must be positive"
         );
-        let assignment = match scheme {
+        let assignment: Vec<u32> = match scheme {
             MappingScheme::OneLevelPerBank => (0..levels).map(|l| l % banks).collect(),
             MappingScheme::Clustered | MappingScheme::ClusteredNoSpread => {
                 // Groups: {0..=4} {5..=8} {9..=10}, then one bank per level.
@@ -82,8 +83,12 @@ impl HashTableMapping {
                     .collect()
             }
         };
+        let mut distinct = assignment.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
         HashTableMapping {
             scheme,
+            banks_used: distinct.len() as u32,
             assignment,
             subarrays,
             layout: EntryLayout::default(),
@@ -123,10 +128,7 @@ impl HashTableMapping {
 
     /// Number of distinct banks used.
     pub fn banks_used(&self) -> usize {
-        let mut b: Vec<u32> = self.assignment.clone();
-        b.sort_unstable();
-        b.dedup();
-        b.len()
+        self.banks_used as usize
     }
 
     /// Maps one table entry to its physical address.
@@ -191,6 +193,140 @@ impl HashTableMapping {
     }
 }
 
+/// Division of a `u32` by a divisor fixed at construction, as one widening
+/// multiply (Lemire, Kaser & Kurz, "Faster remainder by direct computation",
+/// 2019): with `magic = floor((2^64 - 1) / d) + 1`, the high half of
+/// `magic * n` is `n / d` for every 32-bit `n`. The request generator
+/// divides by four run-time constants per mapped row, which as hardware
+/// divisions were about a sixth of its time.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u32,
+    /// Zero stands for `d == 1`, whose magic would be 2^64.
+    magic: u64,
+}
+
+impl Divisor {
+    fn new(d: u32) -> Self {
+        assert!(d > 0, "division by zero");
+        Divisor {
+            d,
+            magic: (u64::MAX / d as u64).wrapping_add(1),
+        }
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    fn div_rem(self, n: u32) -> (u32, u32) {
+        if self.magic == 0 {
+            return (n, 0);
+        }
+        let q = ((self.magic as u128 * n as u128) >> 64) as u32;
+        (q, n - q * self.d)
+    }
+}
+
+/// One level's share of the address map, derived once per stream: what
+/// [`HashTableMapping::map_entry`] recomputes from the bank assignment on
+/// every call.
+#[derive(Debug, Clone, Copy)]
+struct LevelSlot {
+    channel: u32,
+    bank: u32,
+    /// First subarray of the level's share of its bank.
+    sa_base: u32,
+    /// Subarrays in that share (the round-robin modulus of the spread).
+    share: Divisor,
+    /// First row of the level's region (co-resident levels are stacked).
+    row_base: u32,
+}
+
+/// The rows the read sweep has touched since the last drain: the drain's
+/// insertion-ordered source, plus an O(1) membership filter over the same
+/// `(bank, subarray, row)` key. Both grow with the touched rows (which the
+/// table size bounds), never with the streamed points.
+///
+/// The filter keeps one 64-row bitmap per touched *page* of the physical
+/// row space in a small open-addressed table: the mapping packs a level's
+/// rows densely, so a batch that touches every row of the paper's table
+/// needs a few hundred pages — a cache-resident filter for a lookup that
+/// runs once per emitted request.
+#[derive(Debug, Clone, Default)]
+struct TouchedRows {
+    rows: Vec<PhysAddr>,
+    /// `(page, bitmap)` slots, linearly probed; the length is zero or a
+    /// power of two and at most half the slots are ever occupied.
+    pages: Vec<(u64, u64)>,
+    pages_used: usize,
+}
+
+impl TouchedRows {
+    /// The page id of a free slot; a real one is a key shifted right by
+    /// six bits and never reaches it.
+    const FREE: u64 = u64::MAX;
+
+    /// Fibonacci hashing: the high bits of the golden-ratio product spread
+    /// the near-sequential page ids evenly over the table.
+    fn home(page: u64, slots: usize) -> usize {
+        debug_assert!(slots.is_power_of_two() && slots > 1);
+        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - slots.trailing_zeros())) as usize
+    }
+
+    /// Records `addr`, whose dense physical row index is `key`; false if
+    /// the row was already recorded.
+    #[inline]
+    fn insert(&mut self, key: u64, addr: PhysAddr) -> bool {
+        if (self.pages_used + 1) * 2 > self.pages.len() {
+            self.grow();
+        }
+        let (page, bit) = (key >> 6, 1u64 << (key & 63));
+        let mask = self.pages.len() - 1;
+        let mut i = Self::home(page, self.pages.len());
+        loop {
+            let slot = &mut self.pages[i];
+            if slot.0 == Self::FREE {
+                *slot = (page, 0);
+                self.pages_used += 1;
+            }
+            if slot.0 == page {
+                let new = slot.1 & bit == 0;
+                if new {
+                    slot.1 |= bit;
+                    self.rows.push(addr);
+                }
+                return new;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the page table and re-seats every page.
+    fn grow(&mut self) {
+        let old = std::mem::take(&mut self.pages);
+        self.pages = vec![(Self::FREE, 0); (old.len() * 2).max(16)];
+        let mask = self.pages.len() - 1;
+        for slot in old.into_iter().filter(|s| s.0 != Self::FREE) {
+            let mut i = Self::home(slot.0, self.pages.len());
+            while self.pages[i].0 != Self::FREE {
+                i = (i + 1) & mask;
+            }
+            self.pages[i] = slot;
+        }
+    }
+
+    /// Forgets every row, keeping both allocations.
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.pages.fill((Self::FREE, 0));
+        self.pages_used = 0;
+    }
+
+    fn state_bytes(&self) -> usize {
+        self.rows.capacity() * std::mem::size_of::<PhysAddr>()
+            + self.pages.capacity() * std::mem::size_of::<(u64, u64)>()
+    }
+}
+
 /// Online DRAM-request generation from the streaming trace bus.
 ///
 /// Mirrors the accelerator datapath: per level, a two-row `r0` register
@@ -204,62 +340,128 @@ impl HashTableMapping {
 /// pass over the touched rows at [`RequestStream::end_batch`]
 /// (deduplicated), avoiding per-access read/write turnarounds. `end_batch`
 /// also resets the per-batch register state, so one stream serves a whole
-/// training run iteration by iteration.
+/// training run iteration by iteration. The reads are the same with or
+/// without `write_back`.
+///
+/// Addresses come from a per-level table built at construction, equal to
+/// [`HashTableMapping::map_entry`] for every entry (checked on each request
+/// in debug builds).
 #[derive(Debug, Clone)]
 pub struct RequestStream {
     mapping: HashTableMapping,
     dram: DramConfig,
     write_back: bool,
+    levels: Vec<LevelSlot>,
+    entries_per_row: Divisor,
+    subarrays_per_bank: Divisor,
+    rows_per_subarray: Divisor,
     /// Per-level register-cache state: the previous point's cube id.
     last_cube: Vec<Option<u64>>,
     /// Two-entry LRU of (subarray, row) per level — the r0 register pair.
     r0: Vec<[Option<(u32, u32)>; 2]>,
-    /// Rows touched by the read sweep (write-back drain, insertion order).
-    touched: Vec<PhysAddr>,
-    /// Membership filter over `touched`; the drain order that reaches the
-    /// DRAM model always comes from the insertion-ordered `Vec` above.
-    // inerf-lint: allow(hash-order) -- deduplication membership only; drain order comes from `touched`
-    touched_keys: HashSet<(u32, u32, u32)>,
+    /// Rows touched by the read sweep (the write-back drain).
+    touched: TouchedRows,
+    dropped_cubes: u64,
 }
 
 impl RequestStream {
     /// Creates an idle stream for one batch sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dram` has no subarrays or no rows, or more physical rows
+    /// per channel than a `u64` counts.
     pub fn new(mapping: &HashTableMapping, dram: &DramConfig, write_back: bool) -> Self {
-        let levels = mapping.assignment.len();
+        // The touched-row filter keys a row by its index among these.
+        assert!(
+            (dram.banks_per_channel as u64 * dram.subarrays_per_bank as u64)
+                .checked_mul(dram.rows_per_subarray as u64)
+                .is_some(),
+            "a channel's physical rows must be countable in a u64"
+        );
+        let assignment = &mapping.assignment;
+        let rows_per_level = (1u32 << 19) / mapping.layout.entries_per_row();
+        let levels = assignment
+            .iter()
+            .enumerate()
+            .map(|(level, &bank)| {
+                let on_bank = |levels: &[u32]| levels.iter().filter(|&&b| b == bank).count() as u32;
+                let stack_index = on_bank(&assignment[..level]);
+                let share = (mapping.subarrays / on_bank(assignment)).max(1);
+                LevelSlot {
+                    channel: bank / dram.banks_per_channel % dram.channels,
+                    bank: bank % dram.banks_per_channel,
+                    sa_base: (stack_index * share) % mapping.subarrays,
+                    share: Divisor::new(share),
+                    row_base: stack_index * rows_per_level,
+                }
+            })
+            .collect();
         RequestStream {
             mapping: mapping.clone(),
             dram: *dram,
             write_back,
-            last_cube: vec![None; levels],
-            r0: vec![[None; 2]; levels],
-            touched: Vec::new(),
-            // inerf-lint: allow(hash-order) -- deduplication membership only; drain order comes from `touched`
-            touched_keys: HashSet::new(),
+            levels,
+            entries_per_row: Divisor::new(mapping.layout.entries_per_row()),
+            subarrays_per_bank: Divisor::new(dram.subarrays_per_bank),
+            rows_per_subarray: Divisor::new(dram.rows_per_subarray),
+            last_cube: vec![None; assignment.len()],
+            r0: vec![[None; 2]; assignment.len()],
+            touched: TouchedRows::default(),
+            dropped_cubes: 0,
+        }
+    }
+
+    /// Cubes pushed so far whose level the mapping does not hold (a grid
+    /// deeper than the mapped table): they cause no request, and are
+    /// counted here instead of vanishing.
+    pub fn dropped_cubes(&self) -> u64 {
+        self.dropped_cubes
+    }
+
+    /// The address of the entry at column `col_idx` of table row `row_idx`
+    /// on `slot`'s level.
+    #[inline]
+    fn address(&self, slot: LevelSlot, row_idx: u32, col_idx: u32) -> PhysAddr {
+        let (subarray, row) = match self.mapping.scheme {
+            MappingScheme::ClusteredNoSpread => (slot.sa_base, slot.row_base + row_idx),
+            _ => {
+                let (q, r) = slot.share.div_rem(row_idx);
+                (slot.sa_base + r, slot.row_base + q)
+            }
+        };
+        PhysAddr {
+            channel: slot.channel,
+            bank: slot.bank,
+            subarray: self.subarrays_per_bank.div_rem(subarray).1,
+            row: self.rows_per_subarray.div_rem(row).1,
+            col: col_idx * self.mapping.layout.entry_bytes(),
         }
     }
 
     /// Processes one cube, emitting the DRAM read requests it causes.
     pub fn push_cube(&mut self, cube: &CubeLookup, mut emit: impl FnMut(Request)) {
         let li = cube.level as usize;
-        if li >= self.last_cube.len() {
+        let Some(&slot) = self.levels.get(li) else {
+            self.dropped_cubes += 1;
             return;
-        }
+        };
         if self.last_cube[li] == Some(cube.cube_id) {
             return; // register-cache hit: embeddings already loaded
         }
         self.last_cube[li] = Some(cube.cube_id);
         // Distinct rows of the cube, filtered through the r0 pair.
-        let layout = self.mapping.layout();
         let mut seen = [u32::MAX; 8];
         let mut n = 0usize;
         for &e in &cube.entries {
-            let r = layout.row_of_entry(e);
+            let (r, col_idx) = self.entries_per_row.div_rem(e);
             if seen[..n].contains(&r) {
                 continue;
             }
             seen[n] = r;
             n += 1;
-            let addr = self.mapping.map_entry(cube.level, e, &self.dram);
+            let addr = self.address(slot, r, col_idx);
+            debug_assert_eq!(addr, self.mapping.map_entry(cube.level, e, &self.dram));
             let key = (addr.subarray, addr.row);
             if self.r0[li].contains(&Some(key)) {
                 continue; // already resident in a row register
@@ -267,12 +469,14 @@ impl RequestStream {
             self.r0[li][1] = self.r0[li][0];
             self.r0[li][0] = Some(key);
             emit(Request::new(addr, AccessKind::Read));
-            if self.write_back
-                && self
-                    .touched_keys
-                    .insert((addr.bank, addr.subarray, addr.row))
-            {
-                self.touched.push(addr);
+            if self.write_back {
+                // The row's index among the channel's physical rows.
+                let d = &self.dram;
+                let row_key = (addr.bank as u64 * d.subarrays_per_bank as u64
+                    + addr.subarray as u64)
+                    * d.rows_per_subarray as u64
+                    + addr.row as u64;
+                self.touched.insert(row_key, addr);
             }
         }
     }
@@ -285,12 +489,14 @@ impl RequestStream {
         if self.write_back {
             // Batched gradient drain, deduplicated per touched row.
             self.touched
+                .rows
                 .sort_unstable_by_key(|a| (a.bank, a.row, a.subarray));
             self.touched
-                .drain(..)
-                .map(|a| Request::new(a, AccessKind::Write))
+                .rows
+                .iter()
+                .map(|&a| Request::new(a, AccessKind::Write))
                 .for_each(emit);
-            self.touched_keys.clear();
+            self.touched.clear();
         }
         self.last_cube.fill(None);
         for r in &mut self.r0 {
@@ -303,10 +509,10 @@ impl RequestStream {
     /// touched *rows*, which the table size bounds).
     pub fn state_bytes(&self) -> usize {
         self.mapping.assignment.capacity() * std::mem::size_of::<u32>()
+            + self.levels.capacity() * std::mem::size_of::<LevelSlot>()
             + self.last_cube.capacity() * std::mem::size_of::<Option<u64>>()
             + self.r0.capacity() * std::mem::size_of::<[Option<(u32, u32)>; 2]>()
-            + self.touched.capacity() * std::mem::size_of::<PhysAddr>()
-            + self.touched_keys.capacity() * std::mem::size_of::<(u32, u32, u32)>()
+            + self.touched.state_bytes()
     }
 }
 
@@ -379,6 +585,7 @@ mod tests {
     use inerf_encoding::requests::ENTRIES_PER_ROW;
     use inerf_encoding::{HashFunction, HashGrid, HashGridConfig};
     use inerf_geom::Vec3;
+    use proptest::prelude::*;
 
     #[test]
     fn clustered_assignment_matches_paper_groups() {
@@ -591,5 +798,263 @@ mod tests {
             rm.len(),
             ro.len()
         );
+    }
+
+    const SCHEMES: [MappingScheme; 3] = [
+        MappingScheme::Clustered,
+        MappingScheme::OneLevelPerBank,
+        MappingScheme::ClusteredNoSpread,
+    ];
+
+    /// Every scheme × entry width × subarray count at the paper's 16
+    /// levels on the near-bank DRAM view, plus one mapping with more banks
+    /// than a channel holds on the eight-channel organization.
+    fn configurations() -> Vec<(HashTableMapping, DramConfig)> {
+        let mut out = Vec::new();
+        for scheme in SCHEMES {
+            for entry_bytes in [4, 8] {
+                for sa in [1, 8, 32] {
+                    out.push((
+                        HashTableMapping::paper(scheme, sa).with_entry_bytes(entry_bytes),
+                        crate::AccelConfig::paper().nmp_dram(sa),
+                    ));
+                }
+            }
+            out.push((
+                HashTableMapping::new(scheme, 20, 40, 4),
+                DramConfig::paper(4),
+            ));
+        }
+        out
+    }
+
+    /// A 16-level grid with a small table: real address generation
+    /// without the paper table's allocation.
+    fn small_deep_grid(hash: HashFunction, levels: u32) -> HashGrid {
+        let config = HashGridConfig {
+            levels,
+            table_size_log2: 14,
+            ..HashGridConfig::paper(hash)
+        };
+        HashGrid::new(config, 5)
+    }
+
+    /// Points with no locality (the random streaming order's shape).
+    fn scattered_points(n: usize, seed: u64) -> Vec<Vec3> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut unit = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 40) as f32 / (1u64 << 24) as f32
+        };
+        (0..n).map(|_| Vec3::new(unit(), unit(), unit())).collect()
+    }
+
+    #[test]
+    fn table_driven_address_equals_map_entry() {
+        for (m, dram) in configurations() {
+            let stream = RequestStream::new(&m, &dram, false);
+            let per_row = m.layout().entries_per_row();
+            let entries = (0..1u32 << 19)
+                .step_by(997)
+                .chain([0, 1, per_row - 1, per_row, 6 * per_row + 3])
+                .chain([(1 << 19) - 1, 1 << 19, (1 << 20) + 77]);
+            for entry in entries {
+                let (row_idx, col_idx) = (entry / per_row, entry % per_row);
+                for (level, &slot) in stream.levels.iter().enumerate() {
+                    assert_eq!(
+                        stream.address(slot, row_idx, col_idx),
+                        m.map_entry(level as u32, entry, &dram),
+                        "{:?} level {level} entry {entry}",
+                        m.scheme()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn paper_geometry_maps_table_rows_injectively() {
+        // Distinct table rows never share a physical row, so the drain's
+        // per-physical-row deduplication merges nothing it should not.
+        for scheme in SCHEMES {
+            for entry_bytes in [4, 8] {
+                let m = HashTableMapping::paper(scheme, 32).with_entry_bytes(entry_bytes);
+                let dram = crate::AccelConfig::paper().nmp_dram(32);
+                let per_row = m.layout().entries_per_row();
+                let rows_per_level = (1u32 << 19) / per_row;
+                let mut seen = std::collections::BTreeSet::new();
+                for level in 0..16 {
+                    for row_idx in 0..rows_per_level {
+                        let a = m.map_entry(level, row_idx * per_row, &dram);
+                        assert!(
+                            seen.insert((a.channel, a.bank, a.subarray, a.row)),
+                            "{scheme:?}, {entry_bytes} B entries: level {level} row {row_idx} aliases"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// An independent request generator for the stream to be held to:
+    /// `map_entry` per row, an ordered set for the drain.
+    fn reference_requests(
+        m: &HashTableMapping,
+        dram: &DramConfig,
+        batches: &[Vec<CubeLookup>],
+        write_back: bool,
+    ) -> Vec<Request> {
+        let levels = m.assignment.len();
+        let mut out = Vec::new();
+        for batch in batches {
+            let mut last_cube = vec![None; levels];
+            let mut r0 = vec![[None; 2]; levels];
+            let mut touched = Vec::new();
+            let mut touched_keys = std::collections::BTreeSet::new();
+            for cube in batch {
+                let li = cube.level as usize;
+                if li >= levels || last_cube[li] == Some(cube.cube_id) {
+                    continue;
+                }
+                last_cube[li] = Some(cube.cube_id);
+                let mut rows = Vec::new();
+                for &e in &cube.entries {
+                    let r = m.layout().row_of_entry(e);
+                    if rows.contains(&r) {
+                        continue;
+                    }
+                    rows.push(r);
+                    let addr = m.map_entry(cube.level, e, dram);
+                    let key = (addr.subarray, addr.row);
+                    if r0[li].contains(&Some(key)) {
+                        continue;
+                    }
+                    r0[li] = [Some(key), r0[li][0]];
+                    out.push(Request::new(addr, AccessKind::Read));
+                    if write_back && touched_keys.insert((addr.bank, addr.subarray, addr.row)) {
+                        touched.push(addr);
+                    }
+                }
+            }
+            touched.sort_unstable_by_key(|a| (a.bank, a.row, a.subarray));
+            out.extend(
+                touched
+                    .into_iter()
+                    .map(|a| Request::new(a, AccessKind::Write)),
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn stream_emits_the_reference_request_sequence() {
+        for hash in [HashFunction::Morton, HashFunction::Original] {
+            let grid = small_deep_grid(hash, 16);
+            let mut batches = Vec::new();
+            for (n, seed) in [(96, 1), (0, 2), (160, 3)] {
+                let mut trace = LookupTrace::new();
+                grid.stream_batch(&scattered_points(n, seed), &mut trace);
+                batches.push(trace.cubes().to_vec());
+            }
+            batches.push(ray_trace(&grid, 2, 48).cubes().to_vec());
+            for (m, dram) in configurations() {
+                for write_back in [false, true] {
+                    let mut sink = RequestSink::new(
+                        RequestStream::new(&m, &dram, write_back),
+                        Vec::<Request>::new(),
+                    );
+                    for batch in &batches {
+                        for cube in batch {
+                            sink.push_cube(cube);
+                        }
+                        sink.end_batch();
+                    }
+                    assert_eq!(
+                        sink.consumer(),
+                        &reference_requests(&m, &dram, &batches, write_back),
+                        "{hash:?} {:?} write_back={write_back}",
+                        m.scheme()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cubes_beyond_the_mapped_levels_are_counted() {
+        // A 17-level grid on the 16-level paper mapping: the deepest
+        // level's cubes cause no request, and the stream says so.
+        let m = HashTableMapping::paper(MappingScheme::Clustered, 8);
+        let dram = DramConfig::paper(8);
+        let points = scattered_points(40, 9);
+        for (levels, dropped) in [(16, 0), (17, 40)] {
+            let grid = small_deep_grid(HashFunction::Morton, levels);
+            let mut sink = RequestSink::new(RequestStream::new(&m, &dram, true), Vec::new());
+            grid.stream_batch(&points, &mut sink);
+            sink.end_batch();
+            assert_eq!(sink.stream.dropped_cubes(), dropped, "{levels} levels");
+            assert!(!sink.consumer().is_empty());
+        }
+    }
+
+    #[test]
+    fn divisor_edge_cases() {
+        for d in [1, 2, 3, 6, 255, 256, 257, 4096, u32::MAX - 1, u32::MAX] {
+            let div = Divisor::new(d);
+            for n in [0, 1, d - 1, d, d.saturating_add(1), u32::MAX - 1, u32::MAX] {
+                assert_eq!(div.div_rem(n), (n / d, n % d), "{n} / {d}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn divisor_matches_hardware_division(d in 1u32..=u32::MAX, n in 0u32..=u32::MAX) {
+            let div = Divisor::new(d);
+            prop_assert_eq!(div.div_rem(n), (n / d, n % d));
+            // Small divisors against large dividends: the request
+            // generator's shape.
+            let small = Divisor::new(d % 4097 + 1);
+            prop_assert_eq!(small.div_rem(n), (n / small.d, n % small.d));
+        }
+
+        #[test]
+        fn touched_rows_filter_matches_an_ordered_set(
+            seed in 0u64..1000,
+            span_log2 in 3u32..40,
+            n in 1usize..3000
+        ) {
+            // Two batches through one filter: growth, duplicates and the
+            // clear between batches, over dense and sparse key ranges.
+            let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut touched = TouchedRows::default();
+            for _ in 0..2 {
+                let mut reference = std::collections::BTreeSet::new();
+                let mut order = Vec::new();
+                for _ in 0..n {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    let key = s >> (64 - span_log2);
+                    let addr = PhysAddr {
+                        channel: 0,
+                        bank: (key >> 32) as u32,
+                        subarray: 0,
+                        row: key as u32,
+                        col: 0,
+                    };
+                    let new = reference.insert(key);
+                    if new {
+                        order.push(addr);
+                    }
+                    prop_assert_eq!(touched.insert(key, addr), new);
+                }
+                prop_assert_eq!(&touched.rows, &order);
+                prop_assert!(touched.pages_used * 2 <= touched.pages.len());
+                touched.clear();
+            }
+        }
     }
 }

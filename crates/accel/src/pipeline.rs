@@ -11,7 +11,7 @@
 //! also reported for the no-pipelining ablation.
 
 use crate::config::AccelConfig;
-use crate::mapping::{HashTableMapping, RequestSink, RequestStream};
+use crate::mapping::{HashTableMapping, RequestStream};
 use crate::microarch::{bank_compute_cycles_at, cycles_to_seconds};
 use crate::parallel::{bus_bytes_at, ParallelismPlan};
 use inerf_dram::{DramSim, SimStats};
@@ -144,22 +144,18 @@ impl PipelineModel {
         &self.accel
     }
 
-    /// Builds the streaming sink that feeds one iteration's cube events
-    /// into the two incremental DRAM replays the estimate needs (HT read
-    /// sweep and HT_b read + write-back). Stream a batch through it, then
-    /// call [`PipelineModel::estimate_streamed`] — constant memory in the
+    /// Builds the streaming sink that turns one iteration's cube events
+    /// into the two DRAM replays the estimate needs (HT read sweep and
+    /// HT_b read + write-back). Stream a batch through it, then call
+    /// [`PipelineModel::estimate_streamed`] — constant memory in the
     /// number of points, reusable across iterations.
     pub fn iteration_sink(&self) -> IterationSink {
         let dram_cfg = self.accel.nmp_dram(self.subarrays);
         IterationSink {
-            ht: RequestSink::new(
-                RequestStream::new(&self.mapping, &dram_cfg, false),
-                DramSim::new(dram_cfg),
-            ),
-            htb: RequestSink::new(
-                RequestStream::new(&self.mapping, &dram_cfg, true),
-                DramSim::new(dram_cfg),
-            ),
+            stream: RequestStream::new(&self.mapping, &dram_cfg, true),
+            ht: DramSim::new(dram_cfg),
+            htb: DramSim::new(dram_cfg),
+            forked: false,
             points: 0,
         }
     }
@@ -330,10 +326,22 @@ impl PipelineModel {
     }
 }
 
-/// The trace-bus sink behind [`PipelineModel::estimate_streamed`]: fans
-/// each cube event into the HT read replay and the HT_b read+write-back
-/// replay, each driving its own incremental [`DramSim`], and counts the
-/// streamed points. Memory is constant in the number of points.
+/// The trace-bus sink behind [`PipelineModel::estimate_streamed`]: maps
+/// each cube event to DRAM requests once and replays them through the
+/// incremental [`DramSim`]s of the HT read sweep and the HT_b read +
+/// write-back sweep, counting the streamed points. Memory is constant in
+/// the number of points.
+///
+/// The two sweeps read the same rows in the same order — HT_b is HT's
+/// reads followed by the write drain at `end_batch` — and a drain leaves
+/// both simulators reset, so until the first `end_batch` after a drain
+/// their states are equal by construction. The reads therefore drive the
+/// HT_b simulator alone; at that `end_batch` the HT simulator takes a copy
+/// of its state ([`DramSim::copy_state_from`]) before the writes go to
+/// HT_b only. Batches pushed after that and before the next drain fan
+/// their reads out to both simulators, so for any event sequence the
+/// statistics equal those of two independent
+/// [`RequestSink`](crate::mapping::RequestSink)s.
 ///
 /// `end_batch` flushes the HT_b write-back drain and resets the per-batch
 /// register state (per the bus protocol), but the simulator statistics
@@ -343,8 +351,12 @@ impl PipelineModel {
 /// [`crate::cosim::CosimSink`], which drains at every batch boundary.
 #[derive(Debug, Clone)]
 pub struct IterationSink {
-    ht: RequestSink<DramSim>,
-    htb: RequestSink<DramSim>,
+    stream: RequestStream,
+    ht: DramSim,
+    htb: DramSim,
+    /// Whether a write drain since the last statistics drain has set the
+    /// simulators apart; until then `ht` is idle and owed `htb`'s reads.
+    forked: bool,
     points: u64,
 }
 
@@ -354,22 +366,25 @@ impl IterationSink {
         self.points
     }
 
+    /// Cubes streamed so far on levels the mapping does not hold (see
+    /// [`RequestStream::dropped_cubes`]).
+    pub fn dropped_cubes(&self) -> u64 {
+        self.stream.dropped_cubes()
+    }
+
     /// Approximate heap bytes of the full co-simulation state (request
     /// generation + both simulators).
     pub fn state_bytes(&self) -> usize {
-        self.ht.state_bytes()
-            + self.htb.state_bytes()
-            + self.ht.consumer().state_bytes()
-            + self.htb.consumer().state_bytes()
+        self.stream.state_bytes() + self.ht.state_bytes() + self.htb.state_bytes()
     }
 
     /// Flushes the write-back drain and returns `(ht, htb, points)` since
     /// the last drain, resetting the sink for the next iteration.
     pub(crate) fn drain(&mut self) -> (SimStats, SimStats, u64) {
-        TraceSink::end_batch(&mut self.ht);
-        TraceSink::end_batch(&mut self.htb);
-        let ht = self.ht.consumer_mut().drain_stats();
-        let htb = self.htb.consumer_mut().drain_stats();
+        TraceSink::end_batch(self);
+        self.forked = false;
+        let ht = self.ht.drain_stats();
+        let htb = self.htb.drain_stats();
         let points = self.points;
         self.points = 0;
         (ht, htb, points)
@@ -378,8 +393,15 @@ impl IterationSink {
 
 impl TraceSink for IterationSink {
     fn push_cube(&mut self, cube: &CubeLookup) {
-        self.ht.push_cube(cube);
-        self.htb.push_cube(cube);
+        let (ht, htb) = (&mut self.ht, &mut self.htb);
+        if self.forked {
+            self.stream.push_cube(cube, |r| {
+                ht.push_request(&r);
+                htb.push_request(&r);
+            });
+        } else {
+            self.stream.push_cube(cube, |r| htb.push_request(&r));
+        }
     }
 
     fn end_point(&mut self) {
@@ -390,17 +412,22 @@ impl TraceSink for IterationSink {
         // Flush the write-back drain and reset the register state at the
         // batch boundary; idempotent, so the drain in estimate_streamed
         // may follow immediately.
-        self.ht.end_batch();
-        self.htb.end_batch();
+        if !self.forked {
+            self.ht.copy_state_from(&self.htb);
+            self.forked = true;
+        }
+        let htb = &mut self.htb;
+        self.stream.end_batch(|r| htb.push_request(&r));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::MappingScheme;
+    use crate::mapping::{MappingScheme, RequestSink};
     use inerf_encoding::{HashFunction, HashGrid};
     use inerf_geom::Vec3;
+    use proptest::prelude::*;
 
     fn ray_trace(grid: &HashGrid, rays: usize, samples: usize) -> (LookupTrace, u64) {
         let mut t = LookupTrace::new();
@@ -555,5 +582,99 @@ mod tests {
             .estimate_iteration(&trace, n, 256 * 1024)
             .bus_seconds;
         assert!(paper < all_data, "paper bus {paper} vs all-data {all_data}");
+    }
+
+    /// What [`IterationSink`] must equal for any event sequence: two
+    /// independent request sinks, write-back off (HT) and on (HT_b), each
+    /// with its own stream and simulator.
+    struct SinkPair {
+        sinks: (RequestSink<DramSim>, RequestSink<DramSim>),
+        points: u64,
+    }
+
+    impl SinkPair {
+        fn drain(&mut self) -> (SimStats, SimStats, u64) {
+            self.sinks.end_batch();
+            (
+                self.sinks.0.consumer_mut().drain_stats(),
+                self.sinks.1.consumer_mut().drain_stats(),
+                std::mem::take(&mut self.points),
+            )
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn iteration_sink_equals_two_independent_sinks(
+            seed in 0u64..1000,
+            ops in proptest::collection::vec(0u32..100, 0..40)
+        ) {
+            for case in 0..36 {
+                // `case` walks hash × scheme × entry width × subarray count.
+                let hash = [HashFunction::Morton, HashFunction::Original][case % 2];
+                let scheme = [
+                    MappingScheme::Clustered,
+                    MappingScheme::OneLevelPerBank,
+                    MappingScheme::ClusteredNoSpread,
+                ][case / 2 % 3];
+                let precision = [Precision::Fp16, Precision::F32][case / 6 % 2];
+                let subarrays = [1, 8, 32][case / 12];
+                // The paper's 16 levels over a small table: real address
+                // generation without the paper table's allocation.
+                let mut model = ModelConfig::paper(hash);
+                model.grid.table_size_log2 = 14;
+                let grid = HashGrid::new(model.grid, seed);
+                let mapping = HashTableMapping::paper(scheme, subarrays);
+                let pm = PipelineModel::paper(model)
+                    .with_mapping(mapping.clone(), subarrays)
+                    .with_precision(precision);
+                let mapping = mapping.with_entry_bytes(model.grid.entry_bytes(precision));
+                let dram = pm.accel().nmp_dram(subarrays);
+                let mut sink = pm.iteration_sink();
+                let mut pair = SinkPair {
+                    sinks: (
+                        RequestSink::new(RequestStream::new(&mapping, &dram, false), DramSim::new(dram)),
+                        RequestSink::new(RequestStream::new(&mapping, &dram, true), DramSim::new(dram)),
+                    ),
+                    points: 0,
+                };
+
+                // Scripted first — two batches between drains, an empty batch,
+                // a drain with no `end_batch` — then the random tail. Codes
+                // below 80 stream that many points (0 included), 80..90 end
+                // the batch, 90.. drain.
+                let script = [7, 85, 12, 85, 95, 85, 95, 9, 95, 85, 85, 5, 95, 95];
+                let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                let mut unit = || {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    (s >> 40) as f32 / (1u64 << 24) as f32
+                };
+                for op in script.into_iter().chain(ops.iter().copied()) {
+                    match op {
+                        0..=79 => {
+                            for _ in 0..op {
+                                let p = Vec3::new(unit(), unit(), unit());
+                                grid.stream_point(p, &mut sink);
+                                grid.stream_point(p, &mut pair.sinks);
+                                pair.points += 1;
+                            }
+                        }
+                        80..=89 => {
+                            sink.end_batch();
+                            pair.sinks.end_batch();
+                        }
+                        _ => {
+                            prop_assert_eq!(sink.points(), pair.points);
+                            prop_assert_eq!(sink.drain(), pair.drain());
+                        }
+                    }
+                }
+                prop_assert_eq!(sink.drain(), pair.drain(), "case {}", case);
+            }
+        }
     }
 }

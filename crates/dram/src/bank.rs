@@ -43,7 +43,7 @@ pub enum RowOutcome {
     Conflict,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct SubarrayState {
     open_row: Option<u32>,
     /// Cycle of the last ACT (for tRAS).
@@ -91,6 +91,17 @@ impl BankTimeline {
             };
         }
         self.col_ready = 0;
+    }
+
+    /// Overwrites this bank's state with `other`'s without reallocating —
+    /// the co-simulation fork (see `DramSim::copy_state_from`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two banks have different subarray counts.
+    pub fn copy_from(&mut self, other: &BankTimeline) {
+        self.subarrays.copy_from_slice(&other.subarrays);
+        self.col_ready = other.col_ready;
     }
 
     /// Classifies how serving `row` in `subarray` will interact with the row
@@ -203,15 +214,28 @@ pub struct RankActTracker {
 }
 
 impl RankActTracker {
-    /// Creates an idle tracker.
+    /// Creates an idle tracker whose ACT window never reallocates.
     pub fn new() -> Self {
-        Self::default()
+        RankActTracker {
+            last_act: None,
+            // `record` holds five entries for a moment before it drops
+            // the oldest.
+            recent_acts: Vec::with_capacity(5),
+        }
     }
 
     /// Returns the tracker to idle, keeping the ACT-window allocation.
     pub fn reset(&mut self) {
         self.last_act = None;
         self.recent_acts.clear();
+    }
+
+    /// Overwrites this tracker's state with `other`'s, keeping the
+    /// ACT-window allocation.
+    pub fn copy_from(&mut self, other: &RankActTracker) {
+        self.last_act = other.last_act;
+        self.recent_acts.clear();
+        self.recent_acts.extend_from_slice(&other.recent_acts);
     }
 
     /// Earliest cycle a new ACT may issue.

@@ -120,6 +120,37 @@ impl DramSim {
         self.now = 0;
     }
 
+    /// Overwrites this simulator's timing and statistics state with
+    /// `other`'s, in place and without allocating (bank and rank state is
+    /// copied into the existing vectors): from here on the two simulators
+    /// serve any further request stream identically. This is the fork the
+    /// co-simulation uses to run a request prefix two replays share only
+    /// once. The command log is a per-simulator diagnostic and is left as
+    /// it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two simulators were built from different
+    /// configurations or energy models.
+    pub fn copy_state_from(&mut self, other: &DramSim) {
+        assert!(
+            self.config == other.config && self.energy == other.energy,
+            "state can only be copied between identically configured simulators"
+        );
+        for (b, o) in self.banks.iter_mut().zip(&other.banks) {
+            b.copy_from(o);
+        }
+        for (r, o) in self.rank_acts.iter_mut().zip(&other.rank_acts) {
+            r.copy_from(o);
+        }
+        self.channel_bus_free
+            .copy_from_slice(&other.channel_bus_free);
+        self.stats.clone_from(&other.stats);
+        self.makespan = other.makespan;
+        self.io_bursts = other.io_bursts;
+        self.now = other.now;
+    }
+
     /// Approximate heap bytes of the simulator's mutable state — the
     /// constant-memory footprint of the online co-simulation path.
     pub fn state_bytes(&self) -> usize {
@@ -381,6 +412,68 @@ mod tests {
         }
         let streamed = streamed_sim.drain_stats();
         assert_eq!(batch, streamed);
+    }
+
+    #[test]
+    fn copied_state_continues_bitwise_like_the_source() {
+        // Host configuration, so the channel-bus state is part of the copy.
+        let cfg = DramConfig::paper_host(4);
+        let mut rng = SmallRng::seed_from_u64(23);
+        let reqs: Vec<Request> = (0..400)
+            .map(|_| {
+                let kind = if rng.gen_bool(0.25) {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                Request::new(
+                    cfg.address(
+                        rng.gen_range(0..cfg.channels),
+                        rng.gen_range(0..cfg.banks_per_channel),
+                        rng.gen_range(0..cfg.subarrays_per_bank),
+                        rng.gen_range(0..32),
+                        0,
+                    ),
+                    kind,
+                )
+            })
+            .collect();
+        let (prefix, suffix) = reqs.split_at(250);
+        let mut source = DramSim::new(cfg);
+        for r in prefix {
+            source.push_request(r);
+        }
+        source.tick(5);
+        // The target starts from unrelated, undrained state: the copy must
+        // overwrite all of it.
+        let mut fork = DramSim::new(cfg);
+        for r in suffix.iter().rev() {
+            fork.push_request(r);
+        }
+        fork.copy_state_from(&source);
+        assert_eq!(fork.now(), source.now());
+        for r in suffix {
+            source.push_request(r);
+            fork.push_request(r);
+        }
+        let mut straight = DramSim::new(cfg);
+        for r in prefix {
+            straight.push_request(r);
+        }
+        straight.tick(5);
+        for r in suffix {
+            straight.push_request(r);
+        }
+        let expected = straight.drain_stats();
+        assert_eq!(source.drain_stats(), expected);
+        assert_eq!(fork.drain_stats(), expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "identically configured")]
+    fn copying_state_across_configurations_panics() {
+        let mut a = DramSim::new(DramConfig::paper(4));
+        a.copy_state_from(&DramSim::new(DramConfig::paper(8)));
     }
 
     #[test]

@@ -946,13 +946,9 @@ impl HashGrid {
         let t = self.config.table_size();
         let level = &self.levels[li];
         let (base, _) = level.cube_of(p);
-        let mut entries = [0u32; 8];
-        for (c, e) in entries.iter_mut().enumerate() {
-            *e = level_index(self.config.hash, level, base.corner(c as u8), t);
-        }
         CubeLookup {
             level: level.index,
-            entries,
+            entries: cube_level_indices(self.config.hash, level, base, t),
             cube_id: morton_encode(base.x, base.y, base.z) | ((level.index as u64) << 58),
         }
     }

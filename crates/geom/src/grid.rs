@@ -85,11 +85,14 @@ impl GridLevel {
     /// (in `[0,1]^3`) and the fractional position inside the cube.
     ///
     /// Points outside the unit cube are clamped.
+    #[inline]
     pub fn cube_of(&self, p: Vec3) -> (GridCoord, Vec3) {
         let r = self.resolution as f32;
         let clamp = |v: f32| (v.clamp(0.0, 1.0) * r).min(r - 1e-4);
         let (sx, sy, sz) = (clamp(p.x), clamp(p.y), clamp(p.z));
-        let base = GridCoord::new(sx.floor() as u32, sy.floor() as u32, sz.floor() as u32);
+        // The scaled coordinates lie in [0, r] (`min` maps even a NaN to
+        // r - 1e-4), where the truncating cast already rounds down.
+        let base = GridCoord::new(sx as u32, sy as u32, sz as u32);
         let frac = Vec3::new(sx - base.x as f32, sy - base.y as f32, sz - base.z as f32);
         (base, frac)
     }

@@ -4,7 +4,7 @@
 use instant_nerf::accel::{AccelConfig, HashTableMapping, MappingScheme};
 use instant_nerf::dram::{DramSim, Request};
 use instant_nerf::encoding::{HashFunction, HashGrid, HashGridConfig, LookupTrace};
-use instant_nerf::geom::Vec3;
+use instant_nerf::geom::{GridCoord, GridLevel, Vec3};
 use instant_nerf::mlp::fp16::quantize_f16;
 use instant_nerf::render::volume::{composite, composite_backward, SamplePoint};
 use instant_nerf::trainer::workload::{step_sizes, Step};
@@ -126,6 +126,88 @@ proptest! {
             prop_assert_eq!(two.output_bytes, 2 * one.output_bytes);
             // Parameters are batch-independent.
             prop_assert_eq!(two.param_bytes, one.param_bytes);
+        }
+    }
+}
+
+/// Every level resolution the repo's grid configurations produce, plus the
+/// small, odd and large ones where truncation and `floor` could part ways.
+fn cube_of_resolutions() -> Vec<u32> {
+    let grids = [
+        HashGridConfig::paper(HashFunction::Morton),
+        HashGridConfig::tiny(HashFunction::Morton),
+        ModelConfig::small(HashFunction::Morton).grid,
+    ];
+    grids
+        .iter()
+        .flat_map(|g| g.build_levels())
+        .map(|l| l.resolution)
+        .chain([1, 2047, 2048, 4096])
+        .collect()
+}
+
+/// `GridLevel::cube_of` with an explicit `floor` before the cast.
+fn cube_of_floor_reference(level: &GridLevel, p: Vec3) -> (GridCoord, Vec3) {
+    let r = level.resolution as f32;
+    let clamp = |v: f32| (v.clamp(0.0, 1.0) * r).min(r - 1e-4);
+    let (sx, sy, sz) = (clamp(p.x), clamp(p.y), clamp(p.z));
+    let base = GridCoord::new(sx.floor() as u32, sy.floor() as u32, sz.floor() as u32);
+    let frac = Vec3::new(sx - base.x as f32, sy - base.y as f32, sz - base.z as f32);
+    (base, frac)
+}
+
+fn assert_cube_of_matches_reference(level: &GridLevel, p: Vec3) {
+    let (base, frac) = level.cube_of(p);
+    let (want_base, want_frac) = cube_of_floor_reference(level, p);
+    let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+    assert_eq!(base, want_base, "res {} p {p:?}", level.resolution);
+    assert_eq!(
+        bits(frac),
+        bits(want_frac),
+        "res {} p {p:?}",
+        level.resolution
+    );
+}
+
+/// The libm-free `cube_of` returns the base vertex and the bits of the
+/// fractional position that the `floor` version did, at the coordinates
+/// where they could differ: NaN, both zeros, the far face and its
+/// neighbours, and out-of-range values on either side.
+#[test]
+fn cube_of_matches_floor_reference_at_special_coordinates() {
+    let below_one = f32::from_bits(1.0f32.to_bits() - 1);
+    let specials = [
+        f32::NAN,
+        0.0,
+        -0.0,
+        1.0,
+        below_one,
+        f32::MIN_POSITIVE,
+        -0.5,
+        1.5,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.5,
+    ];
+    for res in cube_of_resolutions() {
+        let level = GridLevel::new(0, res);
+        for x in specials {
+            for y in specials {
+                for z in specials {
+                    assert_cube_of_matches_reference(&level, Vec3::new(x, y, z));
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn cube_of_matches_floor_reference(
+        px in -0.5f32..1.5, py in -0.5f32..1.5, pz in -0.5f32..1.5
+    ) {
+        for res in cube_of_resolutions() {
+            assert_cube_of_matches_reference(&GridLevel::new(0, res), Vec3::new(px, py, pz));
         }
     }
 }
