@@ -3,7 +3,7 @@
 use crate::config::HashGridConfig;
 use crate::hash::{cube_level_indices, level_index};
 use crate::sink::TraceSink;
-use crate::trace::{CubeLookup, LookupTrace};
+use crate::trace::CubeLookup;
 use inerf_geom::grid::GridLevel;
 use inerf_geom::morton::morton_encode;
 use inerf_geom::Vec3;
@@ -546,18 +546,6 @@ impl HashGrid {
         }
     }
 
-    /// [`HashGrid::encode_batch`] that also appends each point's cube
-    /// lookups to `trace`, in point order — the same stream a scalar
-    /// [`HashGrid::encode_with_trace`] loop would record.
-    pub fn encode_batch_with_trace(
-        &self,
-        points: &[Vec3],
-        out: &mut [f32],
-        trace: &mut LookupTrace,
-    ) {
-        self.encode_batch_with_sink(points, out, trace);
-    }
-
     /// [`HashGrid::encode_batch`] that streams each point's cube lookups
     /// into `sink`, in point order, at constant memory. Does *not* emit
     /// `end_batch` — the caller owns iteration boundaries.
@@ -675,6 +663,34 @@ impl HashGrid {
         }
     }
 
+    /// Inference building block: encodes `points` (at most `lane_stride`
+    /// of them) straight into a block-transposed `feature_dim ×
+    /// lane_stride` GEMM tile and keeps nothing else — no row-major feature
+    /// matrix and no [`LookupCache`], which only the backward pass reads.
+    /// Lane `p` of row `i` is bitwise feature `i` of
+    /// [`HashGrid::encode_into`] on `points[p]`; lanes past `points.len()`
+    /// are left as they were. Dispatch-free like
+    /// [`HashGrid::encode_tile_bt_cached`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile is narrower than the block or too small.
+    #[inline]
+    pub fn encode_tile_bt(&self, points: &[Vec3], lane_stride: usize, tile: &mut [f32]) {
+        let f = self.config.features as usize;
+        assert!(points.len() <= lane_stride, "tile narrower than the block");
+        assert!(
+            tile.len() >= self.config.feature_dim() * lane_stride,
+            "tile buffer too small"
+        );
+        for (lane, &p) in points.iter().enumerate() {
+            for (li, level) in self.levels.iter().enumerate() {
+                let dst = &mut tile[li * f * lane_stride + lane..];
+                self.encode_level(p, li, level, dst, lane_stride, None);
+            }
+        }
+    }
+
     /// [`HashGrid::encode_tile_bt_cached`] driven by a cache that was
     /// already filled by [`HashGrid::fill_cache`]: gathers and
     /// interpolates from the recorded corner entries/weights without
@@ -761,33 +777,41 @@ impl HashGrid {
     fn encode_point_cached(&self, pi: usize, p: Vec3, row: &mut [f32], cache: &mut LookupCache) {
         let f = self.config.features as usize;
         for (li, level) in self.levels.iter().enumerate() {
-            self.encode_level_cached(pi, p, li, level, &mut row[li * f..(li + 1) * f], cache);
+            let slot = &mut row[li * f..(li + 1) * f];
+            self.encode_level(p, li, level, slot, 1, Some((&mut *cache, pi)));
         }
     }
 
-    /// One `(point, level)` slot of the cached encode: the level-major and
-    /// point-major drivers both bottom out here, so their outputs are
-    /// bitwise-identical by construction.
-    #[inline]
-    fn encode_level_cached(
+    /// One `(point, level)` slot of the computing encode; every driver
+    /// (row-major or tile, recording or not) bottoms out here, so their
+    /// values are bitwise-identical by construction. Feature `k` of the
+    /// level lands at `dst[k * stride]` — stride 1 for a row slot, the lane
+    /// stride to write straight into a GEMM tile. With `record` set, the
+    /// corner entries and weights are kept in that cache at that point
+    /// index for the backward scatter; inference passes `None` and keeps
+    /// nothing.
+    #[inline(always)]
+    fn encode_level(
         &self,
-        pi: usize,
         p: Vec3,
         li: usize,
         level: &GridLevel,
-        slot: &mut [f32],
-        cache: &mut LookupCache,
+        dst: &mut [f32],
+        stride: usize,
+        record: Option<(&mut LookupCache, usize)>,
     ) {
+        let f = self.config.features as usize;
         let t = self.config.table_size();
         let emb = self.store.values();
         let (base, frac) = level.cube_of(p);
         let entries = cube_level_indices(self.config.hash, level, base, t);
-        slot.fill(0.0);
-        let corner_base = (pi * self.levels.len() + li) * 8;
         let weights = corner_weights8(frac);
-        weights.write_to(&mut cache.weights[corner_base..corner_base + 8]);
-        cache.entries[corner_base..corner_base + 8].copy_from_slice(&entries);
-        if slot.len() == 2 {
+        if let Some((cache, pi)) = record {
+            let corner_base = (pi * self.levels.len() + li) * 8;
+            weights.write_to(&mut cache.weights[corner_base..corner_base + 8]);
+            cache.entries[corner_base..corner_base + 8].copy_from_slice(&entries);
+        }
+        if f == 2 {
             // F = 2 fast path (the paper's layout): both feature sums live
             // in registers across the eight corners instead of
             // read-modify-writing the slot per corner, which removes a
@@ -806,9 +830,12 @@ impl HashGrid {
                 s0 += w * emb[off];
                 s1 += w * emb[off + 1];
             }
-            slot[0] = s0;
-            slot[1] = s1;
+            dst[0] = s0;
+            dst[stride] = s1;
             return;
+        }
+        for k in 0..f {
+            dst[k * stride] = 0.0;
         }
         for (c, &entry) in entries.iter().enumerate() {
             let w = weights.lane(c);
@@ -818,8 +845,8 @@ impl HashGrid {
                 continue;
             }
             let off = self.base_offset(li as u32, entry);
-            for (k, s) in slot.iter_mut().enumerate() {
-                *s += w * emb[off + k];
+            for k in 0..f {
+                dst[k * stride] += w * emb[off + k];
             }
         }
     }
@@ -926,11 +953,6 @@ impl HashGrid {
         }
     }
 
-    /// Encodes a point while appending its cube lookups to `trace`.
-    pub fn encode_with_trace(&self, p: Vec3, out: &mut [f32], trace: &mut LookupTrace) {
-        self.encode_with_sink(p, out, trace);
-    }
-
     /// Encodes a point while streaming its cube lookups into `sink`
     /// (one `push_cube` per level plus one `end_point`), without any
     /// per-point allocation.
@@ -1021,6 +1043,7 @@ impl HashGrid {
 mod tests {
     use super::*;
     use crate::hash::HashFunction;
+    use crate::trace::LookupTrace;
     use proptest::prelude::*;
 
     fn grid(hash: HashFunction) -> HashGrid {
@@ -1122,8 +1145,8 @@ mod tests {
         let g = grid(HashFunction::Morton);
         let mut trace = LookupTrace::new();
         let mut buf = vec![0.0; g.config().feature_dim()];
-        g.encode_with_trace(Vec3::splat(0.4), &mut buf, &mut trace);
-        g.encode_with_trace(Vec3::splat(0.6), &mut buf, &mut trace);
+        g.encode_with_sink(Vec3::splat(0.4), &mut buf, &mut trace);
+        g.encode_with_sink(Vec3::splat(0.6), &mut buf, &mut trace);
         assert_eq!(trace.point_count(), 2);
         assert_eq!(trace.cubes().len(), 2 * g.config().levels as usize);
     }
@@ -1181,11 +1204,11 @@ mod tests {
         let mut scalar_trace = LookupTrace::new();
         let mut row = vec![0.0; dim];
         for p in &points {
-            g.encode_with_trace(*p, &mut row, &mut scalar_trace);
+            g.encode_with_sink(*p, &mut row, &mut scalar_trace);
         }
         let mut batch_trace = LookupTrace::new();
         let mut batch = vec![0.0; points.len() * dim];
-        g.encode_batch_with_trace(&points, &mut batch, &mut batch_trace);
+        g.encode_batch_with_sink(&points, &mut batch, &mut batch_trace);
         assert_eq!(scalar_trace, batch_trace);
         let levels = g.config().levels;
         let s = crate::requests::replay_with_register_cache(&scalar_trace, levels);
@@ -1221,49 +1244,61 @@ mod tests {
 
     #[test]
     fn tile_encode_matches_batched_encode_bitwise() {
-        let g = grid(HashFunction::Morton);
-        let dim = g.config().feature_dim();
-        let points: Vec<Vec3> = (0..21)
-            .map(|i| {
-                let t = i as f32 + 0.125;
-                Vec3::new((t * 0.23).fract(), (t * 0.37).fract(), (t * 0.53).fract())
-            })
-            .collect();
-        let mut f_ref = vec![0.0; points.len() * dim];
-        let mut cache_ref = LookupCache::default();
-        g.encode_batch_cached(&points, &mut f_ref, &mut cache_ref);
-        // Tile path: 16-point tiles plus a ragged tail, stale-lane tile.
-        let stride = 16;
-        let mut f_tile = vec![0.0; points.len() * dim];
-        let mut cache_tile = LookupCache::default();
-        g.prepare_cache(&mut cache_tile, points.len());
-        let mut tile = vec![f32::NAN; dim * stride];
-        let mut base = 0;
-        while base < points.len() {
-            let bn = stride.min(points.len() - base);
-            g.encode_tile_bt_cached(
-                &points,
-                base,
-                bn,
-                stride,
-                &mut f_tile,
-                &mut tile,
-                &mut cache_tile,
-            );
-            // The tile is the exact transpose of the freshly written rows.
-            for p in 0..bn {
-                for i in 0..dim {
-                    assert_eq!(
-                        tile[i * stride + p].to_bits(),
-                        f_tile[(base + p) * dim + i].to_bits()
-                    );
+        // F = 2 is the register fast path; F = 4 takes the generic loop.
+        for features in [2, 4] {
+            let config = HashGridConfig {
+                features,
+                ..HashGridConfig::tiny(HashFunction::Morton)
+            };
+            let g = HashGrid::new(config, 7);
+            let dim = g.config().feature_dim();
+            let points: Vec<Vec3> = (0..21)
+                .map(|i| {
+                    let t = i as f32 + 0.125;
+                    Vec3::new((t * 0.23).fract(), (t * 0.37).fract(), (t * 0.53).fract())
+                })
+                .collect();
+            let mut f_ref = vec![0.0; points.len() * dim];
+            let mut cache_ref = LookupCache::default();
+            g.encode_batch_cached(&points, &mut f_ref, &mut cache_ref);
+            let mut f_scalar = vec![0.0; points.len() * dim];
+            g.encode_batch(&points, &mut f_scalar);
+            assert_eq!(f_ref, f_scalar);
+            // Tile path: 16-point tiles plus a ragged tail, stale-lane tile.
+            let stride = 16;
+            let mut f_tile = vec![0.0; points.len() * dim];
+            let mut cache_tile = LookupCache::default();
+            g.prepare_cache(&mut cache_tile, points.len());
+            let mut tile = vec![f32::NAN; dim * stride];
+            let mut base = 0;
+            while base < points.len() {
+                let bn = stride.min(points.len() - base);
+                g.encode_tile_bt_cached(
+                    &points,
+                    base,
+                    bn,
+                    stride,
+                    &mut f_tile,
+                    &mut tile,
+                    &mut cache_tile,
+                );
+                // The inference encode writes the same tile and nothing else.
+                let mut bare = vec![f32::NAN; dim * stride];
+                g.encode_tile_bt(&points[base..base + bn], stride, &mut bare);
+                // The tile is the exact transpose of the freshly written rows.
+                for p in 0..bn {
+                    for i in 0..dim {
+                        let want = f_tile[(base + p) * dim + i].to_bits();
+                        assert_eq!(tile[i * stride + p].to_bits(), want);
+                        assert_eq!(bare[i * stride + p].to_bits(), want);
+                    }
                 }
+                base += bn;
             }
-            base += bn;
+            assert_eq!(f_ref, f_tile);
+            assert_eq!(cache_ref.entries, cache_tile.entries);
+            assert_eq!(cache_ref.weights, cache_tile.weights);
         }
-        assert_eq!(f_ref, f_tile);
-        assert_eq!(cache_ref.entries, cache_tile.entries);
-        assert_eq!(cache_ref.weights, cache_tile.weights);
     }
 
     #[test]

@@ -40,6 +40,30 @@ impl Activation {
         }
     }
 
+    /// Applies the activation to every element of a tile in place — the
+    /// same scalar [`Activation::apply`] per element, so each value is
+    /// bitwise what the per-point path computes.
+    #[inline(always)]
+    pub fn apply_tile(self, tile: &mut [f32]) {
+        match self {
+            Activation::Identity => {}
+            // Split out so the compare-and-blend loop vectorizes (the
+            // generic loop below costs the 16→32→8 tile forward 58 → 79
+            // ns/pt); the other activations are transcendental and stay
+            // lane-serial.
+            Activation::Relu => {
+                for v in tile {
+                    *v = v.max(0.0);
+                }
+            }
+            _ => {
+                for v in tile {
+                    *v = self.apply(*v);
+                }
+            }
+        }
+    }
+
     /// Derivative of the activation expressed in terms of the
     /// *pre-activation* `x` and the *post-activation* `y = apply(x)`.
     #[inline]
@@ -60,13 +84,51 @@ impl Activation {
     }
 }
 
-/// Points per block of the batched forward kernel: the kernel transposes a
-/// block of inputs and vectorizes *across points* — two [`f32x8`] lanes of
+/// Points per tile of the forward kernel. A *tile* is a block-transposed
+/// `[dim][FWD_BLOCK]` matrix: row `i` holds value `i` of each of the block's
+/// 16 points. The kernel vectorizes *across points* — two [`f32x8`] lanes of
 /// eight points each — which keeps each point's accumulation order identical
 /// to the scalar reference (bias, then inputs in ascending order) while
-/// filling the SIMD lanes. Public so fused callers (encode → first GEMM)
-/// can produce block-transposed tiles of exactly this width.
+/// filling the SIMD lanes, and a layer's output tile is the next layer's
+/// input tile as it stands. Public so producers (the hash-grid encode) can
+/// write tiles of exactly this width.
 pub const FWD_BLOCK: usize = 16;
+
+/// Output units per register group of [`DenseLayer::forward_tile`]: four
+/// units × two accumulators, two input vectors and a broadcast weight fit
+/// the sixteen vector registers of AVX2 and leave NEON's thirty-two slack.
+const UNIT_GROUP: usize = 4;
+
+/// The MAC loop of the forward pass: `U` output units starting at `o`, over
+/// one input tile, accumulators in registers. Each input row is loaded once
+/// per group and feeds all `U` units; per point the sum runs bias first,
+/// then inputs ascending, one two-rounding [`f32x8::madd`] each — the order
+/// of [`DenseLayer::forward_into`]. Writes `U` pre-activation rows to `out`.
+#[inline(always)]
+fn mac_group<const U: usize>(
+    weights: &[f32],
+    bias: &[f32],
+    in_dim: usize,
+    o: usize,
+    input: &[f32],
+    out: &mut [f32],
+) {
+    let rows: [&[f32]; U] = std::array::from_fn(|u| &weights[(o + u) * in_dim..][..in_dim]);
+    let mut acc: [[f32x8; 2]; U] = std::array::from_fn(|u| [f32x8::splat(bias[o + u]); 2]);
+    for (i, lane) in input.chunks_exact(FWD_BLOCK).take(in_dim).enumerate() {
+        let lo = f32x8::from_slice(&lane[..8]);
+        let hi = f32x8::from_slice(&lane[8..]);
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            let w = f32x8::splat(row[i]);
+            a[0] = a[0].madd(w, lo);
+            a[1] = a[1].madd(w, hi);
+        }
+    }
+    for (a, dst) in acc.iter().zip(out.chunks_exact_mut(FWD_BLOCK)) {
+        a[0].write_to(&mut dst[..8]);
+        a[1].write_to(&mut dst[8..]);
+    }
+}
 
 /// Reusable working buffers of [`DenseLayer::backward_batch_into`]. Pooled
 /// by the caller (inside [`crate::MlpScratch`]) so steady-state backward
@@ -166,6 +228,18 @@ fn grad_group<const C: usize>(
     }
     for (k, a) in acc.into_iter().enumerate() {
         a.write_to(&mut row_g[g + k * 8..]);
+    }
+}
+
+/// Writes the leading lanes of a `[dim][FWD_BLOCK]` tile out as row-major
+/// `rows` (`bn × dim`, `bn ≤ FWD_BLOCK`): how per-point values leave a
+/// tile, for the recording forward and for inference's final outputs.
+#[inline(always)]
+pub fn untranspose_tile(tile: &[f32], rows: &mut [f32], dim: usize) {
+    for (p, row) in rows.chunks_exact_mut(dim).enumerate() {
+        for (r, lane) in row.iter_mut().zip(tile.chunks_exact(FWD_BLOCK)) {
+            *r = lane[p];
+        }
     }
 }
 
@@ -298,115 +372,61 @@ impl DenseLayer {
         }
     }
 
-    /// Batched forward pass over `n` row-major points: `inputs` is
-    /// `n × in_dim`, `pres`/`outs` are `n × out_dim`.
+    /// Tile forward — the one MAC kernel of the batched paths. `input` is a
+    /// `[in_dim][FWD_BLOCK]` tile; the `[out_dim][FWD_BLOCK]` tile of
+    /// *pre-activations* lands in `out` (activate it with
+    /// [`Activation::apply_tile`]). Output units are computed
+    /// `UNIT_GROUP` at a time with their accumulators in registers; every
+    /// lane is bitwise-identical to [`DenseLayer::forward_into`] on that
+    /// point. Lanes past a ragged block's point count hold whatever the
+    /// producer left there and yield values nobody reads.
     ///
-    /// Works on transposed `FWD_BLOCK`-point blocks so the inner loop runs
-    /// *across points* — contiguous, reduction-free, SIMD-friendly — while
-    /// each point still accumulates bias-then-inputs in ascending order, so
-    /// every result is bitwise-identical to [`DenseLayer::forward_into`] on
-    /// that row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer lengths are not consistent multiples of the
-    /// layer dimensions.
-    pub fn forward_batch_into(&self, inputs: &[f32], pres: &mut [f32], outs: &mut [f32]) {
-        let mut transposed = Vec::new();
-        self.forward_batch_scratch(inputs, pres, outs, &mut transposed);
-    }
-
-    /// [`DenseLayer::forward_batch_into`] with a caller-pooled transpose
-    /// buffer, so steady-state iterations allocate nothing. The whole sweep
-    /// runs inside one [`inerf_simd::vectorize`] frame.
+    /// Callers are expected to wrap the sweep in [`inerf_simd::vectorize`];
+    /// the kernel itself is dispatch-free.
     ///
     /// # Panics
     ///
-    /// Panics if the buffer lengths are not consistent multiples of the
-    /// layer dimensions.
-    pub fn forward_batch_scratch(
-        &self,
-        inputs: &[f32],
-        pres: &mut [f32],
-        outs: &mut [f32],
-        transposed: &mut Vec<f32>,
-    ) {
-        assert_eq!(inputs.len() % self.in_dim, 0, "input matrix size mismatch");
-        let n = inputs.len() / self.in_dim;
-        assert_eq!(
-            pres.len(),
-            n * self.out_dim,
-            "pre-activation matrix mismatch"
-        );
-        assert_eq!(outs.len(), n * self.out_dim, "output matrix mismatch");
-        if transposed.len() < self.in_dim * FWD_BLOCK {
-            transposed.resize(self.in_dim * FWD_BLOCK, 0.0);
+    /// Panics if either tile is smaller than its `dim * FWD_BLOCK`.
+    #[inline(always)]
+    pub fn forward_tile(&self, input: &[f32], out: &mut [f32]) {
+        let in_dim = self.in_dim;
+        let input = &input[..in_dim * FWD_BLOCK];
+        let weights = self.weights.values();
+        let bias = self.bias.values();
+        let mut groups = out[..self.out_dim * FWD_BLOCK].chunks_exact_mut(UNIT_GROUP * FWD_BLOCK);
+        let mut o = 0;
+        for group in &mut groups {
+            mac_group::<UNIT_GROUP>(weights, bias, in_dim, o, input, group);
+            o += UNIT_GROUP;
         }
-        inerf_simd::vectorize(|| {
-            let mut block_start = 0;
-            while block_start < n {
-                let bn = FWD_BLOCK.min(n - block_start);
-                // Transpose the block: `transposed[i * FWD_BLOCK + p]` is
-                // input `i` of point `block_start + p`. Lanes `p >= bn`
-                // hold stale values that no result reads.
-                for p in 0..bn {
-                    let row = &inputs[(block_start + p) * self.in_dim..];
-                    for i in 0..self.in_dim {
-                        transposed[i * FWD_BLOCK + p] = row[i];
-                    }
-                }
-                self.forward_block_bt(transposed, block_start, bn, pres, outs);
-                block_start += bn;
-            }
-        });
+        let rest = groups.into_remainder();
+        match rest.len() / FWD_BLOCK {
+            3 => mac_group::<3>(weights, bias, in_dim, o, input, rest),
+            2 => mac_group::<2>(weights, bias, in_dim, o, input, rest),
+            1 => mac_group::<1>(weights, bias, in_dim, o, input, rest),
+            _ => {}
+        }
     }
 
-    /// GEMM micro-kernel for one block-transposed tile: `transposed` holds
-    /// input `i` of point `block_start + p` at `i * FWD_BLOCK + p`, and the
-    /// kernel writes rows `block_start..block_start + bn` of `pres`/`outs`
-    /// (full `n × out_dim` matrices).
-    ///
-    /// Two `f32x8` accumulators cover the 16 points; each lane accumulates
-    /// bias-then-inputs in ascending order with two-rounding [`f32x8::madd`],
-    /// so every result is bitwise-identical to [`DenseLayer::forward_into`]
-    /// on that row. Activations are applied lane-serially for the same
-    /// reason. Callers are expected to wrap the sweep in
-    /// [`inerf_simd::vectorize`]; the kernel itself is dispatch-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `transposed` is smaller than `in_dim * FWD_BLOCK` or the
-    /// written rows fall outside `pres`/`outs`.
-    #[inline]
-    pub fn forward_block_bt(
+    /// Copy-out epilogue of the recording (training) forward: `tile` holds
+    /// this layer's pre-activations from [`DenseLayer::forward_tile`]. Rows
+    /// `block_start..block_start + bn` of the row-major `pres` and `outs`
+    /// (`n × out_dim`, what the backward pass reads) are written from it,
+    /// and the tile is left activated — the next layer's input.
+    #[inline(always)]
+    pub(crate) fn record_tile(
         &self,
-        transposed: &[f32],
+        tile: &mut [f32],
         block_start: usize,
         bn: usize,
         pres: &mut [f32],
         outs: &mut [f32],
     ) {
-        let weights = self.weights.values();
-        let bias = self.bias.values();
-        for o in 0..self.out_dim {
-            let weight_row = &weights[o * self.in_dim..(o + 1) * self.in_dim];
-            let mut acc_lo = f32x8::splat(bias[o]);
-            let mut acc_hi = acc_lo;
-            for (i, &w) in weight_row.iter().enumerate() {
-                let lane = &transposed[i * FWD_BLOCK..(i + 1) * FWD_BLOCK];
-                let wv = f32x8::splat(w);
-                acc_lo = acc_lo.madd(wv, f32x8::from_slice(&lane[..8]));
-                acc_hi = acc_hi.madd(wv, f32x8::from_slice(&lane[8..]));
-            }
-            let mut acc = [0.0f32; FWD_BLOCK];
-            acc_lo.write_to(&mut acc[..8]);
-            acc_hi.write_to(&mut acc[8..]);
-            for (p, &a) in acc.iter().enumerate().take(bn) {
-                let idx = (block_start + p) * self.out_dim + o;
-                pres[idx] = a;
-                outs[idx] = self.activation.apply(a);
-            }
-        }
+        let tile = &mut tile[..self.out_dim * FWD_BLOCK];
+        let rows = block_start * self.out_dim..(block_start + bn) * self.out_dim;
+        untranspose_tile(tile, &mut pres[rows.clone()], self.out_dim);
+        self.activation.apply_tile(tile);
+        untranspose_tile(tile, &mut outs[rows], self.out_dim);
     }
 
     /// Batched backward pass over `n` row-major points, accumulating the

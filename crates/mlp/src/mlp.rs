@@ -87,10 +87,9 @@ impl MlpBatchActivations {
 /// iterations allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct MlpScratch {
-    /// Block-transpose tile (`max in_dim × FWD_BLOCK`), shared by every
-    /// layer of a sweep — layer `l`'s tile is dead once layer `l + 1` has
-    /// transposed its own inputs over it.
-    transposed: Vec<f32>,
+    /// Two ping-pong tiles ([`Mlp::tile_width`]` × FWD_BLOCK` each): layer
+    /// `l` reads one and writes the other.
+    tiles: Vec<f32>,
     /// Ping-pong upstream-gradient matrices for the backward sweep.
     d_a: Vec<f32>,
     d_b: Vec<f32>,
@@ -148,6 +147,9 @@ impl MlpGradients {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<DenseLayer>,
+    /// Widest layer interface, fixed at construction (see
+    /// [`Mlp::tile_width`]).
+    tile_width: usize,
 }
 
 impl Mlp {
@@ -178,7 +180,7 @@ impl Mlp {
             widths.len() >= 2,
             "an MLP needs at least input and output widths"
         );
-        let layers = widths
+        let layers: Vec<DenseLayer> = widths
             .windows(2)
             .enumerate()
             .map(|(i, w)| {
@@ -196,7 +198,8 @@ impl Mlp {
                 )
             })
             .collect();
-        Mlp { layers }
+        let tile_width = widths.iter().copied().fold(0, usize::max);
+        Mlp { layers, tile_width }
     }
 
     /// The layers of the network.
@@ -225,6 +228,13 @@ impl Mlp {
     pub fn out_dim(&self) -> usize {
         // inerf-lint: allow(panic-path) -- infallible: `Mlp::new` asserts the layer list is nonempty
         self.layers.last().expect("nonempty").out_dim()
+    }
+
+    /// Rows a tile must have to hold any layer's input or output: the
+    /// widest of the network's widths. Tiles handed to
+    /// [`Mlp::forward_tile`] are `tile_width() * FWD_BLOCK` values each.
+    pub fn tile_width(&self) -> usize {
+        self.tile_width
     }
 
     /// Total trainable parameters.
@@ -261,6 +271,33 @@ impl Mlp {
         }
     }
 
+    /// Tile-resident forward pass over one block of up to [`FWD_BLOCK`]
+    /// points, keeping no per-point record: the `[in_dim][FWD_BLOCK]` input
+    /// tile sits at the start of `a`, each layer runs
+    /// [`DenseLayer::forward_tile`] from one tile into the other and is
+    /// activated in place, and the `[out_dim][FWD_BLOCK]` output tile is
+    /// returned (a view into `a` or `b`). Every lane is bitwise-identical
+    /// to [`Mlp::forward`] on that point.
+    ///
+    /// Dispatch-free like the layer kernel: call it inside an
+    /// [`inerf_simd::vectorize`] frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tile is shorter than `tile_width() * FWD_BLOCK`.
+    #[inline(always)]
+    pub fn forward_tile<'t>(&self, a: &'t mut [f32], b: &'t mut [f32]) -> &'t [f32] {
+        let (mut cur, mut next) = (a, b);
+        for layer in &self.layers {
+            layer.forward_tile(cur, next);
+            layer
+                .activation()
+                .apply_tile(&mut next[..layer.out_dim() * FWD_BLOCK]);
+            std::mem::swap(&mut cur, &mut next);
+        }
+        &cur[..self.out_dim() * FWD_BLOCK]
+    }
+
     /// Batched forward pass over `n` points: `inputs` is a row-major
     /// `n × in_dim` matrix. Activation matrices land in `acts`, whose
     /// buffers are reused across calls.
@@ -278,7 +315,8 @@ impl Mlp {
     }
 
     /// [`Mlp::forward_batch`] with caller-pooled scratch, so steady-state
-    /// iterations allocate nothing.
+    /// iterations allocate nothing: [`Mlp::forward_batch_fused`] with a
+    /// producer that transposes each block of `inputs` into the tile.
     ///
     /// # Panics
     ///
@@ -289,36 +327,35 @@ impl Mlp {
         acts: &mut MlpBatchActivations,
         scratch: &mut MlpScratch,
     ) {
-        assert_eq!(
-            inputs.len() % self.in_dim(),
-            0,
-            "input matrix size mismatch"
+        let in_dim = self.in_dim();
+        assert_eq!(inputs.len() % in_dim, 0, "input matrix size mismatch");
+        self.forward_batch_fused(
+            inputs.len() / in_dim,
+            |block_start, bn, tile| {
+                let rows = &inputs[block_start * in_dim..(block_start + bn) * in_dim];
+                for (p, row) in rows.chunks_exact(in_dim).enumerate() {
+                    for (i, &v) in row.iter().enumerate() {
+                        tile[i * FWD_BLOCK + p] = v;
+                    }
+                }
+            },
+            acts,
+            scratch,
         );
-        let n = inputs.len() / self.in_dim();
-        acts.prepare(self, n);
-        for l in 0..self.layers.len() {
-            let (done, rest) = acts.outs.split_at_mut(l);
-            let x = if l == 0 { inputs } else { &done[l - 1] };
-            self.layers[l].forward_batch_scratch(
-                x,
-                &mut acts.pres[l],
-                &mut rest[0],
-                &mut scratch.transposed,
-            );
-        }
     }
 
-    /// Fused batched forward pass: instead of reading a materialized
-    /// row-major input matrix, the producer streams each block-transposed
-    /// `in_dim × FWD_BLOCK` tile straight into the first layer's GEMM via
-    /// `fill_block_bt(block_start, bn, tile)` — no intermediate SoA
-    /// round-trip through memory. Subsequent layers run block-by-block on
-    /// the same tile buffer while the block is hot in cache.
+    /// Recording (training) forward pass: the producer writes each block's
+    /// `in_dim × FWD_BLOCK` input tile via `fill_block_bt(block_start, bn,
+    /// tile)` — the hash-grid encode streams features straight in, no
+    /// materialized input matrix — and the block then runs through every
+    /// layer tile to tile like [`Mlp::forward_tile`], with each layer's
+    /// pre-activations and outputs also copied out to the row-major
+    /// matrices in `acts` that the backward pass reads.
     ///
     /// Per-point arithmetic order is unchanged, so results are
-    /// bitwise-identical to [`Mlp::forward_batch`] on the row-major
-    /// equivalent of the streamed tiles. The entire sweep (producer closure
-    /// included) runs inside one [`inerf_simd::vectorize`] frame.
+    /// bitwise-identical to [`Mlp::forward`] per point. The entire sweep
+    /// (producer closure included) runs inside one
+    /// [`inerf_simd::vectorize`] frame.
     ///
     /// Tile lanes `p >= bn` may be left stale by the producer; no result
     /// reads them.
@@ -330,51 +367,35 @@ impl Mlp {
         scratch: &mut MlpScratch,
     ) {
         acts.prepare(self, n);
-        let max_in = self
-            .layers
-            .iter()
-            .map(|l| l.in_dim())
-            .max()
-            // inerf-lint: allow(panic-path) -- infallible: `Mlp::new` asserts at least one layer
-            .expect("nonempty");
-        if scratch.transposed.len() < max_in * FWD_BLOCK {
-            scratch.transposed.resize(max_in * FWD_BLOCK, 0.0);
+        let tile_len = self.tile_width * FWD_BLOCK;
+        if scratch.tiles.len() < 2 * tile_len {
+            scratch.tiles.resize(2 * tile_len, 0.0);
         }
-        let transposed = &mut scratch.transposed;
-        inerf_simd::vectorize(|| {
-            let mut block_start = 0;
-            while block_start < n {
-                let bn = FWD_BLOCK.min(n - block_start);
-                fill_block_bt(
-                    block_start,
-                    bn,
-                    &mut transposed[..self.in_dim() * FWD_BLOCK],
-                );
-                for l in 0..self.layers.len() {
-                    let layer = &self.layers[l];
-                    let (done, rest) = acts.outs.split_at_mut(l);
-                    if l > 0 {
-                        // Transpose the previous layer's freshly written
-                        // rows for this block over the dead tile.
-                        let prev = &done[l - 1];
-                        for p in 0..bn {
-                            let row = &prev[(block_start + p) * layer.in_dim()..];
-                            for i in 0..layer.in_dim() {
-                                transposed[i * FWD_BLOCK + p] = row[i];
-                            }
-                        }
+        let (a, b) = scratch.tiles.split_at_mut(tile_len);
+        let in_len = self.in_dim() * FWD_BLOCK;
+        inerf_simd::vectorize(
+            #[inline(always)]
+            || {
+                let mut block_start = 0;
+                while block_start < n {
+                    let bn = FWD_BLOCK.min(n - block_start);
+                    fill_block_bt(block_start, bn, &mut a[..in_len]);
+                    let (mut cur, mut next) = (&mut *a, &mut *b);
+                    for (l, layer) in self.layers.iter().enumerate() {
+                        layer.forward_tile(cur, next);
+                        layer.record_tile(
+                            next,
+                            block_start,
+                            bn,
+                            &mut acts.pres[l],
+                            &mut acts.outs[l],
+                        );
+                        std::mem::swap(&mut cur, &mut next);
                     }
-                    layer.forward_block_bt(
-                        transposed,
-                        block_start,
-                        bn,
-                        &mut acts.pres[l],
-                        &mut rest[0],
-                    );
+                    block_start += bn;
                 }
-                block_start += bn;
-            }
-        });
+            },
+        );
     }
 
     /// Batched backward pass: given `d_out` (`n × out_dim`, row-major) and
@@ -735,6 +756,64 @@ mod tests {
         for (a, b) in fused.pres.iter().zip(&unfused.pres) {
             assert_eq!(a, b, "pre-activations diverged");
         }
+    }
+
+    #[test]
+    fn tile_forward_matches_scalar_forward_bitwise() {
+        let activations = [
+            Activation::Identity,
+            Activation::Relu,
+            Activation::Sigmoid,
+            Activation::Exp,
+            Activation::Softplus,
+        ];
+        let original = inerf_simd::backend();
+        for backend in inerf_simd::available_backends() {
+            inerf_simd::force_backend(backend);
+            for (ai, &hidden) in activations.iter().enumerate() {
+                let output = activations[(ai + 2) % activations.len()];
+                // 24 is the paper colour MLP's input width; 17 and 5 leave
+                // the last vector of a row short. Hidden widths 22, 7 and 5
+                // end in unit groups of 2, 3 and 1.
+                for in_dim in [24, 17, 5] {
+                    for out_dim in [1, 3, 8, 16, 32, 64] {
+                        let widths = [in_dim, 22, 7, 5, out_dim];
+                        let net = Mlp::new(&widths, hidden, output, 91 + out_dim as u64);
+                        let tile_len = net.tile_width() * FWD_BLOCK;
+                        // A full block and a ragged one.
+                        for bn in [FWD_BLOCK, 5] {
+                            let inputs: Vec<f32> = (0..bn * in_dim)
+                                .map(|i| ((i + out_dim) as f32 * 0.37).sin())
+                                .collect();
+                            // Lanes past `bn` (and everything the producer
+                            // does not write) are poisoned: a result that
+                            // read one would be NaN.
+                            let mut a = vec![f32::NAN; tile_len];
+                            let mut b = vec![f32::NAN; tile_len];
+                            for (p, row) in inputs.chunks_exact(in_dim).enumerate() {
+                                for (i, &v) in row.iter().enumerate() {
+                                    a[i * FWD_BLOCK + p] = v;
+                                }
+                            }
+                            let out = inerf_simd::vectorize(|| net.forward_tile(&mut a, &mut b));
+                            assert_eq!(out.len(), out_dim * FWD_BLOCK);
+                            for (p, row) in inputs.chunks_exact(in_dim).enumerate() {
+                                let scalar = net.forward(row);
+                                for (o, want) in scalar.output().iter().enumerate() {
+                                    assert_eq!(
+                                        out[o * FWD_BLOCK + p].to_bits(),
+                                        want.to_bits(),
+                                        "{backend:?} {hidden:?}/{output:?} {in_dim}→{out_dim} \
+                                         bn {bn}: point {p} unit {o}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        inerf_simd::force_backend(original);
     }
 
     #[test]

@@ -204,10 +204,14 @@ pub fn force_backend(requested: Backend) -> Backend {
 
 /// Runs `kernel` inside the active backend's `#[target_feature]` frame.
 ///
-/// The closure is monomorphized per call site and inlined into the frame,
-/// so LLVM compiles its lane loops with the frame's feature set — this is
-/// how the portable `f32x8` lane loops become AVX2/NEON code on a build
-/// whose baseline target lacks those features. The frame enables only the
+/// The closure is monomorphized per call site, and once LLVM inlines it
+/// into the frame its lane loops compile with the frame's feature set —
+/// this is how the portable `f32x8` lane loops become AVX2/NEON code on a
+/// build whose baseline target lacks those features. That inlining is not
+/// automatic: the closure is called from two arms here (frame and scalar
+/// fallback), so a large one gets no single-call-site bonus and is left
+/// out of line, compiled for the baseline target. Pass hot kernels as
+/// `vectorize(#[inline(always)] || { .. })`. The frame enables only the
 /// lane-width feature (never `fma`), preserving the two-rounding `madd`
 /// contract documented on [`f32x8`].
 #[inline]

@@ -4,11 +4,12 @@ use crate::train::TrainConfig;
 use inerf_encoding::{HashFunction, HashGrid, HashGridConfig, LookupCache, TraceSink};
 use inerf_geom::Vec3;
 use inerf_mlp::{
-    Activation, AdamState, Mlp, MlpActivations, MlpBatchActivations, MlpGradients, MlpScratch,
-    Precision, FWD_BLOCK,
+    untranspose_tile, Activation, AdamState, Mlp, MlpActivations, MlpBatchActivations,
+    MlpGradients, MlpScratch, Precision, FWD_BLOCK,
 };
 use rayon::ThreadPool;
 use serde::{Deserialize, Serialize};
+use std::slice::ChunksExactMut;
 
 /// A radiance-field model that can be trained by [`crate::train::Trainer`].
 ///
@@ -557,7 +558,7 @@ impl ChunkScratch {
     }
 
     /// Full forward pass (density + dense color) — the uncompacted batched
-    /// path and the evaluation path.
+    /// training path.
     #[allow(clippy::too_many_arguments)]
     fn forward(
         &mut self,
@@ -673,36 +674,115 @@ struct BatchCache {
 /// ([`TrainableField::query_eval_batch_density`] /
 /// [`TrainableField::query_eval_batch_color_compacted`]). Opaque outside
 /// this module: the render engine holds one per engine and hands it back on
-/// every call, so steady-state rendering reuses the per-chunk buffers
-/// instead of allocating fresh scratch per block (which is what the plain
-/// `&self` [`TrainableField::query_eval_batch`] has to do).
+/// every call, so steady-state rendering allocates nothing.
+///
+/// Inference is tile-resident and keeps no per-sample activations: the only
+/// per-sample state that survives the density phase is the raw density-MLP
+/// output row (whose tail is the colour phase's geometry features);
+/// everything else lives in a pair of [`FWD_BLOCK`]-point tiles per task.
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
     /// Sample count of the density phase, rechecked by the color phase.
     len: usize,
-    chunks: Vec<ChunkScratch>,
+    /// `len × density_out` raw density-MLP outputs, row-major.
+    raw: Vec<f32>,
+    /// One ping-pong tile pair per `POINT_CHUNK` task.
+    tiles: Vec<f32>,
 }
 
 impl EvalScratch {
-    /// Sum of the directly-owned buffer capacities, for the render arena's
-    /// growth-event accounting. Nested kernel scratch (MLP activations,
-    /// lookup caches, GEMM ping-pong buffers) is excluded — those types do
-    /// not expose capacities — but all of it is `resize`-managed and never
-    /// shrunk, so this sum still only stays flat when the scratch as a
-    /// whole reached steady state.
+    /// Total capacity of the buffers, in elements, for the render arena's
+    /// and the refresh scratch's growth-event accounting.
     pub(crate) fn capacity_sum(&self) -> usize {
-        self.chunks.capacity()
-            + self
-                .chunks
-                .iter()
-                .map(|c| {
-                    c.feats.capacity()
-                        + c.color_in.capacity()
-                        + c.sigmas.capacity()
-                        + c.live.capacity()
-                })
-                .sum::<usize>()
+        self.raw.capacity() + self.tiles.capacity()
     }
+}
+
+/// One ping-pong tile pair of `pair_len` values for each of `tasks` tasks,
+/// out of a pooled buffer that only ever grows (a block with fewer tasks
+/// than its predecessor keeps the surplus).
+fn task_tiles(tiles: &mut Vec<f32>, tasks: usize, pair_len: usize) -> ChunksExactMut<'_, f32> {
+    if tiles.len() < tasks * pair_len {
+        tiles.resize(tasks * pair_len, 0.0);
+    }
+    tiles[..tasks * pair_len].chunks_exact_mut(pair_len)
+}
+
+/// Density phase of one evaluation task: per [`FWD_BLOCK`] points, encode
+/// straight into a tile → density MLP tile to tile → keep each point's raw
+/// output row and its softplus density. Per point the arithmetic is the
+/// scalar [`IngpModel::query_eval`]'s, bit for bit.
+fn eval_density_task(
+    grid: &HashGrid,
+    density_mlp: &Mlp,
+    points: &[Vec3],
+    sigmas: &mut [f32],
+    raw: &mut [f32],
+    tiles: &mut [f32],
+) {
+    let dout = density_mlp.out_dim();
+    let (a, b) = tiles.split_at_mut(tiles.len() / 2);
+    let blocks = points
+        .chunks(FWD_BLOCK)
+        .zip(sigmas.chunks_mut(FWD_BLOCK))
+        .zip(raw.chunks_mut(FWD_BLOCK * dout));
+    inerf_simd::vectorize(
+        #[inline(always)]
+        || {
+            for ((block, sigmas), raw) in blocks {
+                grid.encode_tile_bt(block, FWD_BLOCK, a);
+                untranspose_tile(density_mlp.forward_tile(a, b), raw, dout);
+                for (row, sigma) in raw.chunks_exact(dout).zip(sigmas) {
+                    *sigma = Activation::Softplus.apply(row[0]);
+                }
+            }
+        },
+    );
+}
+
+/// Colour phase of one evaluation task over the ascending global sample
+/// indices `live`, all inside `lo..lo + rgbs.len()`: per [`FWD_BLOCK`] live
+/// samples, assemble the `[geo + 9][FWD_BLOCK]` input tile from their raw
+/// density rows and view directions → colour MLP tile to tile → `rgbs`.
+/// Every other sample of the range gets `Vec3::ZERO`.
+fn eval_color_task(
+    color_mlp: &Mlp,
+    raw: &[f32],
+    dirs: &[Vec3],
+    lo: usize,
+    live: &[u32],
+    rgbs: &mut [Vec3],
+    tiles: &mut [f32],
+) {
+    // The colour input is the raw row's tail plus the 9 direction terms.
+    let geo = color_mlp.in_dim() - 9;
+    let dout = geo + 1;
+    let (a, b) = tiles.split_at_mut(tiles.len() / 2);
+    if live.len() < rgbs.len() {
+        rgbs.fill(Vec3::ZERO);
+    }
+    inerf_simd::vectorize(
+        #[inline(always)]
+        || {
+            for block in live.chunks(FWD_BLOCK) {
+                for (p, &i) in block.iter().enumerate() {
+                    let i = i as usize;
+                    let features = &raw[i * dout + 1..(i + 1) * dout];
+                    for (k, &v) in features.iter().enumerate() {
+                        a[k * FWD_BLOCK + p] = v;
+                    }
+                    for (k, v) in direction_encoding(dirs[i]).into_iter().enumerate() {
+                        a[(geo + k) * FWD_BLOCK + p] = v;
+                    }
+                }
+                let out = color_mlp.forward_tile(a, b);
+                for (p, &i) in block.iter().enumerate() {
+                    rgbs[i as usize - lo] =
+                        Vec3::new(out[p], out[FWD_BLOCK + p], out[2 * FWD_BLOCK + p]);
+                }
+            }
+        },
+    );
 }
 
 /// The iNGP / Instant-NeRF model: multi-resolution hash grid → density MLP →
@@ -870,6 +950,16 @@ impl IngpModel {
     /// Mutable MLP access for checkpoint restore (density, color).
     pub(crate) fn mlps_mut(&mut self) -> (&mut Mlp, &mut Mlp) {
         (&mut self.density_mlp, &mut self.color_mlp)
+    }
+
+    /// Values in one evaluation task's ping-pong tile pair: two tiles wide
+    /// enough for either MLP.
+    fn eval_tile_pair_len(&self) -> usize {
+        2 * FWD_BLOCK
+            * self
+                .density_mlp
+                .tile_width()
+                .max(self.color_mlp.tile_width())
     }
 
     fn forward_parts(&self, p: Vec3, d: Vec3) -> (MlpActivations, MlpActivations, f32, Vec3) {
@@ -1283,9 +1373,9 @@ impl TrainableField for IngpModel {
         self.grid.stream_batch(points, sink);
     }
 
-    /// Batched evaluation query: chunked like [`TrainableField::query_batch`]
-    /// but with task-local scratch, since `&self` forbids touching the batch
-    /// cache.
+    /// Batched evaluation query: the phased query with every sample live —
+    /// density phase, then the colour phase over the identity live list,
+    /// on one call-local scratch (`&self` has nowhere to keep one).
     fn query_eval_batch(
         &self,
         points: &[Vec3],
@@ -1294,47 +1384,18 @@ impl TrainableField for IngpModel {
         rgbs: &mut [Vec3],
         pool: &ThreadPool,
     ) {
-        let n = points.len();
-        assert_eq!(n, dirs.len(), "points/dirs length mismatch");
-        assert_eq!(n, sigmas.len(), "sigma buffer mismatch");
-        assert_eq!(n, rgbs.len(), "rgb buffer mismatch");
-        let grid = &self.grid;
-        let density_mlp = &self.density_mlp;
-        let color_mlp = &self.color_mlp;
-        let mut sigma_rest: &mut [f32] = sigmas;
-        let mut rgb_rest: &mut [Vec3] = rgbs;
-        pool.scope(|s| {
-            for ci in 0..n.div_ceil(POINT_CHUNK) {
-                let lo = ci * POINT_CHUNK;
-                let hi = (lo + POINT_CHUNK).min(n);
-                let (sigma_c, rest) = std::mem::take(&mut sigma_rest).split_at_mut(hi - lo);
-                sigma_rest = rest;
-                let (rgb_c, rest) = std::mem::take(&mut rgb_rest).split_at_mut(hi - lo);
-                rgb_rest = rest;
-                let pts = &points[lo..hi];
-                let drs = &dirs[lo..hi];
-                s.spawn(move |_| {
-                    let mut scratch = ChunkScratch::default();
-                    // `&self` eval: no touch collection (callers sync
-                    // beforehand), so the encode computes its own cache.
-                    scratch.forward(
-                        grid,
-                        density_mlp,
-                        color_mlp,
-                        pts,
-                        drs,
-                        sigma_c,
-                        rgb_c,
-                        false,
-                    );
-                });
-            }
-        });
+        assert_eq!(points.len(), dirs.len(), "points/dirs length mismatch");
+        let mut scratch = EvalScratch::default();
+        self.query_eval_batch_density(points, sigmas, &mut scratch, pool);
+        let all: Vec<u32> = (0..points.len() as u32).collect();
+        self.query_eval_batch_color_compacted(dirs, &all, rgbs, &mut scratch, pool);
     }
 
-    /// Density phase of the phased evaluation query: fused encode →
-    /// density MLP per fixed chunk into caller-owned scratch, leaving each
-    /// chunk's activations cached for the color phase. Always supported.
+    /// Density phase of the phased evaluation query: one
+    /// `eval_density_task` per fixed `POINT_CHUNK` of samples on the pool,
+    /// leaving each sample's raw density row in the caller-owned scratch
+    /// for the colour phase. `&self`: callers sync deferred optimizer
+    /// updates beforehand. Always supported.
     fn query_eval_batch_density(
         &self,
         points: &[Vec3],
@@ -1344,35 +1405,35 @@ impl TrainableField for IngpModel {
     ) -> bool {
         let n = points.len();
         assert_eq!(n, sigmas.len(), "sigma buffer mismatch");
+        let dout = self.density_mlp.out_dim();
         scratch.len = n;
-        let n_chunks = n.div_ceil(POINT_CHUNK);
-        // Monotone growth: a block with fewer chunks than its predecessor
-        // must not drop (and re-allocate next block) the surplus scratch.
-        if scratch.chunks.len() < n_chunks {
-            scratch.chunks.resize_with(n_chunks, ChunkScratch::default);
-        }
+        reset_buf(&mut scratch.raw, n * dout);
         let grid = &self.grid;
         let density_mlp = &self.density_mlp;
-        let mut sigma_rest: &mut [f32] = sigmas;
+        let tasks = points
+            .chunks(POINT_CHUNK)
+            .zip(sigmas.chunks_mut(POINT_CHUNK))
+            .zip(scratch.raw.chunks_mut(POINT_CHUNK * dout))
+            .zip(task_tiles(
+                &mut scratch.tiles,
+                n.div_ceil(POINT_CHUNK),
+                self.eval_tile_pair_len(),
+            ));
         pool.scope(|s| {
-            for (ci, chunk) in scratch.chunks[..n_chunks].iter_mut().enumerate() {
-                let lo = ci * POINT_CHUNK;
-                let hi = (lo + POINT_CHUNK).min(n);
-                let (sigma_c, rest) = std::mem::take(&mut sigma_rest).split_at_mut(hi - lo);
-                sigma_rest = rest;
-                let pts = &points[lo..hi];
-                // `&self` eval: callers sync beforehand, so the encode
-                // computes its own corner cache (prefilled = false).
-                s.spawn(move |_| chunk.forward_density(grid, density_mlp, pts, sigma_c, false));
+            for (((pts, sigma_c), raw_c), tiles) in tasks {
+                s.spawn(move |_| eval_density_task(grid, density_mlp, pts, sigma_c, raw_c, tiles));
             }
         });
         true
     }
 
     /// Color phase of the phased evaluation query over the live samples
-    /// only — the `&self` analogue of
-    /// [`TrainableField::query_batch_color_compacted`], with the same
-    /// fixed-chunk (thread-count-independent) decomposition of `live`.
+    /// only. Tasks take `POINT_CHUNK` *live* samples each (however sparse
+    /// the list, tiles stay full); `live` ascends, so task `k` owns the
+    /// contiguous run of `rgbs` from its first live sample up to task
+    /// `k + 1`'s — the first run starts at 0, the last ends at `n` — and
+    /// zeroes the dead samples in it. Per-sample results do not depend on
+    /// the decomposition, so they are the same at any thread count.
     fn query_eval_batch_color_compacted(
         &self,
         dirs: &[Vec3],
@@ -1384,30 +1445,35 @@ impl TrainableField for IngpModel {
         let n = scratch.len;
         assert_eq!(n, dirs.len(), "dirs length mismatch");
         assert_eq!(n, rgbs.len(), "rgb buffer mismatch");
-        let n_chunks = n.div_ceil(POINT_CHUNK);
-        // Split the global live list into chunk-local index lists.
-        let mut cursor = 0usize;
-        for (ci, chunk) in scratch.chunks[..n_chunks].iter_mut().enumerate() {
-            let lo = ci * POINT_CHUNK;
-            let hi = (lo + POINT_CHUNK).min(n);
-            chunk.live.clear();
-            while cursor < live.len() && (live[cursor] as usize) < hi {
-                chunk.live.push(live[cursor] - lo as u32);
-                cursor += 1;
-            }
+        assert!(
+            live.last().is_none_or(|&i| (i as usize) < n),
+            "live indices out of range"
+        );
+        if live.is_empty() {
+            rgbs.fill(Vec3::ZERO);
+            return;
         }
-        assert_eq!(cursor, live.len(), "live indices out of range");
-        let dout = self.density_mlp.out_dim();
+        let raw = &scratch.raw[..];
         let color_mlp = &self.color_mlp;
+        let tasks = live.chunks(POINT_CHUNK).zip(task_tiles(
+            &mut scratch.tiles,
+            live.len().div_ceil(POINT_CHUNK),
+            self.eval_tile_pair_len(),
+        ));
         let mut rgb_rest: &mut [Vec3] = rgbs;
+        let mut lo = 0usize;
         pool.scope(|s| {
-            for (ci, chunk) in scratch.chunks[..n_chunks].iter_mut().enumerate() {
-                let lo = ci * POINT_CHUNK;
-                let hi = (lo + POINT_CHUNK).min(n);
-                let (rgb_c, rest) = std::mem::take(&mut rgb_rest).split_at_mut(hi - lo);
+            for (k, (live_k, tiles)) in tasks.enumerate() {
+                let hi = live
+                    .get((k + 1) * POINT_CHUNK)
+                    .map_or(n, |&next| next as usize);
+                let (rgb_k, rest) = std::mem::take(&mut rgb_rest).split_at_mut(hi - lo);
                 rgb_rest = rest;
-                let drs = &dirs[lo..hi];
-                s.spawn(move |_| chunk.forward_color_compacted(color_mlp, dout, drs, rgb_c));
+                let task_lo = lo;
+                lo = hi;
+                s.spawn(move |_| {
+                    eval_color_task(color_mlp, raw, dirs, task_lo, live_k, rgb_k, tiles)
+                });
             }
         });
     }
@@ -1453,6 +1519,118 @@ mod tests {
         let (s2, c2) = m.query_eval(p, d);
         assert_eq!(s1, s2);
         assert_eq!(c1, c2);
+    }
+
+    /// The tile-resident evaluation path against the scalar
+    /// [`TrainableField::query_eval`], bit for bit: block and chunk edges
+    /// (`FWD_BLOCK` = 16, `POINT_CHUNK` = 256 — one under, on, one over),
+    /// every live-list shape, both precisions, every backend, any thread
+    /// count.
+    #[test]
+    fn phased_eval_matches_scalar_query_eval_bitwise() {
+        use crate::engine;
+        let pools = [1, 2, 8].map(engine::build_pool);
+        let original = inerf_simd::backend();
+        for precision in [Precision::F32, Precision::Fp16] {
+            let mut model =
+                IngpModel::with_options(ModelConfig::tiny(), 17, precision, OptPath::Sparse);
+            // Embeddings start within ±1e-4; a few steps spread the values.
+            for step in 0..4 {
+                model.begin_batch();
+                let p = Vec3::new(0.2 + 0.15 * step as f32, 0.55, 0.4);
+                model.query(p, Vec3::new(0.0, 0.6, 0.8));
+                model.backward(0, 0.5, Vec3::new(0.3, -0.2, 0.1));
+                model.apply_gradients();
+            }
+            model.sync_parameters();
+            for n in [0usize, 1, 15, 16, 17, 255, 256, 257, 1000] {
+                let points: Vec<Vec3> = (0..n)
+                    .map(|i| {
+                        let t = i as f32 + 0.5;
+                        Vec3::new(
+                            (t * 0.173).fract(),
+                            (t * 0.291).fract(),
+                            (t * 0.419).fract(),
+                        )
+                    })
+                    .collect();
+                let dirs: Vec<Vec3> = (0..n)
+                    .map(|i| {
+                        let t = i as f32 * 0.37;
+                        Vec3::new(t.sin(), t.cos(), (t * 0.5).sin()).normalized()
+                    })
+                    .collect();
+                let want: Vec<(f32, Vec3)> = points
+                    .iter()
+                    .zip(&dirs)
+                    .map(|(&p, &d)| model.query_eval(p, d))
+                    .collect();
+                let all: Vec<u32> = (0..n as u32).collect();
+                let lives = [
+                    Vec::new(),
+                    all.clone(),
+                    all.iter().copied().filter(|i| i % 3 == 0).collect(),
+                    all.last().copied().into_iter().collect(),
+                ];
+                for backend in inerf_simd::available_backends() {
+                    inerf_simd::force_backend(backend);
+                    for pool in &pools {
+                        let label = format!(
+                            "{precision:?} {backend:?} x{} n={n}",
+                            pool.current_num_threads()
+                        );
+                        // One scratch across live lists: stale state from
+                        // the previous query must not leak.
+                        let mut scratch = EvalScratch::default();
+                        let mut sigmas = vec![f32::NAN; n];
+                        let mut rgbs = vec![Vec3::splat(f32::NAN); n];
+                        for live in &lives {
+                            assert!(model.query_eval_batch_density(
+                                &points,
+                                &mut sigmas,
+                                &mut scratch,
+                                pool
+                            ));
+                            model.query_eval_batch_color_compacted(
+                                &dirs,
+                                live,
+                                &mut rgbs,
+                                &mut scratch,
+                                pool,
+                            );
+                            for i in 0..n {
+                                assert_eq!(sigmas[i].to_bits(), want[i].0.to_bits(), "{label}");
+                                let rgb = if live.binary_search(&(i as u32)).is_ok() {
+                                    want[i].1
+                                } else {
+                                    Vec3::ZERO
+                                };
+                                for (got, want) in [rgbs[i].x, rgbs[i].y, rgbs[i].z]
+                                    .into_iter()
+                                    .zip([rgb.x, rgb.y, rgb.z])
+                                {
+                                    assert_eq!(
+                                        got.to_bits(),
+                                        want.to_bits(),
+                                        "{label}: sample {i} of {} live",
+                                        live.len()
+                                    );
+                                }
+                            }
+                        }
+                        // The dense query is the same path with all live.
+                        sigmas.fill(f32::NAN);
+                        rgbs.fill(Vec3::splat(f32::NAN));
+                        model.query_eval_batch(&points, &dirs, &mut sigmas, &mut rgbs, pool);
+                        for i in 0..n {
+                            assert_eq!(sigmas[i].to_bits(), want[i].0.to_bits(), "{label}");
+                            assert_eq!(rgbs[i], want[i].1, "{label}: dense sample {i}");
+                        }
+                    }
+                }
+            }
+        }
+        inerf_simd::force_backend(original);
     }
 
     #[test]

@@ -745,6 +745,53 @@ mod tests {
     }
 
     #[test]
+    fn eval_scratch_stays_flat_and_keeps_no_per_sample_activations() {
+        use crate::model::{IngpModel, ModelConfig};
+        use inerf_encoding::HashFunction;
+        use inerf_geom::Pose;
+        let model = IngpModel::new(ModelConfig::small(HashFunction::Morton), 3);
+        let pool = engine::build_pool(2);
+        // 48² pixels: one full 2048-pixel block, then a 256-pixel one.
+        let pose = Pose::orbit(Vec3::splat(0.5), 2.4, 0.7, 1.1);
+        let camera = Camera::new(pose, 48, 48, 0.7);
+        let spp = 16;
+        let mut img = Image::new(48, 48);
+        let mut engine = RenderEngine::default();
+        let mut render = |engine: &mut RenderEngine| {
+            engine.render_view_into(
+                &model,
+                &camera,
+                &Aabb::unit(),
+                spp,
+                None,
+                &RenderOpts::reference(),
+                &pool,
+                &mut img,
+            )
+        };
+        render(&mut engine);
+        let warm = engine.growth_events();
+        assert!(warm >= 1, "the first view must populate the arena");
+        render(&mut engine);
+        assert_eq!(
+            engine.growth_events(),
+            warm,
+            "same-shape view grew a buffer"
+        );
+        // The guard against per-sample activation matrices coming back: at
+        // `ModelConfig::small` a sample keeps its 8-value raw density row
+        // (32 B) and shares a 4 KB tile pair with its 256-sample task; the
+        // training forward's record is ≈ 1.3 KB per sample.
+        let bytes = engine.scratch.capacity_sum() * std::mem::size_of::<f32>();
+        let block_samples = BLOCK_PIXELS * spp;
+        assert!(engine.stats.samples_density as usize > block_samples / 2);
+        assert!(
+            bytes <= 64 * block_samples + 16 * 1024,
+            "eval scratch holds {bytes} B for {block_samples}-sample blocks"
+        );
+    }
+
+    #[test]
     fn scan_matches_composite_weights_and_cuts_on_early_term() {
         // Moderate densities: no exact-zero cut, so reference opts keep
         // everything; a loose threshold cuts early.
