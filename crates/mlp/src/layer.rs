@@ -82,6 +82,39 @@ impl Activation {
             Activation::Softplus => 1.0 / (1.0 + (-x).exp()),
         }
     }
+
+    /// Whether [`Activation::derivative`] reads `x`, so the training forward
+    /// must record the tile *before* activating it. Every other derivative
+    /// is a function of `y` alone (`Relu`: `y > 0 ⇔ x > 0`) and records the
+    /// activated tile.
+    #[inline(always)]
+    fn derivative_reads_pre(self) -> bool {
+        self == Activation::Softplus
+    }
+
+    /// Turns a tile of upstream gradients into the masked `d_pre` tile in
+    /// place: `d = mask_nonzero(d * derivative)` per element, the derivative
+    /// read from the layer's `recorded` tile — the product
+    /// [`DenseLayer::backward_into`] forms, its skipped zeros as `+0.0`.
+    #[inline(always)]
+    fn d_pre_tile(self, recorded: &[f32], d: &mut [f32]) {
+        match self {
+            // Spelled out so the loop vectorizes, like the ReLU arm of
+            // `apply_tile` (through the generic loop below the 17→32→32→3
+            // backward costs 281 instead of 209 ns/pt).
+            Activation::Relu => {
+                for (d, &y) in d.iter_mut().zip(recorded) {
+                    *d = mask_nonzero(*d * if y > 0.0 { 1.0 } else { 0.0 });
+                }
+            }
+            // `recorded` is whichever of `x` and `y` the derivative reads.
+            _ => {
+                for (d, &r) in d.iter_mut().zip(recorded) {
+                    *d = mask_nonzero(*d * self.derivative(r, r));
+                }
+            }
+        }
+    }
 }
 
 /// Points per tile of the forward kernel. A *tile* is a block-transposed
@@ -99,27 +132,34 @@ pub const FWD_BLOCK: usize = 16;
 /// the sixteen vector registers of AVX2 and leave NEON's thirty-two slack.
 const UNIT_GROUP: usize = 4;
 
-/// The MAC loop of the forward pass: `U` output units starting at `o`, over
-/// one input tile, accumulators in registers. Each input row is loaded once
-/// per group and feeds all `U` units; per point the sum runs bias first,
-/// then inputs ascending, one two-rounding [`f32x8::madd`] each — the order
-/// of [`DenseLayer::forward_into`]. Writes `U` pre-activation rows to `out`.
+/// The one MAC loop of the batched paths: `U` units starting at `first`
+/// over the rows of a `[K][FWD_BLOCK]` input tile, accumulators in
+/// registers. Unit `u` starts at `init(u)` and adds `weights[u * strides.0 +
+/// k * strides.1] * input[k]` for `k` ascending, one two-rounding
+/// [`f32x8::madd`] each; each input row is loaded once per group and feeds
+/// all `U` units. Writes `U` rows to `out`.
+///
+/// The forward pass is the row view of the weight matrix (strides `(in_dim,
+/// 1)`, `init` the biases — the order of [`DenseLayer::forward_into`]); the
+/// input gradient is the same loop on the transposed view (strides `(1,
+/// in_dim)`, `init` zero, the `d_pre` tile as input — output units
+/// ascending, the order of [`DenseLayer::backward_into`]).
 #[inline(always)]
 fn mac_group<const U: usize>(
     weights: &[f32],
-    bias: &[f32],
-    in_dim: usize,
-    o: usize,
+    strides: (usize, usize),
+    init: &impl Fn(usize) -> f32,
+    first: usize,
     input: &[f32],
     out: &mut [f32],
 ) {
-    let rows: [&[f32]; U] = std::array::from_fn(|u| &weights[(o + u) * in_dim..][..in_dim]);
-    let mut acc: [[f32x8; 2]; U] = std::array::from_fn(|u| [f32x8::splat(bias[o + u]); 2]);
-    for (i, lane) in input.chunks_exact(FWD_BLOCK).take(in_dim).enumerate() {
+    let mut acc: [[f32x8; 2]; U] = std::array::from_fn(|u| [f32x8::splat(init(first + u)); 2]);
+    let rows: [&[f32]; U] = std::array::from_fn(|u| &weights[(first + u) * strides.0..]);
+    for (k, lane) in input.chunks_exact(FWD_BLOCK).enumerate() {
         let lo = f32x8::from_slice(&lane[..8]);
         let hi = f32x8::from_slice(&lane[8..]);
         for (a, row) in acc.iter_mut().zip(&rows) {
-            let w = f32x8::splat(row[i]);
+            let w = f32x8::splat(row[k * strides.1]);
             a[0] = a[0].madd(w, lo);
             a[1] = a[1].madd(w, hi);
         }
@@ -130,14 +170,29 @@ fn mac_group<const U: usize>(
     }
 }
 
-/// Reusable working buffers of [`DenseLayer::backward_batch_into`]. Pooled
-/// by the caller (inside [`crate::MlpScratch`]) so steady-state backward
-/// sweeps allocate nothing.
-#[derive(Debug, Clone, Default)]
-pub struct BackwardScratch {
-    /// `FWD_BLOCK × out_dim` pre-activation gradient tile for the block
-    /// being processed.
-    d_pre: Vec<f32>,
+/// [`mac_group`] over every unit of the `[units][FWD_BLOCK]` tile `out`,
+/// [`UNIT_GROUP`] at a time, the remainder as a narrower instantiation.
+#[inline(always)]
+fn mac_units(
+    weights: &[f32],
+    strides: (usize, usize),
+    init: impl Fn(usize) -> f32,
+    input: &[f32],
+    out: &mut [f32],
+) {
+    let mut groups = out.chunks_exact_mut(UNIT_GROUP * FWD_BLOCK);
+    let mut u = 0;
+    for group in &mut groups {
+        mac_group::<UNIT_GROUP>(weights, strides, &init, u, input, group);
+        u += UNIT_GROUP;
+    }
+    let rest = groups.into_remainder();
+    match rest.len() / FWD_BLOCK {
+        3 => mac_group::<3>(weights, strides, &init, u, input, rest),
+        2 => mac_group::<2>(weights, strides, &init, u, input, rest),
+        1 => mac_group::<1>(weights, strides, &init, u, input, rest),
+        _ => {}
+    }
 }
 
 /// A dense layer `y = act(W x + b)` with gradient accumulation buffers.
@@ -165,69 +220,78 @@ pub struct DenseLayer {
 /// `-0.0` (it starts at `+0.0`, and an IEEE round-to-nearest sum only
 /// yields `-0.0` when both operands are `-0.0`). The branch this removes is
 /// data-dependent (ReLU kills ~half the units, effectively at random), so
-/// the reference's `continue` mispredicts constantly; the mask costs three
-/// integer ops off the accumulator's critical path.
+/// the reference's `continue` mispredicts constantly; the mask is a compare
+/// and an `and` per vector of the `d_pre` tile.
 #[inline(always)]
 fn mask_nonzero(dp: f32) -> f32 {
     f32::from_bits(dp.to_bits() & ((dp != 0.0) as u32).wrapping_neg())
 }
 
-/// One register-resident group of `C` vector chunks of a point's
-/// input-gradient row: accumulates `d_pre[o] * W[o]` across output units in
-/// ascending order (zero terms masked by [`mask_nonzero`]) and stores the
-/// group once. `C` is const so the accumulators stay in registers instead
-/// of a stack-spilled array.
+/// One register group of the weight gradient: `U` output units starting at
+/// `o` × `C` vectors of input columns starting at `g`. The group is loaded
+/// once, the block's row-major input `rows` stream through it in ascending
+/// order — each row's `C` vectors loaded once and fed to all `U` units,
+/// scaled by that unit's lane of the masked `d_pre` tile — and it is stored
+/// once, so every weight slot sums rows ascending like
+/// [`DenseLayer::backward_into`] run row by row.
 #[inline(always)]
-fn dinput_group<const C: usize>(
-    dp_row: &[f32],
-    weights: &[f32],
+fn grad_group<const U: usize, const C: usize>(
+    d_pre: &[f32],
+    o: usize,
+    rows: &[f32],
     in_dim: usize,
     g: usize,
-    d_input: &mut [f32],
+    grad_weights: &mut [f32],
 ) {
-    let mut acc = [f32x8::zero(); C];
-    for (o, &dp) in dp_row.iter().enumerate() {
-        let dv = f32x8::splat(mask_nonzero(dp));
-        let row_w = &weights[o * in_dim + g..];
-        for (k, a) in acc.iter_mut().enumerate() {
-            *a = a.madd(dv, f32x8::from_slice(&row_w[k * 8..]));
+    let mut acc: [[f32x8; C]; U] = std::array::from_fn(|u| {
+        std::array::from_fn(|c| f32x8::from_slice(&grad_weights[(o + u) * in_dim + g + c * 8..]))
+    });
+    for (p, row) in rows.chunks_exact(in_dim).enumerate() {
+        let x: [f32x8; C] = std::array::from_fn(|c| f32x8::from_slice(&row[g + c * 8..]));
+        for (u, a) in acc.iter_mut().enumerate() {
+            let dv = f32x8::splat(d_pre[(o + u) * FWD_BLOCK + p]);
+            for (a, &x) in a.iter_mut().zip(&x) {
+                *a = a.madd(dv, x);
+            }
         }
     }
-    for (k, a) in acc.into_iter().enumerate() {
-        a.write_to(&mut d_input[g + k * 8..]);
+    for (u, a) in acc.iter().enumerate() {
+        for (c, a) in a.iter().enumerate() {
+            a.write_to(&mut grad_weights[(o + u) * in_dim + g + c * 8..]);
+        }
     }
 }
 
-/// One register-resident group of `C` vector chunks of output unit `o`'s
-/// weight-gradient row: loads the group once, streams the block's rows
-/// through it in ascending order (zero terms masked like
-/// [`dinput_group`]), and stores the group once.
-#[allow(clippy::too_many_arguments)]
+/// [`grad_group`] over every output unit for the `C` vectors of columns at
+/// `g`: `U` units at a time, the last `out_dim % U` one by one.
 #[inline(always)]
-fn grad_group<const C: usize>(
+fn grad_columns<const U: usize, const C: usize>(
     d_pre: &[f32],
-    out_dim: usize,
-    o: usize,
-    inputs: &[f32],
+    rows: &[f32],
     in_dim: usize,
-    base: usize,
-    bn: usize,
     g: usize,
-    row_g: &mut [f32],
+    grad_weights: &mut [f32],
 ) {
-    let mut acc = [f32x8::zero(); C];
-    for (k, a) in acc.iter_mut().enumerate() {
-        *a = f32x8::from_slice(&row_g[g + k * 8..]);
+    let out_dim = d_pre.len() / FWD_BLOCK;
+    let mut o = 0;
+    while o + U <= out_dim {
+        grad_group::<U, C>(d_pre, o, rows, in_dim, g, grad_weights);
+        o += U;
     }
-    for rb in 0..bn {
-        let dv = f32x8::splat(mask_nonzero(d_pre[rb * out_dim + o]));
-        let input = &inputs[(base + rb) * in_dim + g..];
-        for (k, a) in acc.iter_mut().enumerate() {
-            *a = a.madd(dv, f32x8::from_slice(&input[k * 8..]));
+    while o < out_dim {
+        grad_group::<1, C>(d_pre, o, rows, in_dim, g, grad_weights);
+        o += 1;
+    }
+}
+
+/// Writes row-major `rows` (`bn × dim`, `bn ≤ FWD_BLOCK`) into the leading
+/// lanes of a `[dim][FWD_BLOCK]` tile; the other lanes keep what they held.
+#[inline(always)]
+pub(crate) fn transpose_tile(rows: &[f32], tile: &mut [f32], dim: usize) {
+    for (p, row) in rows.chunks_exact(dim).enumerate() {
+        for (r, lane) in row.iter().zip(tile.chunks_exact_mut(FWD_BLOCK)) {
+            lane[p] = *r;
         }
-    }
-    for (k, a) in acc.into_iter().enumerate() {
-        a.write_to(&mut row_g[g + k * 8..]);
     }
 }
 
@@ -389,193 +453,105 @@ impl DenseLayer {
     /// Panics if either tile is smaller than its `dim * FWD_BLOCK`.
     #[inline(always)]
     pub fn forward_tile(&self, input: &[f32], out: &mut [f32]) {
-        let in_dim = self.in_dim;
-        let input = &input[..in_dim * FWD_BLOCK];
-        let weights = self.weights.values();
         let bias = self.bias.values();
-        let mut groups = out[..self.out_dim * FWD_BLOCK].chunks_exact_mut(UNIT_GROUP * FWD_BLOCK);
-        let mut o = 0;
-        for group in &mut groups {
-            mac_group::<UNIT_GROUP>(weights, bias, in_dim, o, input, group);
-            o += UNIT_GROUP;
-        }
-        let rest = groups.into_remainder();
-        match rest.len() / FWD_BLOCK {
-            3 => mac_group::<3>(weights, bias, in_dim, o, input, rest),
-            2 => mac_group::<2>(weights, bias, in_dim, o, input, rest),
-            1 => mac_group::<1>(weights, bias, in_dim, o, input, rest),
-            _ => {}
-        }
+        let input = &input[..self.in_dim * FWD_BLOCK];
+        let out = &mut out[..self.out_dim * FWD_BLOCK];
+        mac_units(
+            self.weights.values(),
+            (self.in_dim, 1),
+            |o| bias[o],
+            input,
+            out,
+        );
     }
 
-    /// Copy-out epilogue of the recording (training) forward: `tile` holds
-    /// this layer's pre-activations from [`DenseLayer::forward_tile`]. Rows
-    /// `block_start..block_start + bn` of the row-major `pres` and `outs`
-    /// (`n × out_dim`, what the backward pass reads) are written from it,
-    /// and the tile is left activated — the next layer's input.
+    /// Record epilogue of the training forward: `tile` holds this layer's
+    /// pre-activations from [`DenseLayer::forward_tile`] and is left
+    /// activated — the next layer's input. The block's `[out_dim][FWD_BLOCK]`
+    /// slot `recorded` takes a straight copy of it (activated, or as it
+    /// stands when the derivative reads `x`) for the backward `d_pre` step,
+    /// and `out_rows` (the block's `bn × out_dim` rows of the row-major
+    /// output matrix) the activated values the next layer's weight gradient
+    /// streams.
     #[inline(always)]
-    pub(crate) fn record_tile(
-        &self,
-        tile: &mut [f32],
-        block_start: usize,
-        bn: usize,
-        pres: &mut [f32],
-        outs: &mut [f32],
-    ) {
+    pub(crate) fn record_tile(&self, tile: &mut [f32], recorded: &mut [f32], out_rows: &mut [f32]) {
         let tile = &mut tile[..self.out_dim * FWD_BLOCK];
-        let rows = block_start * self.out_dim..(block_start + bn) * self.out_dim;
-        untranspose_tile(tile, &mut pres[rows.clone()], self.out_dim);
-        self.activation.apply_tile(tile);
-        untranspose_tile(tile, &mut outs[rows], self.out_dim);
+        if self.activation.derivative_reads_pre() {
+            recorded.copy_from_slice(tile);
+            self.activation.apply_tile(tile);
+        } else {
+            self.activation.apply_tile(tile);
+            recorded.copy_from_slice(tile);
+        }
+        untranspose_tile(tile, out_rows, self.out_dim);
     }
 
-    /// Batched backward pass over `n` row-major points, accumulating the
-    /// parameter gradients into *caller-owned* buffers (`grad_weights`,
-    /// `grad_bias`) instead of the layer's internal ones. Because it takes
-    /// `&self`, independent batches can run on different threads and be
-    /// reduced in a deterministic order afterwards.
+    /// Tile backward of one block of up to [`FWD_BLOCK`] points — the twin
+    /// of [`DenseLayer::forward_tile`] and the only batched backward kernel.
+    /// `d` holds the `[out_dim][FWD_BLOCK]` gradient w.r.t. this layer's
+    /// activated output and becomes the masked `d_pre` tile in place, using
+    /// `recorded` (the block's slot from [`DenseLayer::record_tile`]). Then
+    /// each bias gradient adds its row's leading lanes; the weight gradient
+    /// streams `rows` (the block's `bn × in_dim` row-major layer inputs)
+    /// through [`grad_group`]s of 2 units × 4 column vectors, then 4 × 2 and
+    /// 4 × 1, columns past the last full vector as scalar sums of the same
+    /// masked terms; and `d_input`, a `[units][FWD_BLOCK]` tile, takes the
+    /// gradient w.r.t. the layer's leading `units` inputs: [`mac_group`] on
+    /// the transposed weight view.
     ///
-    /// The kernel walks the batch in blocks of [`FWD_BLOCK`] points and
-    /// keeps both gradient streams in registers: each point's input-gradient
-    /// row accumulates across output units in [`f32x8`] accumulators and is
-    /// stored once (instead of read-modify-written per unit), and each
-    /// weight-gradient vector slot is loaded once per block, accumulated
-    /// over the block's rows, and stored once. Per slot the additions run
-    /// in the reference order — weight/bias slots over rows ascending,
-    /// input-gradient elements over output units ascending — and the zero
-    /// `d_pre` terms the reference branches over are instead *added* after
-    /// `mask_nonzero` forces them to `+0.0`, an exact identity (see its
-    /// docs), so for finite inputs and weights every gradient is
-    /// bitwise-identical to [`DenseLayer::backward_into`] run row by row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any buffer length disagrees with the layer dimensions.
-    #[allow(clippy::too_many_arguments)]
-    pub fn backward_batch_into(
+    /// The parameter gradients go to *caller-owned* buffers, so independent
+    /// chunks can run on different threads and be folded in a fixed order.
+    /// Per slot the additions run in the order of
+    /// [`DenseLayer::backward_into`] applied row by row — weight and bias
+    /// slots over rows ascending, input-gradient elements over output units
+    /// ascending from `+0.0` — with the zero `d_pre` terms it branches over
+    /// *added* as `+0.0` (see `mask_nonzero`), so for finite data every
+    /// gradient is bitwise-identical to it. Lanes past `bn` reach no result.
+    /// Dispatch-free: call it inside an [`inerf_simd::vectorize`] frame.
+    #[inline(always)]
+    pub(crate) fn backward_tile(
         &self,
-        inputs: &[f32],
-        pres: &[f32],
-        outs: &[f32],
-        d_outs: &[f32],
-        d_inputs: &mut [f32],
+        recorded: &[f32],
+        rows: &[f32],
+        d: &mut [f32],
+        d_input: &mut [f32],
         grad_weights: &mut [f32],
         grad_bias: &mut [f32],
-        scratch: &mut BackwardScratch,
     ) {
-        assert_eq!(inputs.len() % self.in_dim, 0, "input matrix size mismatch");
-        let n = inputs.len() / self.in_dim;
-        assert_eq!(
-            pres.len(),
-            n * self.out_dim,
-            "pre-activation matrix mismatch"
-        );
-        assert_eq!(outs.len(), n * self.out_dim, "output matrix mismatch");
-        assert_eq!(d_outs.len(), n * self.out_dim, "output gradient mismatch");
-        assert_eq!(d_inputs.len(), n * self.in_dim, "input gradient mismatch");
-        assert_eq!(
-            grad_weights.len(),
-            self.weights.len(),
-            "weight gradient buffer mismatch"
-        );
-        assert_eq!(
-            grad_bias.len(),
-            self.out_dim,
-            "bias gradient buffer mismatch"
-        );
-        let (in_dim, out_dim) = (self.in_dim, self.out_dim);
-        let weights = self.weights.values();
-        let d_pre = &mut scratch.d_pre;
-        // Fully overwritten below; resize only reshapes on first use.
-        d_pre.resize(FWD_BLOCK * out_dim, 0.0);
-        inerf_simd::vectorize(|| {
-            let wide = in_dim - in_dim % 8;
-            let mut base = 0;
-            while base < n {
-                let bn = FWD_BLOCK.min(n - base);
-                // Pre-activation gradients for the block.
-                for rb in 0..bn {
-                    let r = base + rb;
-                    let pre = &pres[r * out_dim..(r + 1) * out_dim];
-                    let out = &outs[r * out_dim..(r + 1) * out_dim];
-                    let d_out = &d_outs[r * out_dim..(r + 1) * out_dim];
-                    let dp = &mut d_pre[rb * out_dim..(rb + 1) * out_dim];
-                    for o in 0..out_dim {
-                        dp[o] = d_out[o] * self.activation.derivative(pre[o], out[o]);
-                    }
+        let in_dim = self.in_dim;
+        let bn = rows.len() / in_dim;
+        let d = &mut d[..self.out_dim * FWD_BLOCK];
+        self.activation.d_pre_tile(recorded, d);
+        let d_pre = &*d;
+        for (g, lane) in grad_bias.iter_mut().zip(d_pre.chunks_exact(FWD_BLOCK)) {
+            *g = lane[..bn].iter().fold(*g, |acc, dp| acc + dp);
+        }
+        let wide = in_dim - in_dim % 8;
+        let mut g = 0;
+        while g + 32 <= wide {
+            grad_columns::<2, 4>(d_pre, rows, in_dim, g, grad_weights);
+            g += 32;
+        }
+        if g + 16 <= wide {
+            grad_columns::<4, 2>(d_pre, rows, in_dim, g, grad_weights);
+            g += 16;
+        }
+        if g + 8 <= wide {
+            grad_columns::<4, 1>(d_pre, rows, in_dim, g, grad_weights);
+        }
+        for (o, lane) in d_pre.chunks_exact(FWD_BLOCK).enumerate() {
+            for i in wide..in_dim {
+                let slot = &mut grad_weights[o * in_dim + i];
+                for (row, dp) in rows.chunks_exact(in_dim).zip(lane) {
+                    *slot += dp * row[i];
                 }
-                // Input gradients: each row accumulates across output
-                // units in registers (ascending `o`); zero `d_pre` terms
-                // are masked to `+0.0` and added, matching the scalar
-                // reference's `continue` without its data-dependent branch.
-                for rb in 0..bn {
-                    let r = base + rb;
-                    let d_input = &mut d_inputs[r * in_dim..(r + 1) * in_dim];
-                    let dp_row = &d_pre[rb * out_dim..(rb + 1) * out_dim];
-                    let mut g = 0;
-                    while g + 32 <= wide {
-                        dinput_group::<4>(dp_row, weights, in_dim, g, d_input);
-                        g += 32;
-                    }
-                    if g + 16 <= wide {
-                        dinput_group::<2>(dp_row, weights, in_dim, g, d_input);
-                        g += 16;
-                    }
-                    if g + 8 <= wide {
-                        dinput_group::<1>(dp_row, weights, in_dim, g, d_input);
-                    }
-                    for i in wide..in_dim {
-                        let mut acc = 0.0;
-                        for (o, &dp) in dp_row.iter().enumerate() {
-                            if dp == 0.0 {
-                                continue;
-                            }
-                            acc += dp * weights[o * in_dim + i];
-                        }
-                        d_input[i] = acc;
-                    }
-                }
-                // Weight/bias gradients: unit `o`'s gradient row is held
-                // in registers while the block's rows stream through it
-                // (ascending `r`), with the same masked-zero terms.
-                for o in 0..out_dim {
-                    let mut bias_acc = grad_bias[o];
-                    for rb in 0..bn {
-                        bias_acc += mask_nonzero(d_pre[rb * out_dim + o]);
-                    }
-                    grad_bias[o] = bias_acc;
-                    let row_g = &mut grad_weights[o * in_dim..(o + 1) * in_dim];
-                    let mut g = 0;
-                    while g + 32 <= wide {
-                        grad_group::<4>(d_pre, out_dim, o, inputs, in_dim, base, bn, g, row_g);
-                        g += 32;
-                    }
-                    if g + 16 <= wide {
-                        grad_group::<2>(d_pre, out_dim, o, inputs, in_dim, base, bn, g, row_g);
-                        g += 16;
-                    }
-                    if g + 8 <= wide {
-                        grad_group::<1>(d_pre, out_dim, o, inputs, in_dim, base, bn, g, row_g);
-                    }
-                    for i in wide..in_dim {
-                        let mut acc = row_g[i];
-                        for rb in 0..bn {
-                            let dp = d_pre[rb * out_dim + o];
-                            if dp == 0.0 {
-                                continue;
-                            }
-                            acc += dp * inputs[(base + rb) * in_dim + i];
-                        }
-                        row_g[i] = acc;
-                    }
-                }
-                base += bn;
             }
-        });
+        }
+        mac_units(self.weights.values(), (1, in_dim), |_| 0.0, d_pre, d_input);
     }
 
     /// Adds externally accumulated gradients (from
-    /// [`DenseLayer::backward_batch_into`]) into the internal buffers the
+    /// [`crate::Mlp::backward_batch`]) into the internal buffers the
     /// optimizer reads.
     ///
     /// # Panics

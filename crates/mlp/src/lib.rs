@@ -34,6 +34,6 @@ pub mod mlp;
 pub mod store;
 
 pub use adam::{AdamState, AdamStateSnapshot};
-pub use layer::{untranspose_tile, Activation, BackwardScratch, DenseLayer, FWD_BLOCK};
+pub use layer::{untranspose_tile, Activation, DenseLayer, FWD_BLOCK};
 pub use mlp::{Mlp, MlpActivations, MlpBatchActivations, MlpGradients, MlpScratch};
 pub use store::{ParamStore, Precision};

@@ -1,6 +1,6 @@
 //! Multi-layer perceptrons built from [`DenseLayer`]s.
 
-use crate::layer::{Activation, BackwardScratch, DenseLayer, FWD_BLOCK};
+use crate::layer::{transpose_tile, untranspose_tile, Activation, DenseLayer, FWD_BLOCK};
 use crate::store::Precision;
 use serde::{Deserialize, Serialize};
 
@@ -35,16 +35,23 @@ impl MlpActivations {
     }
 }
 
-/// Cached activations of a batched forward pass: per-layer row-major
-/// matrices of `n × out_dim` values. Reusable across batches — buffers are
-/// resized, not reallocated, when the batch size repeats.
+/// What a batched forward pass records for the backward pass: each layer's
+/// activated outputs, once as a row-major matrix and once as tiles.
+/// Reusable across batches — buffers are resized, not reallocated, when the
+/// batch size repeats.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MlpBatchActivations {
     n: usize,
-    /// Per-layer pre-activation matrices.
-    pres: Vec<Vec<f32>>,
-    /// Per-layer activated output matrices.
+    /// Per-layer activated outputs, row-major `n × out_dim`: the network
+    /// output, and the rows the next layer's weight gradient streams.
     outs: Vec<Vec<f32>>,
+    /// Per-layer recorded tiles, one `[out_dim][FWD_BLOCK]` slot per block
+    /// of points (the last one ragged): what the layer's `d_pre` step
+    /// differentiates from — the activated tile, or the pre-activation tile
+    /// instead for the one activation whose derivative reads it
+    /// (`Softplus`). Lanes past the last point hold whatever the forward
+    /// tile held.
+    tiles: Vec<Vec<f32>>,
 }
 
 impl MlpBatchActivations {
@@ -70,14 +77,14 @@ impl MlpBatchActivations {
 
     fn prepare(&mut self, mlp: &Mlp, n: usize) {
         self.n = n;
-        self.pres.resize(mlp.layers.len(), Vec::new());
         self.outs.resize(mlp.layers.len(), Vec::new());
+        self.tiles.resize(mlp.layers.len(), Vec::new());
         for (l, layer) in mlp.layers.iter().enumerate() {
             // Plain resize, no clear: the forward kernel writes every
-            // `n × out_dim` element, so zeroing the retained prefix would
-            // be a redundant memset of the engine's largest matrices.
-            self.pres[l].resize(n * layer.out_dim(), 0.0);
+            // element, so zeroing the retained prefix would be a redundant
+            // memset of the engine's largest matrices.
             self.outs[l].resize(n * layer.out_dim(), 0.0);
+            self.tiles[l].resize(n.next_multiple_of(FWD_BLOCK) * layer.out_dim(), 0.0);
         }
     }
 }
@@ -88,13 +95,20 @@ impl MlpBatchActivations {
 #[derive(Debug, Clone, Default)]
 pub struct MlpScratch {
     /// Two ping-pong tiles ([`Mlp::tile_width`]` × FWD_BLOCK` each): layer
-    /// `l` reads one and writes the other.
+    /// `l` reads one and writes the other — activations on the way up,
+    /// gradients on the way down.
     tiles: Vec<f32>,
-    /// Ping-pong upstream-gradient matrices for the backward sweep.
-    d_a: Vec<f32>,
-    d_b: Vec<f32>,
-    /// Per-layer backward-kernel buffers (the `d_pre` gradient tile).
-    bwd: BackwardScratch,
+}
+
+impl MlpScratch {
+    /// The two tiles, grown to `mlp`'s width on first use.
+    fn tile_pair(&mut self, mlp: &Mlp) -> (&mut [f32], &mut [f32]) {
+        let tile_len = mlp.tile_width * FWD_BLOCK;
+        if self.tiles.len() < 2 * tile_len {
+            self.tiles.resize(2 * tile_len, 0.0);
+        }
+        self.tiles.split_at_mut(tile_len)
+    }
 }
 
 /// Parameter gradients accumulated outside an [`Mlp`] by
@@ -333,11 +347,7 @@ impl Mlp {
             inputs.len() / in_dim,
             |block_start, bn, tile| {
                 let rows = &inputs[block_start * in_dim..(block_start + bn) * in_dim];
-                for (p, row) in rows.chunks_exact(in_dim).enumerate() {
-                    for (i, &v) in row.iter().enumerate() {
-                        tile[i * FWD_BLOCK + p] = v;
-                    }
-                }
+                transpose_tile(rows, tile, in_dim);
             },
             acts,
             scratch,
@@ -348,9 +358,9 @@ impl Mlp {
     /// `in_dim × FWD_BLOCK` input tile via `fill_block_bt(block_start, bn,
     /// tile)` — the hash-grid encode streams features straight in, no
     /// materialized input matrix — and the block then runs through every
-    /// layer tile to tile like [`Mlp::forward_tile`], with each layer's
-    /// pre-activations and outputs also copied out to the row-major
-    /// matrices in `acts` that the backward pass reads.
+    /// layer tile to tile like [`Mlp::forward_tile`], each layer leaving in
+    /// `acts` what the backward pass reads: its activated rows and one tile
+    /// (see [`MlpBatchActivations`]).
     ///
     /// Per-point arithmetic order is unchanged, so results are
     /// bitwise-identical to [`Mlp::forward`] per point. The entire sweep
@@ -367,11 +377,7 @@ impl Mlp {
         scratch: &mut MlpScratch,
     ) {
         acts.prepare(self, n);
-        let tile_len = self.tile_width * FWD_BLOCK;
-        if scratch.tiles.len() < 2 * tile_len {
-            scratch.tiles.resize(2 * tile_len, 0.0);
-        }
-        let (a, b) = scratch.tiles.split_at_mut(tile_len);
+        let (a, b) = scratch.tile_pair(self);
         let in_len = self.in_dim() * FWD_BLOCK;
         inerf_simd::vectorize(
             #[inline(always)]
@@ -382,13 +388,12 @@ impl Mlp {
                     fill_block_bt(block_start, bn, &mut a[..in_len]);
                     let (mut cur, mut next) = (&mut *a, &mut *b);
                     for (l, layer) in self.layers.iter().enumerate() {
+                        let w = layer.out_dim();
                         layer.forward_tile(cur, next);
                         layer.record_tile(
                             next,
-                            block_start,
-                            bn,
-                            &mut acts.pres[l],
-                            &mut acts.outs[l],
+                            &mut acts.tiles[l][block_start * w..][..FWD_BLOCK * w],
+                            &mut acts.outs[l][block_start * w..(block_start + bn) * w],
                         );
                         std::mem::swap(&mut cur, &mut next);
                     }
@@ -424,14 +429,25 @@ impl Mlp {
         self.backward_batch_scratch(inputs, acts, d_out, d_input, grads, &mut scratch);
     }
 
-    /// [`Mlp::backward_batch`] with caller-pooled scratch: the upstream
-    /// gradient ping-pongs between two pooled matrices instead of
-    /// allocating one per layer, so steady-state iterations allocate
-    /// nothing.
+    /// [`Mlp::backward_batch`] with caller-pooled scratch — the tile driver
+    /// of the backward pass. Per block of [`FWD_BLOCK`] points the upstream
+    /// gradient is transposed once from `d_out` into a tile, runs from the
+    /// top layer to the bottom through the layers' tile backward kernel (each
+    /// layer's input-gradient tile is the next one's upstream tile as it
+    /// stands), and is transposed out once into `d_input`; no per-sample
+    /// gradient matrix exists in between. Bitwise-identical to
+    /// [`Mlp::backward`] run point by point in ascending order.
+    ///
+    /// `d_input` may be narrower than the input: with rows of `cols <=
+    /// in_dim` values it receives the gradient of each point's leading
+    /// `cols` inputs and the bottom layer computes no others (a caller
+    /// whose trailing inputs have no parameters upstream skips their
+    /// share of the work).
     ///
     /// # Panics
     ///
-    /// Same contract as [`Mlp::backward_batch`].
+    /// Same contract as [`Mlp::backward_batch`], except that `d_input` is
+    /// `n` rows of any one width up to `in_dim`.
     pub fn backward_batch_scratch(
         &self,
         inputs: &[f32],
@@ -442,53 +458,61 @@ impl Mlp {
         scratch: &mut MlpScratch,
     ) {
         let n = acts.n;
+        let (in_dim, out_dim) = (self.in_dim(), self.out_dim());
         assert_eq!(
             acts.outs.len(),
             self.layers.len(),
             "activation cache mismatch"
         );
-        assert_eq!(inputs.len(), n * self.in_dim(), "input matrix mismatch");
-        assert_eq!(d_out.len(), n * self.out_dim(), "output gradient mismatch");
-        assert_eq!(d_input.len(), n * self.in_dim(), "input gradient mismatch");
+        assert_eq!(inputs.len(), n * in_dim, "input matrix mismatch");
+        assert_eq!(d_out.len(), n * out_dim, "output gradient mismatch");
+        let cols = d_input.len() / n.max(1);
+        assert!(
+            d_input.len() == n * cols && cols <= in_dim,
+            "input gradient mismatch"
+        );
         assert_eq!(
             grads.weights.len(),
             self.layers.len(),
             "gradient shape mismatch"
         );
-        scratch.d_a.clear();
-        scratch.d_a.extend_from_slice(d_out);
-        let mut cur = &mut scratch.d_a;
-        let mut next = &mut scratch.d_b;
-        for (l, layer) in self.layers.iter().enumerate().rev() {
-            let x = if l == 0 { inputs } else { &acts.outs[l - 1] };
-            if l == 0 {
-                layer.backward_batch_into(
-                    x,
-                    &acts.pres[l],
-                    &acts.outs[l],
-                    cur,
-                    d_input,
-                    &mut grads.weights[l],
-                    &mut grads.biases[l],
-                    &mut scratch.bwd,
-                );
-            } else {
-                // Contents are irrelevant (the kernel fills every row); the
-                // resize only matters when the batch shape changes.
-                next.resize(n * layer.in_dim(), 0.0);
-                layer.backward_batch_into(
-                    x,
-                    &acts.pres[l],
-                    &acts.outs[l],
-                    cur,
-                    next,
-                    &mut grads.weights[l],
-                    &mut grads.biases[l],
-                    &mut scratch.bwd,
-                );
-                std::mem::swap(&mut cur, &mut next);
-            }
-        }
+        let (a, b) = scratch.tile_pair(self);
+        inerf_simd::vectorize(
+            #[inline(always)]
+            || {
+                let mut block_start = 0;
+                while block_start < n {
+                    let block_end = (block_start + FWD_BLOCK).min(n);
+                    let (mut cur, mut next) = (&mut *a, &mut *b);
+                    transpose_tile(
+                        &d_out[block_start * out_dim..block_end * out_dim],
+                        cur,
+                        out_dim,
+                    );
+                    for (l, layer) in self.layers.iter().enumerate().rev() {
+                        let (iw, ow) = (layer.in_dim(), layer.out_dim());
+                        let (x, units) = match l {
+                            0 => (inputs, cols),
+                            _ => (&acts.outs[l - 1][..], iw),
+                        };
+                        layer.backward_tile(
+                            &acts.tiles[l][block_start * ow..][..FWD_BLOCK * ow],
+                            &x[block_start * iw..block_end * iw],
+                            cur,
+                            &mut next[..units * FWD_BLOCK],
+                            &mut grads.weights[l],
+                            &mut grads.biases[l],
+                        );
+                        std::mem::swap(&mut cur, &mut next);
+                    }
+                    if cols > 0 {
+                        let d_rows = &mut d_input[block_start * cols..block_end * cols];
+                        untranspose_tile(cur, d_rows, cols);
+                    }
+                    block_start = block_end;
+                }
+            },
+        );
     }
 
     /// Folds externally accumulated gradients into the internal buffers the
@@ -753,8 +777,8 @@ mod tests {
         for (a, b) in fused.outs.iter().zip(&unfused.outs) {
             assert_eq!(a, b, "activated outputs diverged");
         }
-        for (a, b) in fused.pres.iter().zip(&unfused.pres) {
-            assert_eq!(a, b, "pre-activations diverged");
+        for (a, b) in fused.tiles.iter().zip(&unfused.tiles) {
+            assert_eq!(a, b, "recorded tiles diverged");
         }
     }
 
@@ -814,6 +838,178 @@ mod tests {
             }
         }
         inerf_simd::force_backend(original);
+    }
+
+    /// Bit patterns, so `-0.0 != +0.0` and NaNs compare.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Recording forward whose producer poisons the whole input tile before
+    /// writing the live lanes, so every stale lane of a ragged block — in
+    /// the recorded tiles and in the scratch the backward inherits — is NaN.
+    fn forward_poisoned(net: &Mlp, inputs: &[f32]) -> (MlpBatchActivations, MlpScratch) {
+        let in_dim = net.in_dim();
+        let mut acts = MlpBatchActivations::default();
+        let mut scratch = MlpScratch {
+            tiles: vec![f32::NAN; 2 * net.tile_width() * FWD_BLOCK],
+        };
+        net.forward_batch_fused(
+            inputs.len() / in_dim,
+            |start, bn, tile| {
+                tile.fill(f32::NAN);
+                transpose_tile(&inputs[start * in_dim..(start + bn) * in_dim], tile, in_dim);
+            },
+            &mut acts,
+            &mut scratch,
+        );
+        (acts, scratch)
+    }
+
+    #[test]
+    fn tile_backward_matches_scalar_backward_bitwise() {
+        let activations = [
+            Activation::Identity,
+            Activation::Relu,
+            Activation::Sigmoid,
+            Activation::Exp,
+            Activation::Softplus,
+        ];
+        let original = inerf_simd::backend();
+        for (ai, &hidden) in activations.iter().enumerate() {
+            let output = activations[(ai + 2) % activations.len()];
+            // Layer 0 is `in_dim → out_dim` under the hidden activation
+            // (every column grouping × every unit grouping, `Softplus`
+            // recording `x`), layer 1 `out_dim → 3` under the output one.
+            for in_dim in [5, 16, 17, 24, 32, 40, 64] {
+                for out_dim in [1, 3, 8, 16, 32, 64] {
+                    let seed = (in_dim * 100 + out_dim) as u64;
+                    let net = Mlp::new(&[in_dim, out_dim, 3], hidden, output, seed);
+                    let mut start = MlpGradients::zeros(&net);
+                    for (i, g) in start.weights.iter_mut().flatten().enumerate() {
+                        *g = 0.25 * (i as f32 * 0.7).sin() + 0.3;
+                    }
+                    for (i, g) in start.biases.iter_mut().flatten().enumerate() {
+                        *g = 0.25 * (i as f32 * 1.3).cos() - 0.4;
+                    }
+                    for n in [1, 15, 16, 17, 255, 256, 257] {
+                        let inputs: Vec<f32> = (0..n * in_dim)
+                            .map(|i| ((i + out_dim) as f32 * 0.37).sin())
+                            .collect();
+                        let d_out: Vec<f32> = (0..n * 3).map(|i| (i as f32 * 0.11).cos()).collect();
+                        // Reference: `backward_into` per layer, row by row.
+                        let mut scalar = net.clone();
+                        scalar.accumulate_gradients(&start);
+                        let mut want_d_in = Vec::with_capacity(n * in_dim);
+                        for (x, d) in inputs.chunks_exact(in_dim).zip(d_out.chunks_exact(3)) {
+                            let acts = scalar.forward(x);
+                            want_d_in.extend(scalar.backward(&acts, d));
+                        }
+                        let want_grads = bits(&scalar.gradient_vec());
+                        for backend in inerf_simd::available_backends() {
+                            inerf_simd::force_backend(backend);
+                            let (acts, mut scratch) = forward_poisoned(&net, &inputs);
+                            for cols in [in_dim, 7.min(in_dim), 1] {
+                                let what = format!(
+                                    "{backend:?} {hidden:?}/{output:?} {in_dim}→{out_dim} \
+                                     n {n} cols {cols}"
+                                );
+                                let mut grads = start.clone();
+                                let mut d_in = vec![f32::NAN; n * cols];
+                                scratch.tiles.fill(f32::NAN);
+                                net.backward_batch_scratch(
+                                    &inputs,
+                                    &acts,
+                                    &d_out,
+                                    &mut d_in,
+                                    &mut grads,
+                                    &mut scratch,
+                                );
+                                let mut batched = net.clone();
+                                batched.accumulate_gradients(&grads);
+                                assert_eq!(bits(&batched.gradient_vec()), want_grads, "{what}");
+                                for (got, want) in
+                                    d_in.chunks_exact(cols).zip(want_d_in.chunks_exact(in_dim))
+                                {
+                                    assert_eq!(bits(got), bits(&want[..cols]), "{what}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        inerf_simd::force_backend(original);
+    }
+
+    #[test]
+    fn zero_d_pre_terms_of_either_sign_contribute_nothing() {
+        // One ReLU layer, 9 inputs (a vector of columns plus a tail), three
+        // units: unit 0 is dead (negative row, positive inputs), units 1
+        // and 2 are alive.
+        let mut net = Mlp::new(&[9, 3], Activation::Relu, Activation::Relu, 5);
+        for i in 0..9 {
+            let w = net.layers_mut()[0].weights_mut();
+            w.set(i, -0.5 - i as f32);
+            w.set(9 + i, 0.25 + i as f32);
+            w.set(18 + i, if i % 2 == 0 { 1.5 } else { -0.125 });
+        }
+        let inputs: Vec<f32> = (0..9).map(|i| 1.0 + i as f32 * 0.5).collect();
+        // Unit 0: `-3.0 * 0.0 = -0.0`. Unit 1: a `-0.0` upstream gradient
+        // through a live unit, `-0.0 * 1.0 = -0.0`. Unit 2: the one term.
+        let d_out = [-3.0, -0.0, 0.75];
+        let mut start = MlpGradients::zeros(&net);
+        start.weights[0].fill(0.375);
+        start.biases[0].fill(-1.25);
+        let (acts, mut scratch) = forward_poisoned(&net, &inputs);
+        assert_eq!(acts.output()[0], 0.0, "unit 0 must be dead");
+        assert!(acts.output()[1] > 0.0 && acts.output()[2] > 0.0);
+        let mut grads = start.clone();
+        let mut d_in = vec![f32::NAN; 9];
+        net.backward_batch_scratch(&inputs, &acts, &d_out, &mut d_in, &mut grads, &mut scratch);
+        // The zero terms left their slots bit for bit where they started …
+        assert_eq!(bits(&grads.weights[0][..18]), bits(&start.weights[0][..18]));
+        assert_eq!(bits(&grads.biases[0][..2]), bits(&start.biases[0][..2]));
+        // … and the input gradient is unit 2's term alone, from `+0.0`.
+        assert_eq!(grads.biases[0][2], -1.25 + 0.75);
+        for i in 0..9 {
+            assert_eq!(grads.weights[0][18 + i], 0.375 + 0.75 * inputs[i]);
+            let w = net.layers()[0].weights().values()[18 + i];
+            assert_eq!(d_in[i].to_bits(), (0.0 + 0.75 * w).to_bits(), "input {i}");
+        }
+    }
+
+    #[test]
+    fn training_record_keeps_one_matrix_and_one_tile_per_layer() {
+        let net = Mlp::new(&[17, 32, 32, 3], Activation::Relu, Activation::Sigmoid, 13);
+        for n in [1usize, 16, 37, 256] {
+            let inputs: Vec<f32> = (0..n * 17).map(|i| (i as f32 * 0.29).sin()).collect();
+            let mut acts = MlpBatchActivations::default();
+            let mut scratch = MlpScratch::default();
+            net.forward_batch_scratch(&inputs, &mut acts, &mut scratch);
+            // Exhaustive on purpose: a new field (`pres` coming back) has to
+            // be accounted for here.
+            let MlpBatchActivations { n: _, outs, tiles } = &acts;
+            let held: usize = outs.iter().chain(tiles).map(|m| m.len() * 4).sum();
+            let want: usize = net
+                .layers()
+                .iter()
+                .map(|l| (n + n.next_multiple_of(FWD_BLOCK)) * l.out_dim() * 4)
+                .sum();
+            assert_eq!(held, want, "n {n}");
+
+            let mut grads = MlpGradients::zeros(&net);
+            let mut d_in = vec![0.0; n * 17];
+            let d_out = vec![0.5; n * 3];
+            net.backward_batch_scratch(&inputs, &acts, &d_out, &mut d_in, &mut grads, &mut scratch);
+            // No per-sample gradient matrix: the backward adds at most three
+            // tiles to the forward's pair (it reuses the pair as it stands).
+            let MlpScratch { tiles } = &scratch;
+            assert!(
+                tiles.capacity() <= 5 * net.tile_width() * FWD_BLOCK,
+                "n {n}"
+            );
+        }
     }
 
     #[test]

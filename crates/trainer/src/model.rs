@@ -594,10 +594,11 @@ impl ChunkScratch {
         let fdim = density_mlp.in_dim();
         let dout = density_mlp.out_dim();
         let geo = dout - 1;
-        let cin = geo + 9;
         self.color_grads.reset(color_mlp);
         self.density_grads.reset(density_mlp);
-        reset_buf(&mut self.d_raw, n * dout);
+        // Only the geometry columns of the color-MLP input have parameters
+        // upstream (the direction encoding is a constant of the ray), so
+        // `d_color_in` is `rows × geo` and the kernel computes no others.
         if self.compact {
             let m = self.live.len();
             reset_buf(&mut self.d_rgb, m * 3);
@@ -607,7 +608,7 @@ impl ChunkScratch {
                 self.d_rgb[3 * k + 1] = d.y;
                 self.d_rgb[3 * k + 2] = d.z;
             }
-            reset_buf(&mut self.d_color_in, m * cin);
+            reset_buf(&mut self.d_color_in, m * geo);
             color_mlp.backward_batch_scratch(
                 &self.color_in,
                 &self.color,
@@ -617,14 +618,15 @@ impl ChunkScratch {
                 &mut self.color_scratch,
             );
             // Dead rows: d_raw stays zero (their gradients are ±0.0, which
-            // the density backward's early-out drops identically).
-            self.d_raw.fill(0.0);
+            // the scalar density backward's early-out drops identically).
+            self.d_raw.clear();
+            self.d_raw.resize(n * dout, 0.0);
             for (k, &li) in self.live.iter().enumerate() {
                 let i = li as usize;
                 // d softplus(x)/dx = sigmoid(x) = 1 - e^{-softplus(x)}.
                 self.d_raw[i * dout] = d_sigmas[i] * (1.0 - (-self.sigmas[i]).exp());
                 self.d_raw[i * dout + 1..(i + 1) * dout]
-                    .copy_from_slice(&self.d_color_in[k * cin..k * cin + geo]);
+                    .copy_from_slice(&self.d_color_in[k * geo..(k + 1) * geo]);
             }
         } else {
             reset_buf(&mut self.d_rgb, n * 3);
@@ -633,7 +635,7 @@ impl ChunkScratch {
                 self.d_rgb[3 * i + 1] = d.y;
                 self.d_rgb[3 * i + 2] = d.z;
             }
-            reset_buf(&mut self.d_color_in, n * cin);
+            reset_buf(&mut self.d_color_in, n * geo);
             color_mlp.backward_batch_scratch(
                 &self.color_in,
                 &self.color,
@@ -642,11 +644,12 @@ impl ChunkScratch {
                 &mut self.color_grads,
                 &mut self.color_scratch,
             );
+            reset_buf(&mut self.d_raw, n * dout);
             for (i, &d_sigma) in d_sigmas.iter().enumerate() {
                 // d softplus(x)/dx = sigmoid(x) = 1 - e^{-softplus(x)}.
                 self.d_raw[i * dout] = d_sigma * (1.0 - (-self.sigmas[i]).exp());
                 self.d_raw[i * dout + 1..(i + 1) * dout]
-                    .copy_from_slice(&self.d_color_in[i * cin..i * cin + geo]);
+                    .copy_from_slice(&self.d_color_in[i * geo..(i + 1) * geo]);
             }
         }
         reset_buf(&mut self.d_feats, n * fdim);
