@@ -18,7 +18,8 @@ use inerf_render::volume::{composite_spans, RayBatch, RaySpan};
 use inerf_scenes::{zoo, DatasetConfig, Image};
 use inerf_trainer::render::{RenderEngine, RenderOpts};
 use inerf_trainer::{
-    engine, IngpModel, ModelConfig, OccupancyGrid, TrainConfig, TrainableField, Trainer,
+    engine, EvalScratch, IngpModel, ModelConfig, OccupancyGrid, TrainConfig, TrainableField,
+    Trainer,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -72,7 +73,12 @@ fn render_view_naive<M: TrainableField>(
         let n = points.len();
         let mut sigmas = vec![0.0f32; n];
         let mut rgbs = vec![Vec3::ZERO; n];
-        model.query_eval_batch(points, dirs, &mut sigmas, &mut rgbs, pool);
+        // Both eval phases over the identity live list on a call-local
+        // scratch: every sample pays both MLPs, as the old renderer did.
+        let mut scratch = EvalScratch::default();
+        model.query_eval_batch_density(points, &mut sigmas, &mut scratch, pool);
+        let all: Vec<u32> = (0..n as u32).collect();
+        model.query_eval_batch_color_compacted(dirs, &all, &mut rgbs, &mut scratch, pool);
         let mut ray_colors = vec![Vec3::ZERO; spans.len()];
         let mut backgrounds = vec![0.0f32; spans.len()];
         let mut weights = vec![0.0f32; n];

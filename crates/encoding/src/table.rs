@@ -73,7 +73,8 @@ struct TouchTracking {
 
 /// Cached corner lookups of an encoded point batch: for each point and
 /// level, the eight corner entry indices and trilinear weights, in corner
-/// order. Produced by [`HashGrid::encode_batch_cached`], consumed by
+/// order. Produced by [`HashGrid::fill_cache`] or
+/// [`HashGrid::encode_tile_bt_cached`], consumed by
 /// [`HashGrid::backward_batch_cached`]; buffers are reused across batches.
 #[derive(Debug, Clone, Default)]
 pub struct LookupCache {
@@ -304,24 +305,20 @@ impl HashGrid {
     /// Computes every corner entry and trilinear weight of `points` into
     /// `cache` *without* gathering features — the batched engine's sparse
     /// prepass. The cache slots are bitwise-identical to what
-    /// [`HashGrid::encode_batch_cached`] would record, so a later
+    /// [`HashGrid::encode_tile_bt_cached`] would record, so a later
     /// gather-only encode ([`HashGrid::encode_tile_bt_from_cache`]) and
     /// the backward scatter can both replay it. Unlike the encode this
     /// reads no table values, so it may run *before* the lazy optimizer
     /// has replayed the batch's entries.
     pub fn fill_cache(&self, points: &[Vec3], cache: &mut LookupCache) {
         cache.reset(self.levels.len(), points.len());
-        let t = self.config.table_size();
-        let hash = self.config.hash;
         inerf_simd::vectorize(|| {
             for (pi, &p) in points.iter().enumerate() {
                 for (li, level) in self.levels.iter().enumerate() {
-                    let (base, frac) = level.cube_of(p);
-                    let entries = cube_level_indices(hash, level, base, t);
-                    let corner_base = (pi * self.levels.len() + li) * 8;
-                    corner_weights8(frac)
-                        .write_to(&mut cache.weights[corner_base..corner_base + 8]);
-                    cache.entries[corner_base..corner_base + 8].copy_from_slice(&entries);
+                    let (entries, weights) = self.derive_level(level, p);
+                    let at = (pi * self.levels.len() + li) * 8;
+                    weights.write_to(&mut cache.weights[at..at + 8]);
+                    cache.entries[at..at + 8].copy_from_slice(&entries);
                 }
             }
         });
@@ -455,7 +452,7 @@ impl HashGrid {
 
     /// [`HashGrid::touched_scalars_master_grads`] with the whole
     /// [`ParamStore`] instead of just the master slice, for fused
-    /// optimizer steps ([`inerf_mlp::AdamState::step_sparse_store`]) that
+    /// optimizer steps ([`inerf_mlp::AdamState::step_sparse_gathered`]) that
     /// re-quantize each fp16 working scalar inside the update loop rather
     /// than in a separate [`HashGrid::commit_touched`] pass.
     pub fn touched_scalars_store_grads(&mut self) -> (&[u32], &mut ParamStore, &[f32]) {
@@ -526,96 +523,6 @@ impl HashGrid {
         }
     }
 
-    /// Encodes a batch of points into a caller-owned row-major feature
-    /// matrix of `points.len() × feature_dim()` values. Row `i` is exactly
-    /// [`HashGrid::encode_into`] of `points[i]`, so the batched path is
-    /// bitwise-identical to the scalar reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != points.len() * feature_dim()`.
-    pub fn encode_batch(&self, points: &[Vec3], out: &mut [f32]) {
-        let dim = self.config.feature_dim();
-        assert_eq!(
-            out.len(),
-            points.len() * dim,
-            "feature matrix size mismatch"
-        );
-        for (p, row) in points.iter().zip(out.chunks_exact_mut(dim)) {
-            self.encode_into(*p, row);
-        }
-    }
-
-    /// [`HashGrid::encode_batch`] that streams each point's cube lookups
-    /// into `sink`, in point order, at constant memory. Does *not* emit
-    /// `end_batch` — the caller owns iteration boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != points.len() * feature_dim()`.
-    pub fn encode_batch_with_sink(
-        &self,
-        points: &[Vec3],
-        out: &mut [f32],
-        sink: &mut (impl TraceSink + ?Sized),
-    ) {
-        let dim = self.config.feature_dim();
-        assert_eq!(
-            out.len(),
-            points.len() * dim,
-            "feature matrix size mismatch"
-        );
-        for (p, row) in points.iter().zip(out.chunks_exact_mut(dim)) {
-            self.encode_with_sink(*p, row, sink);
-        }
-    }
-
-    /// Batched backward pass: scatter-adds row `i` of the `n × feature_dim`
-    /// gradient matrix `d_features` for `points[i]`, in point order. The
-    /// scatter is kept sequential on purpose: a fixed accumulation order
-    /// makes training bitwise-deterministic regardless of how many threads
-    /// computed `d_features`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d_features.len() != points.len() * feature_dim()`.
-    pub fn backward_batch(&mut self, points: &[Vec3], d_features: &[f32]) {
-        let dim = self.config.feature_dim();
-        assert_eq!(
-            d_features.len(),
-            points.len() * dim,
-            "gradient matrix size mismatch"
-        );
-        for (p, row) in points.iter().zip(d_features.chunks_exact(dim)) {
-            self.backward(*p, row);
-        }
-    }
-
-    /// [`HashGrid::encode_batch`] that additionally records every corner's
-    /// table entry and trilinear weight in `cache`, so the backward scatter
-    /// can skip re-deriving cube geometry and re-hashing all 8·L corners
-    /// per point (the index calculation the paper's accelerator dedicates
-    /// INT32 PEs to). Features and lookups are identical to the plain
-    /// batched/scalar paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != points.len() * feature_dim()`.
-    pub fn encode_batch_cached(&self, points: &[Vec3], out: &mut [f32], cache: &mut LookupCache) {
-        let dim = self.config.feature_dim();
-        assert_eq!(
-            out.len(),
-            points.len() * dim,
-            "feature matrix size mismatch"
-        );
-        cache.reset(self.levels.len(), points.len());
-        inerf_simd::vectorize(|| {
-            for (pi, (p, row)) in points.iter().zip(out.chunks_exact_mut(dim)).enumerate() {
-                self.encode_point_cached(pi, *p, row, cache);
-            }
-        });
-    }
-
     /// Sizes `cache` for a `points`-point batch that will be filled tile by
     /// tile through [`HashGrid::encode_tile_bt_cached`].
     pub fn prepare_cache(&self, cache: &mut LookupCache, points: usize) {
@@ -630,11 +537,16 @@ impl HashGrid {
     /// is still cache-hot — this is how encoded features stream straight
     /// into the first MLP GEMM without a chunk-sized SoA round-trip.
     ///
+    /// It additionally records every corner's table entry and trilinear
+    /// weight in `cache`, so the backward scatter can skip re-deriving cube
+    /// geometry and re-hashing all 8·L corners per point (the index
+    /// calculation the paper's accelerator dedicates INT32 PEs to).
+    ///
     /// `cache` must have been sized with [`HashGrid::prepare_cache`] for
-    /// the whole batch. Rows and cache slots written here are
-    /// bitwise-identical to [`HashGrid::encode_batch_cached`]. Callers are
-    /// expected to run this inside an [`inerf_simd::vectorize`] frame (the
-    /// fused MLP driver does); it is dispatch-free itself.
+    /// the whole batch. Rows are bitwise-identical to
+    /// [`HashGrid::encode_into`]. Callers are expected to run this inside
+    /// an [`inerf_simd::vectorize`] frame (the fused MLP driver does); it
+    /// is dispatch-free itself.
     ///
     /// # Panics
     ///
@@ -651,12 +563,19 @@ impl HashGrid {
         cache: &mut LookupCache,
     ) {
         let dim = self.config.feature_dim();
+        let f = self.config.features as usize;
         assert!(bn <= lane_stride, "tile narrower than the block");
         assert!(tile.len() >= dim * lane_stride, "tile buffer too small");
         for p in 0..bn {
             let pi = tile_base + p;
             let row = &mut out[pi * dim..(pi + 1) * dim];
-            self.encode_point_cached(pi, points[pi], row, cache);
+            for (li, level) in self.levels.iter().enumerate() {
+                let (entries, weights) = self.derive_level(level, points[pi]);
+                let at = (pi * self.levels.len() + li) * 8;
+                weights.write_to(&mut cache.weights[at..at + 8]);
+                cache.entries[at..at + 8].copy_from_slice(&entries);
+                self.gather_level(li, &entries, &weights.to_array(), &mut row[li * f..], 1);
+            }
             for (i, &v) in row.iter().enumerate() {
                 tile[i * lane_stride + p] = v;
             }
@@ -685,8 +604,9 @@ impl HashGrid {
         );
         for (lane, &p) in points.iter().enumerate() {
             for (li, level) in self.levels.iter().enumerate() {
+                let (entries, weights) = self.derive_level(level, p);
                 let dst = &mut tile[li * f * lane_stride + lane..];
-                self.encode_level(p, li, level, dst, lane_stride, None);
+                self.gather_level(li, &entries, &weights.to_array(), dst, lane_stride);
             }
         }
     }
@@ -711,106 +631,54 @@ impl HashGrid {
         cache: &LookupCache,
     ) {
         let dim = self.config.feature_dim();
+        let f = self.config.features as usize;
         assert_eq!(cache.levels, self.levels.len(), "cache level mismatch");
         assert!(bn <= lane_stride, "tile narrower than the block");
         assert!(tile.len() >= dim * lane_stride, "tile buffer too small");
         for p in 0..bn {
             let pi = tile_base + p;
             let row = &mut out[pi * dim..(pi + 1) * dim];
-            self.encode_point_from_cache(pi, row, cache);
+            for li in 0..cache.levels {
+                let at = (pi * cache.levels + li) * 8;
+                let (entries, weights) = (&cache.entries[at..at + 8], &cache.weights[at..at + 8]);
+                self.gather_level(li, entries, weights, &mut row[li * f..], 1);
+            }
             for (i, &v) in row.iter().enumerate() {
                 tile[i * lane_stride + p] = v;
             }
         }
     }
 
-    /// Gather-only counterpart of [`HashGrid::encode_point_cached`]: reads
-    /// the cached corner entries/weights of point `pi` and accumulates
-    /// `row` with the exact corner order, zero-weight skip, and
-    /// register/slot accumulation shape of the computing path, so the row
-    /// is bitwise-identical to it.
-    #[inline]
-    fn encode_point_from_cache(&self, pi: usize, row: &mut [f32], cache: &LookupCache) {
-        let f = self.config.features as usize;
-        let emb = self.store.values();
-        for li in 0..cache.levels {
-            let corner_base = (pi * cache.levels + li) * 8;
-            let entries = &cache.entries[corner_base..corner_base + 8];
-            let weights = &cache.weights[corner_base..corner_base + 8];
-            let slot = &mut row[li * f..(li + 1) * f];
-            slot.fill(0.0);
-            if f == 2 {
-                // Same F = 2 register fast path as the computing encode.
-                let (mut s0, mut s1) = (0.0f32, 0.0f32);
-                for (c, &entry) in entries.iter().enumerate() {
-                    let w = weights[c];
-                    if w == 0.0 {
-                        continue;
-                    }
-                    let off = self.base_offset(li as u32, entry);
-                    s0 += w * emb[off];
-                    s1 += w * emb[off + 1];
-                }
-                slot[0] = s0;
-                slot[1] = s1;
-                continue;
-            }
-            for (c, &entry) in entries.iter().enumerate() {
-                let w = weights[c];
-                if w == 0.0 {
-                    continue;
-                }
-                let off = self.base_offset(li as u32, entry);
-                for (k, s) in slot.iter_mut().enumerate() {
-                    *s += w * emb[off + k];
-                }
-            }
-        }
-    }
-
-    /// Per-point core of the cached encode: interpolates `row` and records
-    /// corner entries/weights in `cache` at point index `pi`. The eight
-    /// corner weights are computed as one [`f32x8`] (lane = corner); the
-    /// feature accumulation stays corner-ordered and scalar, so the row is
-    /// bitwise-identical to [`HashGrid::encode_into`].
-    #[inline]
-    fn encode_point_cached(&self, pi: usize, p: Vec3, row: &mut [f32], cache: &mut LookupCache) {
-        let f = self.config.features as usize;
-        for (li, level) in self.levels.iter().enumerate() {
-            let slot = &mut row[li * f..(li + 1) * f];
-            self.encode_level(p, li, level, slot, 1, Some((&mut *cache, pi)));
-        }
-    }
-
-    /// One `(point, level)` slot of the computing encode; every driver
-    /// (row-major or tile, recording or not) bottoms out here, so their
-    /// values are bitwise-identical by construction. Feature `k` of the
-    /// level lands at `dst[k * stride]` — stride 1 for a row slot, the lane
-    /// stride to write straight into a GEMM tile. With `record` set, the
-    /// corner entries and weights are kept in that cache at that point
-    /// index for the backward scatter; inference passes `None` and keeps
-    /// nothing.
+    /// The eight corner entries and trilinear weights of `p` at `level` —
+    /// the one derivation every computing encode and the prepass share, so
+    /// what they gather from and what they record is identical by
+    /// construction. Reads no table values.
     #[inline(always)]
-    fn encode_level(
+    fn derive_level(&self, level: &GridLevel, p: Vec3) -> ([u32; 8], f32x8) {
+        let (base, frac) = level.cube_of(p);
+        let entries = cube_level_indices(self.config.hash, level, base, self.config.table_size());
+        (entries, corner_weights8(frac))
+    }
+
+    /// Gathers and interpolates one `(point, level)` slot from its eight
+    /// corner `entries` and `weights`; every batched encode (row-major or
+    /// tile, computing or replaying a [`LookupCache`]) bottoms out here, so
+    /// their values are bitwise-identical by construction — and, the
+    /// accumulation being corner-ordered and scalar, bitwise
+    /// [`HashGrid::encode_into`]. Feature `k` of the level lands at
+    /// `dst[k * stride]` — stride 1 for a row slot, the lane stride to
+    /// write straight into a GEMM tile.
+    #[inline(always)]
+    fn gather_level(
         &self,
-        p: Vec3,
         li: usize,
-        level: &GridLevel,
+        entries: &[u32],
+        weights: &[f32],
         dst: &mut [f32],
         stride: usize,
-        record: Option<(&mut LookupCache, usize)>,
     ) {
         let f = self.config.features as usize;
-        let t = self.config.table_size();
         let emb = self.store.values();
-        let (base, frac) = level.cube_of(p);
-        let entries = cube_level_indices(self.config.hash, level, base, t);
-        let weights = corner_weights8(frac);
-        if let Some((cache, pi)) = record {
-            let corner_base = (pi * self.levels.len() + li) * 8;
-            weights.write_to(&mut cache.weights[corner_base..corner_base + 8]);
-            cache.entries[corner_base..corner_base + 8].copy_from_slice(&entries);
-        }
         if f == 2 {
             // F = 2 fast path (the paper's layout): both feature sums live
             // in registers across the eight corners instead of
@@ -819,8 +687,7 @@ impl HashGrid {
             // the zero-weight skip are unchanged, so the sums are
             // bitwise-identical to the generic loop below.
             let (mut s0, mut s1) = (0.0f32, 0.0f32);
-            for (c, &entry) in entries.iter().enumerate() {
-                let w = weights.lane(c);
+            for (&entry, &w) in entries.iter().zip(weights) {
                 if w == 0.0 {
                     // Zero weight skips the corner in the scatter
                     // exactly like the reference backward pass.
@@ -837,11 +704,8 @@ impl HashGrid {
         for k in 0..f {
             dst[k * stride] = 0.0;
         }
-        for (c, &entry) in entries.iter().enumerate() {
-            let w = weights.lane(c);
+        for (&entry, &w) in entries.iter().zip(weights) {
             if w == 0.0 {
-                // Zero weight skips the corner in the scatter
-                // exactly like the reference backward pass.
                 continue;
             }
             let off = self.base_offset(li as u32, entry);
@@ -851,10 +715,10 @@ impl HashGrid {
         }
     }
 
-    /// Backward scatter driven by a [`LookupCache`] from
-    /// [`HashGrid::encode_batch_cached`]: identical accumulation (same
-    /// entries, weights, and order) to [`HashGrid::backward_batch`], minus
-    /// the geometry/hash recomputation.
+    /// Backward scatter driven by a filled [`LookupCache`]: identical
+    /// accumulation (same entries, weights, and order) to
+    /// [`HashGrid::backward`] point by point, minus the geometry/hash
+    /// recomputation.
     ///
     /// # Panics
     ///
@@ -953,14 +817,6 @@ impl HashGrid {
         }
     }
 
-    /// Encodes a point while streaming its cube lookups into `sink`
-    /// (one `push_cube` per level plus one `end_point`), without any
-    /// per-point allocation.
-    pub fn encode_with_sink(&self, p: Vec3, out: &mut [f32], sink: &mut (impl TraceSink + ?Sized)) {
-        self.encode_into(p, out);
-        self.stream_point(p, sink);
-    }
-
     /// The cube lookup of `p` at level index `li` — the building block of
     /// every trace path.
     #[inline]
@@ -1048,6 +904,16 @@ mod tests {
 
     fn grid(hash: HashFunction) -> HashGrid {
         HashGrid::new(HashGridConfig::tiny(hash), 7)
+    }
+
+    /// The scalar reference rows: [`HashGrid::encode_into`] point by point.
+    fn encode_rows(g: &HashGrid, points: &[Vec3]) -> Vec<f32> {
+        let dim = g.config().feature_dim();
+        let mut rows = vec![0.0; points.len() * dim];
+        for (p, row) in points.iter().zip(rows.chunks_exact_mut(dim)) {
+            g.encode_into(*p, row);
+        }
+        rows
     }
 
     #[test]
@@ -1144,9 +1010,8 @@ mod tests {
     fn trace_records_one_cube_per_level() {
         let g = grid(HashFunction::Morton);
         let mut trace = LookupTrace::new();
-        let mut buf = vec![0.0; g.config().feature_dim()];
-        g.encode_with_sink(Vec3::splat(0.4), &mut buf, &mut trace);
-        g.encode_with_sink(Vec3::splat(0.6), &mut buf, &mut trace);
+        g.stream_point(Vec3::splat(0.4), &mut trace);
+        g.stream_point(Vec3::splat(0.6), &mut trace);
         assert_eq!(trace.point_count(), 2);
         assert_eq!(trace.cubes().len(), 2 * g.config().levels as usize);
     }
@@ -1169,54 +1034,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_batch_matches_scalar_bitwise() {
-        let g = grid(HashFunction::Morton);
-        let dim = g.config().feature_dim();
-        let points: Vec<Vec3> = (0..23)
-            .map(|i| {
-                let t = i as f32 / 23.0;
-                Vec3::new(t, (t * 7.3).fract(), (t * 3.1).fract())
-            })
-            .collect();
-        let mut batch = vec![0.0; points.len() * dim];
-        g.encode_batch(&points, &mut batch);
-        for (i, p) in points.iter().enumerate() {
-            assert_eq!(
-                &batch[i * dim..(i + 1) * dim],
-                g.encode(*p).as_slice(),
-                "point {i} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn encode_batch_trace_identical_to_scalar_trace() {
-        // The batched encode must generate the exact same lookup stream —
-        // and therefore the same DRAM request counts — as a scalar loop.
-        let g = grid(HashFunction::Original);
-        let dim = g.config().feature_dim();
-        let points: Vec<Vec3> = (0..31)
-            .map(|i| {
-                let t = i as f32 * 0.03;
-                Vec3::new(t, 1.0 - t, (t * 5.7).fract())
-            })
-            .collect();
-        let mut scalar_trace = LookupTrace::new();
-        let mut row = vec![0.0; dim];
-        for p in &points {
-            g.encode_with_sink(*p, &mut row, &mut scalar_trace);
-        }
-        let mut batch_trace = LookupTrace::new();
-        let mut batch = vec![0.0; points.len() * dim];
-        g.encode_batch_with_sink(&points, &mut batch, &mut batch_trace);
-        assert_eq!(scalar_trace, batch_trace);
-        let levels = g.config().levels;
-        let s = crate::requests::replay_with_register_cache(&scalar_trace, levels);
-        let b = crate::requests::replay_with_register_cache(&batch_trace, levels);
-        assert_eq!(s.total_row_requests(), b.total_row_requests());
-    }
-
-    #[test]
     fn cached_encode_and_scatter_match_reference_bitwise() {
         let mut plain = grid(HashFunction::Morton);
         let mut cached = grid(HashFunction::Morton);
@@ -1227,17 +1044,20 @@ mod tests {
                 Vec3::new((t * 0.19).fract(), (t * 0.31).fract(), (t * 0.47).fract())
             })
             .collect();
-        let mut f_plain = vec![0.0; points.len() * dim];
-        let mut f_cached = vec![0.0; points.len() * dim];
-        plain.encode_batch(&points, &mut f_plain);
+        let n = points.len();
+        let f_plain = encode_rows(&plain, &points);
+        let mut f_cached = vec![0.0; n * dim];
         let mut cache = LookupCache::default();
-        cached.encode_batch_cached(&points, &mut f_cached, &mut cache);
+        cached.fill_cache(&points, &mut cache);
+        // One tile as wide as the batch gathers every row in one call.
+        let mut tile = vec![0.0; dim * n];
+        cached.encode_tile_bt_from_cache(0, n, n, &mut f_cached, &mut tile, &cache);
         assert_eq!(f_plain, f_cached);
-        assert_eq!(cache.point_count(), points.len());
-        let d: Vec<f32> = (0..points.len() * dim)
-            .map(|i| (i as f32 * 0.07).cos())
-            .collect();
-        plain.backward_batch(&points, &d);
+        assert_eq!(cache.point_count(), n);
+        let d: Vec<f32> = (0..n * dim).map(|i| (i as f32 * 0.07).cos()).collect();
+        for (p, row) in points.iter().zip(d.chunks_exact(dim)) {
+            plain.backward(*p, row);
+        }
         cached.backward_batch_cached(&cache, &d);
         assert_eq!(plain.gradients(), cached.gradients());
     }
@@ -1250,7 +1070,7 @@ mod tests {
                 features,
                 ..HashGridConfig::tiny(HashFunction::Morton)
             };
-            let g = HashGrid::new(config, 7);
+            let mut g = HashGrid::new(config, 7);
             let dim = g.config().feature_dim();
             let points: Vec<Vec3> = (0..21)
                 .map(|i| {
@@ -1258,15 +1078,14 @@ mod tests {
                     Vec3::new((t * 0.23).fract(), (t * 0.37).fract(), (t * 0.53).fract())
                 })
                 .collect();
-            let mut f_ref = vec![0.0; points.len() * dim];
-            let mut cache_ref = LookupCache::default();
-            g.encode_batch_cached(&points, &mut f_ref, &mut cache_ref);
-            let mut f_scalar = vec![0.0; points.len() * dim];
-            g.encode_batch(&points, &mut f_scalar);
-            assert_eq!(f_ref, f_scalar);
-            // Tile path: 16-point tiles plus a ragged tail, stale-lane tile.
+            let f_ref = encode_rows(&g, &points);
+            // The sparse prepass derives the slots without gathering.
+            let mut cache_fill = LookupCache::default();
+            g.fill_cache(&points, &mut cache_fill);
+            // Tile paths: 16-point tiles plus a ragged tail, stale-lane tiles.
             let stride = 16;
             let mut f_tile = vec![0.0; points.len() * dim];
+            let mut f_replay = vec![0.0; points.len() * dim];
             let mut cache_tile = LookupCache::default();
             g.prepare_cache(&mut cache_tile, points.len());
             let mut tile = vec![f32::NAN; dim * stride];
@@ -1282,22 +1101,46 @@ mod tests {
                     &mut tile,
                     &mut cache_tile,
                 );
-                // The inference encode writes the same tile and nothing else.
+                // The inference encode writes the same tile and nothing
+                // else; the gather-only encode replays the prepass's slots
+                // into the same rows and tile.
                 let mut bare = vec![f32::NAN; dim * stride];
                 g.encode_tile_bt(&points[base..base + bn], stride, &mut bare);
+                let mut replay = vec![f32::NAN; dim * stride];
+                g.encode_tile_bt_from_cache(
+                    base,
+                    bn,
+                    stride,
+                    &mut f_replay,
+                    &mut replay,
+                    &cache_fill,
+                );
                 // The tile is the exact transpose of the freshly written rows.
                 for p in 0..bn {
                     for i in 0..dim {
                         let want = f_tile[(base + p) * dim + i].to_bits();
                         assert_eq!(tile[i * stride + p].to_bits(), want);
                         assert_eq!(bare[i * stride + p].to_bits(), want);
+                        assert_eq!(replay[i * stride + p].to_bits(), want);
                     }
                 }
                 base += bn;
             }
             assert_eq!(f_ref, f_tile);
-            assert_eq!(cache_ref.entries, cache_tile.entries);
-            assert_eq!(cache_ref.weights, cache_tile.weights);
+            assert_eq!(f_ref, f_replay);
+            assert_eq!(cache_fill.entries, cache_tile.entries);
+            let weight_bits =
+                |c: &LookupCache| c.weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(weight_bits(&cache_fill), weight_bits(&cache_tile));
+            // The read set collected from those slots is the one collected
+            // from the points, in the same order.
+            g.enable_touch_tracking();
+            g.begin_touch_batch();
+            g.collect_touched_batch(&points);
+            let from_points = g.touched_entries().to_vec();
+            g.begin_touch_batch();
+            g.collect_touched_cache(&cache_fill);
+            assert_eq!(g.touched_entries(), from_points);
         }
     }
 
@@ -1312,9 +1155,8 @@ mod tests {
                 Vec3::new((t * 0.11).fract(), (t * 0.43).fract(), (t * 0.61).fract())
             })
             .collect();
-        let mut feats = vec![0.0; points.len() * dim];
         let mut cache = LookupCache::default();
-        dense.encode_batch_cached(&points, &mut feats, &mut cache);
+        dense.fill_cache(&points, &mut cache);
         // Gradient matrix with a mix of live rows and exactly-zero rows
         // (including negative zeros, as the compacted backward produces).
         let mut d = vec![0.0f32; points.len() * dim];
@@ -1399,27 +1241,6 @@ mod tests {
     }
 
     #[test]
-    fn backward_batch_matches_scalar_bitwise() {
-        let mut scalar = grid(HashFunction::Morton);
-        let mut batched = grid(HashFunction::Morton);
-        let dim = scalar.config().feature_dim();
-        let points: Vec<Vec3> = (0..17)
-            .map(|i| {
-                let t = i as f32 + 0.5;
-                Vec3::new((t * 0.17).fract(), (t * 0.29).fract(), (t * 0.41).fract())
-            })
-            .collect();
-        let d: Vec<f32> = (0..points.len() * dim)
-            .map(|i| (i as f32 * 0.13).sin())
-            .collect();
-        for (i, p) in points.iter().enumerate() {
-            scalar.backward(*p, &d[i * dim..(i + 1) * dim]);
-        }
-        batched.backward_batch(&points, &d);
-        assert_eq!(scalar.gradients(), batched.gradients());
-    }
-
-    #[test]
     fn touched_set_covers_scatter_writes_and_dedups() {
         let mut g = grid(HashFunction::Morton);
         g.enable_touch_tracking();
@@ -1441,9 +1262,8 @@ mod tests {
         assert_eq!(seen.len(), collected, "touched list has duplicates");
         // Scatter a dense gradient batch: every nonzero gradient slot must
         // belong to a touched entry (write set ⊆ collected read set).
-        let mut feats = vec![0.0; points.len() * dim];
         let mut cache = LookupCache::default();
-        g.encode_batch_cached(&points, &mut feats, &mut cache);
+        g.fill_cache(&points, &mut cache);
         let d: Vec<f32> = (0..points.len() * dim)
             .map(|i| (i as f32 * 0.21).sin() + 0.05)
             .collect();
@@ -1480,9 +1300,8 @@ mod tests {
             .collect();
         g.begin_touch_batch();
         g.collect_touched_batch(&points);
-        let mut feats = vec![0.0; points.len() * dim];
         let mut cache = LookupCache::default();
-        g.encode_batch_cached(&points, &mut feats, &mut cache);
+        g.fill_cache(&points, &mut cache);
         let d = vec![0.5f32; points.len() * dim];
         g.backward_batch_cached(&cache, &d);
         g.mark_touched_synced();

@@ -185,24 +185,7 @@ impl AdamState {
     /// Panics if `params` and `grads` differ in length, or do not match the
     /// state's size.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
-        assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
-        assert_eq!(
-            params.len(),
-            self.n_params(),
-            "optimizer state size mismatch"
-        );
-        self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            let s = &mut self.state[i];
-            s.m = self.beta1 * s.m + (1.0 - self.beta1) * g;
-            s.v = self.beta2 * s.v + (1.0 - self.beta2) * g * g;
-            let m_hat = s.m / b1t;
-            let v_hat = s.v / b2t;
-            params[i] -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
-        }
+        self.step_scaled(params, grads, 1.0);
     }
 
     /// A closure-style single-parameter update for use with
@@ -211,14 +194,7 @@ impl AdamState {
     ///
     /// Call [`AdamState::begin_step`] once before each sweep.
     pub fn update_one(&mut self, idx: usize, param: &mut f32, grad: f32) {
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        let s = &mut self.state[idx];
-        s.m = self.beta1 * s.m + (1.0 - self.beta1) * grad;
-        s.v = self.beta2 * s.v + (1.0 - self.beta2) * grad * grad;
-        let m_hat = s.m / b1t;
-        let v_hat = s.v / b2t;
-        *param -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
+        self.update_index(idx, param, grad, self.t);
     }
 
     /// Advances the step counter for a sweep of [`AdamState::update_one`]
@@ -229,10 +205,9 @@ impl AdamState {
 
     /// Like [`AdamState::step`], but reads each gradient as
     /// `grads[i] * scale` without materializing a scaled copy. With
-    /// `scale == 1.0` this is bitwise-identical to `step` (IEEE 754
-    /// multiplication by one is exact), so callers can fold a clip-norm
-    /// scale in unconditionally instead of cloning and rescaling the
-    /// gradient vector.
+    /// `scale == 1.0` this is `step` (IEEE 754 multiplication by one is
+    /// exact), so callers can fold a clip-norm scale in unconditionally
+    /// instead of cloning and rescaling the gradient vector.
     ///
     /// # Panics
     ///
@@ -248,14 +223,8 @@ impl AdamState {
         self.t += 1;
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i] * scale;
-            let s = &mut self.state[i];
-            s.m = self.beta1 * s.m + (1.0 - self.beta1) * g;
-            s.v = self.beta2 * s.v + (1.0 - self.beta2) * g * g;
-            let m_hat = s.m / b1t;
-            let v_hat = s.v / b2t;
-            params[i] -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
+        for (i, (p, &g)) in params.iter_mut().zip(grads).enumerate() {
+            self.update_index_with(i, p, g * scale, b1t, b2t);
         }
     }
 
@@ -416,61 +385,19 @@ impl AdamState {
     /// fused with the store's fp16 commit: each updated master scalar is
     /// re-quantized into the working copy while its cache line is still
     /// hot, saving the separate [`ParamStore::commit_indices`] pass over
-    /// the touched set. Bitwise-identical to `step_sparse` on
-    /// `store.master_mut()` followed by `commit_indices(indices)`; plain
-    /// `step_sparse` for f32 stores (whose commit is a no-op).
-    ///
-    /// # Panics
-    ///
-    /// As [`AdamState::step_sparse`].
-    pub fn step_sparse_store(
-        &mut self,
-        store: &mut ParamStore,
-        grads: &[f32],
-        indices: &[u32],
-        scale: f32,
-    ) {
-        let (params, active) = store.master_active_mut();
-        let Some(active) = active else {
-            self.step_sparse(params, grads, indices, scale);
-            return;
-        };
-        assert!(self.is_lazy(), "step_sparse requires lazy mode");
-        assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
-        assert_eq!(
-            params.len(),
-            self.n_params(),
-            "optimizer state size mismatch"
-        );
-        self.t += 1;
-        let t = self.t;
-        assert!(t <= u64::from(u32::MAX), "step counter exceeds u32 stamps");
-        let b1t = 1.0 - self.beta1.powi(t as i32);
-        let b2t = 1.0 - self.beta2.powi(t as i32);
-        for &iu in indices {
-            let i = iu as usize;
-            let mut p = params[i];
-            self.replay_to(i, &mut p, t - 1);
-            let g = grads[i] * scale;
-            self.update_index_with(i, &mut p, g, b1t, b2t);
-            params[i] = p;
-            active[i] = quantize_f16(p);
-            self.state[i].step = t as u32;
-        }
-    }
-
-    /// [`AdamState::step_sparse_store`] with pre-gathered gradients:
-    /// `gathered[j]` is the gradient of scalar `indices[j]`, typically
-    /// collected as a side product of the caller's clip-norm pass — the
-    /// step then streams the gradients sequentially instead of
+    /// the touched set (a no-op for f32 stores). Gradients come
+    /// pre-gathered: `gathered[j]` is the gradient of scalar `indices[j]`,
+    /// typically collected as a side product of the caller's clip-norm
+    /// pass — the step then streams the gradients sequentially instead of
     /// re-gathering one cache line per touched scalar from the dense
     /// table. `indices` must be distinct (the trainer's touched sets
     /// are): the update is blocked — gather a block, update it with
     /// eight-lane SIMD, scatter it back — so a duplicated index within a
     /// block would see stale inputs instead of chaining updates.
     ///
-    /// Bitwise-identical to `step_sparse_store` on the dense gradient
-    /// buffer: the SIMD lanes round exactly like the scalar expressions
+    /// Bitwise-identical to `step_sparse` on `store.master_mut()` with
+    /// the dense gradient buffer, followed by `commit_indices(indices)`:
+    /// the SIMD lanes round exactly like the scalar expressions
     /// (`inerf_simd`'s documented contract; division and square root are
     /// IEEE-exact on every backend), and the tail of each block runs the
     /// same scalar arithmetic.
@@ -839,7 +766,7 @@ mod tests {
     }
 
     #[test]
-    fn step_sparse_store_fuses_commit_bitwise() {
+    fn gathered_step_matches_split_step_and_commit_bitwise() {
         use crate::store::{ParamStore, Precision};
         // Large enough that the gathered path runs several full SIMD
         // groups plus a scalar tail.
@@ -850,13 +777,10 @@ mod tests {
         let touched_most: Vec<u32> = (0..init.len() as u32).filter(|i| i % 5 != 3).collect();
         for precision in [Precision::F32, Precision::Fp16] {
             let mut split = ParamStore::new(precision, init.clone());
-            let mut fused = ParamStore::new(precision, init.clone());
             let mut gath = ParamStore::new(precision, init.clone());
             let mut split_adam = AdamState::new(init.len(), 0.05);
-            let mut fused_adam = AdamState::new(init.len(), 0.05);
             let mut gath_adam = AdamState::new(init.len(), 0.05);
             split_adam.enable_lazy();
-            fused_adam.enable_lazy();
             gath_adam.enable_lazy();
             let touched_sets: [&[u32]; 4] = [&[0, 2, 5], &[1, 2], &touched_most, &touched_all];
             for (k, touched) in touched_sets.iter().enumerate() {
@@ -866,11 +790,8 @@ mod tests {
                 }
                 split_adam.step_sparse(split.master_mut(), &grads, touched, 0.75);
                 split.commit_indices(touched);
-                fused_adam.step_sparse_store(&mut fused, &grads, touched, 0.75);
                 let gathered: Vec<f32> = touched.iter().map(|&i| grads[i as usize]).collect();
                 gath_adam.step_sparse_gathered(&mut gath, &gathered, touched, 0.75);
-                assert_eq!(bits(split.master()), bits(fused.master()));
-                assert_eq!(bits(split.values()), bits(fused.values()));
                 assert_eq!(bits(split.master()), bits(gath.master()));
                 assert_eq!(bits(split.values()), bits(gath.values()));
             }

@@ -21,26 +21,11 @@ pub struct L2Loss {
 ///
 /// Panics if the slices differ in length or are empty.
 pub fn l2_loss(predictions: &[Vec3], targets: &[Vec3]) -> L2Loss {
-    assert_eq!(
-        predictions.len(),
-        targets.len(),
-        "prediction/target length mismatch"
-    );
-    assert!(
-        !predictions.is_empty(),
-        "loss over an empty batch is undefined"
-    );
-    let n = predictions.len() as f64;
-    let mut value = 0.0f64;
-    let mut d = Vec::with_capacity(predictions.len());
-    for (p, t) in predictions.iter().zip(targets) {
-        let e = *p - *t;
-        value += e.length_squared() as f64;
-        d.push(e * (2.0 / n as f32));
-    }
+    let mut d_predictions = Vec::with_capacity(predictions.len());
+    let value = l2_loss_into(predictions, targets, &mut d_predictions);
     L2Loss {
-        value: value / n,
-        d_predictions: d,
+        value,
+        d_predictions,
     }
 }
 

@@ -512,6 +512,50 @@ mod tests {
     }
 
     #[test]
+    fn per_point_model_trains_identically_under_either_engine() {
+        // `Engine::Batched` hands a per-point model to the scalar step, so
+        // Tab. IV must not depend on the engine: every loss bit and the
+        // trained field agree, with and without empty-space skipping.
+        use crate::train::Engine;
+        let scene = zoo::scene(zoo::SceneKind::Chair);
+        let dataset = DatasetConfig::tiny().generate(&scene);
+        for with_grid in [false, true] {
+            let run = |engine: Engine| {
+                let cfg = TrainConfig::tiny().with_engine(engine);
+                let mut trainer = Trainer::new(NerfLite::new(4, 16, 1), cfg, 2);
+                if with_grid {
+                    // Between the densities the untrained model predicts, so
+                    // the refreshed grid culls some cells and keeps others.
+                    trainer = trainer.with_occupancy_grid(8, 0.7, 2);
+                }
+                let losses = trainer.train(&dataset, 3).losses;
+                if with_grid {
+                    let occupied = trainer.occupancy_grid().expect("enabled").occupancy();
+                    assert!(occupied > 0.0 && occupied < 1.0, "grid is {occupied}");
+                }
+                (losses, trainer.into_model())
+            };
+            let (batched_losses, batched) = run(Engine::Batched);
+            let (scalar_losses, scalar) = run(Engine::Scalar);
+            let bits = |losses: &[f64]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&batched_losses), bits(&scalar_losses), "{with_grid}");
+            for i in 0..12 {
+                let t = i as f32 + 0.5;
+                let p = Vec3::new((t * 0.17).fract(), (t * 0.29).fract(), (t * 0.41).fract());
+                let d = Vec3::new(t.sin(), t.cos(), 0.3).normalized();
+                let (bs, bc) = batched.query_eval(p, d);
+                let (ss, sc) = scalar.query_eval(p, d);
+                assert_eq!(bs.to_bits(), ss.to_bits(), "sigma at probe {i}");
+                assert_eq!(
+                    [bc.x, bc.y, bc.z].map(f32::to_bits),
+                    [sc.x, sc.y, sc.z].map(f32::to_bits),
+                    "rgb at probe {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn positional_encoding_dimensions_and_values() {
         let e = positional_encoding(Vec3::new(0.5, 0.0, 1.0), 2);
         assert_eq!(e.len(), 3 + 6 * 2);

@@ -10,9 +10,9 @@
 //!
 //! * [`model`] — the [`TrainableField`] trait and [`model::IngpModel`], the
 //!   hash-grid + two-small-MLPs architecture of iNGP / Instant-NeRF.
-//! * [`train`] — generic training loop, rendering and PSNR evaluation,
-//!   with two interchangeable hot-path engines: the per-point scalar
-//!   reference and the batched structure-of-arrays engine (the default).
+//! * [`train`] — generic training loop with two interchangeable hot-path
+//!   engines: the per-point scalar reference and the batched
+//!   structure-of-arrays engine (the default).
 //! * [`engine`] — thread-pool plumbing for the batched engine
 //!   (`INERF_THREADS`, fixed-chunk determinism helpers).
 //! * [`render`] — the no-gradient render engine: occupancy-culled,

@@ -13,17 +13,22 @@ use std::slice::ChunksExactMut;
 
 /// A radiance-field model that can be trained by [`crate::train::Trainer`].
 ///
-/// The trainer drives it per batch, either point by point (`begin_batch` →
-/// `query` for every sample point, in streaming order → `backward` for every
-/// point, same indices → `apply_gradients`) or through the batched
-/// structure-of-arrays entry points (`begin_batch` → `query_batch` →
-/// `backward_batch` → `apply_gradients`). Implementations cache whatever
-/// the backward pass needs during the forward queries.
+/// The trainer drives it per batch in one of two modes. *Per point*:
+/// `begin_batch` → `query` for every sample point, in streaming order →
+/// `backward` for every point, same indices → `apply_gradients`. *Phased
+/// over a live list*: `begin_batch` → `query_batch_density` → the engine
+/// scans ray transmittance into an ascending list of live sample indices
+/// (the identity list when nothing is dead) →
+/// `query_batch_color_compacted` → `backward_batch_compacted` →
+/// `apply_gradients`; evaluation has the same two phases without caching
+/// (`query_eval_batch_*`). Implementations cache whatever the backward
+/// pass needs during the forward queries.
 ///
-/// The `*_batch` methods have scalar-loop default implementations, so
-/// per-point models (the Tab. IV baselines) keep working unchanged under the
-/// batched trainer engine; [`IngpModel`] overrides them with a chunked,
-/// thread-pool-parallel implementation.
+/// The density phases default to returning `false`: a per-point model (the
+/// Tab. IV baselines) implements nothing batched, and under
+/// [`Engine::Batched`](crate::train::Engine) the trainer runs the
+/// per-point loop for it. [`IngpModel`] implements the phases chunked and
+/// thread-pool-parallel.
 pub trait TrainableField {
     /// Clears per-batch caches and accumulated gradients.
     fn begin_batch(&mut self);
@@ -67,80 +72,12 @@ pub trait TrainableField {
         inerf_mlp::Precision::F32
     }
 
-    /// Batched [`TrainableField::query`]: fills `sigmas[i]`/`rgbs[i]` for
-    /// `points[i]` viewed along `dirs[i]`, caching intermediates under index
-    /// `i` for [`TrainableField::backward_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths disagree.
-    fn query_batch(
-        &mut self,
-        points: &[Vec3],
-        dirs: &[Vec3],
-        sigmas: &mut [f32],
-        rgbs: &mut [Vec3],
-        _pool: &ThreadPool,
-    ) {
-        assert_eq!(points.len(), dirs.len(), "points/dirs length mismatch");
-        assert_eq!(points.len(), sigmas.len(), "sigma buffer mismatch");
-        assert_eq!(points.len(), rgbs.len(), "rgb buffer mismatch");
-        for (i, (&p, &d)) in points.iter().zip(dirs).enumerate() {
-            let (sigma, rgb) = self.query(p, d);
-            sigmas[i] = sigma;
-            rgbs[i] = rgb;
-        }
-    }
-
-    /// Batched [`TrainableField::backward`]: back-propagates the loss
-    /// gradient of every point cached by the preceding
-    /// [`TrainableField::query_batch`], index-aligned with it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths disagree with the cached batch.
-    fn backward_batch(&mut self, d_sigmas: &[f32], d_colors: &[Vec3], _pool: &ThreadPool) {
-        assert_eq!(
-            d_sigmas.len(),
-            d_colors.len(),
-            "gradient slice length mismatch"
-        );
-        for (i, (&ds, &dc)) in d_sigmas.iter().zip(d_colors).enumerate() {
-            self.backward(i, ds, dc);
-        }
-    }
-
-    /// Batched [`TrainableField::query_eval`] (no caching).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths disagree.
-    fn query_eval_batch(
-        &self,
-        points: &[Vec3],
-        dirs: &[Vec3],
-        sigmas: &mut [f32],
-        rgbs: &mut [Vec3],
-        _pool: &ThreadPool,
-    ) {
-        assert_eq!(points.len(), dirs.len(), "points/dirs length mismatch");
-        assert_eq!(points.len(), sigmas.len(), "sigma buffer mismatch");
-        assert_eq!(points.len(), rgbs.len(), "rgb buffer mismatch");
-        for (i, (&p, &d)) in points.iter().zip(dirs).enumerate() {
-            let (sigma, rgb) = self.query_eval(p, d);
-            sigmas[i] = sigma;
-            rgbs[i] = rgb;
-        }
-    }
-
-    /// Density phase of the occupancy-driven *compacted* query. When a
-    /// model supports phased evaluation it fills `sigmas` (caching what
-    /// the color phase needs) and returns `true`; the engine then scans
-    /// ray transmittance to find dead samples and calls
-    /// [`TrainableField::query_batch_color_compacted`] /
+    /// Density phase of the phased training query. A model that supports
+    /// it fills `sigmas` (caching what the color phase needs) and returns
+    /// `true`; the engine then scans ray transmittance to find dead
+    /// samples and calls [`TrainableField::query_batch_color_compacted`] /
     /// [`TrainableField::backward_batch_compacted`]. The default returns
-    /// `false` — per-point models (the Tab. IV baselines) keep using the
-    /// plain [`TrainableField::query_batch`] path unchanged.
+    /// `false` — the trainer then runs the per-point loop for this model.
     fn query_batch_density(
         &mut self,
         _points: &[Vec3],
@@ -184,9 +121,9 @@ pub trait TrainableField {
     /// phased evaluation it fills `sigmas`, keeps whatever the color phase
     /// needs in the caller-owned `scratch`, and returns `true`; the render
     /// engine then scans ray transmittance and pays the color MLP only for
-    /// samples that still matter. The default returns `false`, keeping
-    /// per-point models (the Tab. IV baselines) on the dense
-    /// [`TrainableField::query_eval_batch`] path.
+    /// samples that still matter. The default returns `false`: per-point
+    /// models (the Tab. IV baselines) are evaluated through a
+    /// [`TrainableField::query_eval`] loop instead.
     fn query_eval_batch_density(
         &self,
         _points: &[Vec3],
@@ -229,10 +166,9 @@ pub trait TrainableField {
 /// No-gradient densities of `points`, by whichever evaluation path the
 /// model has: the phased density query into `scratch` (returns `true`; the
 /// colour phase may follow with the same scratch), or — for per-point
-/// models, the Tab. IV baselines — the dense
-/// [`TrainableField::query_eval_batch`], whose colours land in `rgbs`
-/// (returns `false`). The one dispatch the render engine and the
-/// occupancy refresh share.
+/// models, the Tab. IV baselines — a [`TrainableField::query_eval`] loop,
+/// whose colours land in `rgbs` (returns `false`). The one dispatch the
+/// render engine and the occupancy refresh share.
 pub(crate) fn eval_density_batch<M: TrainableField>(
     model: &M,
     points: &[Vec3],
@@ -244,8 +180,12 @@ pub(crate) fn eval_density_batch<M: TrainableField>(
 ) -> bool {
     let phased = model.query_eval_batch_density(points, sigmas, scratch, pool);
     if !phased {
-        rgbs.resize(points.len(), Vec3::ZERO);
-        model.query_eval_batch(points, dirs, sigmas, rgbs, pool);
+        rgbs.clear();
+        for ((&p, &d), sigma) in points.iter().zip(dirs).zip(sigmas) {
+            let (s, rgb) = model.query_eval(p, d);
+            *sigma = s;
+            rgbs.push(rgb);
+        }
     }
     phased
 }
@@ -409,8 +349,7 @@ struct ChunkScratch {
     /// Corner entries/weights cached by the encode, reused by the scatter.
     lookups: LookupCache,
     density: MlpBatchActivations,
-    /// Color-MLP input rows: `n × (geo + 9)` dense, or `m × (geo + 9)`
-    /// over the live rows only when `compact` is set.
+    /// Color-MLP input rows, `m × (geo + 9)` over the live rows.
     color_in: Vec<f32>,
     color: MlpBatchActivations,
     /// Post-softplus densities (needed for the softplus gradient chain).
@@ -425,10 +364,9 @@ struct ChunkScratch {
     /// Pooled GEMM-transpose / gradient ping-pong buffers per MLP.
     density_scratch: MlpScratch,
     color_scratch: MlpScratch,
-    /// Chunk-local indices of live samples (compacted color stage).
+    /// Chunk-local indices of the live samples, ascending: the row order
+    /// of every color buffer (the identity when nothing is dead).
     live: Vec<u32>,
-    /// Whether the color buffers hold compacted (live-row-only) data.
-    compact: bool,
 }
 
 /// Resizes a scratch buffer without zeroing the retained prefix. Every
@@ -491,41 +429,12 @@ impl ChunkScratch {
         }
     }
 
-    /// Dense color phase: assembles every row's color-MLP input (geometry
-    /// features + direction encoding) and runs the color MLP over the full
-    /// chunk.
-    fn forward_color(
-        &mut self,
-        color_mlp: &Mlp,
-        dout: usize,
-        dirs: &[Vec3],
-        rgbs_out: &mut [Vec3],
-    ) {
-        let n = dirs.len();
-        let geo = dout - 1;
-        let cin = geo + 9;
-        self.compact = false;
-        reset_buf(&mut self.color_in, n * cin);
-        let raw = self.density.output();
-        for i in 0..n {
-            let slot = &mut self.color_in[i * cin..(i + 1) * cin];
-            slot[..geo].copy_from_slice(&raw[i * dout + 1..(i + 1) * dout]);
-            slot[geo..].copy_from_slice(&direction_encoding(dirs[i]));
-        }
-        color_mlp.forward_batch_scratch(&self.color_in, &mut self.color, &mut self.color_scratch);
-        let out = self.color.output();
-        for (i, rgb) in rgbs_out.iter_mut().enumerate() {
-            *rgb = Vec3::new(out[3 * i], out[3 * i + 1], out[3 * i + 2]);
-        }
-    }
-
     /// Compacted color phase: only the rows in `self.live` (chunk-local,
     /// ascending) go through the color MLP; dead rows get `Vec3::ZERO`.
     /// Dead samples sit strictly after their ray's transmittance reached
     /// exactly `0.0`, so the composite multiplies their color by `+0.0` —
     /// substituting zero is bitwise-identical (see
-    /// [`crate::engine::scan_live_samples`]). Falls back to the dense path
-    /// when every row is live.
+    /// [`crate::engine::scan_live_samples`]).
     fn forward_color_compacted(
         &mut self,
         color_mlp: &Mlp,
@@ -533,11 +442,6 @@ impl ChunkScratch {
         dirs: &[Vec3],
         rgbs_out: &mut [Vec3],
     ) {
-        let n = dirs.len();
-        if self.live.len() == n {
-            return self.forward_color(color_mlp, dout, dirs, rgbs_out);
-        }
-        self.compact = true;
         let m = self.live.len();
         let geo = dout - 1;
         let cin = geo + 9;
@@ -557,32 +461,14 @@ impl ChunkScratch {
         }
     }
 
-    /// Full forward pass (density + dense color) — the uncompacted batched
-    /// training path.
-    #[allow(clippy::too_many_arguments)]
-    fn forward(
-        &mut self,
-        grid: &HashGrid,
-        density_mlp: &Mlp,
-        color_mlp: &Mlp,
-        points: &[Vec3],
-        dirs: &[Vec3],
-        sigmas_out: &mut [f32],
-        rgbs_out: &mut [Vec3],
-        prefilled: bool,
-    ) {
-        self.forward_density(grid, density_mlp, points, sigmas_out, prefilled);
-        self.forward_color(color_mlp, density_mlp.out_dim(), dirs, rgbs_out);
-    }
-
     /// Backward pass over this chunk: color MLP → softplus chain → density
     /// MLP, accumulating parameter gradients chunk-locally and leaving the
     /// feature gradients in `d_feats` for the (sequential, deterministic)
-    /// hash-grid scatter. Honors the forward pass's layout: when the color
-    /// stage ran compacted, only live rows flow back through the color MLP
-    /// (dead rows carry `±0.0` gradients, which the dense path would drop
-    /// via its zero-gradient early-outs anyway), and the density backward
-    /// runs dense — its per-row early-out makes dead rows `O(out_dim)`.
+    /// hash-grid scatter. Only live rows flow back through the color MLP
+    /// (dead rows carry `±0.0` gradients, which the per-point backward
+    /// drops via its zero-gradient early-outs anyway), and the density
+    /// backward runs over every row — its per-row early-out makes dead
+    /// rows `O(out_dim)`.
     fn backward(
         &mut self,
         density_mlp: &Mlp,
@@ -599,58 +485,33 @@ impl ChunkScratch {
         // Only the geometry columns of the color-MLP input have parameters
         // upstream (the direction encoding is a constant of the ray), so
         // `d_color_in` is `rows × geo` and the kernel computes no others.
-        if self.compact {
-            let m = self.live.len();
-            reset_buf(&mut self.d_rgb, m * 3);
-            for (k, &li) in self.live.iter().enumerate() {
-                let d = d_colors[li as usize];
-                self.d_rgb[3 * k] = d.x;
-                self.d_rgb[3 * k + 1] = d.y;
-                self.d_rgb[3 * k + 2] = d.z;
-            }
-            reset_buf(&mut self.d_color_in, m * geo);
-            color_mlp.backward_batch_scratch(
-                &self.color_in,
-                &self.color,
-                &self.d_rgb,
-                &mut self.d_color_in,
-                &mut self.color_grads,
-                &mut self.color_scratch,
-            );
-            // Dead rows: d_raw stays zero (their gradients are ±0.0, which
-            // the scalar density backward's early-out drops identically).
-            self.d_raw.clear();
-            self.d_raw.resize(n * dout, 0.0);
-            for (k, &li) in self.live.iter().enumerate() {
-                let i = li as usize;
-                // d softplus(x)/dx = sigmoid(x) = 1 - e^{-softplus(x)}.
-                self.d_raw[i * dout] = d_sigmas[i] * (1.0 - (-self.sigmas[i]).exp());
-                self.d_raw[i * dout + 1..(i + 1) * dout]
-                    .copy_from_slice(&self.d_color_in[k * geo..(k + 1) * geo]);
-            }
-        } else {
-            reset_buf(&mut self.d_rgb, n * 3);
-            for (i, d) in d_colors.iter().enumerate() {
-                self.d_rgb[3 * i] = d.x;
-                self.d_rgb[3 * i + 1] = d.y;
-                self.d_rgb[3 * i + 2] = d.z;
-            }
-            reset_buf(&mut self.d_color_in, n * geo);
-            color_mlp.backward_batch_scratch(
-                &self.color_in,
-                &self.color,
-                &self.d_rgb,
-                &mut self.d_color_in,
-                &mut self.color_grads,
-                &mut self.color_scratch,
-            );
-            reset_buf(&mut self.d_raw, n * dout);
-            for (i, &d_sigma) in d_sigmas.iter().enumerate() {
-                // d softplus(x)/dx = sigmoid(x) = 1 - e^{-softplus(x)}.
-                self.d_raw[i * dout] = d_sigma * (1.0 - (-self.sigmas[i]).exp());
-                self.d_raw[i * dout + 1..(i + 1) * dout]
-                    .copy_from_slice(&self.d_color_in[i * geo..(i + 1) * geo]);
-            }
+        let m = self.live.len();
+        reset_buf(&mut self.d_rgb, m * 3);
+        for (k, &li) in self.live.iter().enumerate() {
+            let d = d_colors[li as usize];
+            self.d_rgb[3 * k] = d.x;
+            self.d_rgb[3 * k + 1] = d.y;
+            self.d_rgb[3 * k + 2] = d.z;
+        }
+        reset_buf(&mut self.d_color_in, m * geo);
+        color_mlp.backward_batch_scratch(
+            &self.color_in,
+            &self.color,
+            &self.d_rgb,
+            &mut self.d_color_in,
+            &mut self.color_grads,
+            &mut self.color_scratch,
+        );
+        // Dead rows: d_raw stays zero (their gradients are ±0.0, which the
+        // scalar density backward's early-out drops identically).
+        self.d_raw.clear();
+        self.d_raw.resize(n * dout, 0.0);
+        for (k, &li) in self.live.iter().enumerate() {
+            let i = li as usize;
+            // d softplus(x)/dx = sigmoid(x) = 1 - e^{-softplus(x)}.
+            self.d_raw[i * dout] = d_sigmas[i] * (1.0 - (-self.sigmas[i]).exp());
+            self.d_raw[i * dout + 1..(i + 1) * dout]
+                .copy_from_slice(&self.d_color_in[k * geo..(k + 1) * geo]);
         }
         reset_buf(&mut self.d_feats, n * fdim);
         density_mlp.backward_batch_scratch(
@@ -1199,60 +1060,12 @@ impl TrainableField for IngpModel {
         IngpModel::precision(self)
     }
 
-    /// Batched forward: the batch is cut into fixed `POINT_CHUNK`-point
-    /// chunks, each encoded and run through both MLPs on a pool worker with
-    /// chunk-local reusable scratch. Per point the arithmetic matches the
-    /// scalar [`TrainableField::query`] path bitwise.
-    fn query_batch(
-        &mut self,
-        points: &[Vec3],
-        dirs: &[Vec3],
-        sigmas: &mut [f32],
-        rgbs: &mut [Vec3],
-        pool: &ThreadPool,
-    ) {
-        let n = points.len();
-        assert_eq!(n, dirs.len(), "points/dirs length mismatch");
-        assert_eq!(n, sigmas.len(), "sigma buffer mismatch");
-        assert_eq!(n, rgbs.len(), "rgb buffer mismatch");
-        // Sparse-path prepass: derive every corner lookup once, collect
-        // the batch's read set, and replay those entries' lazy Adam
-        // chains before any chunk encodes.
-        let prefilled = self.prepass_batch(points, pool);
-        let grid = &self.grid;
-        let density_mlp = &self.density_mlp;
-        let color_mlp = &self.color_mlp;
-        let mut sigma_rest: &mut [f32] = sigmas;
-        let mut rgb_rest: &mut [Vec3] = rgbs;
-        pool.scope(|s| {
-            for (ci, chunk) in self.batch.chunks.iter_mut().enumerate() {
-                let lo = ci * POINT_CHUNK;
-                let hi = (lo + POINT_CHUNK).min(n);
-                let (sigma_c, rest) = std::mem::take(&mut sigma_rest).split_at_mut(hi - lo);
-                sigma_rest = rest;
-                let (rgb_c, rest) = std::mem::take(&mut rgb_rest).split_at_mut(hi - lo);
-                rgb_rest = rest;
-                let pts = &points[lo..hi];
-                let drs = &dirs[lo..hi];
-                s.spawn(move |_| {
-                    chunk.forward(
-                        grid,
-                        density_mlp,
-                        color_mlp,
-                        pts,
-                        drs,
-                        sigma_c,
-                        rgb_c,
-                        prefilled,
-                    );
-                });
-            }
-        });
-    }
-
-    /// Density phase of the phased (compaction-capable) batched query:
-    /// fused encode → density MLP per fixed chunk, leaving each chunk's
-    /// activations cached for the color phase. Always supported.
+    /// Density phase of the phased query: the batch is cut into fixed
+    /// `POINT_CHUNK`-point chunks, each run through the fused encode →
+    /// density MLP on a pool worker with chunk-local reusable scratch,
+    /// leaving its activations cached for the color phase. Per point the
+    /// arithmetic matches the scalar [`TrainableField::query`] path
+    /// bitwise. Always supported.
     fn query_batch_density(
         &mut self,
         points: &[Vec3],
@@ -1261,9 +1074,9 @@ impl TrainableField for IngpModel {
     ) -> bool {
         let n = points.len();
         assert_eq!(n, sigmas.len(), "sigma buffer mismatch");
-        // Sparse-path prepass (see `query_batch`). The compacted color
-        // phase reads no grid entries, so the density-phase read set
-        // covers the whole phased query.
+        // Sparse-path prepass (see `prepass_batch`). The color phase reads
+        // no grid entries, so the density-phase read set covers the whole
+        // phased query.
         let prefilled = self.prepass_batch(points, pool);
         let grid = &self.grid;
         let density_mlp = &self.density_mlp;
@@ -1323,15 +1136,15 @@ impl TrainableField for IngpModel {
         });
     }
 
-    /// Batched backward. Chunks back-propagate through both MLPs in
-    /// parallel (chunk-local gradients); the hash-grid scatter — replaying
-    /// each chunk's cached corner lookups instead of re-deriving cube
-    /// geometry — and the MLP gradient folds then run sequentially *in
-    /// chunk order*, which makes the accumulated gradients independent of
-    /// the worker count.
-    fn backward_batch(&mut self, d_sigmas: &[f32], d_colors: &[Vec3], pool: &ThreadPool) {
+    /// Backward of the phased query. Chunks back-propagate through both
+    /// MLPs in parallel (chunk-local gradients); the hash-grid scatter —
+    /// replaying each chunk's cached corner lookups instead of re-deriving
+    /// cube geometry — and the MLP gradient folds then run sequentially
+    /// *in chunk order*, which makes the accumulated gradients independent
+    /// of the worker count.
+    fn backward_batch_compacted(&mut self, d_sigmas: &[f32], d_colors: &[Vec3], pool: &ThreadPool) {
         let n = self.batch.len;
-        assert!(n > 0, "backward_batch without a cached query_batch");
+        assert!(n > 0, "backward without a cached phased query");
         assert_eq!(d_sigmas.len(), n, "sigma gradient length mismatch");
         assert_eq!(d_colors.len(), n, "color gradient length mismatch");
         let density_mlp = &self.density_mlp;
@@ -1346,27 +1159,14 @@ impl TrainableField for IngpModel {
             }
         });
         for chunk in &self.batch.chunks {
-            if chunk.compact {
-                // Dead rows have exactly-zero feature gradients; skipping
-                // them in the scatter is bitwise-identical (see
-                // `HashGrid::backward_batch_cached_rows`).
-                self.grid
-                    .backward_batch_cached_rows(&chunk.lookups, &chunk.d_feats, &chunk.live);
-            } else {
-                self.grid
-                    .backward_batch_cached(&chunk.lookups, &chunk.d_feats);
-            }
+            // Dead rows have exactly-zero feature gradients; skipping
+            // them in the scatter is bitwise-identical (see
+            // `HashGrid::backward_batch_cached_rows`).
+            self.grid
+                .backward_batch_cached_rows(&chunk.lookups, &chunk.d_feats, &chunk.live);
             self.density_mlp.accumulate_gradients(&chunk.density_grads);
             self.color_mlp.accumulate_gradients(&chunk.color_grads);
         }
-    }
-
-    /// Backward for the phased/compacted query: identical to
-    /// [`TrainableField::backward_batch`] — the chunk scratch remembers
-    /// whether its color stage ran compacted and back-propagates
-    /// accordingly.
-    fn backward_batch_compacted(&mut self, d_sigmas: &[f32], d_colors: &[Vec3], pool: &ThreadPool) {
-        self.backward_batch(d_sigmas, d_colors, pool);
     }
 
     /// The hash-grid address stream of the batch, on the trace bus. Both
@@ -1374,24 +1174,6 @@ impl TrainableField for IngpModel {
     /// the streamed events are engine-independent by construction.
     fn stream_lookups(&self, points: &[Vec3], sink: &mut dyn TraceSink) {
         self.grid.stream_batch(points, sink);
-    }
-
-    /// Batched evaluation query: the phased query with every sample live —
-    /// density phase, then the colour phase over the identity live list,
-    /// on one call-local scratch (`&self` has nowhere to keep one).
-    fn query_eval_batch(
-        &self,
-        points: &[Vec3],
-        dirs: &[Vec3],
-        sigmas: &mut [f32],
-        rgbs: &mut [Vec3],
-        pool: &ThreadPool,
-    ) {
-        assert_eq!(points.len(), dirs.len(), "points/dirs length mismatch");
-        let mut scratch = EvalScratch::default();
-        self.query_eval_batch_density(points, sigmas, &mut scratch, pool);
-        let all: Vec<u32> = (0..points.len() as u32).collect();
-        self.query_eval_batch_color_compacted(dirs, &all, rgbs, &mut scratch, pool);
     }
 
     /// Density phase of the phased evaluation query: one
@@ -1620,14 +1402,6 @@ mod tests {
                                     );
                                 }
                             }
-                        }
-                        // The dense query is the same path with all live.
-                        sigmas.fill(f32::NAN);
-                        rgbs.fill(Vec3::splat(f32::NAN));
-                        model.query_eval_batch(&points, &dirs, &mut sigmas, &mut rgbs, pool);
-                        for i in 0..n {
-                            assert_eq!(sigmas[i].to_bits(), want[i].0.to_bits(), "{label}");
-                            assert_eq!(rgbs[i], want[i].1, "{label}: dense sample {i}");
                         }
                     }
                 }

@@ -34,7 +34,7 @@ pub(crate) struct RefreshScratch {
     points: Vec<Vec3>,
     dirs: Vec<Vec3>,
     sigmas: Vec<f32>,
-    /// Colours of the dense fallback (per-point models only), discarded.
+    /// Colours of the `query_eval` fallback (per-point models only), discarded.
     rgbs: Vec<Vec3>,
     eval: EvalScratch,
 }
@@ -484,7 +484,7 @@ mod tests {
     #[test]
     fn per_point_fallback_refresh_matches_scalar_reference_bitwise() {
         // A Tab. IV baseline has no phased evaluation: every block takes
-        // the dense `query_eval_batch` fallback.
+        // the `query_eval` loop fallback.
         let model = NerfLite::new(2, 16, 7);
         let center = model.query_eval(Vec3::splat(0.5), PROBE_DIR).0;
         let (lo, hi) = assert_sweep_matches_reference(&model, center, "NerfLite");

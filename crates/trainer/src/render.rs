@@ -14,7 +14,7 @@
 //! 2. **Density phase** — the fused encode→density-MLP eval path
 //!    ([`TrainableField::query_eval_batch_density`]) over every surviving
 //!    sample, into engine-owned [`EvalScratch`]. Models without phased
-//!    evaluation fall back to the dense [`TrainableField::query_eval_batch`].
+//!    evaluation fall back to a [`TrainableField::query_eval`] loop.
 //! 3. **Transmittance scan** — a scalar sweep replicating the composite
 //!    recurrence operation for operation (`σ.max(0)`, `α = 1 − e^{−σ·δ}`,
 //!    `w = T·α`, `T ← T·(1−α)`), recording each sample's blend weight and
@@ -58,7 +58,6 @@
 //! `BatchArena` growth-event accounting, see
 //! [`RenderEngine::growth_events`]).
 
-use crate::engine;
 use crate::model::{eval_density_batch, EvalScratch, TrainableField};
 use crate::occupancy::OccupancyGrid;
 use inerf_geom::{Aabb, Camera, Vec3};
@@ -152,7 +151,7 @@ pub struct RenderStats {
     pub samples_color: u64,
     /// Wall-clock of the parallel ray-generation + splice stage.
     pub gen_ns: u64,
-    /// Wall-clock of the density (or dense fallback) query stage.
+    /// Wall-clock of the density (or per-point fallback) query stage.
     pub density_ns: u64,
     /// Wall-clock of the transmittance scan.
     pub scan_ns: u64,
@@ -529,9 +528,9 @@ impl RenderEngine {
         // inerf-lint: allow(wall-clock) -- stage telemetry only: feeds RenderStats/BENCH_render.json, never a simulated statistic
         let t_density = Instant::now();
         arena.sigmas.resize(n, 0.0);
-        // Per-point baseline models take the dense fallback (both MLPs for
-        // every sample up front); culling and the scan's truncation still
-        // shape the composite below.
+        // Per-point baseline models take the `query_eval` fallback (density
+        // and color of every sample up front); culling and the scan's
+        // truncation still shape the composite below.
         let phased = eval_density_batch(
             model,
             &arena.points,
@@ -630,103 +629,10 @@ fn scan_spans(
     }
 }
 
-/// Renders `camera`'s image from any trained field on the default pool,
-/// with exact reference semantics ([`RenderOpts::reference`]).
-///
-/// Takes the model read-only: callers holding a model with lazily deferred
-/// optimizer updates must flush them first
-/// ([`TrainableField::sync_parameters`]); models from
-/// [`crate::train::Trainer::into_model`] are already synced.
-pub fn render_view<M: TrainableField>(
-    model: &M,
-    camera: &Camera,
-    bounds: &Aabb,
-    samples_per_ray: usize,
-) -> Image {
-    render_view_with_pool(
-        model,
-        camera,
-        bounds,
-        samples_per_ray,
-        &engine::default_pool(),
-    )
-}
-
-/// [`render_view`] on an explicit thread pool.
-pub fn render_view_with_pool<M: TrainableField>(
-    model: &M,
-    camera: &Camera,
-    bounds: &Aabb,
-    samples_per_ray: usize,
-    pool: &ThreadPool,
-) -> Image {
-    render_view_opts(
-        model,
-        camera,
-        bounds,
-        samples_per_ray,
-        None,
-        &RenderOpts::reference(),
-        pool,
-    )
-}
-
-/// [`render_view_with_pool`] with explicit fast-path switches and an
-/// optional occupancy grid (one-shot: constructs a throwaway engine; hold
-/// a [`RenderEngine`] to render allocation-free in steady state).
-pub fn render_view_opts<M: TrainableField>(
-    model: &M,
-    camera: &Camera,
-    bounds: &Aabb,
-    samples_per_ray: usize,
-    grid: Option<&OccupancyGrid>,
-    opts: &RenderOpts,
-    pool: &ThreadPool,
-) -> Image {
-    RenderEngine::default().render_view(model, camera, bounds, samples_per_ray, grid, opts, pool)
-}
-
-/// Mean PSNR of a model over a dataset's held-out test views, on the
-/// default pool with reference semantics. Read-only over the model — see
-/// [`render_view`] for the sync requirement on lazily-optimized models.
-pub fn eval_psnr<M: TrainableField>(model: &M, dataset: &Dataset, samples_per_ray: usize) -> f64 {
-    eval_psnr_with_pool(model, dataset, samples_per_ray, &engine::default_pool())
-}
-
-/// [`eval_psnr`] on an explicit thread pool.
-pub fn eval_psnr_with_pool<M: TrainableField>(
-    model: &M,
-    dataset: &Dataset,
-    samples_per_ray: usize,
-    pool: &ThreadPool,
-) -> f64 {
-    eval_psnr_opts(
-        model,
-        dataset,
-        samples_per_ray,
-        None,
-        &RenderOpts::reference(),
-        pool,
-    )
-}
-
-/// [`eval_psnr_with_pool`] with explicit fast-path switches and an
-/// optional occupancy grid (one-shot; hold a [`RenderEngine`] to evaluate
-/// allocation-free in steady state).
-pub fn eval_psnr_opts<M: TrainableField>(
-    model: &M,
-    dataset: &Dataset,
-    samples_per_ray: usize,
-    grid: Option<&OccupancyGrid>,
-    opts: &RenderOpts,
-    pool: &ThreadPool,
-) -> f64 {
-    RenderEngine::default().eval_psnr(model, dataset, samples_per_ray, grid, opts, pool)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine;
 
     #[test]
     fn reference_opts_disable_everything() {

@@ -11,7 +11,7 @@
 //!   modelling the scattered order a GPU warp scheduler produces (the iNGP
 //!   baseline).
 
-use inerf_encoding::{HashGrid, LookupTrace, TraceSink};
+use inerf_encoding::{HashGrid, TraceSink};
 use inerf_geom::{Aabb, Ray, Vec3};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -98,18 +98,11 @@ pub fn stream_batch(grid: &HashGrid, batch: &PointBatch, sink: &mut (impl TraceS
     grid.stream_batch(&batch.points, sink);
 }
 
-/// Replays a point batch through the hash grid's address generation,
-/// producing the materialized lookup trace (the buffered reference path).
-pub fn trace_batch(grid: &HashGrid, batch: &PointBatch) -> LookupTrace {
-    let mut trace = LookupTrace::new();
-    stream_batch(grid, batch, &mut trace);
-    trace
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inerf_encoding::{requests, HashFunction, HashGridConfig};
+    use inerf_encoding::requests::RegisterCacheSink;
+    use inerf_encoding::{HashFunction, HashGridConfig};
 
     fn test_rays(n: usize) -> Vec<Ray> {
         (0..n)
@@ -179,22 +172,14 @@ mod tests {
         // row requests after register-cache filtering.
         let grid = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), 5);
         let rays = test_rays(16);
-        let rf = trace_batch(
-            &grid,
-            &build_point_batch(&rays, &bounds(), 64, StreamingOrder::RayFirst, 2),
-        );
-        let rnd = trace_batch(
-            &grid,
-            &build_point_batch(&rays, &bounds(), 64, StreamingOrder::Random, 2),
-        );
-        let levels = grid.config().levels;
-        let s_rf = requests::replay_with_register_cache(&rf, levels);
-        let s_rnd = requests::replay_with_register_cache(&rnd, levels);
-        assert!(
-            s_rf.total_row_requests() < s_rnd.total_row_requests(),
-            "ray-first {} should beat random {}",
-            s_rf.total_row_requests(),
-            s_rnd.total_row_requests()
-        );
+        let row_requests = |order| {
+            let mut sink = RegisterCacheSink::new(grid.config().levels);
+            let batch = build_point_batch(&rays, &bounds(), 64, order, 2);
+            stream_batch(&grid, &batch, &mut sink);
+            sink.stats().total_row_requests()
+        };
+        let rf = row_requests(StreamingOrder::RayFirst);
+        let rnd = row_requests(StreamingOrder::Random);
+        assert!(rf < rnd, "ray-first {rf} should beat random {rnd}");
     }
 }

@@ -1,4 +1,5 @@
-//! The training loop: batches, rendering, loss, backprop, evaluation.
+//! The training loop: batches, loss, backprop; evaluation through the
+//! render engine.
 
 pub mod checkpoint;
 
@@ -21,11 +22,6 @@ use rand::{Rng, SeedableRng};
 use rayon::ThreadPool;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-// Rendering and PSNR evaluation moved to the dedicated render engine in
-// PR 10; re-exported here so existing `train::render_view`-style paths
-// keep working.
-pub use crate::render::{eval_psnr, eval_psnr_with_pool, render_view, render_view_with_pool};
 
 /// Which implementation drives the training/inference hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -553,16 +549,34 @@ impl<M: TrainableField> Trainer<M> {
     /// Chunk boundaries and reduction orders are thread-count-independent,
     /// so a fixed seed gives a bitwise-identical trajectory at any pool
     /// size.
+    ///
+    /// A per-point model (its density phase returns `false`: the Tab. IV
+    /// baselines) takes [`Trainer::step_scalar`] instead — this engine over
+    /// per-point `query`/`backward` loops would be that one bit for bit
+    /// (`composite_spans` ≡ `composite` per ray, `l2_loss_into` ≡
+    /// `l2_loss`).
     fn step_batched(&mut self) -> f64 {
-        let Trainer {
-            model, arena, pool, ..
-        } = self;
-        let n = arena.points.len();
-        let m = arena.spans.len();
+        let n = self.arena.points.len();
         // Stage buffers come from the arena: `resize` reuses capacity, and
         // every stage fully overwrites its buffer, so stale prefixes from a
         // previous iteration are never read.
-        arena.sigmas.resize(n, 0.0);
+        self.arena.sigmas.resize(n, 0.0);
+        // Step (c): batched model query (encode → MLPs), chunk-parallel
+        // inside the model. The density phase runs first, so compaction can
+        // drop samples past each ray's termination point (where
+        // transmittance is exactly 0.0) before the color pipeline runs;
+        // `scan_live_samples` proves the drop is bitwise-free (see
+        // DESIGN.md).
+        if !self
+            .model
+            .query_batch_density(&self.arena.points, &mut self.arena.sigmas, &self.pool)
+        {
+            return self.step_scalar();
+        }
+        let Trainer {
+            model, arena, pool, ..
+        } = self;
+        let m = arena.spans.len();
         arena.rgbs.resize(n, Vec3::ZERO);
         arena.ray_colors.resize(m, Vec3::ZERO);
         arena.backgrounds.resize(m, 0.0);
@@ -570,26 +584,9 @@ impl<M: TrainableField> Trainer<M> {
         arena.trans_after.resize(n, 0.0);
         arena.d_sigmas.resize(n, 0.0);
         arena.d_colors.resize(n, Vec3::ZERO);
-        // Step (c): batched model query (encode → MLPs), chunk-parallel
-        // inside the model. Phased models run the density phase first, so
-        // occupancy-driven compaction can drop samples past each ray's
-        // termination point (where transmittance is exactly 0.0) before the
-        // color pipeline runs; `scan_live_samples` proves the drop is
-        // bitwise-free (see DESIGN.md).
-        let phased = model.query_batch_density(&arena.points, &mut arena.sigmas, pool);
-        if phased {
-            let dts = arena.has_dts.then_some(arena.dts.as_slice());
-            engine::scan_live_samples(&arena.sigmas, &arena.spans, dts, &mut arena.live);
-            model.query_batch_color_compacted(&arena.dirs, &arena.live, &mut arena.rgbs, pool);
-        } else {
-            model.query_batch(
-                &arena.points,
-                &arena.dirs,
-                &mut arena.sigmas,
-                &mut arena.rgbs,
-                pool,
-            );
-        }
+        let dts = arena.has_dts.then_some(arena.dts.as_slice());
+        engine::scan_live_samples(&arena.sigmas, &arena.spans, dts, &mut arena.live);
+        model.query_batch_color_compacted(&arena.dirs, &arena.live, &mut arena.rgbs, pool);
         // Step (d): volume rendering, parallel over fixed ray chunks. The
         // per-chunk output slices are carved off the arena buffers in chunk
         // order (no per-iteration slice vectors).
@@ -670,11 +667,7 @@ impl<M: TrainableField> Trainer<M> {
                 }
             });
         }
-        if phased {
-            model.backward_batch_compacted(&arena.d_sigmas, &arena.d_colors, pool);
-        } else {
-            model.backward_batch(&arena.d_sigmas, &arena.d_colors, pool);
-        }
+        model.backward_batch_compacted(&arena.d_sigmas, &arena.d_colors, pool);
         loss
     }
 
@@ -864,8 +857,8 @@ mod compaction_tests {
 
     /// A deterministic analytic field dense enough that rays terminate
     /// (transmittance reaches exactly 0.0) partway through their samples.
-    /// It implements both the dense and the phased/compacted batched entry
-    /// points and records the gradients the engine feeds back, so the test
+    /// It implements both the per-point and the phased entry points and
+    /// records the gradients the engine feeds back, so the test
     /// below can prove occupancy-driven compaction is a bitwise no-op while
     /// actually skipping color work.
     #[derive(Debug, Clone, Default)]
@@ -952,9 +945,11 @@ mod compaction_tests {
             &mut self,
             d_sigmas: &[f32],
             d_colors: &[Vec3],
-            pool: &ThreadPool,
+            _pool: &ThreadPool,
         ) {
-            self.backward_batch(d_sigmas, d_colors, pool);
+            for (i, (&ds, &dc)) in d_sigmas.iter().zip(d_colors).enumerate() {
+                self.backward(i, ds, dc);
+            }
         }
     }
 

@@ -5,7 +5,7 @@
 //! * With [`RenderOpts::reference`] its output is **bitwise-identical** to
 //!   the pre-engine naive renderer (replicated verbatim below), per pixel,
 //!   for both trainer engines × both parameter precisions × 1/2/8 threads,
-//!   and for per-point models taking the dense fallback.
+//!   and for per-point models taking the `query_eval` fallback.
 //! * Early ray termination at the default threshold costs less than
 //!   0.1 dB of PSNR on a zoo scene.
 //! * Steady-state renders grow no pooled buffer (`growth_events` stays
@@ -16,19 +16,20 @@ use inerf_mlp::Precision;
 use inerf_render::volume::{composite_spans, RayBatch, RaySpan};
 use inerf_scenes::{zoo, DatasetConfig, Image};
 use inerf_trainer::baselines::NerfLite;
-use inerf_trainer::render::{self, RenderOpts, EARLY_TERM_THRESHOLD};
+use inerf_trainer::render::{RenderEngine, RenderOpts, EARLY_TERM_THRESHOLD};
 use inerf_trainer::{engine, Engine, IngpModel, ModelConfig, TrainConfig, TrainableField, Trainer};
 
 /// The pre-engine `render_view_with_pool`, replicated verbatim (2048
 /// *hit*-pixel blocks, per-block `vec!` allocations, serial ray
-/// generation, dense query of both MLPs, wide composite kernel) — the
-/// golden reference the engine's opts-off output must match bit for bit.
+/// generation, dense query of both MLPs, wide composite kernel) except
+/// that it queries point by point through `query_eval`, the scalar oracle —
+/// the golden reference the engine's opts-off output must match bit for
+/// bit.
 fn render_view_naive<M: TrainableField>(
     model: &M,
     camera: &Camera,
     bounds: &Aabb,
     samples_per_ray: usize,
-    pool: &rayon::ThreadPool,
 ) -> Image {
     const RENDER_PIXEL_BLOCK: usize = 2048;
     let mut img = Image::new(camera.width, camera.height);
@@ -45,9 +46,11 @@ fn render_view_naive<M: TrainableField>(
             return;
         }
         let n = points.len();
-        let mut sigmas = vec![0.0f32; n];
-        let mut rgbs = vec![Vec3::ZERO; n];
-        model.query_eval_batch(points, dirs, &mut sigmas, &mut rgbs, pool);
+        let (sigmas, rgbs): (Vec<f32>, Vec<Vec3>) = points
+            .iter()
+            .zip(dirs.iter())
+            .map(|(&p, &d)| model.query_eval(p, d))
+            .unzip();
         let mut ray_colors = vec![Vec3::ZERO; spans.len()];
         let mut backgrounds = vec![0.0f32; spans.len()];
         let mut weights = vec![0.0f32; n];
@@ -136,11 +139,10 @@ fn reference_opts_match_the_naive_renderer_bitwise() {
             trainer.train(&dataset, 4);
             let model = trainer.into_model();
             let camera = &dataset.test_views[0].camera;
-            let golden =
-                render_view_naive(&model, camera, &dataset.bounds, spp, &engine::build_pool(1));
+            let golden = render_view_naive(&model, camera, &dataset.bounds, spp);
             for threads in [1usize, 2, 8] {
                 let pool = engine::build_pool(threads);
-                let fast = render::render_view_opts(
+                let fast = RenderEngine::default().render_view(
                     &model,
                     camera,
                     &dataset.bounds,
@@ -162,15 +164,14 @@ fn reference_opts_match_the_naive_renderer_bitwise() {
 #[test]
 fn per_point_models_take_the_dense_fallback_bitwise() {
     // A baseline model without phased evaluation exercises the engine's
-    // dense `query_eval_batch` fallback; the reference contract holds
-    // there too.
+    // `query_eval` fallback; the reference contract holds there too.
     let scene = zoo::scene(zoo::SceneKind::Hotdog);
     let dataset = DatasetConfig::tiny().generate(&scene);
     let model = NerfLite::new(2, 8, 7);
     let camera = &dataset.test_views[0].camera;
     let pool = engine::build_pool(2);
-    let golden = render_view_naive(&model, camera, &dataset.bounds, 16, &pool);
-    let fast = render::render_view_opts(
+    let golden = render_view_naive(&model, camera, &dataset.bounds, 16);
+    let fast = RenderEngine::default().render_view(
         &model,
         camera,
         &dataset.bounds,
@@ -192,14 +193,20 @@ fn early_termination_costs_under_a_tenth_db() {
     trainer.train(&dataset, 20);
     let model = trainer.into_model();
     let pool = engine::build_pool(2);
-    let psnr_ref =
-        render::eval_psnr_opts(&model, &dataset, spp, None, &RenderOpts::reference(), &pool);
+    let psnr_ref = RenderEngine::default().eval_psnr(
+        &model,
+        &dataset,
+        spp,
+        None,
+        &RenderOpts::reference(),
+        &pool,
+    );
     let early = RenderOpts {
         culling: false,
         early_term: true,
         early_term_threshold: EARLY_TERM_THRESHOLD,
     };
-    let psnr_early = render::eval_psnr_opts(&model, &dataset, spp, None, &early, &pool);
+    let psnr_early = RenderEngine::default().eval_psnr(&model, &dataset, spp, None, &early, &pool);
     assert!(
         psnr_ref - psnr_early < 0.1,
         "early termination dropped PSNR by {} dB (reference {psnr_ref}, early {psnr_early})",
