@@ -6,9 +6,9 @@
 //! requests and replayed through the cycle-level NMP memory simulator
 //! *online* — no materialized [`inerf_encoding::LookupTrace`], no
 //! run-length-proportional buffering. At each `end_batch` (one training
-//! iteration) it produces the same [`IterationEstimate`] the offline
-//! [`PipelineModel::estimate_iteration`] path computes from a buffered
-//! trace, bit-identically, and folds it into running totals.
+//! iteration) it produces the [`IterationEstimate`] a fresh
+//! [`PipelineModel::iteration_sink`] fed the same iteration yields,
+//! bit-identically, and folds it into running totals.
 
 use crate::pipeline::{IterationEstimate, PipelineModel, SceneEstimate};
 use inerf_dram::SimStats;
@@ -165,21 +165,9 @@ impl TraceSink for CosimSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inerf_encoding::{HashFunction, HashGrid, LookupTrace};
-    use inerf_geom::Vec3;
+    use crate::testutil::ray_points;
+    use inerf_encoding::{BufferSink, HashFunction, HashGrid};
     use inerf_trainer::ModelConfig;
-
-    fn ray_points(rays: usize, samples: usize) -> Vec<Vec3> {
-        let mut pts = Vec::new();
-        for r in 0..rays {
-            let y = 0.05 + 0.9 * r as f32 / rays as f32;
-            for s in 0..samples {
-                let x = (s as f32 + 0.5) / samples as f32;
-                pts.push(Vec3::new(x, y, 0.45));
-            }
-        }
-        pts
-    }
 
     #[test]
     fn online_iterations_match_offline_estimates_bitwise() {
@@ -191,11 +179,15 @@ mod tests {
         let mut offline_pipelined = 0.0f64;
         let mut offline_energy = 0.0f64;
         for iter in 0..3 {
-            let pts = ray_points(2 + iter, 64);
-            let mut trace = LookupTrace::new();
+            let pts = ray_points(2 + iter, 64, 0.45);
+            let mut trace = BufferSink::new();
             grid.stream_batch(&pts, &mut (&mut cosim, &mut trace));
             cosim.end_batch();
-            let est = pm.estimate_iteration(&trace, pts.len() as u64, batch);
+            // The recorded iteration through a fresh sink: the reused
+            // sink's in-place resets must leave no trace of earlier ones.
+            let mut fresh = pm.iteration_sink();
+            trace.replay(&mut fresh);
+            let est = pm.estimate_streamed(&mut fresh, batch);
             offline_pipelined += est.pipelined_seconds;
             offline_energy += est.dram_energy_pj;
             assert_eq!(
@@ -230,7 +222,7 @@ mod tests {
         let model_cfg = ModelConfig::paper(HashFunction::Morton);
         let grid = HashGrid::new(model_cfg.grid, 3);
         let mut cosim = CosimSink::new(PipelineModel::paper(model_cfg), 4096);
-        let pts = ray_points(4, 64);
+        let pts = ray_points(4, 64, 0.45);
         grid.stream_batch(&pts, &mut cosim);
         cosim.end_batch();
         let after_first = cosim.state_bytes();
@@ -255,7 +247,7 @@ mod tests {
         // statistics say how much traffic they leave out.
         let mut model_cfg = ModelConfig::paper(HashFunction::Morton);
         model_cfg.grid.table_size_log2 = 12;
-        let pts = ray_points(2, 32);
+        let pts = ray_points(2, 32, 0.45);
         for (levels, dropped) in [(16, 0), (17, pts.len() as u64)] {
             model_cfg.grid.levels = levels;
             let grid = HashGrid::new(model_cfg.grid, 3);

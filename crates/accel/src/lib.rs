@@ -19,8 +19,8 @@
 //!   (Sec. IV-C): parameter parallelism for HT/HT_b, data parallelism for
 //!   MLP/MLP_b, and the four inter-bank data-movement categories of Fig. 10.
 //! * [`pipeline`] — end-to-end per-iteration and per-scene training
-//!   time/energy estimation (the Fig. 11 numbers), fed either from a
-//!   materialized trace or online from the streaming trace bus.
+//!   time/energy estimation (the Fig. 11 numbers), fed online from the
+//!   streaming trace bus.
 //! * [`cosim`] — the trainer-facing co-simulation sink: plugs into the
 //!   training loop's trace-bus slot and simulates the NMP memory system
 //!   per iteration, at constant memory, while training runs.
@@ -52,3 +52,6 @@ pub use cosim::{CosimSink, CosimStats};
 pub use mapping::{HashTableMapping, MappingScheme, RequestConsumer, RequestSink, RequestStream};
 pub use parallel::{MovementBreakdown, ParallelismKind, ParallelismPlan};
 pub use pipeline::{IterationEstimate, IterationSink, PipelineModel, StepTime};
+
+#[cfg(test)]
+mod testutil;

@@ -13,7 +13,7 @@
 
 use inerf_dram::{AccessKind, DramConfig, DramSim, PhysAddr, Request};
 use inerf_encoding::trace::CubeLookup;
-use inerf_encoding::{EntryLayout, LookupTrace, TraceSink};
+use inerf_encoding::{EntryLayout, TraceSink};
 use serde::{Deserialize, Serialize};
 
 /// Inter-level bank-assignment policy.
@@ -30,7 +30,7 @@ pub enum MappingScheme {
 }
 
 /// Maps `(level, entry)` hash-table coordinates to physical DRAM addresses
-/// and generates request streams from lookup traces.
+/// (request streams are generated from it by [`RequestStream`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HashTableMapping {
     scheme: MappingScheme,
@@ -169,27 +169,6 @@ impl HashTableMapping {
             row: row % dram.rows_per_subarray,
             col: (entry % entries_per_row) * self.layout.entry_bytes(),
         }
-    }
-
-    /// Generates the DRAM request stream of the HT step for a lookup trace.
-    ///
-    /// The materialized-trace wrapper over [`RequestStream`]: streams the
-    /// trace's cubes through the same online state machine, so the two
-    /// paths are bit-identical by construction. See [`RequestStream`] for
-    /// the datapath semantics.
-    pub fn requests_for_trace(
-        &self,
-        trace: &LookupTrace,
-        dram: &DramConfig,
-        write_back: bool,
-    ) -> Vec<Request> {
-        let mut out = Vec::new();
-        let mut stream = RequestStream::new(self, dram, write_back);
-        for cube in trace.cubes() {
-            stream.push_cube(cube, |r| out.push(r));
-        }
-        stream.end_batch(|r| out.push(r));
-        out
     }
 }
 
@@ -582,8 +561,9 @@ impl<C: RequestConsumer> TraceSink for RequestSink<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::ray_points;
     use inerf_encoding::requests::ENTRIES_PER_ROW;
-    use inerf_encoding::{HashFunction, HashGrid, HashGridConfig};
+    use inerf_encoding::{BufferSink, HashFunction, HashGrid, HashGridConfig};
     use inerf_geom::Vec3;
     use proptest::prelude::*;
 
@@ -666,25 +646,26 @@ mod tests {
         assert_ne!((a.subarray, a.row), (b.subarray, b.row));
     }
 
-    fn ray_trace(grid: &HashGrid, rays: usize, samples: usize) -> LookupTrace {
-        let mut t = LookupTrace::new();
-        for r in 0..rays {
-            let y = 0.05 + 0.9 * r as f32 / rays as f32;
-            for s in 0..samples {
-                let x = (s as f32 + 0.5) / samples as f32;
-                t.push_point(&grid.cube_lookups(Vec3::new(x, y, 0.4)));
-            }
-        }
-        t
+    /// The requests of `points` streamed through `grid` as one batch.
+    fn requests(
+        m: &HashTableMapping,
+        dram: &DramConfig,
+        write_back: bool,
+        grid: &HashGrid,
+        points: &[Vec3],
+    ) -> Vec<Request> {
+        let mut sink = RequestSink::new(RequestStream::new(m, dram, write_back), Vec::new());
+        grid.stream_batch(points, &mut sink);
+        sink.end_batch();
+        sink.consumer
     }
 
     #[test]
     fn request_generation_filters_reuse() {
         let grid = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), 3);
-        let trace = ray_trace(&grid, 4, 64);
         let m = HashTableMapping::paper(MappingScheme::Clustered, 8);
         let dram = DramConfig::paper(8);
-        let reqs = m.requests_for_trace(&trace, &dram, false);
+        let reqs = requests(&m, &dram, false, &grid, &ray_points(4, 64, 0.4));
         // Without any filtering there would be 4*64*16*8 = 32768 accesses;
         // reuse must cut this by a large factor.
         assert!(!reqs.is_empty());
@@ -699,11 +680,11 @@ mod tests {
     #[test]
     fn write_back_appends_batched_drain() {
         let grid = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), 3);
-        let trace = ray_trace(&grid, 2, 32);
+        let points = ray_points(2, 32, 0.4);
         let m = HashTableMapping::paper(MappingScheme::Clustered, 8);
         let dram = DramConfig::paper(8);
-        let rd = m.requests_for_trace(&trace, &dram, false);
-        let rw = m.requests_for_trace(&trace, &dram, true);
+        let rd = requests(&m, &dram, false, &grid, &points);
+        let rw = requests(&m, &dram, true, &grid, &points);
         let writes: Vec<_> = rw.iter().filter(|r| r.kind == AccessKind::Write).collect();
         // Reads are identical; writes cover each touched row exactly once.
         assert_eq!(rw.len() - writes.len(), rd.len());
@@ -727,40 +708,34 @@ mod tests {
     }
 
     #[test]
-    fn streamed_requests_match_materialized_replay_bitwise() {
-        // The sink path must produce the exact request sequence of
-        // requests_for_trace, batch by batch, including the write drain.
+    fn a_second_identical_batch_repeats_the_request_sequence() {
+        // `end_batch` resets the register state (and drains the touched
+        // rows), so one stream serves a run batch by batch.
         let grid = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), 9);
         let m = HashTableMapping::paper(MappingScheme::Clustered, 8);
         let dram = DramConfig::paper(8);
+        let points = ray_points(3, 48, 0.4);
         for write_back in [false, true] {
-            let trace = ray_trace(&grid, 3, 48);
-            let reference = m.requests_for_trace(&trace, &dram, write_back);
-            let mut sink = RequestSink::new(
-                RequestStream::new(&m, &dram, write_back),
-                Vec::<Request>::new(),
+            let mut sink = RequestSink::new(RequestStream::new(&m, &dram, write_back), Vec::new());
+            grid.stream_batch(&points, &mut sink);
+            sink.end_batch();
+            let first = sink.consumer().clone();
+            assert!(!first.is_empty());
+            grid.stream_batch(&points, &mut sink);
+            sink.end_batch();
+            assert_eq!(sink.consumer().len(), 2 * first.len());
+            assert_eq!(
+                &sink.consumer()[first.len()..],
+                &first[..],
+                "write_back={write_back}"
             );
-            use inerf_encoding::TraceSink;
-            for cube in trace.cubes() {
-                sink.push_cube(cube);
-            }
-            sink.end_batch();
-            assert_eq!(&reference, sink.consumer(), "write_back={write_back}");
-            // A second identical batch through the same stream must repeat
-            // the sequence exactly (end_batch reset the register state).
-            for cube in trace.cubes() {
-                sink.push_cube(cube);
-            }
-            sink.end_batch();
-            assert_eq!(sink.consumer().len(), 2 * reference.len());
-            assert_eq!(&sink.consumer()[reference.len()..], &reference[..]);
         }
     }
 
     #[test]
     fn f32_entries_widen_rows_and_increase_requests() {
         let grid = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), 3);
-        let trace = ray_trace(&grid, 4, 64);
+        let points = ray_points(4, 64, 0.4);
         let dram = DramConfig::paper(8);
         let fp16 = HashTableMapping::paper(MappingScheme::Clustered, 8);
         let f32m = HashTableMapping::paper(MappingScheme::Clustered, 8).with_entry_bytes(8);
@@ -772,8 +747,8 @@ mod tests {
         assert_eq!(b.col, 2 * a.col);
         // On the same lookup stream, wider entries scatter cubes over more
         // rows, so the request stream grows.
-        let r16 = fp16.requests_for_trace(&trace, &dram, false);
-        let r32 = f32m.requests_for_trace(&trace, &dram, false);
+        let r16 = requests(&fp16, &dram, false, &grid, &points);
+        let r32 = requests(&f32m, &dram, false, &grid, &points);
         assert!(
             r32.len() > r16.len(),
             "f32 rows {} should exceed fp16 rows {}",
@@ -790,8 +765,9 @@ mod tests {
         let og = HashGrid::new(HashGridConfig::paper(HashFunction::Original), 3);
         let m = HashTableMapping::paper(MappingScheme::Clustered, 8);
         let dram = DramConfig::paper(8);
-        let rm = m.requests_for_trace(&ray_trace(&mg, 8, 64), &dram, false);
-        let ro = m.requests_for_trace(&ray_trace(&og, 8, 64), &dram, false);
+        let points = ray_points(8, 64, 0.4);
+        let rm = requests(&m, &dram, false, &mg, &points);
+        let ro = requests(&m, &dram, false, &og, &points);
         assert!(
             (rm.len() as f64) < 0.8 * ro.len() as f64,
             "Morton {} vs original {}",
@@ -953,12 +929,16 @@ mod tests {
         for hash in [HashFunction::Morton, HashFunction::Original] {
             let grid = small_deep_grid(hash, 16);
             let mut batches = Vec::new();
-            for (n, seed) in [(96, 1), (0, 2), (160, 3)] {
-                let mut trace = LookupTrace::new();
-                grid.stream_batch(&scattered_points(n, seed), &mut trace);
+            for points in [
+                scattered_points(96, 1),
+                scattered_points(0, 2),
+                scattered_points(160, 3),
+                ray_points(2, 48, 0.4),
+            ] {
+                let mut trace = BufferSink::new();
+                grid.stream_batch(&points, &mut trace);
                 batches.push(trace.cubes().to_vec());
             }
-            batches.push(ray_trace(&grid, 2, 48).cubes().to_vec());
             for (m, dram) in configurations() {
                 for write_back in [false, true] {
                     let mut sink = RequestSink::new(

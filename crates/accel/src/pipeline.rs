@@ -16,7 +16,7 @@ use crate::microarch::{bank_compute_cycles_at, cycles_to_seconds};
 use crate::parallel::{bus_bytes_at, ParallelismPlan};
 use inerf_dram::{DramSim, SimStats};
 use inerf_encoding::trace::CubeLookup;
-use inerf_encoding::{LookupTrace, Precision, TraceSink};
+use inerf_encoding::{Precision, TraceSink};
 use inerf_trainer::workload::{mlp_combined_sizes_at, Step};
 use inerf_trainer::ModelConfig;
 use serde::{Deserialize, Serialize};
@@ -174,37 +174,11 @@ impl PipelineModel {
         self.estimate_iteration_from_stats(&ht_stats, &htb_stats, points.max(1), batch_points)
     }
 
-    /// Estimates one training iteration from a sampled lookup trace.
-    ///
-    /// `trace` covers `trace_points` sample points; results are scaled to
-    /// the full `batch_points` batch (DRAM makespans scale linearly in the
-    /// request count at fixed locality, which the trace preserves).
-    ///
-    /// This is the materialized wrapper over the streaming path: the trace
-    /// is replayed through [`PipelineModel::iteration_sink`], so buffered
-    /// and online estimates are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trace_points` is zero.
-    pub fn estimate_iteration(
-        &self,
-        trace: &LookupTrace,
-        trace_points: u64,
-        batch_points: u64,
-    ) -> IterationEstimate {
-        assert!(trace_points > 0, "need a non-empty trace sample");
-        let mut sink = self.iteration_sink();
-        for cube in trace.cubes() {
-            sink.push_cube(cube);
-        }
-        let (ht_stats, htb_stats, _) = sink.drain();
-        self.estimate_iteration_from_stats(&ht_stats, &htb_stats, trace_points, batch_points)
-    }
-
     /// Assembles the iteration estimate from already-simulated HT/HT_b
-    /// DRAM statistics covering `trace_points` sample points — the core
-    /// both the buffered and the online co-simulation paths share.
+    /// DRAM statistics covering `trace_points` sample points; results are
+    /// scaled to the full `batch_points` batch (DRAM makespans scale
+    /// linearly in the request count at fixed locality, which the sample
+    /// preserves).
     ///
     /// # Panics
     ///
@@ -425,35 +399,35 @@ impl TraceSink for IterationSink {
 mod tests {
     use super::*;
     use crate::mapping::{MappingScheme, RequestSink};
+    use crate::testutil::ray_points;
     use inerf_encoding::{HashFunction, HashGrid};
     use inerf_geom::Vec3;
     use proptest::prelude::*;
 
-    fn ray_trace(grid: &HashGrid, rays: usize, samples: usize) -> (LookupTrace, u64) {
-        let mut t = LookupTrace::new();
-        for r in 0..rays {
-            let y = 0.05 + 0.9 * r as f32 / rays as f32;
-            for s in 0..samples {
-                let x = (s as f32 + 0.5) / samples as f32;
-                t.push_point(&grid.cube_lookups(Vec3::new(x, y, 0.45)));
-            }
-        }
-        ((t, (rays * samples) as u64).0, (rays * samples) as u64)
-    }
-
-    fn paper_setup() -> (PipelineModel, LookupTrace, u64) {
+    fn paper_setup() -> (PipelineModel, HashGrid, Vec<Vec3>) {
         let model = ModelConfig::paper(HashFunction::Morton);
         let grid = HashGrid::new(model.grid, 7);
         // The paper's batch shape: 128 samples per ray (2 K rays × 128 =
         // 256 K points); a 4-ray sample preserves the per-ray locality.
-        let (trace, n) = ray_trace(&grid, 4, 128);
-        (PipelineModel::paper(model), trace, n)
+        (PipelineModel::paper(model), grid, ray_points(4, 128, 0.45))
+    }
+
+    /// One iteration's estimate from `points` streamed through `grid`.
+    fn estimate(
+        pm: &PipelineModel,
+        grid: &HashGrid,
+        points: &[Vec3],
+        batch_points: u64,
+    ) -> IterationEstimate {
+        let mut sink = pm.iteration_sink();
+        grid.stream_batch(points, &mut sink);
+        pm.estimate_streamed(&mut sink, batch_points)
     }
 
     #[test]
     fn iteration_estimate_is_positive_and_consistent() {
-        let (pm, trace, n) = paper_setup();
-        let est = pm.estimate_iteration(&trace, n, 256 * 1024);
+        let (pm, grid, points) = paper_setup();
+        let est = estimate(&pm, &grid, &points, 256 * 1024);
         assert!(est.pipelined_seconds > 0.0);
         assert!(est.serial_seconds >= est.pipelined_seconds);
         assert_eq!(est.steps.len(), 6);
@@ -467,8 +441,8 @@ mod tests {
     fn iteration_time_in_plausible_band() {
         // Paper: XNX needs ~202 ms/iteration; the accelerator's 22–49x
         // speedup implies ~4–10 ms/iteration. Allow a generous band.
-        let (pm, trace, n) = paper_setup();
-        let est = pm.estimate_iteration(&trace, n, 256 * 1024);
+        let (pm, grid, points) = paper_setup();
+        let est = estimate(&pm, &grid, &points, 256 * 1024);
         let ms = est.pipelined_seconds * 1e3;
         assert!(
             (1.0..20.0).contains(&ms),
@@ -478,8 +452,8 @@ mod tests {
 
     #[test]
     fn pipelining_beats_serial_execution() {
-        let (pm, trace, n) = paper_setup();
-        let est = pm.estimate_iteration(&trace, n, 256 * 1024);
+        let (pm, grid, points) = paper_setup();
+        let est = estimate(&pm, &grid, &points, 256 * 1024);
         assert!(
             est.pipelined_seconds < 0.8 * est.serial_seconds,
             "pipelining should hide a substantial share: {} vs {}",
@@ -495,10 +469,9 @@ mod tests {
         let model_o = ModelConfig::paper(HashFunction::Original);
         let gm = HashGrid::new(model_m.grid, 7);
         let go = HashGrid::new(model_o.grid, 7);
-        let (tm, n) = ray_trace(&gm, 4, 128);
-        let (to, _) = ray_trace(&go, 4, 128);
-        let em = PipelineModel::paper(model_m).estimate_iteration(&tm, n, 256 * 1024);
-        let eo = PipelineModel::paper(model_o).estimate_iteration(&to, n, 256 * 1024);
+        let points = ray_points(4, 128, 0.45);
+        let em = estimate(&PipelineModel::paper(model_m), &gm, &points, 256 * 1024);
+        let eo = estimate(&PipelineModel::paper(model_o), &go, &points, 256 * 1024);
         let ht_m = em.step_seconds(Step::Ht);
         let ht_o = eo.step_seconds(Step::Ht);
         assert!(ht_m < ht_o, "Morton HT {ht_m} should beat original {ht_o}");
@@ -508,19 +481,15 @@ mod tests {
     fn subarray_spreading_reduces_conflicts() {
         let model = ModelConfig::paper(HashFunction::Morton);
         let grid = HashGrid::new(model.grid, 7);
-        let (trace, n) = ray_trace(&grid, 4, 128);
+        let points = ray_points(4, 128, 0.45);
         let spread = PipelineModel::paper(model)
             .with_mapping(HashTableMapping::paper(MappingScheme::Clustered, 8), 8);
         let no_spread = PipelineModel::paper(model).with_mapping(
             HashTableMapping::paper(MappingScheme::ClusteredNoSpread, 8),
             8,
         );
-        let cs = spread
-            .estimate_iteration(&trace, n, 64 * 1024)
-            .ht_bank_conflicts;
-        let cn = no_spread
-            .estimate_iteration(&trace, n, 64 * 1024)
-            .ht_bank_conflicts;
+        let cs = estimate(&spread, &grid, &points, 64 * 1024).ht_bank_conflicts;
+        let cn = estimate(&no_spread, &grid, &points, 64 * 1024).ht_bank_conflicts;
         assert!(
             cs <= cn,
             "intra-level spreading should not increase conflicts: {cs} vs {cn}"
@@ -529,21 +498,21 @@ mod tests {
 
     #[test]
     fn fp16_storage_is_the_default_and_f32_costs_more() {
-        let (pm, trace, n) = paper_setup();
+        let (pm, grid, points) = paper_setup();
         assert_eq!(pm.precision(), Precision::Fp16);
-        let fp16 = pm.clone().estimate_iteration(&trace, n, 256 * 1024);
+        let fp16 = estimate(&pm, &grid, &points, 256 * 1024);
         // Asking for fp16 explicitly is a no-op: the paper model already
         // assumes 4-byte entries.
-        let explicit = pm
-            .clone()
-            .with_precision(Precision::Fp16)
-            .estimate_iteration(&trace, n, 256 * 1024);
-        assert_eq!(explicit, fp16);
+        let explicit = pm.clone().with_precision(Precision::Fp16);
+        assert_eq!(estimate(&explicit, &grid, &points, 256 * 1024), fp16);
         // f32 storage doubles the entry width: more rows touched on the
         // same stream, more bytes streamed, more energy.
-        let f32e = pm
-            .with_precision(Precision::F32)
-            .estimate_iteration(&trace, n, 256 * 1024);
+        let f32e = estimate(
+            &pm.with_precision(Precision::F32),
+            &grid,
+            &points,
+            256 * 1024,
+        );
         assert!(
             f32e.dram_energy_pj > fp16.dram_energy_pj,
             "f32 energy {} should exceed fp16 {}",
@@ -561,8 +530,8 @@ mod tests {
 
     #[test]
     fn scene_estimate_scales_with_iterations() {
-        let (pm, trace, n) = paper_setup();
-        let est = pm.estimate_iteration(&trace, n, 256 * 1024);
+        let (pm, grid, points) = paper_setup();
+        let est = estimate(&pm, &grid, &points, 256 * 1024);
         let one = pm.scene_estimate(&est, 1000);
         let ten = pm.scene_estimate(&est, 10_000);
         assert!((ten.training_seconds / one.training_seconds - 10.0).abs() < 1e-9);
@@ -571,16 +540,10 @@ mod tests {
 
     #[test]
     fn heterogeneous_plan_minimizes_bus_time() {
-        let (pm, trace, n) = paper_setup();
-        let paper = pm
-            .clone()
-            .estimate_iteration(&trace, n, 256 * 1024)
-            .bus_seconds;
-        let all_data = pm
-            .clone()
-            .with_plan(ParallelismPlan::all_data())
-            .estimate_iteration(&trace, n, 256 * 1024)
-            .bus_seconds;
+        let (pm, grid, points) = paper_setup();
+        let paper = estimate(&pm, &grid, &points, 256 * 1024).bus_seconds;
+        let all_data = pm.with_plan(ParallelismPlan::all_data());
+        let all_data = estimate(&all_data, &grid, &points, 256 * 1024).bus_seconds;
         assert!(paper < all_data, "paper bus {paper} vs all-data {all_data}");
     }
 

@@ -69,7 +69,7 @@ struct ThroughputReport {
     /// Timing windows per engine; the recorded rate is their median.
     timing_windows: usize,
     threads: usize,
-    /// Grid-optimizer path of the timed runs (`INERF_OPT`).
+    /// Grid-optimizer path of the timed runs.
     opt_path: String,
     /// Active SIMD backend (`INERF_SIMD` / runtime detection).
     backend: String,
@@ -403,7 +403,7 @@ fn bench(c: &mut Criterion) {
         timed_iterations: iters,
         timing_windows: windows,
         threads,
-        opt_path: inerf_trainer::OptPath::from_env().label().to_string(),
+        opt_path: cfg.opt.label().to_string(),
         backend: inerf_simd::backend().name().to_string(),
         simd_lanes: inerf_simd::f32x8::LANES,
         scalar_points_per_sec: scalar,

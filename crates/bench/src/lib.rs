@@ -1,4 +1,5 @@
-//! Shared helpers for the benchmark harness.
+//! The benchmark harness: the Criterion benches under `benches/` and the
+//! end-to-end `inerf-bench` binary under `src/bin/`.
 //!
 //! Every bench regenerates one table or figure of the paper (printing the
 //! same rows/series) and times the computational kernel behind it with
@@ -6,19 +7,3 @@
 
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
-
-use inerf_encoding::{HashGrid, LookupTrace};
-use inerf_geom::Vec3;
-
-/// Builds a deterministic ray-first lookup trace of `rays × samples` points.
-pub fn ray_first_trace(grid: &HashGrid, rays: usize, samples: usize) -> (LookupTrace, u64) {
-    let mut t = LookupTrace::new();
-    for r in 0..rays {
-        let y = 0.04 + 0.9 * r as f32 / rays.max(1) as f32;
-        for s in 0..samples {
-            let x = (s as f32 + 0.5) / samples as f32;
-            t.push_point(&grid.cube_lookups(Vec3::new(x, y, 0.41)));
-        }
-    }
-    (t, (rays * samples) as u64)
-}

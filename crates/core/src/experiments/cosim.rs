@@ -10,8 +10,9 @@
 //!   stream is mapped to DRAM requests and replayed through the
 //!   cycle-level simulator as training executes, at constant trace memory.
 //! * **buffered** — the reference: every iteration's trace is materialized
-//!   (memory grows with run length), then replayed offline through
-//!   [`PipelineModel::estimate_iteration`].
+//!   (memory grows with run length), then replayed offline, each through
+//!   a fresh [`PipelineModel::iteration_sink`] — which also checks the
+//!   reused online sink's in-place resets.
 //!
 //! The two must agree bit-for-bit on the simulated quantities; the
 //! experiment records both throughputs and both peak trace-memory
@@ -136,7 +137,9 @@ pub fn run(engine: Engine, iterations: usize, seed: u64) -> CosimResult {
         if trace.point_count() == 0 {
             continue; // matches the online path skipping empty iterations
         }
-        let est = pipeline.estimate_iteration(trace, trace.point_count() as u64, batch_points);
+        let mut sink = pipeline.iteration_sink();
+        trace.replay(&mut sink);
+        let est = pipeline.estimate_streamed(&mut sink, batch_points);
         sim_pipelined += est.pipelined_seconds;
         sim_serial += est.serial_seconds;
         sim_energy += est.dram_energy_pj;

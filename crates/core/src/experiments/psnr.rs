@@ -73,7 +73,7 @@ impl PsnrBudget {
             eval_samples_per_ray: 2 * self.samples_per_ray,
             engine: inerf_trainer::Engine::Batched,
             precision: inerf_trainer::Precision::F32,
-            opt: inerf_trainer::OptPath::from_env(),
+            opt: inerf_trainer::OptPath::Sparse,
         }
     }
 }

@@ -8,7 +8,7 @@
 //! the scene-specific access stream behind the per-scene spread in Fig. 11.
 
 use inerf_encoding::trace::CubeLookup;
-use inerf_encoding::{BufferSink, HashGrid, LookupTrace, TraceSink};
+use inerf_encoding::{HashGrid, TraceSink};
 use inerf_geom::{Camera, Pose};
 use inerf_scenes::{RadianceField, Scene};
 use rand::rngs::SmallRng;
@@ -24,40 +24,6 @@ pub struct SceneTraceStats {
     /// Fraction of consecutive kept points landing in distinct finest-level
     /// cubes — a spatial-spread measure in `[0, 1]`.
     pub fine_spread: f64,
-    /// Distinct finest-level cubes divided by kept points — the working-set
-    /// ratio in `[0, 1]`: large surfaces revisit few cubes across rays and
-    /// overflow small caches.
-    pub unique_fine_ratio: f64,
-}
-
-/// A scene-conditioned lookup trace plus its summary statistics — the
-/// materialized form kept for tests and offline inspection;
-/// [`scene_trace_into`] is the constant-memory streaming path.
-#[derive(Debug, Clone)]
-pub struct SceneTrace {
-    /// The lookup trace (one cube per level per kept point).
-    pub trace: LookupTrace,
-    /// Points recorded in the trace.
-    pub points: u64,
-    /// Fraction of sampled points that were in occupied space.
-    pub occupancy: f64,
-    /// Fraction of consecutive kept points landing in distinct finest-level
-    /// cubes.
-    pub fine_spread: f64,
-    /// Distinct finest-level cubes divided by kept points.
-    pub unique_fine_ratio: f64,
-}
-
-impl SceneTrace {
-    /// The summary statistics alone.
-    pub fn stats(&self) -> SceneTraceStats {
-        SceneTraceStats {
-            points: self.points,
-            occupancy: self.occupancy,
-            fine_spread: self.fine_spread,
-            unique_fine_ratio: self.unique_fine_ratio,
-        }
-    }
 }
 
 /// Streams the scene's access stream into `sink`, sampling orbit rays
@@ -85,7 +51,6 @@ pub fn scene_trace_into(
     let mut total = 0u64;
     let mut last_fine: Option<u64> = None;
     let mut fine_changes = 0u64;
-    let mut fine_set = std::collections::BTreeSet::new();
     let mut cubes: Vec<CubeLookup> = Vec::new();
     let center = scene.bounds.center();
     let max_rays = 64 * target_points.div_ceil(samples).max(1);
@@ -115,7 +80,6 @@ pub fn scene_trace_into(
                     fine_changes += 1;
                     last_fine = Some(fine.cube_id);
                 }
-                fine_set.insert(fine.cube_id);
             }
             for cube in &cubes {
                 sink.push_cube(cube);
@@ -135,31 +99,6 @@ pub fn scene_trace_into(
         } else {
             fine_changes as f64 / kept as f64
         },
-        unique_fine_ratio: if kept == 0 {
-            0.0
-        } else {
-            fine_set.len() as f64 / kept as f64
-        },
-    }
-}
-
-/// [`scene_trace_into`] with a materializing [`BufferSink`] — the buffered
-/// reference used by tests and offline inspection.
-pub fn scene_trace(
-    scene: &Scene,
-    grid: &HashGrid,
-    target_points: usize,
-    samples: usize,
-    seed: u64,
-) -> SceneTrace {
-    let mut trace = BufferSink::new();
-    let stats = scene_trace_into(scene, grid, target_points, samples, seed, &mut trace);
-    SceneTrace {
-        trace,
-        points: stats.points,
-        occupancy: stats.occupancy,
-        fine_spread: stats.fine_spread,
-        unique_fine_ratio: stats.unique_fine_ratio,
     }
 }
 
@@ -179,7 +118,7 @@ pub fn gpu_scene_factor(st: &SceneTraceStats) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inerf_encoding::{HashFunction, HashGridConfig};
+    use inerf_encoding::{BufferSink, CountingSink, HashFunction, HashGridConfig};
     use inerf_scenes::zoo::{self, SceneKind};
 
     fn grid() -> HashGrid {
@@ -189,9 +128,10 @@ mod tests {
     #[test]
     fn trace_is_nonempty_and_consistent() {
         let scene = zoo::scene(SceneKind::Lego);
-        let st = scene_trace(&scene, &grid(), 400, 64, 3);
+        let mut trace = BufferSink::new();
+        let st = scene_trace_into(&scene, &grid(), 400, 64, 3, &mut trace);
         assert!(st.points >= 400, "kept {} points", st.points);
-        assert_eq!(st.trace.point_count() as u64, st.points);
+        assert_eq!(trace.point_count() as u64, st.points);
         assert!(st.occupancy > 0.0 && st.occupancy < 1.0);
         assert!((0.0..=1.0).contains(&st.fine_spread));
     }
@@ -199,8 +139,9 @@ mod tests {
     #[test]
     fn traces_differ_across_scenes() {
         let g = grid();
-        let a = scene_trace(&zoo::scene(SceneKind::Mic), &g, 400, 64, 3);
-        let b = scene_trace(&zoo::scene(SceneKind::Lego), &g, 400, 64, 3);
+        let stats =
+            |kind| scene_trace_into(&zoo::scene(kind), &g, 400, 64, 3, &mut BufferSink::new());
+        let (a, b) = (stats(SceneKind::Mic), stats(SceneKind::Lego));
         // Mic is sparse, Lego is dense: occupancy must differ measurably.
         assert!(
             (a.occupancy - b.occupancy).abs() > 0.01,
@@ -214,31 +155,24 @@ mod tests {
     fn factor_in_expected_band() {
         let g = grid();
         for kind in SceneKind::ALL {
-            let st = scene_trace(&zoo::scene(kind), &g, 200, 48, 5);
-            let f = gpu_scene_factor(&st.stats());
+            let st = scene_trace_into(&zoo::scene(kind), &g, 200, 48, 5, &mut BufferSink::new());
+            let f = gpu_scene_factor(&st);
             assert!((0.5..2.5).contains(&f), "{kind}: factor {f}");
         }
-    }
-
-    #[test]
-    fn streamed_scene_trace_matches_buffered() {
-        let g = grid();
-        let scene = zoo::scene(SceneKind::Hotdog);
-        let buffered = scene_trace(&scene, &g, 200, 32, 7);
-        let mut sink = inerf_encoding::CountingSink::default();
-        let stats = scene_trace_into(&scene, &g, 200, 32, 7, &mut sink);
-        assert_eq!(stats, buffered.stats());
-        assert_eq!(sink.points, buffered.points);
-        assert_eq!(sink.cubes as usize, buffered.trace.cubes().len());
     }
 
     #[test]
     fn deterministic_given_seed() {
         let g = grid();
         let scene = zoo::scene(SceneKind::Ship);
-        let a = scene_trace(&scene, &g, 200, 32, 9);
-        let b = scene_trace(&scene, &g, 200, 32, 9);
-        assert_eq!(a.points, b.points);
-        assert_eq!(a.trace, b.trace);
+        let (mut a, mut b) = (BufferSink::new(), BufferSink::new());
+        let stats = scene_trace_into(&scene, &g, 200, 32, 9, &mut a);
+        assert_eq!(scene_trace_into(&scene, &g, 200, 32, 9, &mut b), stats);
+        assert_eq!(a, b);
+        // The statistics do not depend on what consumes the stream.
+        let mut counts = CountingSink::default();
+        assert_eq!(scene_trace_into(&scene, &g, 200, 32, 9, &mut counts), stats);
+        assert_eq!(counts.points, stats.points);
+        assert_eq!(counts.cubes as usize, a.cubes().len());
     }
 }

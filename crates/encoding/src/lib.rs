@@ -19,11 +19,12 @@
 //!   event interface between the algorithm and every hardware consumer.
 //! * [`locality`] — index-distance histograms between cube-neighbour
 //!   vertices (Fig. 6) and cube-sharing statistics along rays (Fig. 7a),
-//!   available as streaming sinks.
+//!   as streaming sinks.
 //! * [`requests`] — DRAM row-granularity memory-request counting (the
-//!   1.58-vs-4.02 requests/cube statistic and Fig. 7b), available as
-//!   streaming sinks.
-//! * [`trace`] — materialized lookup traces (the buffered reference path).
+//!   1.58-vs-4.02 requests/cube statistic and Fig. 7b), as streaming
+//!   sinks.
+//! * [`trace`] — the test-side recording of a stream ([`BufferSink`]),
+//!   replayable into any sink.
 //!
 //! # Example
 //!
@@ -53,7 +54,7 @@ pub use hash::HashFunction;
 pub use requests::EntryLayout;
 pub use sink::{BatchBufferSink, BufferSink, CountingSink, TraceSink};
 pub use table::{HashGrid, LookupCache};
-pub use trace::{LookupEvent, LookupTrace};
+pub use trace::LookupTrace;
 
 // The mixed-precision parameter backend the embedding table sits behind,
 // re-exported so hardware-model crates can name the storage precision

@@ -1,12 +1,10 @@
 //! Locality statistics behind the paper's Fig. 6 and Fig. 7(a).
 //!
 //! [`LocalitySink`] accumulates both statistics online from the streaming
-//! trace bus; [`index_distance_histogram`] and
-//! [`points_sharing_cube_per_level`] are the materialized-trace wrappers
-//! (bit-identical: they feed the trace through the same sink).
+//! trace bus.
 
 use crate::sink::TraceSink;
-use crate::trace::{CubeLookup, LookupTrace};
+use crate::trace::CubeLookup;
 
 /// Histogram bucket labels used by Fig. 6 (index distance between two
 /// neighbouring vertices of one 3D cube).
@@ -49,9 +47,7 @@ struct LevelRuns {
 /// Streaming accumulator of the Fig. 6 index-distance histogram and the
 /// Fig. 7(a) consecutive-cube-sharing statistic.
 ///
-/// Consumes the trace bus online at constant memory; the materialized
-/// wrappers below replay a [`LookupTrace`] through it, so both paths are
-/// bit-identical by construction.
+/// Consumes the trace bus online at constant memory.
 #[derive(Debug, Clone)]
 pub struct LocalitySink {
     counts: [u64; 5],
@@ -83,7 +79,8 @@ impl LocalitySink {
     }
 
     /// Fig. 7(a): per level, the mean number of consecutive points sharing
-    /// one interpolation cube under the streamed order.
+    /// one interpolation cube under the streamed order — the register-reuse
+    /// opportunity the ray-first streaming order creates.
     pub fn sharing_per_level(&self) -> Vec<f64> {
         self.levels
             .iter()
@@ -114,39 +111,12 @@ impl TraceSink for LocalitySink {
     }
 }
 
-/// Computes the Fig. 6 breakdown: the percentage of cube-edge index
-/// distances falling into each bucket, over all cubes in the trace.
-///
-/// Returns percentages summing to ~100 (all zeros for an empty trace).
-pub fn index_distance_histogram(trace: &LookupTrace) -> [f64; 5] {
-    let mut sink = LocalitySink::new(0);
-    for cube in trace.cubes() {
-        sink.push_cube(cube);
-    }
-    sink.histogram()
-}
-
-/// Fig. 7(a): for each level, the mean number of *consecutive* points that
-/// share the same interpolation cube, under the trace's streaming order.
-///
-/// A value of `k` means that on average `k` successive points hit the same
-/// cube before the stream moves on — exactly the register-reuse opportunity
-/// the ray-first streaming order creates.
-pub fn points_sharing_cube_per_level(trace: &LookupTrace, levels: u32) -> Vec<f64> {
-    let mut sink = LocalitySink::new(levels);
-    for cube in trace.cubes() {
-        sink.push_cube(cube);
-    }
-    sink.sharing_per_level()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::HashGridConfig;
     use crate::hash::HashFunction;
     use crate::table::HashGrid;
-    use crate::trace::{CubeLookup, LookupTrace};
     use inerf_geom::Vec3;
 
     #[test]
@@ -169,19 +139,25 @@ mod tests {
         assert_eq!(distance_bucket(5001), 4);
     }
 
-    /// Streams points along straight rays through the unit cube — the
-    /// ray-first order — and returns the trace.
-    fn ray_first_trace(grid: &HashGrid, rays: usize, samples: usize) -> LookupTrace {
-        let mut trace = LookupTrace::new();
+    /// Points along straight rays through the unit cube, in ray-first
+    /// order.
+    fn ray_first_points(rays: usize, samples: usize) -> Vec<Vec3> {
+        let mut points = Vec::with_capacity(rays * samples);
         for r in 0..rays {
             let y = 0.1 + 0.8 * (r as f32 / rays.max(1) as f32);
             for s in 0..samples {
                 let t = (s as f32 + 0.5) / samples as f32;
-                let p = Vec3::new(t, y, 0.5);
-                trace.push_point(&grid.cube_lookups(p));
+                points.push(Vec3::new(t, y, 0.5));
             }
         }
-        trace
+        points
+    }
+
+    /// The statistics of `points` streamed through `grid`.
+    fn locality(grid: &HashGrid, points: &[Vec3]) -> LocalitySink {
+        let mut sink = LocalitySink::new(grid.config().levels);
+        grid.stream_batch(points, &mut sink);
+        sink
     }
 
     #[test]
@@ -190,10 +166,9 @@ mod tests {
         // buckets and empties the >5000 bucket.
         let morton = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), 1);
         let original = HashGrid::new(HashGridConfig::paper(HashFunction::Original), 1);
-        let tm = ray_first_trace(&morton, 8, 32);
-        let to = ray_first_trace(&original, 8, 32);
-        let hm = index_distance_histogram(&tm);
-        let ho = index_distance_histogram(&to);
+        let points = ray_first_points(8, 32);
+        let hm = locality(&morton, &points).histogram();
+        let ho = locality(&original, &points).histogram();
         let close_m = hm[0] + hm[1];
         let close_o = ho[0] + ho[1];
         assert!(
@@ -211,16 +186,14 @@ mod tests {
     #[test]
     fn histogram_percentages_sum_to_100() {
         let grid = HashGrid::new(HashGridConfig::tiny(HashFunction::Original), 3);
-        let t = ray_first_trace(&grid, 4, 16);
-        let h = index_distance_histogram(&t);
+        let h = locality(&grid, &ray_first_points(4, 16)).histogram();
         let sum: f64 = h.iter().sum();
         assert!((sum - 100.0).abs() < 1e-6);
     }
 
     #[test]
     fn empty_trace_histogram_is_zero() {
-        let h = index_distance_histogram(&LookupTrace::new());
-        assert_eq!(h, [0.0; 5]);
+        assert_eq!(LocalitySink::new(0).histogram(), [0.0; 5]);
     }
 
     #[test]
@@ -228,8 +201,7 @@ mod tests {
         // Fig. 7(a): coarse levels share cubes across many consecutive
         // points; fine levels share almost none.
         let grid = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), 1);
-        let t = ray_first_trace(&grid, 4, 128);
-        let sharing = points_sharing_cube_per_level(&t, grid.config().levels);
+        let sharing = locality(&grid, &ray_first_points(4, 128)).sharing_per_level();
         assert!(
             sharing[0] > 4.0,
             "coarsest level sharing {} too low",
@@ -246,18 +218,18 @@ mod tests {
 
     #[test]
     fn sharing_counts_runs_not_global_matches() {
-        // Construct a synthetic trace: ids A A B A — the final A is a new
-        // run, so mean run length is 4 points / 3 runs.
-        let mk = |id: u64| CubeLookup {
-            level: 0,
-            entries: [0; 8],
-            cube_id: id,
-        };
-        let mut t = LookupTrace::new();
-        for id in [7u64, 7, 9, 7] {
-            t.push_point(&[mk(id)]);
+        // A synthetic stream: ids A A B A — the final A is a new run, so
+        // mean run length is 4 points / 3 runs.
+        let mut sink = LocalitySink::new(1);
+        for cube_id in [7u64, 7, 9, 7] {
+            sink.push_cube(&CubeLookup {
+                level: 0,
+                entries: [0; 8],
+                cube_id,
+            });
+            sink.end_point();
         }
-        let s = points_sharing_cube_per_level(&t, 1);
+        let s = sink.sharing_per_level();
         assert!((s[0] - 4.0 / 3.0).abs() < 1e-9);
     }
 }

@@ -10,7 +10,7 @@
 //! (Fig. 7b).
 
 use crate::sink::TraceSink;
-use crate::trace::{CubeLookup, LookupTrace};
+use crate::trace::CubeLookup;
 use serde::{Deserialize, Serialize};
 
 /// Default bytes per hash-table entry (one 32-bit vector of two FP16
@@ -102,19 +102,6 @@ impl EntryLayout {
     }
 }
 
-/// The DRAM row holding a given table entry (default entry width).
-#[inline]
-pub const fn row_of_entry(entry: u32) -> u32 {
-    entry / ENTRIES_PER_ROW
-}
-
-/// Number of distinct DRAM rows the eight vertices of `cube` occupy at
-/// the default entry width — the row requests needed to gather one cube
-/// with no reuse.
-pub fn cube_row_requests(cube: &CubeLookup) -> u32 {
-    EntryLayout::default().cube_row_requests(cube)
-}
-
 /// Streaming accumulator of the mean-row-requests-per-cube statistic
 /// (the paper's 1.58-vs-4.02 number), fed by the trace bus.
 #[derive(Debug, Clone, Copy, Default)]
@@ -155,17 +142,7 @@ impl TraceSink for MeanRequestSink {
     }
 }
 
-/// Mean row requests per cube over a whole trace (the paper's 1.58-vs-4.02
-/// statistic).
-pub fn mean_requests_per_cube(trace: &LookupTrace) -> f64 {
-    let mut sink = MeanRequestSink::new();
-    for cube in trace.cubes() {
-        sink.push_cube(cube);
-    }
-    sink.mean()
-}
-
-/// Per-level statistics of replaying a trace through the local register
+/// Per-level statistics of streaming points through the local register
 /// cache (which holds the embeddings of the previously processed cube).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LevelStreamStats {
@@ -191,7 +168,7 @@ impl LevelStreamStats {
     }
 }
 
-/// Full-trace replay statistics.
+/// Whole-stream register-cache statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamStats {
     /// One entry per hash-table level.
@@ -206,11 +183,10 @@ impl StreamStats {
 }
 
 /// Streaming register-cache replay: consumes the trace bus online and
-/// maintains the same per-level statistics [`replay_with_register_cache`]
-/// derives from a materialized trace. If a point's cube at some level
-/// equals the previous point's cube at that level, its eight embeddings
-/// are already in registers and no DRAM request is issued; otherwise the
-/// cube's distinct rows are fetched (row-buffer granularity).
+/// maintains per-level hit and row-request statistics. If a point's cube
+/// at some level equals the previous point's cube at that level, its eight
+/// embeddings are already in registers and no DRAM request is issued;
+/// otherwise the cube's distinct rows are fetched (row-buffer granularity).
 #[derive(Debug, Clone)]
 pub struct RegisterCacheSink {
     layout: EntryLayout,
@@ -220,8 +196,7 @@ pub struct RegisterCacheSink {
 
 impl RegisterCacheSink {
     /// Creates a sink covering `levels` hash-table levels at the default
-    /// entry width (cubes at higher levels are ignored, matching the
-    /// materialized replay).
+    /// entry width (cubes at higher levels are ignored).
     pub fn new(levels: u32) -> Self {
         Self::with_layout(levels, EntryLayout::default())
     }
@@ -265,25 +240,6 @@ impl TraceSink for RegisterCacheSink {
             self.last_id[li] = Some(cube.cube_id);
         }
     }
-}
-
-/// Replays `trace` through the per-level register cache (the materialized
-/// wrapper over [`RegisterCacheSink`]) at the default entry width.
-pub fn replay_with_register_cache(trace: &LookupTrace, levels: u32) -> StreamStats {
-    replay_with_register_cache_layout(trace, levels, EntryLayout::default())
-}
-
-/// [`replay_with_register_cache`] counting rows at `layout`'s entry width.
-pub fn replay_with_register_cache_layout(
-    trace: &LookupTrace,
-    levels: u32,
-    layout: EntryLayout,
-) -> StreamStats {
-    let mut sink = RegisterCacheSink::with_layout(levels, layout);
-    for cube in trace.cubes() {
-        sink.push_cube(cube);
-    }
-    sink.stats()
 }
 
 /// Fig. 7(b): per-level effective-memory-bandwidth improvement of `ours`
@@ -338,9 +294,10 @@ mod tests {
     #[test]
     fn row_math() {
         assert_eq!(ENTRIES_PER_ROW, 256);
-        assert_eq!(row_of_entry(0), 0);
-        assert_eq!(row_of_entry(255), 0);
-        assert_eq!(row_of_entry(256), 1);
+        let layout = EntryLayout::default();
+        assert_eq!(layout.row_of_entry(0), 0);
+        assert_eq!(layout.row_of_entry(255), 0);
+        assert_eq!(layout.row_of_entry(256), 1);
     }
 
     #[test]
@@ -368,54 +325,59 @@ mod tests {
 
     #[test]
     fn layout_sinks_match_default_helpers() {
+        // `new` is `with_layout` at the default entry width, on both sinks.
         let grid = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), 5);
-        let t = random_trace(&grid, 64, 3);
-        let mut def = MeanRequestSink::new();
-        let mut lay = MeanRequestSink::with_layout(EntryLayout::new(ENTRY_BYTES));
-        for cube in t.cubes() {
-            def.push_cube(cube);
-            lay.push_cube(cube);
-        }
-        assert_eq!(def.mean(), lay.mean());
-        let a = replay_with_register_cache(&t, grid.config().levels);
-        let b = replay_with_register_cache_layout(&t, grid.config().levels, EntryLayout::default());
-        assert_eq!(a, b);
+        let levels = grid.config().levels;
+        let layout = EntryLayout::new(ENTRY_BYTES);
+        let mut def = (MeanRequestSink::new(), RegisterCacheSink::new(levels));
+        let mut lay = (
+            MeanRequestSink::with_layout(layout),
+            RegisterCacheSink::with_layout(levels, layout),
+        );
+        grid.stream_batch(&random_points(64, 3), &mut (&mut def, &mut lay));
+        assert_eq!(def.0.mean(), lay.0.mean());
+        assert_eq!(def.1.stats(), lay.1.stats());
     }
 
     #[test]
     fn cube_requests_counts_distinct_rows() {
         let one_row = cube_with_entries([0, 1, 2, 3, 4, 5, 6, 7], 0);
-        assert_eq!(cube_row_requests(&one_row), 1);
+        let layout = EntryLayout::default();
+        assert_eq!(layout.cube_row_requests(&one_row), 1);
         let eight_rows = cube_with_entries([0, 256, 512, 768, 1024, 1280, 1536, 1792], 1);
-        assert_eq!(cube_row_requests(&eight_rows), 8);
+        assert_eq!(layout.cube_row_requests(&eight_rows), 8);
         let two_rows = cube_with_entries([0, 0, 0, 0, 300, 300, 300, 300], 2);
-        assert_eq!(cube_row_requests(&two_rows), 2);
+        assert_eq!(layout.cube_row_requests(&two_rows), 2);
     }
 
-    /// Random streaming order over random points (the iNGP baseline).
-    fn random_trace(grid: &HashGrid, n: usize, seed: u64) -> LookupTrace {
+    /// Random points in random order (the iNGP baseline).
+    fn random_points(n: usize, seed: u64) -> Vec<Vec3> {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut t = LookupTrace::new();
-        for _ in 0..n {
-            let p = Vec3::new(rng.gen(), rng.gen(), rng.gen());
-            t.push_point(&grid.cube_lookups(p));
-        }
-        t
+        (0..n)
+            .map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen()))
+            .collect()
     }
 
     /// Ray-first order: points walk along rays.
-    fn ray_first_trace(grid: &HashGrid, rays: usize, samples: usize, seed: u64) -> LookupTrace {
+    fn ray_first_points(rays: usize, samples: usize, seed: u64) -> Vec<Vec3> {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut t = LookupTrace::new();
+        let mut points = Vec::with_capacity(rays * samples);
         for _ in 0..rays {
             let y: f32 = rng.gen();
             let z: f32 = rng.gen();
             for s in 0..samples {
                 let x = (s as f32 + 0.5) / samples as f32;
-                t.push_point(&grid.cube_lookups(Vec3::new(x, y, z)));
+                points.push(Vec3::new(x, y, z));
             }
         }
-        t
+        points
+    }
+
+    /// Register-cache statistics of `points` streamed through `grid`.
+    fn register_cache_stats(grid: &HashGrid, points: &[Vec3]) -> StreamStats {
+        let mut sink = RegisterCacheSink::new(grid.config().levels);
+        grid.stream_batch(points, &mut sink);
+        sink.stats()
     }
 
     #[test]
@@ -425,10 +387,11 @@ mod tests {
         // qualitative gap and loose numeric bands.
         let morton = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), 5);
         let original = HashGrid::new(HashGridConfig::paper(HashFunction::Original), 5);
-        let tm = random_trace(&morton, 512, 9);
-        let to = random_trace(&original, 512, 9);
-        let rm = mean_requests_per_cube(&tm);
-        let ro = mean_requests_per_cube(&to);
+        let points = random_points(512, 9);
+        let mut sinks = (MeanRequestSink::new(), MeanRequestSink::new());
+        morton.stream_batch(&points, &mut sinks.0);
+        original.stream_batch(&points, &mut sinks.1);
+        let (rm, ro) = (sinks.0.mean(), sinks.1.mean());
         assert!(rm < 2.5, "Morton requests/cube {rm:.2} should be < 2.5");
         assert!(ro > 3.0, "Original requests/cube {ro:.2} should be > 3.0");
         assert!(ro / rm > 1.5, "expected a clear gap, got {ro:.2}/{rm:.2}");
@@ -437,8 +400,7 @@ mod tests {
     #[test]
     fn register_cache_hits_on_repeated_cubes() {
         let grid = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), 2);
-        let t = ray_first_trace(&grid, 8, 128, 3);
-        let stats = replay_with_register_cache(&t, grid.config().levels);
+        let stats = register_cache_stats(&grid, &ray_first_points(8, 128, 3));
         // Coarse level: heavy reuse. Fine level: little.
         assert!(stats.levels[0].hit_rate() > 0.5);
         let last = stats.levels.last().expect("paper config has 16 levels");
@@ -459,14 +421,8 @@ mod tests {
         let original = HashGrid::new(HashGridConfig::paper(HashFunction::Original), 2);
         let n_rays = 16;
         let n_samples = 128;
-        let ours = replay_with_register_cache(
-            &ray_first_trace(&morton, n_rays, n_samples, 3),
-            morton.config().levels,
-        );
-        let base = replay_with_register_cache(
-            &random_trace(&original, n_rays * n_samples, 3),
-            original.config().levels,
-        );
+        let ours = register_cache_stats(&morton, &ray_first_points(n_rays, n_samples, 3));
+        let base = register_cache_stats(&original, &random_points(n_rays * n_samples, 3));
         let imp = effective_bandwidth_improvement(&base, &ours);
         assert_eq!(imp.len(), 16);
         for (l, &x) in imp.iter().enumerate() {

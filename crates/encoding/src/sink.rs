@@ -1,15 +1,12 @@
 //! The streaming trace bus: the algorithm→hardware event interface.
 //!
 //! The hash-grid forward pass produces one [`CubeLookup`] per level per
-//! point — the address stream every hardware model consumes. Historically
-//! that stream was materialized into a [`LookupTrace`] vector and replayed
-//! offline, which costs `O(points × levels)` memory and caps co-simulation
-//! at small point batches. The [`TraceSink`] trait turns the boundary into
-//! an online event bus instead: producers ([`crate::table::HashGrid`], the
-//! trainer engines) push cube events as they are generated, and every
-//! consumer — locality statistics, register-cache replay, DRAM request
-//! generation, the cycle-level simulator — runs incrementally at constant
-//! memory.
+//! point — the address stream every hardware model consumes. The
+//! [`TraceSink`] trait is the only way that stream is consumed: producers
+//! ([`crate::table::HashGrid`], the trainer engines) push cube events as
+//! they are generated, and every consumer — locality statistics,
+//! register-cache replay, DRAM request generation, the cycle-level
+//! simulator — runs incrementally at constant memory.
 //!
 //! Event protocol, per training iteration:
 //!
@@ -20,18 +17,18 @@
 //!    batch-scoped consumers (e.g. the HT_b write-back drain) flush.
 //!
 //! Sinks compose: `(&mut a, &mut b)` fans one stream out to two consumers,
-//! and `&mut dyn TraceSink` lets producers stay object-safe. The
-//! materialized path is still available — [`LookupTrace`] itself is a sink
-//! ([`BufferSink`]) and remains the bit-exactness reference for tests.
+//! and `&mut dyn TraceSink` lets producers stay object-safe. A
+//! [`LookupTrace`] is itself a sink ([`BufferSink`]): the test-side
+//! recording of a stream, which [`LookupTrace::replay`] feeds to any sink.
 
 use crate::trace::{CubeLookup, LookupTrace};
 
 /// A consumer of the streaming cube-lookup event bus.
 ///
 /// See the [module docs](self) for the event protocol. Implementations
-/// must be order-sensitive only in ways the materialized replay was:
-/// feeding a buffered [`LookupTrace`] through a sink cube-by-cube must
-/// produce exactly the state that streaming the original events would.
+/// depend on the events alone: [`LookupTrace::replay`]ing a recorded
+/// stream into a sink must produce exactly the state that streaming the
+/// original events would.
 pub trait TraceSink {
     /// One cube lookup (eight vertex entries at one level of one point).
     fn push_cube(&mut self, cube: &CubeLookup);
@@ -77,10 +74,8 @@ impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
     }
 }
 
-/// The materializing sink: buffers every event into a [`LookupTrace`].
-///
-/// This is the offline-replay path the streaming consumers are verified
-/// against, and what trace-shape tests use.
+/// The materializing sink: buffers every event into a [`LookupTrace`] —
+/// the recording tests replay into fresh sinks and inspect for shape.
 pub type BufferSink = LookupTrace;
 
 impl TraceSink for LookupTrace {
@@ -111,11 +106,6 @@ impl BatchBufferSink {
     /// The completed batches, one trace per `end_batch`.
     pub fn batches(&self) -> &[LookupTrace] {
         &self.batches
-    }
-
-    /// Consumes the sink, returning the completed batch traces.
-    pub fn into_batches(self) -> Vec<LookupTrace> {
-        self.batches
     }
 
     /// Approximate heap bytes held by all buffered traces.
@@ -182,19 +172,6 @@ mod tests {
             entries,
             cube_id: base as u64,
         }
-    }
-
-    #[test]
-    fn buffer_sink_reproduces_push_point() {
-        let cubes = [cube(0, 0), cube(1, 100)];
-        let mut reference = LookupTrace::new();
-        reference.push_point(&cubes);
-        let mut streamed = BufferSink::new();
-        for c in &cubes {
-            TraceSink::push_cube(&mut streamed, c);
-        }
-        TraceSink::end_point(&mut streamed);
-        assert_eq!(reference, streamed);
     }
 
     #[test]

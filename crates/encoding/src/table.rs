@@ -849,15 +849,9 @@ impl HashGrid {
     }
 
     /// Computes the per-level cube lookups (entry indices) of a point without
-    /// touching the embedding data — the address stream of the HT step.
-    pub fn cube_lookups(&self, p: Vec3) -> Vec<CubeLookup> {
-        let mut out = Vec::with_capacity(self.levels.len());
-        self.cube_lookups_into(p, &mut out);
-        out
-    }
-
-    /// [`HashGrid::cube_lookups`] into a caller-owned buffer (cleared and
-    /// refilled), so a point loop reuses one allocation for its lifetime.
+    /// touching the embedding data — the address stream of the HT step —
+    /// into a caller-owned buffer (cleared and refilled), so a point loop
+    /// reuses one allocation for its lifetime.
     pub fn cube_lookups_into(&self, p: Vec3, out: &mut Vec<CubeLookup>) {
         out.clear();
         out.extend((0..self.levels.len()).map(|li| self.cube_lookup_at(li, p)));
@@ -941,7 +935,8 @@ mod tests {
         // Manually set a recognizable value at the level-0 entry of the cube
         // corner nearest to origin.
         let p = Vec3::new(0.0, 0.0, 0.0);
-        let lookups = g.cube_lookups(p);
+        let mut lookups = Vec::new();
+        g.cube_lookups_into(p, &mut lookups);
         let entry = lookups[0].entries[0];
         let f = g.config().features as usize;
         let off = entry as usize * f; // level 0 offset
@@ -1022,8 +1017,9 @@ mod tests {
         // Tiny config: coarsest level res 4 (cell 0.25), finest res 32
         // (cell ~0.031); a 0.05 step stays in the coarse cube but crosses a
         // fine cell boundary.
-        let a = g.cube_lookups(Vec3::new(0.50, 0.50, 0.50));
-        let b = g.cube_lookups(Vec3::new(0.55, 0.50, 0.50));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        g.cube_lookups_into(Vec3::new(0.50, 0.50, 0.50), &mut a);
+        g.cube_lookups_into(Vec3::new(0.55, 0.50, 0.50), &mut b);
         // Coarsest level: same cube. Finest level: typically different.
         assert_eq!(a[0].cube_id, b[0].cube_id);
         let (a_last, b_last) = (
@@ -1334,7 +1330,9 @@ mod tests {
         ) {
             let g = grid(HashFunction::Original);
             let t = g.config().table_size();
-            for cube in g.cube_lookups(Vec3::new(px, py, pz)) {
+            let mut cubes = Vec::new();
+            g.cube_lookups_into(Vec3::new(px, py, pz), &mut cubes);
+            for cube in cubes {
                 for e in cube.entries {
                     prop_assert!(e < t);
                 }

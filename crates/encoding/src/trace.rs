@@ -1,20 +1,12 @@
-//! Lookup traces: the memory-access record consumed by the simulators.
+//! Lookup traces: a recording of the cube-lookup stream.
 //!
 //! Every encoded point touches `L` cubes (one per level), each with eight
-//! vertex entries. A [`LookupTrace`] records those entry indices in
-//! processing order so the DRAM/accelerator models can replay the exact
-//! access stream the algorithm generates.
+//! vertex entries. A [`LookupTrace`] is the test-side recording of that
+//! stream: as a [`TraceSink`] it buffers the events in processing order,
+//! and [`LookupTrace::replay`] feeds them to any other sink.
 
+use crate::sink::TraceSink;
 use serde::{Deserialize, Serialize};
-
-/// A single hash-table entry access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LookupEvent {
-    /// Hash-table level.
-    pub level: u32,
-    /// Entry index within the level (`< T`).
-    pub entry: u32,
-}
 
 /// The eight vertex lookups of one point at one level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,22 +34,29 @@ impl LookupTrace {
         Self::default()
     }
 
-    /// Records the cube lookups of one more point. `cubes_for_point` must
-    /// hold exactly one [`CubeLookup`] per level, in level order.
-    pub fn push_point(&mut self, cubes_for_point: &[CubeLookup]) {
-        self.cubes.extend_from_slice(cubes_for_point);
-        self.points += 1;
-    }
-
-    /// Appends one cube of the current point (streaming form of
-    /// [`LookupTrace::push_point`]; pair with [`LookupTrace::end_point`]).
+    /// Appends one cube of the current point (pair with
+    /// [`LookupTrace::end_point`]).
     pub fn push_cube(&mut self, cube: &CubeLookup) {
         self.cubes.push(*cube);
     }
 
-    /// Marks the current point's cubes complete (streaming form).
+    /// Marks the current point's cubes complete.
     pub fn end_point(&mut self) {
         self.points += 1;
+    }
+
+    /// Feeds the recording to `sink`: every cube in order, with `end_point`
+    /// after each point's `cubes / points` cubes (cubes only when no point
+    /// was marked). Never emits `end_batch` — the caller owns batch
+    /// boundaries.
+    pub fn replay(&self, sink: &mut (impl TraceSink + ?Sized)) {
+        let per_point = self.cubes.len().checked_div(self.points).unwrap_or(0);
+        for (i, cube) in self.cubes.iter().enumerate() {
+            sink.push_cube(cube);
+            if per_point != 0 && (i + 1) % per_point == 0 {
+                sink.end_point();
+            }
+        }
     }
 
     /// Approximate heap bytes held by the materialized trace — the
@@ -74,16 +73,6 @@ impl LookupTrace {
     /// Number of points recorded.
     pub fn point_count(&self) -> usize {
         self.points
-    }
-
-    /// Total entry accesses (8 per cube).
-    pub fn entry_access_count(&self) -> usize {
-        self.cubes.len() * 8
-    }
-
-    /// Iterates over the cubes of a single level, preserving order.
-    pub fn level_cubes(&self, level: u32) -> impl Iterator<Item = &CubeLookup> {
-        self.cubes.iter().filter(move |c| c.level == level)
     }
 }
 
@@ -103,23 +92,42 @@ mod tests {
         }
     }
 
-    #[test]
-    fn push_and_count() {
+    /// Two points of two levels each.
+    fn two_points() -> LookupTrace {
         let mut t = LookupTrace::new();
-        t.push_point(&[cube(0, 0), cube(1, 100)]);
-        t.push_point(&[cube(0, 8), cube(1, 100)]);
-        assert_eq!(t.point_count(), 2);
-        assert_eq!(t.cubes().len(), 4);
-        assert_eq!(t.entry_access_count(), 32);
+        for point in [[cube(0, 0), cube(1, 100)], [cube(0, 8), cube(1, 100)]] {
+            point.iter().for_each(|c| t.push_cube(c));
+            t.end_point();
+        }
+        t
     }
 
     #[test]
-    fn level_filter() {
-        let mut t = LookupTrace::new();
-        t.push_point(&[cube(0, 0), cube(1, 100)]);
-        t.push_point(&[cube(0, 8), cube(1, 100)]);
-        let lvl1: Vec<_> = t.level_cubes(1).collect();
-        assert_eq!(lvl1.len(), 2);
-        assert!(lvl1.iter().all(|c| c.level == 1));
+    fn push_and_count() {
+        let t = two_points();
+        assert_eq!(t.point_count(), 2);
+        assert_eq!(t.cubes().len(), 4);
+    }
+
+    #[test]
+    fn replay_reproduces_the_recorded_stream() {
+        use crate::sink::{BufferSink, CountingSink};
+        let t = two_points();
+        let mut counts = CountingSink::default();
+        t.replay(&mut counts);
+        assert_eq!((counts.cubes, counts.points, counts.batches), (4, 2, 0));
+        let mut copy = BufferSink::new();
+        t.replay(&mut copy);
+        assert_eq!(copy, t);
+        // Cubes recorded with no point marked replay as cubes alone.
+        let mut unmarked = LookupTrace::new();
+        unmarked.push_cube(&cube(0, 0));
+        let mut counts = CountingSink::default();
+        unmarked.replay(&mut counts);
+        assert_eq!((counts.cubes, counts.points), (1, 0));
+        // The empty trace replays to nothing.
+        let mut counts = CountingSink::default();
+        LookupTrace::new().replay(&mut counts);
+        assert_eq!(counts, CountingSink::default());
     }
 }

@@ -207,43 +207,6 @@ pub enum OptPath {
 }
 
 impl OptPath {
-    /// Parses an `INERF_OPT` value. Unknown strings are a hard error
-    /// naming the value — a typo must not silently select the default
-    /// path under a benchmark that claims to measure the other one.
-    pub fn parse(raw: &str) -> Result<Self, String> {
-        let v = raw.trim();
-        if v.eq_ignore_ascii_case("dense") {
-            Ok(OptPath::Dense)
-        } else if v.is_empty() || v.eq_ignore_ascii_case("sparse") {
-            Ok(OptPath::Sparse)
-        } else {
-            Err(format!(
-                "INERF_OPT={v:?} is not a recognized optimizer path; \
-                 expected one of: sparse, dense"
-            ))
-        }
-    }
-
-    /// Reads the `INERF_OPT` environment knob: `dense` selects the
-    /// reference path, `sparse` (or unset) the default.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized or non-Unicode value (see
-    /// [`OptPath::parse`]) — configuration typos fail loudly.
-    pub fn from_env() -> Self {
-        match std::env::var("INERF_OPT") {
-            Ok(v) => match Self::parse(&v) {
-                Ok(opt) => opt,
-                Err(msg) => panic!("{msg}"),
-            },
-            Err(std::env::VarError::NotPresent) => OptPath::Sparse,
-            Err(std::env::VarError::NotUnicode(v)) => {
-                panic!("INERF_OPT={v:?} is not valid Unicode")
-            }
-        }
-    }
-
     /// Lower-case label for reports and JSON dumps.
     pub const fn label(self) -> &'static str {
         match self {
@@ -694,9 +657,9 @@ impl IngpModel {
     /// `precision` (fp16 keeps f32 master weights for Adam and commits
     /// RNE-rounded working copies after every optimizer step). The
     /// initialization draws are identical to the f32 model. The grid
-    /// optimizer path comes from [`OptPath::from_env`].
+    /// optimizer path is [`OptPath::Sparse`].
     pub fn with_precision(config: ModelConfig, seed: u64, precision: Precision) -> Self {
-        Self::with_options(config, seed, precision, OptPath::from_env())
+        Self::with_options(config, seed, precision, OptPath::Sparse)
     }
 
     /// Fully explicit constructor: precision *and* grid-optimizer path.
@@ -1267,21 +1230,6 @@ impl TrainableField for IngpModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn opt_path_parse_rejects_unknown_values_by_name() {
-        assert_eq!(OptPath::parse("dense"), Ok(OptPath::Dense));
-        assert_eq!(OptPath::parse(" DENSE "), Ok(OptPath::Dense));
-        assert_eq!(OptPath::parse("sparse"), Ok(OptPath::Sparse));
-        assert_eq!(OptPath::parse(""), Ok(OptPath::Sparse));
-        for bad in ["densse", "lazy", "fast"] {
-            let err = OptPath::parse(bad).unwrap_err();
-            assert!(
-                err.contains("INERF_OPT") && err.contains(bad),
-                "error must name the variable and the offending value: {err}"
-            );
-        }
-    }
 
     #[test]
     fn query_output_ranges() {

@@ -60,8 +60,9 @@ pub struct TrainConfig {
     pub precision: Precision,
     /// Grid-optimizer execution path of the model this run trains: the
     /// O(touched) sparse path with lazy-replay Adam (the default) or the
-    /// dense O(table) reference. Both are bitwise-identical; the knob
-    /// exists so the reference stays exercised (`INERF_OPT=dense`).
+    /// dense O(table) reference. Both are bitwise-identical; the field
+    /// exists so the equivalence suites can run the reference
+    /// ([`TrainConfig::with_opt`]).
     pub opt: OptPath,
 }
 
@@ -76,7 +77,7 @@ impl TrainConfig {
             eval_samples_per_ray: 128,
             engine: Engine::Batched,
             precision: Precision::F32,
-            opt: OptPath::from_env(),
+            opt: OptPath::Sparse,
         }
     }
 
@@ -89,7 +90,7 @@ impl TrainConfig {
             eval_samples_per_ray: 24,
             engine: Engine::Batched,
             precision: Precision::F32,
-            opt: OptPath::from_env(),
+            opt: OptPath::Sparse,
         }
     }
 
@@ -102,7 +103,7 @@ impl TrainConfig {
             eval_samples_per_ray: 48,
             engine: Engine::Batched,
             precision: Precision::F32,
-            opt: OptPath::from_env(),
+            opt: OptPath::Sparse,
         }
     }
 

@@ -1,6 +1,6 @@
 //! Sparse-optimizer vs dense-reference equivalence.
 //!
-//! The sparse gradient path (`INERF_OPT=sparse`, the default) promises
+//! The sparse gradient path (`OptPath::Sparse`, the default) promises
 //! *bitwise* equality with the dense reference sweep: same loss
 //! trajectory, same evaluation render, same DRAM request statistics, and
 //! — after a final sync — the same master and working parameter bits, on
@@ -95,11 +95,21 @@ fn sparse_matches_dense_bitwise_for_every_engine_precision_and_thread_count() {
 }
 
 #[test]
-fn opt_path_env_selector() {
-    // `with_opt` overrides whatever the environment says; the labels are
-    // what the bench reports and CI logs key on.
+fn opt_path_defaults_to_sparse_and_with_opt_overrides() {
+    // The labels are what the throughput bench records.
     assert_eq!(OptPath::Sparse.label(), "sparse");
     assert_eq!(OptPath::Dense.label(), "dense");
+    for cfg in [
+        TrainConfig::paper(),
+        TrainConfig::tiny(),
+        TrainConfig::small(),
+    ] {
+        assert_eq!(cfg.opt, OptPath::Sparse);
+    }
+    assert_eq!(
+        IngpModel::new(ModelConfig::tiny(), 1).opt_path(),
+        OptPath::Sparse
+    );
     let cfg = TrainConfig::tiny().with_opt(OptPath::Dense);
     let model = IngpModel::for_config(ModelConfig::tiny(), &cfg, 1);
     assert_eq!(model.opt_path(), OptPath::Dense);

@@ -1,14 +1,10 @@
-//! Equivalence suite for the streaming trace bus: statistics computed
-//! online by the sinks must be bit-identical to the materialized
-//! `LookupTrace` reference path, on identical inputs, for both trainer
-//! engines and both hash functions.
+//! Equivalence suite for the streaming trace bus: what the trainer engines
+//! put on the bus, and that a recorded stream (`BufferSink`) replays into
+//! fresh sinks to exactly the state the live stream left — on identical
+//! inputs, for both trainer engines and both hash functions.
 
-use inerf_encoding::locality::{
-    index_distance_histogram, points_sharing_cube_per_level, LocalitySink,
-};
-use inerf_encoding::requests::{
-    mean_requests_per_cube, replay_with_register_cache, MeanRequestSink, RegisterCacheSink,
-};
+use inerf_encoding::locality::LocalitySink;
+use inerf_encoding::requests::{MeanRequestSink, RegisterCacheSink};
 use inerf_encoding::{BufferSink, CountingSink, HashFunction};
 use inerf_scenes::{zoo, Dataset, DatasetConfig};
 use inerf_trainer::{Engine, IngpModel, ModelConfig, TrainConfig, Trainer};
@@ -42,54 +38,56 @@ fn engines_emit_identical_trace_streams() {
 }
 
 #[test]
-fn streamed_stats_match_buffered_replay_bitwise() {
-    // Train with a fan-out sink: one lane materializes the trace, the
-    // other lanes accumulate statistics online. Afterwards the online
-    // stats must equal the wrappers replaying the materialized trace.
+fn buffered_trace_replays_to_the_live_stream_bitwise() {
+    // Train with a fan-out sink: one lane records the stream, the other
+    // lanes accumulate statistics live. The recording replayed into fresh
+    // sinks must then reproduce every statistic and both counts.
     let ds = dataset();
     for hash in HASHES {
         for engine in ENGINES {
             let cfg = ModelConfig::small(hash);
             let levels = cfg.grid.levels;
+            let consumers = || {
+                (
+                    (LocalitySink::new(levels), CountingSink::default()),
+                    (RegisterCacheSink::new(levels), MeanRequestSink::new()),
+                )
+            };
             let model = IngpModel::new(cfg, 21);
             let mut trainer = Trainer::new(model, TrainConfig::tiny().with_engine(engine), 13);
-            let mut sinks = (
-                BufferSink::new(),
-                (
-                    LocalitySink::new(levels),
-                    (RegisterCacheSink::new(levels), MeanRequestSink::new()),
-                ),
-            );
+            let mut sinks = (BufferSink::new(), consumers());
             trainer.train_with_sink(&ds, 2, &mut sinks);
-            let (buffer, (locality, (register, mean))) = sinks;
+            let (buffer, live) = sinks;
+            let mut replayed = consumers();
+            buffer.replay(&mut replayed);
+
             let tag = format!("{hash:?}/{engine:?}");
             assert!(buffer.point_count() > 0, "{tag}: empty trace");
+            let ((locality, counts), (register, mean)) = live;
+            let ((r_locality, r_counts), (r_register, r_mean)) = replayed;
             assert_eq!(
                 locality.histogram(),
-                index_distance_histogram(&buffer),
+                r_locality.histogram(),
                 "{tag}: histogram diverged"
             );
             assert_eq!(
                 locality.sharing_per_level(),
-                points_sharing_cube_per_level(&buffer, levels),
+                r_locality.sharing_per_level(),
                 "{tag}: sharing diverged"
             );
-            let streamed = register.stats();
-            let replayed = replay_with_register_cache(&buffer, levels);
-            assert_eq!(streamed, replayed, "{tag}: register-cache stats diverged");
             assert_eq!(
-                streamed.total_row_requests(),
-                replayed.total_row_requests(),
-                "{tag}: row requests diverged"
+                register.stats(),
+                r_register.stats(),
+                "{tag}: register-cache stats diverged"
             );
-            for (s, r) in streamed.levels.iter().zip(&replayed.levels) {
-                assert_eq!(s.hit_rate(), r.hit_rate(), "{tag}: hit rate diverged");
-            }
+            assert_eq!(mean.mean(), r_mean.mean(), "{tag}: requests/cube diverged");
             assert_eq!(
-                mean.mean(),
-                mean_requests_per_cube(&buffer),
-                "{tag}: requests/cube diverged"
+                (counts.cubes, counts.points),
+                (r_counts.cubes, r_counts.points),
+                "{tag}: stream shape diverged"
             );
+            // `replay` owns no batch boundary.
+            assert_eq!((counts.batches, r_counts.batches), (2, 0), "{tag}");
         }
     }
 }

@@ -3,8 +3,8 @@
 
 use instant_nerf::accel::mapping::{HashTableMapping, MappingScheme};
 use instant_nerf::accel::parallel::ParallelismPlan;
-use instant_nerf::accel::PipelineModel;
-use instant_nerf::encoding::{HashFunction, HashGrid, LookupTrace};
+use instant_nerf::accel::{IterationEstimate, PipelineModel};
+use instant_nerf::encoding::{HashFunction, HashGrid};
 use instant_nerf::geom::Vec3;
 use instant_nerf::gpu::{GpuSpec, TrainingCost};
 use instant_nerf::trainer::workload::Step;
@@ -13,25 +13,32 @@ use instant_nerf::trainer::ModelConfig;
 const BATCH: u64 = 256 * 1024;
 const ITERS: u64 = 35_000;
 
-fn ray_trace(grid: &HashGrid, rays: usize, samples: usize) -> (LookupTrace, u64) {
-    let mut t = LookupTrace::new();
+/// The sampled batch: 4 rays × 128 samples, ray-first.
+fn ray_points() -> Vec<Vec3> {
+    let (rays, samples) = (4, 128);
+    let mut points = Vec::with_capacity(rays * samples);
     for r in 0..rays {
         let y = 0.04 + 0.9 * r as f32 / rays as f32;
         for s in 0..samples {
             let x = (s as f32 + 0.5) / samples as f32;
-            t.push_point(&grid.cube_lookups(Vec3::new(x, y, 0.37)));
+            points.push(Vec3::new(x, y, 0.37));
         }
     }
-    (t, (rays * samples) as u64)
+    points
+}
+
+/// `pm`'s estimate of one `BATCH`-point iteration, from the sampled batch
+/// streamed through a seed-5 grid of `model`.
+fn estimate(pm: &PipelineModel, model: ModelConfig) -> IterationEstimate {
+    let mut sink = pm.iteration_sink();
+    HashGrid::new(model.grid, 5).stream_batch(&ray_points(), &mut sink);
+    pm.estimate_streamed(&mut sink, BATCH)
 }
 
 fn paper_estimate() -> (f64, f64) {
     let model = ModelConfig::paper(HashFunction::Morton);
-    let grid = HashGrid::new(model.grid, 5);
-    let (trace, n) = ray_trace(&grid, 4, 128);
     let pm = PipelineModel::paper(model);
-    let iter = pm.estimate_iteration(&trace, n, BATCH);
-    let scene = pm.scene_estimate(&iter, ITERS);
+    let scene = pm.scene_estimate(&estimate(&pm, model), ITERS);
     (scene.training_seconds, scene.training_joules)
 }
 
@@ -69,33 +76,22 @@ fn every_codesign_element_contributes() {
     // Ablate each element; each ablation must not help (and at least one
     // must clearly hurt).
     let model = ModelConfig::paper(HashFunction::Morton);
-    let grid = HashGrid::new(model.grid, 5);
-    let (trace, n) = ray_trace(&grid, 4, 128);
-    let paper = PipelineModel::paper(model);
-    let base = paper.estimate_iteration(&trace, n, BATCH).pipelined_seconds;
+    let base = estimate(&PipelineModel::paper(model), model).pipelined_seconds;
 
     // (1) Drop the Morton hash.
     let model_org = ModelConfig::paper(HashFunction::Original);
-    let grid_org = HashGrid::new(model_org.grid, 5);
-    let (trace_org, n_org) = ray_trace(&grid_org, 4, 128);
-    let no_morton = PipelineModel::paper(model_org)
-        .estimate_iteration(&trace_org, n_org, BATCH)
-        .pipelined_seconds;
+    let no_morton = estimate(&PipelineModel::paper(model_org), model_org).pipelined_seconds;
 
     // (2) Drop subarray spreading.
-    let no_spread = PipelineModel::paper(model)
-        .with_mapping(
-            HashTableMapping::paper(MappingScheme::ClusteredNoSpread, 32),
-            32,
-        )
-        .estimate_iteration(&trace, n, BATCH)
-        .pipelined_seconds;
+    let no_spread = PipelineModel::paper(model).with_mapping(
+        HashTableMapping::paper(MappingScheme::ClusteredNoSpread, 32),
+        32,
+    );
+    let no_spread = estimate(&no_spread, model).pipelined_seconds;
 
     // (3) Homogeneous parallelism plans.
-    let all_data = PipelineModel::paper(model)
-        .with_plan(ParallelismPlan::all_data())
-        .estimate_iteration(&trace, n, BATCH)
-        .pipelined_seconds;
+    let all_data = PipelineModel::paper(model).with_plan(ParallelismPlan::all_data());
+    let all_data = estimate(&all_data, model).pipelined_seconds;
 
     for (label, t) in [
         ("no-morton", no_morton),
@@ -118,9 +114,7 @@ fn ht_steps_dominate_accelerator_table_banks() {
     // On the accelerator the HT/HT_b steps stay the heavy ones, mirroring
     // the GPU bottleneck they were designed to absorb.
     let model = ModelConfig::paper(HashFunction::Morton);
-    let grid = HashGrid::new(model.grid, 5);
-    let (trace, n) = ray_trace(&grid, 4, 128);
-    let est = PipelineModel::paper(model).estimate_iteration(&trace, n, BATCH);
+    let est = estimate(&PipelineModel::paper(model), model);
     let ht = est.step_seconds(Step::Ht) + est.step_seconds(Step::HtB);
     let mlp_d = est.step_seconds(Step::MlpD);
     assert!(ht > mlp_d, "HT occupancy {ht:.4} vs MLPd {mlp_d:.4}");

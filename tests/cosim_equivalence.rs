@@ -1,11 +1,11 @@
 //! End-to-end equivalence of the online co-simulation pipeline: training
 //! with the NMP memory system simulated live (streaming trace bus →
 //! request generation → incremental cycle-level DRAM simulation) must be
-//! bit-identical to materializing per-iteration traces and replaying them
-//! offline — for both trainer engines and both hash functions.
+//! bit-identical to recording per-iteration traces and replaying each into
+//! a fresh sink offline — for both trainer engines and both hash functions.
 
 use instant_nerf::accel::{CosimSink, PipelineModel};
-use instant_nerf::encoding::{BatchBufferSink, HashFunction};
+use instant_nerf::encoding::{BatchBufferSink, BufferSink, HashFunction};
 use instant_nerf::experiments::{cosim, traces};
 use instant_nerf::prelude::*;
 use instant_nerf::scenes::zoo::scene;
@@ -40,7 +40,9 @@ fn online_cosim_matches_buffered_replay_for_all_combinations() {
                 if trace.point_count() == 0 {
                     continue;
                 }
-                let est = pipeline.estimate_iteration(trace, trace.point_count() as u64, batch);
+                let mut fresh = pipeline.iteration_sink();
+                trace.replay(&mut fresh);
+                let est = pipeline.estimate_streamed(&mut fresh, batch);
                 pipelined += est.pipelined_seconds;
                 energy += est.dram_energy_pj;
                 iterations += 1;
@@ -64,19 +66,21 @@ fn online_cosim_matches_buffered_replay_for_all_combinations() {
 #[test]
 fn streamed_pipeline_estimate_matches_offline_trace_replay() {
     // The Fig. 11 data path: scene access stream → iteration sink →
-    // estimate, against the materialized scene trace → estimate_iteration.
+    // estimate, against the recorded stream replayed into a second sink.
     let model = ModelConfig::paper(HashFunction::Morton);
     let grid = HashGrid::new(model.grid, 5);
     let sc = scene(SceneKind::Drums);
     let pipeline = PipelineModel::paper(model);
 
-    let st = traces::scene_trace(&sc, &grid, 300, 48, 5);
-    let offline = pipeline.estimate_iteration(&st.trace, st.points.max(1), 256 * 1024);
-
     let mut sink = pipeline.iteration_sink();
-    let stats = traces::scene_trace_into(&sc, &grid, 300, 48, 5, &mut sink);
-    assert_eq!(stats, st.stats());
+    let mut trace = BufferSink::new();
+    let stats = traces::scene_trace_into(&sc, &grid, 300, 48, 5, &mut (&mut sink, &mut trace));
+    assert_eq!(trace.point_count() as u64, stats.points);
     let online = pipeline.estimate_streamed(&mut sink, 256 * 1024);
+
+    let mut replayed = pipeline.iteration_sink();
+    trace.replay(&mut replayed);
+    let offline = pipeline.estimate_streamed(&mut replayed, 256 * 1024);
     assert_eq!(offline, online);
 }
 

@@ -73,17 +73,18 @@ fn tables_render_without_panicking() {
 
 #[test]
 fn scene_traces_feed_both_hardware_models() {
-    // The same trace drives the NMP pipeline estimate and the GPU locality
+    // The same stream drives the NMP pipeline estimate and the GPU locality
     // factor — the contract the Fig. 11 driver relies on.
     let model = ModelConfig::paper(HashFunction::Morton);
     let grid = HashGrid::new(model.grid, 5);
     let scene = instant_nerf::scenes::zoo::scene(SceneKind::Drums);
-    let st = traces::scene_trace(&scene, &grid, 400, 64, 5);
-    assert!(st.points >= 400);
     let pipeline = PipelineModel::paper(model);
-    let est = pipeline.estimate_iteration(&st.trace, st.points, 256 * 1024);
+    let mut sink = pipeline.iteration_sink();
+    let st = traces::scene_trace_into(&scene, &grid, 400, 64, 5, &mut sink);
+    assert!(st.points >= 400);
+    let est = pipeline.estimate_streamed(&mut sink, 256 * 1024);
     assert!(est.pipelined_seconds > 0.0 && est.pipelined_seconds < 0.1);
-    let factor = traces::gpu_scene_factor(&st.stats());
+    let factor = traces::gpu_scene_factor(&st);
     assert!((0.5..2.5).contains(&factor));
 }
 

@@ -1,9 +1,11 @@
 //! Cross-crate property tests: invariants that must hold across the
 //! algorithm/hardware boundary for arbitrary inputs.
 
-use instant_nerf::accel::{AccelConfig, HashTableMapping, MappingScheme};
+use instant_nerf::accel::{
+    AccelConfig, HashTableMapping, MappingScheme, RequestSink, RequestStream,
+};
 use instant_nerf::dram::{DramSim, Request};
-use instant_nerf::encoding::{HashFunction, HashGrid, HashGridConfig, LookupTrace};
+use instant_nerf::encoding::{CountingSink, HashFunction, HashGrid, HashGridConfig, TraceSink};
 use instant_nerf::geom::{GridCoord, GridLevel, Vec3};
 use instant_nerf::mlp::fp16::quantize_f16;
 use instant_nerf::render::volume::{composite, composite_backward, SamplePoint};
@@ -44,7 +46,12 @@ proptest! {
     #[test]
     fn request_stream_bounded(seed in 0u64..100, points in 1usize..64) {
         let grid = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), seed);
-        let mut trace = LookupTrace::new();
+        let mapping = HashTableMapping::paper(MappingScheme::Clustered, 8);
+        let dram = AccelConfig::paper().nmp_dram(8);
+        let requests = |write_back| {
+            RequestSink::new(RequestStream::new(&mapping, &dram, write_back), Vec::new())
+        };
+        let mut sinks = (CountingSink::default(), (requests(false), requests(true)));
         let mut s = seed.wrapping_mul(0x9E37_79B9_97F4_A7C5) | 1;
         for _ in 0..points {
             s ^= s << 13; s ^= s >> 7; s ^= s << 17;
@@ -53,13 +60,12 @@ proptest! {
                 ((s >> 16) & 0xffff) as f32 / 65535.0,
                 ((s >> 32) & 0xffff) as f32 / 65535.0,
             );
-            trace.push_point(&grid.cube_lookups(p));
+            grid.stream_point(p, &mut sinks);
         }
-        let mapping = HashTableMapping::paper(MappingScheme::Clustered, 8);
-        let dram = AccelConfig::paper().nmp_dram(8);
-        let reads = mapping.requests_for_trace(&trace, &dram, false);
-        let rw = mapping.requests_for_trace(&trace, &dram, true);
-        let bound = trace.cubes().len() * 8;
+        sinks.end_batch();
+        let (counts, (reads, rw)) = sinks;
+        let (reads, rw) = (reads.consumer(), rw.consumer());
+        let bound = counts.cubes as usize * 8;
         prop_assert!(reads.len() <= bound);
         prop_assert!(rw.len() <= 2 * bound);
         prop_assert!(rw.len() >= reads.len());
@@ -70,17 +76,18 @@ proptest! {
     #[test]
     fn dram_makespan_monotone_in_prefix(seed in 0u64..50) {
         let grid = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), seed);
-        let mut trace = LookupTrace::new();
-        for i in 0..48u32 {
-            let x = (i as f32 + 0.5) / 48.0;
-            trace.push_point(&grid.cube_lookups(Vec3::new(x, 0.4, 0.6)));
-        }
         let mapping = HashTableMapping::paper(MappingScheme::Clustered, 8);
         let dram = AccelConfig::paper().nmp_dram(8);
-        let reqs: Vec<Request> = mapping.requests_for_trace(&trace, &dram, false);
+        let mut sink = RequestSink::new(RequestStream::new(&mapping, &dram, false), Vec::new());
+        for i in 0..48u32 {
+            let x = (i as f32 + 0.5) / 48.0;
+            grid.stream_point(Vec3::new(x, 0.4, 0.6), &mut sink);
+        }
+        sink.end_batch();
+        let reqs: &[Request] = sink.consumer();
         prop_assume!(reqs.len() >= 4);
         let half = DramSim::new(dram).run(&reqs[..reqs.len() / 2]).total_cycles;
-        let full = DramSim::new(dram).run(&reqs).total_cycles;
+        let full = DramSim::new(dram).run(reqs).total_cycles;
         prop_assert!(full >= half, "prefix {half} vs full {full}");
     }
 
