@@ -59,6 +59,38 @@ struct OptimizerMicrobench {
     speedup_sparse_vs_dense: f64,
 }
 
+/// Cost of the lazy-replay kernel by the age of the chains it replays,
+/// on a table shaped like `train_mic_cosim`'s (262 144 fp16 scalars,
+/// 43 % of them ever touched): the live scalars take one gradient at
+/// step 1, then nothing, and the whole table is synced every 16 steps as
+/// an occupancy-grid refresh does. The four ages sample the kernel's
+/// regimes: active, quiescent, first moments decaying through the
+/// subnormals, first moments parked.
+#[derive(Debug, Serialize)]
+struct OptimizerReplay {
+    param_scalars: usize,
+    live_scalars: usize,
+    sync_every: usize,
+    /// Rounds (fresh state each) behind every median below.
+    rounds: usize,
+    /// What `OptPath::Dense` pays to carry the same table through one
+    /// zero-gradient step — clip-norm, `step_scaled`, fp16 commit — in
+    /// ns per scalar-step, measured in the same rounds at age < 16.
+    dense_ns_per_scalar_step: f64,
+    /// `sync_store` time over `param_scalars × sync_every`, the same
+    /// unit, for the sync that ends at each age.
+    replay_ns_per_scalar_step: Vec<ReplayAtAge>,
+}
+
+#[derive(Debug, Serialize)]
+struct ReplayAtAge {
+    age: usize,
+    ns: f64,
+    /// The same time over the live scalars only: ns per step actually
+    /// replayed (never-touched scalars are stamped, not replayed).
+    ns_per_live_step: f64,
+}
+
 #[derive(Debug, Serialize)]
 struct ThroughputReport {
     workload: String,
@@ -81,6 +113,7 @@ struct ThroughputReport {
     speedup_batched_1_thread_vs_scalar: f64,
     stage_ns_per_point_1_thread: StageNsPerPoint,
     optimizer_paper_scale: OptimizerMicrobench,
+    optimizer_replay: OptimizerReplay,
 }
 
 fn quick_mode() -> bool {
@@ -382,6 +415,111 @@ fn optimizer_microbench(dense_iters: usize, sparse_iters: usize) -> OptimizerMic
     }
 }
 
+/// Ages (steps since the one touch) whose sync is recorded.
+const REPLAY_AGES: [usize; 4] = [16, 304, 800, 1504];
+
+/// See [`OptimizerReplay`].
+///
+/// # Panics
+///
+/// Panics — failing the bench — if the replay costs more than 3× as much
+/// per step at age 1 504 as at age 16 (the subnormal cliff is back), or
+/// if carrying the table by replay at age 16 is not at least 3× cheaper
+/// than the dense sweep. Age 16 is the active regime — the dense
+/// arithmetic itself, on the live 43 % and without the per-step fp16
+/// commit — which lands near 5×; a per-scalar `powi` in the chain, as
+/// before the bias table, lands near 1×.
+fn optimizer_replay_microbench(rounds: usize) -> OptimizerReplay {
+    const N: usize = 262_144;
+    const SYNC_EVERY: usize = 16;
+    // Scattered, not strided: the fp16 commit's cost depends on how
+    // predictable the moved/unmoved pattern is.
+    let live: Vec<u32> = (0..N as u32)
+        .filter(|i| (i.wrapping_mul(0x9E37_79B1) >> 8) % 100 < 43)
+        .collect();
+    // Grid-initialisation-sized parameters, training-sized gradients.
+    let init: Vec<f32> = (0..N).map(|i| 2e-7 * ((i % 991) as f32 - 495.5)).collect();
+    let gathered: Vec<f32> = live
+        .iter()
+        .map(|&i| 1e-6 * ((i % 997) as f32 - 498.5))
+        .collect();
+    let mut touch = vec![0.0f32; N];
+    for (&i, &g) in live.iter().zip(&gathered) {
+        touch[i as usize] = g;
+    }
+    let zeros = vec![0.0f32; N];
+
+    let mut dense_ns = Vec::with_capacity(rounds);
+    let mut replay_ns: Vec<Vec<f64>> = vec![Vec::with_capacity(rounds); REPLAY_AGES.len()];
+    for _ in 0..rounds {
+        let mut dense_store = ParamStore::new(Precision::Fp16, init.clone());
+        let mut dense_adam = AdamState::new(N, 0.01);
+        dense_adam.step_scaled(dense_store.master_mut(), &touch, 1.0);
+        dense_store.commit();
+        let sweeps = (0..SYNC_EVERY - 1)
+            .map(|_| {
+                let t0 = Instant::now();
+                let norm_sq: f64 = zeros.iter().map(|&g| (g as f64) * (g as f64)).sum();
+                let scale = if norm_sq.sqrt() > 32.0 { 0.5 } else { 1.0 };
+                dense_adam.step_scaled(dense_store.master_mut(), &zeros, scale);
+                dense_store.commit();
+                t0.elapsed().as_secs_f64() * 1e9 / N as f64
+            })
+            .collect();
+        dense_ns.push(median(sweeps));
+
+        let mut store = ParamStore::new(Precision::Fp16, init.clone());
+        let mut adam = AdamState::new(N, 0.01);
+        adam.enable_lazy();
+        adam.step_sparse_gathered(&mut store, &gathered, &live, 1.0);
+        for age in 1..=REPLAY_AGES[REPLAY_AGES.len() - 1] {
+            adam.step_sparse_gathered(&mut store, &[], &[], 1.0);
+            if age % SYNC_EVERY == 0 {
+                let t0 = Instant::now();
+                adam.sync_store(&mut store);
+                let ns = t0.elapsed().as_secs_f64() * 1e9 / (N * SYNC_EVERY) as f64;
+                if let Some(row) = REPLAY_AGES.iter().position(|&a| a == age) {
+                    replay_ns[row].push(ns);
+                }
+            }
+        }
+    }
+
+    let dense = median(dense_ns);
+    let rows: Vec<ReplayAtAge> = REPLAY_AGES
+        .iter()
+        .zip(replay_ns)
+        .map(|(&age, ns)| {
+            let ns = median(ns);
+            ReplayAtAge {
+                age,
+                ns,
+                ns_per_live_step: ns * N as f64 / live.len() as f64,
+            }
+        })
+        .collect();
+    let (young, old) = (rows[0].ns, rows[rows.len() - 1].ns);
+    assert!(
+        old <= 3.0 * young,
+        "replay cliff: {old:.2} ns/step at age {} vs {young:.2} at age {}",
+        REPLAY_AGES[REPLAY_AGES.len() - 1],
+        REPLAY_AGES[0]
+    );
+    assert!(
+        dense >= 3.0 * young,
+        "replay at age {} costs {young:.2} ns/step, dense sweep {dense:.2}",
+        REPLAY_AGES[0]
+    );
+    OptimizerReplay {
+        param_scalars: N,
+        live_scalars: live.len(),
+        sync_every: SYNC_EVERY,
+        rounds,
+        dense_ns_per_scalar_step: dense,
+        replay_ns_per_scalar_step: rows,
+    }
+}
+
 fn bench(c: &mut Criterion) {
     let (iters, windows, stage_reps) = if quick_mode() { (4, 3, 2) } else { (12, 5, 10) };
     let threads = engine::default_threads();
@@ -394,6 +532,7 @@ fn bench(c: &mut Criterion) {
     let stages = stage_timings(&dataset, stage_reps);
     let (dense_iters, sparse_iters) = if quick_mode() { (3, 30) } else { (12, 240) };
     let paper_opt = optimizer_microbench(dense_iters, sparse_iters);
+    let replay = optimizer_replay_microbench(if quick_mode() { 3 } else { 9 });
 
     let cfg = TrainConfig::small();
     let report = ThroughputReport {
@@ -413,6 +552,7 @@ fn bench(c: &mut Criterion) {
         speedup_batched_1_thread_vs_scalar: batched_1 / scalar,
         stage_ns_per_point_1_thread: stages,
         optimizer_paper_scale: paper_opt,
+        optimizer_replay: replay,
     };
     println!(
         "\nthroughput (tab2-small, median of {windows}x{iters} iterations, backend {}): \
@@ -447,6 +587,20 @@ fn bench(c: &mut Criterion) {
         report.optimizer_paper_scale.dense_ms_per_iter,
         report.optimizer_paper_scale.sparse_ms_per_iter,
         report.optimizer_paper_scale.speedup_sparse_vs_dense,
+    );
+    println!(
+        "optimizer replay ({}K scalars, {}K live, sync every {}): dense sweep {:.2} ns/scalar-step | replay {}",
+        report.optimizer_replay.param_scalars / 1000,
+        report.optimizer_replay.live_scalars / 1000,
+        report.optimizer_replay.sync_every,
+        report.optimizer_replay.dense_ns_per_scalar_step,
+        report
+            .optimizer_replay
+            .replay_ns_per_scalar_step
+            .iter()
+            .map(|r| format!("{:.2} @ age {}", r.ns, r.age))
+            .collect::<Vec<_>>()
+            .join(" | "),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
     let json = serde_json::to_string_pretty(&report).expect("report serializes");

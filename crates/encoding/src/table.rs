@@ -371,14 +371,16 @@ impl HashGrid {
         let f = self.config.features as usize;
         let HashGrid { touch, store, .. } = self;
         let Some(tr) = touch.as_mut() else { return };
-        tr.scratch.clear();
-        for &gid in &tr.entries[tr.synced..] {
-            let base = gid as usize * f;
-            for k in 0..f {
-                tr.scratch.push((base + k) as u32);
+        if store.precision() == Precision::Fp16 {
+            tr.scratch.clear();
+            for &gid in &tr.entries[tr.synced..] {
+                let base = gid as usize * f;
+                for k in 0..f {
+                    tr.scratch.push((base + k) as u32);
+                }
             }
+            store.commit_indices(&tr.scratch);
         }
-        store.commit_indices(&tr.scratch);
         tr.synced = tr.entries.len();
     }
 

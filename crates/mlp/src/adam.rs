@@ -3,7 +3,6 @@
 use crate::fp16::quantize_f16;
 use crate::store::ParamStore;
 use inerf_simd::f32x8;
-use serde::{Deserialize, Serialize};
 
 /// Adam optimizer state for a flat parameter vector.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert!(params[0].abs() < 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Moments {
     /// First moment.
     m: f32,
@@ -34,7 +33,7 @@ struct Moments {
     step: u32,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdamState {
     /// One 12-byte record per parameter holding the moments and the
     /// lazy-replay stamp together. A sparse step's random accesses then
@@ -46,6 +45,10 @@ pub struct AdamState {
     t: u64,
     /// Whether lazy sparse mode is on; see [`AdamState::enable_lazy`].
     lazy: bool,
+    /// The per-step bias corrections through step `t`. Derived from
+    /// `(beta1, beta2, t)` alone: never exported, rebuilt on first use
+    /// after [`AdamState::from_snapshot`], ignored by `==`.
+    bias: BiasTable,
     /// Learning rate.
     pub learning_rate: f32,
     /// First-moment decay `β₁`.
@@ -54,6 +57,18 @@ pub struct AdamState {
     pub beta2: f32,
     /// Numerical-stability epsilon.
     pub epsilon: f32,
+}
+
+impl PartialEq for AdamState {
+    fn eq(&self, other: &Self) -> bool {
+        self.state == other.state
+            && self.t == other.t
+            && self.lazy == other.lazy
+            && self.learning_rate == other.learning_rate
+            && self.beta1 == other.beta1
+            && self.beta2 == other.beta2
+            && self.epsilon == other.epsilon
+    }
 }
 
 /// A plain-data image of an [`AdamState`] for checkpointing: the packed
@@ -85,6 +100,310 @@ pub struct AdamStateSnapshot {
     pub epsilon: f32,
 }
 
+/// `rows[s] = (1 − β₁ˢ, 1 − β₂ˢ)`, the bias corrections of step `s`: one
+/// `powi` pair per *global* step, read by every scalar updated at or
+/// replayed through that step (8 bytes per step taken).
+#[derive(Debug, Clone, Default)]
+struct BiasTable {
+    /// Bit patterns of the `(β₁, β₂)` the rows were computed from; the
+    /// table starts over when the state's public fields no longer match.
+    betas: (u32, u32),
+    rows: Vec<(f32, f32)>,
+    /// Smallest `1 − β₁ˢ` and `1 − β₂ˢ` over the rows `s ≥ 1` — what a
+    /// bound over every step taken so far may divide by.
+    floor: (f32, f32),
+}
+
+impl BiasTable {
+    /// The row of step `t` for these decay rates, extending the table
+    /// through it first.
+    #[inline]
+    fn row(&mut self, beta1: f32, beta2: f32, t: u64) -> (f32, f32) {
+        if (beta1.to_bits(), beta2.to_bits()) != self.betas || self.rows.len() as u64 <= t {
+            self.extend_to(beta1, beta2, t);
+        }
+        self.rows[t as usize]
+    }
+
+    /// Never inlined: `powi` is only bit-stable as the runtime call
+    /// (LLVM folds it differently, by an ulp, once it can see constant
+    /// arguments), and this is the one place the workspace's Adam steps
+    /// get their bias corrections from.
+    #[inline(never)]
+    fn extend_to(&mut self, beta1: f32, beta2: f32, t: u64) {
+        let betas = (beta1.to_bits(), beta2.to_bits());
+        if betas != self.betas || self.rows.is_empty() {
+            self.betas = betas;
+            self.rows.clear();
+            self.floor = (f32::INFINITY, f32::INFINITY);
+        }
+        while self.rows.len() as u64 <= t {
+            let s = self.rows.len() as u64;
+            let row = (1.0 - beta1.powi(s as i32), 1.0 - beta2.powi(s as i32));
+            if s > 0 {
+                self.floor = (self.floor.0.min(row.0), self.floor.1.min(row.1));
+            }
+            self.rows.push(row);
+        }
+    }
+}
+
+/// The four hyper-parameters, copied out of an [`AdamState`] so the
+/// update arithmetic can run beside a mutable borrow of its records.
+#[derive(Debug, Clone, Copy)]
+struct Hyper {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+}
+
+impl Hyper {
+    /// One Adam update of one scalar at the step whose bias corrections
+    /// are `(b1t, b2t)` — the arithmetic every path (dense sweep, sparse
+    /// step, replayed zero-gradient step) performs term for term.
+    #[inline(always)]
+    fn update(&self, s: &mut Moments, param: &mut f32, g: f32, (b1t, b2t): (f32, f32)) {
+        s.m = self.beta1 * s.m + (1.0 - self.beta1) * g;
+        s.v = self.beta2 * s.v + (1.0 - self.beta2) * g * g;
+        let m_hat = s.m / b1t;
+        let v_hat = s.v / b2t;
+        *param -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+    }
+}
+
+/// One moment's zero-gradient update, `x ← fl(β·x) + 0.0`, for
+/// `0 < β < 1` and finite `x`. Operands whose product would be
+/// subnormal go through an integer multiply rounded to nearest-even,
+/// so no floating-point instruction meets a subnormal (an x86 core
+/// takes a ~150-cycle microcode assist on each one).
+#[derive(Debug, Clone, Copy)]
+struct Decay {
+    beta: f32,
+    /// `β = sig · 2^-shift`, `sig` its significand with the implicit bit.
+    sig: u64,
+    shift: u32,
+    /// `|x| ≥ normal_from` ⇒ `β·x ≥ 2⁻¹²⁶`: the plain multiply sees and
+    /// makes only normal numbers, and `+ 0.0` is the identity on a
+    /// non-zero value. `|x| < normal_from` ⇒ `β·|x| < 2⁻¹²⁵`: the result
+    /// is a multiple of 2⁻¹⁴⁹ no larger than 2²⁴ of them, which is what
+    /// [`Decay::step_small`] computes. (`2⁻¹²⁵/β` rounded either way
+    /// keeps both: the two bounds are a factor of two apart.)
+    normal_from: f32,
+}
+
+impl Decay {
+    fn new(beta: f32) -> Self {
+        debug_assert!(beta > 0.0 && beta < 1.0);
+        let bits = beta.to_bits();
+        let exp = bits >> 23;
+        let frac = u64::from(bits & 0x007f_ffff);
+        let (sig, shift) = match exp {
+            0 => (frac, 149),
+            _ => (frac | 0x0080_0000, 150 - exp),
+        };
+        Decay {
+            beta,
+            sig,
+            shift,
+            normal_from: 2.0 * f32::MIN_POSITIVE / beta,
+        }
+    }
+
+    /// `fl(β·x) + 0.0` on the bit pattern of an `|x| < normal_from`.
+    #[inline]
+    fn step_small(&self, bits: u32) -> u32 {
+        let exp = (bits >> 23) & 0xff;
+        let frac = u64::from(bits & 0x007f_ffff);
+        // |x| = sig_x · 2^(lift − 149).
+        let (sig_x, lift) = match exp {
+            0 => (frac, 0),
+            _ => (frac | 0x0080_0000, exp - 1),
+        };
+        // β·|x| = (sig_x · sig) · 2^(lift − shift − 149), and the bound
+        // on |x| makes `lift ≤ shift`: round the product to units of
+        // 2⁻¹⁴⁹. Counted in those units the magnitude *is* the bit
+        // pattern, for subnormals and through 2²⁴ alike.
+        let units = shr_rne(sig_x * self.sig, self.shift - lift) as u32;
+        match units {
+            // ±0.0 + 0.0 is +0.0.
+            0 => 0,
+            _ => (bits & 0x8000_0000) | units,
+        }
+    }
+
+    /// `n` updates of `x`, stopping early at a fixed point
+    /// (`fl(β·x) + 0.0 == x` bitwise — only zero and a few subnormals).
+    #[inline]
+    fn run(&self, mut x: f32, mut n: u64) -> f32 {
+        while n > 0 && x.abs() >= self.normal_from {
+            x *= self.beta;
+            n -= 1;
+        }
+        let mut bits = x.to_bits();
+        while n > 0 {
+            let next = self.step_small(bits);
+            if next == bits {
+                break;
+            }
+            bits = next;
+            n -= 1;
+        }
+        f32::from_bits(bits)
+    }
+}
+
+/// `x / 2^sh` rounded to nearest, ties to even, for `x < 2⁶³`.
+#[inline]
+fn shr_rne(x: u64, sh: u32) -> u64 {
+    match sh {
+        0 => x,
+        1..=63 => {
+            let q = x >> sh;
+            let rem = x & ((1 << sh) - 1);
+            let half = 1 << (sh - 1);
+            q + u64::from(rem > half || (rem == half && q & 1 == 1))
+        }
+        _ => 0,
+    }
+}
+
+/// The lazy-replay kernel: advances one scalar through the zero-gradient
+/// steps it skipped, landing on the bits the dense chain
+/// ([`AdamState::step_scaled`] with a `+0.0` gradient at every one of
+/// those steps) would hold. Three regimes, entered in this order and
+/// never left:
+///
+/// * **active** — the full update, bias corrections from the table;
+/// * **quiescent** — the update provably cannot move the parameter any
+///   more ([`AtRest::settled`]), so only the two moments decay;
+/// * **fixed point** — the decay maps each moment onto itself, so
+///   nothing is left to do. `m = v = +0.0` is the common case (entries
+///   never touched); a moment that was ever non-zero does not get
+///   there: round-to-nearest-even parks it on a small subnormal
+///   (`±4·2⁻¹⁴⁹` at β = 0.9, `50·2⁻¹⁴⁹` at β = 0.99).
+struct Replay<'a> {
+    h: Hyper,
+    /// `rows[s]` for every step through the replay target.
+    rows: &'a [(f32, f32)],
+    /// What the two later regimes need; `None` keeps every scalar active
+    /// to its target — always exact — unless the hyper-parameters are
+    /// ones the regimes' arguments hold for: `ε > 0`, both `β ∈ (0, 1)`,
+    /// a finite non-negative learning rate, and every bias correction so
+    /// far positive.
+    at_rest: Option<AtRest>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct AtRest {
+    lr: f32,
+    eps: f32,
+    /// Lower bound of `1 − β₁ˢ` over every step in the table.
+    min_b1t: f32,
+    /// [`AtRest::bound`] of the smallest normal number, standing in for
+    /// every subnormal `|m|` so that no arithmetic has to meet one.
+    bound_below_normal: f32,
+    m: Decay,
+    v: Decay,
+}
+
+/// Active steps between two evaluations of [`AtRest::settled`], whose
+/// two divisions cost about half of one of them.
+const SETTLE_CHECK_EVERY: u64 = 8;
+
+impl AtRest {
+    fn new(h: &Hyper, min_b1t: f32) -> Self {
+        let mut rest = AtRest {
+            lr: h.lr,
+            eps: h.eps,
+            min_b1t,
+            bound_below_normal: 0.0,
+            m: Decay::new(h.beta1),
+            v: Decay::new(h.beta2),
+        };
+        rest.bound_below_normal = rest.bound(f32::MIN_POSITIVE);
+        rest
+    }
+
+    /// An upper bound on the magnitude of every later zero-gradient
+    /// update of a scalar whose first moment has magnitude `m_abs` now.
+    ///
+    /// The update at a step `s` is `fl(fl(lr·m̂) / d)` with
+    /// `|m̂| = fl(|mₛ| / (1 − β₁ˢ))` and `d = fl(√v̂ + ε) ≥ ε` (`v̂ ≥ 0`
+    /// because `v ≥ 0` and `1 − β₂ˢ > 0`). Rounding is monotone, `|m|`
+    /// only shrinks from here on and `1 − β₁ˢ ≥ min_b1t`, so the same
+    /// three operations on today's `|m|`, `min_b1t` and `ε` bound every
+    /// later update from above — no error term to carry.
+    #[inline]
+    fn bound(&self, m_abs: f32) -> f32 {
+        self.lr * (m_abs / self.min_b1t) / self.eps
+    }
+
+    /// Whether no later zero-gradient step can change `p`, and the
+    /// moments are values [`Decay`] handles (finite, `v` non-negative).
+    ///
+    /// With [`AtRest::bound`] under a quarter of `p`'s ulp the
+    /// subtraction returns `p` (a quarter, not a half: below a power of
+    /// two the spacing halves); `p` therefore is still the same at the
+    /// next step, where the bound has only shrunk.
+    #[inline]
+    fn settled(&self, s: &Moments, p: f32) -> bool {
+        const INF: u32 = 0x7f80_0000;
+        const MIN_NORMAL: u32 = 0x0080_0000;
+        // `p` finite, and large enough that a quarter of its ulp is a
+        // normal number (|p| ≥ 2⁻¹⁰¹): the exponent field minus 25.
+        let exp = (p.to_bits() >> 23) & 0xff;
+        let m_mag = s.m.to_bits() & 0x7fff_ffff;
+        if !(26..255).contains(&exp) || m_mag >= INF || s.v.to_bits() >= INF {
+            return false;
+        }
+        let quarter_ulp = f32::from_bits((exp - 25) << 23);
+        if m_mag < MIN_NORMAL && self.bound_below_normal < quarter_ulp {
+            return true;
+        }
+        self.bound(f32::from_bits(m_mag)) < quarter_ulp
+    }
+}
+
+impl Replay<'_> {
+    /// Replays `s`/`p` through step `target` and stamps it.
+    #[inline(always)]
+    fn run(&self, s: &mut Moments, p: &mut f32, target: u64) {
+        if u64::from(s.step) < target {
+            self.run_behind(s, p, target);
+        }
+    }
+
+    /// [`Replay::run`] for a scalar that is behind `target`. Out of line:
+    /// the sparse step's gather loop finds most scalars up to date, and
+    /// stays a few instructions long this way.
+    #[inline(never)]
+    fn run_behind(&self, s: &mut Moments, p: &mut f32, target: u64) {
+        let mut at = u64::from(s.step);
+        s.step = target as u32;
+        if self.at_rest.is_some() && s.m.to_bits() == 0 && s.v.to_bits() == 0 {
+            // The fixed point that asks nothing of `p`: every update
+            // subtracts `lr·0/ε`, an exact +0.0.
+            return;
+        }
+        let rest = loop {
+            if let Some(rest) = self.at_rest.as_ref().filter(|r| r.settled(s, *p)) {
+                break rest;
+            }
+            let stop = target.min(at + SETTLE_CHECK_EVERY);
+            for row in &self.rows[at as usize + 1..=stop as usize] {
+                self.h.update(s, p, 0.0, *row);
+            }
+            at = stop;
+            if at == target {
+                return;
+            }
+        };
+        s.m = rest.m.run(s.m, target - at);
+        s.v = rest.v.run(s.v, target - at);
+    }
+}
+
 impl AdamState {
     /// Creates Adam state for `n` parameters with iNGP-style defaults
     /// (`β₁ = 0.9`, `β₂ = 0.99`, `ε = 1e-10` scaled to `1e-8` for f32).
@@ -100,6 +419,7 @@ impl AdamState {
             ],
             t: 0,
             lazy: false,
+            bias: BiasTable::default(),
             learning_rate,
             beta1: 0.9,
             beta2: 0.99,
@@ -165,6 +485,7 @@ impl AdamState {
             state,
             t: snap.t,
             lazy: snap.lazy,
+            bias: BiasTable::default(),
             learning_rate: snap.learning_rate,
             beta1: snap.beta1,
             beta2: snap.beta2,
@@ -176,6 +497,51 @@ impl AdamState {
     #[inline]
     fn n_params(&self) -> usize {
         self.state.len()
+    }
+
+    fn hyper(&self) -> Hyper {
+        Hyper {
+            lr: self.learning_rate,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.epsilon,
+        }
+    }
+
+    /// The bias corrections `(1 − β₁ᵗ, 1 − β₂ᵗ)` of step `t`, extending
+    /// the table through it.
+    fn bias_at(&mut self, t: u64) -> (f32, f32) {
+        self.bias.row(self.beta1, self.beta2, t)
+    }
+
+    /// Advances the step counter and returns the new step's bias
+    /// corrections.
+    fn advance(&mut self) -> (f32, f32) {
+        self.t += 1;
+        self.bias_at(self.t)
+    }
+
+    /// The replay kernel for targets through step `through`, beside the
+    /// records it advances.
+    fn replay(&mut self, through: u64) -> (Replay<'_>, &mut [Moments]) {
+        self.bias_at(through);
+        let h = self.hyper();
+        let in_unit = |b: f32| b > 0.0 && b < 1.0;
+        let (min_b1t, min_b2t) = self.bias.floor;
+        let at_rest = (h.eps > 0.0
+            && in_unit(h.beta1)
+            && in_unit(h.beta2)
+            && h.lr.is_finite()
+            && h.lr.is_sign_positive()
+            && min_b1t > 0.0
+            && min_b2t > 0.0)
+            .then(|| AtRest::new(&h, min_b1t));
+        let replay = Replay {
+            h,
+            rows: &self.bias.rows,
+            at_rest,
+        };
+        (replay, &mut self.state)
     }
 
     /// Performs one Adam update of `params` given `grads`.
@@ -194,13 +560,14 @@ impl AdamState {
     ///
     /// Call [`AdamState::begin_step`] once before each sweep.
     pub fn update_one(&mut self, idx: usize, param: &mut f32, grad: f32) {
-        self.update_index(idx, param, grad, self.t);
+        let bias = self.bias_at(self.t);
+        self.hyper().update(&mut self.state[idx], param, grad, bias);
     }
 
     /// Advances the step counter for a sweep of [`AdamState::update_one`]
     /// calls.
     pub fn begin_step(&mut self) {
-        self.t += 1;
+        self.advance();
     }
 
     /// Like [`AdamState::step`], but reads each gradient as
@@ -220,11 +587,10 @@ impl AdamState {
             self.n_params(),
             "optimizer state size mismatch"
         );
-        self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, (p, &g)) in params.iter_mut().zip(grads).enumerate() {
-            self.update_index_with(i, p, g * scale, b1t, b2t);
+        let bias = self.advance();
+        let h = self.hyper();
+        for ((s, p), &g) in self.state.iter_mut().zip(params).zip(grads) {
+            h.update(s, p, g * scale, bias);
         }
     }
 
@@ -233,13 +599,8 @@ impl AdamState {
     // Per-parameter Adam chains never interact: step t of parameter i reads
     // only (m[i], v[i], params[i], grads[i], t). A sparse trainer can
     // therefore skip parameters whose gradient is exactly zero and *replay*
-    // the skipped zero-gradient updates, in order, the next time the
-    // parameter is read or written — the replayed arithmetic is the dense
-    // arithmetic, so the result is bitwise identical. Once a parameter's m
-    // and v are both +0.0 bitwise, every zero-gradient update is an exact
-    // no-op (m = β₁·0 + (1-β₁)·0 = +0.0, v likewise, Δparam = lr·0/(√0+ε)
-    // subtracted as +0.0) and the replay can stop early; in practice this
-    // fires for never-touched parameters, which dominate at paper scale.
+    // the skipped zero-gradient updates the next time the parameter is
+    // read or written. [`Replay`] does that and lands on the dense bits.
 
     /// Switches the state into lazy sparse mode, allocating the per-entry
     /// step stamps. Must be called before the first step; parameters are
@@ -259,47 +620,6 @@ impl AdamState {
         self.lazy
     }
 
-    /// Exactly the per-parameter arithmetic of [`AdamState::step`] at
-    /// global step `t` (the bias terms depend only on `t`, so computing
-    /// them per call reproduces the dense loop's values bit-for-bit).
-    #[inline]
-    fn update_index(&mut self, i: usize, param: &mut f32, g: f32, t: u64) {
-        let b1t = 1.0 - self.beta1.powi(t as i32);
-        let b2t = 1.0 - self.beta2.powi(t as i32);
-        self.update_index_with(i, param, g, b1t, b2t);
-    }
-
-    /// [`AdamState::update_index`] with the step-`t` bias corrections
-    /// already computed, so a sweep over many indices at one step pays the
-    /// `powi` once (as the dense loop does) instead of per scalar.
-    #[inline]
-    fn update_index_with(&mut self, i: usize, param: &mut f32, g: f32, b1t: f32, b2t: f32) {
-        let s = &mut self.state[i];
-        s.m = self.beta1 * s.m + (1.0 - self.beta1) * g;
-        s.v = self.beta2 * s.v + (1.0 - self.beta2) * g * g;
-        let m_hat = s.m / b1t;
-        let v_hat = s.v / b2t;
-        *param -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
-    }
-
-    /// Replays parameter `i`'s skipped zero-gradient updates through step
-    /// `target`, with the +0.0 early-out described above.
-    fn replay_to(&mut self, i: usize, param: &mut f32, target: u64) {
-        let mut s = u64::from(self.state[i].step);
-        if s >= target {
-            return;
-        }
-        if self.state[i].m.to_bits() == 0 && self.state[i].v.to_bits() == 0 {
-            self.state[i].step = target as u32;
-            return;
-        }
-        while s < target {
-            s += 1;
-            self.update_index(i, param, 0.0, s);
-        }
-        self.state[i].step = target as u32;
-    }
-
     /// Brings the listed entries (each `stride` consecutive scalars,
     /// entry `e` covering `params[e*stride .. (e+1)*stride]`) up to date
     /// with the dense chain through the current step. Order across entries
@@ -316,10 +636,11 @@ impl AdamState {
             "optimizer state size mismatch"
         );
         let t = self.t;
+        let (replay, state) = self.replay(t);
         for &e in entries {
-            let base = e as usize * stride;
-            for (off, p) in params[base..base + stride].iter_mut().enumerate() {
-                self.replay_to(base + off, p, t);
+            let span = e as usize * stride..(e as usize + 1) * stride;
+            for (s, p) in state[span.clone()].iter_mut().zip(&mut params[span]) {
+                replay.run(s, p, t);
             }
         }
     }
@@ -337,8 +658,39 @@ impl AdamState {
             "optimizer state size mismatch"
         );
         let t = self.t;
-        for (i, p) in params.iter_mut().enumerate() {
-            self.replay_to(i, p, t);
+        let (replay, state) = self.replay(t);
+        for (s, p) in state.iter_mut().zip(params) {
+            replay.run(s, p, t);
+        }
+    }
+
+    /// [`AdamState::sync_all`] over a [`ParamStore`]'s master weights,
+    /// re-quantizing the fp16 working copy of exactly the scalars the
+    /// replay moved — bitwise a `sync_all` on `store.master_mut()`
+    /// followed by [`ParamStore::commit`], without the table-sized
+    /// re-quantization (most scalars are at rest by the time a whole-table
+    /// sync runs).
+    pub fn sync_store(&mut self, store: &mut ParamStore) {
+        if !self.is_lazy() {
+            return;
+        }
+        let (params, active) = store.master_active_mut();
+        let Some(active) = active else {
+            return self.sync_all(params);
+        };
+        assert_eq!(
+            params.len(),
+            self.n_params(),
+            "optimizer state size mismatch"
+        );
+        let t = self.t;
+        let (replay, state) = self.replay(t);
+        for ((s, p), a) in state.iter_mut().zip(params).zip(active) {
+            let before = p.to_bits();
+            replay.run(s, p, t);
+            if p.to_bits() != before {
+                *a = quantize_f16(*p);
+            }
         }
     }
 
@@ -365,19 +717,16 @@ impl AdamState {
             self.n_params(),
             "optimizer state size mismatch"
         );
-        self.t += 1;
+        let bias = self.advance();
         let t = self.t;
         assert!(t <= u64::from(u32::MAX), "step counter exceeds u32 stamps");
-        let b1t = 1.0 - self.beta1.powi(t as i32);
-        let b2t = 1.0 - self.beta2.powi(t as i32);
+        let (replay, state) = self.replay(t);
         for &iu in indices {
             let i = iu as usize;
-            let mut p = params[i];
-            self.replay_to(i, &mut p, t - 1);
-            let g = grads[i] * scale;
-            self.update_index_with(i, &mut p, g, b1t, b2t);
-            params[i] = p;
-            self.state[i].step = t as u32;
+            let s = &mut state[i];
+            replay.run(s, &mut params[i], t - 1);
+            replay.h.update(s, &mut params[i], grads[i] * scale, bias);
+            s.step = t as u32;
         }
     }
 
@@ -421,106 +770,109 @@ impl AdamState {
             self.n_params(),
             "optimizer state size mismatch"
         );
-        self.t += 1;
+        let bias = self.advance();
         let t = self.t;
         assert!(t <= u64::from(u32::MAX), "step counter exceeds u32 stamps");
-        let b1t = 1.0 - self.beta1.powi(t as i32);
-        let b2t = 1.0 - self.beta2.powi(t as i32);
+        let (replay, state) = self.replay(t);
         inerf_simd::vectorize(|| {
-            self.step_gathered_blocks(params, active, gathered, indices, scale, b1t, b2t, t);
+            step_gathered_blocks(
+                &replay, state, params, active, gathered, indices, scale, bias, t,
+            );
         });
     }
+}
 
-    /// Blocked body of [`AdamState::step_sparse_gathered`], running
-    /// inside a `vectorize` frame. Block size keeps the gathered working
-    /// set (four stack arrays plus the block's scattered cache lines)
-    /// inside L1 between the gather and the scatter.
-    #[allow(clippy::too_many_arguments)]
-    fn step_gathered_blocks(
-        &mut self,
-        params: &mut [f32],
-        mut active: Option<&mut [f32]>,
-        gathered: &[f32],
-        indices: &[u32],
-        scale: f32,
-        b1t: f32,
-        b2t: f32,
-        t: u64,
-    ) {
-        const BLOCK: usize = 128;
-        let mut pb = [0.0f32; BLOCK];
-        let mut mb = [0.0f32; BLOCK];
-        let mut vb = [0.0f32; BLOCK];
-        let mut gb = [0.0f32; BLOCK];
-        let vb1 = f32x8::splat(self.beta1);
-        let vomb1 = f32x8::splat(1.0 - self.beta1);
-        let vb2 = f32x8::splat(self.beta2);
-        let vomb2 = f32x8::splat(1.0 - self.beta2);
-        let vb1t = f32x8::splat(b1t);
-        let vb2t = f32x8::splat(b2t);
-        let vlr = f32x8::splat(self.learning_rate);
-        let veps = f32x8::splat(self.epsilon);
-        for (blk_i, blk) in indices.chunks(BLOCK).enumerate() {
-            let base = blk_i * BLOCK;
-            let bn = blk.len();
-            // Gather the block's parameters and moments (replaying any
-            // missed zero-gradient steps first) and stamp them.
-            for (j, &iu) in blk.iter().enumerate() {
-                let i = iu as usize;
-                let mut p = params[i];
-                self.replay_to(i, &mut p, t - 1);
-                pb[j] = p;
-                mb[j] = self.state[i].m;
-                vb[j] = self.state[i].v;
-                gb[j] = gathered[base + j] * scale;
-                self.state[i].step = t as u32;
-            }
-            // Contiguous Adam update: eight lanes at a time, operation
-            // order mirroring `update_index_with` term for term.
-            let full = bn - bn % f32x8::LANES;
-            let mut k = 0;
-            while k < full {
-                let g = f32x8::from_slice(&gb[k..]);
-                let m = (vb1 * f32x8::from_slice(&mb[k..])).madd(vomb1, g);
-                let v = (vb2 * f32x8::from_slice(&vb[k..])).madd(vomb2 * g, g);
-                let m_hat = m / vb1t;
-                let v_hat = v / vb2t;
-                let p = f32x8::from_slice(&pb[k..]) - (vlr * m_hat) / (v_hat.sqrt() + veps);
-                m.write_to(&mut mb[k..]);
-                v.write_to(&mut vb[k..]);
-                p.write_to(&mut pb[k..]);
-                k += f32x8::LANES;
-            }
-            // Scalar tail — bitwise the same arithmetic as the lanes.
-            for j in full..bn {
-                let g = gb[j];
-                let m = self.beta1 * mb[j] + (1.0 - self.beta1) * g;
-                let v = self.beta2 * vb[j] + (1.0 - self.beta2) * g * g;
-                let m_hat = m / b1t;
-                let v_hat = v / b2t;
-                pb[j] -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
-                mb[j] = m;
-                vb[j] = v;
-            }
-            // Scatter back while the block's lines are still hot; fp16
-            // stores re-quantize the working copy in the same pass.
-            match active.as_deref_mut() {
-                Some(active) => {
-                    for (j, &iu) in blk.iter().enumerate() {
-                        let i = iu as usize;
-                        params[i] = pb[j];
-                        self.state[i].m = mb[j];
-                        self.state[i].v = vb[j];
-                        active[i] = quantize_f16(pb[j]);
-                    }
+/// Blocked body of [`AdamState::step_sparse_gathered`], running inside a
+/// `vectorize` frame. Block size keeps the gathered working set (four
+/// stack arrays plus the block's scattered cache lines) inside L1 between
+/// the gather and the scatter.
+#[allow(clippy::too_many_arguments)]
+fn step_gathered_blocks(
+    replay: &Replay<'_>,
+    state: &mut [Moments],
+    params: &mut [f32],
+    mut active: Option<&mut [f32]>,
+    gathered: &[f32],
+    indices: &[u32],
+    scale: f32,
+    bias: (f32, f32),
+    t: u64,
+) {
+    const BLOCK: usize = 128;
+    let h = replay.h;
+    let mut pb = [0.0f32; BLOCK];
+    let mut mb = [0.0f32; BLOCK];
+    let mut vb = [0.0f32; BLOCK];
+    let mut gb = [0.0f32; BLOCK];
+    let vb1 = f32x8::splat(h.beta1);
+    let vomb1 = f32x8::splat(1.0 - h.beta1);
+    let vb2 = f32x8::splat(h.beta2);
+    let vomb2 = f32x8::splat(1.0 - h.beta2);
+    let vb1t = f32x8::splat(bias.0);
+    let vb2t = f32x8::splat(bias.1);
+    let vlr = f32x8::splat(h.lr);
+    let veps = f32x8::splat(h.eps);
+    for (blk_i, blk) in indices.chunks(BLOCK).enumerate() {
+        let base = blk_i * BLOCK;
+        let bn = blk.len();
+        // Gather the block's parameters and moments (replaying any
+        // missed zero-gradient steps first) and stamp them.
+        for (j, &iu) in blk.iter().enumerate() {
+            let i = iu as usize;
+            let s = &mut state[i];
+            let mut p = params[i];
+            replay.run(s, &mut p, t - 1);
+            pb[j] = p;
+            mb[j] = s.m;
+            vb[j] = s.v;
+            gb[j] = gathered[base + j] * scale;
+            s.step = t as u32;
+        }
+        // Contiguous Adam update: eight lanes at a time, operation
+        // order mirroring `Hyper::update` term for term.
+        let full = bn - bn % f32x8::LANES;
+        let mut k = 0;
+        while k < full {
+            let g = f32x8::from_slice(&gb[k..]);
+            let m = (vb1 * f32x8::from_slice(&mb[k..])).madd(vomb1, g);
+            let v = (vb2 * f32x8::from_slice(&vb[k..])).madd(vomb2 * g, g);
+            let m_hat = m / vb1t;
+            let v_hat = v / vb2t;
+            let p = f32x8::from_slice(&pb[k..]) - (vlr * m_hat) / (v_hat.sqrt() + veps);
+            m.write_to(&mut mb[k..]);
+            v.write_to(&mut vb[k..]);
+            p.write_to(&mut pb[k..]);
+            k += f32x8::LANES;
+        }
+        // Scalar tail — bitwise the same arithmetic as the lanes.
+        for j in full..bn {
+            let mut s = Moments {
+                m: mb[j],
+                v: vb[j],
+                step: 0,
+            };
+            h.update(&mut s, &mut pb[j], gb[j], bias);
+            mb[j] = s.m;
+            vb[j] = s.v;
+        }
+        // Scatter back while the block's lines are still hot; fp16
+        // stores re-quantize the working copy in the same pass.
+        match active.as_deref_mut() {
+            Some(active) => {
+                for (j, &iu) in blk.iter().enumerate() {
+                    let i = iu as usize;
+                    params[i] = pb[j];
+                    state[i].m = mb[j];
+                    state[i].v = vb[j];
+                    active[i] = quantize_f16(pb[j]);
                 }
-                None => {
-                    for (j, &iu) in blk.iter().enumerate() {
-                        let i = iu as usize;
-                        params[i] = pb[j];
-                        self.state[i].m = mb[j];
-                        self.state[i].v = vb[j];
-                    }
+            }
+            None => {
+                for (j, &iu) in blk.iter().enumerate() {
+                    let i = iu as usize;
+                    params[i] = pb[j];
+                    state[i].m = mb[j];
+                    state[i].v = vb[j];
                 }
             }
         }
@@ -530,6 +882,9 @@ impl AdamState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn minimizes_quadratic() {
@@ -795,6 +1150,300 @@ mod tests {
                 assert_eq!(bits(split.master()), bits(gath.master()));
                 assert_eq!(bits(split.values()), bits(gath.values()));
             }
+        }
+    }
+
+    #[test]
+    fn dense_zero_gradient_chain_parks_moments_on_subnormal_fixed_points() {
+        // The statement DESIGN.md makes, on the dense path: a moment that
+        // was ever non-zero never flushes to zero. Round-to-nearest-even
+        // holds 0.9·4 = 3.6 at 4 and 0.99·50 = 49.5 at 50, in units of
+        // 2⁻¹⁴⁹, and a chain coming down from above stops there.
+        for g in [0.8f32, -0.8] {
+            let mut p = vec![1.0f32];
+            let mut adam = AdamState::new(1, 0.01);
+            adam.step(&mut p, &[g]);
+            for _ in 0..12_000 {
+                adam.step(&mut p, &[0.0]);
+            }
+            let sign = if g < 0.0 { 0x8000_0000 } else { 0 };
+            assert_eq!(moment_bits(&adam), [(sign | 0x0000_0004, 0x0000_0032)]);
+            let parked = adam.clone();
+            adam.step(&mut p, &[0.0]);
+            assert_eq!(moment_bits(&adam), moment_bits(&parked));
+        }
+    }
+
+    /// The hardware's `fl(β·x) + 0.0`, kept opaque so it is computed, not
+    /// folded.
+    fn hardware_decay(beta: f32, bits: u32) -> u32 {
+        let x = std::hint::black_box(f32::from_bits(bits));
+        (beta * x + 0.0).to_bits()
+    }
+
+    /// Checks [`Decay::step_small`] against the hardware on both signs of
+    /// the given magnitudes (bit patterns) of its domain.
+    fn check_small_decay(beta: f32, magnitudes: impl Iterator<Item = u32>) {
+        let d = Decay::new(beta);
+        for mag in magnitudes {
+            assert!(f32::from_bits(mag) < d.normal_from);
+            for bits in [mag, mag | 0x8000_0000] {
+                assert_eq!(
+                    d.step_small(bits),
+                    hardware_decay(beta, bits),
+                    "β = {beta}, x = {bits:#010x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn subnormal_decay_matches_the_hardware_product_sampled() {
+        // Every 257th magnitude of the integer path's whole domain (all
+        // subnormals and the normals under `normal_from`) plus both of
+        // its ends, for the two default rates and a spread of others —
+        // β = 2⁻²³ and the largest β under one stretch the shift range.
+        for beta in [
+            0.9f32,
+            0.99,
+            0.5,
+            0.999,
+            0.1,
+            f32::EPSILON,
+            1.0 - f32::EPSILON / 2.0,
+        ] {
+            let end = Decay::new(beta).normal_from.to_bits();
+            check_small_decay(beta, (0..end).step_by(257));
+            check_small_decay(beta, 0..4096);
+            check_small_decay(beta, end - 4096..end);
+        }
+    }
+
+    #[test]
+    #[ignore = "exhaustive: ~70 M subnormal hardware products, release mode only"]
+    fn subnormal_decay_matches_the_hardware_product_exhaustive() {
+        for beta in [0.9f32, 0.99] {
+            check_small_decay(beta, 0..Decay::new(beta).normal_from.to_bits());
+        }
+    }
+
+    #[test]
+    fn decay_run_matches_the_hardware_chain_into_its_fixed_point() {
+        // From a normal value through the normal/subnormal boundary down
+        // to the parked subnormal, stopping at every prefix length.
+        for (beta, x0, steps) in [(0.9f32, -3.0e-36f32, 260u64), (0.99, 2.0e-37, 2400)] {
+            let d = Decay::new(beta);
+            let mut chain = x0.to_bits();
+            for n in 0..=steps {
+                assert_eq!(d.run(x0, n).to_bits(), chain, "β = {beta}, n = {n}");
+                chain = hardware_decay(beta, chain);
+            }
+            assert_eq!(
+                hardware_decay(beta, chain),
+                chain,
+                "chain reached its fixed point"
+            );
+            assert_eq!(
+                d.run(x0, u64::MAX).to_bits(),
+                chain,
+                "early-out at the fixed point"
+            );
+        }
+    }
+
+    #[test]
+    fn bias_corrections_never_fall_below_their_first_step() {
+        // What `AtRest::settled` divides by: 1 − β₁ᵗ ≥ 1 − β₁ at every
+        // step, so the table's running minimum is the t = 1 row and the
+        // quiescence bound is as tight as its derivation says.
+        let adam = AdamState::new(0, 0.01);
+        let mut table = BiasTable::default();
+        table.extend_to(adam.beta1, adam.beta2, 100_000);
+        assert_eq!(table.rows.len(), 100_001);
+        assert_eq!(table.rows[0], (0.0, 0.0));
+        for (t, row) in table.rows.iter().enumerate().skip(1) {
+            assert!(row.0 >= 1.0 - adam.beta1, "1 − β₁ᵗ at t = {t}: {}", row.0);
+            assert!(row.1 >= 1.0 - adam.beta2, "1 − β₂ᵗ at t = {t}: {}", row.1);
+        }
+        assert_eq!(table.floor, (1.0 - adam.beta1, 1.0 - adam.beta2));
+    }
+
+    #[test]
+    fn bias_table_follows_the_public_decay_rates() {
+        // `beta1`/`beta2` are public fields; a table built for other
+        // rates must not be read.
+        let mut p = vec![0.5f32];
+        let mut adam = AdamState::new(1, 0.01);
+        for _ in 0..3 {
+            adam.step(&mut p, &[0.3]);
+        }
+        adam.beta1 = 0.8;
+        let (mut expect_p, mut expect_s) = (p[0], adam.state[0]);
+        adam.hyper().update(
+            &mut expect_s,
+            &mut expect_p,
+            0.3,
+            // Opaque arguments: a constant-folded `powi` is an ulp off.
+            (
+                1.0 - std::hint::black_box(0.8f32).powi(4),
+                1.0 - std::hint::black_box(0.99f32).powi(4),
+            ),
+        );
+        adam.step(&mut p, &[0.3]);
+        assert_eq!(p[0].to_bits(), expect_p.to_bits());
+        assert_eq!(adam.state[0], expect_s);
+    }
+
+    #[test]
+    fn sync_store_matches_sync_all_then_commit_bitwise() {
+        use crate::store::Precision;
+        let init: Vec<f32> = (0..40).map(|i| 0.02 * i as f32 - 0.37).collect();
+        for precision in [Precision::F32, Precision::Fp16] {
+            let mut split = ParamStore::new(precision, init.clone());
+            let mut fused = ParamStore::new(precision, init.clone());
+            let mut split_adam = AdamState::new(init.len(), 0.05);
+            let mut fused_adam = AdamState::new(init.len(), 0.05);
+            split_adam.enable_lazy();
+            fused_adam.enable_lazy();
+            for round in 0..6u32 {
+                // Touch a rotating third of the scalars once, then let
+                // every chain run untouched for a while.
+                let touched: Vec<u32> = (0..init.len() as u32)
+                    .filter(|i| i % 3 == round % 3)
+                    .collect();
+                let gathered: Vec<f32> =
+                    touched.iter().map(|&i| 0.01 * (i as f32 - 17.0)).collect();
+                split_adam.step_sparse_gathered(&mut split, &gathered, &touched, 1.0);
+                fused_adam.step_sparse_gathered(&mut fused, &gathered, &touched, 1.0);
+                for _ in 0..40 * (round + 1) {
+                    split_adam.step_sparse_gathered(&mut split, &[], &[], 1.0);
+                    fused_adam.step_sparse_gathered(&mut fused, &[], &[], 1.0);
+                }
+                split_adam.sync_all(split.master_mut());
+                split.commit();
+                fused_adam.sync_store(&mut fused);
+                assert_eq!(bits(split.master()), bits(fused.master()));
+                assert_eq!(bits(split.values()), bits(fused.values()));
+                assert_eq!(split_adam, fused_adam);
+            }
+        }
+    }
+
+    /// A moment magnitude from every range the replay treats differently.
+    fn draw_magnitude(rng: &mut SmallRng) -> f32 {
+        match rng.gen_range(0..6) {
+            0 => 0.0,
+            1 => f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+            2 => 10f32.powf(rng.gen_range(-44.0f32..-36.0)),
+            3 => 10f32.powf(rng.gen_range(-36.0f32..-12.0)),
+            _ => 10f32.powf(rng.gen_range(-12.0f32..0.0)),
+        }
+    }
+
+    /// One scalar's `(m, v, p)`: independent draws, plus the two shapes
+    /// they would almost never produce.
+    fn draw_scalar(rng: &mut SmallRng, lr: f32, eps: f32) -> (f32, f32, f32) {
+        let sign = if rng.gen_bool(0.5) { 1.0f32 } else { -1.0 };
+        let m = sign * draw_magnitude(rng);
+        let v = draw_magnitude(rng);
+        let any = 10f32.powf(rng.gen_range(-30.0f32..2.0));
+        match rng.gen_range(0..14) {
+            0 => (m, v, 0.0),
+            1 => (m, v, -0.0),
+            2 => (m, v, f32::from_bits(rng.gen_range(1..0x0080_0000u32))),
+            3 => (m, v, 1.0e-20),
+            4 => (m, v, sign * f32::INFINITY),
+            5 => (m, v, f32::NAN),
+            // Crosses zero while active: updates of about `lr` each
+            // (v = m²) against a few `lr` of `p`.
+            6 | 7 => (m, m * m, sign * lr * rng.gen_range(0.5f32..6.0)),
+            // On the edge of the quiescence bound: no √v̂ to hide behind
+            // and `lr·|m| / ((1 − β₁)·ε)` within 8× of a quarter ulp of a
+            // `p` that is, half the time, a power of two about to step
+            // onto the finer-spaced side.
+            8..=10 => {
+                let p = match rng.gen_bool(0.5) {
+                    true => sign * 2f32.powi(rng.gen_range(-20..4)),
+                    false => sign * any,
+                };
+                let quarter_ulp = f32::from_bits((((p.to_bits() >> 23) & 0xff) - 25) << 23);
+                let edge = quarter_ulp * eps * 0.1 / lr;
+                let v = [0.0, 1.0e-42, 1.0e-30][rng.gen_range(0..3)];
+                (sign * edge * 2f32.powf(rng.gen_range(-3.0f32..3.0)), v, p)
+            }
+            _ => (m, v, -sign * any),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The replay kernel against the dense zero-gradient chain, from
+        /// arbitrary mid-trajectory states over gaps long enough to leave
+        /// the active regime, go subnormal and park: every parameter and
+        /// moment bit must agree at every sync, whatever regime each
+        /// scalar is in and wherever the syncs cut its chain.
+        #[test]
+        fn replay_matches_the_dense_zero_gradient_chain_in_every_regime(seed in 0u64..1_000_000) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = 10usize;
+            let lr = [0.01f32, 1.0e-3, 0.3][rng.gen_range(0..3)];
+            let eps = [1.0e-8f32, 1.0e-8, 1.0e-15, 0.0][rng.gen_range(0..4)];
+            // Early starts keep `1 − β₁ᵗ` near its floor, where the
+            // quiescence bound has no slack.
+            let start = match rng.gen_bool(0.4) {
+                true => rng.gen_range(0u64..4),
+                false => rng.gen_range(0u64..2_500),
+            };
+            let gap = rng.gen_range(1usize..3_000);
+            let (mut m, mut v, mut p) = (Vec::new(), Vec::new(), Vec::new());
+            for _ in 0..n {
+                let (mi, vi, pi) = draw_scalar(&mut rng, lr, eps);
+                m.push(mi.to_bits());
+                v.push(vi.to_bits());
+                p.push(pi);
+            }
+            let snap = |lazy: bool| AdamStateSnapshot {
+                m_bits: m.clone(),
+                v_bits: v.clone(),
+                step_stamps: vec![if lazy { start as u32 } else { 0 }; n],
+                t: start,
+                lazy,
+                learning_rate: lr,
+                beta1: 0.9,
+                beta2: 0.99,
+                epsilon: eps,
+            };
+            let mut dense = AdamState::from_snapshot(&snap(false));
+            let mut lazy = AdamState::from_snapshot(&snap(true));
+            let (mut dense_p, mut lazy_p) = (p.clone(), p);
+            let zeros = vec![0.0f32; n];
+            let sync_every = rng.gen_range(1usize..400);
+            for step in 1..=gap {
+                dense.step_scaled(&mut dense_p, &zeros, 1.0);
+                lazy.step_sparse(&mut lazy_p, &zeros, &[], 1.0);
+                if step == gap || rng.gen_range(0..sync_every) == 0 {
+                    if rng.gen_bool(0.5) {
+                        lazy.sync_all(&mut lazy_p);
+                    } else {
+                        // Entry granularity, and only some: the others
+                        // keep their older stamps for a later sync.
+                        let some: Vec<u32> = (0..n as u32 / 2).filter(|_| rng.gen_bool(0.6)).collect();
+                        lazy.sync_entries(&mut lazy_p, &some, 2);
+                        for &e in &some {
+                            let span = e as usize * 2..e as usize * 2 + 2;
+                            prop_assert_eq!(bits(&dense_p[span.clone()]), bits(&lazy_p[span.clone()]));
+                            prop_assert_eq!(&moment_bits(&dense)[span.clone()], &moment_bits(&lazy)[span]);
+                        }
+                        continue;
+                    }
+                    prop_assert_eq!(bits(&dense_p), bits(&lazy_p), "params at step {}", step);
+                    prop_assert_eq!(moment_bits(&dense), moment_bits(&lazy), "moments at step {}", step);
+                }
+            }
+            lazy.sync_all(&mut lazy_p);
+            prop_assert_eq!(bits(&dense_p), bits(&lazy_p));
+            prop_assert_eq!(moment_bits(&dense), moment_bits(&lazy));
         }
     }
 }

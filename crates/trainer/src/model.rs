@@ -753,6 +753,12 @@ impl IngpModel {
         &self.color_mlp
     }
 
+    /// The hash grid's optimizer state (read-only; used by equivalence
+    /// tests to compare moment bits across optimizer paths).
+    pub fn grid_adam(&self) -> &AdamState {
+        &self.grid_adam
+    }
+
     /// Checkpoint hooks: the three optimizer states in a fixed order
     /// (grid, density MLP, color MLP).
     pub(crate) fn adam_states(&self) -> [&AdamState; 3] {
@@ -1002,9 +1008,7 @@ impl TrainableField for IngpModel {
 
     fn sync_parameters(&mut self) {
         if self.opt == OptPath::Sparse {
-            self.grid_adam
-                .sync_all(self.grid.parameter_store_mut().master_mut());
-            self.grid.commit_parameters();
+            self.grid_adam.sync_store(self.grid.parameter_store_mut());
         }
     }
 

@@ -145,6 +145,44 @@ fn resume_preserves_occupancy_grid_state_bitwise() {
 }
 
 #[test]
+fn resume_past_step_1000_rebuilds_the_bias_table_and_matches_straight() {
+    // The per-step bias table is derived state a snapshot does not
+    // carry: a trainer resumed at step 1 040 rebuilds it from `t`, and
+    // its replays — of chains already hundreds of steps old, some past
+    // the subnormal boundary — must land on the straight run's bits.
+    const FIRST: usize = 1_040;
+    let ds = DatasetConfig::tiny().generate(&zoo::scene(zoo::SceneKind::Mic));
+    let cfg = tiny_config(Engine::Batched, Precision::Fp16, OptPath::Sparse);
+    let with_grid = |t: Trainer<IngpModel>| t.with_occupancy_grid(8, 0.02, 16);
+    let fingerprint = |losses: &[f64], trainer: Trainer<IngpModel>| {
+        let model = trainer.into_model();
+        let adam = model.grid_adam().to_snapshot();
+        (
+            losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+            bits(model.grid().parameter_store().master()),
+            bits(model.grid().parameters()),
+            adam.m_bits,
+            adam.v_bits,
+        )
+    };
+
+    let mut reference = with_grid(fresh_trainer(cfg, 1));
+    let straight_losses = reference.train(&ds, FIRST + 40).losses;
+    let straight = fingerprint(&straight_losses[FIRST..], reference);
+
+    let mut io = MemIo::default();
+    {
+        let mut first = with_grid(fresh_trainer(cfg, 1));
+        first.train(&ds, FIRST);
+        first.save_checkpoint_to(&mut io, 2).unwrap();
+    }
+    let mut restored = Trainer::resume_from_io(&io, cfg).unwrap();
+    assert_eq!(restored.global_step(), FIRST as u64);
+    let resumed_losses = restored.train(&ds, 40).losses;
+    assert!(fingerprint(&resumed_losses, restored) == straight);
+}
+
+#[test]
 fn resume_with_mismatched_config_is_a_typed_error() {
     let ds = DatasetConfig::tiny().generate(&zoo::scene(zoo::SceneKind::Mic));
     let cfg = tiny_config(Engine::Scalar, Precision::F32, OptPath::Sparse);

@@ -94,6 +94,61 @@ fn sparse_matches_dense_bitwise_for_every_engine_precision_and_thread_count() {
     }
 }
 
+/// Losses, then master, working and moment bits of the grid after a
+/// run long enough for abandoned entries to leave the replay's active
+/// regime, decay into the subnormals and park there.
+fn long_horizon_fingerprint(
+    early: &Dataset,
+    late: &Dataset,
+    precision: Precision,
+    opt: OptPath,
+) -> (Vec<u64>, [Vec<u32>; 4]) {
+    let cfg = TrainConfig::tiny().with_precision(precision).with_opt(opt);
+    // The refresh syncs the whole table every 16 iterations, so every
+    // abandoned chain is cut into 16-step replays, as in a real run.
+    let mut trainer = Trainer::new(IngpModel::for_config(ModelConfig::tiny(), &cfg, 8), cfg, 3)
+        .with_threads(1)
+        .with_occupancy_grid(8, 0.02, 16);
+    let mut losses = trainer.train(early, 6).losses;
+    losses.extend(trainer.train(late, 1_600).losses);
+    let model = trainer.into_model();
+    let adam = model.grid_adam().to_snapshot();
+    (
+        losses.iter().map(|l| l.to_bits()).collect(),
+        [
+            bits(model.grid().parameter_store().master()),
+            bits(model.grid().parameters()),
+            adam.m_bits,
+            adam.v_bits,
+        ],
+    )
+}
+
+#[test]
+fn sparse_matches_dense_bitwise_long_after_a_region_is_abandoned() {
+    // Six iterations on Lego touch entries that Mic — a thin object in a
+    // mostly culled volume — never reads again: their chains run
+    // untouched for 1 600 steps, which the 16-step property test below
+    // cannot reach (first moments go subnormal near step 700 and park
+    // near 950).
+    let lego = DatasetConfig::tiny().generate(&zoo::scene(zoo::SceneKind::Lego));
+    let mic = DatasetConfig::tiny().generate(&zoo::scene(zoo::SceneKind::Mic));
+    for precision in [Precision::F32, Precision::Fp16] {
+        let dense = long_horizon_fingerprint(&lego, &mic, precision, OptPath::Dense);
+        let sparse = long_horizon_fingerprint(&lego, &mic, precision, OptPath::Sparse);
+        let parked = dense.1[2].iter().filter(|&&m| m & 0x7fff_ffff == 4).count();
+        assert!(
+            parked > 0,
+            "no first moment reached its subnormal fixed point"
+        );
+        assert!(
+            sparse == dense,
+            "{}: sparse diverged bitwise from dense",
+            precision.label()
+        );
+    }
+}
+
 #[test]
 fn opt_path_defaults_to_sparse_and_with_opt_overrides() {
     // The labels are what the throughput bench records.
