@@ -1,28 +1,27 @@
 //! Inference fast-path benchmark: pixels per second of the render engine
-//! against the pre-engine naive renderer (replicated below), on a trained
-//! Mic model at 1 thread. The matrix crosses the evaluation path (scalar
-//! per-point fallback vs the batched phased pipeline) × parameter
-//! precision (f32 vs fp16) × occupancy culling on/off, all with early ray
-//! termination on for the fast rows. Each rate is the median of several
-//! timing windows after a warm-up render that fills the arena. Writes
-//! `BENCH_render.json` at the repo root recording, per config, pixels/sec,
-//! the culled-sample fraction, effective samples per pixel and per-stage
-//! ns/pixel — plus the naive reference rate the headline speedup is
-//! measured against. CI runs it in quick mode (`INERF_BENCH_QUICK=1`).
+//! against its own reference row (`RenderOpts::reference()`, no grid — the
+//! configuration `render_equivalence` pins bitwise to the pre-engine
+//! renderer), on a trained Mic model at 1 thread. The matrix crosses the
+//! evaluation path (scalar per-point fallback vs the batched phased
+//! pipeline) × parameter precision (f32 vs fp16) × occupancy culling
+//! on/off, all with early ray termination on for the fast rows. Each rate
+//! is the median of several timing windows after a warm-up render that
+//! fills the arena. Writes `BENCH_render.json` at the repo root recording,
+//! per config, pixels/sec, the culled-sample fraction, effective samples
+//! per pixel and per-stage ns/pixel — plus the reference rate the headline
+//! speedup is measured against. CI runs it in quick mode
+//! (`INERF_BENCH_QUICK=1`).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use inerf_bench::{median_secs, quick_mode, write_record};
 use inerf_encoding::HashFunction;
-use inerf_geom::{Aabb, Camera, Vec3};
+use inerf_geom::Vec3;
 use inerf_mlp::Precision;
-use inerf_render::volume::{composite_spans, RayBatch, RaySpan};
-use inerf_scenes::{zoo, DatasetConfig, Image};
+use inerf_scenes::{zoo, DatasetConfig};
 use inerf_trainer::render::{RenderEngine, RenderOpts};
 use inerf_trainer::{
-    engine, EvalScratch, IngpModel, ModelConfig, OccupancyGrid, TrainConfig, TrainableField,
-    Trainer,
+    engine, IngpModel, ModelConfig, OccupancyGrid, TrainConfig, TrainableField, Trainer,
 };
 use serde::Serialize;
-use std::time::Instant;
 
 /// Read-only wrapper that hides [`IngpModel`]'s batched entry points, so
 /// the engine takes the serial per-point dense fallback — the "scalar"
@@ -43,96 +42,6 @@ impl TrainableField for ScalarRef<'_> {
     fn parameter_count(&self) -> usize {
         self.0.parameter_count()
     }
-}
-
-/// The pre-engine `render_view_with_pool`, replicated verbatim (2048
-/// hit-pixel blocks, per-block `vec!` allocations, serial ray generation,
-/// dense query of both MLPs, wide composite kernel) — the baseline the
-/// recorded speedup is measured against.
-fn render_view_naive<M: TrainableField>(
-    model: &M,
-    camera: &Camera,
-    bounds: &Aabb,
-    samples_per_ray: usize,
-    pool: &rayon::ThreadPool,
-) -> Image {
-    const RENDER_PIXEL_BLOCK: usize = 2048;
-    let mut img = Image::new(camera.width, camera.height);
-    let mut points = Vec::new();
-    let mut dirs = Vec::new();
-    let mut spans = Vec::new();
-    let mut pixels = Vec::new();
-    let flush = |points: &mut Vec<Vec3>,
-                 dirs: &mut Vec<Vec3>,
-                 spans: &mut Vec<RaySpan>,
-                 pixels: &mut Vec<(u32, u32)>,
-                 img: &mut Image| {
-        if spans.is_empty() {
-            return;
-        }
-        let n = points.len();
-        let mut sigmas = vec![0.0f32; n];
-        let mut rgbs = vec![Vec3::ZERO; n];
-        // Both eval phases over the identity live list on a call-local
-        // scratch: every sample pays both MLPs, as the old renderer did.
-        let mut scratch = EvalScratch::default();
-        model.query_eval_batch_density(points, &mut sigmas, &mut scratch, pool);
-        let all: Vec<u32> = (0..n as u32).collect();
-        model.query_eval_batch_color_compacted(dirs, &all, &mut rgbs, &mut scratch, pool);
-        let mut ray_colors = vec![Vec3::ZERO; spans.len()];
-        let mut backgrounds = vec![0.0f32; spans.len()];
-        let mut weights = vec![0.0f32; n];
-        let mut trans_after = vec![0.0f32; n];
-        composite_spans(
-            &RayBatch {
-                sigmas: &sigmas,
-                colors: &rgbs,
-                spans,
-                dts: None,
-                sample_base: 0,
-            },
-            &mut ray_colors,
-            &mut backgrounds,
-            &mut weights,
-            &mut trans_after,
-        );
-        for (&(px, py), &color) in pixels.iter().zip(&ray_colors) {
-            img.set(px, py, color);
-        }
-        points.clear();
-        dirs.clear();
-        spans.clear();
-        pixels.clear();
-    };
-    for py in 0..camera.height {
-        for px in 0..camera.width {
-            let ray = camera.ray_for_pixel(px, py);
-            let Some(hit) = bounds.intersect(&ray) else {
-                continue;
-            };
-            if hit.t_far - hit.t_near < 1e-5 {
-                continue;
-            }
-            let ts = ray.stratified_ts(hit.t_near.max(1e-4), hit.t_far, samples_per_ray, None);
-            let dt = (hit.t_far - hit.t_near.max(1e-4)) / samples_per_ray as f32;
-            let start = points.len();
-            for &t in &ts {
-                points.push(bounds.normalize(ray.at(t)));
-                dirs.push(ray.direction);
-            }
-            spans.push(RaySpan {
-                start,
-                len: ts.len(),
-                dt,
-            });
-            pixels.push((px, py));
-            if pixels.len() == RENDER_PIXEL_BLOCK {
-                flush(&mut points, &mut dirs, &mut spans, &mut pixels, &mut img);
-            }
-        }
-    }
-    flush(&mut points, &mut dirs, &mut spans, &mut pixels, &mut img);
-    img
 }
 
 /// Per-stage cost of one engine render, in nanoseconds per output pixel.
@@ -177,36 +86,14 @@ struct RenderReport {
     grid_occupancy: f64,
     /// Dense samples per pixel before any culling (rays_hit × spp / pixels).
     samples_per_pixel_dense: f64,
-    /// The pre-engine naive renderer on the batched f32 model — the
-    /// baseline every `speedup_vs_reference` is measured against.
+    /// The engine's own reference row — `RenderOpts::reference()`, no
+    /// grid, batched f32 model: every sample pays both MLPs — the baseline
+    /// every `speedup_vs_reference` is measured against.
     reference_pixels_per_sec: f64,
     /// Headline: batched/f32 with culling + early termination vs the
     /// reference above.
     speedup_fast_vs_reference: f64,
     configs: Vec<ConfigReport>,
-}
-
-fn quick_mode() -> bool {
-    std::env::var("INERF_BENCH_QUICK").is_ok_and(|v| v != "0")
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// Median seconds per call over `windows` timed calls after one warm-up
-/// (which fills the render arena, the phased-eval scratch and the pool).
-fn median_secs(windows: usize, f: &mut dyn FnMut()) -> f64 {
-    f();
-    let samples = (0..windows)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    median(samples)
 }
 
 struct TrainedScene {
@@ -240,7 +127,7 @@ fn train_scene(
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let (train_iters, windows, spp, resolution) = if quick_mode() {
         (30usize, 3usize, 32usize, 48u32)
     } else {
@@ -276,11 +163,21 @@ fn bench(c: &mut Criterion) {
         GRID_THRESHOLD,
     );
 
-    // The baseline: the pre-engine renderer on the f32 model, 1 thread.
+    // The baseline: the engine's reference row on the f32 model, 1 thread.
+    let mut reference = RenderEngine::default();
     let reference_secs = median_secs(windows, &mut || {
-        let _ = render_view_naive(&f32_scene.model, camera, bounds, spp, &pool);
+        let _ = reference.render_view(
+            &f32_scene.model,
+            camera,
+            bounds,
+            spp,
+            None,
+            &RenderOpts::reference(),
+            &pool,
+        );
     });
     let reference_pps = pixels / reference_secs;
+    let samples_per_pixel_dense = reference.last_stats().samples_dense as f64 / pixels;
 
     let mut configs = Vec::new();
     let mut headline_speedup = 0.0f64;
@@ -344,23 +241,10 @@ fn bench(c: &mut Criterion) {
         }
     }
 
-    // Dense sample load of this view, from the last reference-shaped run.
-    let mut probe = RenderEngine::default();
-    let _ = probe.render_view(
-        &f32_scene.model,
-        camera,
-        bounds,
-        spp,
-        None,
-        &RenderOpts::reference(),
-        &pool,
-    );
-    let samples_per_pixel_dense = probe.last_stats().samples_dense as f64 / pixels;
-
     assert!(
         headline_speedup >= 3.0,
-        "culling + early termination must be >= 3x over the pre-engine \
-         renderer, measured {headline_speedup:.2}x"
+        "culling + early termination must be >= 3x over the engine's \
+         reference row, measured {headline_speedup:.2}x"
     );
 
     let report = RenderReport {
@@ -395,33 +279,5 @@ fn bench(c: &mut Criterion) {
             cfg.samples_per_pixel_effective,
         );
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_render.json");
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    inerf_snapshot::atomic_write_file(std::path::Path::new(path), (json + "\n").as_bytes())
-        .expect("write BENCH_render.json");
-    println!("wrote {path}");
-
-    // A tracked criterion kernel: one fast-path view render, steady-state
-    // (the engine's arena is warm after the first iteration).
-    let mut eng = RenderEngine::default();
-    c.bench_function("render/fast_view", |b| {
-        b.iter(|| {
-            eng.render_view(
-                &f32_scene.model,
-                camera,
-                bounds,
-                spp,
-                Some(&f32_scene.grid),
-                &RenderOpts::default(),
-                &pool,
-            )
-        })
-    });
+    write_record("render", &report);
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

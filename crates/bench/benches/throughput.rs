@@ -3,43 +3,22 @@
 //! (`TrainConfig::small`: 256 rays × 32 samples = 8 K points/iteration,
 //! `ModelConfig::small`). Each rate is the median of several timing
 //! windows after a warm-up, so a single noisy window cannot skew the
-//! recorded baseline. Also measures per-stage ns/point for the batched
-//! 1-thread pipeline (gather → fused encode+density MLP → color MLP →
-//! composite → backward), which is what shows whether the MLP stage still
-//! dominates. Writes `BENCH_throughput.json` at the repo root so the perf
-//! trajectory is recorded run over run; CI runs it in quick mode
-//! (`INERF_BENCH_QUICK=1`).
+//! recorded baseline. Also measures the grid optimizer at paper scale
+//! (dense vs sparse) and the lazy-Adam replay kernel by chain age, with
+//! its two cliff gates. The per-stage ns/point of a training step are not
+//! here: `inerf-bench run --workload train_lego --trace 1` records them
+//! reconciled against the real step. Writes `BENCH_throughput.json` at the
+//! repo root so the perf trajectory is recorded run over run; CI runs it
+//! in quick mode (`INERF_BENCH_QUICK=1`).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use inerf_bench::{median, quick_mode, write_record};
 use inerf_encoding::{HashFunction, HashGrid};
 use inerf_geom::Vec3;
 use inerf_mlp::{AdamState, ParamStore};
-use inerf_render::l2_loss;
-use inerf_render::volume::{composite_backward_spans, composite_spans, RayBatch, RaySpan};
 use inerf_scenes::{zoo, Dataset, DatasetConfig};
-use inerf_trainer::{
-    engine, Engine, IngpModel, ModelConfig, Precision, TrainConfig, TrainableField, Trainer,
-};
+use inerf_trainer::{engine, Engine, IngpModel, ModelConfig, Precision, TrainConfig, Trainer};
 use serde::Serialize;
 use std::time::Instant;
-
-/// Per-stage cost of one batched training iteration at 1 thread, in
-/// nanoseconds per sampled point. `encode_density_mlp` is one stage by
-/// design: the fused pipeline streams hash-grid features straight into the
-/// density MLP's first GEMM tile.
-#[derive(Debug, Serialize)]
-struct StageNsPerPoint {
-    gather: f64,
-    encode_density_mlp: f64,
-    color_mlp: f64,
-    composite: f64,
-    composite_backward: f64,
-    model_backward: f64,
-    /// Grid clip-norm + Adam step under the default sparse path.
-    optimizer: f64,
-    /// Re-quantizing the touched fp16 working copy after the step.
-    fp16_commit: f64,
-}
 
 /// Dense vs sparse grid-optimizer cost at the paper's table size
 /// (`L=16, T=2^19, F=2` — 16.7 M parameter scalars), fp16 storage, over
@@ -111,18 +90,8 @@ struct ThroughputReport {
     batched_points_per_sec: f64,
     speedup_batched_vs_scalar: f64,
     speedup_batched_1_thread_vs_scalar: f64,
-    stage_ns_per_point_1_thread: StageNsPerPoint,
     optimizer_paper_scale: OptimizerMicrobench,
     optimizer_replay: OptimizerReplay,
-}
-
-fn quick_mode() -> bool {
-    std::env::var("INERF_BENCH_QUICK").is_ok_and(|v| v != "0")
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 /// Median sampled-points-per-second over `windows` timing windows of
@@ -149,155 +118,6 @@ fn points_per_sec(
         })
         .collect();
     median(rates)
-}
-
-/// Times each stage of the batched pipeline in isolation through the same
-/// public entry points the engine uses, at 1 thread, on one
-/// `TrainConfig::small`-shaped batch.
-fn stage_timings(dataset: &Dataset, reps: usize) -> StageNsPerPoint {
-    let cfg = TrainConfig::small();
-    let pool = engine::build_pool(1);
-    let bounds = &dataset.bounds;
-    let view = &dataset.train_views[0];
-    let rays: Vec<_> = (0..cfg.rays_per_batch)
-        .map(|i| {
-            let px = (i as u32 * 7) % view.camera.width;
-            let py = (i as u32 * 13) % view.camera.height;
-            view.camera.ray_for_pixel(px, py)
-        })
-        .collect();
-    let s = cfg.samples_per_ray;
-
-    // Stage (b): gather — intersect, stratified sampling, normalization.
-    let mut points: Vec<Vec3> = Vec::new();
-    let mut dirs: Vec<Vec3> = Vec::new();
-    let mut spans: Vec<RaySpan> = Vec::new();
-    let mut ts: Vec<f32> = Vec::new();
-    let mut gather_ns = 0u128;
-    for _ in 0..reps {
-        points.clear();
-        dirs.clear();
-        spans.clear();
-        let t0 = Instant::now();
-        for ray in &rays {
-            let Some(hit) = bounds.intersect(ray) else {
-                continue;
-            };
-            if hit.t_far - hit.t_near < 1e-5 {
-                continue;
-            }
-            ray.stratified_ts_into(hit.t_near.max(1e-4), hit.t_far, s, None, &mut ts);
-            let dt = (hit.t_far - hit.t_near.max(1e-4)) / s as f32;
-            let start = points.len();
-            for &t in &ts {
-                points.push(bounds.normalize(ray.at(t)));
-                dirs.push(ray.direction);
-            }
-            spans.push(RaySpan {
-                start,
-                len: ts.len(),
-                dt,
-            });
-        }
-        gather_ns += t0.elapsed().as_nanos();
-    }
-
-    let n = points.len();
-    let m = spans.len();
-    assert!(n > 0, "stage batch gathered no samples");
-    let live: Vec<u32> = (0..n as u32).collect();
-    let targets = vec![Vec3::splat(0.5); m];
-    let mut model = IngpModel::new(ModelConfig::small(HashFunction::Morton), 7);
-    let mut sigmas = vec![0.0f32; n];
-    let mut rgbs = vec![Vec3::ZERO; n];
-    let mut ray_colors = vec![Vec3::ZERO; m];
-    let mut backgrounds = vec![0.0f32; m];
-    let mut weights = vec![0.0f32; n];
-    let mut trans_after = vec![0.0f32; n];
-    let mut d_sigmas = vec![0.0f32; n];
-    let mut d_colors = vec![Vec3::ZERO; n];
-    let (mut encode_ns, mut color_ns, mut comp_ns, mut cbwd_ns, mut mbwd_ns) = (0u128, 0, 0, 0, 0);
-    let mut opt_ns = 0u128;
-    for _ in 0..reps {
-        model.begin_batch();
-        // Stage (c1): fused hash-grid encode → density MLP.
-        let t0 = Instant::now();
-        let phased = model.query_batch_density(&points, &mut sigmas, &pool);
-        encode_ns += t0.elapsed().as_nanos();
-        assert!(phased, "IngpModel must support the phased pipeline");
-        // Stage (c2): color MLP over (here: all-live) samples.
-        let t0 = Instant::now();
-        model.query_batch_color_compacted(&dirs, &live, &mut rgbs, &pool);
-        color_ns += t0.elapsed().as_nanos();
-        // Stage (d): volume rendering.
-        let batch = RayBatch {
-            sigmas: &sigmas,
-            colors: &rgbs,
-            spans: &spans,
-            dts: None,
-            sample_base: 0,
-        };
-        let t0 = Instant::now();
-        composite_spans(
-            &batch,
-            &mut ray_colors,
-            &mut backgrounds,
-            &mut weights,
-            &mut trans_after,
-        );
-        comp_ns += t0.elapsed().as_nanos();
-        // Stages (e)-(f): loss, composite backward, model backward.
-        let loss = l2_loss(&ray_colors, &targets);
-        let t0 = Instant::now();
-        composite_backward_spans(
-            &batch,
-            &weights,
-            &trans_after,
-            &loss.d_predictions,
-            &mut d_sigmas,
-            &mut d_colors,
-        );
-        cbwd_ns += t0.elapsed().as_nanos();
-        let t0 = Instant::now();
-        model.backward_batch_compacted(&d_sigmas, &d_colors, &pool);
-        mbwd_ns += t0.elapsed().as_nanos();
-        // Stage (g): optimizer — clip-norm + Adam over the touched grid
-        // entries (sparse path by default) plus both MLP updates.
-        let t0 = Instant::now();
-        model.apply_gradients();
-        opt_ns += t0.elapsed().as_nanos();
-    }
-
-    // The fp16 re-quantization of the touched working copy, measured on
-    // an fp16-stored grid over the same batch's touched set (the stage
-    // model above stores f32, where the commit is a no-op).
-    let mut fp16_grid = HashGrid::with_precision(
-        ModelConfig::small(HashFunction::Morton).grid,
-        7,
-        Precision::Fp16,
-    );
-    fp16_grid.enable_touch_tracking();
-    fp16_grid.begin_touch_batch();
-    fp16_grid.collect_touched_batch(&points);
-    fp16_grid.mark_touched_synced();
-    fp16_grid.finalize_touched();
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        fp16_grid.commit_touched();
-    }
-    let fp16_ns = t0.elapsed().as_nanos();
-
-    let per_pt = |ns: u128| ns as f64 / (reps * n) as f64;
-    StageNsPerPoint {
-        gather: per_pt(gather_ns),
-        encode_density_mlp: per_pt(encode_ns),
-        color_mlp: per_pt(color_ns),
-        composite: per_pt(comp_ns),
-        composite_backward: per_pt(cbwd_ns),
-        model_backward: per_pt(mbwd_ns),
-        optimizer: per_pt(opt_ns),
-        fp16_commit: per_pt(fp16_ns),
-    }
 }
 
 /// A deterministic batch of ray-segment samples in the unit cube: `rays`
@@ -520,8 +340,8 @@ fn optimizer_replay_microbench(rounds: usize) -> OptimizerReplay {
     }
 }
 
-fn bench(c: &mut Criterion) {
-    let (iters, windows, stage_reps) = if quick_mode() { (4, 3, 2) } else { (12, 5, 10) };
+fn main() {
+    let (iters, windows) = if quick_mode() { (4, 3) } else { (12, 5) };
     let threads = engine::default_threads();
     let scene = zoo::scene(zoo::SceneKind::Lego);
     let dataset = DatasetConfig::tiny().generate(&scene);
@@ -529,7 +349,6 @@ fn bench(c: &mut Criterion) {
     let scalar = points_per_sec(&dataset, Engine::Scalar, threads, iters, windows);
     let batched_1 = points_per_sec(&dataset, Engine::Batched, 1, iters, windows);
     let batched = points_per_sec(&dataset, Engine::Batched, threads, iters, windows);
-    let stages = stage_timings(&dataset, stage_reps);
     let (dense_iters, sparse_iters) = if quick_mode() { (3, 30) } else { (12, 240) };
     let paper_opt = optimizer_microbench(dense_iters, sparse_iters);
     let replay = optimizer_replay_microbench(if quick_mode() { 3 } else { 9 });
@@ -550,7 +369,6 @@ fn bench(c: &mut Criterion) {
         batched_points_per_sec: batched,
         speedup_batched_vs_scalar: batched / scalar,
         speedup_batched_1_thread_vs_scalar: batched_1 / scalar,
-        stage_ns_per_point_1_thread: stages,
         optimizer_paper_scale: paper_opt,
         optimizer_replay: replay,
     };
@@ -563,19 +381,6 @@ fn bench(c: &mut Criterion) {
         batched_1 / scalar,
         batched,
         batched / scalar,
-    );
-    println!(
-        "stages (ns/pt, 1 thread): gather {:.0} | encode+density {:.0} | color {:.0} | \
-         composite {:.0} | composite-bwd {:.0} | model-bwd {:.0} | optimizer {:.0} | \
-         fp16-commit {:.0}",
-        report.stage_ns_per_point_1_thread.gather,
-        report.stage_ns_per_point_1_thread.encode_density_mlp,
-        report.stage_ns_per_point_1_thread.color_mlp,
-        report.stage_ns_per_point_1_thread.composite,
-        report.stage_ns_per_point_1_thread.composite_backward,
-        report.stage_ns_per_point_1_thread.model_backward,
-        report.stage_ns_per_point_1_thread.optimizer,
-        report.stage_ns_per_point_1_thread.fp16_commit,
     );
     println!(
         "paper-scale optimizer (L={}, T=2^{}, {:.1}M scalars, {:.0}K touched): \
@@ -602,28 +407,5 @@ fn bench(c: &mut Criterion) {
             .collect::<Vec<_>>()
             .join(" | "),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    inerf_snapshot::atomic_write_file(std::path::Path::new(path), (json + "\n").as_bytes())
-        .expect("write BENCH_throughput.json");
-    println!("wrote {path}");
-
-    // A tracked criterion kernel so the suite's usual min/mean reporting
-    // covers one batched step too.
-    let mut trainer = Trainer::new(
-        IngpModel::new(ModelConfig::small(HashFunction::Morton), 7),
-        TrainConfig::small(),
-        3,
-    );
-    trainer.train(&dataset, 1);
-    c.bench_function("throughput/batched_train_step", |b| {
-        b.iter(|| trainer.train_step(&dataset))
-    });
+    write_record("throughput", &report);
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

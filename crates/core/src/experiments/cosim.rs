@@ -15,8 +15,9 @@
 //!   reused online sink's in-place resets.
 //!
 //! The two must agree bit-for-bit on the simulated quantities; the
-//! experiment records both throughputs and both peak trace-memory
-//! footprints, which is the refactor's measurable payoff.
+//! experiment records both peak trace-memory footprints, which is the
+//! refactor's measurable payoff. (The host cost of simulating online is
+//! `inerf-bench`'s `accel.cosim_overhead_ratio`.)
 
 use crate::report;
 use inerf_accel::{CosimSink, CosimStats, PipelineModel};
@@ -24,21 +25,10 @@ use inerf_encoding::{BatchBufferSink, HashFunction};
 use inerf_scenes::{zoo, Dataset, DatasetConfig};
 use inerf_trainer::{Engine, IngpModel, ModelConfig, TrainConfig, Trainer};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// One path's measurements (streamed or buffered).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CosimPath {
-    /// Wall-clock seconds of the training run: for the streamed path this
-    /// includes the online co-simulation (it runs inline); for the
-    /// buffered path it covers training + trace capture only.
-    pub train_seconds: f64,
-    /// Wall-clock seconds of the offline trace replay (0 for the streamed
-    /// path — its simulation cost is already inside `train_seconds`).
-    pub replay_seconds: f64,
-    /// Sampled points per wall-clock second of `train_seconds` (the same
-    /// time base for both paths' numerators and denominators).
-    pub points_per_sec: f64,
     /// Peak bytes of trace state: the sink's constant co-simulation state
     /// (streamed) or the accumulated materialized traces (buffered).
     pub peak_trace_bytes: usize,
@@ -100,16 +90,10 @@ pub fn run(engine: Engine, iterations: usize, seed: u64) -> CosimResult {
     // --- Streamed: the memory system simulated while training runs. ---
     let mut cosim = CosimSink::new(pipeline.clone(), batch_points);
     let mut trainer = Trainer::new(IngpModel::new(model_cfg, seed ^ 0xA1), config, seed);
-    // inerf-lint: allow(wall-clock) -- measures the host cost of the streamed path; never enters simulated stats
-    let start = Instant::now();
     trainer.train_with_sink(&dataset, iterations, &mut cosim);
-    let streamed_seconds = start.elapsed().as_secs_f64();
     let streamed_points = trainer.points_queried();
     let stats = cosim.stats().clone();
     let streamed = CosimPath {
-        train_seconds: streamed_seconds,
-        replay_seconds: 0.0,
-        points_per_sec: streamed_points as f64 / streamed_seconds,
         peak_trace_bytes: stats.peak_state_bytes,
         sim_pipelined_seconds: stats.pipelined_seconds,
         sim_serial_seconds: stats.serial_seconds,
@@ -121,14 +105,9 @@ pub fn run(engine: Engine, iterations: usize, seed: u64) -> CosimResult {
     // offline replay. ---
     let mut buffer = BatchBufferSink::new();
     let mut trainer = Trainer::new(IngpModel::new(model_cfg, seed ^ 0xA1), config, seed);
-    // inerf-lint: allow(wall-clock) -- measures the host cost of the buffered reference; never enters simulated stats
-    let start = Instant::now();
     trainer.train_with_sink(&dataset, iterations, &mut buffer);
-    let buffered_train_seconds = start.elapsed().as_secs_f64();
     let buffered_points = trainer.points_queried();
     let peak_trace_bytes = buffer.heap_bytes();
-    // inerf-lint: allow(wall-clock) -- measures the host cost of offline replay; never enters simulated stats
-    let replay_start = Instant::now();
     let mut sim_pipelined = 0.0f64;
     let mut sim_serial = 0.0f64;
     let mut sim_energy = 0.0f64;
@@ -146,9 +125,6 @@ pub fn run(engine: Engine, iterations: usize, seed: u64) -> CosimResult {
         sim_iterations += 1;
     }
     let buffered = CosimPath {
-        train_seconds: buffered_train_seconds,
-        replay_seconds: replay_start.elapsed().as_secs_f64(),
-        points_per_sec: buffered_points as f64 / buffered_train_seconds,
         peak_trace_bytes,
         sim_pipelined_seconds: sim_pipelined,
         sim_serial_seconds: sim_serial,
@@ -182,14 +158,12 @@ pub fn render(r: &CosimResult) -> String {
     let rows = vec![
         vec![
             "streamed".to_string(),
-            report::f(r.streamed.points_per_sec / 1e3, 1),
             r.streamed.peak_trace_bytes.to_string(),
             report::f(r.streamed.sim_pipelined_seconds * 1e3, 3),
             report::f(r.streamed.sim_dram_energy_pj * 1e-9, 3),
         ],
         vec![
             "buffered".to_string(),
-            report::f(r.buffered.points_per_sec / 1e3, 1),
             r.buffered.peak_trace_bytes.to_string(),
             report::f(r.buffered.sim_pipelined_seconds * 1e3, 3),
             report::f(r.buffered.sim_dram_energy_pj * 1e-9, 3),
@@ -198,7 +172,6 @@ pub fn render(r: &CosimResult) -> String {
     out.push_str(&report::table(
         &[
             "path",
-            "kpts/s",
             "peak trace bytes",
             "sim time (ms)",
             "DRAM energy (mJ)",

@@ -233,16 +233,6 @@ const VENDOR_API: &[(&str, &[&str])] = &[
     ),
     ("rand", &["Rng", "SeedableRng", "rngs", "seq", "prelude"]),
     ("proptest", &["prelude", "collection", "proptest"]),
-    (
-        "criterion",
-        &[
-            "criterion_group",
-            "criterion_main",
-            "Criterion",
-            "Bencher",
-            "black_box",
-        ],
-    ),
     ("rayon", &["ThreadPool", "ThreadPoolBuilder", "Scope"]),
 ];
 

@@ -11,7 +11,7 @@ mod extra;
 pub use rand::undocumented_helper;
 
 pub fn poke() -> u32 {
-    criterion::secret_knob()
+    rayon::secret_knob()
 }
 
 pub fn fine(rng: &mut SmallRng) -> String {

@@ -14,40 +14,53 @@ use instant_nerf::experiments::{
 use instant_nerf::prelude::SceneKind;
 use std::error::Error;
 
-fn main() -> Result<(), Box<dyn Error>> {
-    const KNOWN: [&str; 13] = [
-        "all",
-        "tab1",
-        "tab2",
-        "tab3",
-        "fig1",
-        "fig4",
-        "fig6",
-        "fig7",
-        "fig9",
-        "fig11",
-        "ext",
-        "cosim",
-        "precision",
-    ];
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // The figure name is the first argument left after removing "--json"
-    // and its value; the two may appear in either order.
+const KNOWN: [&str; 13] = [
+    "all",
+    "tab1",
+    "tab2",
+    "tab3",
+    "fig1",
+    "fig4",
+    "fig6",
+    "fig7",
+    "fig9",
+    "fig11",
+    "ext",
+    "cosim",
+    "precision",
+];
+
+/// The figure to run (default `all`) and the `--json` directory, if any.
+/// The figure name is the one argument left after removing `--json` and
+/// its value; the two may appear in either order.
+fn parse_args(args: &[String]) -> Result<(String, Option<String>), String> {
     let json_pos = args.iter().position(|a| a == "--json");
     let json_dir = json_pos.and_then(|i| args.get(i + 1)).cloned();
     if json_pos.is_some() && json_dir.is_none() {
         return Err("--json requires a directory argument".into());
     }
-    let which = args
+    let mut names = args
         .iter()
         .enumerate()
         .filter(|(i, _)| json_pos != Some(*i) && json_pos != Some(i.wrapping_sub(1)))
-        .map(|(_, a)| a.clone())
-        .next()
-        .unwrap_or_else(|| "all".to_string());
-    if !KNOWN.contains(&which.as_str()) {
-        return Err(format!("unknown figure `{which}`; expected one of {KNOWN:?}").into());
+        .map(|(_, a)| a.as_str());
+    let which = names.next().unwrap_or("all");
+    if let Some(extra) = names.next() {
+        return Err(format!(
+            "unexpected argument `{extra}` after `{which}`: one figure per run (or `all`)"
+        ));
     }
+    if !KNOWN.contains(&which) {
+        return Err(format!(
+            "unknown figure `{which}`; expected one of {KNOWN:?}"
+        ));
+    }
+    Ok((which.to_string(), json_dir))
+}
+
+fn main() -> Result<(), Box<dyn Error>> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (which, json_dir) = parse_args(&args)?;
     let all = which == "all";
     if let Some(dir) = &json_dir {
         std::fs::create_dir_all(dir)?;
@@ -142,5 +155,37 @@ mod erased {
         fn to_json(&self) -> Result<String, Box<dyn Error>> {
             Ok(serde_json::to_string_pretty(self)?)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(args: &[&str]) -> Result<(String, Option<String>), String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn one_figure_name_on_either_side_of_json() {
+        let fig6 = Ok(("fig6".to_string(), Some("d".to_string())));
+        assert_eq!(parse(&["--json", "d", "fig6"]), fig6);
+        assert_eq!(parse(&["fig6", "--json", "d"]), fig6);
+        assert_eq!(parse(&[]), Ok(("all".to_string(), None)));
+    }
+
+    #[test]
+    fn a_second_figure_name_is_an_error_naming_it() {
+        let err = parse(&["fig1", "fig4"]).unwrap_err();
+        assert!(err.contains("`fig4`"), "{err}");
+        let err = parse(&["fig1", "bogus"]).unwrap_err();
+        assert!(err.contains("`bogus`"), "{err}");
+        assert!(parse(&["bogus"]).unwrap_err().contains("unknown figure"));
+    }
+
+    #[test]
+    fn json_without_a_directory_is_an_error() {
+        let err = parse(&["--json"]).unwrap_err();
+        assert_eq!(err, "--json requires a directory argument");
     }
 }
