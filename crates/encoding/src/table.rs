@@ -234,11 +234,6 @@ impl HashGrid {
         });
     }
 
-    /// Whether touched-entry tracking is enabled.
-    pub fn touch_tracking_enabled(&self) -> bool {
-        self.touch.is_some()
-    }
-
     /// Starts a new tracked iteration: zeroes the gradient slots of the
     /// *previous* iteration's touched entries (the backward scatter only
     /// ever writes corners of encoded points, and every such corner is in

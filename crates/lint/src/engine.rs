@@ -177,9 +177,11 @@ pub fn render_unsafe_audit(report: &Report) -> String {
     out.push_str("<!-- Do not edit by hand; CI regenerates and diffs this file. -->\n\n");
     out.push_str(
         "Workspace policy: every first-party crate is `#![forbid(unsafe_code)]`\n\
-(and `#![deny(unsafe_op_in_unsafe_fn)]`), so `unsafe` can appear only in\n\
-the vendored dependency stand-ins. Each site must carry a `// SAFETY:`\n\
-justification (lint rule `unsafe-audit`); the full inventory is below.\n\n",
+except `inerf_simd`, which cannot be: a `#[target_feature]` function is\n\
+`unsafe` to call, and its AVX2 dispatch frame is that call. `unsafe` can\n\
+therefore appear only there and in the vendored dependency stand-ins.\n\
+Each site must carry a `// SAFETY:` justification (lint rule\n\
+`unsafe-audit`); the full inventory is below.\n\n",
     );
     if report.unsafe_sites.is_empty() {
         out.push_str("No `unsafe` sites in the workspace.\n");

@@ -113,9 +113,11 @@ sites elsewhere (e.g. an experiment reporting its own runtime).",
     RuleInfo {
         id: UNSAFE_AUDIT,
         summary: "every `unsafe` needs a `// SAFETY:` justification and is inventoried",
-        explain: "All first-party crates are #![forbid(unsafe_code)]; the only unsafe in \
-the tree lives in the vendored stand-ins (one lifetime-erasure transmute in the rayon \
-stand-in's scoped pool). Each unsafe block/fn/impl must carry a `// SAFETY:` comment in \
+        explain: "Every first-party crate is #![forbid(unsafe_code)] except inerf_simd, \
+which cannot be: calling a #[target_feature] function is unsafe, and its AVX2 dispatch \
+frame is that call. The tree holds three sites: the frame and its detection-guarded \
+call in crates/simd, and one lifetime-erasure transmute in the rayon stand-in's scoped \
+pool. Each unsafe block/fn/impl must carry a `// SAFETY:` comment in \
 the lines directly above it. The full inventory is generated into UNSAFE_AUDIT.md \
 (`inerf-lint --write-unsafe-audit`), and CI fails if the committed inventory is stale, \
 so a new unsafe block cannot land unaudited.",

@@ -6,8 +6,9 @@
 //! Hot kernels in `inerf_mlp`, `inerf_encoding`, and `inerf_render` are
 //! written against `f32x8` and wrapped in [`vectorize`], which dispatches
 //! the whole kernel through a `#[target_feature]` frame so LLVM emits AVX2
-//! (x86-64) or NEON (aarch64) code for the lane loops without the workspace
-//! having to be compiled with non-portable target flags.
+//! code for the lane loops on x86-64 without the workspace having to be
+//! compiled with non-portable target flags. The lane loops are the only
+//! body of every `f32x8` op: build flags never select code.
 //!
 //! # Backend selection
 //!
@@ -17,9 +18,8 @@
 //! | value                | meaning                                        |
 //! |----------------------|------------------------------------------------|
 //! | unset, `native`, `auto` | best backend the CPU supports               |
-//! | `scalar`             | force the plain scalar lane loops              |
+//! | `scalar`             | no frame: lane loops at the build's baseline   |
 //! | `avx2`               | AVX2 frames (falls back to scalar if absent)   |
-//! | `neon`               | NEON frames (falls back to scalar if absent)   |
 //! | anything else        | hard error naming the offending value          |
 //!
 //! Tests may override the cached choice with [`force_backend`]; overrides
@@ -33,9 +33,9 @@
 //!
 //! * All `f32x8` operations are lane-wise IEEE 754 single-precision ops.
 //!   [`f32x8::madd`] is an explicit **two-rounding** multiply-then-add —
-//!   never a fused multiply-add. The dispatch frames enable only `avx2` /
-//!   `neon` (not `fma`), and rustc keeps LLVM's floating-point contraction
-//!   off, so the compiler cannot silently fuse them either.
+//!   never a fused multiply-add. The dispatch frame enables only `avx2`
+//!   (not `fma`), and rustc keeps LLVM's floating-point contraction off,
+//!   so the compiler cannot silently fuse them either.
 //! * Reductions are never reassociated by lane width: kernels accumulate
 //!   across lanes in the same fixed order as the scalar reference, exactly
 //!   as the thread pool preserves order by fixed chunking.
@@ -60,12 +60,11 @@ pub const LANES: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Backend {
-    /// Plain lane loops, no target-feature frame. Always available.
+    /// No frame: lane loops at the build's baseline features (SSE2 on
+    /// x86-64, NEON on aarch64). Always available.
     Scalar = 0,
     /// x86-64 AVX2 `#[target_feature]` frame (`std::arch` detection).
     Avx2 = 1,
-    /// aarch64 NEON `#[target_feature]` frame.
-    Neon = 2,
 }
 
 impl Backend {
@@ -75,7 +74,6 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
-            Backend::Neon => "neon",
         }
     }
 
@@ -87,15 +85,12 @@ impl Backend {
             Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
             Backend::Avx2 => false,
-            // NEON is a mandatory feature of the aarch64 std targets.
-            Backend::Neon => cfg!(target_arch = "aarch64"),
         }
     }
 
     fn from_raw(raw: u8) -> Backend {
         match raw {
             1 => Backend::Avx2,
-            2 => Backend::Neon,
             _ => Backend::Scalar,
         }
     }
@@ -104,7 +99,7 @@ impl Backend {
 /// All backends the running CPU supports, `Scalar` first. Equivalence tests
 /// sweep this list and pin every entry against the scalar engine.
 pub fn available_backends() -> Vec<Backend> {
-    [Backend::Scalar, Backend::Avx2, Backend::Neon]
+    [Backend::Scalar, Backend::Avx2]
         .into_iter()
         .filter(|b| b.is_available())
         .collect()
@@ -117,8 +112,6 @@ static ACTIVE: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
 pub fn native_backend() -> Backend {
     if Backend::Avx2.is_available() {
         Backend::Avx2
-    } else if Backend::Neon.is_available() {
-        Backend::Neon
     } else {
         Backend::Scalar
     }
@@ -144,14 +137,9 @@ fn try_resolve(raw: Option<&str>) -> Result<Backend, String> {
         } else {
             Backend::Scalar
         }),
-        "neon" => Ok(if Backend::Neon.is_available() {
-            Backend::Neon
-        } else {
-            Backend::Scalar
-        }),
         other => Err(format!(
             "INERF_SIMD={other:?} is not a recognized backend; \
-             expected one of: scalar, avx2, neon, native, auto"
+             expected one of: scalar, avx2, native, auto"
         )),
     }
 }
@@ -206,7 +194,7 @@ pub fn force_backend(requested: Backend) -> Backend {
 ///
 /// The closure is monomorphized per call site, and once LLVM inlines it
 /// into the frame its lane loops compile with the frame's feature set —
-/// this is how the portable `f32x8` lane loops become AVX2/NEON code on a
+/// this is how the portable `f32x8` lane loops become AVX2 code on a
 /// build whose baseline target lacks those features. That inlining is not
 /// automatic: the closure is called from two arms here (frame and scalar
 /// fallback), so a large one gets no single-call-site bonus and is left
@@ -224,10 +212,6 @@ pub fn vectorize<R>(kernel: impl FnOnce() -> R) -> R {
         // `force_backend` clamp through), so the AVX2 frame cannot execute
         // on a CPU without AVX2.
         Backend::Avx2 => unsafe { frame_avx2(kernel) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is a mandatory feature of aarch64 std targets;
-        // Backend::Neon is only reachable on aarch64 (is_available clamps).
-        Backend::Neon => unsafe { frame_neon(kernel) },
         _ => kernel(),
     }
 }
@@ -240,15 +224,6 @@ pub fn vectorize<R>(kernel: impl FnOnce() -> R) -> R {
 // SAFETY: `unsafe fn` by the target_feature contract — the caller must
 // guarantee AVX2 support, which `vectorize` does via runtime detection.
 unsafe fn frame_avx2<R>(kernel: impl FnOnce() -> R) -> R {
-    kernel()
-}
-
-/// NEON dispatch frame; see [`frame_avx2`].
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// SAFETY: `unsafe fn` by the target_feature contract — NEON is mandatory
-// on aarch64 std targets, and `vectorize` only reaches this on aarch64.
-unsafe fn frame_neon<R>(kernel: impl FnOnce() -> R) -> R {
     kernel()
 }
 
@@ -269,9 +244,6 @@ mod tests {
         assert_eq!(try_resolve(Some("auto")), Ok(native_backend()));
         assert_eq!(try_resolve(Some("")), Ok(native_backend()));
         // Unavailable explicit requests clamp to scalar.
-        if !Backend::Neon.is_available() {
-            assert_eq!(try_resolve(Some("neon")), Ok(Backend::Scalar));
-        }
         if !Backend::Avx2.is_available() {
             assert_eq!(try_resolve(Some("avx2")), Ok(Backend::Scalar));
         }
@@ -279,7 +251,7 @@ mod tests {
 
     #[test]
     fn unknown_env_values_are_hard_errors_naming_the_value() {
-        for bad in ["avx512", "wide", "sclar", "simd on"] {
+        for bad in ["avx512", "wide", "sclar", "simd on", "neon"] {
             let err = try_resolve(Some(bad)).unwrap_err();
             assert!(
                 err.contains("INERF_SIMD") && err.contains(bad.trim()),
@@ -301,7 +273,7 @@ mod tests {
     fn force_backend_round_trips_and_clamps() {
         let _guard = BACKEND_LOCK.lock().unwrap();
         let original = backend();
-        for requested in [Backend::Scalar, Backend::Avx2, Backend::Neon] {
+        for requested in [Backend::Scalar, Backend::Avx2] {
             force_backend(requested);
             let active = backend();
             if requested.is_available() {

@@ -1,33 +1,30 @@
 //! The portable eight-lane `f32` vector.
 //!
 //! `f32x8` is an array-backed value type whose operations are plain
-//! lane loops by default. Inside a [`crate::vectorize`] frame LLVM compiles
-//! those loops with the frame's target features, so the same source runs as
-//! AVX2/NEON vector code at runtime. When the *build itself* enables the
-//! features (`-C target-feature=+avx` on x86-64, or any aarch64 target,
-//! where NEON is baseline), the lane loops are replaced by explicit
-//! `std::arch` intrinsic bodies — same API, same bitwise results.
+//! lane loops — the only body of every op, whatever flags the build uses.
+//! Inside a [`crate::vectorize`] frame LLVM compiles those loops with the
+//! frame's target features, so the same source runs as AVX2 vector code at
+//! runtime; outside one they compile at the build's baseline features.
 //!
 //! # Floating-point contract (every backend)
 //!
 //! * All ops are lane-wise IEEE 754 binary32.
 //! * [`f32x8::madd`] performs **two roundings** — `round(round(a*b) + acc)`
 //!   — matching the scalar `acc + a * b`. It must never lower to a fused
-//!   multiply-add: the intrinsic bodies use separate multiply and add
-//!   instructions, and rustc keeps LLVM fp contraction disabled, so the
-//!   lane-loop form cannot be fused behind our back either.
-//! * [`f32x8::max`]/[`f32x8::min`] follow the hardware `maxps`/`fmax`
-//!   semantics and agree with `f32::max`/`f32::min` for non-NaN inputs;
-//!   kernels must not feed NaN through them (the trainer never does —
-//!   densities and weights are finite by construction).
+//!   multiply-add: rustc keeps LLVM fp contraction disabled, so the lane
+//!   loop cannot be fused behind our back.
+//! * [`f32x8::max`]/[`f32x8::min`] are `f32::max`/`f32::min` per lane and
+//!   pinned bitwise for non-NaN inputs only; kernels must not feed NaN
+//!   through them (the trainer never does — densities and weights are
+//!   finite by construction).
 //! * [`f32x8::exp_lanes`] is lane-serial `f32::exp` in every backend so
 //!   transcendentals stay bitwise identical to the scalar engine.
 //! * Division and [`f32x8::sqrt`] are IEEE-exact (correctly rounded) in
-//!   every backend — `vdivps`/`vsqrtps` and `vdivq`/`vsqrtq` round
-//!   exactly like the scalar `/` and `f32::sqrt` — so they carry the
-//!   same bitwise guarantee as `+`/`-`/`*`. Kernels must not produce
-//!   NaN lanes through them (`0/0`, `inf/inf`, `sqrt` of a negative):
-//!   NaN *payloads* are the one place backends may legally differ.
+//!   every backend — `vdivps`/`vsqrtps` round exactly like the scalar
+//!   `/` and `f32::sqrt` — so they carry the same bitwise guarantee as
+//!   `+`/`-`/`*`. Kernels must not produce NaN lanes through them (`0/0`,
+//!   `inf/inf`, `sqrt` of a negative): NaN *payloads* are the one place
+//!   backends may legally differ.
 
 /// Eight `f32` lanes with value semantics.
 #[allow(non_camel_case_types)]
@@ -100,19 +97,35 @@ impl f32x8 {
     /// deliberately **not** a fused multiply-add; see the module docs.
     #[inline(always)]
     pub fn madd(self, a: Self, b: Self) -> Self {
-        f32x8(imp::madd(self.0, a.0, b.0))
+        // Two roundings: the product is a rounded f32 before the add.
+        let (acc, a, b) = (self.0, a.0, b.0);
+        let mut o = [0.0f32; 8];
+        for i in 0..8 {
+            o[i] = acc[i] + a[i] * b[i];
+        }
+        f32x8(o)
     }
 
     /// Lane-wise maximum (`f32::max` semantics for non-NaN inputs).
     #[inline(always)]
     pub fn max(self, o: Self) -> Self {
-        f32x8(imp::max(self.0, o.0))
+        let (a, b) = (self.0, o.0);
+        let mut r = [0.0f32; 8];
+        for i in 0..8 {
+            r[i] = a[i].max(b[i]);
+        }
+        f32x8(r)
     }
 
     /// Lane-wise minimum (`f32::min` semantics for non-NaN inputs).
     #[inline(always)]
     pub fn min(self, o: Self) -> Self {
-        f32x8(imp::min(self.0, o.0))
+        let (a, b) = (self.0, o.0);
+        let mut r = [0.0f32; 8];
+        for i in 0..8 {
+            r[i] = a[i].min(b[i]);
+        }
+        f32x8(r)
     }
 
     /// Branch-free whole-vector select: `on` if `cond`, else `off`,
@@ -148,7 +161,12 @@ impl f32x8 {
     /// (see the module contract on NaN).
     #[inline(always)]
     pub fn sqrt(self) -> Self {
-        f32x8(imp::sqrt(self.0))
+        let a = self.0;
+        let mut o = [0.0f32; 8];
+        for i in 0..8 {
+            o[i] = a[i].sqrt();
+        }
+        f32x8(o)
     }
 }
 
@@ -156,7 +174,12 @@ impl std::ops::Add for f32x8 {
     type Output = f32x8;
     #[inline(always)]
     fn add(self, o: f32x8) -> f32x8 {
-        f32x8(imp::add(self.0, o.0))
+        let (a, b) = (self.0, o.0);
+        let mut r = [0.0f32; 8];
+        for i in 0..8 {
+            r[i] = a[i] + b[i];
+        }
+        f32x8(r)
     }
 }
 
@@ -164,7 +187,12 @@ impl std::ops::Sub for f32x8 {
     type Output = f32x8;
     #[inline(always)]
     fn sub(self, o: f32x8) -> f32x8 {
-        f32x8(imp::sub(self.0, o.0))
+        let (a, b) = (self.0, o.0);
+        let mut r = [0.0f32; 8];
+        for i in 0..8 {
+            r[i] = a[i] - b[i];
+        }
+        f32x8(r)
     }
 }
 
@@ -172,7 +200,12 @@ impl std::ops::Mul for f32x8 {
     type Output = f32x8;
     #[inline(always)]
     fn mul(self, o: f32x8) -> f32x8 {
-        f32x8(imp::mul(self.0, o.0))
+        let (a, b) = (self.0, o.0);
+        let mut r = [0.0f32; 8];
+        for i in 0..8 {
+            r[i] = a[i] * b[i];
+        }
+        f32x8(r)
     }
 }
 
@@ -180,7 +213,12 @@ impl std::ops::Div for f32x8 {
     type Output = f32x8;
     #[inline(always)]
     fn div(self, o: f32x8) -> f32x8 {
-        f32x8(imp::div(self.0, o.0))
+        let (a, b) = (self.0, o.0);
+        let mut r = [0.0f32; 8];
+        for i in 0..8 {
+            r[i] = a[i] / b[i];
+        }
+        f32x8(r)
     }
 }
 
@@ -188,7 +226,7 @@ impl std::ops::Neg for f32x8 {
     type Output = f32x8;
     #[inline(always)]
     fn neg(self) -> f32x8 {
-        f32x8(imp::sub([0.0; 8], self.0))
+        f32x8::zero() - self
     }
 }
 
@@ -205,268 +243,6 @@ impl std::ops::MulAssign for f32x8 {
         *self = *self * o;
     }
 }
-
-/// Portable lane-loop bodies. These are the canonical semantics; the
-/// intrinsic modules below must match them bitwise. Inside a `vectorize`
-/// frame LLVM turns these loops into single vector instructions.
-#[cfg_attr(
-    any(
-        all(target_arch = "x86_64", target_feature = "avx"),
-        all(target_arch = "aarch64", target_feature = "neon"),
-    ),
-    allow(dead_code)
-)]
-mod scalar {
-    #[inline(always)]
-    pub fn add(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        let mut o = [0.0f32; 8];
-        for i in 0..8 {
-            o[i] = a[i] + b[i];
-        }
-        o
-    }
-
-    #[inline(always)]
-    pub fn sub(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        let mut o = [0.0f32; 8];
-        for i in 0..8 {
-            o[i] = a[i] - b[i];
-        }
-        o
-    }
-
-    #[inline(always)]
-    pub fn mul(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        let mut o = [0.0f32; 8];
-        for i in 0..8 {
-            o[i] = a[i] * b[i];
-        }
-        o
-    }
-
-    /// Two roundings: the product is a rounded f32 before the add.
-    #[inline(always)]
-    pub fn madd(acc: [f32; 8], a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        let mut o = [0.0f32; 8];
-        for i in 0..8 {
-            o[i] = acc[i] + a[i] * b[i];
-        }
-        o
-    }
-
-    #[inline(always)]
-    pub fn div(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        let mut o = [0.0f32; 8];
-        for i in 0..8 {
-            o[i] = a[i] / b[i];
-        }
-        o
-    }
-
-    #[inline(always)]
-    pub fn sqrt(a: [f32; 8]) -> [f32; 8] {
-        let mut o = [0.0f32; 8];
-        for i in 0..8 {
-            o[i] = a[i].sqrt();
-        }
-        o
-    }
-
-    #[inline(always)]
-    pub fn max(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        let mut o = [0.0f32; 8];
-        for i in 0..8 {
-            o[i] = a[i].max(b[i]);
-        }
-        o
-    }
-
-    #[inline(always)]
-    pub fn min(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        let mut o = [0.0f32; 8];
-        for i in 0..8 {
-            o[i] = a[i].min(b[i]);
-        }
-        o
-    }
-}
-
-/// Explicit AVX `std::arch` bodies, active when the build statically
-/// enables AVX (e.g. `RUSTFLAGS="-C target-cpu=native"`). Value intrinsics
-/// are kept inside `unsafe` blocks with SAFETY comments uniformly, even
-/// where the statically-enabled feature would make them safe to call, so
-/// the audit story does not depend on rustc's safe-intrinsics rules.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
-#[allow(unused_unsafe)]
-mod avx {
-    use std::arch::x86_64::*;
-
-    #[inline(always)]
-    fn load(a: &[f32; 8]) -> __m256 {
-        // SAFETY: `a` points to 8 readable, initialized f32s; `loadu`
-        // tolerates any alignment. AVX is statically enabled in this cfg.
-        unsafe { _mm256_loadu_ps(a.as_ptr()) }
-    }
-
-    #[inline(always)]
-    fn store(v: __m256) -> [f32; 8] {
-        let mut out = [0.0f32; 8];
-        // SAFETY: `out` is 8 writable f32s; `storeu` tolerates any
-        // alignment. AVX is statically enabled in this cfg.
-        unsafe { _mm256_storeu_ps(out.as_mut_ptr(), v) };
-        out
-    }
-
-    #[inline(always)]
-    pub fn add(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        // SAFETY: AVX is statically enabled in this cfg (value intrinsic).
-        store(unsafe { _mm256_add_ps(load(&a), load(&b)) })
-    }
-
-    #[inline(always)]
-    pub fn sub(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        // SAFETY: AVX is statically enabled in this cfg (value intrinsic).
-        store(unsafe { _mm256_sub_ps(load(&a), load(&b)) })
-    }
-
-    #[inline(always)]
-    pub fn mul(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        // SAFETY: AVX is statically enabled in this cfg (value intrinsic).
-        store(unsafe { _mm256_mul_ps(load(&a), load(&b)) })
-    }
-
-    /// Separate `vmulps` + `vaddps` — two roundings, never `vfmadd`.
-    #[inline(always)]
-    pub fn madd(acc: [f32; 8], a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        // SAFETY: AVX is statically enabled in this cfg (value intrinsics).
-        store(unsafe { _mm256_add_ps(load(&acc), _mm256_mul_ps(load(&a), load(&b))) })
-    }
-
-    /// `vdivps` is IEEE correctly rounded — bitwise the scalar `/`.
-    #[inline(always)]
-    pub fn div(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        // SAFETY: AVX is statically enabled in this cfg (value intrinsic).
-        store(unsafe { _mm256_div_ps(load(&a), load(&b)) })
-    }
-
-    /// `vsqrtps` is IEEE correctly rounded — bitwise `f32::sqrt`.
-    #[inline(always)]
-    pub fn sqrt(a: [f32; 8]) -> [f32; 8] {
-        // SAFETY: AVX is statically enabled in this cfg (value intrinsic).
-        store(unsafe { _mm256_sqrt_ps(load(&a)) })
-    }
-
-    /// `vmaxps` returns the second operand when lanes compare unordered,
-    /// matching `f32::max` only for non-NaN inputs (see module contract).
-    #[inline(always)]
-    pub fn max(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        // SAFETY: AVX is statically enabled in this cfg (value intrinsic).
-        store(unsafe { _mm256_max_ps(load(&a), load(&b)) })
-    }
-
-    #[inline(always)]
-    pub fn min(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        // SAFETY: AVX is statically enabled in this cfg (value intrinsic).
-        store(unsafe { _mm256_min_ps(load(&a), load(&b)) })
-    }
-}
-
-/// Explicit NEON `std::arch` bodies (two `float32x4_t` halves per vector).
-/// NEON is baseline on aarch64 std targets, so this module is the default
-/// there. Same uniform-unsafe policy as the AVX module.
-#[cfg(all(target_arch = "aarch64", target_feature = "neon"))]
-#[allow(unused_unsafe)]
-mod neon {
-    use std::arch::aarch64::*;
-
-    #[inline(always)]
-    fn map2(
-        a: [f32; 8],
-        b: [f32; 8],
-        f: impl Fn(float32x4_t, float32x4_t) -> float32x4_t,
-    ) -> [f32; 8] {
-        let mut out = [0.0f32; 8];
-        // SAFETY: both halves of `a`/`b` are 4 readable f32s and both
-        // halves of `out` are 4 writable f32s; NEON is statically enabled.
-        unsafe {
-            let lo = f(vld1q_f32(a.as_ptr()), vld1q_f32(b.as_ptr()));
-            let hi = f(vld1q_f32(a.as_ptr().add(4)), vld1q_f32(b.as_ptr().add(4)));
-            vst1q_f32(out.as_mut_ptr(), lo);
-            vst1q_f32(out.as_mut_ptr().add(4), hi);
-        }
-        out
-    }
-
-    #[inline(always)]
-    pub fn add(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        // SAFETY: NEON statically enabled (value intrinsic inside map2).
-        map2(a, b, |x, y| unsafe { vaddq_f32(x, y) })
-    }
-
-    #[inline(always)]
-    pub fn sub(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        // SAFETY: NEON statically enabled (value intrinsic inside map2).
-        map2(a, b, |x, y| unsafe { vsubq_f32(x, y) })
-    }
-
-    #[inline(always)]
-    pub fn mul(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        // SAFETY: NEON statically enabled (value intrinsic inside map2).
-        map2(a, b, |x, y| unsafe { vmulq_f32(x, y) })
-    }
-
-    /// Separate `fmul` + `fadd` — deliberately **not** `vfmaq_f32`, which
-    /// would fuse and break the two-rounding contract.
-    #[inline(always)]
-    pub fn madd(acc: [f32; 8], a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        add(acc, mul(a, b))
-    }
-
-    /// `fdiv` is IEEE correctly rounded — bitwise the scalar `/`.
-    #[inline(always)]
-    pub fn div(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        // SAFETY: NEON statically enabled (value intrinsic inside map2).
-        map2(a, b, |x, y| unsafe { vdivq_f32(x, y) })
-    }
-
-    /// `fsqrt` is IEEE correctly rounded — bitwise `f32::sqrt`.
-    #[inline(always)]
-    pub fn sqrt(a: [f32; 8]) -> [f32; 8] {
-        let mut out = [0.0f32; 8];
-        // SAFETY: both halves of `a` are 4 readable f32s and both halves
-        // of `out` are 4 writable f32s; NEON is statically enabled.
-        unsafe {
-            vst1q_f32(out.as_mut_ptr(), vsqrtq_f32(vld1q_f32(a.as_ptr())));
-            vst1q_f32(
-                out.as_mut_ptr().add(4),
-                vsqrtq_f32(vld1q_f32(a.as_ptr().add(4))),
-            );
-        }
-        out
-    }
-
-    #[inline(always)]
-    pub fn max(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        // SAFETY: NEON statically enabled (value intrinsic inside map2).
-        map2(a, b, |x, y| unsafe { vmaxnmq_f32(x, y) })
-    }
-
-    #[inline(always)]
-    pub fn min(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        // SAFETY: NEON statically enabled (value intrinsic inside map2).
-        map2(a, b, |x, y| unsafe { vminnmq_f32(x, y) })
-    }
-}
-
-#[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
-use avx as imp;
-#[cfg(all(target_arch = "aarch64", target_feature = "neon"))]
-use neon as imp;
-#[cfg(not(any(
-    all(target_arch = "x86_64", target_feature = "avx"),
-    all(target_arch = "aarch64", target_feature = "neon"),
-)))]
-use scalar as imp;
 
 #[cfg(test)]
 mod tests {

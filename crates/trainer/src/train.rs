@@ -295,11 +295,6 @@ impl<M: TrainableField> Trainer<M> {
         &self.model
     }
 
-    /// Mutable access to the wrapped model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// The training configuration.
     pub fn config(&self) -> &TrainConfig {
         &self.config

@@ -84,11 +84,6 @@ pub fn hash_table_bytes_at(cfg: &ModelConfig, precision: Precision) -> u64 {
         .sum()
 }
 
-/// Bytes of the FP16 hash table — the paper's Tab. II convention.
-pub fn hash_table_bytes(cfg: &ModelConfig) -> u64 {
-    hash_table_bytes_at(cfg, TAB2_PRECISION)
-}
-
 /// Bytes of the two MLPs' weights stored at `precision`.
 pub fn mlp_param_bytes_at(cfg: &ModelConfig, precision: Precision) -> u64 {
     let feat = cfg.grid.feature_dim() as u64;

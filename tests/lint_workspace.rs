@@ -51,6 +51,30 @@ fn committed_unsafe_audit_is_current() {
     );
 }
 
+/// The freshness check above passes a PR that adds ten sites and
+/// regenerates the file; this one makes growing the surface a deliberate
+/// edit of the list. `""` is an item-level site (an `unsafe fn`). Paths are
+/// spelled by component: `vendor-isolation` flags a string literal that
+/// reaches into the vendored tree, and naming a file is not reaching.
+#[test]
+fn unsafe_inventory_is_exactly_the_three_known_sites() {
+    let report = inerf_lint::lint_workspace(&workspace_root()).expect("workspace must lint");
+    let sites: Vec<(Vec<&str>, &str)> = report
+        .unsafe_sites
+        .iter()
+        .map(|s| (s.file.split('/').collect(), s.enclosing_fn.as_str()))
+        .collect();
+    let lib_rs = |tree, krate| vec![tree, krate, "src", "lib.rs"];
+    assert_eq!(
+        sites,
+        [
+            (lib_rs("crates", "simd"), "vectorize"), // the call into the AVX2 frame
+            (lib_rs("crates", "simd"), ""),          // `unsafe fn frame_avx2`
+            (lib_rs("vendor", "rayon"), "spawn"),    // scoped-job lifetime erasure
+        ]
+    );
+}
+
 #[test]
 fn every_waiver_in_the_tree_is_justified() {
     let root = workspace_root();
