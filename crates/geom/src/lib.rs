@@ -11,6 +11,8 @@
 //!   basis of the paper's Eq. (2).
 //! * [`GridCoord`] / [`GridLevel`] — integer lattice coordinates of the
 //!   multi-resolution grids used by the hash encoding.
+//! * [`CellWalk`] — Amanatides–Woo traversal of the lattice cells a ray
+//!   crosses, the proposer under the trainer's ray marcher.
 //!
 //! # Example
 //!
@@ -32,9 +34,11 @@ pub mod grid;
 pub mod morton;
 pub mod ray;
 pub mod vec3;
+pub mod walk;
 
 pub use aabb::{Aabb, RayHit};
 pub use camera::{Camera, Pose};
 pub use grid::{GridCoord, GridLevel};
 pub use ray::Ray;
 pub use vec3::Vec3;
+pub use walk::{CellSpan, CellWalk};

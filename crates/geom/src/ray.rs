@@ -50,7 +50,7 @@ impl Ray {
     ///
     /// # Panics
     ///
-    /// Panics if `t_far <= t_near` or `n == 0`.
+    /// Panics if `t_far <= t_near`, `n == 0` or `n > i32::MAX`.
     pub fn stratified_ts(
         &self,
         t_near: f32,
@@ -73,7 +73,7 @@ impl Ray {
     ///
     /// # Panics
     ///
-    /// Panics if `t_far <= t_near` or `n == 0`.
+    /// Panics if `t_far <= t_near`, `n == 0` or `n > i32::MAX`.
     pub fn stratified_ts_into(
         &self,
         t_near: f32,
@@ -89,8 +89,11 @@ impl Ray {
         assert!(n > 0, "need at least one sample");
         let bin = (t_far - t_near) / n as f32;
         out.clear();
-        out.extend((0..n).map(|i| {
-            let j = jitter.map_or(0.0, |js| js[i % js.len()]);
+        // An `i32` counter: its conversion to f32 vectorizes (four lanes
+        // by SSE2), a `usize`'s does not below AVX-512.
+        let count = i32::try_from(n).expect("sample count fits an i32");
+        out.extend((0..count).map(|i| {
+            let j = jitter.map_or(0.0, |js| js[i as usize % js.len()]);
             t_near + bin * (i as f32 + 0.5 + j)
         }));
     }

@@ -12,7 +12,7 @@
 //! (default: all available cores); [`crate::train::Trainer::with_threads`]
 //! overrides it per trainer, which is what the determinism tests use.
 
-use crate::occupancy::RefreshScratch;
+use crate::occupancy::{RayMarcher, RefreshScratch};
 use inerf_geom::{Ray, Vec3};
 use inerf_render::volume::RaySpan;
 use rayon::{ThreadPool, ThreadPoolBuilder};
@@ -98,19 +98,14 @@ pub(crate) struct BatchArena {
     pub pixel_targets: Vec<Vec3>,
     /// Block scratch of the periodic occupancy-grid refresh.
     pub refresh: RefreshScratch,
-    // Gather outputs (the iteration's sample batch, SoA).
-    pub points: Vec<Vec3>,
-    pub dirs: Vec<Vec3>,
-    pub spans: Vec<RaySpan>,
+    /// Gather output: the iteration's sample batch (SoA), with the marcher
+    /// that fills it.
+    pub batch: RayMarcher,
     /// Per-sample step sizes; meaningful only when `has_dts` is set (the
     /// occupancy-filtered path).
     pub dts: Vec<f32>,
     pub has_dts: bool,
     pub targets: Vec<Vec3>,
-    // Per-ray gather scratch.
-    pub jitter: Vec<f32>,
-    pub ts: Vec<f32>,
-    pub filtered: Vec<f32>,
     // Forward/backward stage buffers.
     pub sigmas: Vec<f32>,
     pub rgbs: Vec<Vec3>,
@@ -135,14 +130,9 @@ impl BatchArena {
         self.pixel_rays.capacity()
             + self.pixel_targets.capacity()
             + self.refresh.capacity_sum()
-            + self.points.capacity()
-            + self.dirs.capacity()
-            + self.spans.capacity()
+            + self.batch.capacity_sum()
             + self.dts.capacity()
             + self.targets.capacity()
-            + self.jitter.capacity()
-            + self.ts.capacity()
-            + self.filtered.capacity()
             + self.sigmas.capacity()
             + self.rgbs.capacity()
             + self.ray_colors.capacity()
@@ -176,9 +166,7 @@ impl BatchArena {
 
     /// Clears the gather-stage buffers for refilling (capacity retained).
     pub fn clear_gather(&mut self) {
-        self.points.clear();
-        self.dirs.clear();
-        self.spans.clear();
+        self.batch.clear();
         self.dts.clear();
         self.has_dts = false;
         self.targets.clear();
@@ -267,21 +255,21 @@ mod tests {
     fn arena_counts_growth_only_when_capacity_grows() {
         let mut arena = BatchArena::default();
         arena.begin_iteration();
-        arena.points.extend_from_slice(&[Vec3::ZERO; 64]);
+        arena.batch.points.extend_from_slice(&[Vec3::ZERO; 64]);
         arena.end_iteration();
         assert_eq!(arena.growth_events(), 1);
         // Same-sized refill reuses the capacity: no new event.
         for _ in 0..3 {
             arena.begin_iteration();
             arena.clear_gather();
-            arena.points.extend_from_slice(&[Vec3::ZERO; 64]);
+            arena.batch.points.extend_from_slice(&[Vec3::ZERO; 64]);
             arena.end_iteration();
         }
         assert_eq!(arena.growth_events(), 1);
         // A bigger batch grows again.
         arena.begin_iteration();
         arena.clear_gather();
-        arena.points.extend_from_slice(&[Vec3::ZERO; 4096]);
+        arena.batch.points.extend_from_slice(&[Vec3::ZERO; 4096]);
         arena.end_iteration();
         assert_eq!(arena.growth_events(), 2);
     }

@@ -1,4 +1,4 @@
-//! The occupancy grid: iNGP's empty-space-skipping structure.
+//! The occupancy grid and the ray marcher: iNGP's empty-space skipping.
 //!
 //! iNGP maintains a coarse binary grid marking which cells of the scene
 //! volume currently contain density; ray marching skips samples in empty
@@ -6,12 +6,21 @@
 //! This is the mechanism the hardware experiments' scene-conditioned traces
 //! emulate, implemented here for real: the grid is periodically refreshed
 //! from the model's own density predictions and consulted during sampling.
+//!
+//! [`RayMarcher`] is the only place in the library that turns a ray into
+//! sample points. With a grid it *proposes* and *decides*: a [`CellWalk`]
+//! over an 8³ digest of the grid finds the stretches of the ray that cross
+//! only clear digest cells, and every sample outside them takes the
+//! per-sample decision `is_occupied(normalize(ray.at(t)))`. The digest
+//! carries a one-cell halo, so a clear digest cell proves that decision
+//! would have said "empty" (DESIGN.md, "Ray marching"): the survivors are
+//! the per-sample filter's, bit for bit.
 
 use crate::engine;
 use crate::model::{eval_density_batch, EvalScratch, TrainableField, POINT_CHUNK};
-use inerf_geom::{Aabb, Ray, Vec3};
+use inerf_geom::{Aabb, CellWalk, Ray, RayHit, Vec3};
+use inerf_render::volume::RaySpan;
 use rayon::ThreadPool;
-use serde::{Deserialize, Serialize};
 
 /// Probe points per block of the refresh sweep: four of the model's point
 /// chunks, so a pool of up to four workers is busy and at most four chunk
@@ -64,13 +73,32 @@ fn cell_index(resolution: u32, p: Vec3) -> usize {
     (axis(p.z) * res + axis(p.y)) * res + axis(p.x)
 }
 
+/// Cells per axis of the digest the marcher walks. Measured, not a knob:
+/// 8³ beat 4³ and 16³ (EXPERIMENTS.md, "One ray marcher").
+const SUMMARY: usize = 8;
+const SUMMARY_WORDS: usize = SUMMARY.pow(3).div_ceil(64);
+
 /// A coarse binary occupancy grid over `[0,1]^3` (normalized coordinates).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Equality and the checkpoint see the resolution and the cell bits only.
+#[derive(Debug, Clone)]
 pub struct OccupancyGrid {
     resolution: u32,
     /// One bit per cell, row-major (x fastest).
     bits: Vec<u64>,
+    /// Derived from `bits`: one bit per cell of a [`SUMMARY`]³ lattice, set
+    /// if a grid cell overlapping it, or a neighbour of such a cell, is
+    /// occupied. A superset until the next rebuild once a cell was cleared.
+    summary: [u64; SUMMARY_WORDS],
 }
+
+impl PartialEq for OccupancyGrid {
+    fn eq(&self, other: &Self) -> bool {
+        (self.resolution, &self.bits) == (other.resolution, &other.bits)
+    }
+}
+
+impl Eq for OccupancyGrid {}
 
 impl OccupancyGrid {
     /// Creates a fully-occupied grid (conservative start: nothing skipped
@@ -80,12 +108,8 @@ impl OccupancyGrid {
     ///
     /// Panics if `resolution` is zero.
     pub fn new(resolution: u32) -> Self {
-        assert!(resolution > 0, "occupancy grid resolution must be positive");
         let cells = (resolution as usize).pow(3);
-        OccupancyGrid {
-            resolution,
-            bits: vec![u64::MAX; cells.div_ceil(64)],
-        }
+        Self::from_words(resolution, vec![u64::MAX; cells.div_ceil(64)])
     }
 
     /// Grid resolution per axis.
@@ -118,10 +142,48 @@ impl OccupancyGrid {
             cells.div_ceil(64),
             "occupancy word count does not match resolution"
         );
-        OccupancyGrid {
+        let mut grid = OccupancyGrid {
             resolution,
             bits: words,
+            summary: [0; SUMMARY_WORDS],
+        };
+        grid.rebuild_summary();
+        grid
+    }
+
+    /// Sets every digest cell that grid cell `cell`, widened by its halo to
+    /// `[c − 1, c + 2) / resolution` per axis (clipped), overlaps.
+    fn mark_summary(&mut self, cell: usize) {
+        let res = self.resolution as usize;
+        let span = |c: usize| {
+            c.saturating_sub(1) * SUMMARY / res..((c + 2).min(res) * SUMMARY).div_ceil(res)
+        };
+        for z in span(cell / (res * res)) {
+            for y in span(cell / res % res) {
+                for x in span(cell % res) {
+                    let k = (z * SUMMARY + y) * SUMMARY + x;
+                    self.summary[k / 64] |= 1 << (k % 64);
+                }
+            }
         }
+    }
+
+    /// Recomputes the digest from the cell bits.
+    fn rebuild_summary(&mut self) {
+        self.summary = [0; SUMMARY_WORDS];
+        for cell in 0..self.cell_count() {
+            if self.bits[cell / 64] >> (cell % 64) & 1 == 1 {
+                self.mark_summary(cell);
+            }
+        }
+    }
+
+    /// Whether no sample the walk places in digest cell `cell` can lie in
+    /// an occupied grid cell.
+    #[inline]
+    fn summary_is_clear(&self, cell: [u32; 3]) -> bool {
+        let k = (cell[2] as usize * SUMMARY + cell[1] as usize) * SUMMARY + cell[0] as usize;
+        self.summary[k / 64] >> (k % 64) & 1 == 0
     }
 
     /// Whether the cell containing normalized point `p` is marked occupied.
@@ -136,7 +198,10 @@ impl OccupancyGrid {
         let i = cell_index(self.resolution, p);
         if occupied {
             self.bits[i / 64] |= 1 << (i % 64);
+            self.mark_summary(i);
         } else {
+            // The digest stays a superset: a rebuild per cleared cell would
+            // make a cell-by-cell sweep quadratic.
             self.bits[i / 64] &= !(1 << (i % 64));
         }
     }
@@ -238,6 +303,7 @@ impl OccupancyGrid {
                 evaluated += n as u64;
             }
         }
+        self.rebuild_summary();
         evaluated
     }
 
@@ -282,11 +348,14 @@ impl OccupancyGrid {
         calls
     }
 
-    /// Filters stratified sample distances along a ray into a
-    /// caller-pooled buffer (cleared and refilled), keeping those whose
-    /// normalized sample point lies in an occupied cell; returns the
-    /// skipped count. The gather loop reuses one buffer across rays
-    /// instead of allocating per ray.
+    /// Filters sample distances along a ray into a caller-pooled buffer
+    /// (cleared and refilled), keeping those whose normalized sample point
+    /// lies in an occupied cell; returns the skipped count.
+    ///
+    /// Any `ts` gives the result of testing every sample on its own. The
+    /// fast path — stretches of the ray rejected by the digest walk — covers
+    /// finite, ascending distances inside the ray's span of `bounds`; one
+    /// that is out of order, non-finite or outside is tested on its own.
     pub fn filter_ts_into(
         &self,
         ray: &Ray,
@@ -294,18 +363,237 @@ impl OccupancyGrid {
         ts: &[f32],
         kept: &mut Vec<f32>,
     ) -> usize {
+        self.cull(ray, bounds, bounds.intersect(ray), ts, kept)
+    }
+
+    /// [`OccupancyGrid::filter_ts_into`] given the ray's `hit`: propose /
+    /// decide. A sample the digest walk places in a clear cell is skipped
+    /// unseen with the rest of its *clear run* — that cell and the clear
+    /// cells after it. Any other sample — a NaN, a distance behind the walk
+    /// or past its end, one in a span with a NaN bound — takes the
+    /// per-sample decision, so the result never depends on the walk.
+    fn cull(
+        &self,
+        ray: &Ray,
+        bounds: &Aabb,
+        hit: Option<RayHit>,
+        ts: &[f32],
+        kept: &mut Vec<f32>,
+    ) -> usize {
         kept.clear();
-        let mut skipped = 0usize;
-        for &t in ts {
-            let p = bounds.normalize(ray.at(t));
-            if self.is_occupied(p) {
-                kept.push(t);
-            } else {
-                skipped += 1;
+        // The halo absorbs f32 rounding of a sample position only while
+        // that is small against a grid cell: the walk and the per-sample
+        // test each err by a few roundings of `reach`, and 64 of them must
+        // fit in a cell. Not so far from the bounds, or for a non-finite
+        // ray: then there is no walk.
+        let l1 = |v: Vec3| v.x.abs() + v.y.abs() + v.z.abs();
+        let trusted = |hit: &RayHit| {
+            let at_rest = l1(ray.origin) + l1(bounds.min) + l1(bounds.max);
+            let reach = at_rest + l1(ray.direction) * hit.t_far;
+            reach * (self.resolution as f32 * 64.0 * f32::EPSILON) < bounds.extent().min_component()
+        };
+        let walk = hit
+            .filter(trusted)
+            .map(|hit| CellWalk::new(ray, bounds, SUMMARY as u32, hit));
+        let mut walk = walk.into_iter().flatten();
+        let mut cell = walk.next();
+        let mut i = 0;
+        while let Some(&t) = ts.get(i) {
+            while cell.is_some_and(|c| t >= c.t_exit) {
+                cell = walk.next();
+            }
+            match cell {
+                Some(c) if c.t_enter <= t && t < c.t_exit && self.summary_is_clear(c.cell) => {
+                    let mut hi = c.t_exit;
+                    loop {
+                        cell = walk.next();
+                        match cell {
+                            // `>=` fails on a NaN exit: the run stops short of it.
+                            Some(c) if c.t_exit >= hi && self.summary_is_clear(c.cell) => {
+                                hi = c.t_exit;
+                            }
+                            _ => break,
+                        }
+                    }
+                    // Nothing is known about the order: the run ends at the
+                    // first distance outside it (`t` itself is inside).
+                    let in_run = |&&t: &&f32| c.t_enter <= t && t < hi;
+                    i += ts[i..].iter().take_while(in_run).count();
+                }
+                _ => {
+                    if self.is_occupied(bounds.normalize(ray.at(t))) {
+                        kept.push(t);
+                    }
+                    i += 1;
+                }
             }
         }
-        skipped
+        ts.len() - kept.len()
     }
+
+    /// The filter the digest walk replaced, every sample tested on its own
+    /// — the reference the equivalence tests compare `kept` lists against.
+    #[cfg(test)]
+    fn filter_ts_reference(&self, ray: &Ray, bounds: &Aabb, ts: &[f32]) -> (Vec<f32>, usize) {
+        let kept: Vec<f32> = ts
+            .iter()
+            .copied()
+            .filter(|&t| self.is_occupied(bounds.normalize(ray.at(t))))
+            .collect();
+        let skipped = ts.len() - kept.len();
+        (kept, skipped)
+    }
+}
+
+/// Step (b) of the pipeline, and the batch it fills: intersects a ray with
+/// the scene bounds, places stratified distances on the span inside, drops
+/// those an occupancy grid marks empty and appends the rest to the
+/// structure-of-arrays batch. Pooled: `clear` keeps every capacity.
+#[derive(Debug, Clone, Default)]
+pub struct RayMarcher {
+    /// Normalized sample points.
+    pub points: Vec<Vec3>,
+    /// Ray direction per sample point.
+    pub dirs: Vec<Vec3>,
+    /// One span per ray that kept a sample; `dt` is the uniform step
+    /// before culling.
+    pub spans: Vec<RaySpan>,
+    /// Rays marched since [`RayMarcher::clear`] that were sampled: every
+    /// sample of theirs not in `points` was dropped by the grid.
+    pub rays_hit: u64,
+    /// All distances of the current ray.
+    ts: Vec<f32>,
+    /// Its jitter, then its surviving distances.
+    kept: Vec<f32>,
+}
+
+impl RayMarcher {
+    /// Empties the batch and zeroes the counter.
+    pub fn clear(&mut self) {
+        self.points.clear();
+        self.dirs.clear();
+        self.spans.clear();
+        self.rays_hit = 0;
+    }
+
+    /// Total capacity of the pooled buffers, in elements (growth accounting).
+    pub(crate) fn capacity_sum(&self) -> usize {
+        self.points.capacity()
+            + self.dirs.capacity()
+            + self.spans.capacity()
+            + self.ts.capacity()
+            + self.kept.capacity()
+    }
+
+    /// Marches one ray with `samples` stratified samples; returns whether
+    /// it appended a span. `jitter` draws one offset in `[-0.5, 0.5)` bin
+    /// widths per sample — all `samples` of them whatever the grid drops,
+    /// none for a ray that is not sampled: the caller's random stream does
+    /// not depend on the grid. A ray that misses the bounds, or whose span
+    /// inside is shorter than `1e-5` or ends before the `1e-4` near clamp,
+    /// is not sampled.
+    pub fn march(
+        &mut self,
+        ray: &Ray,
+        bounds: &Aabb,
+        samples: usize,
+        grid: Option<&OccupancyGrid>,
+        jitter: Option<impl FnMut() -> f32>,
+    ) -> bool {
+        let Some(hit) = bounds.intersect(ray) else {
+            return false;
+        };
+        let near = hit.t_near.max(1e-4);
+        if hit.t_far - hit.t_near < 1e-5 || hit.t_far <= near {
+            return false;
+        }
+        self.rays_hit += 1;
+        // `kept` holds the jitter until the filter refills it.
+        let jitter = jitter.map(|mut draw| {
+            self.kept.clear();
+            self.kept.extend((0..samples).map(|_| draw()));
+            self.kept.as_slice()
+        });
+        ray.stratified_ts_into(near, hit.t_far, samples, jitter, &mut self.ts);
+        let ts = match grid {
+            Some(grid) => {
+                grid.cull(ray, bounds, Some(hit), &self.ts, &mut self.kept);
+                &self.kept
+            }
+            None => &self.ts,
+        };
+        if ts.is_empty() {
+            return false;
+        }
+        self.spans.push(RaySpan {
+            start: self.points.len(),
+            len: ts.len(),
+            dt: (hit.t_far - near) / samples as f32,
+        });
+        for &t in ts {
+            self.points.push(bounds.normalize(ray.at(t)));
+            self.dirs.push(ray.direction);
+        }
+        true
+    }
+}
+
+/// What [`gather_by_hand`] produced.
+#[cfg(test)]
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct HandGathered {
+    pub points: Vec<Vec3>,
+    pub dirs: Vec<Vec3>,
+    pub spans: Vec<RaySpan>,
+    /// Indices of the rays that pushed a span.
+    pub kept_rays: Vec<usize>,
+    pub rays_hit: u64,
+}
+
+/// The gather loop as `Trainer::gather_batch` and `GenScratch::generate`
+/// each spelled it out before the marcher, with every sample tested on its
+/// own — the anchor the two copies used to be for each other.
+#[cfg(test)]
+pub(crate) fn gather_by_hand(
+    rays: &[Ray],
+    bounds: &Aabb,
+    samples: usize,
+    grid: Option<&OccupancyGrid>,
+    mut jitter: Option<impl FnMut() -> f32>,
+) -> HandGathered {
+    let mut out = HandGathered::default();
+    for (r, ray) in rays.iter().enumerate() {
+        let Some(hit) = bounds.intersect(ray) else {
+            continue;
+        };
+        if hit.t_far - hit.t_near < 1e-5 {
+            continue;
+        }
+        out.rays_hit += 1;
+        let js: Option<Vec<f32>> = jitter
+            .as_mut()
+            .map(|draw| (0..samples).map(|_| draw()).collect());
+        let ts = ray.stratified_ts(hit.t_near.max(1e-4), hit.t_far, samples, js.as_deref());
+        let dt = (hit.t_far - hit.t_near.max(1e-4)) / samples as f32;
+        let ts = match grid {
+            Some(g) => g.filter_ts_reference(ray, bounds, &ts).0,
+            None => ts,
+        };
+        if ts.is_empty() {
+            continue;
+        }
+        out.spans.push(RaySpan {
+            start: out.points.len(),
+            len: ts.len(),
+            dt,
+        });
+        for &t in &ts {
+            out.points.push(bounds.normalize(ray.at(t)));
+            out.dirs.push(ray.direction);
+        }
+        out.kept_rays.push(r);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -317,6 +605,8 @@ mod tests {
     use inerf_mlp::Precision;
     use inerf_scenes::{zoo, DatasetConfig};
     use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn starts_fully_occupied() {
@@ -402,6 +692,481 @@ mod tests {
             );
         }
         assert_eq!(kept.len() + skipped, ts.len());
+    }
+
+    /// The digest by its definition, from the cell bits alone: cell `k` is
+    /// set iff some grid cell that overlaps it, widened by one cell, holds
+    /// an occupied cell.
+    fn summary_by_definition(g: &OccupancyGrid) -> [u64; SUMMARY_WORDS] {
+        let res = g.resolution as usize;
+        let bit = |x: usize, y: usize, z: usize| {
+            let i = (z * res + y) * res + x;
+            g.bits[i / 64] >> (i % 64) & 1 == 1
+        };
+        // Grid cells `c` with `[c, c + 1) / res` meeting `[k, k + 1) / SUMMARY`,
+        // then their neighbours.
+        let halo = |k: usize| {
+            let over: Vec<usize> = (0..res)
+                .filter(|&c| c * SUMMARY < (k + 1) * res && (c + 1) * SUMMARY > k * res)
+                .collect();
+            over[0].saturating_sub(1)..(over[over.len() - 1] + 2).min(res)
+        };
+        let mut summary = [0u64; SUMMARY_WORDS];
+        for k in 0..SUMMARY.pow(3) {
+            let (kx, ky, kz) = (k % SUMMARY, k / SUMMARY % SUMMARY, k / (SUMMARY * SUMMARY));
+            let set = halo(kz).any(|z| halo(ky).any(|y| halo(kx).any(|x| bit(x, y, z))));
+            summary[k / 64] |= u64::from(set) << (k % 64);
+        }
+        summary
+    }
+
+    /// A grid of `res`³ cells, empty but for a few random blobs (and, every
+    /// other seed, the far corner cell: the halo at the border).
+    fn blob_grid(res: u32, rng: &mut SmallRng) -> OccupancyGrid {
+        let n = res as usize;
+        let cells = n.pow(3);
+        let mut words = vec![0u64; cells.div_ceil(64)];
+        if let Some(last) = words.get_mut(cells / 64) {
+            *last = !0 << (cells % 64); // padding bits, as `new` leaves them
+        }
+        let mut set = |x: usize, y: usize, z: usize| {
+            let i = (z * n + y) * n + x;
+            words[i / 64] |= 1 << (i % 64);
+        };
+        for _ in 0..rng.gen_range(0..4) {
+            let c = [0; 3].map(|_| rng.gen_range(0..n));
+            let r = rng.gen_range(0..3usize);
+            let axis = |c: usize| c.saturating_sub(r)..(c + r + 1).min(n);
+            for z in axis(c[2]) {
+                for y in axis(c[1]) {
+                    for x in axis(c[0]) {
+                        set(x, y, z);
+                    }
+                }
+            }
+        }
+        if rng.gen_bool(0.5) {
+            set(n - 1, n - 1, n - 1);
+        }
+        OccupancyGrid::from_words(res, words)
+    }
+
+    fn random_bounds(rng: &mut SmallRng) -> Aabb {
+        let min = Vec3::new(
+            rng.gen_range(-2.0..-0.5),
+            rng.gen_range(-2.0..-0.5),
+            rng.gen_range(-2.0..-0.5),
+        );
+        let extent = Vec3::new(
+            rng.gen_range(0.5..4.0),
+            rng.gen_range(0.5..4.0),
+            rng.gen_range(0.5..4.0),
+        );
+        Aabb::new(min, min + extent)
+    }
+
+    /// A ray from inside or around `bounds` towards a point inside it, with
+    /// zero, one or two direction components zeroed (planar, axis-parallel)
+    /// or one pushed below `Aabb::intersect`'s `1e-12` parallel cut-off. A
+    /// planar ray lies *in* a face of the digest lattice: every sample then
+    /// sits on the boundary the walk and the per-sample test may round to
+    /// different sides of.
+    fn random_ray(bounds: &Aabb, rng: &mut SmallRng) -> Ray {
+        let inside = |stretch: f32, rng: &mut SmallRng| {
+            let u = Vec3::new(
+                rng.gen_range(0.0..1.0),
+                rng.gen_range(0.0..1.0),
+                rng.gen_range(0.0..1.0),
+            );
+            bounds.denormalize((u - Vec3::splat(0.5)) * stretch + Vec3::splat(0.5))
+        };
+        let (mode, a, b) = (
+            rng.gen_range(0..6),
+            rng.gen_range(0..3usize),
+            rng.gen_range(0..3usize),
+        );
+        let stretch = if rng.gen_bool(0.3) { 1.0 } else { 3.0 };
+        let free = inside(stretch, rng);
+        let face = bounds.denormalize(Vec3::splat(rng.gen_range(0..9) as f32 / 8.0));
+        let origin = |i: usize| if mode < 2 && i == a { face[i] } else { free[i] };
+        let origin = Vec3::new(origin(0), origin(1), origin(2));
+        let d = (inside(1.0, rng) - origin).to_array();
+        let shaped = |i: usize| match mode {
+            0 if i == a => 0.0,
+            1 if i == a || i == b => 0.0,
+            2 if i == a => 1e-13,
+            _ => d[i],
+        };
+        let d = Vec3::new(shaped(0), shaped(1), shaped(2));
+        if d.length() < 1e-6 {
+            return Ray::new(origin, Vec3::ONE);
+        }
+        // Built by hand: `Ray::new` would renormalize `1e-13` away or up.
+        Ray {
+            origin,
+            direction: d / d.length(),
+        }
+    }
+
+    fn filtered(g: &OccupancyGrid, ray: &Ray, bounds: &Aabb, ts: &[f32]) -> (Vec<f32>, usize) {
+        let mut kept = vec![f32::NAN]; // stale: the buffer is cleared first
+        let skipped = g.filter_ts_into(ray, bounds, ts, &mut kept);
+        (kept, skipped)
+    }
+
+    /// Bit patterns, so that NaN distances compare.
+    fn bits(r: &(Vec<f32>, usize)) -> (Vec<u32>, usize) {
+        (r.0.iter().map(|t| t.to_bits()).collect(), r.1)
+    }
+
+    #[test]
+    fn summary_is_rebuilt_by_refresh_and_from_words_and_ignored_by_eq() {
+        let model = briefly_trained(Precision::F32);
+        for res in [1, 7, 16, 33] {
+            let mut g = OccupancyGrid::new(res);
+            assert_eq!(g.summary, [u64::MAX; SUMMARY_WORDS]);
+            g.refresh(&model, 0.3, 2);
+            assert_eq!(g.summary, summary_by_definition(&g), "refresh, res {res}");
+            let restored = OccupancyGrid::from_words(res, g.words().to_vec());
+            assert_eq!(restored.summary, g.summary, "from_words, res {res}");
+            if res >= 16 {
+                assert_ne!(
+                    g.summary,
+                    [u64::MAX; SUMMARY_WORDS],
+                    "fixture culls nothing"
+                );
+            }
+            // Same cells, different digest: still equal.
+            let mut stale = g.clone();
+            stale.summary = [u64::MAX; SUMMARY_WORDS];
+            assert_eq!(stale, g);
+        }
+        let mut rng = SmallRng::seed_from_u64(3);
+        for res in [1, 2, 7, 8, 9, 16, 32, 64] {
+            let g = blob_grid(res, &mut rng);
+            assert_eq!(g.summary, summary_by_definition(&g), "blobs, res {res}");
+        }
+    }
+
+    #[test]
+    fn summary_follows_set_and_stays_a_superset_when_cells_are_cleared() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        for res in [7, 16, 32] {
+            let mut g = blob_grid(res, &mut rng);
+            for _ in 0..200 {
+                let p = Vec3::new(
+                    rng.gen_range(0.0..1.0),
+                    rng.gen_range(0.0..1.0),
+                    rng.gen_range(0.0..1.0),
+                );
+                g.set(p, rng.gen_bool(0.3));
+                let exact = summary_by_definition(&g);
+                for (have, want) in g.summary.iter().zip(&exact) {
+                    assert_eq!(have & want, *want, "res {res}: digest lost a cell");
+                }
+            }
+            // Setting alone keeps it exact.
+            let mut g = OccupancyGrid::from_words(res, blob_grid(res, &mut rng).words().to_vec());
+            g.set(Vec3::new(0.99, 0.01, 0.5), true);
+            assert_eq!(g.summary, summary_by_definition(&g));
+        }
+    }
+
+    /// The spans of `ray`'s digest walk through clear cells: where `cull`
+    /// skips samples unseen.
+    fn clear_spans(g: &OccupancyGrid, ray: &Ray, bounds: &Aabb, hit: RayHit) -> Vec<(f32, f32)> {
+        CellWalk::new(ray, bounds, SUMMARY as u32, hit)
+            .filter(|c| g.summary_is_clear(c.cell))
+            .map(|c| (c.t_enter, c.t_exit))
+            .collect()
+    }
+
+    #[test]
+    fn an_empty_grid_keeps_nothing_and_a_full_one_everything() {
+        let bounds = Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0));
+        let ray = Ray::new(Vec3::new(-3.0, 0.2, 0.1), Vec3::new(1.0, 0.1, 0.05));
+        let hit = bounds.intersect(&ray).expect("hits");
+        let ts = ray.stratified_ts(hit.t_near, hit.t_far, 64, None);
+        let empty = OccupancyGrid::from_words(32, vec![0; 32usize.pow(3) / 64]);
+        assert_eq!(filtered(&empty, &ray, &bounds, &ts), (vec![], 64));
+        assert_eq!(
+            filtered(&OccupancyGrid::new(32), &ray, &bounds, &ts),
+            (ts, 0)
+        );
+    }
+
+    #[test]
+    fn a_walk_span_with_a_nan_bound_skips_nothing_unseen() {
+        // A subnormal x component (`1 / d` infinite) from an origin on a
+        // digest face: the walk's first boundary distance is `0 · inf`, so
+        // its first span ends at NaN. The far end of the ray is occupied
+        // and comes first in `ts`; the cell the walk starts in is clear.
+        let bounds = Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0));
+        let mut g = OccupancyGrid::from_words(32, vec![0; 32usize.pow(3) / 64]);
+        g.set(Vec3::new(0.26, 0.99, 0.5), true);
+        for x in [-1e-40, 1e-40] {
+            let ray = Ray {
+                origin: Vec3::new(-0.5, -3.0, 0.0),
+                direction: Vec3::new(x, 1.0, 0.0),
+            };
+            let hit = bounds.intersect(&ray).expect("hits");
+            let walk: Vec<_> = CellWalk::new(&ray, &bounds, SUMMARY as u32, hit).collect();
+            assert_eq!(walk[0].t_exit.is_nan(), x < 0.0, "{walk:?}");
+            let mut ts = ray.stratified_ts(hit.t_near, hit.t_far, 64, None);
+            for ts in [ts.clone(), {
+                ts.reverse();
+                ts
+            }] {
+                let reference = g.filter_ts_reference(&ray, &bounds, &ts);
+                assert!(!reference.0.is_empty() && reference.1 > 0);
+                assert_eq!(filtered(&g, &ray, &bounds, &ts), reference);
+            }
+        }
+    }
+
+    #[test]
+    fn samples_on_a_digest_face_are_decided_by_the_halo() {
+        // Grids whose occupied regions are whole digest cells, and samples
+        // placed on the walk's own cell crossings, a few ulps to either
+        // side: there the walk and the per-sample test round to different
+        // sides independently. Without the halo the walk's side would
+        // count, and the samples counted below would be lost.
+        let mut rng = SmallRng::seed_from_u64(17);
+        let mut saved_by_halo = 0;
+        for _ in 0..200 {
+            let bounds = random_bounds(&mut rng);
+            let res = [16usize, 32, 64][rng.gen_range(0..3usize)];
+            let per = res / SUMMARY;
+            let raw: Vec<bool> = (0..SUMMARY.pow(3)).map(|_| rng.gen_bool(0.3)).collect();
+            let digest_of = |c: [usize; 3]| (c[2] * SUMMARY + c[1]) * SUMMARY + c[0];
+            let mut g = OccupancyGrid::from_words(res as u32, vec![0; res.pow(3) / 64]);
+            for cell in 0..res.pow(3) {
+                let c = [cell % res, cell / res % res, cell / (res * res)];
+                if raw[digest_of(c.map(|c| c / per))] {
+                    g.bits[cell / 64] |= 1 << (cell % 64);
+                }
+            }
+            g.rebuild_summary();
+            for _ in 0..10 {
+                let ray = random_ray(&bounds, &mut rng);
+                let Some(hit) = bounds.intersect(&ray).filter(|h| h.t_far > h.t_near) else {
+                    continue;
+                };
+                let walk: Vec<_> = CellWalk::new(&ray, &bounds, SUMMARY as u32, hit).collect();
+                let mut ts: Vec<f32> = walk
+                    .iter()
+                    .filter(|c| c.t_exit.is_finite() && c.t_exit > 0.0)
+                    .flat_map(|c| {
+                        (-2i32..=2).map(|j| f32::from_bits((c.t_exit.to_bits() as i32 + j) as u32))
+                    })
+                    .collect();
+                ts.sort_by(f32::total_cmp);
+                let reference = g.filter_ts_reference(&ray, &bounds, &ts);
+                assert_eq!(filtered(&g, &ray, &bounds, &ts), reference, "{ray:?}");
+                saved_by_halo += reference
+                    .0
+                    .iter()
+                    .filter(|&&t| {
+                        let at = walk.iter().find(|c| c.t_enter <= t && t < c.t_exit);
+                        at.is_some_and(|c| !raw[digest_of(c.cell.map(|c| c as usize))])
+                    })
+                    .count();
+            }
+        }
+        assert!(
+            saved_by_halo > 100,
+            "only {saved_by_halo} samples needed the halo"
+        );
+    }
+
+    #[test]
+    fn filter_matches_the_reference_outside_its_fast_path() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let bounds = Aabb::new(Vec3::splat(-1.0), Vec3::new(1.0, 2.0, 1.5));
+        let inv_sqrt2 = std::f32::consts::FRAC_1_SQRT_2;
+        let rays = [
+            // Starts inside the box.
+            Ray::new(Vec3::new(0.1, 0.2, -0.3), Vec3::new(0.3, -1.0, 0.2)),
+            // A component below the `1e-12` parallel cut-off of `intersect`.
+            Ray {
+                origin: Vec3::new(0.3, -4.0, 0.2),
+                direction: Vec3::new(1e-13, 0.8, 0.6),
+            },
+            // Grazes the edge x = -1, y = 2: a span of zero length (or a miss).
+            Ray {
+                origin: Vec3::new(-2.0, 1.0, 0.0),
+                direction: Vec3::new(inv_sqrt2, inv_sqrt2, 0.0),
+            },
+            // A subnormal component from a digest face: a NaN walk bound.
+            Ray {
+                origin: Vec3::new(-0.5, -4.0, 0.375),
+                direction: Vec3::new(-1e-40, 0.8, 0.6),
+            },
+            // Misses the box altogether.
+            Ray::new(Vec3::new(-3.0, 5.0, 0.0), Vec3::new(1.0, 0.0, 0.0)),
+            // So far away that rounding is no longer small against a cell.
+            Ray::new(Vec3::new(-3.0e5, 0.5, 0.2), Vec3::new(1.0, 0.0, 0.0)),
+            // Not a ray at all.
+            Ray {
+                origin: Vec3::new(f32::NAN, 0.0, 0.0),
+                direction: Vec3::new(0.0, 1.0, 0.0),
+            },
+            Ray {
+                origin: Vec3::ZERO,
+                direction: Vec3::ZERO,
+            },
+        ];
+        for res in [1, 7, 32] {
+            let g = blob_grid(res, &mut rng);
+            for ray in &rays {
+                let (near, far) = bounds
+                    .intersect(ray)
+                    .map_or((0.0, 8.0), |h| (h.t_near, h.t_far.min(1e9)));
+                let far = far.max(near + 1e-3 * near.max(1.0)); // the grazing ray
+                let ascending = ray.stratified_ts(near, far, 48, None);
+                let mut shuffled = ascending.clone();
+                shuffled.swap(3, 40);
+                shuffled.reverse();
+                let mut hostile = ascending.clone();
+                hostile[5] = f32::NAN;
+                hostile[9] = f32::INFINITY;
+                hostile[17] = f32::NEG_INFINITY;
+                hostile[30] = -1.0;
+                // Before the entry, and past the exit, of the box.
+                let outside: Vec<f32> = (0..48).map(|i| near - 2.0 + 0.25 * i as f32).collect();
+                let same = vec![0.5 * (near + far); 9];
+                for ts in [&[][..], &ascending, &shuffled, &hostile, &outside, &same] {
+                    assert_eq!(
+                        bits(&filtered(&g, ray, &bounds, ts)),
+                        bits(&g.filter_ts_reference(ray, &bounds, ts)),
+                        "res {res}, {ray:?}, ts {ts:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn marcher_gives_no_samples_where_the_near_clamp_passes_the_exit() {
+        // Inside the box, 5e-5 from the face it leaves through: the span
+        // passes the `1e-5` test but ends before the `1e-4` near clamp. Not
+        // sampled, not counted, and no jitter drawn for it.
+        let ray = Ray::new(Vec3::new(0.5, 0.5, 1.0 - 5e-5), Vec3::new(0.0, 0.0, 1.0));
+        let grid = OccupancyGrid::new(16);
+        let mut marcher = RayMarcher::default();
+        let mut draws = 0;
+        for grid in [None, Some(&grid)] {
+            assert!(!marcher.march(&ray, &Aabb::unit(), 8, grid, None::<fn() -> f32>));
+            let jitter = || {
+                draws += 1;
+                0.0
+            };
+            assert!(!marcher.march(&ray, &Aabb::unit(), 8, grid, Some(jitter)));
+        }
+        assert_eq!((marcher.rays_hit, draws), (0, 0));
+        assert!(marcher.points.is_empty() && marcher.spans.is_empty());
+    }
+
+    /// Marches `rays` through a [`RayMarcher`], in the shape of
+    /// [`gather_by_hand`]'s result.
+    fn gather_by_marcher(
+        rays: &[Ray],
+        bounds: &Aabb,
+        samples: usize,
+        grid: Option<&OccupancyGrid>,
+        mut jitter: Option<impl FnMut() -> f32>,
+    ) -> HandGathered {
+        let mut marcher = RayMarcher::default();
+        marcher.kept.push(f32::NAN); // stale scratch
+        let kept_rays = (0..rays.len())
+            .filter(|&r| marcher.march(&rays[r], bounds, samples, grid, jitter.as_mut()))
+            .collect();
+        HandGathered {
+            points: marcher.points,
+            dirs: marcher.dirs,
+            spans: marcher.spans,
+            kept_rays,
+            rays_hit: marcher.rays_hit,
+        }
+    }
+
+    proptest! {
+        /// (i) Propose ⊇ decide: no sample the per-sample test keeps lies in
+        /// a clear cell's span of the digest walk.
+        #[test]
+        fn clear_spans_hold_no_per_sample_survivor(
+            seed in 0u64..1 << 40,
+            res_idx in 0usize..5,
+            samples in 7usize..201,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let g = blob_grid([1, 7, 16, 32, 64][res_idx], &mut rng);
+            let bounds = random_bounds(&mut rng);
+            for _ in 0..40 {
+                let ray = random_ray(&bounds, &mut rng);
+                let Some(hit) = bounds.intersect(&ray).filter(|h| h.t_far > h.t_near) else {
+                    continue;
+                };
+                let js: Vec<f32> = (0..samples).map(|_| rng.gen_range(-0.5..0.5)).collect();
+                let ts = ray.stratified_ts(hit.t_near, hit.t_far, samples, Some(&js));
+                let (kept, _) = g.filter_ts_reference(&ray, &bounds, &ts);
+                let clear = clear_spans(&g, &ray, &bounds, hit);
+                for &t in &kept {
+                    prop_assert!(
+                        !clear.iter().any(|&(lo, hi)| lo <= t && t < hi),
+                        "kept t = {} inside a clear span of {:?} ({:?})", t, clear, ray
+                    );
+                }
+            }
+        }
+
+        /// (ii) `filter_ts_into` and the marcher return the per-sample
+        /// reference's survivors and counts, jittered and not.
+        #[test]
+        fn filter_and_marcher_match_the_per_sample_reference(
+            seed in 0u64..1 << 40,
+            res_idx in 0usize..5,
+            samples in 7usize..201,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let g = blob_grid([1, 7, 16, 32, 64][res_idx], &mut rng);
+            let bounds = random_bounds(&mut rng);
+            let rays: Vec<Ray> = (0..40).map(|_| random_ray(&bounds, &mut rng)).collect();
+            for ray in &rays {
+                let Some(hit) = bounds.intersect(ray).filter(|h| h.t_far > h.t_near) else {
+                    continue;
+                };
+                let js: Vec<f32> = (0..samples).map(|_| rng.gen_range(-0.5..0.5)).collect();
+                for jitter in [None, Some(&js[..])] {
+                    let ts = ray.stratified_ts(hit.t_near, hit.t_far, samples, jitter);
+                    prop_assert_eq!(
+                        filtered(&g, ray, &bounds, &ts),
+                        g.filter_ts_reference(ray, &bounds, &ts),
+                        "{:?}", ray
+                    );
+                }
+            }
+            // The by-hand loop panics where the near clamp passes the exit;
+            // the marcher's answer there has its own test.
+            let rays: Vec<Ray> = rays
+                .into_iter()
+                .filter(|r| bounds.intersect(r).is_none_or(|h| h.t_far > 2e-4))
+                .collect();
+            for grid in [Some(&g), None] {
+                let none = None::<fn() -> f32>;
+                prop_assert_eq!(
+                    gather_by_marcher(&rays, &bounds, samples, grid, none),
+                    gather_by_hand(&rays, &bounds, samples, grid, none)
+                );
+                let (mut a, mut b) = (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+                prop_assert_eq!(
+                    gather_by_marcher(&rays, &bounds, samples, grid, Some(|| a.gen_range(-0.5..0.5))),
+                    gather_by_hand(&rays, &bounds, samples, grid, Some(|| b.gen_range(-0.5..0.5)))
+                );
+                // Both drew the same number of values.
+                prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+            }
+        }
     }
 
     /// A model of `precision` trained on Mic just long enough that a

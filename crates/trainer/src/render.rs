@@ -7,10 +7,12 @@
 //! it with a five-stage block pipeline whose cost tracks *visible* work:
 //!
 //! 1. **Parallel ray generation** — fixed `GEN_CHUNK`-pixel tasks on the
-//!    pool, each with its own pooled scratch, spliced in task order (so the
-//!    block layout is identical at any thread count). With
+//!    pool, each marching its rays through its own pooled [`RayMarcher`]
+//!    (the sampler training's gather uses too), spliced in task order (so
+//!    the block layout is identical at any thread count). With
 //!    [`RenderOpts::culling`] and an [`OccupancyGrid`], samples in empty
-//!    cells are dropped here and never reach the model.
+//!    cells are dropped here and never reach the model — most of them a
+//!    clear run at a time, without being looked at.
 //! 2. **Density phase** — the fused encode→density-MLP eval path
 //!    ([`TrainableField::query_eval_batch_density`]) over every surviving
 //!    sample, into engine-owned [`EvalScratch`]. Models without phased
@@ -59,7 +61,7 @@
 //! [`RenderEngine::growth_events`]).
 
 use crate::model::{eval_density_batch, EvalScratch, TrainableField};
-use crate::occupancy::OccupancyGrid;
+use crate::occupancy::{OccupancyGrid, RayMarcher};
 use inerf_geom::{Aabb, Camera, Vec3};
 use inerf_render::volume::RaySpan;
 use inerf_scenes::{psnr_from_mse, Dataset, Image};
@@ -185,31 +187,22 @@ impl RenderStats {
 /// fixes the block layout.
 #[derive(Debug, Clone, Default)]
 struct GenScratch {
-    ts: Vec<f32>,
-    filtered: Vec<f32>,
-    points: Vec<Vec3>,
-    dirs: Vec<Vec3>,
-    /// Task-relative span starts; rebased during the splice.
-    spans: Vec<RaySpan>,
+    /// The task's samples; span starts are task-relative, rebased during
+    /// the splice.
+    batch: RayMarcher,
     pixels: Vec<(u32, u32)>,
-    rays_hit: u64,
-    samples_culled: u64,
 }
 
 impl GenScratch {
     fn capacity_sum(&self) -> usize {
-        self.ts.capacity()
-            + self.filtered.capacity()
-            + self.points.capacity()
-            + self.dirs.capacity()
-            + self.spans.capacity()
-            + self.pixels.capacity()
+        self.batch.capacity_sum() + self.pixels.capacity()
     }
 
-    /// Generates rays for raw pixel indices `lo..hi` (row-major). The ray
-    /// setup (intersection epsilon, `t_near` clamp, stratified sampling,
-    /// uniform `dt`) matches the reference path operation for operation;
-    /// culling only removes `ts` entries, never changes them.
+    /// Marches the rays of raw pixel indices `lo..hi` (row-major),
+    /// unjittered. Culling only removes samples, never moves them; a pixel
+    /// whose samples all fell in marked-empty space keeps the background
+    /// (black) without touching the model — what compositing all-empty
+    /// samples would produce.
     fn generate(
         &mut self,
         camera: &Camera,
@@ -219,55 +212,16 @@ impl GenScratch {
         lo: usize,
         hi: usize,
     ) {
-        self.points.clear();
-        self.dirs.clear();
-        self.spans.clear();
-        self.pixels.clear();
-        self.rays_hit = 0;
-        self.samples_culled = 0;
+        let GenScratch { batch, pixels } = self;
+        batch.clear();
+        pixels.clear();
+        let no_jitter = None::<fn() -> f32>;
         for idx in lo..hi {
-            let px = idx as u32 % camera.width;
-            let py = idx as u32 / camera.width;
+            let (px, py) = (idx as u32 % camera.width, idx as u32 / camera.width);
             let ray = camera.ray_for_pixel(px, py);
-            let Some(hit) = bounds.intersect(&ray) else {
-                continue;
-            };
-            if hit.t_far - hit.t_near < 1e-5 {
-                continue;
+            if batch.march(&ray, bounds, samples_per_ray, grid, no_jitter) {
+                pixels.push((px, py));
             }
-            self.rays_hit += 1;
-            ray.stratified_ts_into(
-                hit.t_near.max(1e-4),
-                hit.t_far,
-                samples_per_ray,
-                None,
-                &mut self.ts,
-            );
-            let dt = (hit.t_far - hit.t_near.max(1e-4)) / samples_per_ray as f32;
-            let ts: &[f32] = if let Some(g) = grid {
-                self.samples_culled +=
-                    g.filter_ts_into(&ray, bounds, &self.ts, &mut self.filtered) as u64;
-                &self.filtered
-            } else {
-                &self.ts
-            };
-            if ts.is_empty() {
-                // Every sample fell in marked-empty space: the pixel keeps
-                // the background (black) without touching the model — what
-                // compositing all-empty samples would produce.
-                continue;
-            }
-            let start = self.points.len();
-            for &t in ts {
-                self.points.push(bounds.normalize(ray.at(t)));
-                self.dirs.push(ray.direction);
-            }
-            self.spans.push(RaySpan {
-                start,
-                len: ts.len(),
-                dt,
-            });
-            self.pixels.push((px, py));
         }
     }
 }
@@ -419,6 +373,7 @@ impl RenderEngine {
             lo = hi;
         }
         self.stats.samples_dense = self.stats.rays_hit * samples_per_ray as u64;
+        self.stats.samples_culled = self.stats.samples_dense - self.stats.samples_density;
     }
 
     /// Mean PSNR over the dataset's held-out test views, rendered through
@@ -508,15 +463,14 @@ impl RenderEngine {
         arena.pixels.clear();
         for g in &arena.gen[..n_tasks] {
             let base = arena.points.len();
-            arena.points.extend_from_slice(&g.points);
-            arena.dirs.extend_from_slice(&g.dirs);
-            arena.spans.extend(g.spans.iter().map(|s| RaySpan {
+            arena.points.extend_from_slice(&g.batch.points);
+            arena.dirs.extend_from_slice(&g.batch.dirs);
+            arena.spans.extend(g.batch.spans.iter().map(|s| RaySpan {
                 start: base + s.start,
                 ..*s
             }));
             arena.pixels.extend_from_slice(&g.pixels);
-            self.stats.rays_hit += g.rays_hit;
-            self.stats.samples_culled += g.samples_culled;
+            self.stats.rays_hit += g.batch.rays_hit;
         }
         self.stats.gen_ns += t_gen.elapsed().as_nanos() as u64;
         if arena.spans.is_empty() {
@@ -648,6 +602,42 @@ mod tests {
         let d = RenderOpts::default();
         assert!(d.culling && d.early_term);
         assert_eq!(d.early_term_threshold, EARLY_TERM_THRESHOLD);
+    }
+
+    #[test]
+    fn generate_goes_through_the_marcher_with_the_hand_rolled_loops_bits() {
+        use crate::occupancy::gather_by_hand;
+        use inerf_geom::{Pose, Ray};
+        let bounds = Aabb::new(Vec3::splat(-1.0), Vec3::new(1.0, 1.5, 1.0));
+        let camera = Camera::new(Pose::orbit(Vec3::ZERO, 3.0, 0.7, 0.4), 24, 20, 0.9);
+        let mut grid = OccupancyGrid::new(16);
+        for i in 0..16u32.pow(3) {
+            let c = [i % 16, i / 16 % 16, i / 256].map(|c| (c as f32 + 0.5) / 16.0);
+            let p = Vec3::new(c[0], c[1], c[2]);
+            grid.set(p, (p - Vec3::splat(0.5)).length() < 0.2);
+        }
+        let grid = OccupancyGrid::from_words(16, grid.words().to_vec());
+        let (lo, hi) = (37, 441);
+        let rays: Vec<Ray> = (lo..hi).map(|i| camera.ray_for_index(i)).collect();
+        // `None` is what `RenderOpts::reference()` leaves of a grid.
+        for grid in [None, Some(&grid)] {
+            let by_hand = gather_by_hand(&rays, &bounds, 32, grid, None::<fn() -> f32>);
+            let mut gen = GenScratch::default();
+            gen.generate(&camera, &bounds, 32, grid, lo, hi);
+            assert!(!by_hand.points.is_empty());
+            assert_eq!(gen.batch.points, by_hand.points);
+            assert_eq!(gen.batch.dirs, by_hand.dirs);
+            assert_eq!(gen.batch.spans, by_hand.spans);
+            let pixels: Vec<(u32, u32)> = by_hand
+                .kept_rays
+                .iter()
+                .map(|&r| ((lo + r) as u32 % 24, (lo + r) as u32 / 24))
+                .collect();
+            assert_eq!(gen.pixels, pixels);
+            assert_eq!(gen.batch.rays_hit, by_hand.rays_hit);
+            let dense = by_hand.rays_hit as usize * 32;
+            assert_eq!(grid.is_some(), by_hand.points.len() < dense);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use inerf_geom::{Aabb, Camera, Ray, Vec3};
 use inerf_mlp::Precision;
 use inerf_render::volume::{
     composite, composite_backward, composite_backward_spans, composite_backward_uniform,
-    composite_spans, composite_uniform, RayBatch, RaySpan, SamplePoint,
+    composite_spans, composite_uniform, RayBatch, SamplePoint,
 };
 use inerf_render::{l2_loss, l2_loss_into};
 use inerf_scenes::{Dataset, Image};
@@ -404,15 +404,15 @@ impl<M: TrainableField> Trainer<M> {
         self.steps += 1;
         self.model.begin_batch();
         self.gather_batch(rays, targets, bounds);
-        if self.arena.spans.is_empty() {
+        if self.arena.batch.spans.is_empty() {
             if let Some(sink) = sink {
                 sink.end_batch(); // an empty iteration still closes a batch
             }
             return 0.0;
         }
-        self.points_queried += self.arena.points.len() as u64;
+        self.points_queried += self.arena.batch.points.len() as u64;
         if let Some(sink) = sink {
-            self.model.stream_lookups(&self.arena.points, sink);
+            self.model.stream_lookups(&self.arena.batch.points, sink);
             sink.end_batch();
         }
         let loss = match self.config.engine {
@@ -435,52 +435,20 @@ impl<M: TrainableField> Trainer<M> {
             ..
         } = self;
         arena.clear_gather();
+        let grid = occupancy.as_ref().map(|occ| &occ.grid);
+        for (ray, &target) in rays.iter().zip(targets) {
+            let jitter = Some(|| rng.gen_range(-0.5..0.5));
+            if arena.batch.march(ray, bounds, s, grid, jitter) {
+                arena.targets.push(target);
+            }
+        }
         // Only occupancy-filtered rays carry per-sample step sizes; the
         // uniform case uses the span's `dt` and leaves `dts` empty.
-        arena.has_dts = occupancy.is_some();
-        for (ray, &target) in rays.iter().zip(targets) {
-            let Some(hit) = bounds.intersect(ray) else {
-                continue;
-            };
-            if hit.t_far - hit.t_near < 1e-5 {
-                continue;
+        arena.has_dts = grid.is_some();
+        if arena.has_dts {
+            for span in &arena.batch.spans {
+                arena.dts.resize(span.start + span.len, span.dt);
             }
-            arena.jitter.clear();
-            arena
-                .jitter
-                .extend((0..s).map(|_| rng.gen_range(-0.5..0.5)));
-            ray.stratified_ts_into(
-                hit.t_near.max(1e-4),
-                hit.t_far,
-                s,
-                Some(&arena.jitter),
-                &mut arena.ts,
-            );
-            let dt = (hit.t_far - hit.t_near.max(1e-4)) / s as f32;
-            let ts: &[f32] = if let Some(occ) = occupancy {
-                occ.grid
-                    .filter_ts_into(ray, bounds, &arena.ts, &mut arena.filtered);
-                &arena.filtered
-            } else {
-                &arena.ts
-            };
-            if ts.is_empty() {
-                continue;
-            }
-            let start = arena.points.len();
-            for &t in ts {
-                arena.points.push(bounds.normalize(ray.at(t)));
-                arena.dirs.push(ray.direction);
-            }
-            if arena.has_dts {
-                arena.dts.resize(arena.dts.len() + ts.len(), dt);
-            }
-            arena.spans.push(RaySpan {
-                start,
-                len: ts.len(),
-                dt,
-            });
-            arena.targets.push(target);
         }
     }
 
@@ -490,17 +458,18 @@ impl<M: TrainableField> Trainer<M> {
     /// arena): this path is the untouched equivalence anchor for the
     /// batched engine, not a throughput target.
     fn step_scalar(&mut self) -> f64 {
-        let n = self.arena.points.len();
+        let n = self.arena.batch.points.len();
         let dts = self.arena.has_dts.then_some(self.arena.dts.as_slice());
         // Step (c): query the model point by point, in streaming order.
         let mut samples = Vec::with_capacity(n);
-        for (&p, &d) in self.arena.points.iter().zip(&self.arena.dirs) {
+        for (&p, &d) in self.arena.batch.points.iter().zip(&self.arena.batch.dirs) {
             let (sigma, rgb) = self.model.query(p, d);
             samples.push(SamplePoint { sigma, color: rgb });
         }
         // Step (d): volume rendering.
         let outputs: Vec<_> = self
             .arena
+            .batch
             .spans
             .iter()
             .map(|span| {
@@ -517,6 +486,7 @@ impl<M: TrainableField> Trainer<M> {
         // Step (f): backward through rendering, MLPs and the hash table.
         for ((span, out), d_pred) in self
             .arena
+            .batch
             .spans
             .iter()
             .zip(&outputs)
@@ -552,7 +522,7 @@ impl<M: TrainableField> Trainer<M> {
     /// (`composite_spans` ≡ `composite` per ray, `l2_loss_into` ≡
     /// `l2_loss`).
     fn step_batched(&mut self) -> f64 {
-        let n = self.arena.points.len();
+        let n = self.arena.batch.points.len();
         // Stage buffers come from the arena: `resize` reuses capacity, and
         // every stage fully overwrites its buffer, so stale prefixes from a
         // previous iteration are never read.
@@ -563,16 +533,17 @@ impl<M: TrainableField> Trainer<M> {
         // transmittance is exactly 0.0) before the color pipeline runs;
         // `scan_live_samples` proves the drop is bitwise-free (see
         // DESIGN.md).
-        if !self
-            .model
-            .query_batch_density(&self.arena.points, &mut self.arena.sigmas, &self.pool)
-        {
+        if !self.model.query_batch_density(
+            &self.arena.batch.points,
+            &mut self.arena.sigmas,
+            &self.pool,
+        ) {
             return self.step_scalar();
         }
         let Trainer {
             model, arena, pool, ..
         } = self;
-        let m = arena.spans.len();
+        let m = arena.batch.spans.len();
         arena.rgbs.resize(n, Vec3::ZERO);
         arena.ray_colors.resize(m, Vec3::ZERO);
         arena.backgrounds.resize(m, 0.0);
@@ -581,8 +552,8 @@ impl<M: TrainableField> Trainer<M> {
         arena.d_sigmas.resize(n, 0.0);
         arena.d_colors.resize(n, Vec3::ZERO);
         let dts = arena.has_dts.then_some(arena.dts.as_slice());
-        engine::scan_live_samples(&arena.sigmas, &arena.spans, dts, &mut arena.live);
-        model.query_batch_color_compacted(&arena.dirs, &arena.live, &mut arena.rgbs, pool);
+        engine::scan_live_samples(&arena.sigmas, &arena.batch.spans, dts, &mut arena.live);
+        model.query_batch_color_compacted(&arena.batch.dirs, &arena.live, &mut arena.rgbs, pool);
         // Step (d): volume rendering, parallel over fixed ray chunks. The
         // per-chunk output slices are carved off the arena buffers in chunk
         // order (no per-iteration slice vectors).
@@ -595,7 +566,7 @@ impl<M: TrainableField> Trainer<M> {
             let mut wc = &mut arena.weights[..];
             let mut tc = &mut arena.trans_after[..];
             pool.scope(|s| {
-                for spans in arena.spans.chunks(engine::RAY_CHUNK) {
+                for spans in arena.batch.spans.chunks(engine::RAY_CHUNK) {
                     let samples: usize = spans.iter().map(|sp| sp.len).sum();
                     let (rc_head, rc_rest) = std::mem::take(&mut rc).split_at_mut(spans.len());
                     rc = rc_rest;
@@ -632,6 +603,7 @@ impl<M: TrainableField> Trainer<M> {
             let mut dc = &mut arena.d_colors[..];
             pool.scope(|s| {
                 for (spans, dp) in arena
+                    .batch
                     .spans
                     .chunks(engine::RAY_CHUNK)
                     .zip(arena.d_predictions.chunks(engine::RAY_CHUNK))
@@ -835,6 +807,47 @@ mod tests {
             &Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0)),
         );
         assert_eq!(loss, 0.0);
+    }
+
+    #[test]
+    fn gather_goes_through_the_marcher_with_the_hand_rolled_loops_bits() {
+        use crate::occupancy::gather_by_hand;
+        let (dataset, trainer) = tiny_setup();
+        let mut gridded = trainer.clone().with_occupancy_grid(16, 0.3, 10);
+        gridded.train(&dataset, 31); // refreshed from a trained model: a mixed grid
+        let camera = &dataset.train_views[0].camera;
+        let rays: Vec<Ray> = (0..camera.pixel_count())
+            .step_by(3)
+            .map(|i| camera.ray_for_index(i))
+            .collect();
+        let targets: Vec<Vec3> = (0..rays.len()).map(|i| Vec3::splat(i as f32)).collect();
+        let s = trainer.config.samples_per_ray;
+        for mut trainer in [trainer, gridded] {
+            let grid = trainer.occupancy_grid().cloned();
+            let mut rng = trainer.rng.clone();
+            let jitter = Some(|| rng.gen_range(-0.5..0.5));
+            let by_hand = gather_by_hand(&rays, &dataset.bounds, s, grid.as_ref(), jitter);
+            trainer.gather_batch(&rays, &targets, &dataset.bounds);
+            let arena = &trainer.arena;
+            assert!(!by_hand.points.is_empty());
+            assert_eq!(arena.batch.points, by_hand.points);
+            assert_eq!(arena.batch.dirs, by_hand.dirs);
+            assert_eq!(arena.batch.spans, by_hand.spans);
+            let kept: Vec<Vec3> = by_hand.kept_rays.iter().map(|&r| targets[r]).collect();
+            assert_eq!(arena.targets, kept);
+            // Per-sample steps only under a grid: each span's uniform `dt`.
+            let dts: Vec<f32> = by_hand
+                .spans
+                .iter()
+                .flat_map(|span| std::iter::repeat_n(span.dt, span.len))
+                .collect();
+            assert_eq!(arena.has_dts, grid.is_some());
+            assert_eq!(arena.dts, if grid.is_some() { dts } else { vec![] });
+            let dense = by_hand.rays_hit as usize * s;
+            assert_eq!(grid.is_some(), by_hand.points.len() < dense, "culled");
+            // All `s` jitter values per hit ray, whatever the grid dropped.
+            assert_eq!(trainer.rng.state(), rng.state());
+        }
     }
 
     #[test]
