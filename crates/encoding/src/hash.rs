@@ -133,6 +133,21 @@ pub fn cube_level_indices(
     out
 }
 
+/// [`inerf_geom::morton::spread_bits`] of the low ten bits of `v`, in `u32`:
+/// bit `k` moves to bit `3k`. Equal to `spread_bits(v) & (2^30 - 1)`, which
+/// is all of a Morton code that a table mask of at most `2^30 - 1` keeps —
+/// the batched encode's per-axis spread, four rounds short enough to run as
+/// a lane loop over eight levels.
+#[inline(always)]
+pub(crate) const fn spread_low10(v: u32) -> u32 {
+    let mut x = v & 0x3ff;
+    x = (x | (x << 16)) & 0x0300_00ff;
+    x = (x | (x << 8)) & 0x0300_f00f;
+    x = (x | (x << 4)) & 0x030c_30c3;
+    x = (x | (x << 2)) & 0x0924_9249;
+    x
+}
+
 /// The number of INT32 operations the index calculation costs on the
 /// accelerator, per vertex.
 ///
@@ -223,6 +238,12 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn spread_low10_is_the_masked_64_bit_spread(v in 0u32..=u32::MAX) {
+            use inerf_geom::morton::spread_bits;
+            prop_assert_eq!(spread_low10(v) as u64, spread_bits(v) & ((1 << 30) - 1));
+        }
+
         #[test]
         fn cube_level_indices_match_per_corner_reference(
             x in 0u32..100_000, y in 0u32..100_000, z in 0u32..100_000,

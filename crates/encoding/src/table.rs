@@ -1,10 +1,10 @@
 //! The trainable multi-resolution hash table (iNGP Steps (1)–(3)).
 
 use crate::config::HashGridConfig;
-use crate::hash::{cube_level_indices, level_index};
+use crate::hash::{cube_level_indices, level_index, spread_low10, HashFunction};
 use crate::sink::TraceSink;
 use crate::trace::CubeLookup;
-use inerf_geom::grid::GridLevel;
+use inerf_geom::grid::{GridCoord, GridLevel};
 use inerf_geom::morton::morton_encode;
 use inerf_geom::Vec3;
 use inerf_mlp::{ParamStore, Precision};
@@ -39,6 +39,8 @@ use rand::{Rng, SeedableRng};
 pub struct HashGrid {
     config: HashGridConfig,
     levels: Vec<GridLevel>,
+    /// One per eight consecutive `levels`, for [`HashGrid::derive_group`].
+    groups: Vec<LevelGroup>,
     store: ParamStore,
     gradients: Vec<f32>,
     /// Per-iteration touched-entry tracking for the sparse optimizer path
@@ -102,7 +104,52 @@ impl LookupCache {
         self.entries.resize(n, 0);
         self.weights.resize(n, 0.0);
     }
+
+    /// The slots of point `pi`, one `[corner]` row per level.
+    #[inline(always)]
+    fn point(&self, pi: usize) -> (&[[u32; 8]], &[[f32; 8]]) {
+        let at = pi * self.levels * 8..(pi + 1) * self.levels * 8;
+        (
+            self.entries[at.clone()].as_chunks().0,
+            self.weights[at].as_chunks().0,
+        )
+    }
+
+    /// [`LookupCache::point`], to fill.
+    #[inline(always)]
+    fn point_mut(&mut self, pi: usize) -> (&mut [[u32; 8]], &mut [[f32; 8]]) {
+        let at = pi * self.levels * 8..(pi + 1) * self.levels * 8;
+        (
+            self.entries[at.clone()].as_chunks_mut().0,
+            self.weights[at].as_chunks_mut().0,
+        )
+    }
 }
+
+/// [`GridLevel::cube_of`]'s per-level constants for eight consecutive
+/// levels, one level per lane. Lanes past the last level hold resolution 1;
+/// what they compute is never read.
+#[derive(Debug, Clone, Copy)]
+struct LevelGroup {
+    /// `resolution as f32`.
+    res: [f32; 8],
+    /// `res - 1e-4`, the upper clamp of the scaled coordinate.
+    res_hi: [f32; 8],
+}
+
+impl LevelGroup {
+    fn new(levels: &[GridLevel]) -> Self {
+        let res = std::array::from_fn(|l| levels.get(l).map_or(1.0, |lv| lv.resolution as f32));
+        LevelGroup {
+            res,
+            res_hi: res.map(|r| r - 1e-4),
+        }
+    }
+}
+
+/// Up to here an `f32` holds every integer and steps by at most one, which
+/// is what [`HashGrid::derive_group`]'s float floor rests on.
+const TWO_POW_23: f32 = 8_388_608.0;
 
 /// The eight trilinear corner weights of a cube, one [`f32x8`] lane per
 /// corner index (bit 0 → +x, bit 1 → +y, bit 2 → +z). Each lane multiplies
@@ -131,13 +178,43 @@ impl HashGrid {
     /// The initialization draws are identical; an fp16 grid quantizes them
     /// into its working copy and keeps the exact f32 master weights for
     /// the optimizer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table_size_log2 > 30`, if `levels × T` exceeds `u32::MAX`,
+    /// or if a level has `2^23` or more cells per axis.
     pub fn with_precision(config: HashGridConfig, seed: u64, precision: Precision) -> Self {
+        // Checked here, once, because the hot path rests on all three:
+        // `derive_group` spreads only the low ten bits of each coordinate,
+        // which is every bit a mask of at most 2^30 - 1 keeps; touched
+        // entries carry their global id `level * T + entry` in a `u32`; and
+        // `derive_group` takes the floor of a scaled coordinate with float
+        // arithmetic that is exact below 2^23.
+        assert!(
+            config.table_size_log2 <= 30,
+            "table_size_log2 = {} is past the 30 the Morton index math covers",
+            config.table_size_log2
+        );
+        assert!(
+            (config.levels as u64) << config.table_size_log2 <= u32::MAX as u64,
+            "levels x T = {} x 2^{} does not fit the u32 entry ids",
+            config.levels,
+            config.table_size_log2
+        );
+        let levels = config.build_levels();
+        assert!(
+            levels.iter().all(|l| l.resolution < 1 << 23),
+            "n_min = {}, n_max = {} give a level of 2^23 or more cells per axis",
+            config.n_min,
+            config.n_max
+        );
         let mut rng = SmallRng::seed_from_u64(seed);
         let n = config.parameter_count();
         let embeddings = (0..n).map(|_| rng.gen_range(-1e-4f32..1e-4)).collect();
         HashGrid {
             config,
-            levels: config.build_levels(),
+            groups: levels.chunks(8).map(LevelGroup::new).collect(),
+            levels,
             store: ParamStore::new(precision, embeddings),
             gradients: vec![0.0; n],
             touch: None,
@@ -307,16 +384,15 @@ impl HashGrid {
     /// has replayed the batch's entries.
     pub fn fill_cache(&self, points: &[Vec3], cache: &mut LookupCache) {
         cache.reset(self.levels.len(), points.len());
-        inerf_simd::vectorize(|| {
-            for (pi, &p) in points.iter().enumerate() {
-                for (li, level) in self.levels.iter().enumerate() {
-                    let (entries, weights) = self.derive_level(level, p);
-                    let at = (pi * self.levels.len() + li) * 8;
-                    weights.write_to(&mut cache.weights[at..at + 8]);
-                    cache.entries[at..at + 8].copy_from_slice(&entries);
+        inerf_simd::vectorize(
+            #[inline(always)]
+            || {
+                for (pi, &p) in points.iter().enumerate() {
+                    let (entries, weights) = cache.point_mut(pi);
+                    self.derive_point(p, entries, weights);
                 }
-            }
-        });
+            },
+        );
     }
 
     /// [`HashGrid::collect_touched_point`] driven by a pre-filled
@@ -560,19 +636,14 @@ impl HashGrid {
         cache: &mut LookupCache,
     ) {
         let dim = self.config.feature_dim();
-        let f = self.config.features as usize;
         assert!(bn <= lane_stride, "tile narrower than the block");
         assert!(tile.len() >= dim * lane_stride, "tile buffer too small");
         for p in 0..bn {
             let pi = tile_base + p;
             let row = &mut out[pi * dim..(pi + 1) * dim];
-            for (li, level) in self.levels.iter().enumerate() {
-                let (entries, weights) = self.derive_level(level, points[pi]);
-                let at = (pi * self.levels.len() + li) * 8;
-                weights.write_to(&mut cache.weights[at..at + 8]);
-                cache.entries[at..at + 8].copy_from_slice(&entries);
-                self.gather_level(li, &entries, &weights.to_array(), &mut row[li * f..], 1);
-            }
+            let (entries, weights) = cache.point_mut(pi);
+            self.derive_point(points[pi], entries, weights);
+            self.gather_levels(0, entries, weights, row, 1);
             for (i, &v) in row.iter().enumerate() {
                 tile[i * lane_stride + p] = v;
             }
@@ -599,11 +670,16 @@ impl HashGrid {
             tile.len() >= self.config.feature_dim() * lane_stride,
             "tile buffer too small"
         );
+        // One group's rows, overwritten per (point, group).
+        let (mut entries, mut weights) = ([[0u32; 8]; 8], [[0.0f32; 8]; 8]);
         for (lane, &p) in points.iter().enumerate() {
-            for (li, level) in self.levels.iter().enumerate() {
-                let (entries, weights) = self.derive_level(level, p);
-                let dst = &mut tile[li * f * lane_stride + lane..];
-                self.gather_level(li, &entries, &weights.to_array(), dst, lane_stride);
+            let unit = Self::unit_cube(p);
+            for (gi, levels) in self.levels.chunks(8).enumerate() {
+                let (entries, weights) =
+                    (&mut entries[..levels.len()], &mut weights[..levels.len()]);
+                self.derive_group(gi, unit, entries, weights);
+                let dst = &mut tile[gi * 8 * f * lane_stride + lane..];
+                self.gather_levels(gi * 8, entries, weights, dst, lane_stride);
             }
         }
     }
@@ -618,6 +694,7 @@ impl HashGrid {
     /// # Panics
     ///
     /// Panics if the tile, row range, or cache shape is too small.
+    #[inline(always)]
     pub fn encode_tile_bt_from_cache(
         &self,
         tile_base: usize,
@@ -628,86 +705,190 @@ impl HashGrid {
         cache: &LookupCache,
     ) {
         let dim = self.config.feature_dim();
-        let f = self.config.features as usize;
         assert_eq!(cache.levels, self.levels.len(), "cache level mismatch");
         assert!(bn <= lane_stride, "tile narrower than the block");
         assert!(tile.len() >= dim * lane_stride, "tile buffer too small");
         for p in 0..bn {
             let pi = tile_base + p;
             let row = &mut out[pi * dim..(pi + 1) * dim];
-            for li in 0..cache.levels {
-                let at = (pi * cache.levels + li) * 8;
-                let (entries, weights) = (&cache.entries[at..at + 8], &cache.weights[at..at + 8]);
-                self.gather_level(li, entries, weights, &mut row[li * f..], 1);
-            }
+            let (entries, weights) = cache.point(pi);
+            self.gather_levels(0, entries, weights, row, 1);
             for (i, &v) in row.iter().enumerate() {
                 tile[i * lane_stride + p] = v;
             }
         }
     }
 
-    /// The eight corner entries and trilinear weights of `p` at `level` —
-    /// the one derivation every computing encode and the prepass share, so
-    /// what they gather from and what they record is identical by
-    /// construction. Reads no table values.
+    /// [`GridLevel::cube_of`]'s clamp of `p` into the unit cube, which is
+    /// the same at every level.
     #[inline(always)]
-    fn derive_level(&self, level: &GridLevel, p: Vec3) -> ([u32; 8], f32x8) {
-        let (base, frac) = level.cube_of(p);
-        let entries = cube_level_indices(self.config.hash, level, base, self.config.table_size());
-        (entries, corner_weights8(frac))
+    fn unit_cube(p: Vec3) -> [f32; 3] {
+        [p.x, p.y, p.z].map(|v| v.clamp(0.0, 1.0))
     }
 
-    /// Gathers and interpolates one `(point, level)` slot from its eight
-    /// corner `entries` and `weights`; every batched encode (row-major or
-    /// tile, computing or replaying a [`LookupCache`]) bottoms out here, so
-    /// their values are bitwise-identical by construction — and, the
-    /// accumulation being corner-ordered and scalar, bitwise
-    /// [`HashGrid::encode_into`]. Feature `k` of the level lands at
-    /// `dst[k * stride]` — stride 1 for a row slot, the lane stride to
+    /// The corner entries and trilinear weights of `p` at every level, one
+    /// `[corner]` row per level — the one derivation every computing encode
+    /// and the prepass share, so what they gather from and what they record
+    /// is identical by construction. Reads no table values.
+    #[inline(always)]
+    fn derive_point(&self, p: Vec3, entries: &mut [[u32; 8]], weights: &mut [[f32; 8]]) {
+        let unit = Self::unit_cube(p);
+        let groups = entries.chunks_mut(8).zip(weights.chunks_mut(8));
+        for (gi, (entries, weights)) in groups.enumerate() {
+            self.derive_group(gi, unit, entries, weights);
+        }
+    }
+
+    /// [`HashGrid::derive_point`] for the `gi`-th group of eight levels (as
+    /// many of them as `entries` and `weights` have rows), `unit` being the
+    /// point's [`HashGrid::unit_cube`].
+    ///
+    /// The per-level prologue runs as lane loops over the group's *levels*,
+    /// which the caller's [`inerf_simd::vectorize`] frame compiles 8-wide:
+    /// [`GridLevel::cube_of`]'s scale, `min`, truncate and `frac` on three
+    /// axes, then for the Morton hash [`spread_low10`] of each axis's `base`
+    /// and `base + 1`, pre-shifted — every bit of the code that the mask
+    /// `T - 1 < 2^30` keeps, so the entries equal [`cube_level_indices`]'.
+    #[inline(always)]
+    fn derive_group(
+        &self,
+        gi: usize,
+        unit: [f32; 3],
+        entries: &mut [[u32; 8]],
+        weights: &mut [[f32; 8]],
+    ) {
+        let (hash, t) = (self.config.hash, self.config.table_size());
+        let morton = hash == HashFunction::Morton;
+        let (levels, group) = (&self.levels[gi * 8..], &self.groups[gi]);
+        let mut base = [[0u32; 8]; 3];
+        let mut frac = [[0.0f32; 8]; 3];
+        // [axis][base, base + 1][level], shifted into the axis's bits.
+        let mut spread = [[[0u32; 8]; 2]; 3];
+        for axis in 0..3 {
+            for l in 0..8 {
+                let scaled = (unit[axis] * group.res[l]).min(group.res_hi[l]);
+                // The reference truncates with `as u32`; a float-to-int
+                // cast saturates in Rust and compiles to eight scalar
+                // converts. `scaled` is -0.0 or in [0, 2^23), where the
+                // same integer comes out of float adds: adding 2^23
+                // rounds to the nearest integer, one compare turns that
+                // into the floor, and the sum's mantissa is its value.
+                let nearest = (scaled + TWO_POW_23) - TWO_POW_23;
+                let floor = if nearest > scaled {
+                    nearest - 1.0
+                } else {
+                    nearest
+                };
+                base[axis][l] = (floor + TWO_POW_23).to_bits() & 0x7f_ffff;
+                frac[axis][l] = scaled - floor;
+            }
+            if morton {
+                for l in 0..8 {
+                    let b = base[axis][l];
+                    spread[axis][0][l] = spread_low10(b) << axis;
+                    spread[axis][1][l] = spread_low10(b + 1) << axis;
+                }
+            }
+        }
+        let rows = entries.iter_mut().zip(weights).zip(levels).take(8);
+        for (l, ((entries, weights), level)) in rows.enumerate() {
+            *entries = if morton {
+                let [sx, sy, sz] = &spread;
+                std::array::from_fn(|c| {
+                    (sx[c & 1][l] | sy[(c >> 1) & 1][l] | sz[c >> 2][l]) & (t - 1)
+                })
+            } else {
+                let base = GridCoord::new(base[0][l], base[1][l], base[2][l]);
+                cube_level_indices(hash, level, base, t)
+            };
+            let frac = Vec3::new(frac[0][l], frac[1][l], frac[2][l]);
+            *weights = corner_weights8(frac).to_array();
+        }
+    }
+
+    /// Gathers and interpolates the slots of one point at levels `l0..l0 +
+    /// entries.len()` from their `[corner]` rows of `entries` and `weights`;
+    /// every batched encode (row-major or tile, computing or replaying a
+    /// [`LookupCache`]) bottoms out here, so their values are
+    /// bitwise-identical by construction — and, every sum being
+    /// corner-ordered with the reference's zero-weight skip, bitwise
+    /// [`HashGrid::encode_into`]. Feature `k` of level `l0 + l` lands at
+    /// `dst[(l * F + k) * stride]` — stride 1 for a row, the lane stride to
     /// write straight into a GEMM tile.
     #[inline(always)]
-    fn gather_level(
+    fn gather_levels(
         &self,
-        li: usize,
-        entries: &[u32],
-        weights: &[f32],
+        l0: usize,
+        entries: &[[u32; 8]],
+        weights: &[[f32; 8]],
         dst: &mut [f32],
         stride: usize,
     ) {
         let f = self.config.features as usize;
+        let t = self.config.table_size() as usize;
         let emb = self.store.values();
         if f == 2 {
-            // F = 2 fast path (the paper's layout): both feature sums live
-            // in registers across the eight corners instead of
-            // read-modify-writing the slot per corner, which removes a
-            // store-to-load chain from the gather loop. Corner order and
-            // the zero-weight skip are unchanged, so the sums are
-            // bitwise-identical to the generic loop below.
-            let (mut s0, mut s1) = (0.0f32, 0.0f32);
+            // F = 2 (the paper's layout): four levels at a time, one lane
+            // per (level, feature), so a corner costs four 8-byte loads of
+            // entry pairs and one multiply-add for eight sums, and four
+            // independent chains of eight adds overlap instead of one. The
+            // zero-weight skip is a per-lane select, which also parks the
+            // lanes past the last level: weight 0, entry 0 of the first.
+            for (q, (entries, weights)) in entries.chunks(4).zip(weights.chunks(4)).enumerate() {
+                let n = entries.len();
+                // Whole quads are read in place: copying them costs a
+                // quarter of the gather.
+                let pad;
+                let (e4, w4): (&[[u32; 8]; 4], &[[f32; 8]; 4]) =
+                    match (entries.try_into(), weights.try_into()) {
+                        (Ok(e4), Ok(w4)) => (e4, w4),
+                        _ => {
+                            pad = (
+                                std::array::from_fn(|k| entries.get(k).copied().unwrap_or([0; 8])),
+                                std::array::from_fn(|k| {
+                                    weights.get(k).copied().unwrap_or([0.0; 8])
+                                }),
+                            );
+                            (&pad.0, &pad.1)
+                        }
+                    };
+                let tables: [&[[f32; 2]]; 4] = std::array::from_fn(|k| {
+                    let li = l0 + q * 4 + if k < n { k } else { 0 };
+                    emb[li * t * 2..(li + 1) * t * 2].as_chunks().0
+                });
+                let mut sums = [0.0f32; 8];
+                for c in 0..8 {
+                    let (mut e, mut w) = ([0.0f32; 8], [0.0f32; 8]);
+                    for k in 0..4 {
+                        [e[2 * k], e[2 * k + 1]] = tables[k][e4[k][c] as usize];
+                        [w[2 * k], w[2 * k + 1]] = [w4[k][c]; 2];
+                    }
+                    for j in 0..8 {
+                        let with = sums[j] + w[j] * e[j];
+                        sums[j] = if w[j] == 0.0 { sums[j] } else { with };
+                    }
+                }
+                for (j, &sum) in sums[..n * 2].iter().enumerate() {
+                    dst[(q * 8 + j) * stride] = sum;
+                }
+            }
+            return;
+        }
+        for (l, (entries, weights)) in entries.iter().zip(weights).enumerate() {
+            let dst = &mut dst[l * f * stride..];
+            for k in 0..f {
+                dst[k * stride] = 0.0;
+            }
             for (&entry, &w) in entries.iter().zip(weights) {
                 if w == 0.0 {
                     // Zero weight skips the corner in the scatter
                     // exactly like the reference backward pass.
                     continue;
                 }
-                let off = self.base_offset(li as u32, entry);
-                s0 += w * emb[off];
-                s1 += w * emb[off + 1];
-            }
-            dst[0] = s0;
-            dst[stride] = s1;
-            return;
-        }
-        for k in 0..f {
-            dst[k * stride] = 0.0;
-        }
-        for (&entry, &w) in entries.iter().zip(weights) {
-            if w == 0.0 {
-                continue;
-            }
-            let off = self.base_offset(li as u32, entry);
-            for k in 0..f {
-                dst[k * stride] += w * emb[off + k];
+                let off = self.base_offset((l0 + l) as u32, entry);
+                for k in 0..f {
+                    dst[k * stride] += w * emb[off + k];
+                }
             }
         }
     }
@@ -769,43 +950,36 @@ impl HashGrid {
         });
     }
 
-    /// Per-point core of the cached scatter. The per-corner products
-    /// `w * d` are computed as [`f32x8`] lanes (corner-major) for the
-    /// paper's `F = 2` layout; the accumulation into the gradient table
-    /// stays corner-ordered and scalar, so the result is bitwise-identical
-    /// to [`HashGrid::backward`].
+    /// Per-point core of the cached scatter: corner-ordered scalar
+    /// accumulation of `w * d` with the zero-weight skip, so the result is
+    /// bitwise-identical to [`HashGrid::backward`]. The paper's `F = 2`
+    /// layout views the level's slice of the gradient table as entry pairs
+    /// (one bounds check, one 8-byte load and store per corner).
     #[inline]
     fn scatter_point_cached(&mut self, cache: &LookupCache, d_features: &[f32], pi: usize) {
         let f = self.config.features as usize;
         let t = self.config.table_size() as usize;
         let dim = self.config.feature_dim();
         let row = &d_features[pi * dim..(pi + 1) * dim];
-        for li in 0..cache.levels {
+        let (entries, weights) = cache.point(pi);
+        for (li, (entries, weights)) in entries.iter().zip(weights).enumerate() {
             let dslot = &row[li * f..(li + 1) * f];
-            let corner_base = (pi * cache.levels + li) * 8;
-            let weights = f32x8::from_slice(&cache.weights[corner_base..corner_base + 8]);
-            if f == 2 {
-                // All 16 products in two vector multiplies; `w * d` rounds
-                // exactly once either way, so lanes match the scalar path.
-                let p0 = weights * f32x8::splat(dslot[0]);
-                let p1 = weights * f32x8::splat(dslot[1]);
-                for c in 0..8 {
-                    if weights.lane(c) == 0.0 {
-                        continue;
-                    }
-                    let entry = cache.entries[corner_base + c] as usize;
-                    let off = (li * t + entry) * f;
-                    self.gradients[off] += p0.lane(c);
-                    self.gradients[off + 1] += p1.lane(c);
-                }
-            } else {
-                for c in 0..8 {
-                    let w = weights.lane(c);
+            if let [d0, d1] = *dslot {
+                let (pairs, _) = self.gradients[li * t * 2..(li + 1) * t * 2].as_chunks_mut::<2>();
+                for (&entry, &w) in entries.iter().zip(weights) {
                     if w == 0.0 {
                         continue;
                     }
-                    let entry = cache.entries[corner_base + c] as usize;
-                    let off = (li * t + entry) * f;
+                    let pair = &mut pairs[entry as usize];
+                    pair[0] += w * d0;
+                    pair[1] += w * d1;
+                }
+            } else {
+                for (&entry, &w) in entries.iter().zip(weights) {
+                    if w == 0.0 {
+                        continue;
+                    }
+                    let off = (li * t + entry as usize) * f;
                     for (k, d) in dslot.iter().enumerate() {
                         self.gradients[off + k] += w * d;
                     }
@@ -1057,19 +1231,24 @@ mod tests {
 
     #[test]
     fn tile_encode_matches_batched_encode_bitwise() {
-        // F = 2 is the register fast path; F = 4 takes the generic loop.
-        for features in [2, 4] {
+        // F = 2 gathers four levels per vector — a full group, a padded
+        // one, two and a padded third; F = 4 takes the generic loop.
+        for (features, levels) in [(2, 4), (2, 3), (2, 9), (4, 4)] {
             let config = HashGridConfig {
                 features,
+                levels,
                 ..HashGridConfig::tiny(HashFunction::Morton)
             };
             let mut g = HashGrid::new(config, 7);
             let dim = g.config().feature_dim();
-            let points: Vec<Vec3> = (0..21)
+            // The last two are lattice-exact: corners of weight zero.
+            let exact = [Vec3::ZERO, Vec3::new(0.5, 0.25, 1.0)];
+            let points: Vec<Vec3> = (0..19)
                 .map(|i| {
                     let t = i as f32 + 0.125;
                     Vec3::new((t * 0.23).fract(), (t * 0.37).fract(), (t * 0.53).fract())
                 })
+                .chain(exact)
                 .collect();
             let f_ref = encode_rows(&g, &points);
             // The sparse prepass derives the slots without gathering.
@@ -1135,6 +1314,27 @@ mod tests {
             g.collect_touched_cache(&cache_fill);
             assert_eq!(g.touched_entries(), from_points);
         }
+    }
+
+    #[test]
+    fn zero_weight_corners_are_skipped_not_added() {
+        // At the origin only corner 0 of each cube has weight; an infinite
+        // embedding at any other corner must not reach the features
+        // (`0 * inf` is NaN), in the batched gather as in the reference.
+        let mut g = grid(HashFunction::Morton);
+        let mut cubes = Vec::new();
+        g.cube_lookups_into(Vec3::ZERO, &mut cubes);
+        for (li, cube) in cubes.iter().enumerate() {
+            let off = g.base_offset(li as u32, cube.entries[7]);
+            g.store.set(off, f32::INFINITY);
+        }
+        let want = g.encode(Vec3::ZERO);
+        assert!(want.iter().all(|v| v.is_finite()));
+        let mut cache = LookupCache::default();
+        g.fill_cache(&[Vec3::ZERO], &mut cache);
+        let (mut row, mut tile) = (vec![0.0; want.len()], vec![0.0; want.len()]);
+        g.encode_tile_bt_from_cache(0, 1, 1, &mut row, &mut tile, &cache);
+        assert_eq!(row, want);
     }
 
     #[test]
@@ -1307,7 +1507,160 @@ mod tests {
         assert!(g.touched_entries().is_empty());
     }
 
+    #[test]
+    #[should_panic(expected = "table_size_log2 = 31")]
+    fn table_past_the_morton_index_range_is_refused() {
+        let config = HashGridConfig {
+            table_size_log2: 31,
+            levels: 1,
+            ..HashGridConfig::tiny(HashFunction::Morton)
+        };
+        HashGrid::new(config, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the u32 entry ids")]
+    fn more_entries_than_u32_ids_are_refused() {
+        // 8 x 2^29 = 2^32 entries: one past the last u32 id.
+        let config = HashGridConfig {
+            table_size_log2: 29,
+            levels: 8,
+            ..HashGridConfig::tiny(HashFunction::Morton)
+        };
+        HashGrid::new(config, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "2^23 or more cells per axis")]
+    fn level_past_the_exact_float_floor_is_refused() {
+        let config = HashGridConfig {
+            table_size_log2: 4,
+            levels: 1,
+            n_min: 1 << 23,
+            n_max: 1 << 23,
+            ..HashGridConfig::tiny(HashFunction::Morton)
+        };
+        HashGrid::new(config, 0);
+    }
+
+    /// Fills a cache for `points` on a grid of `config`'s shape — with no
+    /// table behind it, which [`HashGrid::fill_cache`] never reads, so table
+    /// sizes nobody would allocate in a test are covered — under every
+    /// backend, and returns the first slot that differs from the per-level
+    /// reference: [`GridLevel::cube_of`], [`cube_level_indices`],
+    /// [`GridLevel::corner_weight`].
+    fn point_kernel_mismatch(config: HashGridConfig, points: &[Vec3]) -> Option<String> {
+        let levels = config.build_levels();
+        let g = HashGrid {
+            config,
+            groups: levels.chunks(8).map(LevelGroup::new).collect(),
+            levels,
+            store: ParamStore::new(Precision::F32, Vec::new()),
+            gradients: Vec::new(),
+            touch: None,
+        };
+        for backend in inerf_simd::available_backends() {
+            let prev = inerf_simd::force_backend(backend);
+            let mut cache = LookupCache::default();
+            g.fill_cache(points, &mut cache);
+            inerf_simd::force_backend(prev);
+            let mut slots = cache
+                .entries
+                .chunks_exact(8)
+                .zip(cache.weights.chunks_exact(8));
+            for &p in points {
+                for level in g.levels() {
+                    let (base, frac) = level.cube_of(p);
+                    let want_entries =
+                        cube_level_indices(config.hash, level, base, config.table_size());
+                    let want_bits: [u32; 8] =
+                        std::array::from_fn(|c| GridLevel::corner_weight(frac, c as u8).to_bits());
+                    let (entries, weights) = slots.next().expect("one slot per point and level");
+                    let bits: Vec<u32> = weights.iter().map(|w| w.to_bits()).collect();
+                    if entries != want_entries || bits != want_bits {
+                        return Some(format!(
+                            "{} level {} at {p:?}: entries {entries:?} want {want_entries:?}, \
+                             weight bits {bits:x?} want {want_bits:x?}",
+                            backend.name(),
+                            level.index
+                        ));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// Coordinates [`GridLevel::cube_of`]'s clamp has to absorb or sit
+    /// exactly on: non-finite, negative, both zeros, lattice-exact, the
+    /// upper face and past it.
+    const HOSTILE: [f32; 12] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -1.5,
+        -0.0,
+        0.0,
+        1.0e-40,
+        0.5,
+        0.999_999_94,
+        1.0,
+        1.000_000_1,
+        3.0e38,
+    ];
+
+    #[test]
+    fn float_floor_is_exact_up_to_the_finest_level_allowed() {
+        // 2^23 - 1 cells: scaled coordinates run up to the last value the
+        // kernel's float floor is exact for. (Morton only: the original
+        // hash's dense-level test cubes the vertex count.)
+        let config = HashGridConfig {
+            levels: 1,
+            table_size_log2: 30,
+            features: 2,
+            n_min: (1 << 23) - 1,
+            n_max: (1 << 23) - 1,
+            hash: HashFunction::Morton,
+        };
+        let points: Vec<Vec3> = (0..64)
+            .map(|i| {
+                let near_one = 1.0 - i as f32 * f32::EPSILON / 2.0;
+                Vec3::new(near_one, near_one * 0.5, HOSTILE[i % HOSTILE.len()])
+            })
+            .collect();
+        assert_eq!(point_kernel_mismatch(config, &points), None);
+    }
+
     proptest! {
+        #[test]
+        fn point_kernel_matches_per_level_reference_bitwise(
+            levels_pick in 0usize..6, log2 in 4u32..=30,
+            n_min in 1u32..=16, growth in 0u32..=17,
+            coords in proptest::collection::vec(-0.25f32..1.25, 24..25),
+            picks in proptest::collection::vec(0usize..36, 24..25)
+        ) {
+            // A third of the coordinates come from the hostile pool.
+            let coord = |i: usize| HOSTILE.get(picks[i]).copied().unwrap_or(coords[i]);
+            let points: Vec<Vec3> = (0..8)
+                .map(|i| Vec3::new(coord(3 * i), coord(3 * i + 1), coord(3 * i + 2)))
+                .collect();
+            for hash in [HashFunction::Morton, HashFunction::Original] {
+                let config = HashGridConfig {
+                    // One, a padded first group, a full group, a padded
+                    // second group, two full groups, a third group of one.
+                    levels: [1, 3, 8, 9, 16, 17][levels_pick],
+                    table_size_log2: log2,
+                    features: 2,
+                    n_min,
+                    // Up to 2^21 cells, the most `level_index` can cube in a
+                    // `u64`: bases far past the ten spread bits.
+                    n_max: n_min << growth,
+                    hash,
+                };
+                prop_assert_eq!(point_kernel_mismatch(config, &points), None);
+            }
+        }
+
         #[test]
         fn encode_bounded_by_weight_one_combination(
             px in 0.0f32..1.0, py in 0.0f32..1.0, pz in 0.0f32..1.0

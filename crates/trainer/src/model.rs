@@ -371,6 +371,9 @@ impl ChunkScratch {
         } = self;
         density_mlp.forward_batch_fused(
             n,
+            // Inlined into the MLP driver's dispatch frame, or the encode's
+            // lane loops compile at the build's baseline features.
+            #[inline(always)]
             |base, bn, tile| {
                 if prefilled {
                     // Sparse-path prepass already derived every corner
