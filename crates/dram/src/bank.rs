@@ -206,53 +206,42 @@ pub struct ServedRequest {
     pub data_done: u64,
 }
 
-/// Rank-level ACT bookkeeping (tRRD spacing and the four-activate window).
-#[derive(Debug, Clone, Default)]
+/// Rank-level ACT bookkeeping (tRRD spacing and the four-activate window):
+/// the last four ACT cycles in a ring, oldest at `head`. No heap, so a
+/// copy is the co-simulation fork and `Default` is idle.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RankActTracker {
-    last_act: Option<u64>,
-    recent_acts: Vec<u64>, // up to 4, sorted ascending
+    window: [u64; 4],
+    len: u8,
+    head: u8,
 }
 
 impl RankActTracker {
-    /// Creates an idle tracker whose ACT window never reallocates.
+    /// Creates an idle tracker.
     pub fn new() -> Self {
-        RankActTracker {
-            last_act: None,
-            // `record` holds five entries for a moment before it drops
-            // the oldest.
-            recent_acts: Vec::with_capacity(5),
-        }
-    }
-
-    /// Returns the tracker to idle, keeping the ACT-window allocation.
-    pub fn reset(&mut self) {
-        self.last_act = None;
-        self.recent_acts.clear();
-    }
-
-    /// Overwrites this tracker's state with `other`'s, keeping the
-    /// ACT-window allocation.
-    pub fn copy_from(&mut self, other: &RankActTracker) {
-        self.last_act = other.last_act;
-        self.recent_acts.clear();
-        self.recent_acts.extend_from_slice(&other.recent_acts);
+        Self::default()
     }
 
     /// Earliest cycle a new ACT may issue.
     pub fn earliest(&self, timing: &Timing) -> u64 {
-        let mut t = self.last_act.map_or(0, |a| a + timing.rrd);
-        if self.recent_acts.len() == 4 {
-            t = t.max(self.recent_acts[0] + timing.faw);
+        if self.len == 0 {
+            return 0;
+        }
+        let last = self.window[(self.head + self.len - 1) as usize % 4];
+        let mut t = last + timing.rrd;
+        if self.len == 4 {
+            t = t.max(self.window[self.head as usize] + timing.faw);
         }
         t
     }
 
-    /// Records an issued ACT.
+    /// Records an issued ACT, dropping the oldest of a full window.
     pub fn record(&mut self, cycle: u64) {
-        self.last_act = Some(cycle);
-        self.recent_acts.push(cycle);
-        if self.recent_acts.len() > 4 {
-            self.recent_acts.remove(0);
+        self.window[(self.head + self.len) as usize % 4] = cycle;
+        if self.len == 4 {
+            self.head = (self.head + 1) % 4;
+        } else {
+            self.len += 1;
         }
     }
 }
@@ -260,6 +249,7 @@ impl RankActTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn setup() -> (BankTimeline, Timing, DramConfig) {
         let cfg = DramConfig::paper(4);
@@ -349,6 +339,54 @@ mod tests {
         tr.record(3 * t.rrd);
         // Four ACTs recorded: the fifth must wait for the FAW window.
         assert!(tr.earliest(&t) >= t.faw);
+    }
+
+    /// The tracker as a `Vec` window with `remove(0)`: the oracle the ring
+    /// replaces.
+    #[derive(Default)]
+    struct VecTracker {
+        last_act: Option<u64>,
+        recent_acts: Vec<u64>,
+    }
+
+    impl VecTracker {
+        fn earliest(&self, timing: &Timing) -> u64 {
+            let mut t = self.last_act.map_or(0, |a| a + timing.rrd);
+            if self.recent_acts.len() == 4 {
+                t = t.max(self.recent_acts[0] + timing.faw);
+            }
+            t
+        }
+
+        fn record(&mut self, cycle: u64) {
+            self.last_act = Some(cycle);
+            self.recent_acts.push(cycle);
+            if self.recent_acts.len() > 4 {
+                self.recent_acts.remove(0);
+            }
+        }
+    }
+
+    #[test]
+    fn rank_tracker_stays_40_bytes() {
+        // `DramSim::state_bytes` counts it by size.
+        assert_eq!(std::mem::size_of::<RankActTracker>(), 40);
+    }
+
+    proptest! {
+        #[test]
+        fn rank_tracker_ring_matches_vec_window(
+            cycles in proptest::collection::vec(0u64..10_000, 0..24)
+        ) {
+            let t = Timing::lpddr4_2400();
+            let (mut ring, mut window) = (RankActTracker::new(), VecTracker::default());
+            prop_assert_eq!(ring.earliest(&t), window.earliest(&t));
+            for c in cycles {
+                ring.record(c);
+                window.record(c);
+                prop_assert_eq!(ring.earliest(&t), window.earliest(&t));
+            }
+        }
     }
 
     #[test]

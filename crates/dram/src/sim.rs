@@ -110,9 +110,7 @@ impl DramSim {
         for b in &mut self.banks {
             b.reset();
         }
-        for r in &mut self.rank_acts {
-            r.reset();
-        }
+        self.rank_acts.fill(RankActTracker::new());
         self.channel_bus_free.fill(0);
         self.stats = SimStats::default();
         self.makespan = 0;
@@ -140,9 +138,7 @@ impl DramSim {
         for (b, o) in self.banks.iter_mut().zip(&other.banks) {
             b.copy_from(o);
         }
-        for (r, o) in self.rank_acts.iter_mut().zip(&other.rank_acts) {
-            r.copy_from(o);
-        }
+        self.rank_acts.copy_from_slice(&other.rank_acts);
         self.channel_bus_free
             .copy_from_slice(&other.channel_bus_free);
         self.stats.clone_from(&other.stats);

@@ -147,6 +147,14 @@ impl LevelGroup {
     }
 }
 
+/// [`HashGrid::group_lanes`]' lanes: `[axis][level]`, spreads `[axis][base, base + 1][level]`.
+#[derive(Default)]
+struct GroupLanes {
+    base: [[u32; 8]; 3],
+    frac: [[f32; 8]; 3],
+    spread: [[[u32; 8]; 2]; 3],
+}
+
 /// Up to here an `f32` holds every integer and steps by at most one, which
 /// is what [`HashGrid::derive_group`]'s float floor rests on.
 const TWO_POW_23: f32 = 8_388_608.0;
@@ -742,13 +750,6 @@ impl HashGrid {
     /// [`HashGrid::derive_point`] for the `gi`-th group of eight levels (as
     /// many of them as `entries` and `weights` have rows), `unit` being the
     /// point's [`HashGrid::unit_cube`].
-    ///
-    /// The per-level prologue runs as lane loops over the group's *levels*,
-    /// which the caller's [`inerf_simd::vectorize`] frame compiles 8-wide:
-    /// [`GridLevel::cube_of`]'s scale, `min`, truncate and `frac` on three
-    /// axes, then for the Morton hash [`spread_low10`] of each axis's `base`
-    /// and `base + 1`, pre-shifted — every bit of the code that the mask
-    /// `T - 1 < 2^30` keeps, so the entries equal [`cube_level_indices`]'.
     #[inline(always)]
     fn derive_group(
         &self,
@@ -757,16 +758,28 @@ impl HashGrid {
         entries: &mut [[u32; 8]],
         weights: &mut [[f32; 8]],
     ) {
-        let (hash, t) = (self.config.hash, self.config.table_size());
-        let morton = hash == HashFunction::Morton;
-        let (levels, group) = (&self.levels[gi * 8..], &self.groups[gi]);
-        let mut base = [[0u32; 8]; 3];
-        let mut frac = [[0.0f32; 8]; 3];
-        // [axis][base, base + 1][level], shifted into the axis's bits.
-        let mut spread = [[[0u32; 8]; 2]; 3];
-        for axis in 0..3 {
+        let lanes = self.group_lanes(gi, unit, self.config.hash == HashFunction::Morton);
+        let rows = entries.iter_mut().zip(weights).zip(&self.levels[gi * 8..]);
+        for (l, ((entries, weights), level)) in rows.take(8).enumerate() {
+            *entries = self.cube_entries(&lanes, l, level);
+            let [fx, fy, fz] = &lanes.frac;
+            *weights = corner_weights8(Vec3::new(fx[l], fy[l], fz[l])).to_array();
+        }
+    }
+
+    /// The per-level prologue of the `gi`-th group of eight levels, which
+    /// [`HashGrid::derive_group`] and [`HashGrid::trace_point`] share: lane
+    /// loops over the group's *levels*, compiled 8-wide by the caller's
+    /// [`inerf_simd::vectorize`] frame. [`GridLevel::cube_of`]'s scale,
+    /// `min`, truncate and `frac` on three axes, then, if `spread`,
+    /// [`spread_low10`] of each axis's `base` and `base + 1`, pre-shifted:
+    /// every bit of the Morton code that the mask `T - 1 < 2^30` keeps.
+    #[inline(always)]
+    fn group_lanes(&self, gi: usize, unit: [f32; 3], spread: bool) -> GroupLanes {
+        let (group, mut lanes) = (&self.groups[gi], GroupLanes::default());
+        for (axis, &u) in unit.iter().enumerate() {
             for l in 0..8 {
-                let scaled = (unit[axis] * group.res[l]).min(group.res_hi[l]);
+                let scaled = (u * group.res[l]).min(group.res_hi[l]);
                 // The reference truncates with `as u32`; a float-to-int
                 // cast saturates in Rust and compiles to eight scalar
                 // converts. `scaled` is -0.0 or in [0, 2^23), where the
@@ -779,30 +792,54 @@ impl HashGrid {
                 } else {
                     nearest
                 };
-                base[axis][l] = (floor + TWO_POW_23).to_bits() & 0x7f_ffff;
-                frac[axis][l] = scaled - floor;
+                lanes.base[axis][l] = (floor + TWO_POW_23).to_bits() & 0x7f_ffff;
+                lanes.frac[axis][l] = scaled - floor;
             }
-            if morton {
+            if spread {
                 for l in 0..8 {
-                    let b = base[axis][l];
-                    spread[axis][0][l] = spread_low10(b) << axis;
-                    spread[axis][1][l] = spread_low10(b + 1) << axis;
+                    let b = lanes.base[axis][l];
+                    lanes.spread[axis][0][l] = spread_low10(b) << axis;
+                    lanes.spread[axis][1][l] = spread_low10(b + 1) << axis;
                 }
             }
         }
-        let rows = entries.iter_mut().zip(weights).zip(levels).take(8);
-        for (l, ((entries, weights), level)) in rows.enumerate() {
-            *entries = if morton {
-                let [sx, sy, sz] = &spread;
-                std::array::from_fn(|c| {
-                    (sx[c & 1][l] | sy[(c >> 1) & 1][l] | sz[c >> 2][l]) & (t - 1)
-                })
-            } else {
-                let base = GridCoord::new(base[0][l], base[1][l], base[2][l]);
-                cube_level_indices(hash, level, base, t)
-            };
-            let frac = Vec3::new(frac[0][l], frac[1][l], frac[2][l]);
-            *weights = corner_weights8(frac).to_array();
+        lanes
+    }
+
+    /// The eight corner entries of lane `l` (`level`) of [`HashGrid::group_lanes`].
+    #[inline(always)]
+    fn cube_entries(&self, lanes: &GroupLanes, l: usize, level: &GridLevel) -> [u32; 8] {
+        let (hash, t) = (self.config.hash, self.config.table_size());
+        if hash == HashFunction::Morton {
+            let [sx, sy, sz] = &lanes.spread;
+            std::array::from_fn(|c| (sx[c & 1][l] | sy[(c >> 1) & 1][l] | sz[c >> 2][l]) & (t - 1))
+        } else {
+            let [bx, by, bz] = &lanes.base;
+            cube_level_indices(hash, level, GridCoord::new(bx[l], by[l], bz[l]), t)
+        }
+    }
+
+    /// Hands `p`'s cube lookups to `push` in level order: the entries of
+    /// [`HashGrid::derive_group`] and `cube_id` = [`morton_encode`]`(base) |
+    /// level << 58` — at ≤ 2^10 cells every base fits the corner-0 spread.
+    #[inline(always)]
+    fn trace_point(&self, p: Vec3, mut push: impl FnMut(&CubeLookup)) {
+        let unit = Self::unit_cube(p);
+        for (gi, levels) in self.levels.chunks(8).enumerate() {
+            let lanes = self.group_lanes(gi, unit, true);
+            let ([bx, by, bz], [sx, sy, sz]) = (&lanes.base, &lanes.spread);
+            for (l, level) in levels.iter().enumerate() {
+                let code = if level.resolution <= 1 << 10 {
+                    (sx[0][l] | sy[0][l] | sz[0][l]) as u64
+                } else {
+                    morton_encode(bx[l], by[l], bz[l])
+                };
+                push(&CubeLookup {
+                    level: level.index,
+                    entries: self.cube_entries(&lanes, l, level),
+                    cube_id: code | (level.index as u64) << 58,
+                });
+            }
         }
     }
 
@@ -988,35 +1025,25 @@ impl HashGrid {
         }
     }
 
-    /// The cube lookup of `p` at level index `li` — the building block of
-    /// every trace path.
-    #[inline]
-    fn cube_lookup_at(&self, li: usize, p: Vec3) -> CubeLookup {
-        let t = self.config.table_size();
-        let level = &self.levels[li];
-        let (base, _) = level.cube_of(p);
-        CubeLookup {
-            level: level.index,
-            entries: cube_level_indices(self.config.hash, level, base, t),
-            cube_id: morton_encode(base.x, base.y, base.z) | ((level.index as u64) << 58),
-        }
-    }
-
     /// Streams one point's cube lookups into `sink` without allocating:
     /// `push_cube` per level (in level order), then `end_point`.
     pub fn stream_point(&self, p: Vec3, sink: &mut (impl TraceSink + ?Sized)) {
-        for li in 0..self.levels.len() {
-            sink.push_cube(&self.cube_lookup_at(li, p));
-        }
-        sink.end_point();
+        self.stream_batch(std::slice::from_ref(&p), sink);
     }
 
-    /// Streams a whole point batch through `sink` in point order. Does
-    /// *not* emit `end_batch` — the caller owns iteration boundaries.
+    /// Streams a whole point batch through `sink` in point order, inside
+    /// one [`inerf_simd::vectorize`] frame. Does *not* emit `end_batch` —
+    /// the caller owns iteration boundaries.
     pub fn stream_batch(&self, points: &[Vec3], sink: &mut (impl TraceSink + ?Sized)) {
-        for &p in points {
-            self.stream_point(p, sink);
-        }
+        inerf_simd::vectorize(
+            #[inline(always)]
+            || {
+                for &p in points {
+                    self.trace_point(p, |cube| sink.push_cube(cube));
+                    sink.end_point();
+                }
+            },
+        );
     }
 
     /// Computes the per-level cube lookups (entry indices) of a point without
@@ -1025,7 +1052,10 @@ impl HashGrid {
     /// reuses one allocation for its lifetime.
     pub fn cube_lookups_into(&self, p: Vec3, out: &mut Vec<CubeLookup>) {
         out.clear();
-        out.extend((0..self.levels.len()).map(|li| self.cube_lookup_at(li, p)));
+        inerf_simd::vectorize(
+            #[inline(always)]
+            || self.trace_point(p, |cube| out.push(*cube)),
+        );
     }
 
     /// Backward pass ("HT_b"): scatter-adds `d_features` (length `L*F`) into
@@ -1543,11 +1573,26 @@ mod tests {
         HashGrid::new(config, 0);
     }
 
+    /// The per-level reference cube lookup of `p` at level index `li`:
+    /// scalar [`GridLevel::cube_of`], [`cube_level_indices`] and a 64-bit
+    /// [`morton_encode`] for the `cube_id`.
+    fn cube_lookup_at(g: &HashGrid, li: usize, p: Vec3) -> CubeLookup {
+        let level = &g.levels[li];
+        let (base, _) = level.cube_of(p);
+        CubeLookup {
+            level: level.index,
+            entries: cube_level_indices(g.config.hash, level, base, g.config.table_size()),
+            cube_id: morton_encode(base.x, base.y, base.z) | ((level.index as u64) << 58),
+        }
+    }
+
     /// Fills a cache for `points` on a grid of `config`'s shape — with no
-    /// table behind it, which [`HashGrid::fill_cache`] never reads, so table
-    /// sizes nobody would allocate in a test are covered — under every
-    /// backend, and returns the first slot that differs from the per-level
-    /// reference: [`GridLevel::cube_of`], [`cube_level_indices`],
+    /// table behind it, which [`HashGrid::fill_cache`] and the trace bus
+    /// never read, so table sizes nobody would allocate in a test are
+    /// covered — and streams the same points through
+    /// [`HashGrid::stream_batch`] and [`HashGrid::cube_lookups_into`], under
+    /// every backend. Returns the first slot or event that differs from the
+    /// per-level reference: [`cube_lookup_at`] and
     /// [`GridLevel::corner_weight`].
     fn point_kernel_mismatch(config: HashGridConfig, points: &[Vec3]) -> Option<String> {
         let levels = config.build_levels();
@@ -1563,32 +1608,86 @@ mod tests {
             let prev = inerf_simd::force_backend(backend);
             let mut cache = LookupCache::default();
             g.fill_cache(points, &mut cache);
+            let mut streamed = LookupTrace::new();
+            g.stream_batch(points, &mut streamed);
+            let (mut looked_up, mut cubes) = (Vec::new(), Vec::new());
+            for &p in points {
+                g.cube_lookups_into(p, &mut cubes);
+                looked_up.extend_from_slice(&cubes);
+            }
             inerf_simd::force_backend(prev);
+            if streamed.point_count() != points.len() {
+                return Some(format!(
+                    "{} streamed {} of {} points",
+                    backend.name(),
+                    streamed.point_count(),
+                    points.len()
+                ));
+            }
             let mut slots = cache
                 .entries
                 .chunks_exact(8)
                 .zip(cache.weights.chunks_exact(8));
+            let mut events = streamed.cubes().iter().zip(&looked_up);
             for &p in points {
-                for level in g.levels() {
-                    let (base, frac) = level.cube_of(p);
-                    let want_entries =
-                        cube_level_indices(config.hash, level, base, config.table_size());
+                for (li, level) in g.levels().iter().enumerate() {
+                    let want = cube_lookup_at(&g, li, p);
+                    let frac = level.cube_of(p).1;
                     let want_bits: [u32; 8] =
                         std::array::from_fn(|c| GridLevel::corner_weight(frac, c as u8).to_bits());
                     let (entries, weights) = slots.next().expect("one slot per point and level");
                     let bits: Vec<u32> = weights.iter().map(|w| w.to_bits()).collect();
-                    if entries != want_entries || bits != want_bits {
+                    let (event, lookup) = events.next().expect("one event per point and level");
+                    if entries != want.entries
+                        || bits != want_bits
+                        || *event != want
+                        || *lookup != want
+                    {
                         return Some(format!(
-                            "{} level {} at {p:?}: entries {entries:?} want {want_entries:?}, \
-                             weight bits {bits:x?} want {want_bits:x?}",
+                            "{} level {} at {p:?}: entries {entries:?}, weight bits {bits:x?} \
+                             want {want_bits:x?}; streamed {event:?}, looked up {lookup:?}, \
+                             want {want:?}",
                             backend.name(),
                             level.index
                         ));
                     }
                 }
             }
+            if events.next().is_some() {
+                return Some(format!("{} streamed extra events", backend.name()));
+            }
         }
         None
+    }
+
+    #[test]
+    fn cube_id_spread_shortcut_ends_at_1024_cells() {
+        // Adjacent levels of 1024 and 1025 cells: the first takes the cube
+        // id from the ten-bit spreads, the second from the 64-bit code, and
+        // bases of 1023 and 1024 sit on either side of the shortcut.
+        for hash in [HashFunction::Morton, HashFunction::Original] {
+            let config = HashGridConfig {
+                levels: 2,
+                table_size_log2: 20,
+                features: 2,
+                n_min: 1024,
+                n_max: 1025,
+                hash,
+            };
+            let res: Vec<u32> = config.build_levels().iter().map(|l| l.resolution).collect();
+            assert_eq!(res, [1024, 1025]);
+            let points: Vec<Vec3> = (0..48)
+                .map(|i| {
+                    let near_one = 1.0 - (i % 16) as f32 * 2.0e-4;
+                    Vec3::new(
+                        near_one,
+                        HOSTILE[i % HOSTILE.len()],
+                        0.5 + i as f32 * 1.0e-2,
+                    )
+                })
+                .collect();
+            assert_eq!(point_kernel_mismatch(config, &points), None);
+        }
     }
 
     /// Coordinates [`GridLevel::cube_of`]'s clamp has to absorb or sit
