@@ -23,8 +23,6 @@ pub struct AccelConfig {
     /// Inter-bank transfer bandwidth in bytes/second (through the shared
     /// 16-bit channel I/O at 2400 MT/s).
     pub interbank_bw_bytes_per_s: f64,
-    /// Points processed in parallel in HT/HT_b (Sec. IV-B: 32).
-    pub ht_parallel_points: u32,
 }
 
 impl AccelConfig {
@@ -40,7 +38,6 @@ impl AccelConfig {
             power_mw_per_bank: 596.3,
             // 16-bit channel at 2400 MT/s = 4.8 GB/s.
             interbank_bw_bytes_per_s: 4.8e9,
-            ht_parallel_points: 32,
         }
     }
 
@@ -79,16 +76,6 @@ impl AccelConfig {
     pub fn cycle_seconds(&self) -> f64 {
         1.0 / (self.frequency_mhz as f64 * 1e6)
     }
-
-    /// Peak INT32 operations/second across all banks.
-    pub fn peak_int_ops(&self) -> f64 {
-        self.banks as f64 * self.int_pes as f64 * self.frequency_mhz as f64 * 1e6
-    }
-
-    /// Peak FP32 FLOP/s across all banks (one MAC = 2 FLOPs per PE-cycle).
-    pub fn peak_fp_flops(&self) -> f64 {
-        self.banks as f64 * self.fp_pes as f64 * self.frequency_mhz as f64 * 1e6 * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -123,13 +110,5 @@ mod tests {
         assert_eq!(d.burst_cycles, 2);
         assert_eq!(d.timing.ccd, 2);
         assert_eq!(d.subarrays_per_bank, 8);
-    }
-
-    #[test]
-    fn peak_rates() {
-        let c = AccelConfig::paper();
-        // 16 banks × 256 PEs × 200 MHz = 819.2 G int-ops/s.
-        assert!((c.peak_int_ops() - 819.2e9).abs() < 1e6);
-        assert!((c.peak_fp_flops() - 1638.4e9).abs() < 1e6);
     }
 }

@@ -12,9 +12,6 @@
 //!   onto banks (Sec. IV-B), plus request-stream generation with the
 //!   row-buffer-sized `r0` register filter.
 //! * [`microarch`] — per-bank compute-time model for the PE arrays.
-//! * [`isa`] — the Fig. 8 microarchitecture at instruction level: a small
-//!   ISA, kernel program generators and an in-order execution model that
-//!   cross-validates the analytical cycle counts.
 //! * [`parallel`] — the heterogeneous inter-bank parallelism design
 //!   (Sec. IV-C): parameter parallelism for HT/HT_b, data parallelism for
 //!   MLP/MLP_b, and the four inter-bank data-movement categories of Fig. 10.
@@ -41,7 +38,6 @@
 
 pub mod config;
 pub mod cosim;
-pub mod isa;
 pub mod mapping;
 pub mod microarch;
 pub mod parallel;

@@ -7,21 +7,11 @@
 //! modelled as a per-layer reload overhead.
 
 use crate::config::AccelConfig;
-use inerf_trainer::workload::{step_ops_at, Step};
+use inerf_trainer::workload::{mlp_param_bytes_at, step_ops_at, Step};
 use inerf_trainer::{ModelConfig, Precision};
 
-/// Compute cycles one bank needs to process `points` points of `step`, at
-/// the paper's fp16 storage convention.
-pub fn bank_compute_cycles(
-    accel: &AccelConfig,
-    model: &ModelConfig,
-    step: Step,
-    points: u64,
-) -> u64 {
-    bank_compute_cycles_at(accel, model, step, points, Precision::Fp16)
-}
-
-/// [`bank_compute_cycles`] with weights stored at `precision`.
+/// Compute cycles one bank needs to process `points` points of `step`, with
+/// weights stored at `precision`.
 ///
 /// PEs are throughput-1: one INT op or one FP MAC (2 FLOPs) per cycle. The
 /// INT and FP groups run concurrently, so the step's compute time is the
@@ -39,33 +29,33 @@ pub fn bank_compute_cycles_at(
     let int_cycles = (ops.int_ops * points).div_ceil(accel.int_pes as u64);
     let fp_cycles = (ops.fp_ops * points).div_ceil(2 * accel.fp_pes as u64);
     let compute = int_cycles.max(fp_cycles);
-    compute + weight_reload_cycles(accel, model, step, points, precision)
+    compute + weight_reload_cycles(accel, model, step, precision)
 }
 
 /// Extra cycles spent re-streaming MLP weight tiles that exceed the
 /// scratchpad. HT steps keep their working set (hash registers + one cube)
 /// on chip and pay nothing.
+///
+/// Weight-stationary dataflow: each scratchpad-sized weight tile is loaded
+/// once per batch and the whole point stream flows through it (activation
+/// traffic is accounted in the DRAM model), so the cost does not depend on
+/// the point count. The load streams at the 128-bit (16 B/cycle) internal
+/// width.
 fn weight_reload_cycles(
     accel: &AccelConfig,
     model: &ModelConfig,
     step: Step,
-    points: u64,
     precision: Precision,
 ) -> u64 {
     let weight_bytes = match step {
         Step::MlpD | Step::MlpDB | Step::MlpC | Step::MlpCB => {
-            inerf_trainer::workload::mlp_param_bytes_at(model, precision) / 2
+            mlp_param_bytes_at(model, precision) / 2
         }
         Step::Ht | Step::HtB => return 0,
     };
     if weight_bytes <= accel.scratchpad_bytes as u64 {
         return 0;
     }
-    // Weight-stationary dataflow: each scratchpad-sized weight tile is
-    // loaded once per batch and the whole point stream flows through it
-    // (activation traffic is accounted in the DRAM model). The load streams
-    // at the 128-bit (16 B/cycle) internal width.
-    let _ = points;
     weight_bytes.div_ceil(16)
 }
 
@@ -78,7 +68,8 @@ pub fn cycles_to_seconds(accel: &AccelConfig, cycles: u64) -> f64 {
 mod tests {
     use super::*;
     use inerf_encoding::HashFunction;
-    use inerf_trainer::workload::step_ops;
+
+    const FP16: Precision = Precision::Fp16;
 
     fn setup() -> (AccelConfig, ModelConfig) {
         (
@@ -90,28 +81,47 @@ mod tests {
     #[test]
     fn compute_scales_linearly_with_points() {
         let (a, m) = setup();
-        let one = bank_compute_cycles(&a, &m, Step::Ht, 1000);
-        let two = bank_compute_cycles(&a, &m, Step::Ht, 2000);
+        let one = bank_compute_cycles_at(&a, &m, Step::Ht, 1000, FP16);
+        let two = bank_compute_cycles_at(&a, &m, Step::Ht, 2000, FP16);
         let ratio = two as f64 / one as f64;
         assert!((ratio - 2.0).abs() < 0.05, "ratio {ratio}");
+    }
+
+    #[test]
+    fn ht_cycles_pinned_for_both_hashes() {
+        // Tab. III: 256 INT32 and 256 FP32 PEs per bank. The paper grid has
+        // 16 levels, 8 vertex hashes per level, F = 2. Per point the INT side
+        // runs 16 × 8 × ops hash ops (`index_int_ops`: 35 for Morton, 5 for
+        // Original), so 512 points take 16 × 8 × ops × 512 / 256 cycles:
+        // 8 960 (Morton) and 1 280 (Original). The FP side runs
+        // 16 × (8·2·2 + 8·3) = 896 FLOPs a point, 896 × 512 / (2 × 256) =
+        // 896 cycles, so both hashes are INT-bound and HT reloads no weights.
+        let a = AccelConfig::paper();
+        for (hash, want) in [
+            (HashFunction::Morton, 8_960),
+            (HashFunction::Original, 1_280),
+        ] {
+            let m = ModelConfig::paper(hash);
+            assert_eq!(bank_compute_cycles_at(&a, &m, Step::Ht, 512, FP16), want);
+        }
     }
 
     #[test]
     fn ht_is_int_bound_mlp_is_fp_bound() {
         let (a, m) = setup();
         // HT with the Morton hash runs many INT ops per point; MLPs none.
-        let ht = step_ops(&m, Step::Ht);
+        let ht = step_ops_at(&m, Step::Ht, FP16);
         assert!(ht.int_ops * 2 * a.fp_pes as u64 > ht.fp_ops * a.int_pes as u64);
-        let mlp = step_ops(&m, Step::MlpD);
+        let mlp = step_ops_at(&m, Step::MlpD, FP16);
         assert_eq!(mlp.int_ops, 0);
     }
 
     #[test]
     fn mlp_pays_weight_reload() {
         let (a, m) = setup();
-        let mlp_ops = step_ops(&m, Step::MlpD);
+        let mlp_ops = step_ops_at(&m, Step::MlpD, FP16);
         let raw = (mlp_ops.fp_ops * 1000).div_ceil(2 * a.fp_pes as u64);
-        let with_reload = bank_compute_cycles(&a, &m, Step::MlpD, 1000);
+        let with_reload = bank_compute_cycles_at(&a, &m, Step::MlpD, 1000, FP16);
         assert!(
             with_reload > raw,
             "weights (~14 KB) exceed the 2 KB scratchpad"
@@ -123,10 +133,10 @@ mod tests {
         let a = AccelConfig::paper();
         let m = ModelConfig::tiny();
         // Tiny config weights are small enough to fit in 2 KB.
-        if inerf_trainer::workload::mlp_param_bytes(&m) / 2 <= a.scratchpad_bytes as u64 {
-            let ops = step_ops(&m, Step::MlpD);
+        if mlp_param_bytes_at(&m, FP16) / 2 <= a.scratchpad_bytes as u64 {
+            let ops = step_ops_at(&m, Step::MlpD, FP16);
             let raw = (ops.fp_ops * 500).div_ceil(2 * a.fp_pes as u64);
-            assert_eq!(bank_compute_cycles(&a, &m, Step::MlpD, 500), raw);
+            assert_eq!(bank_compute_cycles_at(&a, &m, Step::MlpD, 500, FP16), raw);
         }
     }
 

@@ -69,7 +69,7 @@ impl ParallelismPlan {
 }
 
 /// Inter-bank traffic of one training iteration, split into the paper's
-/// four categories (Fig. 10).
+/// four categories (Fig. 10), in bytes crossing the die's shared I/O.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct MovementBreakdown {
     /// Category 1: parameter/data duplication for the chosen parallelism.
@@ -94,20 +94,14 @@ impl MovementBreakdown {
     }
 }
 
-/// Computes the per-iteration inter-bank traffic of `plan` for a batch of
-/// `points` sampled points on `banks` banks.
-pub fn movement_bytes(
-    model: &ModelConfig,
-    plan: &ParallelismPlan,
-    points: u64,
-    banks: u64,
-) -> MovementBreakdown {
-    movement_bytes_at(model, plan, points, banks, Precision::Fp16)
-}
-
-/// [`movement_bytes`] with parameters/activations stored at `precision`
-/// (the argument-free version keeps the paper's fp16 convention).
-pub fn movement_bytes_at(
+/// The per-iteration inter-bank traffic of `plan` for a batch of `points`
+/// sampled points on `banks` banks, with parameters and activations stored
+/// at `precision` (f32 storage doubles the bytes crossing the shared I/O).
+///
+/// Bytes are counted once per pass over the shared I/O: a duplication is a
+/// broadcast that reaches every bank in one pass, while a gradient
+/// all-reduce collects one partial per bank.
+pub fn bus_bytes_at(
     model: &ModelConfig,
     plan: &ParallelismPlan,
     points: u64,
@@ -119,28 +113,26 @@ pub fn movement_bytes_at(
     let ht_b = step_sizes_at(model, Step::HtB, points, precision);
     let mut m = MovementBreakdown::default();
 
-    // Category 1 — duplication.
+    // Category 1 — duplication, broadcast once.
     m.cat1_duplication += match plan.ht {
         // Inputs (coordinates) broadcast to every table-holding bank.
-        ParallelismKind::Parameter => ht.input_bytes * (banks - 1),
-        // The whole hash table replicated per bank.
-        ParallelismKind::Data => ht.param_bytes * (banks - 1),
+        ParallelismKind::Parameter => ht.input_bytes,
+        // The whole hash table replicated on every bank.
+        ParallelismKind::Data => ht.param_bytes,
     };
     m.cat1_duplication += match plan.mlp {
-        ParallelismKind::Data => mlp.param_bytes * (banks - 1),
-        ParallelismKind::Parameter => mlp.input_bytes * (banks - 1),
+        ParallelismKind::Data => mlp.param_bytes,
+        ParallelismKind::Parameter => mlp.input_bytes,
     };
 
     // Category 2 — sequential-step transfers: HT output → MLP input when the
     // layouts differ (parameter-parallel HT leaves per-level features on
     // table banks; data-parallel MLP wants per-point partitions), and the
     // mirrored transfer feeding HT_b.
-    let ht_to_mlp_differs = plan.ht != plan.mlp;
-    if ht_to_mlp_differs {
+    if plan.ht != plan.mlp {
         m.cat2_sequential += ht.output_bytes;
     }
-    let mlpb_to_htb_differs = plan.mlp_b != plan.ht_b;
-    if mlpb_to_htb_differs {
+    if plan.mlp_b != plan.ht_b {
         m.cat2_sequential += ht_b.input_bytes;
     }
 
@@ -154,78 +146,20 @@ pub fn movement_bytes_at(
     }
 
     // Category 4 — gradient partial sums: data-parallel backward steps must
-    // all-reduce their parameter gradients.
+    // all-reduce their parameter gradients, one partial per bank.
     if plan.mlp_b == ParallelismKind::Data {
-        m.cat4_gradients += mlp.param_bytes * (banks - 1);
+        m.cat4_gradients += mlp.param_bytes * banks;
     }
     if plan.ht_b == ParallelismKind::Data {
-        m.cat4_gradients += ht_b.param_bytes * (banks - 1);
+        m.cat4_gradients += ht_b.param_bytes * banks;
     }
     m
-}
-
-/// Transfer-time-relevant bus traffic of one iteration, in bytes.
-///
-/// Unlike [`movement_bytes`] (which accounts the duplication *footprint*,
-/// the quantity the paper's Category table minimizes), this counts bytes
-/// crossing the die's shared I/O once per transfer: a broadcast reaches all
-/// banks in one bus pass, while a gradient all-reduce collects one partial
-/// per bank.
-pub fn bus_bytes(model: &ModelConfig, plan: &ParallelismPlan, points: u64, banks: u64) -> u64 {
-    bus_bytes_at(model, plan, points, banks, Precision::Fp16)
-}
-
-/// [`bus_bytes`] with parameters/activations stored at `precision` —
-/// f32 storage doubles the bytes crossing the shared I/O.
-pub fn bus_bytes_at(
-    model: &ModelConfig,
-    plan: &ParallelismPlan,
-    points: u64,
-    banks: u64,
-    precision: Precision,
-) -> u64 {
-    let ht = step_sizes_at(model, Step::Ht, points, precision);
-    let mlp = mlp_combined_sizes_at(model, points, precision);
-    let ht_b = step_sizes_at(model, Step::HtB, points, precision);
-    let mut bytes = 0u64;
-    // Category 1 (broadcast once).
-    bytes += match plan.ht {
-        ParallelismKind::Parameter => ht.input_bytes,
-        ParallelismKind::Data => ht.param_bytes,
-    };
-    bytes += match plan.mlp {
-        ParallelismKind::Data => mlp.param_bytes,
-        ParallelismKind::Parameter => mlp.input_bytes,
-    };
-    // Category 2.
-    if plan.ht != plan.mlp {
-        bytes += ht.output_bytes;
-    }
-    if plan.mlp_b != plan.ht_b {
-        bytes += ht_b.input_bytes;
-    }
-    // Category 3.
-    if plan.mlp == ParallelismKind::Parameter {
-        bytes += mlp.intermediate_bytes;
-    }
-    if plan.mlp_b == ParallelismKind::Parameter {
-        bytes += mlp.intermediate_bytes;
-    }
-    // Category 4 (one partial per bank).
-    if plan.mlp_b == ParallelismKind::Data {
-        bytes += mlp.param_bytes * banks;
-    }
-    if plan.ht_b == ParallelismKind::Data {
-        bytes += ht_b.param_bytes * banks;
-    }
-    bytes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use inerf_encoding::HashFunction;
-    use inerf_trainer::workload::{mlp_combined_sizes, step_sizes};
 
     const POINTS: u64 = 256 * 1024;
     const BANKS: u64 = 16;
@@ -234,9 +168,13 @@ mod tests {
         ModelConfig::paper(HashFunction::Morton)
     }
 
+    fn bus(plan: ParallelismPlan, precision: Precision) -> MovementBreakdown {
+        bus_bytes_at(&model(), &plan, POINTS, BANKS, precision)
+    }
+
     #[test]
     fn paper_plan_matches_fig10_categories() {
-        let m = movement_bytes(&model(), &ParallelismPlan::paper(), POINTS, BANKS);
+        let m = bus(ParallelismPlan::paper(), Precision::Fp16);
         // Fig. 10 table: HT duplicates data (yes), MLP duplicates params
         // (yes), one sequential transfer each direction, no intermediates,
         // gradients only for the small MLPs.
@@ -246,20 +184,17 @@ mod tests {
             m.cat3_intermediate, 0,
             "paper plan has no Category-3 traffic"
         );
-        assert!(m.cat4_gradients > 0);
         // Category 4 covers only the tiny MLP weights, not the 25 MB table.
-        let mlp_params = mlp_combined_sizes(&model(), POINTS).param_bytes;
-        assert_eq!(m.cat4_gradients, mlp_params * (BANKS - 1));
+        let mlp_params = mlp_combined_sizes_at(&model(), POINTS, Precision::Fp16).param_bytes;
+        assert_eq!(m.cat4_gradients, mlp_params * BANKS);
     }
 
     #[test]
     fn paper_plan_beats_both_homogeneous_plans() {
         // The central Sec. IV-C claim.
-        let paper = movement_bytes(&model(), &ParallelismPlan::paper(), POINTS, BANKS).total();
-        let all_data =
-            movement_bytes(&model(), &ParallelismPlan::all_data(), POINTS, BANKS).total();
-        let all_param =
-            movement_bytes(&model(), &ParallelismPlan::all_parameter(), POINTS, BANKS).total();
+        let paper = bus(ParallelismPlan::paper(), Precision::Fp16).total();
+        let all_data = bus(ParallelismPlan::all_data(), Precision::Fp16).total();
+        let all_param = bus(ParallelismPlan::all_parameter(), Precision::Fp16).total();
         assert!(
             paper < all_data / 2,
             "paper {paper} should be far below all-data {all_data} (table duplication)"
@@ -272,14 +207,14 @@ mod tests {
 
     #[test]
     fn all_data_duplicates_the_table() {
-        let m = movement_bytes(&model(), &ParallelismPlan::all_data(), POINTS, BANKS);
-        let table = step_sizes(&model(), Step::Ht, POINTS).param_bytes;
-        assert!(m.cat1_duplication >= table * (BANKS - 1));
+        let m = bus(ParallelismPlan::all_data(), Precision::Fp16);
+        let table = step_sizes_at(&model(), Step::Ht, POINTS, Precision::Fp16).param_bytes;
+        assert!(m.cat1_duplication >= table);
     }
 
     #[test]
     fn all_parameter_moves_intermediates() {
-        let m = movement_bytes(&model(), &ParallelismPlan::all_parameter(), POINTS, BANKS);
+        let m = bus(ParallelismPlan::all_parameter(), Precision::Fp16);
         assert!(m.cat3_intermediate > 0);
         assert_eq!(
             m.cat4_gradients, 0,
@@ -289,28 +224,18 @@ mod tests {
 
     #[test]
     fn bus_bytes_preserves_plan_ordering() {
-        let paper = bus_bytes(&model(), &ParallelismPlan::paper(), POINTS, BANKS);
-        let all_data = bus_bytes(&model(), &ParallelismPlan::all_data(), POINTS, BANKS);
-        let all_param = bus_bytes(&model(), &ParallelismPlan::all_parameter(), POINTS, BANKS);
+        // The plan ordering does not hinge on the paper's fp16 storage.
+        let paper = bus(ParallelismPlan::paper(), Precision::F32).total();
+        let all_data = bus(ParallelismPlan::all_data(), Precision::F32).total();
+        let all_param = bus(ParallelismPlan::all_parameter(), Precision::F32).total();
         assert!(paper < all_data, "paper {paper} vs all-data {all_data}");
         assert!(paper < all_param, "paper {paper} vs all-param {all_param}");
     }
 
     #[test]
-    fn bus_bytes_smaller_than_footprint() {
-        let plan = ParallelismPlan::paper();
-        let bus = bus_bytes(&model(), &plan, POINTS, BANKS);
-        let footprint = movement_bytes(&model(), &plan, POINTS, BANKS).total();
-        assert!(
-            bus < footprint,
-            "broadcast counting must shrink traffic: {bus} vs {footprint}"
-        );
-    }
-
-    #[test]
     fn movement_seconds_positive() {
         let accel = AccelConfig::paper();
-        let m = movement_bytes(&model(), &ParallelismPlan::paper(), POINTS, BANKS);
+        let m = bus(ParallelismPlan::paper(), Precision::Fp16);
         assert!(m.seconds(&accel) > 0.0);
         assert_eq!(
             m.total(),

@@ -260,9 +260,9 @@ impl PipelineModel {
             compute_seconds: htb_compute,
         });
 
-        let bus_seconds = bus_bytes_at(&self.model, &self.plan, batch_points, banks, self.precision)
-            as f64
-            / self.accel.interbank_bw_bytes_per_s;
+        let bus_seconds =
+            bus_bytes_at(&self.model, &self.plan, batch_points, banks, self.precision)
+                .seconds(&self.accel);
 
         // Resource occupancies: table banks (HT + HT_b), compute banks (the
         // four MLP phases), shared I/O (all transfers). Stage overlap is

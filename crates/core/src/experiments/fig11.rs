@@ -17,6 +17,9 @@ pub struct Fig11Row {
     pub scene: String,
     /// Accelerator training time per scene (seconds).
     pub accel_seconds: f64,
+    /// Accelerator training energy per scene (joules): PE power over the
+    /// training time plus the modeled DRAM energy.
+    pub accel_joules: f64,
     /// XNX / TX2 training times (seconds).
     pub xnx_seconds: f64,
     /// TX2 training time (seconds).
@@ -58,6 +61,7 @@ pub fn run(scenes: &[SceneKind], target_points: usize, samples: usize, seed: u64
             Fig11Row {
                 scene: kind.name().to_string(),
                 accel_seconds: accel.training_seconds,
+                accel_joules: accel.training_joules,
                 xnx_seconds: xnx.total_seconds,
                 tx2_seconds: tx2.total_seconds,
                 speedup_xnx: xnx.total_seconds / accel.training_seconds,
@@ -135,7 +139,16 @@ mod tests {
     fn energy_gains_exceed_speedups_on_xnx() {
         // P_xnx (20 W) > P_accel (~9.5 W + DRAM), so energy gains beat
         // speedups — the structure behind Fig. 11(b) > Fig. 11(a).
+        let pe_watts = inerf_accel::AccelConfig::paper().total_power_w();
         for r in rows() {
+            // DRAM energy is positive, so the total exceeds PE power × time.
+            assert!(
+                r.accel_joules > r.accel_seconds * pe_watts,
+                "{}: {:.1} J vs {:.1} s at {pe_watts:.2} W",
+                r.scene,
+                r.accel_joules,
+                r.accel_seconds
+            );
             assert!(
                 r.energy_gain_xnx > r.speedup_xnx,
                 "{}: energy {:.1}x vs speedup {:.1}x",

@@ -17,4 +17,3 @@ pub mod precision;
 pub mod psnr;
 pub mod tables;
 pub mod traces;
-pub mod warmstart;

@@ -6,7 +6,7 @@ use inerf_accel::AccelConfig;
 use inerf_encoding::HashFunction;
 use inerf_gpu::GpuSpec;
 use inerf_trainer::workload::{self, Step};
-use inerf_trainer::ModelConfig;
+use inerf_trainer::{ModelConfig, Precision};
 
 /// Renders Tab. I.
 pub fn tab1() -> String {
@@ -51,6 +51,9 @@ pub struct Tab2Row {
 pub fn tab2_rows() -> Vec<Tab2Row> {
     let model = ModelConfig::paper(HashFunction::Morton);
     let points = super::fig1::PAPER_BATCH;
+    // Tab. II stores entries and activations as fp16.
+    let fp16 = Precision::Fp16;
+    let sizes = |step| workload::step_sizes_at(&model, step, points, fp16);
     let mk = |label: &str, s: workload::StepSizes| Tab2Row {
         step: label.to_string(),
         param_mb: workload::to_mb(s.param_bytes),
@@ -58,17 +61,17 @@ pub fn tab2_rows() -> Vec<Tab2Row> {
         output_mb: workload::to_mb(s.output_bytes),
         intermediate_mb: workload::to_mb(s.intermediate_bytes),
     };
-    let mlp = workload::mlp_combined_sizes(&model, points);
+    let mlp = workload::mlp_combined_sizes_at(&model, points, fp16);
     let mlp_b = workload::StepSizes {
         input_bytes: mlp.output_bytes,
         output_bytes: mlp.input_bytes,
         ..mlp
     };
     vec![
-        mk("HT", workload::step_sizes(&model, Step::Ht, points)),
+        mk("HT", sizes(Step::Ht)),
         mk("MLP", mlp),
         mk("MLP_b", mlp_b),
-        mk("HT_b", workload::step_sizes(&model, Step::HtB, points)),
+        mk("HT_b", sizes(Step::HtB)),
     ]
 }
 

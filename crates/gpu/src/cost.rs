@@ -1,8 +1,8 @@
 //! Roofline-style kernel cost model calibrated to the paper's measurements.
 
 use crate::specs::GpuSpec;
-use inerf_trainer::workload::{step_ops, step_sizes, Step};
-use inerf_trainer::ModelConfig;
+use inerf_trainer::workload::{step_ops_at, step_sizes_at, Step};
+use inerf_trainer::{ModelConfig, Precision};
 use serde::{Deserialize, Serialize};
 
 /// Fraction of total training time outside the six bottleneck steps
@@ -19,6 +19,8 @@ const GATHER_REPLAY: f64 = 1.2;
 /// a GPU (pointer math, bounds, lane bookkeeping) — absent on the
 /// accelerator's dedicated hash unit.
 const GPU_ADDRESSING_INT_OPS: u64 = 15;
+/// iNGP on the GPU stores table entries and activations as fp16 (Tab. II).
+const INGP_STORAGE: Precision = Precision::Fp16;
 /// nvprof reports per-issue-slot utilization; in memory-stalled kernels
 /// roughly one in four issue slots of the FP pipe carries a useful MAC.
 const ISSUE_SLOT_OVERHEAD: f64 = 4.0;
@@ -42,7 +44,7 @@ pub fn measured_dram_utilization(step: Step) -> f64 {
 /// entry); MLP steps spill activations through DRAM because the working set
 /// exceeds the edge L2 (Tab. II vs Tab. I).
 pub fn step_traffic_bytes(model: &ModelConfig, step: Step, points: u64) -> u64 {
-    let sizes = step_sizes(model, step, points);
+    let sizes = step_sizes_at(model, step, points, INGP_STORAGE);
     let entry_touches = points * model.grid.levels as u64 * 8;
     match step {
         Step::Ht => {
@@ -113,7 +115,7 @@ impl TrainingCost {
         for &step in &Step::ALL {
             let traffic = step_traffic_bytes(model, step, points);
             let eff_bw = spec.dram_bw * measured_dram_utilization(step) * spec.efficiency;
-            let ops = step_ops(model, step);
+            let ops = step_ops_at(model, step, INGP_STORAGE);
             let int_ops = if matches!(step, Step::Ht | Step::HtB) {
                 // Each of the 8 vertex-index calculations per level also
                 // pays GPU address arithmetic.

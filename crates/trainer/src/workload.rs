@@ -3,9 +3,8 @@
 //!
 //! All quantities derive from the architecture configuration and the batch
 //! size. The storage width of table entries, features and activations is a
-//! [`Precision`] parameter (input coordinates stay FP32); the argument-free
-//! functions keep the paper's Tab. II convention — FP16 (2 B) storage —
-//! while the `*_at` variants model the same workload at f32 width.
+//! [`Precision`] parameter (input coordinates stay FP32); the paper's
+//! Tab. II convention is [`Precision::Fp16`] (2 B) storage.
 
 use crate::model::ModelConfig;
 use inerf_mlp::Precision;
@@ -67,9 +66,6 @@ pub struct StepSizes {
 
 const FP32: u64 = 4;
 
-/// The paper's Tab. II storage convention: FP16 entries and activations.
-const TAB2_PRECISION: Precision = Precision::Fp16;
-
 /// Bytes of the hash table stored at `precision` (dense coarse levels
 /// stored compactly). Halves going from f32 to fp16.
 pub fn hash_table_bytes_at(cfg: &ModelConfig, precision: Precision) -> u64 {
@@ -94,11 +90,6 @@ pub fn mlp_param_bytes_at(cfg: &ModelConfig, precision: Precision) -> u64 {
     let density = feat * dh + dh + dh * dout + dout;
     let color = cin * ch + ch + ch * ch + ch + ch * 3 + 3;
     (density + color) * precision.bytes_per_param() as u64
-}
-
-/// Bytes of the two MLPs' weights (FP16, the Tab. II convention).
-pub fn mlp_param_bytes(cfg: &ModelConfig) -> u64 {
-    mlp_param_bytes_at(cfg, TAB2_PRECISION)
 }
 
 /// Computes one Tab. II row for a batch of `points` sampled points, with
@@ -142,11 +133,6 @@ pub fn step_sizes_at(
     }
 }
 
-/// Computes one Tab. II row at the paper's FP16 storage convention.
-pub fn step_sizes(cfg: &ModelConfig, step: Step, points: u64) -> StepSizes {
-    step_sizes_at(cfg, step, points, TAB2_PRECISION)
-}
-
 /// Aggregated "MLP" row of Tab. II (MLPd and MLPc applied sequentially)
 /// at `precision`.
 pub fn mlp_combined_sizes_at(cfg: &ModelConfig, points: u64, precision: Precision) -> StepSizes {
@@ -157,11 +143,6 @@ pub fn mlp_combined_sizes_at(cfg: &ModelConfig, points: u64, precision: Precisio
         output_bytes: d.output_bytes,
         intermediate_bytes: d.intermediate_bytes,
     }
-}
-
-/// Aggregated "MLP" row of Tab. II at the FP16 convention.
-pub fn mlp_combined_sizes(cfg: &ModelConfig, points: u64) -> StepSizes {
-    mlp_combined_sizes_at(cfg, points, TAB2_PRECISION)
 }
 
 /// Per-point operation counts of one step, used by the GPU and NMP cost
@@ -228,11 +209,6 @@ pub fn step_ops_at(cfg: &ModelConfig, step: Step, precision: Precision) -> StepO
     }
 }
 
-/// Per-point op counts for `step` at the paper's FP16 storage convention.
-pub fn step_ops(cfg: &ModelConfig, step: Step) -> StepOps {
-    step_ops_at(cfg, step, TAB2_PRECISION)
-}
-
 const MB: f64 = 1024.0 * 1024.0;
 
 /// Formats a byte count in MB for experiment tables.
@@ -246,6 +222,7 @@ mod tests {
     use inerf_encoding::HashFunction;
 
     const PAPER_BATCH: u64 = 256 * 1024;
+    const FP16: Precision = Precision::Fp16;
 
     fn paper_cfg() -> ModelConfig {
         ModelConfig::paper(HashFunction::Morton)
@@ -253,7 +230,7 @@ mod tests {
 
     #[test]
     fn tab2_ht_row() {
-        let s = step_sizes(&paper_cfg(), Step::Ht, PAPER_BATCH);
+        let s = step_sizes_at(&paper_cfg(), Step::Ht, PAPER_BATCH, FP16);
         // Paper: 25 MB params, 3 MB input, 16 MB output, 0 intermediate.
         assert!(
             (20.0..30.0).contains(&to_mb(s.param_bytes)),
@@ -275,7 +252,7 @@ mod tests {
 
     #[test]
     fn tab2_mlp_row() {
-        let s = mlp_combined_sizes(&paper_cfg(), PAPER_BATCH);
+        let s = mlp_combined_sizes_at(&paper_cfg(), PAPER_BATCH, FP16);
         // Paper: 0.014 MB params, 16 MB input, 1.5 MB output, 32 MB intermediate.
         assert!(
             (0.008..0.03).contains(&to_mb(s.param_bytes)),
@@ -289,7 +266,7 @@ mod tests {
 
     #[test]
     fn tab2_htb_row() {
-        let s = step_sizes(&paper_cfg(), Step::HtB, PAPER_BATCH);
+        let s = step_sizes_at(&paper_cfg(), Step::HtB, PAPER_BATCH, FP16);
         assert!((20.0..30.0).contains(&to_mb(s.param_bytes)));
         assert!((to_mb(s.input_bytes) - 16.0).abs() < 0.1);
         assert_eq!(s.output_bytes, 0);
@@ -297,8 +274,8 @@ mod tests {
 
     #[test]
     fn backward_rows_mirror_forward() {
-        let f = step_sizes(&paper_cfg(), Step::MlpD, PAPER_BATCH);
-        let b = step_sizes(&paper_cfg(), Step::MlpDB, PAPER_BATCH);
+        let f = step_sizes_at(&paper_cfg(), Step::MlpD, PAPER_BATCH, FP16);
+        let b = step_sizes_at(&paper_cfg(), Step::MlpDB, PAPER_BATCH, FP16);
         assert_eq!(f.input_bytes, b.output_bytes);
         assert_eq!(f.output_bytes, b.input_bytes);
     }
@@ -316,8 +293,8 @@ mod tests {
         // reverse. Ratio of bytes to flops must differ by an order of
         // magnitude.
         let cfg = paper_cfg();
-        let ht = step_ops(&cfg, Step::Ht);
-        let mlp = step_ops(&cfg, Step::MlpD);
+        let ht = step_ops_at(&cfg, Step::Ht, FP16);
+        let mlp = step_ops_at(&cfg, Step::MlpD, FP16);
         let ht_intensity = ht.fp_ops as f64 / ht.dram_bytes as f64;
         let mlp_intensity = mlp.fp_ops as f64 / mlp.dram_bytes as f64;
         assert!(
@@ -330,8 +307,12 @@ mod tests {
     fn ht_dominates_int_ops() {
         // Observation 3 of Sec. II-B: index calculation dominates INT32 use.
         let cfg = paper_cfg();
-        let total_int: u64 = Step::ALL.iter().map(|&s| step_ops(&cfg, s).int_ops).sum();
-        let ht_int = step_ops(&cfg, Step::Ht).int_ops + step_ops(&cfg, Step::HtB).int_ops;
+        let total_int: u64 = Step::ALL
+            .iter()
+            .map(|&s| step_ops_at(&cfg, s, FP16).int_ops)
+            .sum();
+        let ht_int =
+            step_ops_at(&cfg, Step::Ht, FP16).int_ops + step_ops_at(&cfg, Step::HtB, FP16).int_ops;
         assert_eq!(total_int, ht_int, "only HT steps use INT ops in this model");
         assert!(ht_int > 0);
     }

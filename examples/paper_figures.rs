@@ -120,8 +120,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         // Average-scene accelerator cost from a quick Fig. 11 run.
         let rows = fig11::run(&[SceneKind::Mic, SceneKind::Lego], 1024, 128, 7);
         let accel_s = rows.iter().map(|r| r.accel_seconds).sum::<f64>() / rows.len() as f64;
-        // Energy: scale from the speedup/energy ratios of the first row.
-        let accel_j = rows[0].accel_seconds * 10.0; // ~10 W NMP power envelope
+        let accel_j = rows.iter().map(|r| r.accel_joules).sum::<f64>() / rows.len() as f64;
         let prediction = extension::predict(accel_s, accel_j);
         dump("ext", &prediction)?;
         println!("{}", extension::render(&prediction));

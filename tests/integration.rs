@@ -110,22 +110,6 @@ fn streaming_order_only_affects_hardware_not_math() {
 }
 
 #[test]
-fn warmstart_experiment_reproduces_shape() {
-    let r = instant_nerf::experiments::warmstart::run();
-    assert_eq!(r.scene, "Mic");
-    assert!(r.pretrain_iterations > 0 && r.finetune_iterations > 0);
-    assert!(r.resumed_psnr.is_finite() && r.warm_psnr.is_finite() && r.cold_psnr.is_finite());
-    // Fine-tuning a pretrained model must not be worse than not
-    // fine-tuning it at all on the drifted scene.
-    assert!(r.warm_psnr >= r.resumed_psnr - 1.0);
-    if let Some(n) = r.cold_iterations_to_match {
-        assert!(n >= r.finetune_iterations && n <= r.cold_search_cap);
-    }
-    let rendered = instant_nerf::experiments::warmstart::render(&r);
-    assert!(rendered.contains("PSNR"));
-}
-
-#[test]
 fn checkpointed_training_resumes_to_identical_psnr_bits() {
     // End-to-end through the on-disk path: train with periodic
     // checkpoints, then resume from the directory and verify the

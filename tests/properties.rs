@@ -9,8 +9,8 @@ use instant_nerf::encoding::{CountingSink, HashFunction, HashGrid, HashGridConfi
 use instant_nerf::geom::{GridCoord, GridLevel, Vec3};
 use instant_nerf::mlp::fp16::quantize_f16;
 use instant_nerf::render::volume::{composite, composite_backward, SamplePoint};
-use instant_nerf::trainer::workload::{step_sizes, Step};
-use instant_nerf::trainer::ModelConfig;
+use instant_nerf::trainer::workload::{step_sizes_at, Step};
+use instant_nerf::trainer::{ModelConfig, Precision};
 use proptest::prelude::*;
 
 proptest! {
@@ -127,8 +127,8 @@ proptest! {
     fn workload_sizes_linear_in_batch(points in 1u64..1_000_000) {
         let model = ModelConfig::paper(HashFunction::Morton);
         for step in Step::ALL {
-            let one = step_sizes(&model, step, points);
-            let two = step_sizes(&model, step, 2 * points);
+            let one = step_sizes_at(&model, step, points, Precision::Fp16);
+            let two = step_sizes_at(&model, step, 2 * points, Precision::Fp16);
             prop_assert_eq!(two.input_bytes, 2 * one.input_bytes);
             prop_assert_eq!(two.output_bytes, 2 * one.output_bytes);
             // Parameters are batch-independent.
