@@ -71,9 +71,10 @@ impl PartialEq for AdamState {
     }
 }
 
-/// A plain-data image of an [`AdamState`] for checkpointing: the packed
-/// `{m, v, stamp}` records flattened to bit patterns, the global step
-/// (the lazy-replay epoch), the mode flag and the hyper-parameters.
+/// A plain-data image of an [`AdamState`] to restore from (see
+/// [`AdamState::from_snapshot`]): the packed `{m, v, stamp}` records
+/// flattened to bit patterns, the global step (the lazy-replay epoch),
+/// the mode flag and the hyper-parameters.
 ///
 /// Moments travel as `u32` bit patterns, not values, because a resumed
 /// run must replay the *bits* of the original trajectory — a decimal
@@ -432,20 +433,12 @@ impl AdamState {
         self.t
     }
 
-    /// Exports the complete optimizer state as a plain-data snapshot
-    /// (see [`AdamStateSnapshot`]).
-    pub fn to_snapshot(&self) -> AdamStateSnapshot {
-        AdamStateSnapshot {
-            m_bits: self.state.iter().map(|s| s.m.to_bits()).collect(),
-            v_bits: self.state.iter().map(|s| s.v.to_bits()).collect(),
-            step_stamps: self.state.iter().map(|s| s.step).collect(),
-            t: self.t,
-            lazy: self.lazy,
-            learning_rate: self.learning_rate,
-            beta1: self.beta1,
-            beta2: self.beta2,
-            epsilon: self.epsilon,
-        }
+    /// The packed records as `[m bits, v bits, stamp]`, borrowed: the
+    /// columns of an [`AdamStateSnapshot`] without building one.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = [u32; 3]> + '_ {
+        self.state
+            .iter()
+            .map(|s| [s.m.to_bits(), s.v.to_bits(), s.step])
     }
 
     /// Rebuilds an [`AdamState`] from an exported snapshot, bit-exactly.
@@ -1000,7 +993,18 @@ mod tests {
             }
             adam.step_sparse(&mut p, &g, touched, 1.0);
         }
-        let snap = adam.to_snapshot();
+        let column = |i: usize| adam.records().map(|r| r[i]).collect::<Vec<_>>();
+        let snap = AdamStateSnapshot {
+            m_bits: column(0),
+            v_bits: column(1),
+            step_stamps: column(2),
+            t: adam.steps(),
+            lazy: adam.is_lazy(),
+            learning_rate: adam.learning_rate,
+            beta1: adam.beta1,
+            beta2: adam.beta2,
+            epsilon: adam.epsilon,
+        };
         assert_eq!(snap.t, 3);
         assert!(snap.lazy);
         let mut restored = AdamState::from_snapshot(&snap);

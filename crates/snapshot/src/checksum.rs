@@ -1,46 +1,89 @@
-//! FNV-1a 64-bit checksum.
+//! The container checksum: four interleaved FNV-style lanes over
+//! little-endian `u64` words (four multiply chains at once, where FNV-1a
+//! waited on one multiply per byte). Word `i` of each 32-byte block steps
+//! lane `i` by `x = (h ^ w) · PRIME; h = x ^ (x >> 32)`; the same step
+//! folds the lanes into one state and then eats a < 32-byte tail bytewise.
 //!
-//! Chosen over a table-driven CRC for implementation transparency: the
-//! per-byte step `h' = (h ^ b) * PRIME` is injective in `b` for any fixed
-//! `h` (the prime is odd, hence invertible mod 2^64), so corrupting any
-//! single byte — including flipping a single bit — always changes the
-//! digest. That is exactly the property the byte-flip sweep in
-//! `tests/corruption.rs` pins end to end.
+//! `PRIME` is odd, so both halves of the step are bijections mod 2^64: it
+//! is injective in its word for a fixed state and a bijection of the state
+//! for a fixed word. So any single corrupted byte changes its lane, then
+//! the folded state and the digest — what `tests/corruption.rs` sweeps.
+//! The `>> 32` fold keeps two flips of bit 63 in one lane from cancelling,
+//! as they do in a bare `(h ^ w) · PRIME` chain.
 
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64-bit digest of `bytes`.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = OFFSET_BASIS;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+#[inline(always)]
+fn mix(h: u64, w: u64) -> u64 {
+    let x = (h ^ w).wrapping_mul(PRIME);
+    x ^ (x >> 32)
+}
+
+/// The 64-bit checksum of `bytes`.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    let mut lanes = [OFFSET_BASIS; 4];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let w = u64::from_le_bytes(word.try_into().unwrap_or_default());
+            *lane = mix(*lane, w);
+        }
     }
-    h
+    let h = lanes.into_iter().fold(OFFSET_BASIS, mix);
+    blocks
+        .remainder()
+        .iter()
+        .fold(h, |h, &b| mix(h, u64::from(b)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 + 7) as u8).collect()
+    }
+
     #[test]
-    fn reference_vectors() {
-        // Published FNV-1a/64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn self_vectors() {
+        // The digest of every block shape: empty, tail only, one block,
+        // one block plus a tail, two blocks plus a tail.
+        let pinned: [(usize, u64); 6] = [
+            (0, 0x2a6b_ca99_0efa_1982),
+            (1, 0x0f42_c714_7dbb_9beb),
+            (31, 0xb5dc_19c4_b6dc_dc03),
+            (32, 0x5bb4_730d_d53e_5688),
+            (33, 0x11f6_6f81_491b_d79c),
+            (71, 0xa60b_79ab_ac1a_6a0e),
+        ];
+        for (len, want) in pinned {
+            assert_eq!(checksum64(&pattern(len)), want, "length {len}");
+        }
     }
 
     #[test]
     fn every_single_bit_flip_changes_the_digest() {
-        let base: Vec<u8> = (0u8..=255).collect();
-        let clean = fnv1a64(&base);
+        // 300 bytes: nine whole blocks and a 12-byte tail.
+        let base = pattern(300);
+        let clean = checksum64(&base);
         for i in 0..base.len() {
             for bit in 0..8 {
                 let mut flipped = base.clone();
                 flipped[i] ^= 1 << bit;
-                assert_ne!(fnv1a64(&flipped), clean, "flip byte {i} bit {bit}");
+                assert_ne!(checksum64(&flipped), clean, "flip byte {i} bit {bit}");
             }
         }
+    }
+
+    #[test]
+    fn top_bit_flips_in_one_lane_do_not_cancel() {
+        // Words 0 and 4 are consecutive words of lane 0; bit 63 of a word
+        // is bit 7 of its last byte.
+        let base = pattern(64);
+        let mut flipped = base.clone();
+        flipped[7] ^= 0x80;
+        flipped[32 + 7] ^= 0x80;
+        assert_ne!(checksum64(&flipped), checksum64(&base));
     }
 }

@@ -37,36 +37,39 @@ pub fn put_f32(out: &mut Vec<u8>, v: f32) {
     put_u32(out, v.to_bits());
 }
 
+/// Appends a length-prefixed column of `N`-byte little-endian elements,
+/// growing `out` once; an iterator needs no intermediate slice.
+pub fn put_column<T, const N: usize>(
+    out: &mut Vec<u8>,
+    xs: impl ExactSizeIterator<Item = T>,
+    to_le: impl Fn(T) -> [u8; N],
+) {
+    put_u64(out, xs.len() as u64);
+    let start = out.len();
+    out.resize(start + xs.len() * N, 0);
+    for (dst, x) in out[start..].chunks_exact_mut(N).zip(xs) {
+        dst.copy_from_slice(&to_le(x));
+    }
+}
+
 /// Appends a length-prefixed `u16` slice.
 pub fn put_u16_slice(out: &mut Vec<u8>, xs: &[u16]) {
-    put_u64(out, xs.len() as u64);
-    for &x in xs {
-        put_u16(out, x);
-    }
+    put_column(out, xs.iter().copied(), u16::to_le_bytes);
 }
 
 /// Appends a length-prefixed `u32` slice.
 pub fn put_u32_slice(out: &mut Vec<u8>, xs: &[u32]) {
-    put_u64(out, xs.len() as u64);
-    for &x in xs {
-        put_u32(out, x);
-    }
+    put_column(out, xs.iter().copied(), u32::to_le_bytes);
 }
 
 /// Appends a length-prefixed `u64` slice.
 pub fn put_u64_slice(out: &mut Vec<u8>, xs: &[u64]) {
-    put_u64(out, xs.len() as u64);
-    for &x in xs {
-        put_u64(out, x);
-    }
+    put_column(out, xs.iter().copied(), u64::to_le_bytes);
 }
 
 /// Appends a length-prefixed `f32` slice (bit patterns).
 pub fn put_f32_slice(out: &mut Vec<u8>, xs: &[f32]) {
-    put_u64(out, xs.len() as u64);
-    for &x in xs {
-        put_f32(out, x);
-    }
+    put_column(out, xs.iter().map(|x| x.to_bits()), u32::to_le_bytes);
 }
 
 /// A bounds-checked cursor over an untrusted byte buffer.
@@ -146,28 +149,36 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads a length-prefixed column of `N`-byte little-endian elements.
+    fn column<T, const N: usize>(
+        &mut self,
+        from_le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let n = self.len_prefix(N)?;
+        let bytes = self.take(n * N)?.chunks_exact(N);
+        Ok(bytes
+            .map(|c| from_le(c.try_into().unwrap_or([0; N])))
+            .collect())
+    }
+
     /// Reads a length-prefixed `u16` slice.
     pub fn u16_vec(&mut self) -> Result<Vec<u16>, SnapshotError> {
-        let n = self.len_prefix(2)?;
-        (0..n).map(|_| self.u16()).collect()
+        self.column(u16::from_le_bytes)
     }
 
     /// Reads a length-prefixed `u32` slice.
     pub fn u32_vec(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        let n = self.len_prefix(4)?;
-        (0..n).map(|_| self.u32()).collect()
+        self.column(u32::from_le_bytes)
     }
 
     /// Reads a length-prefixed `u64` slice.
     pub fn u64_vec(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let n = self.len_prefix(8)?;
-        (0..n).map(|_| self.u64()).collect()
+        self.column(u64::from_le_bytes)
     }
 
     /// Reads a length-prefixed `f32` slice (bit patterns).
     pub fn f32_vec(&mut self) -> Result<Vec<f32>, SnapshotError> {
-        let n = self.len_prefix(4)?;
-        (0..n).map(|_| self.f32()).collect()
+        self.column(|le| f32::from_bits(u32::from_le_bytes(le)))
     }
 
     /// Consumes the reader, failing if any bytes were left unread —
@@ -187,6 +198,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn scalar_and_slice_round_trip_bit_exact() {
@@ -235,5 +247,106 @@ mod tests {
     fn trailing_bytes_are_rejected() {
         let r = Reader::new(&[0]);
         assert!(matches!(r.finish(), Err(SnapshotError::Corrupt(_))));
+    }
+
+    /// The per-element writer the bulk writers replaced: the reference
+    /// for their bytes.
+    fn reference<T: Copy, const N: usize>(xs: &[T], to_le: impl Fn(T) -> [u8; N]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u64(&mut out, xs.len() as u64);
+        for &x in xs {
+            out.extend_from_slice(&to_le(x));
+        }
+        out
+    }
+
+    /// Every strict prefix of an encoded slice must read as `Corrupt`.
+    fn every_truncation_is_corrupt<'a, T>(
+        bytes: &'a [u8],
+        read: impl Fn(&mut Reader<'a>) -> Result<T, SnapshotError>,
+    ) -> Result<(), TestCaseError> {
+        for cut in 0..bytes.len() {
+            let res = read(&mut Reader::new(&bytes[..cut]));
+            prop_assert!(
+                matches!(res, Err(SnapshotError::Corrupt(_))),
+                "prefix {cut} of {} not Corrupt",
+                bytes.len()
+            );
+        }
+        Ok(())
+    }
+
+    /// Bit patterns the float path must carry unchanged: NaNs with
+    /// payloads (quiet and signalling, both signs), both zeros, both
+    /// infinities and the smallest subnormal.
+    const SPECIAL_F32_BITS: [u32; 8] = [
+        0x7fc0_0001,
+        0xffa0_0000,
+        0x7f80_0001,
+        0x8000_0000,
+        0x0000_0000,
+        0x7f80_0000,
+        0xff80_0000,
+        0x0000_0001,
+    ];
+
+    proptest! {
+        #[test]
+        fn bulk_writers_match_the_per_element_reference_and_round_trip(
+            words in collection::vec(0u64..=u64::MAX, 0..40),
+            with_specials in 0u8..2,
+        ) {
+            let u16s: Vec<u16> = words.iter().map(|&w| w as u16).collect();
+            let u32s: Vec<u32> = words.iter().map(|&w| (w >> 16) as u32).collect();
+            let mut f32_bits = u32s.clone();
+            if with_specials == 1 {
+                f32_bits.extend(SPECIAL_F32_BITS);
+            }
+            let f32s: Vec<f32> = f32_bits.iter().map(|&b| f32::from_bits(b)).collect();
+
+            let mut out = Vec::new();
+            put_u16_slice(&mut out, &u16s);
+            prop_assert_eq!(&out, &reference(&u16s, u16::to_le_bytes));
+            prop_assert_eq!(Reader::new(&out).u16_vec().ok(), Some(u16s));
+            every_truncation_is_corrupt(&out, Reader::u16_vec)?;
+
+            let mut out = Vec::new();
+            put_u32_slice(&mut out, &u32s);
+            prop_assert_eq!(&out, &reference(&u32s, u32::to_le_bytes));
+            prop_assert_eq!(Reader::new(&out).u32_vec().ok(), Some(u32s));
+            every_truncation_is_corrupt(&out, Reader::u32_vec)?;
+
+            let mut out = Vec::new();
+            put_u64_slice(&mut out, &words);
+            prop_assert_eq!(&out, &reference(&words, u64::to_le_bytes));
+            prop_assert_eq!(Reader::new(&out).u64_vec().ok(), Some(words));
+            every_truncation_is_corrupt(&out, Reader::u64_vec)?;
+
+            let mut out = Vec::new();
+            put_f32_slice(&mut out, &f32s);
+            prop_assert_eq!(&out, &reference(&f32s, |x: f32| x.to_bits().to_le_bytes()));
+            let back = Reader::new(&out).f32_vec().unwrap_or_default();
+            let back_bits: Vec<u32> = back.iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(back_bits, f32_bits);
+            every_truncation_is_corrupt(&out, Reader::f32_vec)?;
+        }
+    }
+
+    #[test]
+    fn empty_slices_are_a_bare_zero_length() {
+        let mut out = Vec::new();
+        put_u16_slice(&mut out, &[]);
+        put_u32_slice(&mut out, &[]);
+        put_u64_slice(&mut out, &[]);
+        put_f32_slice(&mut out, &[]);
+        put_column(&mut out, std::iter::empty(), u32::to_le_bytes);
+        assert_eq!(out, vec![0; 40]);
+        let mut r = Reader::new(&out);
+        assert!(r.u16_vec().unwrap().is_empty());
+        assert!(r.u32_vec().unwrap().is_empty());
+        assert!(r.u64_vec().unwrap().is_empty());
+        assert!(r.f32_vec().unwrap().is_empty());
+        assert!(r.u32_vec().unwrap().is_empty());
+        r.finish().unwrap();
     }
 }

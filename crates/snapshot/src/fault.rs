@@ -79,11 +79,11 @@ impl<I: SnapshotIo> FaultIo<I> {
 }
 
 impl<I: SnapshotIo> SnapshotIo for FaultIo<I> {
-    fn create(&mut self, name: &str) -> Result<(), SnapshotError> {
+    fn create(&mut self, name: &str, len: usize) -> Result<(), SnapshotError> {
         if self.tripped() {
             return Err(Self::injected("create", name));
         }
-        self.inner.create(name)
+        self.inner.create(name, len)
     }
 
     fn append(&mut self, name: &str, data: &[u8]) -> Result<(), SnapshotError> {
@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn counting_mode_counts_without_failing() {
         let mut io = FaultIo::counting(MemIo::new());
-        io.create("a").unwrap();
+        io.create("a", 4).unwrap();
         io.append("a", &[1]).unwrap();
         io.flush_sync("a").unwrap();
         assert_eq!(io.ops(), 3);
@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn fails_at_the_chosen_op_and_stays_down() {
         let mut io = FaultIo::failing_at(MemIo::new(), 1);
-        io.create("a").unwrap();
+        io.create("a", 4).unwrap();
         assert!(io.append("a", &[1]).is_err());
         // A crashed process never succeeds again.
         assert!(io.flush_sync("a").is_err());
@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn torn_prefix_lands_partial_bytes() {
         let mut io = FaultIo::failing_at(MemIo::new(), 1).with_torn_prefix(2);
-        io.create("a").unwrap();
+        io.create("a", 4).unwrap();
         assert!(io.append("a", &[1, 2, 3, 4]).is_err());
         assert_eq!(io.into_inner().read("a").unwrap(), vec![1, 2]);
     }

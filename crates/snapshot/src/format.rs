@@ -5,13 +5,16 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"INERFSNP"
-//! 8       4     format version (currently 1)
+//! 8       4     format version (currently 2)
 //! 12      4     section count S  (capped at 1024)
 //! 16      24*S  index: per section { tag: [u8;8], payload len: u64,
-//!                                    payload FNV-1a64: u64 }
-//! 16+24S  8     FNV-1a64 of every byte above (header + index)
+//!                                    payload checksum64: u64 }
+//! 16+24S  8     checksum64 of every byte above (header + index)
 //! ...           the S payloads, concatenated in index order
 //! ```
+//!
+//! Version 1 (FNV-1a 64 in both checksum fields) is refused as
+//! [`SnapshotError::UnsupportedVersion`], not migrated.
 //!
 //! Validation order matters: the index checksum is verified *before* any
 //! payload length from the index is trusted, the total length must match
@@ -19,18 +22,18 @@
 //! append or a concatenated pair of files is corruption, not slack), and
 //! each payload is checksummed independently so the error names the
 //! section that went bad. Under this scheme any single corrupted byte —
-//! header, index, checksum field or payload — is detected (the FNV-1a
-//! byte step is injective per byte, see [`crate::checksum`]), which the
+//! header, index, checksum field or payload — is detected (the checksum
+//! step is injective in its word, see [`crate::checksum`]), which the
 //! byte-flip sweep in `tests/corruption.rs` verifies exhaustively.
 
-use crate::checksum::fnv1a64;
+use crate::checksum::checksum64;
 use crate::codec::{put_u32, put_u64};
 use crate::error::SnapshotError;
 
 /// First eight bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"INERFSNP";
 /// Current container format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Upper bound on the section count — a corrupted count must not drive
 /// a huge index allocation before checksum verification can run.
 const MAX_SECTIONS: u32 = 1024;
@@ -85,20 +88,30 @@ impl Snapshot {
         self.sections.iter().map(|(t, _)| tag_str(t)).collect()
     }
 
+    /// The header and the checksummed index, which precede the payloads.
+    pub(crate) fn head(&self) -> Vec<u8> {
+        let mut head = MAGIC.to_vec();
+        put_u32(&mut head, VERSION);
+        put_u32(&mut head, self.sections.len() as u32);
+        for (tag, payload) in &self.sections {
+            head.extend_from_slice(tag);
+            put_u64(&mut head, payload.len() as u64);
+            put_u64(&mut head, checksum64(payload));
+        }
+        let index_crc = checksum64(&head);
+        put_u64(&mut head, index_crc);
+        head
+    }
+
+    /// The payloads in file order, borrowed.
+    pub(crate) fn payloads(&self) -> impl Iterator<Item = &[u8]> {
+        self.sections.iter().map(|(_, p)| p.as_slice())
+    }
+
     /// Serializes the container.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        put_u32(&mut out, VERSION);
-        put_u32(&mut out, self.sections.len() as u32);
-        for (tag, payload) in &self.sections {
-            out.extend_from_slice(tag);
-            put_u64(&mut out, payload.len() as u64);
-            put_u64(&mut out, fnv1a64(payload));
-        }
-        let index_crc = fnv1a64(&out);
-        put_u64(&mut out, index_crc);
-        for (_, payload) in &self.sections {
+        let mut out = self.head();
+        for payload in self.payloads() {
             out.extend_from_slice(payload);
         }
         out
@@ -140,7 +153,7 @@ impl Snapshot {
                 .try_into()
                 .map_err(|_| SnapshotError::Corrupt("index checksum unreadable".into()))?,
         );
-        if fnv1a64(&bytes[..index_end]) != stored_index_crc {
+        if checksum64(&bytes[..index_end]) != stored_index_crc {
             return Err(SnapshotError::Corrupt("index checksum mismatch".into()));
         }
         // The index is now trustworthy; lengths and checksums from it
@@ -177,7 +190,7 @@ impl Snapshot {
         for (tag, len, crc) in entries {
             let len = len as usize; // fits: expected_total == bytes.len()
             let payload = &bytes[off..off + len];
-            if fnv1a64(payload) != crc {
+            if checksum64(payload) != crc {
                 return Err(SnapshotError::Corrupt(format!(
                     "section `{}` checksum mismatch",
                     tag_str(&tag)
@@ -191,7 +204,7 @@ impl Snapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn sample() -> Snapshot {
@@ -235,6 +248,30 @@ mod tests {
             Snapshot::decode(&bytes),
             Err(SnapshotError::UnsupportedVersion(99))
         ));
+    }
+
+    /// A valid version-1 container (FNV-1a 64 checksums) holding one
+    /// section `params` = `[1, 2, 3]`, as version-1 code wrote it.
+    pub(crate) const V1_FILE: [u8; 51] = [
+        0x49, 0x4e, 0x45, 0x52, 0x46, 0x53, 0x4e, 0x50, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+        0x00, 0x70, 0x61, 0x72, 0x61, 0x6d, 0x73, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0xab, 0xf5, 0x2c, 0x67, 0x18, 0x62, 0xaa, 0xd0, 0xb4, 0xa8, 0xcb, 0x7e, 0x8c,
+        0x15, 0xf5, 0xf4, 0x01, 0x02, 0x03,
+    ];
+
+    #[test]
+    fn version_1_files_are_refused_not_migrated() {
+        let err = Snapshot::decode(&V1_FILE).unwrap_err();
+        assert!(matches!(err, SnapshotError::UnsupportedVersion(1)), "{err}");
+        assert!(err.is_detected_corruption());
+        // The same section written today differs in the version word and
+        // the checksum fields only.
+        let mut s = Snapshot::new();
+        s.push("params", vec![1, 2, 3]);
+        let v2 = s.encode();
+        let differing: Vec<usize> = (0..v2.len()).filter(|&i| v2[i] != V1_FILE[i]).collect();
+        assert_eq!(differing.first(), Some(&8));
+        assert!(differing[1..].iter().all(|i| (32..48).contains(i)));
     }
 
     #[test]

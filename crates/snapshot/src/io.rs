@@ -22,8 +22,9 @@ use crate::error::SnapshotError;
 /// they live. All operations return the crate's typed error — backends
 /// must not panic on IO failure.
 pub trait SnapshotIo {
-    /// Creates (or truncates) `name` and opens it for appending.
-    fn create(&mut self, name: &str) -> Result<(), SnapshotError>;
+    /// Creates (or truncates) `name` and opens it for appending; `len` is
+    /// the size to expect, a hint a backend may allocate up front.
+    fn create(&mut self, name: &str, len: usize) -> Result<(), SnapshotError>;
     /// Appends `data` to a file previously opened with [`Self::create`].
     fn append(&mut self, name: &str, data: &[u8]) -> Result<(), SnapshotError>;
     /// Flushes buffered writes of `name` down to durable storage.
@@ -65,7 +66,7 @@ impl StdIo {
 }
 
 impl SnapshotIo for StdIo {
-    fn create(&mut self, name: &str) -> Result<(), SnapshotError> {
+    fn create(&mut self, name: &str, _len: usize) -> Result<(), SnapshotError> {
         fs::create_dir_all(&self.root).map_err(|e| SnapshotError::io("create", name, &e))?;
         let f =
             fs::File::create(self.path(name)).map_err(|e| SnapshotError::io("create", name, &e))?;
@@ -165,8 +166,9 @@ impl MemIo {
 }
 
 impl SnapshotIo for MemIo {
-    fn create(&mut self, name: &str) -> Result<(), SnapshotError> {
-        self.files.insert(name.to_string(), Vec::new());
+    fn create(&mut self, name: &str, len: usize) -> Result<(), SnapshotError> {
+        // Allocated once: growth by doubling would vary with heap history.
+        self.files.insert(name.to_string(), Vec::with_capacity(len));
         Ok(())
     }
 
@@ -243,7 +245,7 @@ mod tests {
     #[test]
     fn memio_mirrors_crash_visible_state() {
         let mut io = MemIo::new();
-        io.create("a.tmp").unwrap();
+        io.create("a.tmp", 3).unwrap();
         io.append("a.tmp", &[1, 2]).unwrap();
         io.append("a.tmp", &[3]).unwrap();
         // A crash here must leave the partial bytes visible.
@@ -263,7 +265,7 @@ mod tests {
         let root = std::env::temp_dir().join(format!("inerf-snap-io-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         let mut io = StdIo::new(&root);
-        io.create("x.tmp").unwrap();
+        io.create("x.tmp", 11).unwrap();
         io.append("x.tmp", b"hello ").unwrap();
         io.append("x.tmp", b"world").unwrap();
         io.flush_sync("x.tmp").unwrap();

@@ -4,14 +4,15 @@
 //! with a bit-identical loss trajectory needs three things, and this
 //! crate provides exactly those, with no dependencies beyond `std`:
 //!
-//! * **A validated container** ([`Snapshot`], [`mod@format`]) — versioned,
-//!   magic-tagged, with an FNV-1a-checksummed section index and
-//!   per-section payload checksums. Any flipped bit, truncation or
-//!   trailing garbage anywhere in the file is *detected* and reported as
-//!   a typed [`SnapshotError`]; decoding never panics and never returns
-//!   wrong data.
+//! * **A validated container** ([`Snapshot`], [`mod@format`]) — versioned
+//!   (older versions are refused, not migrated), magic-tagged, with the
+//!   section index and each payload checksummed at memory speed
+//!   ([`checksum`]). Any flipped bit, truncation or trailing garbage
+//!   anywhere in the file is *detected* and reported as a typed
+//!   [`SnapshotError`]; decoding never panics and never returns wrong data.
 //! * **An atomic write protocol** ([`rotate`]) — temp file → flush →
-//!   rename, with keep-last-K rotation and stale-temp cleanup. The
+//!   rename, with keep-last-K rotation and stale-temp cleanup, appending
+//!   payloads straight from the section buffers (no container copy). The
 //!   rename is the single commit point, so a crash leaves either the
 //!   previous checkpoint set or the new one, never a half-written
 //!   artifact under a live name.

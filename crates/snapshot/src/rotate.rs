@@ -4,7 +4,7 @@
 //! A checkpoint for step `S` is written as:
 //!
 //! 1. `create  snap-<S>.inerf.tmp`
-//! 2. `append` the encoded container in bounded chunks
+//! 2. `append` the header, then each section's payload, in bounded chunks
 //! 3. `flush_sync` — the bytes are durable but the name is not live yet
 //! 4. `rename  snap-<S>.inerf.tmp → snap-<S>.inerf` — the commit point
 //! 5. prune: delete stale `.tmp` residue and snapshots beyond keep-last-K
@@ -53,12 +53,15 @@ pub fn write_snapshot(
     snap: &Snapshot,
     keep_last: usize,
 ) -> Result<(), SnapshotError> {
-    let bytes = snap.encode();
+    let head = snap.head();
     let name = snapshot_name(step);
     let tmp = format!("{name}{TMP_SUFFIX}");
-    io.create(&tmp)?;
-    for chunk in bytes.chunks(WRITE_CHUNK) {
-        io.append(&tmp, chunk)?;
+    let len = head.len() + snap.payloads().map(<[u8]>::len).sum::<usize>();
+    io.create(&tmp, len)?;
+    for part in std::iter::once(head.as_slice()).chain(snap.payloads()) {
+        for chunk in part.chunks(WRITE_CHUNK) {
+            io.append(&tmp, chunk)?;
+        }
     }
     io.flush_sync(&tmp)?;
     io.rename(&tmp, &name)?;
@@ -138,6 +141,9 @@ mod tests {
         let (step, loaded) = load_latest(&io).unwrap();
         assert_eq!(step, 5);
         assert_eq!(loaded.section("payload").unwrap(), &[5u8; 100][..]);
+        // The file was allocated once at its final size, not grown.
+        let file = &io.files()[&snapshot_name(5)];
+        assert_eq!(file.capacity(), file.len());
     }
 
     #[test]
@@ -151,6 +157,16 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         io.insert(&name, bytes);
+        let (step, loaded) = load_latest(&io).unwrap();
+        assert_eq!(step, 1);
+        assert_eq!(loaded.section("payload").unwrap(), &[1u8; 100][..]);
+    }
+
+    #[test]
+    fn recovery_skips_a_newer_version_1_file() {
+        let mut io = MemIo::new();
+        write_snapshot(&mut io, 1, &snap(1), 3).unwrap();
+        io.insert(&snapshot_name(2), crate::format::tests::V1_FILE.to_vec());
         let (step, loaded) = load_latest(&io).unwrap();
         assert_eq!(step, 1);
         assert_eq!(loaded.section("payload").unwrap(), &[1u8; 100][..]);

@@ -12,6 +12,9 @@ fn small_snapshot() -> Snapshot {
     s.push("rng", vec![1, 2, 3, 4, 5, 6, 7, 8]);
     s.push("params", (0u8..64).collect());
     s.push("empty", vec![]);
+    // Three whole 32-byte checksum blocks and a 13-byte tail, so the
+    // sweep reaches the word lanes as well as the bytewise tail.
+    s.push("adam", (0..109u32).map(|i| (i * 37 + 11) as u8).collect());
     s
 }
 

@@ -40,7 +40,7 @@ use inerf_mlp::fp16::f32_to_f16_bits;
 use inerf_mlp::{AdamState, AdamStateSnapshot, Mlp, ParamStore, Precision};
 use inerf_scenes::Dataset;
 use inerf_snapshot::codec::{
-    put_f32, put_f32_slice, put_u16_slice, put_u32, put_u32_slice, put_u64, put_u8, Reader,
+    put_column, put_f32, put_f32_slice, put_u32, put_u64, put_u64_slice, put_u8, Reader,
 };
 use inerf_snapshot::{load_latest, write_snapshot, Snapshot, SnapshotError, SnapshotIo, StdIo};
 use rand::rngs::SmallRng;
@@ -61,6 +61,14 @@ mod tag {
 /// Sanity cap on a restored occupancy resolution: `res³` bits must not
 /// overflow, and anything past this is corrupt data, not a real grid.
 const MAX_OCC_RESOLUTION: u32 = 1 << 12;
+
+/// A section buffer allocated once at its exact size `len`.
+fn section(len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len);
+    fill(&mut out);
+    debug_assert_eq!(out.len(), len, "section size mispredicted");
+    out
+}
 
 // ---------------------------------------------------------------------
 // Enum tags: explicit, stable bytes — `as u8` on `#[derive]`d enums
@@ -152,24 +160,24 @@ fn hash_from(t: u8) -> Result<HashFunction, SnapshotError> {
 
 /// Canonical bytes of the full (train, model) configuration pair.
 pub fn encode_configs(train: &TrainConfig, model: &ModelConfig) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, train.rays_per_batch as u64);
-    put_u64(&mut out, train.samples_per_ray as u64);
-    put_u8(&mut out, order_tag(train.order));
-    put_u64(&mut out, train.eval_samples_per_ray as u64);
-    put_u8(&mut out, engine_tag(train.engine));
-    put_u8(&mut out, precision_tag(train.precision));
-    put_u8(&mut out, opt_tag(train.opt));
-    put_u32(&mut out, model.grid.levels);
-    put_u32(&mut out, model.grid.table_size_log2);
-    put_u32(&mut out, model.grid.features);
-    put_u32(&mut out, model.grid.n_min);
-    put_u32(&mut out, model.grid.n_max);
-    put_u8(&mut out, hash_tag(model.grid.hash));
-    put_u64(&mut out, model.density_hidden as u64);
-    put_u64(&mut out, model.density_out as u64);
-    put_u64(&mut out, model.color_hidden as u64);
-    out
+    section(73, |out| {
+        put_u64(out, train.rays_per_batch as u64);
+        put_u64(out, train.samples_per_ray as u64);
+        put_u8(out, order_tag(train.order));
+        put_u64(out, train.eval_samples_per_ray as u64);
+        put_u8(out, engine_tag(train.engine));
+        put_u8(out, precision_tag(train.precision));
+        put_u8(out, opt_tag(train.opt));
+        put_u32(out, model.grid.levels);
+        put_u32(out, model.grid.table_size_log2);
+        put_u32(out, model.grid.features);
+        put_u32(out, model.grid.n_min);
+        put_u32(out, model.grid.n_max);
+        put_u8(out, hash_tag(model.grid.hash));
+        put_u64(out, model.density_hidden as u64);
+        put_u64(out, model.density_out as u64);
+        put_u64(out, model.color_hidden as u64);
+    })
 }
 
 /// Decodes [`encode_configs`] output.
@@ -212,9 +220,15 @@ pub fn encode_param_store(out: &mut Vec<u8>, store: &ParamStore) {
     put_u8(out, precision_tag(store.precision()));
     put_f32_slice(out, store.master());
     if store.precision() == Precision::Fp16 {
-        let half: Vec<u16> = store.values().iter().map(|&v| f32_to_f16_bits(v)).collect();
-        put_u16_slice(out, &half);
+        let half = store.values().iter().map(|&v| f32_to_f16_bits(v));
+        put_column(out, half, u16::to_le_bytes);
     }
+}
+
+/// Bytes [`encode_param_store`] writes for `store`.
+fn param_store_bytes(store: &ParamStore) -> usize {
+    let half = usize::from(store.precision() == Precision::Fp16) * (8 + 2 * store.len());
+    1 + 8 + 4 * store.len() + half
 }
 
 /// Decodes [`encode_param_store`] output from `r`, validating the
@@ -254,13 +268,11 @@ pub fn decode_param_store(
 }
 
 fn encode_mlp(mlp: &Mlp) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, mlp.layers().len() as u32);
-    for layer in mlp.layers() {
-        encode_param_store(&mut out, layer.weights());
-        encode_param_store(&mut out, layer.bias());
-    }
-    out
+    let stores = || mlp.layers().iter().flat_map(|l| [l.weights(), l.bias()]);
+    section(4 + stores().map(param_store_bytes).sum::<usize>(), |out| {
+        put_u32(out, mlp.layers().len() as u32);
+        stores().for_each(|store| encode_param_store(out, store));
+    })
 }
 
 fn restore_mlp(mlp: &mut Mlp, bytes: &[u8], precision: Precision) -> Result<(), SnapshotError> {
@@ -284,19 +296,19 @@ fn restore_mlp(mlp: &mut Mlp, bytes: &[u8], precision: Precision) -> Result<(), 
 // ---------------------------------------------------------------------
 // Adam payloads.
 
+/// Writes the `m`, `v` and stamp columns straight from the live records.
 fn encode_adam(adam: &AdamState) -> Vec<u8> {
-    let snap = adam.to_snapshot();
-    let mut out = Vec::new();
-    put_f32(&mut out, snap.learning_rate);
-    put_f32(&mut out, snap.beta1);
-    put_f32(&mut out, snap.beta2);
-    put_f32(&mut out, snap.epsilon);
-    put_u64(&mut out, snap.t);
-    put_u8(&mut out, u8::from(snap.lazy));
-    put_u32_slice(&mut out, &snap.m_bits);
-    put_u32_slice(&mut out, &snap.v_bits);
-    put_u32_slice(&mut out, &snap.step_stamps);
-    out
+    section(25 + 3 * (8 + 4 * adam.records().len()), |out| {
+        put_f32(out, adam.learning_rate);
+        put_f32(out, adam.beta1);
+        put_f32(out, adam.beta2);
+        put_f32(out, adam.epsilon);
+        put_u64(out, adam.steps());
+        put_u8(out, u8::from(adam.is_lazy()));
+        for column in 0..3 {
+            put_column(out, adam.records().map(|r| r[column]), u32::to_le_bytes);
+        }
+    })
 }
 
 fn decode_adam(bytes: &[u8], expected_n: usize) -> Result<AdamState, SnapshotError> {
@@ -358,33 +370,30 @@ impl Trainer<IngpModel> {
             encode_configs(&self.config, self.model.config()),
         );
 
-        let mut trainer_bytes = Vec::new();
-        put_u64(&mut trainer_bytes, self.steps);
-        put_u64(&mut trainer_bytes, self.points_queried);
-        for word in self.rng.state() {
-            put_u64(&mut trainer_bytes, word);
-        }
+        let trainer_bytes = section(48, |out| {
+            let words = [self.steps, self.points_queried].into_iter();
+            words.chain(self.rng.state()).for_each(|w| put_u64(out, w));
+        });
         snap.push(tag::TRAINER, trainer_bytes);
 
-        let mut occ_bytes = Vec::new();
-        match &self.occupancy {
-            None => put_u8(&mut occ_bytes, 0),
-            Some(occ) => {
-                put_u8(&mut occ_bytes, 1);
-                put_u32(&mut occ_bytes, occ.grid.resolution());
-                put_f32(&mut occ_bytes, occ.threshold);
-                put_u64(&mut occ_bytes, occ.refresh_every as u64);
-                put_u64(&mut occ_bytes, occ.iteration as u64);
-                let mut words = Vec::new();
-                words.extend_from_slice(occ.grid.words());
-                inerf_snapshot::codec::put_u64_slice(&mut occ_bytes, &words);
-            }
-        }
+        let occ_bytes = match &self.occupancy {
+            None => vec![0],
+            Some(occ) => section(33 + 8 * occ.grid.words().len(), |out| {
+                put_u8(out, 1);
+                put_u32(out, occ.grid.resolution());
+                put_f32(out, occ.threshold);
+                put_u64(out, occ.refresh_every as u64);
+                put_u64(out, occ.iteration as u64);
+                put_u64_slice(out, occ.grid.words());
+            }),
+        };
         snap.push(tag::OCCUPANC, occ_bytes);
 
-        let mut grid_bytes = Vec::new();
-        encode_param_store(&mut grid_bytes, self.model.grid().parameter_store());
-        snap.push(tag::GRID, grid_bytes);
+        let grid = self.model.grid().parameter_store();
+        snap.push(
+            tag::GRID,
+            section(param_store_bytes(grid), |out| encode_param_store(out, grid)),
+        );
         snap.push(tag::MLP_DENSITY, encode_mlp(self.model.density_mlp()));
         snap.push(tag::MLP_COLOR, encode_mlp(self.model.color_mlp()));
 

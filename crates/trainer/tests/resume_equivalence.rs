@@ -156,13 +156,19 @@ fn resume_past_step_1000_rebuilds_the_bias_table_and_matches_straight() {
     let with_grid = |t: Trainer<IngpModel>| t.with_occupancy_grid(8, 0.02, 16);
     let fingerprint = |losses: &[f64], trainer: Trainer<IngpModel>| {
         let model = trainer.into_model();
-        let adam = model.grid_adam().to_snapshot();
+        let column = |i: usize| {
+            model
+                .grid_adam()
+                .records()
+                .map(|r| r[i])
+                .collect::<Vec<_>>()
+        };
         (
             losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
             bits(model.grid().parameter_store().master()),
             bits(model.grid().parameters()),
-            adam.m_bits,
-            adam.v_bits,
+            column(0),
+            column(1),
         )
     };
 

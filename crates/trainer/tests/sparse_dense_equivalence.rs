@@ -112,14 +112,20 @@ fn long_horizon_fingerprint(
     let mut losses = trainer.train(early, 6).losses;
     losses.extend(trainer.train(late, 1_600).losses);
     let model = trainer.into_model();
-    let adam = model.grid_adam().to_snapshot();
+    let column = |i: usize| {
+        model
+            .grid_adam()
+            .records()
+            .map(|r| r[i])
+            .collect::<Vec<_>>()
+    };
     (
         losses.iter().map(|l| l.to_bits()).collect(),
         [
             bits(model.grid().parameter_store().master()),
             bits(model.grid().parameters()),
-            adam.m_bits,
-            adam.v_bits,
+            column(0),
+            column(1),
         ],
     )
 }
