@@ -69,7 +69,6 @@ impl PsnrBudget {
         TrainConfig {
             rays_per_batch: self.rays_per_batch,
             samples_per_ray: self.samples_per_ray,
-            order: inerf_trainer::StreamingOrder::RayFirst,
             eval_samples_per_ray: 2 * self.samples_per_ray,
             engine: inerf_trainer::Engine::Batched,
             precision: inerf_trainer::Precision::F32,

@@ -383,7 +383,7 @@ impl HashGrid {
     }
 
     /// Computes every corner entry and trilinear weight of `points` into
-    /// `cache` *without* gathering features — the batched engine's sparse
+    /// `cache` *without* gathering features — the batched engine's
     /// prepass. The cache slots are bitwise-identical to what
     /// [`HashGrid::encode_tile_bt_cached`] would record, so a later
     /// gather-only encode ([`HashGrid::encode_tile_bt_from_cache`]) and
@@ -1281,7 +1281,7 @@ mod tests {
                 .chain(exact)
                 .collect();
             let f_ref = encode_rows(&g, &points);
-            // The sparse prepass derives the slots without gathering.
+            // The prepass derives the slots without gathering.
             let mut cache_fill = LookupCache::default();
             g.fill_cache(&points, &mut cache_fill);
             // Tile paths: 16-point tiles plus a ragged tail, stale-lane tiles.

@@ -81,7 +81,6 @@ pub const WALL_CLOCK: &str = "wall-clock";
 pub const UNSAFE_AUDIT: &str = "unsafe-audit";
 pub const ENTRY_WIDTH: &str = "entry-width";
 pub const PANIC_PATH: &str = "panic-path";
-pub const SNAPSHOT_IO: &str = "snapshot-io";
 pub const VENDOR_ISOLATION: &str = "vendor-isolation";
 pub const SIMD_LANE: &str = "simd-lane";
 pub const WAIVER_SYNTAX: &str = "waiver-syntax";
@@ -137,26 +136,18 @@ the one allowed home for such literals.",
     },
     RuleInfo {
         id: PANIC_PATH,
-        summary: "no unwrap()/expect() in library code of the hot-path crates",
+        summary: "no unwrap()/expect() in library code of the hot-path and snapshot crates",
         explain: "The encoding, mlp, dram, accel and render crates sit on the training \
 hot path, as does the trainer's occupancy grid (crates/trainer/src/occupancy.rs), and \
 the trainer's inference render engine (crates/trainer/src/render.rs) on the evaluation \
 hot path; a panic there takes down a whole training, rendering or \
-co-simulation run. Library code in that scope must not call .unwrap() or .expect(): \
-return a Result, restructure so the invariant is type-enforced, or waive a genuinely \
-infallible site with a justification stating *why* it cannot fail. Test code is \
-exempt — panics are how tests report.",
-    },
-    RuleInfo {
-        id: SNAPSHOT_IO,
-        summary: "no unwrap()/expect() in the snapshot crate's library code",
-        explain: "The snapshot crate's whole contract is that corrupt bytes, torn \
-writes and failed I/O surface as typed SnapshotError values — the fault-injection \
-sweep pins 'never panics' at every kill point and for every flipped bit. A single \
-.unwrap() or .expect() in library code is a latent violation of that contract waiting \
-for the input the tests didn't generate. Propagate with `?` instead; test code is \
-exempt. (Same mechanics as panic-path, but scoped to crates/snapshot and \
-non-waivable in spirit: there is no infallible I/O.)",
+co-simulation run. The snapshot crate is in scope too: its contract is that corrupt \
+bytes, torn writes and failed I/O surface as typed SnapshotError values, which the \
+fault-injection sweep pins at every kill point and for every flipped bit. Library code \
+in that scope must not call .unwrap() or .expect(): return a Result, restructure so \
+the invariant is type-enforced, or waive a genuinely infallible site with a \
+justification stating *why* it cannot fail. Test code is exempt — panics are how tests \
+report.",
     },
     RuleInfo {
         id: VENDOR_ISOLATION,
@@ -205,8 +196,9 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
     RULES.iter().find(|r| r.id == id)
 }
 
-/// Crates whose library code is the training/co-simulation hot path.
-const HOT_PATH_CRATES: &[&str] = &["encoding", "mlp", "dram", "accel", "render"];
+/// Crates whose library code must not panic: the training/co-simulation
+/// hot path, and the snapshot crate, whose errors are typed values.
+const HOT_PATH_CRATES: &[&str] = &["encoding", "mlp", "dram", "accel", "render", "snapshot"];
 /// Individual hot-path files in crates that are otherwise exempt: the
 /// trainer's inference render engine sits on the evaluation hot path and
 /// its occupancy grid (per-sample filter, periodic refresh sweep) on the
@@ -248,7 +240,6 @@ pub fn check_file(class: &FileClass, ctx: &FileContext) -> (Vec<RawFinding>, Vec
     unsafe_audit(class, ctx, &mut out, &mut sites);
     entry_width(class, ctx, &mut out);
     panic_path(class, ctx, &mut out);
-    snapshot_io(class, ctx, &mut out);
     vendor_isolation(class, ctx, &mut out);
     simd_lane(class, ctx, &mut out);
     // One finding per (rule, line): `HashMap::<K,V>::new()` should read as
@@ -461,34 +452,8 @@ fn panic_path(class: &FileClass, ctx: &FileContext, out: &mut Vec<RawFinding>) {
                 rule: PANIC_PATH,
                 line: t.line,
                 message: format!(
-                    "`.{}()` can panic on the hot path; return a Result or waive with \
-the reason it is infallible",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-/// Rule 4b: snapshot-io — the crash-safety analogue of panic-path.
-fn snapshot_io(class: &FileClass, ctx: &FileContext, out: &mut Vec<RawFinding>) {
-    if class.vendor || class.test_path || !class.crate_is(&["snapshot"]) {
-        return;
-    }
-    for (i, t) in ctx.code.iter().enumerate() {
-        if !(t.is_ident("unwrap") || t.is_ident("expect")) || ctx.is_test_line(t.line) {
-            continue;
-        }
-        let is_method_call = i > 0
-            && ctx.code[i - 1].is_punct('.')
-            && ctx.code.get(i + 1).is_some_and(|a| a.is_punct('('));
-        if is_method_call {
-            out.push(RawFinding {
-                rule: SNAPSHOT_IO,
-                line: t.line,
-                message: format!(
-                    "`.{}()` in the snapshot crate defeats the never-panic recovery \
-contract; propagate a SnapshotError with `?`",
+                    "`.{}()` can panic in library code that must not; return a Result or \
+waive with the reason it is infallible",
                     t.text
                 ),
             });

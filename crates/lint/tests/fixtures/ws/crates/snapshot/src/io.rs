@@ -1,11 +1,11 @@
-//! Fixture: seeded snapshot-io violations.
+//! Fixture: seeded panic-path violations in the snapshot crate.
 
 pub fn first_byte(bytes: &[u8]) -> u8 {
     *bytes.first().unwrap()
 }
 
 pub fn commit(v: Option<u8>) -> u8 {
-    // inerf-lint: allow(snapshot-io) -- fixture: caller validated the length
+    // inerf-lint: allow(panic-path) -- fixture: caller validated the length
     v.expect("validated by the caller")
 }
 

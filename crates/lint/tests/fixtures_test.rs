@@ -56,8 +56,8 @@ fn corpus_findings_are_exactly_the_seeded_ones() {
         ("crates/mlp/src/waivers.rs", 3, "waiver-syntax", false),
         ("crates/mlp/src/waivers.rs", 8, "unused-waiver", false),
         ("crates/mlp/src/waivers.rs", 13, "waiver-syntax", false),
-        ("crates/snapshot/src/io.rs", 4, "snapshot-io", false),
-        ("crates/snapshot/src/io.rs", 9, "snapshot-io", true),
+        ("crates/snapshot/src/io.rs", 4, "panic-path", false),
+        ("crates/snapshot/src/io.rs", 9, "panic-path", true),
         ("crates/trainer/src/occupancy.rs", 5, "panic-path", false),
         ("crates/trainer/src/occupancy.rs", 10, "panic-path", true),
         ("crates/trainer/src/render.rs", 6, "panic-path", false),

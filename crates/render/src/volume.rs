@@ -203,8 +203,8 @@ pub struct RaySpan {
     pub start: usize,
     /// Number of samples on the ray.
     pub len: usize,
-    /// Uniform step size `δ` of the ray (ignored for a given sample when
-    /// the batch carries per-sample `dts`).
+    /// Step size `δ` of every sample on the ray. Only a caller-supplied
+    /// [`RayBatch::dts`] overrides it.
     pub dt: f32,
 }
 
@@ -223,7 +223,7 @@ pub struct RayBatch<'a> {
     /// Per-ray sample spans (absolute indices into the flat arrays).
     pub spans: &'a [RaySpan],
     /// Optional per-sample step sizes (whole batch); when `Some`, overrides
-    /// the spans' uniform `dt` — the occupancy-filtered path.
+    /// the spans' `dt`.
     pub dts: Option<&'a [f32]>,
     /// First sample index covered by the per-sample *output* buffers.
     pub sample_base: usize,

@@ -3,7 +3,7 @@
 //! Every failure mode a checkpoint store or load can hit is enumerated
 //! here. Library code in this crate never panics on bad input or failed
 //! IO — all failures surface as a [`SnapshotError`] (enforced by the
-//! `snapshot-io` lint rule), so a corrupted artifact is always *detected*,
+//! `panic-path` lint rule), so a corrupted artifact is always *detected*,
 //! never silently loaded and never a crash.
 
 use std::fmt;

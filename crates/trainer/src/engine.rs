@@ -101,10 +101,6 @@ pub(crate) struct BatchArena {
     /// Gather output: the iteration's sample batch (SoA), with the marcher
     /// that fills it.
     pub batch: RayMarcher,
-    /// Per-sample step sizes; meaningful only when `has_dts` is set (the
-    /// occupancy-filtered path).
-    pub dts: Vec<f32>,
-    pub has_dts: bool,
     pub targets: Vec<Vec3>,
     // Forward/backward stage buffers.
     pub sigmas: Vec<f32>,
@@ -131,7 +127,6 @@ impl BatchArena {
             + self.pixel_targets.capacity()
             + self.refresh.capacity_sum()
             + self.batch.capacity_sum()
-            + self.dts.capacity()
             + self.targets.capacity()
             + self.sigmas.capacity()
             + self.rgbs.capacity()
@@ -167,19 +162,17 @@ impl BatchArena {
     /// Clears the gather-stage buffers for refilling (capacity retained).
     pub fn clear_gather(&mut self) {
         self.batch.clear();
-        self.dts.clear();
-        self.has_dts = false;
         self.targets.clear();
     }
 }
 
 /// Occupancy-driven compaction scan: appends to `live` the ascending global
-/// indices of every sample the MLP color stage must evaluate, and returns
-/// whether any sample was dropped. A sample is dead exactly when it lies
-/// *strictly after* the sample at which its ray's transmittance reaches
-/// exactly `0.0` — from there the forward contributions multiply `+0.0` and
-/// the backward gradients are `±0.0`, so skipping the color pipeline for
-/// those rows is bitwise-identical to evaluating it (see DESIGN.md).
+/// indices of every sample the MLP color stage must evaluate. A sample is
+/// dead exactly when it lies *strictly after* the sample at which its ray's
+/// transmittance reaches exactly `0.0` — from there the forward
+/// contributions multiply `+0.0` and the backward gradients are `±0.0`, so
+/// skipping the color pipeline for those rows is bitwise-identical to
+/// evaluating it (see DESIGN.md).
 ///
 /// The transmittance recurrence mirrors the composite kernel operation for
 /// operation (`σ.max(0)`, `α = 1 − e^{−σ·dt}`, `T ← T·(1−α)`), so the
@@ -188,40 +181,28 @@ impl BatchArena {
 /// optical depth `Σ σ·dt` cannot underflow `T` to zero (`T ≈ e^{−Σσ·dt}`;
 /// even with per-step rounding, a depth below 80 leaves `T` dozens of
 /// orders of magnitude above the smallest subnormal).
-pub(crate) fn scan_live_samples(
-    sigmas: &[f32],
-    spans: &[RaySpan],
-    dts: Option<&[f32]>,
-    live: &mut Vec<u32>,
-) -> bool {
+pub(crate) fn scan_live_samples(sigmas: &[f32], spans: &[RaySpan], live: &mut Vec<u32>) {
     live.clear();
-    let mut any_dead = false;
     for span in spans {
-        let mut depth = 0.0f64;
-        for i in span.start..span.start + span.len {
-            let dt = dts.map_or(span.dt, |d| d[i]);
-            depth += f64::from(sigmas[i].max(0.0)) * f64::from(dt);
-        }
+        let ray = &sigmas[span.start..span.start + span.len];
+        let depth: f64 = ray
+            .iter()
+            .fold(0.0, |d, &s| d + f64::from(s.max(0.0)) * f64::from(span.dt));
         if depth < 80.0 {
             live.extend((span.start..span.start + span.len).map(|i| i as u32));
             continue;
         }
         let mut transmittance = 1.0f32;
-        let mut cut = span.len;
-        for i in 0..span.len {
-            let idx = span.start + i;
-            let sigma = sigmas[idx].max(0.0);
-            let alpha = 1.0 - (-sigma * dts.map_or(span.dt, |d| d[idx])).exp();
+        for (idx, &sigma) in (span.start..).zip(ray) {
+            let sigma = sigma.max(0.0);
+            let alpha = 1.0 - (-sigma * span.dt).exp();
             transmittance *= 1.0 - alpha;
             live.push(idx as u32);
             if transmittance == 0.0 {
-                cut = i + 1;
                 break;
             }
         }
-        any_dead |= cut < span.len;
     }
-    any_dead
 }
 
 #[cfg(test)]
@@ -290,8 +271,7 @@ mod tests {
             },
         ];
         let mut live = Vec::new();
-        let any_dead = scan_live_samples(&sigmas, &spans, None, &mut live);
-        assert!(!any_dead);
+        scan_live_samples(&sigmas, &spans, &mut live);
         assert_eq!(live.len(), 32);
         assert!(live.iter().enumerate().all(|(i, &v)| v == i as u32));
     }
@@ -309,9 +289,8 @@ mod tests {
             dt: 1.0,
         }];
         let mut live = Vec::new();
-        let any_dead = scan_live_samples(&sigmas, &spans, None, &mut live);
-        assert!(any_dead, "this ray must terminate");
-        assert!(live.len() < n);
+        scan_live_samples(&sigmas, &spans, &mut live);
+        assert!(live.len() < n, "this ray must terminate");
         let samples: Vec<inerf_render::volume::SamplePoint> = sigmas
             .iter()
             .map(|&sigma| inerf_render::volume::SamplePoint {

@@ -309,7 +309,8 @@ pub(crate) const POINT_CHUNK: usize = 256;
 struct ChunkScratch {
     /// `n × L*F` hash-grid features (density-MLP input).
     feats: Vec<f32>,
-    /// Corner entries/weights cached by the encode, reused by the scatter.
+    /// Corner entries/weights cached by the prepass, read by the gather and
+    /// the scatter.
     lookups: LookupCache,
     density: MlpBatchActivations,
     /// Color-MLP input rows, `m × (geo + 9)` over the live rows.
@@ -341,27 +342,18 @@ fn reset_buf(buf: &mut Vec<f32>, len: usize) {
 }
 
 impl ChunkScratch {
-    /// Density phase of this chunk's forward pass: fused encode → density
-    /// MLP. Each block-transposed feature tile streams straight from the
-    /// hash-grid encode into the first GEMM while cache-hot (the row-major
-    /// copy in `feats` is still kept — the backward pass needs it for the
-    /// layer-0 weight gradients and the grid scatter). Per point the
-    /// arithmetic matches the scalar [`IngpModel::query`] path bitwise.
-    fn forward_density(
-        &mut self,
-        grid: &HashGrid,
-        density_mlp: &Mlp,
-        points: &[Vec3],
-        sigmas_out: &mut [f32],
-        prefilled: bool,
-    ) {
-        let n = points.len();
+    /// Density phase of this chunk's forward pass: fused gather → density
+    /// MLP over the corner lookups the prepass cached. Each
+    /// block-transposed feature tile streams straight from the hash-grid
+    /// gather into the first GEMM while cache-hot (the row-major copy in
+    /// `feats` is still kept — the backward pass needs it for the layer-0
+    /// weight gradients). Per point the arithmetic matches the scalar
+    /// [`IngpModel::query`] path bitwise.
+    fn forward_density(&mut self, grid: &HashGrid, density_mlp: &Mlp, sigmas_out: &mut [f32]) {
+        let n = sigmas_out.len();
         let fdim = grid.config().feature_dim();
         let dout = density_mlp.out_dim();
         reset_buf(&mut self.feats, n * fdim);
-        if !prefilled {
-            grid.prepare_cache(&mut self.lookups, n);
-        }
         let ChunkScratch {
             feats,
             lookups,
@@ -371,17 +363,11 @@ impl ChunkScratch {
         } = self;
         density_mlp.forward_batch_fused(
             n,
-            // Inlined into the MLP driver's dispatch frame, or the encode's
+            // Inlined into the MLP driver's dispatch frame, or the gather's
             // lane loops compile at the build's baseline features.
             #[inline(always)]
             |base, bn, tile| {
-                if prefilled {
-                    // Sparse-path prepass already derived every corner
-                    // entry and weight; gather-only encode.
-                    grid.encode_tile_bt_from_cache(base, bn, FWD_BLOCK, feats, tile, lookups)
-                } else {
-                    grid.encode_tile_bt_cached(points, base, bn, FWD_BLOCK, feats, tile, lookups)
-                }
+                grid.encode_tile_bt_from_cache(base, bn, FWD_BLOCK, feats, tile, lookups)
             },
             density,
             density_scratch,
@@ -831,23 +817,20 @@ impl IngpModel {
         self.grid.mark_touched_synced();
     }
 
-    /// Batched-engine prepass. Sizes the chunk list, and on the sparse
-    /// path additionally fills every chunk's corner-lookup cache in
-    /// parallel (the exact index math the fused encode would otherwise
-    /// do), collects the batch's read set from the cached indices, and
-    /// replays those entries' lazy Adam chains — so the gather-only
-    /// encode that follows reads exactly the parameter values the dense
-    /// path would hold. Returns whether the caches are pre-filled.
-    fn prepass_batch(&mut self, points: &[Vec3], pool: &ThreadPool) -> bool {
+    /// Batched-engine prepass. Sizes the chunk list and fills every
+    /// chunk's corner-lookup cache in parallel (the encode's index math,
+    /// without reading the table). On the sparse path it also collects
+    /// the batch's read set from the cached indices and replays those
+    /// entries' lazy Adam chains, so the gather-only encode that follows
+    /// reads exactly the parameter values the dense path holds. Without
+    /// touch tracking (the dense path) collection and sync return at once.
+    fn prepass_batch(&mut self, points: &[Vec3], pool: &ThreadPool) {
         let n = points.len();
         self.batch.len = n;
         let n_chunks = n.div_ceil(POINT_CHUNK);
         self.batch
             .chunks
             .resize_with(n_chunks, ChunkScratch::default);
-        if self.opt != OptPath::Sparse {
-            return false;
-        }
         let IngpModel { grid, batch, .. } = self;
         if pool.current_num_threads() > 1 {
             let grid_ref = &*grid;
@@ -880,7 +863,6 @@ impl IngpModel {
             }
         }
         self.sync_touched();
-        true
     }
 
     fn step_mlp(mlp: &mut Mlp, adam: &mut AdamState) {
@@ -1031,34 +1013,29 @@ impl TrainableField for IngpModel {
     }
 
     /// Density phase of the phased query: the batch is cut into fixed
-    /// `POINT_CHUNK`-point chunks, each run through the fused encode →
-    /// density MLP on a pool worker with chunk-local reusable scratch,
-    /// leaving its activations cached for the color phase. Per point the
-    /// arithmetic matches the scalar [`TrainableField::query`] path
-    /// bitwise. Always supported.
+    /// `POINT_CHUNK`-point chunks, whose corner lookups the prepass
+    /// caches; each chunk then runs the fused gather → density MLP on a
+    /// pool worker with chunk-local reusable scratch, leaving its
+    /// activations cached for the color phase. Per point the arithmetic
+    /// matches the scalar [`TrainableField::query`] path bitwise. Always
+    /// supported.
     fn query_batch_density(
         &mut self,
         points: &[Vec3],
         sigmas: &mut [f32],
         pool: &ThreadPool,
     ) -> bool {
-        let n = points.len();
-        assert_eq!(n, sigmas.len(), "sigma buffer mismatch");
-        // Sparse-path prepass (see `prepass_batch`). The color phase reads
-        // no grid entries, so the density-phase read set covers the whole
-        // phased query.
-        let prefilled = self.prepass_batch(points, pool);
+        assert_eq!(points.len(), sigmas.len(), "sigma buffer mismatch");
+        // Prepass (see `prepass_batch`). The color phase reads no grid
+        // entries, so the density-phase read set covers the whole phased
+        // query.
+        self.prepass_batch(points, pool);
         let grid = &self.grid;
         let density_mlp = &self.density_mlp;
-        let mut sigma_rest: &mut [f32] = sigmas;
         pool.scope(|s| {
-            for (ci, chunk) in self.batch.chunks.iter_mut().enumerate() {
-                let lo = ci * POINT_CHUNK;
-                let hi = (lo + POINT_CHUNK).min(n);
-                let (sigma_c, rest) = std::mem::take(&mut sigma_rest).split_at_mut(hi - lo);
-                sigma_rest = rest;
-                let pts = &points[lo..hi];
-                s.spawn(move |_| chunk.forward_density(grid, density_mlp, pts, sigma_c, prefilled));
+            let chunks = self.batch.chunks.iter_mut();
+            for (chunk, sigma_c) in chunks.zip(sigmas.chunks_mut(POINT_CHUNK)) {
+                s.spawn(move |_| chunk.forward_density(grid, density_mlp, sigma_c));
             }
         });
         true

@@ -37,13 +37,11 @@ impl StreamingOrder {
     }
 }
 
-/// A batch of sample points, annotated with their `(ray, sample)` origin.
+/// A batch of sample points in streaming order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointBatch {
     /// Sample positions, normalized into `[0,1]^3`.
     pub points: Vec<Vec3>,
-    /// `(ray index, sample index)` provenance, parallel to `points`.
-    pub provenance: Vec<(u32, u32)>,
 }
 
 /// Samples `samples_per_ray` stratified points along each ray's intersection
@@ -60,35 +58,20 @@ pub fn build_point_batch(
     seed: u64,
 ) -> PointBatch {
     let mut points = Vec::with_capacity(rays.len() * samples_per_ray);
-    let mut provenance = Vec::with_capacity(rays.len() * samples_per_ray);
-    for (ri, ray) in rays.iter().enumerate() {
+    for ray in rays {
         let Some(hit) = bounds.intersect(ray) else {
             continue;
         };
         if hit.t_far - hit.t_near < 1e-6 {
             continue;
         }
-        for (si, t) in ray
-            .stratified_ts(hit.t_near.max(1e-4), hit.t_far, samples_per_ray, None)
-            .into_iter()
-            .enumerate()
-        {
-            points.push(bounds.normalize(ray.at(t)));
-            provenance.push((ri as u32, si as u32));
-        }
+        let ts = ray.stratified_ts(hit.t_near.max(1e-4), hit.t_far, samples_per_ray, None);
+        points.extend(ts.into_iter().map(|t| bounds.normalize(ray.at(t))));
     }
     if order == StreamingOrder::Random {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut perm: Vec<usize> = (0..points.len()).collect();
-        perm.shuffle(&mut rng);
-        let points2 = perm.iter().map(|&i| points[i]).collect();
-        let prov2 = perm.iter().map(|&i| provenance[i]).collect();
-        return PointBatch {
-            points: points2,
-            provenance: prov2,
-        };
+        points.shuffle(&mut SmallRng::seed_from_u64(seed));
     }
-    PointBatch { points, provenance }
+    PointBatch { points }
 }
 
 /// Streams a point batch through the hash grid's address generation into
@@ -117,13 +100,22 @@ mod tests {
         Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0))
     }
 
+    fn bits(points: &[Vec3]) -> Vec<[u32; 3]> {
+        points
+            .iter()
+            .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+            .collect()
+    }
+
     #[test]
     fn ray_first_keeps_ray_points_contiguous() {
-        let batch = build_point_batch(&test_rays(4), &bounds(), 8, StreamingOrder::RayFirst, 0);
+        let rays = test_rays(4);
+        let batch = build_point_batch(&rays, &bounds(), 8, StreamingOrder::RayFirst, 0);
         assert_eq!(batch.points.len(), 32);
-        for (i, (ri, si)) in batch.provenance.iter().enumerate() {
-            assert_eq!(*ri as usize, i / 8);
-            assert_eq!(*si as usize, i % 8);
+        for (ri, ray_points) in batch.points.chunks(8).enumerate() {
+            let alone =
+                build_point_batch(&rays[ri..=ri], &bounds(), 8, StreamingOrder::RayFirst, 0);
+            assert_eq!(bits(ray_points), bits(&alone.points), "ray {ri}");
         }
     }
 
@@ -131,16 +123,14 @@ mod tests {
     fn random_order_is_a_permutation() {
         let rf = build_point_batch(&test_rays(4), &bounds(), 8, StreamingOrder::RayFirst, 1);
         let rnd = build_point_batch(&test_rays(4), &bounds(), 8, StreamingOrder::Random, 1);
-        assert_eq!(rf.points.len(), rnd.points.len());
-        let mut a = rf.provenance.clone();
-        let mut b = rnd.provenance.clone();
+        let (mut a, mut b) = (bits(&rf.points), bits(&rnd.points));
+        assert_ne!(a, b, "random order should differ");
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(
             a, b,
             "random order must be a permutation of the same points"
         );
-        assert_ne!(rf.provenance, rnd.provenance, "random order should differ");
     }
 
     #[test]

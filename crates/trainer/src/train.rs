@@ -7,13 +7,12 @@ use crate::engine;
 use crate::model::{OptPath, TrainableField};
 use crate::occupancy::OccupancyGrid;
 use crate::render::{RenderEngine, RenderOpts};
-use crate::streaming::StreamingOrder;
 use inerf_encoding::TraceSink;
 use inerf_geom::{Aabb, Camera, Ray, Vec3};
 use inerf_mlp::Precision;
 use inerf_render::volume::{
-    composite, composite_backward, composite_backward_spans, composite_backward_uniform,
-    composite_spans, composite_uniform, RayBatch, SamplePoint,
+    composite_backward_spans, composite_backward_uniform, composite_spans, composite_uniform,
+    RayBatch, SamplePoint,
 };
 use inerf_render::{l2_loss, l2_loss_into};
 use inerf_scenes::{Dataset, Image};
@@ -43,8 +42,6 @@ pub struct TrainConfig {
     pub rays_per_batch: usize,
     /// Stratified samples per ray — Step (b).
     pub samples_per_ray: usize,
-    /// Point streaming order (affects hardware traces, not the math).
-    pub order: StreamingOrder,
     /// Samples per ray used when rendering evaluation images.
     pub eval_samples_per_ray: usize,
     /// Hot-path implementation (batched SoA engine by default).
@@ -68,12 +65,11 @@ pub struct TrainConfig {
 
 impl TrainConfig {
     /// The paper's workload shape: 256 K sampled points per iteration
-    /// (2 K rays × 128 samples), ray-first order.
+    /// (2 K rays × 128 samples).
     pub fn paper() -> Self {
         TrainConfig {
             rays_per_batch: 2048,
             samples_per_ray: 128,
-            order: StreamingOrder::RayFirst,
             eval_samples_per_ray: 128,
             engine: Engine::Batched,
             precision: Precision::F32,
@@ -86,7 +82,6 @@ impl TrainConfig {
         TrainConfig {
             rays_per_batch: 32,
             samples_per_ray: 16,
-            order: StreamingOrder::RayFirst,
             eval_samples_per_ray: 24,
             engine: Engine::Batched,
             precision: Precision::F32,
@@ -99,7 +94,6 @@ impl TrainConfig {
         TrainConfig {
             rays_per_batch: 256,
             samples_per_ray: 32,
-            order: StreamingOrder::RayFirst,
             eval_samples_per_ray: 48,
             engine: Engine::Batched,
             precision: Precision::F32,
@@ -362,8 +356,7 @@ impl<M: TrainableField> Trainer<M> {
         loss
     }
 
-    /// Runs one iteration on explicit rays/targets (used by tests and the
-    /// hardware-trace generators).
+    /// Runs one iteration on explicit rays/targets (used by tests).
     ///
     /// Both engines consume the same gathered sample batch: Step (b) is
     /// shared, so the scalar reference and the batched SoA engine see
@@ -442,14 +435,6 @@ impl<M: TrainableField> Trainer<M> {
                 arena.targets.push(target);
             }
         }
-        // Only occupancy-filtered rays carry per-sample step sizes; the
-        // uniform case uses the span's `dt` and leaves `dts` empty.
-        arena.has_dts = grid.is_some();
-        if arena.has_dts {
-            for span in &arena.batch.spans {
-                arena.dts.resize(span.start + span.len, span.dt);
-            }
-        }
     }
 
     /// Steps (c)–(f), per-point reference implementation: one model
@@ -459,7 +444,6 @@ impl<M: TrainableField> Trainer<M> {
     /// batched engine, not a throughput target.
     fn step_scalar(&mut self) -> f64 {
         let n = self.arena.batch.points.len();
-        let dts = self.arena.has_dts.then_some(self.arena.dts.as_slice());
         // Step (c): query the model point by point, in streaming order.
         let mut samples = Vec::with_capacity(n);
         for (&p, &d) in self.arena.batch.points.iter().zip(&self.arena.batch.dirs) {
@@ -472,13 +456,7 @@ impl<M: TrainableField> Trainer<M> {
             .batch
             .spans
             .iter()
-            .map(|span| {
-                let ray_samples = &samples[span.start..span.start + span.len];
-                match dts {
-                    Some(dts) => composite(ray_samples, &dts[span.start..span.start + span.len]),
-                    None => composite_uniform(ray_samples, span.dt),
-                }
-            })
+            .map(|span| composite_uniform(&samples[span.start..span.start + span.len], span.dt))
             .collect();
         // Step (e): loss.
         let predictions: Vec<Vec3> = outputs.iter().map(|o| o.color).collect();
@@ -493,15 +471,7 @@ impl<M: TrainableField> Trainer<M> {
             .zip(&loss.d_predictions)
         {
             let ray_samples = &samples[span.start..span.start + span.len];
-            let grads = match dts {
-                Some(dts) => composite_backward(
-                    ray_samples,
-                    &dts[span.start..span.start + span.len],
-                    out,
-                    *d_pred,
-                ),
-                None => composite_backward_uniform(ray_samples, span.dt, out, *d_pred),
-            };
+            let grads = composite_backward_uniform(ray_samples, span.dt, out, *d_pred);
             for i in 0..span.len {
                 self.model
                     .backward(span.start + i, grads.d_sigma[i], grads.d_color[i]);
@@ -519,7 +489,7 @@ impl<M: TrainableField> Trainer<M> {
     /// A per-point model (its density phase returns `false`: the Tab. IV
     /// baselines) takes [`Trainer::step_scalar`] instead — this engine over
     /// per-point `query`/`backward` loops would be that one bit for bit
-    /// (`composite_spans` ≡ `composite` per ray, `l2_loss_into` ≡
+    /// (`composite_spans` ≡ `composite_uniform` per ray, `l2_loss_into` ≡
     /// `l2_loss`).
     fn step_batched(&mut self) -> f64 {
         let n = self.arena.batch.points.len();
@@ -551,8 +521,7 @@ impl<M: TrainableField> Trainer<M> {
         arena.trans_after.resize(n, 0.0);
         arena.d_sigmas.resize(n, 0.0);
         arena.d_colors.resize(n, Vec3::ZERO);
-        let dts = arena.has_dts.then_some(arena.dts.as_slice());
-        engine::scan_live_samples(&arena.sigmas, &arena.batch.spans, dts, &mut arena.live);
+        engine::scan_live_samples(&arena.sigmas, &arena.batch.spans, &mut arena.live);
         model.query_batch_color_compacted(&arena.batch.dirs, &arena.live, &mut arena.rgbs, pool);
         // Step (d): volume rendering, parallel over fixed ray chunks. The
         // per-chunk output slices are carved off the arena buffers in chunk
@@ -560,7 +529,6 @@ impl<M: TrainableField> Trainer<M> {
         {
             let sigmas = &arena.sigmas[..];
             let rgbs = &arena.rgbs[..];
-            let dts = arena.has_dts.then_some(&arena.dts[..]);
             let mut rc = &mut arena.ray_colors[..];
             let mut bg = &mut arena.backgrounds[..];
             let mut wc = &mut arena.weights[..];
@@ -581,7 +549,7 @@ impl<M: TrainableField> Trainer<M> {
                             sigmas,
                             colors: rgbs,
                             spans,
-                            dts,
+                            dts: None,
                             sample_base: spans[0].start,
                         };
                         composite_spans(&batch, rc_head, bg_head, wc_head, tc_head);
@@ -598,7 +566,6 @@ impl<M: TrainableField> Trainer<M> {
             let rgbs = &arena.rgbs[..];
             let weights = &arena.weights[..];
             let trans_after = &arena.trans_after[..];
-            let dts = arena.has_dts.then_some(&arena.dts[..]);
             let mut ds = &mut arena.d_sigmas[..];
             let mut dc = &mut arena.d_colors[..];
             pool.scope(|s| {
@@ -620,7 +587,7 @@ impl<M: TrainableField> Trainer<M> {
                             sigmas,
                             colors: rgbs,
                             spans,
-                            dts,
+                            dts: None,
                             sample_base: base,
                         };
                         composite_backward_spans(
@@ -835,14 +802,6 @@ mod tests {
             assert_eq!(arena.batch.spans, by_hand.spans);
             let kept: Vec<Vec3> = by_hand.kept_rays.iter().map(|&r| targets[r]).collect();
             assert_eq!(arena.targets, kept);
-            // Per-sample steps only under a grid: each span's uniform `dt`.
-            let dts: Vec<f32> = by_hand
-                .spans
-                .iter()
-                .flat_map(|span| std::iter::repeat_n(span.dt, span.len))
-                .collect();
-            assert_eq!(arena.has_dts, grid.is_some());
-            assert_eq!(arena.dts, if grid.is_some() { dts } else { vec![] });
             let dense = by_hand.rays_hit as usize * s;
             assert_eq!(grid.is_some(), by_hand.points.len() < dense, "culled");
             // All `s` jitter values per hit ray, whatever the grid dropped.

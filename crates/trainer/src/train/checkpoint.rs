@@ -34,7 +34,6 @@
 use super::{Engine, OccupancyState, TrainConfig, TrainReport, Trainer};
 use crate::model::{IngpModel, ModelConfig, OptPath, TrainableField};
 use crate::occupancy::OccupancyGrid;
-use crate::streaming::StreamingOrder;
 use inerf_encoding::{HashFunction, HashGridConfig};
 use inerf_mlp::fp16::f32_to_f16_bits;
 use inerf_mlp::{AdamState, AdamStateSnapshot, Mlp, ParamStore, Precision};
@@ -86,23 +85,6 @@ fn engine_from(t: u8) -> Result<Engine, SnapshotError> {
         0 => Ok(Engine::Scalar),
         1 => Ok(Engine::Batched),
         _ => Err(SnapshotError::Corrupt(format!("unknown engine tag {t}"))),
-    }
-}
-
-fn order_tag(o: StreamingOrder) -> u8 {
-    match o {
-        StreamingOrder::RayFirst => 0,
-        StreamingOrder::Random => 1,
-    }
-}
-
-fn order_from(t: u8) -> Result<StreamingOrder, SnapshotError> {
-    match t {
-        0 => Ok(StreamingOrder::RayFirst),
-        1 => Ok(StreamingOrder::Random),
-        _ => Err(SnapshotError::Corrupt(format!(
-            "unknown streaming-order tag {t}"
-        ))),
     }
 }
 
@@ -160,10 +142,9 @@ fn hash_from(t: u8) -> Result<HashFunction, SnapshotError> {
 
 /// Canonical bytes of the full (train, model) configuration pair.
 pub fn encode_configs(train: &TrainConfig, model: &ModelConfig) -> Vec<u8> {
-    section(73, |out| {
+    section(72, |out| {
         put_u64(out, train.rays_per_batch as u64);
         put_u64(out, train.samples_per_ray as u64);
-        put_u8(out, order_tag(train.order));
         put_u64(out, train.eval_samples_per_ray as u64);
         put_u8(out, engine_tag(train.engine));
         put_u8(out, precision_tag(train.precision));
@@ -186,7 +167,6 @@ pub fn decode_configs(bytes: &[u8]) -> Result<(TrainConfig, ModelConfig), Snapsh
     let train = TrainConfig {
         rays_per_batch: r.u64()? as usize,
         samples_per_ray: r.u64()? as usize,
-        order: order_from(r.u8()?)?,
         eval_samples_per_ray: r.u64()? as usize,
         engine: engine_from(r.u8()?)?,
         precision: precision_from(r.u8()?)?,
@@ -586,6 +566,22 @@ mod tests {
         let (t2, m2) = decode_configs(&bytes).unwrap();
         assert_eq!(t2, train);
         assert_eq!(m2, model);
+    }
+
+    #[test]
+    fn config_section_with_a_streaming_order_byte_is_refused() {
+        // Older snapshots carried a one-byte streaming-order tag after
+        // `samples_per_ray`: their 73-byte section must fail typed.
+        let bytes = encode_configs(&TrainConfig::tiny(), &ModelConfig::tiny());
+        assert_eq!(bytes.len(), 72);
+        for order_tag in [0u8, 1] {
+            let mut old = bytes.clone();
+            old.insert(16, order_tag);
+            assert!(matches!(
+                decode_configs(&old),
+                Err(SnapshotError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

@@ -89,27 +89,6 @@ fn scene_traces_feed_both_hardware_models() {
 }
 
 #[test]
-fn streaming_order_only_affects_hardware_not_math() {
-    // Two trainers differing only in streaming order must converge
-    // similarly (the order is a hardware-level choice).
-    let scene = instant_nerf::scenes::zoo::scene(SceneKind::Mic);
-    let dataset = DatasetConfig::tiny().generate(&scene);
-    let mk = |order| {
-        let cfg = TrainConfig {
-            order,
-            ..TrainConfig::tiny()
-        };
-        let model = IngpModel::new(ModelConfig::tiny(), 9);
-        let mut t = Trainer::new(model, cfg, 4);
-        t.train(&dataset, 30);
-        t.eval_psnr(&dataset)
-    };
-    let a = mk(StreamingOrder::RayFirst);
-    let b = mk(StreamingOrder::Random);
-    assert!((a - b).abs() < 3.0, "orders diverged: {a:.2} vs {b:.2} dB");
-}
-
-#[test]
 fn checkpointed_training_resumes_to_identical_psnr_bits() {
     // End-to-end through the on-disk path: train with periodic
     // checkpoints, then resume from the directory and verify the

@@ -12,7 +12,7 @@
 use instant_nerf::accel::{CosimSink, PipelineModel};
 use instant_nerf::encoding::HashFunction;
 use instant_nerf::prelude::*;
-use instant_nerf::trainer::{Engine, Precision};
+use instant_nerf::trainer::{Engine, OptPath, Precision};
 
 struct GoldenRun {
     engine: Engine,
@@ -48,6 +48,85 @@ const GOLDEN_HT_ROW_MISSES: u64 = 138;
 const GOLDEN_HT_BANK_CONFLICTS: u64 = 41198;
 const GOLDEN_PIPELINED_BITS: u64 = 0x3f3cfe22b02e3095;
 const GOLDEN_ENERGY_BITS: u64 = 0x419f0177fa97b0c8;
+
+/// One (engine, precision) pair of the occupancy-culled capture. Both
+/// optimizer paths must reproduce it: `Dense` is bitwise `Sparse`.
+struct CulledGolden {
+    engine: Engine,
+    precision: Precision,
+    /// Exact bit patterns of the four per-iteration losses.
+    loss_bits: [u64; 4],
+    points_queried: u64,
+    /// [`master_checksum`] of the grid's f32 master weights after training.
+    master_checksum: u64,
+}
+
+/// Culled-path capture (commit `fc7182d`): Lego tiny dataset,
+/// `ModelConfig::small(Morton)`, `TrainConfig::tiny()`, model seed
+/// `9 ^ 0xA1`, trainer seed 9. [`CULLED_WARMUP`] gridless iterations,
+/// then 4 with an 8³ occupancy grid at threshold 0.3 refreshed every 2
+/// iterations; the grid keeps 73 % and then 63 % of its cells, so about
+/// 42 % of the 2 016 candidate samples are culled.
+const GOLDEN_CULLED: [CulledGolden; 4] = [
+    CulledGolden {
+        engine: Engine::Scalar,
+        precision: Precision::F32,
+        loss_bits: [
+            0x3fc0469542360000,
+            0x3fc3c4deb1338e39,
+            0x3fb9c5ffc87b13b1,
+            0x3fc49b817c7286bd,
+        ],
+        points_queried: 1164,
+        master_checksum: 0x6a97a65d69a8f837,
+    },
+    CulledGolden {
+        engine: Engine::Batched,
+        precision: Precision::F32,
+        loss_bits: [
+            0x3fc046955180aaab,
+            0x3fc3c4deaae425ed,
+            0x3fb9c5ffdba4ec4f,
+            0x3fc49b816b50d794,
+        ],
+        points_queried: 1164,
+        master_checksum: 0x75b47adf6df5e427,
+    },
+    CulledGolden {
+        engine: Engine::Scalar,
+        precision: Precision::Fp16,
+        loss_bits: [
+            0x3fc0466430c95555,
+            0x3fc3cc8daa1684be,
+            0x3fb8d1375cf12f68,
+            0x3fc49d1d86000000,
+        ],
+        points_queried: 1183,
+        master_checksum: 0xd5698e5f68e14780,
+    },
+    CulledGolden {
+        engine: Engine::Batched,
+        precision: Precision::Fp16,
+        loss_bits: [
+            0x3fc04664c1eeaaab,
+            0x3fc3cc8d8eee38e4,
+            0x3fb8d13429c1c71c,
+            0x3fc49d1d2e835e51,
+        ],
+        points_queried: 1183,
+        master_checksum: 0x587944cf14760ad5,
+    },
+];
+
+/// Gridless iterations before the culled capture's four.
+const CULLED_WARMUP: usize = 24;
+
+/// Order-sensitive FNV-1a-style fold of every weight's bit pattern.
+fn master_checksum(weights: &[f32]) -> u64 {
+    weights.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+        (h ^ u64::from(w.to_bits())).wrapping_mul(0x0100_0000_01b3)
+    })
+}
 
 fn run_f32(engine: Engine) -> (Vec<f64>, f64, u64, instant_nerf::accel::CosimStats) {
     let scene = zoo::scene(SceneKind::Lego);
@@ -124,6 +203,40 @@ fn f32_store_reproduces_pre_refactor_dram_stats_bitwise() {
             "{:?} engine: simulated DRAM energy drifted",
             golden.engine
         );
+    }
+}
+
+#[test]
+fn culled_training_reproduces_its_capture_bitwise() {
+    let scene = zoo::scene(SceneKind::Lego);
+    let dataset = DatasetConfig::tiny().generate(&scene);
+    let model_cfg = ModelConfig::small(HashFunction::Morton);
+    for golden in &GOLDEN_CULLED {
+        for opt in [OptPath::Sparse, OptPath::Dense] {
+            let config = TrainConfig::tiny()
+                .with_engine(golden.engine)
+                .with_precision(golden.precision)
+                .with_opt(opt);
+            let case = format!("{:?} / {:?} / {:?}", golden.engine, golden.precision, opt);
+            // An untrained field is near-uniform, so no threshold splits
+            // its grid; warm it up first, then train with the grid on.
+            let mut warm = Trainer::new(
+                IngpModel::for_config(model_cfg, &config, 9 ^ 0xA1),
+                config,
+                9,
+            );
+            warm.train(&dataset, CULLED_WARMUP);
+            let mut trainer =
+                Trainer::new(warm.into_model(), config, 9).with_occupancy_grid(8, 0.3, 2);
+            let losses = trainer.train(&dataset, 4).losses;
+            let loss_bits: Vec<u64> = losses.iter().map(|l| l.to_bits()).collect();
+            let points = trainer.points_queried();
+            let model = trainer.into_model();
+            let checksum = master_checksum(model.grid().parameter_store().master());
+            assert_eq!(loss_bits, golden.loss_bits, "{case}: losses drifted");
+            assert_eq!(points, golden.points_queried, "{case}: culling drifted");
+            assert_eq!(checksum, golden.master_checksum, "{case}: weights drifted");
+        }
     }
 }
 
