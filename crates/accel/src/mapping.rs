@@ -222,8 +222,8 @@ struct LevelSlot {
 
 /// The rows the read sweep has touched since the last drain: the drain's
 /// insertion-ordered source, plus an O(1) membership filter over the same
-/// `(bank, subarray, row)` key. Both grow with the touched rows (which the
-/// table size bounds), never with the streamed points.
+/// `(channel, bank, subarray, row)` key. Both grow with the touched rows
+/// (which the table size bounds), never with the streamed points.
 ///
 /// The filter keeps one 64-row bitmap per touched *page* of the physical
 /// row space in a small open-addressed table: the mapping packs a level's
@@ -340,6 +340,12 @@ pub struct RequestStream {
     r0: Vec<[Option<(u32, u32)>; 2]>,
     /// Rows touched by the read sweep (the write-back drain).
     touched: TouchedRows,
+    /// One bit per `(level, table row)` below `rows_per_level`, set at the
+    /// row's first read of the batch: the physical row is a function of the
+    /// table row, so only that first read can add a row to `touched`. Rows
+    /// beyond it go straight to `touched`. Empty without `write_back`.
+    table_rows: Vec<u64>,
+    rows_per_level: u32,
     dropped_cubes: u64,
 }
 
@@ -349,17 +355,23 @@ impl RequestStream {
     /// # Panics
     ///
     /// Panics if `dram` has no subarrays or no rows, or more physical rows
-    /// per channel than a `u64` counts.
+    /// than a `u64` counts.
     pub fn new(mapping: &HashTableMapping, dram: &DramConfig, write_back: bool) -> Self {
         // The touched-row filter keys a row by its index among these.
         assert!(
-            (dram.banks_per_channel as u64 * dram.subarrays_per_bank as u64)
-                .checked_mul(dram.rows_per_subarray as u64)
+            (dram.channels as u64 * dram.banks_per_channel as u64)
+                .checked_mul(dram.subarrays_per_bank as u64)
+                .and_then(|n| n.checked_mul(dram.rows_per_subarray as u64))
                 .is_some(),
-            "a channel's physical rows must be countable in a u64"
+            "the physical rows must be countable in a u64"
         );
         let assignment = &mapping.assignment;
         let rows_per_level = (1u32 << 19) / mapping.layout.entries_per_row();
+        let bitmap_bits = if write_back {
+            assignment.len() * rows_per_level as usize
+        } else {
+            0
+        };
         let levels = assignment
             .iter()
             .enumerate()
@@ -387,6 +399,8 @@ impl RequestStream {
             last_cube: vec![None; assignment.len()],
             r0: vec![[None; 2]; assignment.len()],
             touched: TouchedRows::default(),
+            table_rows: vec![0; bitmap_bits.div_ceil(64)],
+            rows_per_level,
             dropped_cubes: 0,
         }
     }
@@ -448,16 +462,32 @@ impl RequestStream {
             self.r0[li][1] = self.r0[li][0];
             self.r0[li][0] = Some(key);
             emit(Request::new(addr, AccessKind::Read));
-            if self.write_back {
-                // The row's index among the channel's physical rows.
+            if self.write_back && self.first_touch(li, r) {
+                // The row's index among all physical rows.
                 let d = &self.dram;
-                let row_key = (addr.bank as u64 * d.subarrays_per_bank as u64
+                let row_key = ((addr.channel as u64 * d.banks_per_channel as u64
+                    + addr.bank as u64)
+                    * d.subarrays_per_bank as u64
                     + addr.subarray as u64)
                     * d.rows_per_subarray as u64
                     + addr.row as u64;
                 self.touched.insert(row_key, addr);
             }
         }
+    }
+
+    /// Marks table row `row` of level `li` read this batch; false if it
+    /// already was. Rows outside the bitmap always count as first reads.
+    #[inline]
+    fn first_touch(&mut self, li: usize, row: u32) -> bool {
+        if row >= self.rows_per_level {
+            return true;
+        }
+        let bit = li * self.rows_per_level as usize + row as usize;
+        let (word, mask) = (&mut self.table_rows[bit / 64], 1u64 << (bit % 64));
+        let first = *word & mask == 0;
+        *word |= mask;
+        first
     }
 
     /// Ends the current batch: emits the batched HT_b gradient drain (one
@@ -469,13 +499,14 @@ impl RequestStream {
             // Batched gradient drain, deduplicated per touched row.
             self.touched
                 .rows
-                .sort_unstable_by_key(|a| (a.bank, a.row, a.subarray));
+                .sort_unstable_by_key(|a| (a.channel, a.bank, a.row, a.subarray));
             self.touched
                 .rows
                 .iter()
                 .map(|&a| Request::new(a, AccessKind::Write))
                 .for_each(emit);
             self.touched.clear();
+            self.table_rows.fill(0);
         }
         self.last_cube.fill(None);
         for r in &mut self.r0 {
@@ -492,6 +523,7 @@ impl RequestStream {
             + self.last_cube.capacity() * std::mem::size_of::<Option<u64>>()
             + self.r0.capacity() * std::mem::size_of::<[Option<(u32, u32)>; 2]>()
             + self.touched.state_bytes()
+            + self.table_rows.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -909,12 +941,13 @@ mod tests {
                     }
                     r0[li] = [Some(key), r0[li][0]];
                     out.push(Request::new(addr, AccessKind::Read));
-                    if write_back && touched_keys.insert((addr.bank, addr.subarray, addr.row)) {
+                    let key = (addr.channel, addr.bank, addr.subarray, addr.row);
+                    if write_back && touched_keys.insert(key) {
                         touched.push(addr);
                     }
                 }
             }
-            touched.sort_unstable_by_key(|a| (a.bank, a.row, a.subarray));
+            touched.sort_unstable_by_key(|a| (a.channel, a.bank, a.row, a.subarray));
             out.extend(
                 touched
                     .into_iter()
@@ -939,6 +972,23 @@ mod tests {
                 grid.stream_batch(&points, &mut trace);
                 batches.push(trace.cubes().to_vec());
             }
+            // Hand-built cubes, twice: table rows that repeat within a
+            // level, across levels and across batches, on both sides of
+            // the last row the first-touch bitmap covers.
+            let per_row = 256;
+            let entries = [0, 1, 2 * per_row, (1 << 19) - 1, 1 << 19, (1 << 20) + 77];
+            let hand: Vec<CubeLookup> = (0..20u32)
+                .flat_map(|level| {
+                    (0..4u64).map(move |k| CubeLookup {
+                        level,
+                        entries: std::array::from_fn(|c| {
+                            entries[(c + k as usize) % entries.len()] + c as u32
+                        }),
+                        cube_id: k,
+                    })
+                })
+                .collect();
+            batches.extend([hand.clone(), hand]);
             for (m, dram) in configurations() {
                 for write_back in [false, true] {
                     let mut sink = RequestSink::new(
@@ -960,6 +1010,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn drain_keeps_rows_of_different_channels_apart() {
+        // Levels 0 and 16 sit alone on banks 0 and 16 of the 40-bank
+        // mapping: bank 0 of channels 0 and 1, at the same subarrays and
+        // rows. Each physical row gets its own write.
+        let m = HashTableMapping::new(MappingScheme::OneLevelPerBank, 20, 40, 4);
+        let dram = DramConfig::paper(4);
+        let mut stream = RequestStream::new(&m, &dram, true);
+        let mut reads = Vec::new();
+        for level in [0, 16] {
+            let cube = CubeLookup {
+                level,
+                entries: std::array::from_fn(|c| c as u32 * 300),
+                cube_id: 0,
+            };
+            stream.push_cube(&cube, |r| reads.push(r.addr));
+        }
+        let mut writes = Vec::new();
+        stream.end_batch(|r| writes.push(r.addr));
+        let channels: Vec<u32> = reads.iter().map(|a| a.channel).collect();
+        assert!(
+            channels.contains(&0) && channels.contains(&1),
+            "{channels:?}"
+        );
+        let key = |a: &PhysAddr| (a.bank, a.subarray, a.row);
+        assert!(reads.iter().all(|a| reads
+            .iter()
+            .any(|b| b.channel != a.channel && key(b) == key(a))));
+        reads.sort_unstable_by_key(|a| (a.channel, a.bank, a.row, a.subarray));
+        assert_eq!(
+            writes, reads,
+            "one write per physical row, channel included"
+        );
     }
 
     #[test]

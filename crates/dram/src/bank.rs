@@ -1,4 +1,4 @@
-//! Per-bank (and per-subarray) timing state machines.
+//! Per-subarray timing state machines and rank ACT bookkeeping.
 
 use crate::config::{DramConfig, Timing};
 use serde::{Deserialize, Serialize};
@@ -43,8 +43,11 @@ pub enum RowOutcome {
     Conflict,
 }
 
+/// Timing state of one subarray. A bank's subarrays share its column path,
+/// whose register the caller keeps beside them (`DramSim` holds every
+/// bank's subarrays in one bank-major array and one register per bank).
 #[derive(Debug, Clone, Copy)]
-struct SubarrayState {
+pub struct SubarrayState {
     open_row: Option<u32>,
     /// Cycle of the last ACT (for tRAS).
     act_at: u64,
@@ -55,67 +58,28 @@ struct SubarrayState {
     last_write_end: u64,
 }
 
-/// Timing state of one bank with `n` subarrays.
-#[derive(Debug, Clone)]
-pub struct BankTimeline {
-    subarrays: Vec<SubarrayState>,
-    /// Earliest cycle the bank's column path accepts the next RD/WR.
-    pub col_ready: u64,
-}
+impl SubarrayState {
+    /// An idle subarray: no open row, every timing window closed.
+    pub const IDLE: Self = SubarrayState {
+        open_row: None,
+        act_at: 0,
+        ready_at: 0,
+        last_write_end: 0,
+    };
 
-impl BankTimeline {
-    /// Creates an idle bank.
-    pub fn new(subarrays: u32) -> Self {
-        BankTimeline {
-            subarrays: (0..subarrays)
-                .map(|_| SubarrayState {
-                    open_row: None,
-                    act_at: 0,
-                    ready_at: 0,
-                    last_write_end: 0,
-                })
-                .collect(),
-            col_ready: 0,
-        }
-    }
-
-    /// Returns the bank to its idle state without reallocating the
-    /// subarray vector — the incremental-simulation reuse path.
-    pub fn reset(&mut self) {
-        for sa in &mut self.subarrays {
-            *sa = SubarrayState {
-                open_row: None,
-                act_at: 0,
-                ready_at: 0,
-                last_write_end: 0,
-            };
-        }
-        self.col_ready = 0;
-    }
-
-    /// Overwrites this bank's state with `other`'s without reallocating —
-    /// the co-simulation fork (see `DramSim::copy_state_from`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two banks have different subarray counts.
-    pub fn copy_from(&mut self, other: &BankTimeline) {
-        self.subarrays.copy_from_slice(&other.subarrays);
-        self.col_ready = other.col_ready;
-    }
-
-    /// Classifies how serving `row` in `subarray` will interact with the row
-    /// buffer, without mutating state.
-    pub fn classify(&self, subarray: u32, row: u32) -> RowOutcome {
-        match self.subarrays[subarray as usize].open_row {
+    /// Classifies how serving `row` will interact with the row buffer,
+    /// without mutating state.
+    pub fn classify(&self, row: u32) -> RowOutcome {
+        match self.open_row {
             Some(open) if open == row => RowOutcome::Hit,
             Some(_) => RowOutcome::Conflict,
             None => RowOutcome::Miss,
         }
     }
 
-    /// Serves one request; returns `(outcome, act_issue_cycle_if_any,
-    /// pre_issue_cycle_if_any, column_issue_cycle, data_complete_cycle)`.
+    /// Serves one request to `row` of this subarray. `col_ready` is its
+    /// bank's column register: the earliest cycle the bank's column path
+    /// accepts the next RD/WR.
     ///
     /// `earliest` is the first cycle any command may issue (request arrival);
     /// `rank_act_ok` is the earliest cycle an ACT may issue under the
@@ -123,7 +87,7 @@ impl BankTimeline {
     #[allow(clippy::too_many_arguments)]
     pub fn serve(
         &mut self,
-        subarray: u32,
+        col_ready: &mut u64,
         row: u32,
         is_write: bool,
         earliest: u64,
@@ -131,23 +95,22 @@ impl BankTimeline {
         timing: &Timing,
         config: &DramConfig,
     ) -> ServedRequest {
-        let outcome = self.classify(subarray, row);
-        let sa = &mut self.subarrays[subarray as usize];
+        let outcome = self.classify(row);
         let mut pre_at = None;
         let mut act_at = None;
         let mut stalled = false;
         let col_at;
         match outcome {
             RowOutcome::Hit => {
-                col_at = earliest.max(self.col_ready).max(sa.act_at + timing.rcd);
+                col_at = earliest.max(*col_ready).max(self.act_at + timing.rcd);
             }
             RowOutcome::Miss => {
-                let t_act = earliest.max(sa.ready_at).max(rank_act_ok);
+                let t_act = earliest.max(self.ready_at).max(rank_act_ok);
                 act_at = Some(t_act);
-                sa.act_at = t_act;
-                sa.ready_at = t_act + timing.ras; // earliest PRE
-                sa.open_row = Some(row);
-                col_at = (t_act + timing.rcd).max(self.col_ready);
+                self.act_at = t_act;
+                self.ready_at = t_act + timing.ras; // earliest PRE
+                self.open_row = Some(row);
+                col_at = (t_act + timing.rcd).max(*col_ready);
             }
             RowOutcome::Conflict => {
                 // Close the open row first: PRE must respect tRAS since the
@@ -156,22 +119,22 @@ impl BankTimeline {
                 // it arrives — with enough subarrays the victim row is long
                 // quiescent and the turnaround hides completely.
                 let t_pre = earliest
-                    .max(sa.act_at + timing.ras)
-                    .max(sa.last_write_end + timing.wr);
+                    .max(self.act_at + timing.ras)
+                    .max(self.last_write_end + timing.wr);
                 stalled = t_pre > earliest;
                 pre_at = Some(t_pre);
                 let t_act = (t_pre + timing.rp).max(rank_act_ok);
                 act_at = Some(t_act);
-                sa.act_at = t_act;
-                sa.ready_at = t_act + timing.ras;
-                sa.open_row = Some(row);
-                col_at = (t_act + timing.rcd).max(self.col_ready);
+                self.act_at = t_act;
+                self.ready_at = t_act + timing.ras;
+                self.open_row = Some(row);
+                col_at = (t_act + timing.rcd).max(*col_ready);
             }
         }
-        self.col_ready = col_at + timing.ccd;
+        *col_ready = col_at + timing.ccd;
         let data_done = if is_write {
             let done = col_at + timing.wa + config.burst_cycles;
-            self.subarrays[subarray as usize].last_write_end = done;
+            self.last_write_end = done;
             done
         } else {
             col_at + timing.cl + config.burst_cycles
@@ -251,9 +214,47 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn setup() -> (BankTimeline, Timing, DramConfig) {
+    /// One bank as `DramSim` lays it out: its subarray slots side by side
+    /// and its column register.
+    struct Bank {
+        subarrays: Vec<SubarrayState>,
+        col_ready: u64,
+    }
+
+    impl Bank {
+        fn new(subarrays: u32) -> Self {
+            Bank {
+                subarrays: vec![SubarrayState::IDLE; subarrays as usize],
+                col_ready: 0,
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn serve(
+            &mut self,
+            subarray: u32,
+            row: u32,
+            is_write: bool,
+            earliest: u64,
+            rank_act_ok: u64,
+            timing: &Timing,
+            config: &DramConfig,
+        ) -> ServedRequest {
+            self.subarrays[subarray as usize].serve(
+                &mut self.col_ready,
+                row,
+                is_write,
+                earliest,
+                rank_act_ok,
+                timing,
+                config,
+            )
+        }
+    }
+
+    fn setup() -> (Bank, Timing, DramConfig) {
         let cfg = DramConfig::paper(4);
-        (BankTimeline::new(4), cfg.timing, cfg)
+        (Bank::new(4), cfg.timing, cfg)
     }
 
     #[test]
@@ -301,8 +302,8 @@ mod tests {
         let cfg1 = DramConfig::paper(1);
         let cfg2 = DramConfig::paper(2);
         let t = cfg1.timing;
-        let mut one = BankTimeline::new(1);
-        let mut two = BankTimeline::new(2);
+        let mut one = Bank::new(1);
+        let mut two = Bank::new(2);
         let mut done_one = 0;
         let mut done_two = 0;
         for i in 0..8u32 {

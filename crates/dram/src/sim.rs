@@ -1,6 +1,6 @@
 //! The request-stream simulator.
 
-use crate::bank::{BankTimeline, CommandKind, CommandRecord, RankActTracker, RowOutcome};
+use crate::bank::{CommandKind, CommandRecord, RankActTracker, RowOutcome, SubarrayState};
 use crate::config::DramConfig;
 use crate::energy::EnergyModel;
 use crate::request::{AccessKind, Request};
@@ -30,7 +30,12 @@ use crate::stats::SimStats;
 pub struct DramSim {
     config: DramConfig,
     energy: EnergyModel,
-    banks: Vec<BankTimeline>,
+    /// Every bank's subarrays, bank-major: global bank `gb`'s subarray `sa`
+    /// is slot `gb * subarrays_per_bank + sa`.
+    subarrays: Vec<SubarrayState>,
+    /// Per global bank, the earliest cycle its column path accepts the
+    /// next RD/WR (shared by the bank's subarrays).
+    col_ready: Vec<u64>,
     rank_acts: Vec<RankActTracker>,
     channel_bus_free: Vec<u64>,
     log: Vec<CommandRecord>,
@@ -49,9 +54,11 @@ impl DramSim {
     /// Creates a simulator with the default LPDDR4 energy model.
     pub fn new(config: DramConfig) -> Self {
         DramSim {
-            banks: (0..config.total_banks())
-                .map(|_| BankTimeline::new(config.subarrays_per_bank))
-                .collect(),
+            subarrays: vec![
+                SubarrayState::IDLE;
+                config.total_banks() as usize * config.subarrays_per_bank as usize
+            ],
+            col_ready: vec![0; config.total_banks() as usize],
             rank_acts: (0..config.channels)
                 .map(|_| RankActTracker::new())
                 .collect(),
@@ -107,9 +114,8 @@ impl DramSim {
 
     /// Clears timing/statistics state but preserves the command log.
     fn reset_timing(&mut self) {
-        for b in &mut self.banks {
-            b.reset();
-        }
+        self.subarrays.fill(SubarrayState::IDLE);
+        self.col_ready.fill(0);
         self.rank_acts.fill(RankActTracker::new());
         self.channel_bus_free.fill(0);
         self.stats = SimStats::default();
@@ -135,9 +141,8 @@ impl DramSim {
             self.config == other.config && self.energy == other.energy,
             "state can only be copied between identically configured simulators"
         );
-        for (b, o) in self.banks.iter_mut().zip(&other.banks) {
-            b.copy_from(o);
-        }
+        self.subarrays.copy_from_slice(&other.subarrays);
+        self.col_ready.copy_from_slice(&other.col_ready);
         self.rank_acts.copy_from_slice(&other.rank_acts);
         self.channel_bus_free
             .copy_from_slice(&other.channel_bus_free);
@@ -150,12 +155,8 @@ impl DramSim {
     /// Approximate heap bytes of the simulator's mutable state — the
     /// constant-memory footprint of the online co-simulation path.
     pub fn state_bytes(&self) -> usize {
-        self.banks.capacity() * std::mem::size_of::<BankTimeline>()
-            + self.banks.len()
-                * self.config.subarrays_per_bank as usize
-                * std::mem::size_of::<u64>()
-                // inerf-lint: allow(entry-width) -- 4 = u64 timeline registers per subarray, not an entry width
-                * 4
+        self.subarrays.capacity() * std::mem::size_of::<SubarrayState>()
+            + self.col_ready.capacity() * std::mem::size_of::<u64>()
             + self.rank_acts.capacity() * std::mem::size_of::<RankActTracker>()
             + self.channel_bus_free.capacity() * std::mem::size_of::<u64>()
             + self.log.capacity() * std::mem::size_of::<CommandRecord>()
@@ -186,8 +187,9 @@ impl DramSim {
         let gb = a.global_bank(self.config.banks_per_channel) as usize;
         let rank_ok = self.rank_acts[a.channel as usize].earliest(&self.config.timing);
         let is_write = req.kind == AccessKind::Write;
-        let served = self.banks[gb].serve(
-            a.subarray,
+        let slot = gb * self.config.subarrays_per_bank as usize + a.subarray as usize;
+        let served = self.subarrays[slot].serve(
+            &mut self.col_ready[gb],
             a.row,
             is_write,
             req.arrival.max(self.now),
@@ -463,6 +465,102 @@ mod tests {
         let expected = straight.drain_stats();
         assert_eq!(source.drain_stats(), expected);
         assert_eq!(fork.drain_stats(), expected);
+    }
+
+    /// Every `SimStats` field (energy as bits), then the command log's
+    /// length and an FNV-style checksum over its records.
+    fn fingerprint(stats: &SimStats, log: &[CommandRecord]) -> [u64; 12] {
+        let checksum = log.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, c| {
+            [
+                c.cycle,
+                c.kind as u64,
+                c.bank.into(),
+                c.subarray.into(),
+                c.row.into(),
+            ]
+            .iter()
+            .fold(h, |h, &x| (h ^ x).wrapping_mul(0x0100_0000_01B3))
+        });
+        [
+            stats.requests,
+            stats.row_hits,
+            stats.row_misses,
+            stats.bank_conflicts,
+            stats.total_cycles,
+            stats.acts,
+            stats.pres,
+            stats.reads,
+            stats.writes,
+            stats.energy_pj.to_bits(),
+            log.len() as u64,
+            checksum,
+        ]
+    }
+
+    #[test]
+    fn seeded_streams_match_the_recorded_golden() {
+        // Recorded before the bank state became one flat subarray array:
+        // a mixed read/write stream on two channels × four banks, a tick
+        // every fourth request, and a fork after the first half that serves
+        // the second half beside its source. Per configuration, the
+        // source's fingerprint, then the fork's (the same statistics, and
+        // the log of the second half only).
+        #[rustfmt::skip]
+        let golden: [(DramConfig, [[u64; 12]; 2]); 3] = [
+            (DramConfig::paper(1), [
+                [600, 61, 9, 530, 2915, 539, 531, 411, 189, 4698030357318991872, 1670, 8501459906455502183],
+                [600, 61, 9, 530, 2915, 539, 531, 411, 189, 4698030357318991872, 840, 18445082115957808744],
+            ]),
+            (DramConfig::paper(32), [
+                [600, 48, 349, 203, 904, 552, 323, 428, 172, 4695516100643782656, 1475, 15985445723386778648],
+                [600, 48, 349, 203, 904, 552, 323, 428, 172, 4695516100643782656, 791, 9972723064580124173],
+            ]),
+            (DramConfig::paper_host(4), [
+                [600, 73, 47, 480, 2544, 527, 495, 411, 189, 4698319150919974912, 1622, 4998367172098278109],
+                [600, 73, 47, 480, 2544, 527, 495, 411, 189, 4698319150919974912, 820, 16544713130681033835],
+            ]),
+        ];
+        let fingerprints = golden.map(|(cfg, _)| {
+            let mut rng = SmallRng::seed_from_u64(cfg.subarrays_per_bank as u64);
+            let reqs: Vec<Request> = (0..600)
+                .map(|_| {
+                    let kind = if rng.gen_bool(0.3) {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    let sa = rng.gen_range(0..cfg.subarrays_per_bank);
+                    let addr = cfg.address(
+                        rng.gen_range(0..2),
+                        rng.gen_range(0..4),
+                        sa,
+                        rng.gen_range(0..8),
+                        0,
+                    );
+                    Request::new(addr, kind)
+                })
+                .collect();
+            let serve = |sim: &mut DramSim, reqs: &[Request]| {
+                for (i, r) in reqs.iter().enumerate() {
+                    sim.push_request(r);
+                    if i % 4 == 3 {
+                        sim.tick(3);
+                    }
+                }
+            };
+            let (prefix, suffix) = reqs.split_at(reqs.len() / 2);
+            let mut source = DramSim::new(cfg).with_command_log();
+            serve(&mut source, prefix);
+            let mut fork = DramSim::new(cfg).with_command_log();
+            fork.copy_state_from(&source);
+            serve(&mut source, suffix);
+            serve(&mut fork, suffix);
+            [
+                fingerprint(&source.drain_stats(), source.command_log()),
+                fingerprint(&fork.drain_stats(), fork.command_log()),
+            ]
+        });
+        assert_eq!(fingerprints, golden.map(|(_, expected)| expected));
     }
 
     #[test]
