@@ -1050,3 +1050,224 @@ mod occupancy_tests {
         assert!(t.occupancy_grid().is_some());
     }
 }
+
+/// Bitwise pins of the batched engine at the edges of its fixed
+/// `POINT_CHUNK` decomposition: rays one under, on and one over a chunk,
+/// rays spanning several chunks, a batch that is one partial chunk, rays
+/// ending exactly on a chunk edge, and grid-culled one-sample spans mixed
+/// with full ones. Every (optimizer path × thread count) combination must
+/// reproduce the same recorded loss bits, query count and master /
+/// working parameter checksums; the values were recorded with the
+/// whole-batch stage order, so any schedule change that moves a bit fails
+/// here.
+#[cfg(test)]
+mod schedule_pins {
+    use super::*;
+    use crate::model::{IngpModel, ModelConfig};
+    use crate::occupancy::OccupancyGrid;
+
+    const ITERS: usize = 3;
+
+    /// One edge case: `rays` rays along +x with `samples` samples each;
+    /// `culled` installs a fixed occupancy grid: a one-cell slab every ray
+    /// crosses once, plus a full block the lowest rays run through.
+    struct Shape {
+        name: &'static str,
+        rays: usize,
+        samples: usize,
+        culled: bool,
+    }
+
+    #[rustfmt::skip]
+    const SHAPES: [Shape; 8] = [
+        Shape { name: "span255", rays: 6, samples: 255, culled: false },
+        Shape { name: "span256", rays: 5, samples: 256, culled: false },
+        Shape { name: "span257", rays: 5, samples: 257, culled: false },
+        Shape { name: "span300", rays: 5, samples: 300, culled: false },
+        Shape { name: "span700", rays: 4, samples: 700, culled: false },
+        Shape { name: "one_partial_chunk", rays: 3, samples: 16, culled: false },
+        Shape { name: "ray_ends_on_chunk_edge", rays: 9, samples: 64, culled: false },
+        Shape { name: "culled_one_sample", rays: 256, samples: 24, culled: true },
+    ];
+
+    /// FNV-1a over the bit patterns of `values`.
+    fn checksum<'a>(values: impl IntoIterator<Item = &'a f32>) -> u64 {
+        values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, v| {
+            (h ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    fn rays(count: usize) -> (Vec<Ray>, Vec<Vec3>) {
+        (0..count)
+            .map(|i| {
+                let f = (i as f32 + 0.5) / count as f32;
+                let origin = Vec3::new(-2.5, 1.6 * f - 0.8, 0.7 * (7.0 * f).sin());
+                let dir = Vec3::new(1.0, 0.05 * (5.0 * f).cos(), 0.04).normalized();
+                (Ray::new(origin, dir), Vec3::new(f, 0.5 * f, 1.0 - f))
+            })
+            .unzip()
+    }
+
+    fn culling_grid() -> OccupancyGrid {
+        let res = 16u32;
+        let mut grid = OccupancyGrid::from_words(res, vec![0; (res as usize).pow(3).div_ceil(64)]);
+        let cell = |i: u32| (i as f32 + 0.5) / res as f32;
+        for a in 0..res {
+            for b in 0..res {
+                grid.set(Vec3::new(cell(9), cell(a), cell(b)), true);
+                for c in 0..3 {
+                    grid.set(Vec3::new(cell(a), cell(c), cell(b)), true);
+                }
+            }
+        }
+        grid
+    }
+
+    /// `(loss bits per iteration, points queried, master checksum, working
+    /// checksum)` of one training run, and the span lengths it trained on.
+    fn run(
+        shape: &Shape,
+        precision: Precision,
+        opt: OptPath,
+        pool: &Arc<ThreadPool>,
+    ) -> ((Vec<u64>, u64, u64, u64), Vec<usize>) {
+        let config = TrainConfig {
+            samples_per_ray: shape.samples,
+            ..TrainConfig::tiny()
+        }
+        .with_precision(precision)
+        .with_opt(opt);
+        let mut model = IngpModel::for_config(ModelConfig::tiny(), &config, 23);
+        // A dense field (σ ≈ 150): the long rays' transmittance reaches
+        // exactly zero partway, so compaction drops their tails.
+        let density = model.mlps_mut().0.layers_mut().last_mut().unwrap();
+        density.bias_mut().master_mut()[0] = 150.0;
+        density.bias_mut().commit();
+        let mut trainer = Trainer::new(model, config, 5);
+        trainer.pool = Arc::clone(pool);
+        if shape.culled {
+            trainer = trainer.with_occupancy_grid(16, 0.0, usize::MAX);
+            let occ = trainer.occupancy.as_mut().unwrap();
+            occ.grid = culling_grid();
+            occ.iteration = 1; // never refreshed: the grid stays as set
+        }
+        let (rays, targets) = rays(shape.rays);
+        let bounds = Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0));
+        let losses = (0..ITERS)
+            .map(|_| trainer.train_on_rays(&rays, &targets, &bounds).to_bits())
+            .collect();
+        let spans = trainer.arena.batch.spans.iter().map(|s| s.len).collect();
+        let queried = trainer.points_queried();
+        let model = trainer.into_model();
+        let grid = model.grid();
+        let mlps = [model.density_mlp(), model.color_mlp()];
+        let layers = || mlps.into_iter().flat_map(|m| m.layers());
+        let master =
+            checksum(grid.parameter_store().master().iter().chain(
+                layers().flat_map(|l| l.weights().master().iter().chain(l.bias().master())),
+            ));
+        let working = checksum(
+            grid.parameters()
+                .iter()
+                .chain(layers().flat_map(|l| l.parameters())),
+        );
+        ((losses, queried, master, working), spans)
+    }
+
+    /// What one run must reproduce.
+    #[derive(Debug, PartialEq)]
+    struct Pin {
+        losses: [u64; ITERS],
+        queried: u64,
+        master: u64,
+        working: u64,
+    }
+
+    /// Per shape, `[f32, fp16]`.
+    #[rustfmt::skip]
+    const PINS: [[Pin; 2]; 8] = [
+        [
+            // span255, f32
+            Pin { losses: [0x3fd2459c49555555, 0x3fd07bf812aaaaab, 0x3fce614469555555], queried: 4590, master: 0x29b74df1b384c339, working: 0x29b74df1b384c339 },
+            // span255, fp16
+            Pin { losses: [0x3fd245dddaaaaaab, 0x3fd07c157eaaaaab, 0x3fce610080000000], queried: 4590, master: 0x397a167ca09961f7, working: 0x81ca5ff3204de317 },
+        ],
+        [
+            // span256, f32
+            Pin { losses: [0x3fd220dcfe666666, 0x3fd0540d6999999a, 0x3fce120c18000000], queried: 3840, master: 0x261e53630e5cca14, working: 0x261e53630e5cca14 },
+            // span256, fp16
+            Pin { losses: [0x3fd2211d64cccccd, 0x3fd05446be666666, 0x3fce11fd4199999a], queried: 3840, master: 0x15c539c3580300a5, working: 0xe8e1e3d7c9b8a317 },
+        ],
+        [
+            // span257, f32
+            Pin { losses: [0x3fd220dd3b333333, 0x3fd0540626666666, 0x3fce121223333333], queried: 3855, master: 0x74c8a8d17d163ad3, working: 0x74c8a8d17d163ad3 },
+            // span257, fp16
+            Pin { losses: [0x3fd2211d68000000, 0x3fd05440a0000000, 0x3fce12049199999a], queried: 3855, master: 0x1003ef4d484dd76c, working: 0xe475ba3f509e4317 },
+        ],
+        [
+            // span300, f32
+            Pin { losses: [0x3fd220dd04cccccd, 0x3fd0540cee666666, 0x3fce1206ae666666], queried: 4500, master: 0x08e05989400196d7, working: 0x08e05989400196d7 },
+            // span300, fp16
+            Pin { losses: [0x3fd2211d4e666666, 0x3fd054465199999a, 0x3fce11f99199999a], queried: 4500, master: 0x2dde286c83150644, working: 0x5d0830ec7dd88317 },
+        ],
+        [
+            // span700, f32
+            Pin { losses: [0x3fd1dc2b44000000, 0x3fd01301dc000000, 0x3fcd82c716000000], queried: 8400, master: 0x77c2f0b14a044a1d, working: 0x77c2f0b14a044a1d },
+            // span700, fp16
+            Pin { losses: [0x3fd1dc69ea000000, 0x3fd01344d8000000, 0x3fcd829036000000], queried: 8400, master: 0x50bfd041106e8a47, working: 0x8654436eda796317 },
+        ],
+        [
+            // one_partial_chunk, f32
+            Pin { losses: [0x3fd1450dad555555, 0x3fcef84c6aaaaaab, 0x3fcc5d2ffd555555], queried: 144, master: 0xad1ac73bb0006ba0, working: 0xad1ac73bb0006ba0 },
+            // one_partial_chunk, fp16
+            Pin { losses: [0x3fd145485aaaaaab, 0x3fcef8d220000000, 0x3fcc5cf938000000], queried: 144, master: 0xe7688f342d2b61e5, working: 0x317130090cbd6317 },
+        ],
+        [
+            // ray_ends_on_chunk_edge, f32
+            Pin { losses: [0x3fd275b5eaaaaaab, 0x3fd0a6b8f0000000, 0x3fcead6f29c71c72], queried: 1728, master: 0x3e14bb87804c16f9, working: 0x3e14bb87804c16f9 },
+            // ray_ends_on_chunk_edge, fp16
+            Pin { losses: [0x3fd275f4e8e38e39, 0x3fd0a6f288000000, 0x3fcead6be5555555], queried: 1728, master: 0x46c65eee060da87f, working: 0x786ade7446a16317 },
+        ],
+        [
+            // culled_one_sample, f32
+            Pin { losses: [0x3fd29b7dfaf80000, 0x3fd0d724c2f80000, 0x3fcf04b94c600000], queried: 1708, master: 0xbc47c1cf05ae494d, working: 0xbc47c1cf05ae494d },
+            // culled_one_sample, fp16
+            Pin { losses: [0x3fd29bbca8980000, 0x3fd0d765db280000, 0x3fcf0479a4400000], queried: 1708, master: 0xfb30ab976a1842cd, working: 0xc6bf54dc8f6a6317 },
+        ],
+    ];
+
+    #[test]
+    fn batched_engine_reproduces_its_pinned_bits_at_every_chunk_edge() {
+        let pools = [1, 2, 8].map(engine::build_pool);
+        for (shape, pins) in SHAPES.iter().zip(&PINS) {
+            for (precision, pin) in [Precision::F32, Precision::Fp16].into_iter().zip(pins) {
+                for opt in [OptPath::Sparse, OptPath::Dense] {
+                    for pool in &pools {
+                        let ((losses, queried, master, working), spans) =
+                            run(shape, precision, opt, pool);
+                        let got = Pin {
+                            losses: losses.try_into().unwrap(),
+                            queried,
+                            master,
+                            working,
+                        };
+                        let label = format!(
+                            "{} {}/{}/{}t",
+                            shape.name,
+                            precision.label(),
+                            opt.label(),
+                            pool.current_num_threads()
+                        );
+                        assert_eq!(&got, pin, "{label}");
+                        if shape.culled {
+                            assert!(spans.contains(&1), "{label}: one-sample spans");
+                            assert!(spans.iter().any(|&l| l > 8), "{label}: long spans");
+                        } else {
+                            assert!(spans.iter().all(|&l| l == shape.samples), "{label}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
