@@ -3,13 +3,15 @@
 //! (`TrainConfig::small`: 256 rays × 32 samples = 8 K points/iteration,
 //! `ModelConfig::small`). Each rate is the median of several timing
 //! windows after a warm-up, so a single noisy window cannot skew the
-//! recorded baseline. Also measures the grid optimizer at paper scale
-//! (dense vs sparse) and the lazy-Adam replay kernel by chain age, with
-//! its two cliff gates. The per-stage ns/point of a training step are not
-//! here: `inerf-bench run --workload train_lego --trace 1` records them
-//! reconciled against the real step. Writes `BENCH_throughput.json` at the
-//! repo root so the perf trajectory is recorded run over run; CI runs it
-//! in quick mode (`INERF_BENCH_QUICK=1`).
+//! recorded baseline; the scalar and single-thread batched windows
+//! alternate, and their speedup is the median of the paired ratios. Also
+//! measures the grid optimizer at paper scale (dense vs sparse) and the
+//! lazy-Adam replay kernel by chain age, with its two cliff gates. The
+//! per-stage ns/point of a training step are not here: `inerf-bench run
+//! --workload train_lego --trace 1` records them reconciled against the
+//! real step. Writes `BENCH_throughput.json` at the repo root so the perf
+//! trajectory is recorded run over run; CI runs it in quick mode
+//! (`INERF_BENCH_QUICK=1`).
 
 use inerf_bench::{median, quick_mode, write_record};
 use inerf_encoding::{HashFunction, HashGrid};
@@ -78,6 +80,7 @@ struct ThroughputReport {
     /// Training iterations per timing window.
     timed_iterations: usize,
     /// Timing windows per engine; the recorded rate is their median.
+    /// Scalar and batched x1 windows alternate.
     timing_windows: usize,
     threads: usize,
     /// Grid-optimizer path of the timed runs.
@@ -89,35 +92,44 @@ struct ThroughputReport {
     batched_1_thread_points_per_sec: f64,
     batched_points_per_sec: f64,
     speedup_batched_vs_scalar: f64,
+    /// Median over the paired windows of batched x1 / scalar.
     speedup_batched_1_thread_vs_scalar: f64,
     optimizer_paper_scale: OptimizerMicrobench,
     optimizer_replay: OptimizerReplay,
 }
 
-/// Median sampled-points-per-second over `windows` timing windows of
-/// `iters` iterations each, after a warm-up that fills every cache, the
-/// thread pool, and the engine's buffer arena.
-fn points_per_sec(
+/// Sampled points per second of one trainer per `(engine, threads)` entry,
+/// one rate per timing window of `iters` iterations, after a warm-up that
+/// fills every cache, the thread pool, and the engine's buffer arena. The
+/// trainers take turns window by window, so slow machine-wide drift
+/// (co-tenants, thermal throttling) hits every entry alike.
+fn window_rates(
     dataset: &Dataset,
-    engine_kind: Engine,
-    threads: usize,
+    runs: &[(Engine, usize)],
     iters: usize,
     windows: usize,
-) -> f64 {
-    let model = IngpModel::new(ModelConfig::small(HashFunction::Morton), 7);
-    let mut trainer =
-        Trainer::new(model, TrainConfig::small().with_engine(engine_kind), 3).with_threads(threads);
-    trainer.train(dataset, 2);
-    let rates = (0..windows)
-        .map(|_| {
+) -> Vec<Vec<f64>> {
+    let mut trainers: Vec<_> = runs
+        .iter()
+        .map(|&(engine_kind, threads)| {
+            let model = IngpModel::new(ModelConfig::small(HashFunction::Morton), 7);
+            let config = TrainConfig::small().with_engine(engine_kind);
+            let mut trainer = Trainer::new(model, config, 3).with_threads(threads);
+            trainer.train(dataset, 2);
+            trainer
+        })
+        .collect();
+    let mut rates = vec![Vec::with_capacity(windows); runs.len()];
+    for _ in 0..windows {
+        for (trainer, rates) in trainers.iter_mut().zip(&mut rates) {
             let queried_before = trainer.points_queried();
             let start = Instant::now();
             trainer.train(dataset, iters);
             let elapsed = start.elapsed().as_secs_f64();
-            (trainer.points_queried() - queried_before) as f64 / elapsed
-        })
-        .collect();
-    median(rates)
+            rates.push((trainer.points_queried() - queried_before) as f64 / elapsed);
+        }
+    }
+    rates
 }
 
 /// A deterministic batch of ray-segment samples in the unit cube: `rays`
@@ -346,9 +358,24 @@ fn main() {
     let scene = zoo::scene(zoo::SceneKind::Lego);
     let dataset = DatasetConfig::tiny().generate(&scene);
 
-    let scalar = points_per_sec(&dataset, Engine::Scalar, threads, iters, windows);
-    let batched_1 = points_per_sec(&dataset, Engine::Batched, 1, iters, windows);
-    let batched = points_per_sec(&dataset, Engine::Batched, threads, iters, windows);
+    // The gated ratio comes from paired windows: scalar and batched x1
+    // alternate, and each pair's ratio is taken before the median.
+    let paired = window_rates(
+        &dataset,
+        &[(Engine::Scalar, threads), (Engine::Batched, 1)],
+        iters,
+        windows,
+    );
+    let paired_speedup = median(
+        paired[1]
+            .iter()
+            .zip(&paired[0])
+            .map(|(b, s)| b / s)
+            .collect(),
+    );
+    let (scalar, batched_1) = (median(paired[0].clone()), median(paired[1].clone()));
+    let batched =
+        median(window_rates(&dataset, &[(Engine::Batched, threads)], iters, windows).remove(0));
     let (dense_iters, sparse_iters) = if quick_mode() { (3, 30) } else { (12, 240) };
     let paper_opt = optimizer_microbench(dense_iters, sparse_iters);
     let replay = optimizer_replay_microbench(if quick_mode() { 3 } else { 9 });
@@ -368,17 +395,17 @@ fn main() {
         batched_1_thread_points_per_sec: batched_1,
         batched_points_per_sec: batched,
         speedup_batched_vs_scalar: batched / scalar,
-        speedup_batched_1_thread_vs_scalar: batched_1 / scalar,
+        speedup_batched_1_thread_vs_scalar: paired_speedup,
         optimizer_paper_scale: paper_opt,
         optimizer_replay: replay,
     };
     println!(
         "\nthroughput (tab2-small, median of {windows}x{iters} iterations, backend {}): \
-         scalar {:.0} pts/s | batched x1 {:.0} pts/s ({:.2}x) | batched x{threads} {:.0} pts/s ({:.2}x)",
+         scalar {:.0} pts/s | batched x1 {:.0} pts/s ({:.2}x paired) | batched x{threads} {:.0} pts/s ({:.2}x)",
         report.backend,
         scalar,
         batched_1,
-        batched_1 / scalar,
+        paired_speedup,
         batched,
         batched / scalar,
     );

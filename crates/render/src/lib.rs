@@ -29,7 +29,7 @@
 pub mod loss;
 pub mod volume;
 
-pub use loss::{l2_loss, l2_loss_into, L2Loss};
+pub use loss::{l2_loss, l2_loss_into, l2_loss_value, l2_ray_gradient, L2Loss};
 pub use volume::{
     composite, composite_backward, composite_backward_spans, composite_backward_uniform,
     composite_spans, composite_uniform, CompositeOutput, RayBatch, RaySpan, SamplePoint,

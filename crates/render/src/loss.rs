@@ -37,6 +37,24 @@ pub fn l2_loss(predictions: &[Vec3], targets: &[Vec3]) -> L2Loss {
 ///
 /// Panics if the slices differ in length or are empty.
 pub fn l2_loss_into(predictions: &[Vec3], targets: &[Vec3], d_predictions: &mut Vec<Vec3>) -> f64 {
+    let value = l2_loss_value(predictions, targets);
+    d_predictions.clear();
+    d_predictions.extend(
+        predictions
+            .iter()
+            .zip(targets)
+            .map(|(&p, &t)| l2_ray_gradient(p, t, predictions.len())),
+    );
+    value
+}
+
+/// The value of [`l2_loss`] alone: squared errors summed over rays in
+/// order, in f64, divided by the ray count.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length or are empty.
+pub fn l2_loss_value(predictions: &[Vec3], targets: &[Vec3]) -> f64 {
     assert_eq!(
         predictions.len(),
         targets.len(),
@@ -46,15 +64,19 @@ pub fn l2_loss_into(predictions: &[Vec3], targets: &[Vec3], d_predictions: &mut 
         !predictions.is_empty(),
         "loss over an empty batch is undefined"
     );
-    let n = predictions.len() as f64;
     let mut value = 0.0f64;
-    d_predictions.clear();
     for (p, t) in predictions.iter().zip(targets) {
-        let e = *p - *t;
-        value += e.length_squared() as f64;
-        d_predictions.push(e * (2.0 / n as f32));
+        value += (*p - *t).length_squared() as f64;
     }
-    value / n
+    value / predictions.len() as f64
+}
+
+/// `∂L/∂Ĉ(r)` of one ray of a `rays`-ray batch: `2 (Ĉ − C) / rays` — the
+/// one expression behind [`l2_loss`]'s gradients, for callers that finish
+/// rays one run at a time.
+#[inline]
+pub fn l2_ray_gradient(prediction: Vec3, target: Vec3, rays: usize) -> Vec3 {
+    (prediction - target) * (2.0 / rays as f32)
 }
 
 #[cfg(test)]
@@ -92,6 +114,40 @@ mod tests {
         let down = l2_loss(&p2, &tgt).value;
         let numeric = ((up - down) / (2.0 * eps as f64)) as f32;
         assert!((numeric - l.d_predictions[1].y).abs() < 1e-3);
+    }
+
+    #[test]
+    fn parts_match_the_fused_loop_bitwise() {
+        // Reference: value and gradient in one fused loop.
+        let fused = |pred: &[Vec3], tgt: &[Vec3]| {
+            let n = pred.len() as f64;
+            let mut value = 0.0f64;
+            let mut grads = Vec::new();
+            for (p, t) in pred.iter().zip(tgt) {
+                let e = *p - *t;
+                value += e.length_squared() as f64;
+                grads.push(e * (2.0 / n as f32));
+            }
+            (value / n, grads)
+        };
+        let bits = |v: Vec3| [v.x, v.y, v.z].map(f32::to_bits);
+        for rays in [1usize, 3, 7, 512, 4099] {
+            let pred: Vec<Vec3> = (0..rays)
+                .map(|i| Vec3::new((i as f32 * 0.37).sin(), 0.1 * i as f32, -0.3))
+                .collect();
+            let tgt: Vec<Vec3> = (0..rays)
+                .map(|i| Vec3::new(0.5, (i as f32 * 0.11).cos(), 0.2))
+                .collect();
+            let (value, grads) = fused(&pred, &tgt);
+            let l = l2_loss(&pred, &tgt);
+            assert_eq!(l.value.to_bits(), value.to_bits());
+            assert_eq!(l2_loss_value(&pred, &tgt).to_bits(), value.to_bits());
+            for (i, want) in grads.iter().enumerate() {
+                assert_eq!(bits(l.d_predictions[i]), bits(*want), "ray {i} of {rays}");
+                let one = l2_ray_gradient(pred[i], tgt[i], rays);
+                assert_eq!(bits(one), bits(*want), "ray {i} of {rays}");
+            }
+        }
     }
 
     #[test]

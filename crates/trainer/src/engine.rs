@@ -2,11 +2,11 @@
 //!
 //! The batched hot path (see [`crate::train`] and [`crate::model`]) splits
 //! every stage into *fixed-size* chunks — [`RAY_CHUNK`] rays for the
-//! compositing stages, `POINT_CHUNK` points inside the model — and runs the
-//! chunks on a [`rayon::ThreadPool`]. Chunk boundaries never depend on the
-//! worker count and all cross-chunk reductions happen sequentially in chunk
-//! order, so training is bitwise-deterministic for a fixed seed at *any*
-//! thread count; the knob only changes wall-clock time.
+//! compositing stages, [`POINT_CHUNK`] points inside the model — and runs
+//! the chunks on a [`rayon::ThreadPool`]. Chunk boundaries never depend on
+//! the worker count and all cross-chunk reductions happen sequentially in
+//! chunk order, so training is bitwise-deterministic for a fixed seed at
+//! *any* thread count; the knob only changes wall-clock time.
 //!
 //! The pool size comes from the `INERF_THREADS` environment variable
 //! (default: all available cores); [`crate::train::Trainer::with_threads`]
@@ -16,7 +16,13 @@ use crate::occupancy::{RayMarcher, RefreshScratch};
 use inerf_geom::{Ray, Vec3};
 use inerf_render::volume::RaySpan;
 use rayon::{ThreadPool, ThreadPoolBuilder};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
+
+/// Points per chunk of the model's batched phases. Fixed (not derived from
+/// the worker count) so chunk boundaries — and therefore every gradient
+/// accumulation order — are identical at any thread count.
+pub const POINT_CHUNK: usize = 256;
 
 /// Rays per task in the parallel composite / composite-backward stages.
 ///
@@ -24,6 +30,32 @@ use std::sync::{Arc, OnceLock};
 /// decomposition — and with it every floating-point reduction order — is
 /// identical at 1, 2, or 64 threads.
 pub const RAY_CHUNK: usize = 16;
+
+/// The samples of point chunks `chunks` in a batch of `n` samples.
+pub fn chunk_samples(chunks: Range<usize>, n: usize) -> Range<usize> {
+    (chunks.start * POINT_CHUNK).min(n)..(chunks.end * POINT_CHUNK).min(n)
+}
+
+/// Runs `task` on every item: inline on a one-worker pool; else the first
+/// item on the calling thread, which would otherwise only wait for the
+/// pool, and one pool task for each of the rest.
+pub(crate) fn run_tasks<T: Send>(
+    pool: &ThreadPool,
+    mut items: impl Iterator<Item = T>,
+    task: impl Fn(T) + Sync,
+) {
+    if pool.current_num_threads() == 1 {
+        return items.for_each(task);
+    }
+    let Some(first) = items.next() else { return };
+    let task = &task;
+    pool.scope(|s| {
+        for item in items {
+            s.spawn(move |_| task(item));
+        }
+        task(first);
+    });
+}
 
 /// Parses an `INERF_THREADS` value: a positive integer. Anything else is
 /// a hard error naming the value — a typo must not silently run on all
@@ -106,12 +138,10 @@ pub(crate) struct BatchArena {
     pub sigmas: Vec<f32>,
     pub rgbs: Vec<Vec3>,
     pub ray_colors: Vec<Vec3>,
-    pub backgrounds: Vec<f32>,
     pub weights: Vec<f32>,
     pub trans_after: Vec<f32>,
     pub d_sigmas: Vec<f32>,
     pub d_colors: Vec<Vec3>,
-    pub d_predictions: Vec<Vec3>,
     /// Ascending global indices of live (non-compacted) samples.
     pub live: Vec<u32>,
     growth_events: u64,
@@ -131,12 +161,10 @@ impl BatchArena {
             + self.sigmas.capacity()
             + self.rgbs.capacity()
             + self.ray_colors.capacity()
-            + self.backgrounds.capacity()
             + self.weights.capacity()
             + self.trans_after.capacity()
             + self.d_sigmas.capacity()
             + self.d_colors.capacity()
-            + self.d_predictions.capacity()
             + self.live.capacity()
     }
 
@@ -182,7 +210,6 @@ impl BatchArena {
 /// even with per-step rounding, a depth below 80 leaves `T` dozens of
 /// orders of magnitude above the smallest subnormal).
 pub(crate) fn scan_live_samples(sigmas: &[f32], spans: &[RaySpan], live: &mut Vec<u32>) {
-    live.clear();
     for span in spans {
         let ray = &sigmas[span.start..span.start + span.len];
         let depth: f64 = ray
@@ -203,6 +230,47 @@ pub(crate) fn scan_live_samples(sigmas: &[f32], spans: &[RaySpan], live: &mut Ve
             }
         }
     }
+}
+
+/// Chunks per density wave of the streamed training step: one on a
+/// one-worker pool, where every phase runs inline; else eight per worker,
+/// so that each hand-off to the pool's sleeping workers carries enough
+/// work to pay for waking them (at one chunk per worker, two workers
+/// trained no faster than one).
+pub(crate) fn wave_chunks(threads: usize) -> usize {
+    let per_worker = if threads == 1 { 1 } else { 8 };
+    per_worker * threads
+}
+
+/// Chunk records the streamed training step keeps in flight for a batch of
+/// `n` samples over `spans`, with density waves of `wave` chunks. A chunk's
+/// backward waits for every ray through it to be composited, such a ray
+/// for the colors of every chunk it crosses, and a chunk's color phase
+/// for all densities of every ray through it (`scan_live_samples` decides
+/// liveness per whole ray). So with `reach(c)` the last chunk of the last
+/// ray through chunk `c`, chunk `c` is held until chunk `reach(reach(c))`
+/// has densities: a window of at most `2⌈(L − 1) / POINT_CHUNK⌉ + 1`
+/// chunks for a longest span of `L`. One wave more never stalls a wave.
+pub(crate) fn ring_size(spans: &[RaySpan], n: usize, wave: usize) -> usize {
+    let chunks = n.div_ceil(POINT_CHUNK);
+    // `ray` is a cursor: the last ray through a chunk never moves back as
+    // the chunk advances.
+    let reach = |c: usize, ray: &mut usize| {
+        let last = ((c + 1) * POINT_CHUNK).min(n) - 1;
+        while spans[*ray].start + spans[*ray].len <= last {
+            *ray += 1;
+        }
+        (spans[*ray].start + spans[*ray].len - 1) / POINT_CHUNK
+    };
+    let (mut first, mut second) = (0, 0);
+    let window = (0..chunks)
+        .map(|c| {
+            let d = reach(c, &mut first);
+            reach(d, &mut second) + 1 - c
+        })
+        .max()
+        .unwrap_or(1);
+    (window + wave - 1).min(chunks).max(1)
 }
 
 #[cfg(test)]
@@ -253,6 +321,38 @@ mod tests {
         arena.batch.points.extend_from_slice(&[Vec3::ZERO; 4096]);
         arena.end_iteration();
         assert_eq!(arena.growth_events(), 2);
+    }
+
+    #[test]
+    fn ring_covers_the_widest_dependency_window() {
+        let uniform = |len: usize, rays: usize| -> Vec<RaySpan> {
+            (0..rays)
+                .map(|r| RaySpan {
+                    start: r * len,
+                    len,
+                    dt: 0.1,
+                })
+                .collect()
+        };
+        // (span length, rays, widest window): 48-sample rays reach one
+        // chunk on, whose last ray reaches one more; 256-sample rays fill
+        // chunks exactly; a 700-sample ray through chunk 2 ends in chunk
+        // 5, and the last ray through chunk 5 ends in chunk 8.
+        for (len, rays, window) in [(48usize, 512usize, 3usize), (256, 9, 1), (700, 12, 7)] {
+            let spans = uniform(len, rays);
+            let n = len * rays;
+            let bound = 2 * (len - 1).div_ceil(POINT_CHUNK) + 1;
+            assert!(window <= bound, "{len}: the documented bound");
+            for wave in [1usize, 2, 8] {
+                assert_eq!(
+                    ring_size(&spans, n, wave),
+                    window + wave - 1,
+                    "{len} x{wave}"
+                );
+            }
+        }
+        // A batch of one partial chunk needs one record at any wave.
+        assert_eq!(ring_size(&uniform(16, 3), 48, 8), 1);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The iNGP model (hash grid + two small MLPs) and the trainable-field trait.
 
+use crate::engine::{chunk_samples, run_tasks, POINT_CHUNK};
 use crate::train::TrainConfig;
 use inerf_encoding::{HashFunction, HashGrid, HashGridConfig, LookupCache, TraceSink};
 use inerf_geom::Vec3;
@@ -9,22 +10,31 @@ use inerf_mlp::{
 };
 use rayon::ThreadPool;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::slice::ChunksExactMut;
 
 /// A radiance-field model that can be trained by [`crate::train::Trainer`].
 ///
 /// The trainer drives it per batch in one of two modes. *Per point*:
 /// `begin_batch` → `query` for every sample point, in streaming order →
-/// `backward` for every point, same indices → `apply_gradients`. *Phased
-/// over a live list*: `begin_batch` → `query_batch_density` → the engine
-/// scans ray transmittance into an ascending list of live sample indices
-/// (the identity list when nothing is dead) →
-/// `query_batch_color_compacted` → `backward_batch_compacted` →
-/// `apply_gradients`; evaluation has the same two phases without caching
-/// (`query_eval_batch_*`). Implementations cache whatever the backward
-/// pass needs during the forward queries.
+/// `backward` for every point, same indices → `apply_gradients`. *Chunk
+/// phased*: `begin_batch` → `begin_chunks` opens the batch, cut into fixed
+/// [`POINT_CHUNK`]-sample chunks, with a ring of in-flight chunk records →
+/// for each chunk, in chunk order and as the rays through it allow:
+/// `density_chunks` (prepass, fused gather and density MLP), the engine's
+/// transmittance scan into an ascending list of live sample indices,
+/// `color_chunks` over the chunk's live samples, and `backward_chunks`
+/// (MLP backward, then the in-order grid scatter and gradient fold, which
+/// frees the chunk's record) → `apply_gradients`. Evaluation has the same
+/// two phases without caching (`query_eval_batch_*`). Implementations
+/// cache whatever the backward pass needs during the forward queries.
 ///
-/// The density phases default to returning `false`: a per-point model (the
+/// The whole-batch `query_batch_density` / `query_batch_color_compacted`
+/// / `backward_batch_compacted` run the same chunk phases in phase order
+/// over one record per chunk: measurement code times each stage through
+/// them; the trainer streams.
+///
+/// `begin_chunks` defaults to returning `false`: a per-point model (the
 /// Tab. IV baselines) implements nothing batched, and under
 /// [`Engine::Batched`](crate::train::Engine) the trainer runs the
 /// per-point loop for it. [`IngpModel`] implements the phases chunked and
@@ -72,47 +82,93 @@ pub trait TrainableField {
         inerf_mlp::Precision::F32
     }
 
-    /// Density phase of the phased training query. A model that supports
-    /// it fills `sigmas` (caching what the color phase needs) and returns
-    /// `true`; the engine then scans ray transmittance to find dead
-    /// samples and calls [`TrainableField::query_batch_color_compacted`] /
-    /// [`TrainableField::backward_batch_compacted`]. The default returns
-    /// `false` — the trainer then runs the per-point loop for this model.
-    fn query_batch_density(
-        &mut self,
-        _points: &[Vec3],
-        _sigmas: &mut [f32],
-        _pool: &ThreadPool,
-    ) -> bool {
+    /// Opens a chunk-phased batch of `n` samples: chunk `c` holds samples
+    /// [`chunk_samples`]`(c..c + 1, n)`, and at most `ring` consecutive
+    /// chunks are in flight (densities taken, backward not yet run) at a
+    /// time. Returns `false` — the default — when the model has no chunk
+    /// phases; the trainer then runs the per-point loop for it.
+    fn begin_chunks(&mut self, _n: usize, _ring: usize) -> bool {
         false
     }
 
-    /// Color phase of the compacted query: computes `rgbs[i]` for the
-    /// samples listed (ascending, global indices) in `live`, and
-    /// `Vec3::ZERO` for the rest. Only called after
-    /// [`TrainableField::query_batch_density`] returned `true`.
-    fn query_batch_color_compacted(
+    /// Prepass and density phase of `chunks`, the next chunks in order:
+    /// fills their samples' `sigmas` (caching what the color phase and
+    /// the backward need). `points` and `sigmas` span the whole batch.
+    /// Only called after [`TrainableField::begin_chunks`] returned `true`.
+    fn density_chunks(
+        &mut self,
+        _points: &[Vec3],
+        _chunks: Range<usize>,
+        _sigmas: &mut [f32],
+        _pool: &ThreadPool,
+    ) {
+        unimplemented!("begin_chunks returned false; the chunk phases are unsupported");
+    }
+
+    /// Color phase of `chunks`: computes `rgbs[i]` for the samples listed
+    /// (ascending, global indices) in `live` — every live sample of those
+    /// chunks — and `Vec3::ZERO` for their other samples. `dirs` and
+    /// `rgbs` span the whole batch.
+    fn color_chunks(
         &mut self,
         _dirs: &[Vec3],
+        _chunks: Range<usize>,
         _live: &[u32],
         _rgbs: &mut [Vec3],
         _pool: &ThreadPool,
     ) {
-        unimplemented!(
-            "query_batch_density returned false; the compacted color phase is unsupported"
-        );
+        unimplemented!("begin_chunks returned false; the chunk phases are unsupported");
     }
 
-    /// Backward pass matching a compacted query (density phase + compacted
-    /// color phase). Only called after
-    /// [`TrainableField::query_batch_density`] returned `true`.
-    fn backward_batch_compacted(
+    /// Backward of `chunks`, the oldest chunks in flight, given the loss
+    /// gradients of their samples (`d_sigmas` / `d_colors` span the whole
+    /// batch); accumulates their parameter gradients in chunk order and
+    /// frees their records.
+    fn backward_chunks(
         &mut self,
+        _chunks: Range<usize>,
         _d_sigmas: &[f32],
         _d_colors: &[Vec3],
         _pool: &ThreadPool,
     ) {
-        unimplemented!("query_batch_density returned false; the compacted backward is unsupported");
+        unimplemented!("begin_chunks returned false; the chunk phases are unsupported");
+    }
+
+    /// Density phase of the whole-batch phased query: `begin_chunks` with
+    /// one record per chunk, then `density_chunks` over every chunk.
+    /// Returns `false` for a model without chunk phases.
+    fn query_batch_density(
+        &mut self,
+        points: &[Vec3],
+        sigmas: &mut [f32],
+        pool: &ThreadPool,
+    ) -> bool {
+        let chunks = points.len().div_ceil(POINT_CHUNK);
+        if !self.begin_chunks(points.len(), chunks) {
+            return false;
+        }
+        self.density_chunks(points, 0..chunks, sigmas, pool);
+        true
+    }
+
+    /// Color phase of the whole-batch query: `color_chunks` over every
+    /// chunk. Only called after `query_batch_density` returned `true`.
+    fn query_batch_color_compacted(
+        &mut self,
+        dirs: &[Vec3],
+        live: &[u32],
+        rgbs: &mut [Vec3],
+        pool: &ThreadPool,
+    ) {
+        let chunks = dirs.len().div_ceil(POINT_CHUNK);
+        self.color_chunks(dirs, 0..chunks, live, rgbs, pool);
+    }
+
+    /// Backward of the whole-batch query: `backward_chunks` over every
+    /// chunk. Only called after `query_batch_density` returned `true`.
+    fn backward_batch_compacted(&mut self, d_sigmas: &[f32], d_colors: &[Vec3], pool: &ThreadPool) {
+        let chunks = d_sigmas.len().div_ceil(POINT_CHUNK);
+        self.backward_chunks(0..chunks, d_sigmas, d_colors, pool);
     }
 
     /// Density phase of the phased *evaluation* query — the render
@@ -296,17 +352,17 @@ struct PointCache {
     sigma: f32,
 }
 
-/// Points per chunk of the batched engine. Fixed (not derived from the
-/// worker count) so chunk boundaries — and therefore every gradient
-/// accumulation order — are identical at any thread count.
-pub(crate) const POINT_CHUNK: usize = 256;
-
-/// Per-chunk scratch of the batched engine: forward activations (kept for
-/// the backward pass) and chunk-local parameter gradients. Buffers are
-/// reused across batches — each thread works on its own chunk, so nothing
-/// here is shared.
+/// One slot of the model's ring of in-flight chunk records: a chunk's
+/// training record from its prepass to its scatter — corner lookups,
+/// forward activations (kept for the backward pass) and chunk-local
+/// parameter gradients. The streamed step hands the slot to a new chunk
+/// as soon as its chunk is back-propagated, so the ring stays small enough
+/// to stay in cache; buffers keep their capacity across chunks and
+/// batches. Each thread works on its own chunk, so nothing here is shared.
 #[derive(Debug, Clone, Default)]
 struct ChunkScratch {
+    /// The chunk this slot holds, from its density phase to its backward.
+    held: Option<usize>,
     /// `n × L*F` hash-grid features (density-MLP input).
     feats: Vec<f32>,
     /// Corner entries/weights cached by the prepass, read by the gather and
@@ -477,13 +533,32 @@ impl ChunkScratch {
     }
 }
 
-/// Batch-wide cache of the batched engine: the batch size plus per-chunk
-/// scratch (the hash-grid backward scatter replays each chunk's cached
-/// corner lookups, so the points themselves need not be retained).
+/// The chunk-phased batch: its sample count and the ring of chunk records
+/// (the hash-grid backward scatter replays each chunk's cached corner
+/// lookups, so the points themselves need not be retained).
 #[derive(Debug, Clone, Default)]
 struct BatchCache {
     len: usize,
+    /// Chunk `c` lives in slot `c % ring`.
+    ring: usize,
     chunks: Vec<ChunkScratch>,
+}
+
+impl BatchCache {
+    /// Consecutive chunks `chunks` in order, each with its samples and slot.
+    fn slots(
+        &mut self,
+        chunks: &Range<usize>,
+    ) -> impl Iterator<Item = (usize, Range<usize>, &mut ChunkScratch)> {
+        assert!(chunks.len() <= self.ring, "more chunks than ring slots");
+        let n = self.len;
+        let (wrapped, from) = self.chunks[..self.ring].split_at_mut(chunks.start % self.ring);
+        let slots = from.iter_mut().chain(wrapped);
+        chunks
+            .clone()
+            .zip(slots)
+            .map(move |(c, slot)| (c, chunk_samples(c..c + 1, n), slot))
+    }
 }
 
 /// Caller-owned scratch for the phased *evaluation* query
@@ -807,62 +882,14 @@ impl IngpModel {
     /// every entry collected since the last sync, so the encode about to
     /// run reads exactly the parameter values the dense path would hold.
     /// No-op in dense mode and when nothing new was collected.
-    fn sync_touched(&mut self) {
-        let f = self.config.grid.features as usize;
-        let (new_entries, master) = self.grid.unsynced_touched_and_master();
+    fn sync_touched(grid: &mut HashGrid, grid_adam: &mut AdamState) {
+        let f = grid.config().features as usize;
+        let (new_entries, master) = grid.unsynced_touched_and_master();
         if new_entries.is_empty() {
             return;
         }
-        self.grid_adam.sync_entries(master, new_entries, f);
-        self.grid.mark_touched_synced();
-    }
-
-    /// Batched-engine prepass. Sizes the chunk list and fills every
-    /// chunk's corner-lookup cache in parallel (the encode's index math,
-    /// without reading the table). On the sparse path it also collects
-    /// the batch's read set from the cached indices and replays those
-    /// entries' lazy Adam chains, so the gather-only encode that follows
-    /// reads exactly the parameter values the dense path holds. Without
-    /// touch tracking (the dense path) collection and sync return at once.
-    fn prepass_batch(&mut self, points: &[Vec3], pool: &ThreadPool) {
-        let n = points.len();
-        self.batch.len = n;
-        let n_chunks = n.div_ceil(POINT_CHUNK);
-        self.batch
-            .chunks
-            .resize_with(n_chunks, ChunkScratch::default);
-        let IngpModel { grid, batch, .. } = self;
-        if pool.current_num_threads() > 1 {
-            let grid_ref = &*grid;
-            pool.scope(|s| {
-                for (ci, chunk) in batch.chunks.iter_mut().enumerate() {
-                    let lo = ci * POINT_CHUNK;
-                    let hi = (lo + POINT_CHUNK).min(n);
-                    let pts = &points[lo..hi];
-                    s.spawn(move |_| grid_ref.fill_cache(pts, &mut chunk.lookups));
-                }
-            });
-            // Serial, chunk-ordered collection: the deduplicated entry
-            // sequence is identical to a point-ordered walk, so the sync
-            // and the later finalize see the same set in the same order
-            // at any thread count.
-            for chunk in &batch.chunks {
-                grid.collect_touched_cache(&chunk.lookups);
-            }
-        } else {
-            // Single worker: interleave collection with each chunk's
-            // fill while its cache lines are still hot. The stamp dedup
-            // is insertion-order-insensitive within a chunk walk and the
-            // chunk order matches the parallel branch, so the collected
-            // sequence — and everything downstream — is identical.
-            for (ci, chunk) in batch.chunks.iter_mut().enumerate() {
-                let lo = ci * POINT_CHUNK;
-                let hi = (lo + POINT_CHUNK).min(n);
-                grid.fill_cache(&points[lo..hi], &mut chunk.lookups);
-                grid.collect_touched_cache(&chunk.lookups);
-            }
-        }
-        self.sync_touched();
+        grid_adam.sync_entries(master, new_entries, f);
+        grid.mark_touched_synced();
     }
 
     fn step_mlp(mlp: &mut Mlp, adam: &mut AdamState) {
@@ -913,7 +940,7 @@ impl TrainableField for IngpModel {
         // eight corner entries per level — collect them and replay their
         // lazy Adam chains before the encode reads them.
         self.grid.collect_touched_point(p);
-        self.sync_touched();
+        Self::sync_touched(&mut self.grid, &mut self.grid_adam);
         let (density_acts, color_acts, sigma, rgb) = self.forward_parts(p, d);
         self.cache.push(PointCache {
             p,
@@ -1012,43 +1039,73 @@ impl TrainableField for IngpModel {
         IngpModel::precision(self)
     }
 
-    /// Density phase of the phased query: the batch is cut into fixed
-    /// `POINT_CHUNK`-point chunks, whose corner lookups the prepass
-    /// caches; each chunk then runs the fused gather → density MLP on a
-    /// pool worker with chunk-local reusable scratch, leaving its
-    /// activations cached for the color phase. Per point the arithmetic
-    /// matches the scalar [`TrainableField::query`] path bitwise. Always
-    /// supported.
-    fn query_batch_density(
-        &mut self,
-        points: &[Vec3],
-        sigmas: &mut [f32],
-        pool: &ThreadPool,
-    ) -> bool {
-        assert_eq!(points.len(), sigmas.len(), "sigma buffer mismatch");
-        // Prepass (see `prepass_batch`). The color phase reads no grid
-        // entries, so the density-phase read set covers the whole phased
-        // query.
-        self.prepass_batch(points, pool);
-        let grid = &self.grid;
-        let density_mlp = &self.density_mlp;
-        pool.scope(|s| {
-            let chunks = self.batch.chunks.iter_mut();
-            for (chunk, sigma_c) in chunks.zip(sigmas.chunks_mut(POINT_CHUNK)) {
-                s.spawn(move |_| chunk.forward_density(grid, density_mlp, sigma_c));
-            }
-        });
+    /// Sizes the ring (it only grows) and empties it.
+    fn begin_chunks(&mut self, n: usize, ring: usize) -> bool {
+        let batch = &mut self.batch;
+        batch.len = n;
+        batch.ring = ring.max(1);
+        if batch.chunks.len() < batch.ring {
+            batch.chunks.resize_with(batch.ring, ChunkScratch::default);
+        }
+        for chunk in &mut batch.chunks {
+            chunk.held = None;
+        }
         true
     }
 
-    /// Color phase over the live samples only. `live` holds ascending
-    /// global sample indices; the model splits it per chunk (fixed
-    /// boundaries, so the decomposition — and every result — is
-    /// thread-count-independent) and runs each chunk's color MLP over its
-    /// live rows, writing `Vec3::ZERO` for dead ones.
-    fn query_batch_color_compacted(
+    /// Prepass, then the fused gather → density MLP of each chunk on a
+    /// pool worker. The prepass fills each chunk's corner-lookup cache
+    /// (the encode's index math, without reading the table); on the sparse
+    /// path it collects the chunks' read set from the cached indices,
+    /// serially in chunk order, and replays those entries' lazy Adam
+    /// chains, so the gather-only encode reads exactly the parameter
+    /// values the dense path holds. The replay is per entry, so syncing
+    /// chunk by chunk equals one sync per batch; the color phase reads no
+    /// grid entries. Per point the arithmetic matches the scalar
+    /// [`TrainableField::query`] path bitwise.
+    fn density_chunks(
+        &mut self,
+        points: &[Vec3],
+        chunks: Range<usize>,
+        sigmas: &mut [f32],
+        pool: &ThreadPool,
+    ) {
+        let n = self.batch.len;
+        assert_eq!(points.len(), n, "point count mismatch");
+        assert_eq!(sigmas.len(), n, "sigma buffer mismatch");
+        let IngpModel {
+            grid,
+            grid_adam,
+            density_mlp,
+            batch,
+            ..
+        } = self;
+        let filling = &*grid;
+        run_tasks(pool, batch.slots(&chunks), |(c, samples, chunk)| {
+            assert_eq!(chunk.held.replace(c), None, "ring slot still in flight");
+            filling.fill_cache(&points[samples], &mut chunk.lookups)
+        });
+        for (_, _, chunk) in batch.slots(&chunks) {
+            grid.collect_touched_cache(&chunk.lookups);
+        }
+        Self::sync_touched(grid, grid_adam);
+        let (grid, density_mlp) = (&*grid, &*density_mlp);
+        let sigmas = sigmas[chunk_samples(chunks.clone(), n)].chunks_mut(POINT_CHUNK);
+        run_tasks(
+            pool,
+            batch.slots(&chunks).zip(sigmas),
+            |((_, _, chunk), sigmas)| chunk.forward_density(grid, density_mlp, sigmas),
+        );
+    }
+
+    /// Color phase over the live samples only: `live` is split per chunk
+    /// (fixed boundaries, so the decomposition — and every result — is
+    /// thread-count-independent), and each chunk runs its color MLP over
+    /// its live rows, writing `Vec3::ZERO` for dead ones.
+    fn color_chunks(
         &mut self,
         dirs: &[Vec3],
+        chunks: Range<usize>,
         live: &[u32],
         rgbs: &mut [Vec3],
         pool: &ThreadPool,
@@ -1056,63 +1113,66 @@ impl TrainableField for IngpModel {
         let n = self.batch.len;
         assert_eq!(n, dirs.len(), "dirs length mismatch");
         assert_eq!(n, rgbs.len(), "rgb buffer mismatch");
-        // Split the global live list into chunk-local index lists.
         let mut cursor = 0usize;
-        for (ci, chunk) in self.batch.chunks.iter_mut().enumerate() {
-            let lo = ci * POINT_CHUNK;
-            let hi = (lo + POINT_CHUNK).min(n);
+        for (c, samples, chunk) in self.batch.slots(&chunks) {
+            assert_eq!(chunk.held, Some(c), "color phase of a chunk not in flight");
             chunk.live.clear();
-            while cursor < live.len() && (live[cursor] as usize) < hi {
-                chunk.live.push(live[cursor] - lo as u32);
+            while cursor < live.len() && (live[cursor] as usize) < samples.end {
+                let i = live[cursor] as usize;
+                assert!(i >= samples.start, "live indices out of range");
+                chunk.live.push((i - samples.start) as u32);
                 cursor += 1;
             }
         }
         assert_eq!(cursor, live.len(), "live indices out of range");
         let dout = self.density_mlp.out_dim();
         let color_mlp = &self.color_mlp;
-        let mut rgb_rest: &mut [Vec3] = rgbs;
-        pool.scope(|s| {
-            for (ci, chunk) in self.batch.chunks.iter_mut().enumerate() {
-                let lo = ci * POINT_CHUNK;
-                let hi = (lo + POINT_CHUNK).min(n);
-                let (rgb_c, rest) = std::mem::take(&mut rgb_rest).split_at_mut(hi - lo);
-                rgb_rest = rest;
-                let drs = &dirs[lo..hi];
-                s.spawn(move |_| chunk.forward_color_compacted(color_mlp, dout, drs, rgb_c));
-            }
-        });
+        let rgbs = rgbs[chunk_samples(chunks.clone(), n)].chunks_mut(POINT_CHUNK);
+        run_tasks(
+            pool,
+            self.batch.slots(&chunks).zip(rgbs),
+            |((_, s, chunk), rgbs)| chunk.forward_color_compacted(color_mlp, dout, &dirs[s], rgbs),
+        );
     }
 
-    /// Backward of the phased query. Chunks back-propagate through both
-    /// MLPs in parallel (chunk-local gradients); the hash-grid scatter —
-    /// replaying each chunk's cached corner lookups instead of re-deriving
-    /// cube geometry — and the MLP gradient folds then run sequentially
-    /// *in chunk order*, which makes the accumulated gradients independent
-    /// of the worker count.
-    fn backward_batch_compacted(&mut self, d_sigmas: &[f32], d_colors: &[Vec3], pool: &ThreadPool) {
+    /// Chunks back-propagate through both MLPs in parallel (chunk-local
+    /// gradients); the hash-grid scatter — replaying each chunk's cached
+    /// corner lookups instead of re-deriving cube geometry — and the MLP
+    /// gradient folds then run sequentially *in chunk order*, which makes
+    /// the accumulated gradients independent of the worker count and of
+    /// how the chunks were grouped into calls.
+    fn backward_chunks(
+        &mut self,
+        chunks: Range<usize>,
+        d_sigmas: &[f32],
+        d_colors: &[Vec3],
+        pool: &ThreadPool,
+    ) {
         let n = self.batch.len;
         assert!(n > 0, "backward without a cached phased query");
         assert_eq!(d_sigmas.len(), n, "sigma gradient length mismatch");
         assert_eq!(d_colors.len(), n, "color gradient length mismatch");
-        let density_mlp = &self.density_mlp;
-        let color_mlp = &self.color_mlp;
-        pool.scope(|s| {
-            for (ci, chunk) in self.batch.chunks.iter_mut().enumerate() {
-                let lo = ci * POINT_CHUNK;
-                let hi = (lo + POINT_CHUNK).min(n);
-                let ds = &d_sigmas[lo..hi];
-                let dc = &d_colors[lo..hi];
-                s.spawn(move |_| chunk.backward(density_mlp, color_mlp, ds, dc));
-            }
+        let IngpModel {
+            grid,
+            density_mlp,
+            color_mlp,
+            batch,
+            ..
+        } = self;
+        let (density, color) = (&*density_mlp, &*color_mlp);
+        run_tasks(pool, batch.slots(&chunks), |(c, samples, chunk)| {
+            assert_eq!(chunk.held, Some(c), "backward of a chunk not in flight");
+            let (d_sigmas, d_colors) = (&d_sigmas[samples.clone()], &d_colors[samples]);
+            chunk.backward(density, color, d_sigmas, d_colors)
         });
-        for chunk in &self.batch.chunks {
+        for (_, _, chunk) in batch.slots(&chunks) {
             // Dead rows have exactly-zero feature gradients; skipping
             // them in the scatter is bitwise-identical (see
             // `HashGrid::backward_batch_cached_rows`).
-            self.grid
-                .backward_batch_cached_rows(&chunk.lookups, &chunk.d_feats, &chunk.live);
-            self.density_mlp.accumulate_gradients(&chunk.density_grads);
-            self.color_mlp.accumulate_gradients(&chunk.color_grads);
+            grid.backward_batch_cached_rows(&chunk.lookups, &chunk.d_feats, &chunk.live);
+            density_mlp.accumulate_gradients(&chunk.density_grads);
+            color_mlp.accumulate_gradients(&chunk.color_grads);
+            chunk.held = None;
         }
     }
 
@@ -1340,6 +1400,115 @@ mod tests {
             }
         }
         inerf_simd::force_backend(original);
+    }
+
+    /// The whole-batch phase methods (the phase-ordered driver the stage
+    /// timings use) against the chunk phases run one chunk at a time
+    /// through a one-record ring: same densities, colors and parameter
+    /// gradients, bit for bit, with a live list that drops samples.
+    #[test]
+    fn whole_batch_phases_match_one_chunk_at_a_time_bitwise() {
+        use crate::engine;
+        let n = 700usize;
+        let points: Vec<Vec3> = (0..n)
+            .map(|i| {
+                let t = i as f32 + 0.5;
+                Vec3::new(
+                    (t * 0.173).fract(),
+                    (t * 0.291).fract(),
+                    (t * 0.419).fract(),
+                )
+            })
+            .collect();
+        let dirs: Vec<Vec3> = (0..n)
+            .map(|i| Vec3::new((i as f32).sin(), 1.0, (i as f32).cos()).normalized())
+            .collect();
+        let live: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 1).collect();
+        let d_sigmas: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.7).sin()).collect();
+        let d_colors: Vec<Vec3> = (0..n).map(|i| Vec3::splat(0.01 * (i % 7) as f32)).collect();
+        let bits = |m: &IngpModel, sigmas: &[f32], rgbs: &[Vec3]| {
+            let mut v: Vec<u32> = sigmas.iter().map(|x| x.to_bits()).collect();
+            v.extend(rgbs.iter().flat_map(|c| [c.x, c.y, c.z]).map(f32::to_bits));
+            v.extend(m.grid.gradients().iter().map(|x| x.to_bits()));
+            v.extend(m.density_mlp.gradient_vec().iter().map(|x| x.to_bits()));
+            v.extend(m.color_mlp.gradient_vec().iter().map(|x| x.to_bits()));
+            v
+        };
+        for threads in [1, 2] {
+            let pool = engine::build_pool(threads);
+            let mut whole = IngpModel::new(ModelConfig::tiny(), 6);
+            let mut one = whole.clone();
+            let (mut sigmas, mut rgbs) = (vec![0.0; n], vec![Vec3::ZERO; n]);
+            whole.begin_batch();
+            assert!(whole.query_batch_density(&points, &mut sigmas, &pool));
+            whole.query_batch_color_compacted(&dirs, &live, &mut rgbs, &pool);
+            whole.backward_batch_compacted(&d_sigmas, &d_colors, &pool);
+            let want = bits(&whole, &sigmas, &rgbs);
+            let (mut sigmas, mut rgbs) = (vec![0.0; n], vec![Vec3::ZERO; n]);
+            one.begin_batch();
+            assert!(one.begin_chunks(n, 1));
+            for c in 0..n.div_ceil(POINT_CHUNK) {
+                let samples = chunk_samples(c..c + 1, n);
+                let lo = live.partition_point(|&i| (i as usize) < samples.start);
+                let hi = live.partition_point(|&i| (i as usize) < samples.end);
+                one.density_chunks(&points, c..c + 1, &mut sigmas, &pool);
+                one.color_chunks(&dirs, c..c + 1, &live[lo..hi], &mut rgbs, &pool);
+                one.backward_chunks(c..c + 1, &d_sigmas, &d_colors, &pool);
+            }
+            assert_eq!(bits(&one, &sigmas, &rgbs), want, "x{threads}");
+            assert_eq!(one.batch.chunks.len(), 1);
+        }
+    }
+
+    /// The streamed step's training record is a ring sized by the rays,
+    /// not the batch: at 4096 rays of 48 samples (768 chunks) the model
+    /// holds at most one wave plus `⌈48 / POINT_CHUNK⌉ + 1` chunk records,
+    /// and a second iteration of the same shape grows neither the ring,
+    /// its buffers, nor the engine arena.
+    #[test]
+    fn streamed_step_keeps_a_bounded_ring_a_repeated_shape_does_not_grow() {
+        use crate::{engine, train::Trainer};
+        use inerf_geom::{Aabb, Ray};
+        let (samples, rays) = (48usize, 4096usize);
+        let (rays, targets): (Vec<Ray>, Vec<Vec3>) = (0..rays)
+            .map(|i| {
+                let f = (i as f32 + 0.5) / rays as f32;
+                let origin = Vec3::new(-2.5, 1.6 * f - 0.8, 0.6 * (9.0 * f).sin());
+                (Ray::new(origin, Vec3::new(1.0, 0.0, 0.0)), Vec3::splat(f))
+            })
+            .unzip();
+        let bounds = Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0));
+        let config = TrainConfig {
+            rays_per_batch: rays.len(),
+            samples_per_ray: samples,
+            ..TrainConfig::tiny()
+        };
+        let footprint = |t: &Trainer<IngpModel>| {
+            let ring = &t.model().batch.chunks;
+            let buffers: usize = ring
+                .iter()
+                .map(|c| {
+                    [&c.feats, &c.color_in, &c.sigmas, &c.d_feats]
+                        .into_iter()
+                        .chain([&c.d_color_in, &c.d_raw, &c.d_rgb])
+                        .map(Vec::capacity)
+                        .sum::<usize>()
+                        + c.live.capacity()
+                })
+                .sum();
+            (ring.len(), buffers, t.arena_growth_events())
+        };
+        for threads in [1usize, 2] {
+            let model = IngpModel::new(ModelConfig::tiny(), 3);
+            let mut trainer = Trainer::new(model, config, 1).with_threads(threads);
+            trainer.train_on_rays(&rays, &targets, &bounds);
+            assert_eq!(trainer.points_queried(), (rays.len() * samples) as u64);
+            let first = footprint(&trainer);
+            let bound = engine::wave_chunks(threads) + samples.div_ceil(POINT_CHUNK) + 1;
+            assert!(first.0 <= bound, "x{threads}: {} records", first.0);
+            trainer.train_on_rays(&rays, &targets, &bounds);
+            assert_eq!(footprint(&trainer), first, "x{threads}: the repeat grew");
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! would have said "empty" (DESIGN.md, "Ray marching"): the survivors are
 //! the per-sample filter's, bit for bit.
 
-use crate::engine;
-use crate::model::{eval_density_batch, EvalScratch, TrainableField, POINT_CHUNK};
+use crate::engine::{self, POINT_CHUNK};
+use crate::model::{eval_density_batch, EvalScratch, TrainableField};
 use inerf_geom::{Aabb, CellWalk, Ray, RayHit, Vec3};
 use inerf_render::volume::RaySpan;
 use rayon::ThreadPool;

@@ -3,7 +3,7 @@
 
 pub mod checkpoint;
 
-use crate::engine;
+use crate::engine::{self, chunk_samples, run_tasks, POINT_CHUNK, RAY_CHUNK};
 use crate::model::{OptPath, TrainableField};
 use crate::occupancy::OccupancyGrid;
 use crate::render::{RenderEngine, RenderOpts};
@@ -12,14 +12,15 @@ use inerf_geom::{Aabb, Camera, Ray, Vec3};
 use inerf_mlp::Precision;
 use inerf_render::volume::{
     composite_backward_spans, composite_backward_uniform, composite_spans, composite_uniform,
-    RayBatch, SamplePoint,
+    RayBatch, RaySpan, SamplePoint,
 };
-use inerf_render::{l2_loss, l2_loss_into};
+use inerf_render::{l2_loss, l2_loss_value, l2_ray_gradient};
 use inerf_scenes::{Dataset, Image};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::ThreadPool;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which implementation drives the training/inference hot path.
@@ -29,9 +30,11 @@ pub enum Engine {
     /// per sample. Kept as the equivalence baseline for the batched engine.
     Scalar,
     /// The batched structure-of-arrays engine: all sample points are
-    /// gathered first, then each stage (encode → MLPs → composite →
-    /// backward) runs over flat buffers with fixed-chunk thread-pool
-    /// parallelism. Deterministic for a fixed seed at any thread count.
+    /// gathered first, then each fixed 256-sample chunk is streamed through
+    /// encode → MLPs → composite → backward while its training record is
+    /// cache-hot, in parallel waves on a multi-thread pool. Deterministic for
+    /// a fixed seed at any thread count, and bitwise the whole-batch stage
+    /// order.
     Batched,
 }
 
@@ -277,9 +280,10 @@ impl<M: TrainableField> Trainer<M> {
     /// capacity. After one warm-up iteration at the steady-state batch
     /// shape this stays flat — the allocation-counting hook the arena
     /// tests and the throughput bench assert on. (Per-task rayon spawn
-    /// boxes and model-internal chunk scratch warm-up are outside the
-    /// arena; the model scratch likewise reaches a fixed size after
-    /// warm-up.)
+    /// boxes and the model's ring of chunk records are outside the arena;
+    /// the ring holds at most one wave plus `2⌈(L − 1) / 256⌉` records for
+    /// a longest span of `L`, and a repeated batch shape grows neither its
+    /// length nor its buffers — pinned by a model test.)
     pub fn arena_growth_events(&self) -> u64 {
         self.arena.growth_events()
     }
@@ -480,130 +484,92 @@ impl<M: TrainableField> Trainer<M> {
         loss.value
     }
 
-    /// Steps (c)–(f), batched SoA engine: every stage runs over flat
-    /// buffers, parallelized over fixed-size chunks on the thread pool.
-    /// Chunk boundaries and reduction orders are thread-count-independent,
-    /// so a fixed seed gives a bitwise-identical trajectory at any pool
-    /// size.
+    /// Steps (c)–(f), batched SoA engine, chunk-streamed: each fixed
+    /// [`POINT_CHUNK`]-sample chunk goes density → color → composite and
+    /// composite backward of its rays → MLP backward and scatter as soon as
+    /// the rays through it allow, while its training record is still in
+    /// cache, in a small ring of records ([`engine::ring_size`]); on a
+    /// multi-thread pool, waves of chunks run in parallel. Every per-chunk
+    /// and per-ray computation is the whole-batch stage order's, and every
+    /// cross-chunk reduction (touched-set collection, scatter, MLP gradient
+    /// fold, loss value) still runs serially in chunk or ray order, so the
+    /// bits are too — at any pool size.
     ///
-    /// A per-point model (its density phase returns `false`: the Tab. IV
+    /// A per-point model (`begin_chunks` returns `false`: the Tab. IV
     /// baselines) takes [`Trainer::step_scalar`] instead — this engine over
     /// per-point `query`/`backward` loops would be that one bit for bit
-    /// (`composite_spans` ≡ `composite_uniform` per ray, `l2_loss_into` ≡
-    /// `l2_loss`).
+    /// (`composite_spans` ≡ `composite_uniform` per ray, `l2_ray_gradient`
+    /// and `l2_loss_value` ≡ `l2_loss`).
     fn step_batched(&mut self) -> f64 {
         let n = self.arena.batch.points.len();
-        // Stage buffers come from the arena: `resize` reuses capacity, and
-        // every stage fully overwrites its buffer, so stale prefixes from a
-        // previous iteration are never read.
-        self.arena.sigmas.resize(n, 0.0);
-        // Step (c): batched model query (encode → MLPs), chunk-parallel
-        // inside the model. The density phase runs first, so compaction can
-        // drop samples past each ray's termination point (where
-        // transmittance is exactly 0.0) before the color pipeline runs;
-        // `scan_live_samples` proves the drop is bitwise-free (see
-        // DESIGN.md).
-        if !self.model.query_batch_density(
-            &self.arena.batch.points,
-            &mut self.arena.sigmas,
-            &self.pool,
-        ) {
+        let wave = engine::wave_chunks(self.pool.current_num_threads());
+        let ring = engine::ring_size(&self.arena.batch.spans, n, wave);
+        if !self.model.begin_chunks(n, ring) {
             return self.step_scalar();
         }
         let Trainer {
             model, arena, pool, ..
         } = self;
         let m = arena.batch.spans.len();
+        // Stage buffers come from the arena: `resize` reuses capacity, and
+        // every stage fully overwrites its part of a buffer before reading
+        // it, so stale values from a previous iteration are never read.
+        arena.sigmas.resize(n, 0.0);
         arena.rgbs.resize(n, Vec3::ZERO);
         arena.ray_colors.resize(m, Vec3::ZERO);
-        arena.backgrounds.resize(m, 0.0);
         arena.weights.resize(n, 0.0);
         arena.trans_after.resize(n, 0.0);
         arena.d_sigmas.resize(n, 0.0);
         arena.d_colors.resize(n, Vec3::ZERO);
-        engine::scan_live_samples(&arena.sigmas, &arena.batch.spans, &mut arena.live);
-        model.query_batch_color_compacted(&arena.batch.dirs, &arena.live, &mut arena.rgbs, pool);
-        // Step (d): volume rendering, parallel over fixed ray chunks. The
-        // per-chunk output slices are carved off the arena buffers in chunk
-        // order (no per-iteration slice vectors).
-        {
-            let sigmas = &arena.sigmas[..];
-            let rgbs = &arena.rgbs[..];
-            let mut rc = &mut arena.ray_colors[..];
-            let mut bg = &mut arena.backgrounds[..];
-            let mut wc = &mut arena.weights[..];
-            let mut tc = &mut arena.trans_after[..];
-            pool.scope(|s| {
-                for spans in arena.batch.spans.chunks(engine::RAY_CHUNK) {
-                    let samples: usize = spans.iter().map(|sp| sp.len).sum();
-                    let (rc_head, rc_rest) = std::mem::take(&mut rc).split_at_mut(spans.len());
-                    rc = rc_rest;
-                    let (bg_head, bg_rest) = std::mem::take(&mut bg).split_at_mut(spans.len());
-                    bg = bg_rest;
-                    let (wc_head, wc_rest) = std::mem::take(&mut wc).split_at_mut(samples);
-                    wc = wc_rest;
-                    let (tc_head, tc_rest) = std::mem::take(&mut tc).split_at_mut(samples);
-                    tc = tc_rest;
-                    s.spawn(move |_| {
-                        let batch = RayBatch {
-                            sigmas,
-                            colors: rgbs,
-                            spans,
-                            dts: None,
-                            sample_base: spans[0].start,
-                        };
-                        composite_spans(&batch, rc_head, bg_head, wc_head, tc_head);
-                    });
-                }
-            });
+        arena.live.clear();
+        let chunks = n.div_ceil(POINT_CHUNK);
+        // Chunks whose samples all belong to the first `r` rays.
+        let chunks_within =
+            |s: &[RaySpan], r: usize| s.get(r).map_or(chunks, |ray| ray.start / POINT_CHUNK);
+        // Rays from `first` on whose samples all lie in the first `chunks`.
+        let rays_within = |spans: &[RaySpan], first: usize, chunks: usize| {
+            let end = chunk_samples(0..chunks, n).end;
+            first + spans[first..].partition_point(|s| s.start + s.len <= end)
+        };
+        // Frontiers: chunks with densities, rays scanned, chunks with
+        // colors, rays rendered (composited and back-propagated), chunks
+        // back-propagated; and live samples handed to the color phase.
+        let (mut dense, mut scanned, mut colored, mut rendered, mut freed) = (0, 0, 0, 0, 0);
+        let mut live_colored = 0;
+        while freed < chunks {
+            // Step (c): the next density wave, then the colors of every
+            // chunk whose rays are all scanned: compaction drops samples
+            // past a ray's termination point (transmittance exactly 0.0),
+            // bitwise-free (`scan_live_samples`, DESIGN.md).
+            let next = (dense + wave).min(chunks);
+            model.density_chunks(&arena.batch.points, dense..next, &mut arena.sigmas, pool);
+            dense = next;
+            let first = scanned;
+            scanned = rays_within(&arena.batch.spans, first, dense);
+            let spans = &arena.batch.spans[first..scanned];
+            engine::scan_live_samples(&arena.sigmas, spans, &mut arena.live);
+            let next = chunks_within(&arena.batch.spans, scanned);
+            if next > colored {
+                let end = chunk_samples(0..next, n).end;
+                let live = &arena.live[live_colored..];
+                let live = &live[..live.partition_point(|&i| (i as usize) < end)];
+                let dirs = &arena.batch.dirs;
+                model.color_chunks(dirs, colored..next, live, &mut arena.rgbs, pool);
+                (colored, live_colored) = (next, live_colored + live.len());
+            }
+            // Steps (d)–(e) and the composite backward of every ray whose
+            // colors are all in.
+            let first = rendered;
+            rendered = rays_within(&arena.batch.spans, first, colored);
+            render_rays(arena, first..rendered, pool);
+            // Step (f): back-propagate every chunk whose rays are rendered.
+            let next = chunks_within(&arena.batch.spans, rendered);
+            if next > freed {
+                model.backward_chunks(freed..next, &arena.d_sigmas, &arena.d_colors, pool);
+                freed = next;
+            }
         }
-        // Step (e): loss, into the pooled gradient buffer.
-        let loss = l2_loss_into(&arena.ray_colors, &arena.targets, &mut arena.d_predictions);
-        // Step (f): backward — composite backward in parallel over the same
-        // chunks, then the model's chunked backward with ordered reduction.
-        {
-            let sigmas = &arena.sigmas[..];
-            let rgbs = &arena.rgbs[..];
-            let weights = &arena.weights[..];
-            let trans_after = &arena.trans_after[..];
-            let mut ds = &mut arena.d_sigmas[..];
-            let mut dc = &mut arena.d_colors[..];
-            pool.scope(|s| {
-                for (spans, dp) in arena
-                    .batch
-                    .spans
-                    .chunks(engine::RAY_CHUNK)
-                    .zip(arena.d_predictions.chunks(engine::RAY_CHUNK))
-                {
-                    let samples: usize = spans.iter().map(|sp| sp.len).sum();
-                    let (ds_head, ds_rest) = std::mem::take(&mut ds).split_at_mut(samples);
-                    ds = ds_rest;
-                    let (dc_head, dc_rest) = std::mem::take(&mut dc).split_at_mut(samples);
-                    dc = dc_rest;
-                    s.spawn(move |_| {
-                        let base = spans[0].start;
-                        let count = ds_head.len();
-                        let batch = RayBatch {
-                            sigmas,
-                            colors: rgbs,
-                            spans,
-                            dts: None,
-                            sample_base: base,
-                        };
-                        composite_backward_spans(
-                            &batch,
-                            &weights[base..base + count],
-                            &trans_after[base..base + count],
-                            dp,
-                            ds_head,
-                            dc_head,
-                        );
-                    });
-                }
-            });
-        }
-        model.backward_batch_compacted(&arena.d_sigmas, &arena.d_colors, pool);
-        loss
+        l2_loss_value(&arena.ray_colors, &arena.targets)
     }
 
     /// Trains for `iterations` steps, returning the loss trajectory.
@@ -699,6 +665,60 @@ impl<M: TrainableField> Trainer<M> {
     pub fn render_growth_events(&self) -> u64 {
         self.render.growth_events()
     }
+}
+
+/// Composites `rays` (whole rays, in order), forms each one's L2 loss
+/// gradient and back-propagates it through the composite, parallel over
+/// fixed [`RAY_CHUNK`]-ray groups; each group runs forward →
+/// gradient → backward while its samples are hot. Every ray's results are
+/// bitwise the same under any grouping.
+fn render_rays(arena: &mut engine::BatchArena, rays: Range<usize>, pool: &ThreadPool) {
+    let m = arena.batch.spans.len();
+    let spans = &arena.batch.spans[rays.clone()];
+    let (Some(first), Some(last)) = (spans.first(), spans.last()) else {
+        return;
+    };
+    let samples = first.start..last.start + last.len;
+    let (sigmas, colors) = (&arena.sigmas[..], &arena.rgbs[..]);
+    let mut targets = &arena.targets[rays.clone()];
+    let mut ray_colors = &mut arena.ray_colors[rays];
+    let mut weights = &mut arena.weights[samples.clone()];
+    let mut trans_after = &mut arena.trans_after[samples.clone()];
+    let mut d_sigmas = &mut arena.d_sigmas[samples.clone()];
+    let mut d_colors = &mut arena.d_colors[samples];
+    let groups = spans.chunks(RAY_CHUNK).map(|spans| {
+        let (r, k) = (spans.len(), spans.iter().map(|s| s.len).sum());
+        let (group_targets, rest) = targets.split_at(r);
+        targets = rest;
+        let rays = (spans, group_targets, take(&mut ray_colors, r));
+        let samples = [&mut weights, &mut trans_after, &mut d_sigmas].map(|b| take(b, k));
+        (rays, samples, take(&mut d_colors, k))
+    });
+    run_tasks(pool, groups, |(rays, samples, d_colors)| {
+        let ((spans, targets, ray_colors), [weights, trans_after, d_sigmas]) = (rays, samples);
+        let (r, sample_base) = (spans.len(), spans[0].start);
+        let batch = RayBatch {
+            sigmas,
+            colors,
+            spans,
+            dts: None,
+            sample_base,
+        };
+        let (mut backgrounds, mut d_preds) = ([0.0; RAY_CHUNK], [Vec3::ZERO; RAY_CHUNK]);
+        let (bgs, d_preds) = (&mut backgrounds[..r], &mut d_preds[..r]);
+        composite_spans(&batch, ray_colors, bgs, weights, trans_after);
+        for ((d, &c), &t) in d_preds.iter_mut().zip(&*ray_colors).zip(targets) {
+            *d = l2_ray_gradient(c, t, m);
+        }
+        composite_backward_spans(&batch, weights, trans_after, d_preds, d_sigmas, d_colors);
+    });
+}
+
+/// Splits the first `k` elements off `rest`.
+fn take<'a, T>(rest: &mut &'a mut [T], k: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(k);
+    *rest = tail;
+    head
 }
 
 #[cfg(test)]
@@ -881,27 +901,32 @@ mod compaction_tests {
             0
         }
 
-        fn query_batch_density(
-            &mut self,
-            points: &[Vec3],
-            sigmas: &mut [f32],
-            _pool: &ThreadPool,
-        ) -> bool {
-            self.points = points.to_vec();
-            for (s, &p) in sigmas.iter_mut().zip(points) {
-                *s = probe_sigma(p);
-            }
+        fn begin_chunks(&mut self, _n: usize, _ring: usize) -> bool {
             self.phased
         }
 
-        fn query_batch_color_compacted(
+        fn density_chunks(
+            &mut self,
+            points: &[Vec3],
+            chunks: Range<usize>,
+            sigmas: &mut [f32],
+            _pool: &ThreadPool,
+        ) {
+            self.points = points.to_vec();
+            for i in chunk_samples(chunks, points.len()) {
+                sigmas[i] = probe_sigma(points[i]);
+            }
+        }
+
+        fn color_chunks(
             &mut self,
             dirs: &[Vec3],
+            chunks: Range<usize>,
             live: &[u32],
             rgbs: &mut [Vec3],
             _pool: &ThreadPool,
         ) {
-            rgbs.fill(Vec3::ZERO);
+            rgbs[chunk_samples(chunks, dirs.len())].fill(Vec3::ZERO);
             for &i in live {
                 let i = i as usize;
                 self.color_evals += 1;
@@ -909,14 +934,15 @@ mod compaction_tests {
             }
         }
 
-        fn backward_batch_compacted(
+        fn backward_chunks(
             &mut self,
+            chunks: Range<usize>,
             d_sigmas: &[f32],
             d_colors: &[Vec3],
             _pool: &ThreadPool,
         ) {
-            for (i, (&ds, &dc)) in d_sigmas.iter().zip(d_colors).enumerate() {
-                self.backward(i, ds, dc);
+            for i in chunk_samples(chunks, d_sigmas.len()) {
+                self.backward(i, d_sigmas[i], d_colors[i]);
             }
         }
     }
