@@ -947,11 +947,14 @@ impl HashGrid {
             cache.points * dim,
             "gradient matrix size mismatch"
         );
-        inerf_simd::vectorize(|| {
-            for pi in 0..cache.points {
-                self.scatter_point_cached(cache, d_features, pi);
-            }
-        });
+        inerf_simd::vectorize(
+            #[inline(always)]
+            || {
+                for pi in 0..cache.points {
+                    self.scatter_point_cached(cache, d_features, pi);
+                }
+            },
+        );
     }
 
     /// [`HashGrid::backward_batch_cached`] restricted to the given
@@ -980,19 +983,23 @@ impl HashGrid {
             cache.points * dim,
             "gradient matrix size mismatch"
         );
-        inerf_simd::vectorize(|| {
-            for &pi in rows {
-                self.scatter_point_cached(cache, d_features, pi as usize);
-            }
-        });
+        inerf_simd::vectorize(
+            #[inline(always)]
+            || {
+                for &pi in rows {
+                    self.scatter_point_cached(cache, d_features, pi as usize);
+                }
+            },
+        );
     }
 
     /// Per-point core of the cached scatter: corner-ordered scalar
     /// accumulation of `w * d` with the zero-weight skip, so the result is
     /// bitwise-identical to [`HashGrid::backward`]. The paper's `F = 2`
     /// layout views the level's slice of the gradient table as entry pairs
-    /// (one bounds check, one 8-byte load and store per corner).
-    #[inline]
+    /// (one bounds check, one 8-byte load and store per corner). Inlined
+    /// into the callers' `vectorize` frames.
+    #[inline(always)]
     fn scatter_point_cached(&mut self, cache: &LookupCache, d_features: &[f32], pi: usize) {
         let f = self.config.features as usize;
         let t = self.config.table_size() as usize;

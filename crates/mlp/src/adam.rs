@@ -569,10 +569,14 @@ impl AdamState {
     /// exact), so callers can fold a clip-norm scale in unconditionally
     /// instead of cloning and rescaling the gradient vector.
     ///
+    /// On a lazy state every record must stand at the previous step (a
+    /// whole-table sync first); the sweep stamps each with the new step,
+    /// so later replays start there.
+    ///
     /// # Panics
     ///
-    /// Panics if `params` and `grads` differ in length, or do not match the
-    /// state's size.
+    /// Panics if `params` and `grads` differ in length, do not match the
+    /// state's size, or a lazy step counter overflows the `u32` stamps.
     pub fn step_scaled(&mut self, params: &mut [f32], grads: &[f32], scale: f32) {
         assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
         assert_eq!(
@@ -581,9 +585,19 @@ impl AdamState {
             "optimizer state size mismatch"
         );
         let bias = self.advance();
+        let t = self.t;
+        let lazy = self.lazy;
+        assert!(
+            !lazy || t <= u64::from(u32::MAX),
+            "step counter exceeds u32 stamps"
+        );
+        // Dense-mode stamps stay 0.
+        let stamp = if lazy { t as u32 } else { 0 };
         let h = self.hyper();
         for ((s, p), &g) in self.state.iter_mut().zip(params).zip(grads) {
+            debug_assert!(!lazy || u64::from(s.step) + 1 == t, "unsynced lazy record");
             h.update(s, p, g * scale, bias);
+            s.step = stamp;
         }
     }
 
@@ -767,19 +781,24 @@ impl AdamState {
         let t = self.t;
         assert!(t <= u64::from(u32::MAX), "step counter exceeds u32 stamps");
         let (replay, state) = self.replay(t);
-        inerf_simd::vectorize(|| {
-            step_gathered_blocks(
-                &replay, state, params, active, gathered, indices, scale, bias, t,
-            );
-        });
+        inerf_simd::vectorize(
+            #[inline(always)]
+            || {
+                step_gathered_blocks(
+                    &replay, state, params, active, gathered, indices, scale, bias, t,
+                );
+            },
+        );
     }
 }
 
 /// Blocked body of [`AdamState::step_sparse_gathered`], running inside a
-/// `vectorize` frame. Block size keeps the gathered working set (four
+/// `vectorize` frame (inlined into it, or its lanes compile at the build's
+/// baseline features). Block size keeps the gathered working set (four
 /// stack arrays plus the block's scattered cache lines) inside L1 between
 /// the gather and the scatter.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn step_gathered_blocks(
     replay: &Replay<'_>,
     state: &mut [Moments],

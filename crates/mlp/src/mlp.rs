@@ -819,7 +819,10 @@ mod tests {
                                     a[i * FWD_BLOCK + p] = v;
                                 }
                             }
-                            let out = inerf_simd::vectorize(|| net.forward_tile(&mut a, &mut b));
+                            let out = inerf_simd::vectorize(
+                                #[inline(always)]
+                                || net.forward_tile(&mut a, &mut b),
+                            );
                             assert_eq!(out.len(), out_dim * FWD_BLOCK);
                             for (p, row) in inputs.chunks_exact(in_dim).enumerate() {
                                 let scalar = net.forward(row);

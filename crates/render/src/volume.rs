@@ -260,48 +260,51 @@ pub fn composite_spans(
     let total = batch.sample_count();
     assert_eq!(weights.len(), total, "weight buffer mismatch");
     assert_eq!(trans_after.len(), total, "transmittance buffer mismatch");
-    inerf_simd::vectorize(|| {
-        // Runs of equal-length spans (the common case: every ray in a
-        // training chunk carries `samples_per_ray` samples) go through the
-        // wide lane-per-ray kernel, up to 8 rays at a time; ragged
-        // leftovers fall back to the scalar recurrence.
-        let mut ri = 0;
-        while ri < rays {
-            let len = batch.spans[ri].len;
-            let mut run = 1;
-            while ri + run < rays && batch.spans[ri + run].len == len {
-                run += 1;
-            }
-            let mut g = 0;
-            while g < run {
-                let group = (run - g).min(8);
-                if group >= 2 {
-                    composite_group_wide(
-                        batch,
-                        &batch.spans[ri + g..ri + g + group],
-                        &mut ray_colors[ri + g..ri + g + group],
-                        &mut backgrounds[ri + g..ri + g + group],
-                        weights,
-                        trans_after,
-                    );
-                } else {
-                    let span = &batch.spans[ri + g];
-                    let local = span.start - batch.sample_base;
-                    let (color, background) = composite_core(
-                        span.len,
-                        |i| (batch.sigmas[span.start + i], batch.colors[span.start + i]),
-                        |i| batch.dts.map_or(span.dt, |d| d[span.start + i]),
-                        &mut weights[local..local + span.len],
-                        &mut trans_after[local..local + span.len],
-                    );
-                    ray_colors[ri + g] = color;
-                    backgrounds[ri + g] = background;
+    inerf_simd::vectorize(
+        #[inline(always)]
+        || {
+            // Runs of equal-length spans (the common case: every ray in a
+            // training chunk carries `samples_per_ray` samples) go through the
+            // wide lane-per-ray kernel, up to 8 rays at a time; ragged
+            // leftovers fall back to the scalar recurrence.
+            let mut ri = 0;
+            while ri < rays {
+                let len = batch.spans[ri].len;
+                let mut run = 1;
+                while ri + run < rays && batch.spans[ri + run].len == len {
+                    run += 1;
                 }
-                g += group;
+                let mut g = 0;
+                while g < run {
+                    let group = (run - g).min(8);
+                    if group >= 2 {
+                        composite_group_wide(
+                            batch,
+                            &batch.spans[ri + g..ri + g + group],
+                            &mut ray_colors[ri + g..ri + g + group],
+                            &mut backgrounds[ri + g..ri + g + group],
+                            weights,
+                            trans_after,
+                        );
+                    } else {
+                        let span = &batch.spans[ri + g];
+                        let local = span.start - batch.sample_base;
+                        let (color, background) = composite_core(
+                            span.len,
+                            |i| (batch.sigmas[span.start + i], batch.colors[span.start + i]),
+                            |i| batch.dts.map_or(span.dt, |d| d[span.start + i]),
+                            &mut weights[local..local + span.len],
+                            &mut trans_after[local..local + span.len],
+                        );
+                        ray_colors[ri + g] = color;
+                        backgrounds[ri + g] = background;
+                    }
+                    g += group;
+                }
+                ri += run;
             }
-            ri += run;
-        }
-    });
+        },
+    );
 }
 
 /// Wide composite kernel: one [`f32x8`] lane per ray, for 2–8 equal-length
@@ -310,6 +313,8 @@ pub fn composite_spans(
 /// scalar at gather time (the very ops the scalar path runs), `exp` is
 /// lane-serial, and the blend arithmetic is lane-wise two-rounding — so
 /// each ray's results are bitwise-identical to the scalar reference.
+/// Inlined into [`composite_spans`]' `vectorize` frame.
+#[inline(always)]
 fn composite_group_wide(
     batch: &RayBatch<'_>,
     spans: &[RaySpan],
@@ -401,21 +406,24 @@ pub fn composite_backward_spans(
     // stays scalar per span; the vectorize frame still lets the compiler
     // use the wider instruction set for the element-independent pieces
     // without touching evaluation order.
-    inerf_simd::vectorize(|| {
-        for (ri, span) in batch.spans.iter().enumerate() {
-            let local = span.start - batch.sample_base;
-            composite_backward_core(
-                span.len,
-                |i| (batch.sigmas[span.start + i], batch.colors[span.start + i]),
-                |i| batch.dts.map_or(span.dt, |d| d[span.start + i]),
-                &weights[local..local + span.len],
-                &trans_after[local..local + span.len],
-                d_ray_colors[ri],
-                &mut d_sigmas[local..local + span.len],
-                &mut d_colors[local..local + span.len],
-            );
-        }
-    });
+    inerf_simd::vectorize(
+        #[inline(always)]
+        || {
+            for (ri, span) in batch.spans.iter().enumerate() {
+                let local = span.start - batch.sample_base;
+                composite_backward_core(
+                    span.len,
+                    |i| (batch.sigmas[span.start + i], batch.colors[span.start + i]),
+                    |i| batch.dts.map_or(span.dt, |d| d[span.start + i]),
+                    &weights[local..local + span.len],
+                    &trans_after[local..local + span.len],
+                    d_ray_colors[ri],
+                    &mut d_sigmas[local..local + span.len],
+                    &mut d_colors[local..local + span.len],
+                );
+            }
+        },
+    );
 }
 
 #[cfg(test)]

@@ -251,16 +251,26 @@ pub(crate) fn eval_density_batch<M: TrainableField>(
 /// Both paths produce bitwise-identical training trajectories (losses,
 /// parameters, DRAM/cosim statistics) — `Sparse` is the default and
 /// `Dense` is the pinned O(table) reference it is tested against. See
-/// DESIGN.md, "Sparse optimizer & lazy Adam".
+/// DESIGN.md, "Sparse optimizer & lazy-replay Adam".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OptPath {
     /// Full-table sweep every iteration: dense Adam step, full fp16
     /// re-quantize, full gradient memset.
     Dense,
-    /// O(touched entries) per iteration: touched-set collection during the
-    /// forward prepass, lazy-replay Adam, sparse fp16 commit.
+    /// Lazy or dense by measured density, per iteration: below
+    /// [`DENSE_SWEEP_FROM`] of the table nonzero in the last step, O(touched
+    /// entries) — touched-set collection during the forward prepass,
+    /// lazy-replay Adam, sparse fp16 commit; from there on the `Dense` sweep.
     Sparse,
 }
+
+/// Share of the hash table's gradient scalars that, nonzero in one
+/// optimizer step, makes [`OptPath::Sparse`] run the next iteration as a
+/// dense sweep. It sits above the measured crossover at
+/// `ModelConfig::small`: the dense iteration overtakes the lazy one near
+/// 20 % touched at fp16 (its commit re-quantizes the whole table) and
+/// below 5 % at f32 (EXPERIMENTS.md, "Sweep choice by touch density").
+pub const DENSE_SWEEP_FROM: f64 = 0.25;
 
 impl OptPath {
     /// Lower-case label for reports and JSON dumps.
@@ -699,6 +709,12 @@ pub struct IngpModel {
     /// the sparse clip-norm pass so the Adam step streams them instead of
     /// re-gathering from the dense table.
     touched_grads: Vec<f32>,
+    /// Whether this iteration sweeps the whole grid table: always on
+    /// [`OptPath::Dense`], by measured density on `Sparse`.
+    dense_sweep: bool,
+    /// Nonzero grid gradient scalars of the last optimizer step, counted
+    /// by its clip-norm pass.
+    nonzero_grads: usize,
 }
 
 impl IngpModel {
@@ -769,6 +785,8 @@ impl IngpModel {
             cache: Vec::new(),
             batch: BatchCache::default(),
             touched_grads: Vec::new(),
+            dense_sweep: opt == OptPath::Dense,
+            nonzero_grads: 0,
         }
     }
 
@@ -927,20 +945,34 @@ impl TrainableField for IngpModel {
     fn begin_batch(&mut self) {
         self.cache.clear();
         self.batch.len = 0;
-        // Sparse path: zero only the previous iteration's touched gradient
-        // slots and open a new touch epoch (falls back to the full memset
-        // when tracking is disabled — the dense path).
+        // A dense sweep's scatter may have written any gradient slot.
+        if self.dense_sweep && self.opt == OptPath::Sparse {
+            self.grid.zero_grad();
+        }
+        // Zeroes the previous lazy iteration's touched gradient slots (the
+        // whole buffer on `Dense`, which tracks nothing) and opens a new
+        // touch epoch.
         self.grid.begin_touch_batch();
+        // `Sparse` picks the sweep from the last step's density (lazy first,
+        // and after a resume); lazy → dense brings every scalar current.
+        let was_lazy = !self.dense_sweep;
+        self.dense_sweep = self.opt == OptPath::Dense
+            || self.nonzero_grads as f64 >= DENSE_SWEEP_FROM * self.grid.parameters().len() as f64;
+        if self.dense_sweep && was_lazy {
+            self.grid_adam.sync_store(self.grid.parameter_store_mut());
+        }
         self.density_mlp.zero_grad();
         self.color_mlp.zero_grad();
     }
 
     fn query(&mut self, p: Vec3, d: Vec3) -> (f32, Vec3) {
-        // Sparse-path prepass: the read set of this query is exactly the
+        // Lazy-sweep prepass: the read set of this query is exactly the
         // eight corner entries per level — collect them and replay their
         // lazy Adam chains before the encode reads them.
-        self.grid.collect_touched_point(p);
-        Self::sync_touched(&mut self.grid, &mut self.grid_adam);
+        if !self.dense_sweep {
+            self.grid.collect_touched_point(p);
+            Self::sync_touched(&mut self.grid, &mut self.grid_adam);
+        }
         let (density_acts, color_acts, sigma, rgb) = self.forward_parts(p, d);
         self.cache.push(PointCache {
             p,
@@ -971,57 +1003,60 @@ impl TrainableField for IngpModel {
     }
 
     fn apply_gradients(&mut self) {
-        match self.opt {
-            OptPath::Sparse => {
-                // O(touched) step. Ascending scalar order makes the
-                // clip-norm accumulate in dense index order — every
-                // skipped term is an exact +0.0 contribution to a
-                // never-negative f64 accumulator, so the sum is bitwise
-                // the dense one. The prepass already replayed the touched
-                // entries through the previous step, so `step_sparse`
-                // performs exactly the dense update at the new step.
-                self.grid.finalize_touched();
-                let (scalars, store, grads) = self.grid.touched_scalars_store_grads();
-                // The clip-norm pass gathers the touched gradients into a
-                // compact scratch as a side product, so the Adam step can
-                // stream them instead of re-gathering one cache line per
-                // scalar. Same values in the same ascending order: the
-                // accumulated norm and the step are bitwise unchanged.
-                self.touched_grads.clear();
-                self.touched_grads.reserve(scalars.len());
-                let mut norm_sq = 0.0f64;
-                for &i in scalars {
-                    let g = grads[i as usize];
-                    self.touched_grads.push(g);
-                    norm_sq += (g as f64) * (g as f64);
-                }
-                let scale = clip_scale(norm_sq, Self::GRAD_CLIP_NORM);
-                // Fused step + fp16 re-quantize of only the scalars Adam
-                // moved (no-op commit for f32 grids).
-                self.grid_adam
-                    .step_sparse_gathered(store, &self.touched_grads, scalars, scale);
+        // Both clip-norm passes count the nonzero gradients they read: the
+        // density the next `begin_batch` picks its sweep from.
+        let mut nonzero = 0usize;
+        let mut norm_sq = 0.0f64;
+        if self.dense_sweep {
+            let (params, grads) = self.grid.parameters_and_gradients_mut();
+            for &g in grads {
+                nonzero += usize::from(g != 0.0);
+                norm_sq += (g as f64) * (g as f64);
             }
-            OptPath::Dense => {
-                let (params, grads) = self.grid.parameters_and_gradients_mut();
-                let norm_sq: f64 = grads.iter().map(|&g| (g as f64) * (g as f64)).sum();
-                let scale = clip_scale(norm_sq, Self::GRAD_CLIP_NORM);
-                // Folding the scale into the gradient read is bitwise-
-                // identical to the historical clone-and-rescale (g × 1.0
-                // is exact), without the O(table) copy. Adam moves the
-                // f32 master weights; the commit re-quantizes the working
-                // copy for fp16 grids (no-op for f32).
-                self.grid_adam.step_scaled(params, grads, scale);
-                self.grid.commit_parameters();
+            let scale = clip_scale(norm_sq, Self::GRAD_CLIP_NORM);
+            // Folding the scale into the gradient read is bitwise-
+            // identical to the historical clone-and-rescale (g × 1.0 is
+            // exact), without the O(table) copy. Adam moves the f32 master
+            // weights; the commit re-quantizes the working copy for fp16
+            // grids (no-op for f32).
+            self.grid_adam.step_scaled(params, grads, scale);
+            self.grid.commit_parameters();
+        } else {
+            // O(touched) step. Ascending scalar order makes the clip-norm
+            // accumulate in dense index order — every skipped term is an
+            // exact +0.0 contribution to a never-negative f64 accumulator,
+            // so the sum is bitwise the dense one. The prepass already
+            // replayed the touched entries through the previous step, so
+            // `step_sparse` performs exactly the dense update at the new
+            // step.
+            self.grid.finalize_touched();
+            let (scalars, store, grads) = self.grid.touched_scalars_store_grads();
+            // The clip-norm pass gathers the touched gradients into a
+            // compact scratch as a side product, so the Adam step can
+            // stream them instead of re-gathering one cache line per
+            // scalar. Same values in the same ascending order: the
+            // accumulated norm and the step are bitwise unchanged.
+            self.touched_grads.clear();
+            self.touched_grads.reserve(scalars.len());
+            for &i in scalars {
+                let g = grads[i as usize];
+                self.touched_grads.push(g);
+                nonzero += usize::from(g != 0.0);
+                norm_sq += (g as f64) * (g as f64);
             }
+            let scale = clip_scale(norm_sq, Self::GRAD_CLIP_NORM);
+            // Fused step + fp16 re-quantize of only the scalars Adam
+            // moved (no-op commit for f32 grids).
+            self.grid_adam
+                .step_sparse_gathered(store, &self.touched_grads, scalars, scale);
         }
+        self.nonzero_grads = nonzero;
         Self::step_mlp(&mut self.density_mlp, &mut self.density_adam);
         Self::step_mlp(&mut self.color_mlp, &mut self.color_adam);
     }
 
     fn sync_parameters(&mut self) {
-        if self.opt == OptPath::Sparse {
-            self.grid_adam.sync_store(self.grid.parameter_store_mut());
-        }
+        self.grid_adam.sync_store(self.grid.parameter_store_mut());
     }
 
     fn query_eval(&self, p: Vec3, d: Vec3) -> (f32, Vec3) {
@@ -1055,8 +1090,8 @@ impl TrainableField for IngpModel {
 
     /// Prepass, then the fused gather → density MLP of each chunk on a
     /// pool worker. The prepass fills each chunk's corner-lookup cache
-    /// (the encode's index math, without reading the table); on the sparse
-    /// path it collects the chunks' read set from the cached indices,
+    /// (the encode's index math, without reading the table); on a lazy
+    /// sweep it collects the chunks' read set from the cached indices,
     /// serially in chunk order, and replays those entries' lazy Adam
     /// chains, so the gather-only encode reads exactly the parameter
     /// values the dense path holds. The replay is per entry, so syncing
@@ -1078,6 +1113,7 @@ impl TrainableField for IngpModel {
             grid_adam,
             density_mlp,
             batch,
+            dense_sweep,
             ..
         } = self;
         let filling = &*grid;
@@ -1085,10 +1121,12 @@ impl TrainableField for IngpModel {
             assert_eq!(chunk.held.replace(c), None, "ring slot still in flight");
             filling.fill_cache(&points[samples], &mut chunk.lookups)
         });
-        for (_, _, chunk) in batch.slots(&chunks) {
-            grid.collect_touched_cache(&chunk.lookups);
+        if !*dense_sweep {
+            for (_, _, chunk) in batch.slots(&chunks) {
+                grid.collect_touched_cache(&chunk.lookups);
+            }
+            Self::sync_touched(grid, grid_adam);
         }
-        Self::sync_touched(grid, grid_adam);
         let (grid, density_mlp) = (&*grid, &*density_mlp);
         let sigmas = sigmas[chunk_samples(chunks.clone(), n)].chunks_mut(POINT_CHUNK);
         run_tasks(
@@ -1509,6 +1547,86 @@ mod tests {
             trainer.train_on_rays(&rays, &targets, &bounds);
             assert_eq!(footprint(&trainer), first, "x{threads}: the repeat grew");
         }
+    }
+
+    /// Batches alternating small and large drive `Sparse` across the
+    /// dense-sweep threshold both ways, twice, and every bit stays the
+    /// `Dense` twin's: losses, master and working grid parameters, Adam
+    /// moments after a whole-table sync (whose stamps then all read the
+    /// step count), for both engines, both precisions, one and two
+    /// threads.
+    #[test]
+    fn sweep_switches_both_ways_bitwise_like_the_dense_twin() {
+        use crate::train::{Engine, Trainer};
+        use inerf_geom::{Aabb, Ray};
+        let bounds = Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0));
+        let batch = |n: usize, salt: f32| -> (Vec<Ray>, Vec<Vec3>) {
+            (0..n)
+                .map(|i| {
+                    let f = (i as f32 + 0.5) / n as f32;
+                    let origin = Vec3::new(-2.5, 1.8 * f - 0.9, 0.9 * (37.0 * f + salt).sin());
+                    let dir = Vec3::new(1.0, 0.4 * (13.0 * f).sin(), 0.4 * (11.0 * f + salt).cos());
+                    (
+                        Ray::new(origin, dir.normalized()),
+                        Vec3::new(f, 1.0 - f, 0.5),
+                    )
+                })
+                .unzip()
+        };
+        let (small, large) = (batch(2, 0.3), batch(192, 1.1));
+        const ITERS: usize = 8;
+        for engine in [Engine::Scalar, Engine::Batched] {
+            for precision in [Precision::F32, Precision::Fp16] {
+                for threads in [1, 2] {
+                    let run = |opt: OptPath| {
+                        let config = TrainConfig {
+                            samples_per_ray: 24,
+                            ..TrainConfig::tiny()
+                                .with_engine(engine)
+                                .with_precision(precision)
+                                .with_opt(opt)
+                        };
+                        let model = IngpModel::for_config(ModelConfig::tiny(), &config, 11);
+                        let mut trainer = Trainer::new(model, config, 5).with_threads(threads);
+                        let (mut losses, mut dense) = (Vec::new(), Vec::new());
+                        for k in 0..ITERS {
+                            let (rays, targets) = if k % 2 == 0 { &small } else { &large };
+                            losses.push(trainer.train_on_rays(rays, targets, &bounds).to_bits());
+                            dense.push(trainer.model().dense_sweep);
+                        }
+                        let model = trainer.into_model();
+                        let stamps: Vec<u32> = model.grid_adam.records().map(|r| r[2]).collect();
+                        let state = (
+                            losses,
+                            f32_bits(model.grid.parameter_store().master()),
+                            f32_bits(model.grid.parameters()),
+                            model
+                                .grid_adam
+                                .records()
+                                .map(|r| [r[0], r[1]])
+                                .collect::<Vec<_>>(),
+                        );
+                        (state, dense, stamps)
+                    };
+                    let label = format!("{engine:?} {precision:?} x{threads}");
+                    let (want, _, _) = run(OptPath::Dense);
+                    let (got, dense, stamps) = run(OptPath::Sparse);
+                    // Lazy first; after that a large batch makes the next
+                    // iteration dense and a small one makes it lazy.
+                    let expected: Vec<bool> = (0..ITERS).map(|k| k % 2 == 0 && k > 0).collect();
+                    assert_eq!(dense, expected, "{label}: sweep sequence");
+                    assert!(
+                        stamps.iter().all(|&s| s as usize == ITERS),
+                        "{label}: stamps"
+                    );
+                    assert!(got == want, "{label}: diverged from the dense twin");
+                }
+            }
+        }
+    }
+
+    fn f32_bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use inerf_encoding::requests::{RegisterCacheSink, StreamStats};
 use inerf_encoding::CountingSink;
+use inerf_geom::{Aabb, Ray, Vec3};
 use inerf_scenes::{zoo, Dataset, DatasetConfig};
 use inerf_snapshot::{MemIo, SnapshotError};
 use inerf_trainer::{Engine, IngpModel, ModelConfig, OptPath, Precision, TrainConfig, Trainer};
@@ -106,6 +107,69 @@ fn resume_matches_straight_bitwise_for_every_engine_precision_thread_count_and_o
                         opt.label()
                     );
                 }
+            }
+        }
+    }
+}
+
+/// `OptPath::Sparse` picks each iteration's grid sweep from the density
+/// of the step before; a resumed trainer starts lazy. Saved right after a
+/// dense iteration, and right after a lazy one dense enough to call for
+/// a dense sweep next, the resumed trainer's next iteration runs lazy
+/// where the straight one runs dense — and the losses stay bit-equal.
+#[test]
+fn resume_across_a_sweep_boundary_matches_straight_bitwise() {
+    const ITERS: usize = 5;
+    let bounds = Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0));
+    // Enough rays that about half the table's gradients are nonzero.
+    let (rays, targets): (Vec<Ray>, Vec<Vec3>) = (0..192)
+        .map(|i| {
+            let f = (i as f32 + 0.5) / 192.0;
+            let origin = Vec3::new(-2.5, 1.8 * f - 0.9, 0.9 * (37.0 * f + 1.1).sin());
+            let dir = Vec3::new(1.0, 0.4 * (13.0 * f).sin(), 0.4 * (11.0 * f + 1.1).cos());
+            (
+                Ray::new(origin, dir.normalized()),
+                Vec3::new(f, 1.0 - f, 0.5),
+            )
+        })
+        .unzip();
+    // Loss bits, and whether every Adam record stood at the step count
+    // afterwards — true right after a dense sweep, false after a lazy one.
+    let step = |trainer: &mut Trainer<IngpModel>| {
+        let loss = trainer.train_on_rays(&rays, &targets, &bounds).to_bits();
+        let t = trainer.global_step() as u32;
+        let current = trainer.model().grid_adam().records().all(|r| r[2] == t);
+        (loss, current)
+    };
+    for engine in [Engine::Scalar, Engine::Batched] {
+        for precision in [Precision::F32, Precision::Fp16] {
+            let cfg = TrainConfig {
+                samples_per_ray: 24,
+                ..tiny_config(engine, precision, OptPath::Sparse)
+            };
+            let mut reference = fresh_trainer(cfg, 1);
+            let straight: Vec<_> = (0..ITERS).map(|_| step(&mut reference)).collect();
+            let sweeps: Vec<bool> = straight.iter().map(|s| s.1).collect();
+            assert_eq!(
+                sweeps,
+                [false, true, true, true, true],
+                "{engine:?}/{precision:?}"
+            );
+            for save_after in [1, 2] {
+                let mut io = MemIo::default();
+                {
+                    let mut first = fresh_trainer(cfg, 1);
+                    for _ in 0..save_after {
+                        step(&mut first);
+                    }
+                    first.save_checkpoint_to(&mut io, 2).unwrap();
+                }
+                let mut restored = Trainer::resume_from_io(&io, cfg).unwrap();
+                let rest: Vec<_> = (save_after..ITERS).map(|_| step(&mut restored)).collect();
+                let label = format!("{engine:?}/{precision:?}: saved after {save_after}");
+                assert!(!rest[0].1, "{label}: the resumed trainer must start lazy");
+                let losses = |s: &[(u64, bool)]| s.iter().map(|s| s.0).collect::<Vec<_>>();
+                assert_eq!(losses(&rest), losses(&straight[save_after..]), "{label}");
             }
         }
     }
