@@ -38,8 +38,9 @@ pub struct CosimStats {
     pub ht_bank_conflicts: u64,
     /// DRAM requests issued by the HT and HT_b replays together.
     pub dram_requests: u64,
-    /// Cubes streamed on levels the mapping does not hold (a grid deeper
-    /// than the mapped table). They cause no DRAM request, so a non-zero
+    /// Cubes streamed that the mapping cannot place: on a level it does not
+    /// hold (a grid deeper than the mapped table), or with an entry at or
+    /// past the mapped table's 2^19. They cause no DRAM request, so a non-zero
     /// count means the totals above under-report the run's traffic.
     pub dropped_cubes: u64,
     /// Peak heap bytes of the co-simulation state observed at any

@@ -16,6 +16,10 @@ use inerf_encoding::trace::CubeLookup;
 use inerf_encoding::{EntryLayout, TraceSink};
 use serde::{Deserialize, Serialize};
 
+/// Entries per level of the mapped table: the paper's `T = 2^19`. Each
+/// level's region of DRAM rows is sized for this many entries.
+const TABLE_ENTRIES: u32 = 1 << 19;
+
 /// Inter-level bank-assignment policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MappingScheme {
@@ -148,7 +152,7 @@ impl HashTableMapping {
         let share = (self.subarrays / co_resident).max(1);
         let sa_base = (stack_index * share) % self.subarrays;
         let entries_per_row = self.layout.entries_per_row();
-        let rows_per_level = (1u32 << 19) / entries_per_row; // paper table: 2^19 entries
+        let rows_per_level = TABLE_ENTRIES / entries_per_row;
         let row_idx = self.layout.row_of_entry(entry);
         let (subarray, row) = match self.scheme {
             MappingScheme::ClusteredNoSpread => {
@@ -220,92 +224,6 @@ struct LevelSlot {
     row_base: u32,
 }
 
-/// The rows the read sweep has touched since the last drain: the drain's
-/// insertion-ordered source, plus an O(1) membership filter over the same
-/// `(channel, bank, subarray, row)` key. Both grow with the touched rows
-/// (which the table size bounds), never with the streamed points.
-///
-/// The filter keeps one 64-row bitmap per touched *page* of the physical
-/// row space in a small open-addressed table: the mapping packs a level's
-/// rows densely, so a batch that touches every row of the paper's table
-/// needs a few hundred pages — a cache-resident filter for a lookup that
-/// runs once per emitted request.
-#[derive(Debug, Clone, Default)]
-struct TouchedRows {
-    rows: Vec<PhysAddr>,
-    /// `(page, bitmap)` slots, linearly probed; the length is zero or a
-    /// power of two and at most half the slots are ever occupied.
-    pages: Vec<(u64, u64)>,
-    pages_used: usize,
-}
-
-impl TouchedRows {
-    /// The page id of a free slot; a real one is a key shifted right by
-    /// six bits and never reaches it.
-    const FREE: u64 = u64::MAX;
-
-    /// Fibonacci hashing: the high bits of the golden-ratio product spread
-    /// the near-sequential page ids evenly over the table.
-    fn home(page: u64, slots: usize) -> usize {
-        debug_assert!(slots.is_power_of_two() && slots > 1);
-        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - slots.trailing_zeros())) as usize
-    }
-
-    /// Records `addr`, whose dense physical row index is `key`; false if
-    /// the row was already recorded.
-    #[inline]
-    fn insert(&mut self, key: u64, addr: PhysAddr) -> bool {
-        if (self.pages_used + 1) * 2 > self.pages.len() {
-            self.grow();
-        }
-        let (page, bit) = (key >> 6, 1u64 << (key & 63));
-        let mask = self.pages.len() - 1;
-        let mut i = Self::home(page, self.pages.len());
-        loop {
-            let slot = &mut self.pages[i];
-            if slot.0 == Self::FREE {
-                *slot = (page, 0);
-                self.pages_used += 1;
-            }
-            if slot.0 == page {
-                let new = slot.1 & bit == 0;
-                if new {
-                    slot.1 |= bit;
-                    self.rows.push(addr);
-                }
-                return new;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Doubles the page table and re-seats every page.
-    fn grow(&mut self) {
-        let old = std::mem::take(&mut self.pages);
-        self.pages = vec![(Self::FREE, 0); (old.len() * 2).max(16)];
-        let mask = self.pages.len() - 1;
-        for slot in old.into_iter().filter(|s| s.0 != Self::FREE) {
-            let mut i = Self::home(slot.0, self.pages.len());
-            while self.pages[i].0 != Self::FREE {
-                i = (i + 1) & mask;
-            }
-            self.pages[i] = slot;
-        }
-    }
-
-    /// Forgets every row, keeping both allocations.
-    fn clear(&mut self) {
-        self.rows.clear();
-        self.pages.fill((Self::FREE, 0));
-        self.pages_used = 0;
-    }
-
-    fn state_bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<PhysAddr>()
-            + self.pages.capacity() * std::mem::size_of::<(u64, u64)>()
-    }
-}
-
 /// Online DRAM-request generation from the streaming trace bus.
 ///
 /// Mirrors the accelerator datapath: per level, a two-row `r0` register
@@ -321,6 +239,13 @@ impl TouchedRows {
 /// also resets the per-batch register state, so one stream serves a whole
 /// training run iteration by iteration. The reads are the same with or
 /// without `write_back`.
+///
+/// The stream accepts only what its address map can place: construction
+/// refuses a layout that folds two table rows onto one DRAM row, and
+/// [`RequestStream::push_cube`] drops (and counts) a cube outside the
+/// mapped table. So a table row's first read in a batch is also its DRAM
+/// row's first read, and one bitmap over the table rows is the drain's
+/// whole deduplication.
 ///
 /// Addresses come from a per-level table built at construction, equal to
 /// [`HashTableMapping::map_entry`] for every entry (checked on each request
@@ -338,12 +263,12 @@ pub struct RequestStream {
     last_cube: Vec<Option<u64>>,
     /// Two-entry LRU of (subarray, row) per level — the r0 register pair.
     r0: Vec<[Option<(u32, u32)>; 2]>,
-    /// Rows touched by the read sweep (the write-back drain).
-    touched: TouchedRows,
-    /// One bit per `(level, table row)` below `rows_per_level`, set at the
-    /// row's first read of the batch: the physical row is a function of the
-    /// table row, so only that first read can add a row to `touched`. Rows
-    /// beyond it go straight to `touched`. Empty without `write_back`.
+    /// Rows touched by the read sweep in first-read order (the write-back
+    /// drain).
+    touched: Vec<PhysAddr>,
+    /// One bit per `(level, table row)`, set at the row's first read of
+    /// the batch, which is the only read that adds a row to `touched`.
+    /// Empty without `write_back`.
     table_rows: Vec<u64>,
     rows_per_level: u32,
     dropped_cubes: u64,
@@ -354,24 +279,13 @@ impl RequestStream {
     ///
     /// # Panics
     ///
-    /// Panics if `dram` has no subarrays or no rows, or more physical rows
-    /// than a `u64` counts.
+    /// Panics if `dram` has no subarrays or no rows, or if the mapping
+    /// folds two `(level, table row)` pairs of the mapped table onto one
+    /// `(channel, bank, subarray, row)` (the message names such a pair).
     pub fn new(mapping: &HashTableMapping, dram: &DramConfig, write_back: bool) -> Self {
-        // The touched-row filter keys a row by its index among these.
-        assert!(
-            (dram.channels as u64 * dram.banks_per_channel as u64)
-                .checked_mul(dram.subarrays_per_bank as u64)
-                .and_then(|n| n.checked_mul(dram.rows_per_subarray as u64))
-                .is_some(),
-            "the physical rows must be countable in a u64"
-        );
         let assignment = &mapping.assignment;
-        let rows_per_level = (1u32 << 19) / mapping.layout.entries_per_row();
-        let bitmap_bits = if write_back {
-            assignment.len() * rows_per_level as usize
-        } else {
-            0
-        };
+        let rows_per_level = TABLE_ENTRIES / mapping.layout.entries_per_row();
+        let bitmap_bits = usize::from(write_back) * assignment.len() * rows_per_level as usize;
         let levels = assignment
             .iter()
             .enumerate()
@@ -388,7 +302,7 @@ impl RequestStream {
                 }
             })
             .collect();
-        RequestStream {
+        let stream = RequestStream {
             mapping: mapping.clone(),
             dram: *dram,
             write_back,
@@ -398,16 +312,59 @@ impl RequestStream {
             rows_per_subarray: Divisor::new(dram.rows_per_subarray),
             last_cube: vec![None; assignment.len()],
             r0: vec![[None; 2]; assignment.len()],
-            touched: TouchedRows::default(),
+            touched: Vec::new(),
             table_rows: vec![0; bitmap_bits.div_ceil(64)],
             rows_per_level,
             dropped_cubes: 0,
+        };
+        stream.assert_rows_injective();
+        stream
+    }
+
+    /// Panics unless every `(level, table row)` has a DRAM row of its own.
+    /// One bank at a time, with a bitmap over that bank's rows (16 KB at
+    /// the paper's 128 K rows per bank).
+    fn assert_rows_injective(&self) {
+        let per_subarray = self.dram.rows_per_subarray as usize;
+        let bank_rows = self.dram.subarrays_per_bank as usize * per_subarray;
+        let mut taken = vec![0u64; bank_rows.div_ceil(64)];
+        let mut banks: Vec<(u32, u32)> = self.levels.iter().map(|s| (s.channel, s.bank)).collect();
+        banks.sort_unstable();
+        banks.dedup();
+        for bank in banks {
+            taken.fill(0);
+            let on_bank = || {
+                self.levels
+                    .iter()
+                    .enumerate()
+                    .filter(move |(_, s)| (s.channel, s.bank) == bank)
+            };
+            for (level, &slot) in on_bank() {
+                for row in 0..self.rows_per_level {
+                    let addr = self.address(slot, row, 0);
+                    let bit = addr.subarray as usize * per_subarray + addr.row as usize;
+                    let (word, mask) = (&mut taken[bit / 64], 1u64 << (bit % 64));
+                    if *word & mask != 0 {
+                        // The earlier row that set the bit.
+                        let (first_level, first_row) = on_bank()
+                            .flat_map(|(l, &s)| (0..self.rows_per_level).map(move |r| (l, r, s)))
+                            .find(|&(_, r, s)| self.address(s, r, 0) == addr)
+                            .map_or((level, row), |(l, r, _)| (l, r));
+                        panic!(
+                            "the mapping folds table rows onto one DRAM row: level {first_level} \
+                             row {first_row} and level {level} row {row} both map to {addr:?}"
+                        );
+                    }
+                    *word |= mask;
+                }
+            }
         }
     }
 
-    /// Cubes pushed so far whose level the mapping does not hold (a grid
-    /// deeper than the mapped table): they cause no request, and are
-    /// counted here instead of vanishing.
+    /// Cubes pushed so far that the mapping cannot place: on a level it
+    /// does not hold (a grid deeper than the mapped table), or with an
+    /// entry at or past the mapped table's 2^19. They cause no request and
+    /// change no state, and are counted here instead of vanishing.
     pub fn dropped_cubes(&self) -> u64 {
         self.dropped_cubes
     }
@@ -435,9 +392,12 @@ impl RequestStream {
     /// Processes one cube, emitting the DRAM read requests it causes.
     pub fn push_cube(&mut self, cube: &CubeLookup, mut emit: impl FnMut(Request)) {
         let li = cube.level as usize;
-        let Some(&slot) = self.levels.get(li) else {
-            self.dropped_cubes += 1;
-            return;
+        let slot = match self.levels.get(li) {
+            Some(&slot) if cube.entries.iter().all(|&e| e < TABLE_ENTRIES) => slot,
+            _ => {
+                self.dropped_cubes += 1;
+                return;
+            }
         };
         if self.last_cube[li] == Some(cube.cube_id) {
             return; // register-cache hit: embeddings already loaded
@@ -463,26 +423,15 @@ impl RequestStream {
             self.r0[li][0] = Some(key);
             emit(Request::new(addr, AccessKind::Read));
             if self.write_back && self.first_touch(li, r) {
-                // The row's index among all physical rows.
-                let d = &self.dram;
-                let row_key = ((addr.channel as u64 * d.banks_per_channel as u64
-                    + addr.bank as u64)
-                    * d.subarrays_per_bank as u64
-                    + addr.subarray as u64)
-                    * d.rows_per_subarray as u64
-                    + addr.row as u64;
-                self.touched.insert(row_key, addr);
+                self.touched.push(addr);
             }
         }
     }
 
     /// Marks table row `row` of level `li` read this batch; false if it
-    /// already was. Rows outside the bitmap always count as first reads.
+    /// already was.
     #[inline]
     fn first_touch(&mut self, li: usize, row: u32) -> bool {
-        if row >= self.rows_per_level {
-            return true;
-        }
         let bit = li * self.rows_per_level as usize + row as usize;
         let (word, mask) = (&mut self.table_rows[bit / 64], 1u64 << (bit % 64));
         let first = *word & mask == 0;
@@ -496,12 +445,10 @@ impl RequestStream {
     /// and resets the per-batch register state for the next iteration.
     pub fn end_batch(&mut self, emit: impl FnMut(Request)) {
         if self.write_back {
-            // Batched gradient drain, deduplicated per touched row.
+            // Batched gradient drain; the rows are distinct, so the order is total.
             self.touched
-                .rows
                 .sort_unstable_by_key(|a| (a.channel, a.bank, a.row, a.subarray));
             self.touched
-                .rows
                 .iter()
                 .map(|&a| Request::new(a, AccessKind::Write))
                 .for_each(emit);
@@ -522,7 +469,7 @@ impl RequestStream {
             + self.levels.capacity() * std::mem::size_of::<LevelSlot>()
             + self.last_cube.capacity() * std::mem::size_of::<Option<u64>>()
             + self.r0.capacity() * std::mem::size_of::<[Option<(u32, u32)>; 2]>()
-            + self.touched.state_bytes()
+            + self.touched.capacity() * std::mem::size_of::<PhysAddr>()
             + self.table_rows.capacity() * std::mem::size_of::<u64>()
     }
 }
@@ -864,10 +811,10 @@ mod tests {
         for (m, dram) in configurations() {
             let stream = RequestStream::new(&m, &dram, false);
             let per_row = m.layout().entries_per_row();
-            let entries = (0..1u32 << 19)
+            let entries = (0..TABLE_ENTRIES)
                 .step_by(997)
                 .chain([0, 1, per_row - 1, per_row, 6 * per_row + 3])
-                .chain([(1 << 19) - 1, 1 << 19, (1 << 20) + 77]);
+                .chain([TABLE_ENTRIES - 1, TABLE_ENTRIES, 2 * TABLE_ENTRIES + 77]);
             for entry in entries {
                 let (row_idx, col_idx) = (entry / per_row, entry % per_row);
                 for (level, &slot) in stream.levels.iter().enumerate() {
@@ -884,26 +831,89 @@ mod tests {
 
     #[test]
     fn paper_geometry_maps_table_rows_injectively() {
-        // Distinct table rows never share a physical row, so the drain's
-        // per-physical-row deduplication merges nothing it should not.
+        // Fig. 9's subarray sweep × scheme × entry width, plus the
+        // 20-level / 40-bank geometry. `map_entry` decides which layouts
+        // fold two table rows onto one DRAM row; the stream accepts exactly
+        // the others. The one that folds is the no-spread ablation at 8 B
+        // entries and 64 subarrays: 4 096 rows per level, 2 048 per subarray.
+        let mut geometries = Vec::new();
         for scheme in SCHEMES {
             for entry_bytes in [4, 8] {
-                let m = HashTableMapping::paper(scheme, 32).with_entry_bytes(entry_bytes);
-                let dram = crate::AccelConfig::paper().nmp_dram(32);
-                let per_row = m.layout().entries_per_row();
-                let rows_per_level = (1u32 << 19) / per_row;
-                let mut seen = std::collections::BTreeSet::new();
-                for level in 0..16 {
-                    for row_idx in 0..rows_per_level {
-                        let a = m.map_entry(level, row_idx * per_row, &dram);
-                        assert!(
-                            seen.insert((a.channel, a.bank, a.subarray, a.row)),
-                            "{scheme:?}, {entry_bytes} B entries: level {level} row {row_idx} aliases"
-                        );
+                for sa in [1, 2, 4, 8, 16, 32, 64] {
+                    geometries.push((
+                        HashTableMapping::paper(scheme, sa).with_entry_bytes(entry_bytes),
+                        crate::AccelConfig::paper().nmp_dram(sa),
+                    ));
+                }
+            }
+        }
+        geometries.extend(
+            configurations()
+                .into_iter()
+                .filter(|(m, _)| m.assignment.len() == 20),
+        );
+        assert_eq!(geometries.len(), 45);
+        for (m, dram) in geometries {
+            let per_row = m.layout().entries_per_row();
+            let first_entry = |level, row_idx| m.map_entry(level, row_idx * per_row, &dram);
+            let mut rows = Vec::new();
+            for level in 0..m.assignment.len() as u32 {
+                for row_idx in 0..TABLE_ENTRIES / per_row {
+                    let a = first_entry(level, row_idx);
+                    rows.push((a.channel, a.bank, a.subarray, a.row));
+                }
+            }
+            let table_rows = rows.len();
+            rows.sort_unstable();
+            rows.dedup();
+            let folds = m.scheme() == MappingScheme::ClusteredNoSpread
+                && m.layout().entry_bytes() == 8
+                && dram.subarrays_per_bank == 64;
+            let what = format!(
+                "{:?}, {} B entries, {} subarrays",
+                m.scheme(),
+                m.layout().entry_bytes(),
+                dram.subarrays_per_bank
+            );
+            assert_eq!(rows.len() < table_rows, folds, "{what}");
+            for write_back in [false, true] {
+                let built = std::panic::catch_unwind(|| RequestStream::new(&m, &dram, write_back));
+                match built {
+                    Ok(_) => assert!(!folds, "{what}: a folding layout was accepted"),
+                    Err(payload) => {
+                        assert!(folds, "{what}: an injective layout was refused");
+                        // The message names a pair that really folds.
+                        let message = payload.downcast::<String>().expect("a formatted message");
+                        let numbers: Vec<u32> = message
+                            .split(|c: char| !c.is_ascii_digit())
+                            .filter_map(|t| t.parse().ok())
+                            .take(4)
+                            .collect();
+                        let [l0, r0, l1, r1] = numbers[..] else {
+                            panic!("{what}: no pair in {message:?}");
+                        };
+                        assert_ne!((l0, r0), (l1, r1), "{message}");
+                        assert_eq!(first_entry(l0, r0), first_entry(l1, r1), "{message}");
                     }
                 }
             }
         }
+    }
+
+    /// Four cubes on each of 20 levels, each cube's corners `c` at
+    /// `entries[(c + k) % len] + c` for its id `k`.
+    fn hand_cubes(entries: &[u32]) -> Vec<CubeLookup> {
+        (0..20u32)
+            .flat_map(|level| {
+                (0..4u64).map(move |k| CubeLookup {
+                    level,
+                    entries: std::array::from_fn(|c| {
+                        entries[(c + k as usize) % entries.len()] + c as u32
+                    }),
+                    cube_id: k,
+                })
+            })
+            .collect()
     }
 
     /// An independent request generator for the stream to be held to:
@@ -973,21 +983,9 @@ mod tests {
                 batches.push(trace.cubes().to_vec());
             }
             // Hand-built cubes, twice: table rows that repeat within a
-            // level, across levels and across batches, on both sides of
-            // the last row the first-touch bitmap covers.
-            let per_row = 256;
-            let entries = [0, 1, 2 * per_row, (1 << 19) - 1, 1 << 19, (1 << 20) + 77];
-            let hand: Vec<CubeLookup> = (0..20u32)
-                .flat_map(|level| {
-                    (0..4u64).map(move |k| CubeLookup {
-                        level,
-                        entries: std::array::from_fn(|c| {
-                            entries[(c + k as usize) % entries.len()] + c as u32
-                        }),
-                        cube_id: k,
-                    })
-                })
-                .collect();
+            // level, across levels and across batches, up to the last row
+            // of the mapped table.
+            let hand = hand_cubes(&[0, 1, 512, 812, TABLE_ENTRIES - 256, TABLE_ENTRIES - 8]);
             batches.extend([hand.clone(), hand]);
             for (m, dram) in configurations() {
                 for write_back in [false, true] {
@@ -1062,6 +1060,51 @@ mod tests {
             assert_eq!(sink.stream.dropped_cubes(), dropped, "{levels} levels");
             assert!(!sink.consumer().is_empty());
         }
+        // Cubes with an entry at or past the mapped table emit nothing and
+        // are counted, too. Each in-table cube of a real batch is preceded
+        // by a copy, same level and id, with one corner on the first entry
+        // past the table: had the copy reached the register cache, `r0` or
+        // the bitmap, the real cube's requests would change.
+        let mut trace = BufferSink::new();
+        small_deep_grid(HashFunction::Original, 16)
+            .stream_batch(&scattered_points(64, 4), &mut trace);
+        let batch = trace.cubes();
+        let poisoned: Vec<CubeLookup> = batch
+            .iter()
+            .flat_map(|cube| {
+                let mut copy = *cube;
+                copy.entries[cube.cube_id as usize % 8] = TABLE_ENTRIES;
+                [copy, *cube]
+            })
+            .collect();
+        let outside = hand_cubes(&[
+            0,
+            1,
+            512,
+            TABLE_ENTRIES - 1,
+            TABLE_ENTRIES,
+            2 * TABLE_ENTRIES,
+        ]);
+        for (m, dram) in configurations() {
+            for write_back in [false, true] {
+                let run = |cubes: &[CubeLookup]| {
+                    let mut stream = RequestStream::new(&m, &dram, write_back);
+                    let mut out = Vec::new();
+                    for cube in cubes {
+                        stream.push_cube(cube, |r| out.push(r));
+                    }
+                    stream.end_batch(|r| out.push(r));
+                    (out, stream.dropped_cubes())
+                };
+                let what = format!("{:?} write_back={write_back}", m.scheme());
+                let (clean, none) = run(batch);
+                assert_eq!(none, 0, "{what}");
+                assert_eq!(run(&poisoned), (clean, batch.len() as u64), "{what}");
+                // A hand-built cube's eight corners cycle through all six
+                // entries, so each has one at or past the table's end.
+                assert_eq!(run(&outside), (Vec::new(), outside.len() as u64), "{what}");
+            }
+        }
     }
 
     #[test]
@@ -1083,43 +1126,6 @@ mod tests {
             // generator's shape.
             let small = Divisor::new(d % 4097 + 1);
             prop_assert_eq!(small.div_rem(n), (n / small.d, n % small.d));
-        }
-
-        #[test]
-        fn touched_rows_filter_matches_an_ordered_set(
-            seed in 0u64..1000,
-            span_log2 in 3u32..40,
-            n in 1usize..3000
-        ) {
-            // Two batches through one filter: growth, duplicates and the
-            // clear between batches, over dense and sparse key ranges.
-            let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            let mut touched = TouchedRows::default();
-            for _ in 0..2 {
-                let mut reference = std::collections::BTreeSet::new();
-                let mut order = Vec::new();
-                for _ in 0..n {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    let key = s >> (64 - span_log2);
-                    let addr = PhysAddr {
-                        channel: 0,
-                        bank: (key >> 32) as u32,
-                        subarray: 0,
-                        row: key as u32,
-                        col: 0,
-                    };
-                    let new = reference.insert(key);
-                    if new {
-                        order.push(addr);
-                    }
-                    prop_assert_eq!(touched.insert(key, addr), new);
-                }
-                prop_assert_eq!(&touched.rows, &order);
-                prop_assert!(touched.pages_used * 2 <= touched.pages.len());
-                touched.clear();
-            }
         }
     }
 }

@@ -340,7 +340,7 @@ impl IterationSink {
         self.points
     }
 
-    /// Cubes streamed so far on levels the mapping does not hold (see
+    /// Cubes streamed so far that the mapping cannot place (see
     /// [`RequestStream::dropped_cubes`]).
     pub fn dropped_cubes(&self) -> u64 {
         self.stream.dropped_cubes()

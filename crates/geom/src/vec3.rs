@@ -95,18 +95,6 @@ impl Vec3 {
         Vec3::new(self.x * rhs.x, self.y * rhs.y, self.z * rhs.z)
     }
 
-    /// Component-wise minimum.
-    #[inline]
-    pub fn min_elem(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(self.x.min(rhs.x), self.y.min(rhs.y), self.z.min(rhs.z))
-    }
-
-    /// Component-wise maximum.
-    #[inline]
-    pub fn max_elem(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(self.x.max(rhs.x), self.y.max(rhs.y), self.z.max(rhs.z))
-    }
-
     /// Component-wise clamp of every component into `[lo, hi]`.
     #[inline]
     pub fn clamp_scalar(self, lo: f32, hi: f32) -> Vec3 {
@@ -121,18 +109,6 @@ impl Vec3 {
     #[inline]
     pub fn min_component(self) -> f32 {
         self.x.min(self.y).min(self.z)
-    }
-
-    /// The largest component.
-    #[inline]
-    pub fn max_component(self) -> f32 {
-        self.x.max(self.y).max(self.z)
-    }
-
-    /// Linear interpolation: `self * (1 - t) + rhs * t`.
-    #[inline]
-    pub fn lerp(self, rhs: Vec3, t: f32) -> Vec3 {
-        self * (1.0 - t) + rhs * t
     }
 
     /// Returns `true` if every component is finite.
@@ -271,20 +247,8 @@ mod tests {
     fn elementwise_helpers() {
         let a = Vec3::new(1.0, 5.0, 3.0);
         let b = Vec3::new(4.0, 2.0, 6.0);
-        assert_eq!(a.min_elem(b), Vec3::new(1.0, 2.0, 3.0));
-        assert_eq!(a.max_elem(b), Vec3::new(4.0, 5.0, 6.0));
         assert_eq!(a.mul_elem(b), Vec3::new(4.0, 10.0, 18.0));
         assert_eq!(a.min_component(), 1.0);
-        assert_eq!(a.max_component(), 5.0);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Vec3::ZERO;
-        let b = Vec3::ONE;
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::splat(0.5));
     }
 
     #[test]

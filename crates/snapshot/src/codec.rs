@@ -17,11 +17,6 @@ pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
-/// Appends a `u16`, little-endian.
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends a `u32`, little-endian.
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -105,12 +100,6 @@ impl<'a> Reader<'a> {
     /// Reads a `u8`.
     pub fn u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, SnapshotError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     /// Reads a little-endian `u32`.
@@ -204,7 +193,6 @@ mod tests {
     fn scalar_and_slice_round_trip_bit_exact() {
         let mut buf = Vec::new();
         put_u8(&mut buf, 7);
-        put_u16(&mut buf, 0xBEEF);
         put_u32(&mut buf, 0xDEAD_BEEF);
         put_u64(&mut buf, u64::MAX - 3);
         put_f32(&mut buf, -0.0);
@@ -215,7 +203,6 @@ mod tests {
 
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 0xBEEF);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.f32().unwrap().to_bits(), (-0.0f32).to_bits());

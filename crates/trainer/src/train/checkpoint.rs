@@ -397,20 +397,6 @@ impl Trainer<IngpModel> {
         Ok(self.steps)
     }
 
-    /// Writes a checkpoint under the directory configured with
-    /// [`Trainer::checkpoint_every_n`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no checkpoint policy was configured.
-    pub fn save_checkpoint(&mut self) -> Result<u64, SnapshotError> {
-        let Some(policy) = self.checkpoint.clone() else {
-            panic!("save_checkpoint requires checkpoint_every_n to be configured first");
-        };
-        let mut io = StdIo::new(&policy.dir);
-        self.save_checkpoint_to(&mut io, policy.keep_last)
-    }
-
     /// [`Trainer::train`] with periodic crash-safe checkpoints, written
     /// every `every_n` completed iterations per the policy configured
     /// with [`Trainer::checkpoint_every_n`].
