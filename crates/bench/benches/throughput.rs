@@ -14,7 +14,7 @@
 //! (`INERF_BENCH_QUICK=1`).
 
 use inerf_bench::{median, quick_mode, write_record};
-use inerf_encoding::{HashFunction, HashGrid};
+use inerf_encoding::{HashFunction, HashGrid, HashGridConfig};
 use inerf_geom::Vec3;
 use inerf_mlp::{AdamState, ParamStore};
 use inerf_scenes::{zoo, Dataset, DatasetConfig};
@@ -238,7 +238,7 @@ fn optimizer_microbench(dense_iters: usize, sparse_iters: usize) -> OptimizerMic
     OptimizerMicrobench {
         levels: grid_cfg.levels,
         table_size_log2: grid_cfg.table_size_log2,
-        features: grid_cfg.features,
+        features: HashGridConfig::FEATURES,
         param_scalars: n,
         touched_scalars: touched.len(),
         dense_ms_per_iter: dense_ms,

@@ -8,16 +8,16 @@ use serde::{Deserialize, Serialize};
 /// Configuration of the multi-resolution hash grid.
 ///
 /// Defaults follow the iNGP/paper setup: `L = 16` levels, `T = 2^19` entries
-/// per level, `F = 2` features per entry, base resolution 16 growing
-/// geometrically to 512.
+/// per level, base resolution 16 growing geometrically to 512. Every entry
+/// holds [`HashGridConfig::FEATURES`] = 2 features: the paper's table entry
+/// is one 32-bit word of two fp16 features, and the gather and scatter
+/// kernels are written for that pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HashGridConfig {
     /// Number of resolution levels `L`.
     pub levels: u32,
     /// log2 of the table size `T` per level.
     pub table_size_log2: u32,
-    /// Features per entry `F`.
-    pub features: u32,
     /// Coarsest resolution (cells per axis).
     pub n_min: u32,
     /// Finest resolution (cells per axis).
@@ -27,6 +27,9 @@ pub struct HashGridConfig {
 }
 
 impl HashGridConfig {
+    /// Features per entry, `F`.
+    pub const FEATURES: u32 = 2;
+
     /// The paper's configuration: `L=16, T=2^19, F=2`, resolutions 16→512.
     ///
     /// Each level is `T * F * 4B = 4 MB` of f32 training state; with the
@@ -37,7 +40,6 @@ impl HashGridConfig {
         HashGridConfig {
             levels: 16,
             table_size_log2: 19,
-            features: 2,
             n_min: 16,
             n_max: 512,
             hash,
@@ -49,7 +51,6 @@ impl HashGridConfig {
         HashGridConfig {
             levels: 4,
             table_size_log2: 12,
-            features: 2,
             n_min: 4,
             n_max: 32,
             hash,
@@ -65,38 +66,25 @@ impl HashGridConfig {
     /// Output feature dimension of the encoding, `L * F`.
     #[inline]
     pub const fn feature_dim(&self) -> usize {
-        (self.levels * self.features) as usize
+        (self.levels * Self::FEATURES) as usize
     }
 
     /// Total number of trainable embedding scalars, `L * T * F`.
     #[inline]
     pub const fn parameter_count(&self) -> usize {
-        (self.levels as usize) * (self.table_size() as usize) * (self.features as usize)
-    }
-
-    /// Size in bytes of one level's table at the given bytes-per-entry
-    /// (paper: 4 B per entry — one 32-bit vector of two FP16 features).
-    #[inline]
-    pub const fn level_bytes(&self, bytes_per_entry: usize) -> usize {
-        self.table_size() as usize * bytes_per_entry
+        (self.levels as usize) * (self.table_size() as usize) * (Self::FEATURES as usize)
     }
 
     /// Bytes of one table entry (`F` features) stored at `precision`:
     /// 4 B for the paper's fp16 pairs, 8 B for f32 storage.
     #[inline]
     pub const fn entry_bytes(&self, precision: Precision) -> u32 {
-        self.features * precision.bytes_per_param() as u32
+        Self::FEATURES * precision.bytes_per_param() as u32
     }
 
     /// Builds the per-level grid descriptors.
     pub fn build_levels(&self) -> Vec<GridLevel> {
         build_levels(self.n_min, self.n_max, self.levels)
-    }
-
-    /// Whether a level's dense vertex grid fits in the table without hashing
-    /// (iNGP indexes such coarse levels directly).
-    pub fn level_is_dense(&self, level: &GridLevel) -> bool {
-        level.dense_vertex_count() <= self.table_size() as u64
     }
 }
 
@@ -111,7 +99,10 @@ mod tests {
         assert_eq!(c.feature_dim(), 32);
         assert_eq!(c.parameter_count(), 16 * (1 << 19) * 2);
         // 2 MB per level at the paper's 4-byte entries.
-        assert_eq!(c.level_bytes(4), 2 * 1024 * 1024);
+        assert_eq!(
+            c.table_size() as usize * c.entry_bytes(Precision::Fp16) as usize,
+            2 * 1024 * 1024
+        );
     }
 
     #[test]
@@ -124,7 +115,7 @@ mod tests {
             .iter()
             .map(|l| {
                 let entries = (l.dense_vertex_count() as usize).min(c.table_size() as usize);
-                entries * c.features as usize * 2 // FP16
+                entries * c.entry_bytes(Precision::Fp16) as usize
             })
             .sum();
         let mb = fp16_bytes as f64 / (1024.0 * 1024.0);
@@ -147,8 +138,8 @@ mod tests {
     fn dense_level_detection() {
         let c = HashGridConfig::paper(HashFunction::Morton);
         let levels = c.build_levels();
-        // 16^3 = 4096 vertices — dense. 512^3 — hashed.
-        assert!(c.level_is_dense(&levels[0]));
-        assert!(!c.level_is_dense(&levels[15]));
+        // 16^3 = 4096 vertices fit the table unhashed; 512^3 do not.
+        assert!(levels[0].dense_vertex_count() <= c.table_size() as u64);
+        assert!(levels[15].dense_vertex_count() > c.table_size() as u64);
     }
 }

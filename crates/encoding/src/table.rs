@@ -12,6 +12,9 @@ use inerf_simd::f32x8;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// Features per table entry, [`HashGridConfig::FEATURES`].
+const F: usize = HashGridConfig::FEATURES as usize;
+
 /// The multi-resolution hash grid of trainable embedding vectors.
 ///
 /// Stores `L × T × F` parameters behind a [`ParamStore`] (f32, or fp16
@@ -326,7 +329,6 @@ impl HashGrid {
     /// [`HashGrid::zero_grad`] at O(touched) cost) and resets the touch
     /// list. Falls back to the full memset when tracking is disabled.
     pub fn begin_touch_batch(&mut self) {
-        let f = self.config.features as usize;
         let HashGrid {
             touch, gradients, ..
         } = self;
@@ -335,8 +337,8 @@ impl HashGrid {
             return;
         };
         for &gid in &tr.entries {
-            let base = gid as usize * f;
-            gradients[base..base + f].fill(0.0);
+            let base = gid as usize * F;
+            gradients[base..base + F].fill(0.0);
         }
         tr.entries.clear();
         tr.scalars.clear();
@@ -447,14 +449,13 @@ impl HashGrid {
     /// replay may have moved their master weights, and the forward pass is
     /// about to read them).
     pub fn mark_touched_synced(&mut self) {
-        let f = self.config.features as usize;
         let HashGrid { touch, store, .. } = self;
         let Some(tr) = touch.as_mut() else { return };
         if store.precision() == Precision::Fp16 {
             tr.scratch.clear();
             for &gid in &tr.entries[tr.synced..] {
-                let base = gid as usize * f;
-                for k in 0..f {
+                let base = gid as usize * F;
+                for k in 0..F {
                     tr.scratch.push((base + k) as u32);
                 }
             }
@@ -469,7 +470,6 @@ impl HashGrid {
     /// accumulate in exactly the dense index order (the skipped terms are
     /// exact `+0.0` contributions).
     pub fn finalize_touched(&mut self) {
-        let f = self.config.features as usize;
         let Some(tr) = self.touch.as_mut() else {
             return;
         };
@@ -499,8 +499,8 @@ impl HashGrid {
         }
         tr.scalars.clear();
         for &gid in &tr.entries {
-            let base = gid as usize * f;
-            for k in 0..f {
+            let base = gid as usize * F;
+            for k in 0..F {
                 tr.scalars.push((base + k) as u32);
             }
         }
@@ -561,8 +561,7 @@ impl HashGrid {
     #[inline]
     fn base_offset(&self, level: u32, entry: u32) -> usize {
         let t = self.config.table_size() as usize;
-        let f = self.config.features as usize;
-        ((level as usize * t) + entry as usize) * f
+        ((level as usize * t) + entry as usize) * F
     }
 
     /// Encodes a point in `[0,1]^3` into `L*F` features.
@@ -583,12 +582,11 @@ impl HashGrid {
             self.config.feature_dim(),
             "output buffer size mismatch"
         );
-        let f = self.config.features as usize;
         let t = self.config.table_size();
         let emb = self.store.values();
         for (li, level) in self.levels.iter().enumerate() {
             let (base, frac) = level.cube_of(p);
-            let slot = &mut out[li * f..(li + 1) * f];
+            let slot = &mut out[li * F..(li + 1) * F];
             slot.fill(0.0);
             for c in 0..8u8 {
                 let w = GridLevel::corner_weight(frac, c);
@@ -672,7 +670,6 @@ impl HashGrid {
     /// Panics if the tile is narrower than the block or too small.
     #[inline]
     pub fn encode_tile_bt(&self, points: &[Vec3], lane_stride: usize, tile: &mut [f32]) {
-        let f = self.config.features as usize;
         assert!(points.len() <= lane_stride, "tile narrower than the block");
         assert!(
             tile.len() >= self.config.feature_dim() * lane_stride,
@@ -686,7 +683,7 @@ impl HashGrid {
                 let (entries, weights) =
                     (&mut entries[..levels.len()], &mut weights[..levels.len()]);
                 self.derive_group(gi, unit, entries, weights);
-                let dst = &mut tile[gi * 8 * f * lane_stride + lane..];
+                let dst = &mut tile[gi * 8 * F * lane_stride + lane..];
                 self.gather_levels(gi * 8, entries, weights, dst, lane_stride);
             }
         }
@@ -861,71 +858,48 @@ impl HashGrid {
         dst: &mut [f32],
         stride: usize,
     ) {
-        let f = self.config.features as usize;
         let t = self.config.table_size() as usize;
         let emb = self.store.values();
-        if f == 2 {
-            // F = 2 (the paper's layout): four levels at a time, one lane
-            // per (level, feature), so a corner costs four 8-byte loads of
-            // entry pairs and one multiply-add for eight sums, and four
-            // independent chains of eight adds overlap instead of one. The
-            // zero-weight skip is a per-lane select, which also parks the
-            // lanes past the last level: weight 0, entry 0 of the first.
-            for (q, (entries, weights)) in entries.chunks(4).zip(weights.chunks(4)).enumerate() {
-                let n = entries.len();
-                // Whole quads are read in place: copying them costs a
-                // quarter of the gather.
-                let pad;
-                let (e4, w4): (&[[u32; 8]; 4], &[[f32; 8]; 4]) =
-                    match (entries.try_into(), weights.try_into()) {
-                        (Ok(e4), Ok(w4)) => (e4, w4),
-                        _ => {
-                            pad = (
-                                std::array::from_fn(|k| entries.get(k).copied().unwrap_or([0; 8])),
-                                std::array::from_fn(|k| {
-                                    weights.get(k).copied().unwrap_or([0.0; 8])
-                                }),
-                            );
-                            (&pad.0, &pad.1)
-                        }
-                    };
-                let tables: [&[[f32; 2]]; 4] = std::array::from_fn(|k| {
-                    let li = l0 + q * 4 + if k < n { k } else { 0 };
-                    emb[li * t * 2..(li + 1) * t * 2].as_chunks().0
-                });
-                let mut sums = [0.0f32; 8];
-                for c in 0..8 {
-                    let (mut e, mut w) = ([0.0f32; 8], [0.0f32; 8]);
-                    for k in 0..4 {
-                        [e[2 * k], e[2 * k + 1]] = tables[k][e4[k][c] as usize];
-                        [w[2 * k], w[2 * k + 1]] = [w4[k][c]; 2];
+        // Four levels at a time, one lane per (level, feature), so a corner
+        // costs four 8-byte loads of entry pairs and one multiply-add for
+        // eight sums, and four independent chains of eight adds overlap
+        // instead of one. The zero-weight skip is a per-lane select, which
+        // also parks the lanes past the last level: weight 0, entry 0 of
+        // the first.
+        for (q, (entries, weights)) in entries.chunks(4).zip(weights.chunks(4)).enumerate() {
+            let n = entries.len();
+            // Whole quads are read in place: copying them costs a quarter
+            // of the gather.
+            let pad;
+            let (e4, w4): (&[[u32; 8]; 4], &[[f32; 8]; 4]) =
+                match (entries.try_into(), weights.try_into()) {
+                    (Ok(e4), Ok(w4)) => (e4, w4),
+                    _ => {
+                        pad = (
+                            std::array::from_fn(|k| entries.get(k).copied().unwrap_or([0; 8])),
+                            std::array::from_fn(|k| weights.get(k).copied().unwrap_or([0.0; 8])),
+                        );
+                        (&pad.0, &pad.1)
                     }
-                    for j in 0..8 {
-                        let with = sums[j] + w[j] * e[j];
-                        sums[j] = if w[j] == 0.0 { sums[j] } else { with };
-                    }
+                };
+            let tables: [&[[f32; F]]; 4] = std::array::from_fn(|k| {
+                let li = l0 + q * 4 + if k < n { k } else { 0 };
+                emb[li * t * F..(li + 1) * t * F].as_chunks().0
+            });
+            let mut sums = [0.0f32; 8];
+            for c in 0..8 {
+                let (mut e, mut w) = ([0.0f32; 8], [0.0f32; 8]);
+                for k in 0..4 {
+                    [e[2 * k], e[2 * k + 1]] = tables[k][e4[k][c] as usize];
+                    [w[2 * k], w[2 * k + 1]] = [w4[k][c]; 2];
                 }
-                for (j, &sum) in sums[..n * 2].iter().enumerate() {
-                    dst[(q * 8 + j) * stride] = sum;
+                for j in 0..8 {
+                    let with = sums[j] + w[j] * e[j];
+                    sums[j] = if w[j] == 0.0 { sums[j] } else { with };
                 }
             }
-            return;
-        }
-        for (l, (entries, weights)) in entries.iter().zip(weights).enumerate() {
-            let dst = &mut dst[l * f * stride..];
-            for k in 0..f {
-                dst[k * stride] = 0.0;
-            }
-            for (&entry, &w) in entries.iter().zip(weights) {
-                if w == 0.0 {
-                    // Zero weight skips the corner in the scatter
-                    // exactly like the reference backward pass.
-                    continue;
-                }
-                let off = self.base_offset((l0 + l) as u32, entry);
-                for k in 0..f {
-                    dst[k * stride] += w * emb[off + k];
-                }
+            for (j, &sum) in sums[..n * F].iter().enumerate() {
+                dst[(q * 8 + j) * stride] = sum;
             }
         }
     }
@@ -995,39 +969,27 @@ impl HashGrid {
 
     /// Per-point core of the cached scatter: corner-ordered scalar
     /// accumulation of `w * d` with the zero-weight skip, so the result is
-    /// bitwise-identical to [`HashGrid::backward`]. The paper's `F = 2`
-    /// layout views the level's slice of the gradient table as entry pairs
-    /// (one bounds check, one 8-byte load and store per corner). Inlined
-    /// into the callers' `vectorize` frames.
+    /// bitwise-identical to [`HashGrid::backward`]. The level's slice of
+    /// the gradient table is viewed as entry pairs (one bounds check, one
+    /// 8-byte load and store per corner). Inlined into the callers'
+    /// `vectorize` frames.
     #[inline(always)]
     fn scatter_point_cached(&mut self, cache: &LookupCache, d_features: &[f32], pi: usize) {
-        let f = self.config.features as usize;
         let t = self.config.table_size() as usize;
         let dim = self.config.feature_dim();
-        let row = &d_features[pi * dim..(pi + 1) * dim];
+        let (row, _) = d_features[pi * dim..(pi + 1) * dim].as_chunks::<F>();
         let (entries, weights) = cache.point(pi);
-        for (li, (entries, weights)) in entries.iter().zip(weights).enumerate() {
-            let dslot = &row[li * f..(li + 1) * f];
-            if let [d0, d1] = *dslot {
-                let (pairs, _) = self.gradients[li * t * 2..(li + 1) * t * 2].as_chunks_mut::<2>();
-                for (&entry, &w) in entries.iter().zip(weights) {
-                    if w == 0.0 {
-                        continue;
-                    }
-                    let pair = &mut pairs[entry as usize];
-                    pair[0] += w * d0;
-                    pair[1] += w * d1;
+        for (li, ((entries, weights), &[d0, d1])) in
+            entries.iter().zip(weights).zip(row).enumerate()
+        {
+            let (pairs, _) = self.gradients[li * t * F..(li + 1) * t * F].as_chunks_mut::<F>();
+            for (&entry, &w) in entries.iter().zip(weights) {
+                if w == 0.0 {
+                    continue;
                 }
-            } else {
-                for (&entry, &w) in entries.iter().zip(weights) {
-                    if w == 0.0 {
-                        continue;
-                    }
-                    let off = (li * t + entry as usize) * f;
-                    for (k, d) in dslot.iter().enumerate() {
-                        self.gradients[off + k] += w * d;
-                    }
-                }
+                let pair = &mut pairs[entry as usize];
+                pair[0] += w * d0;
+                pair[1] += w * d1;
             }
         }
     }
@@ -1077,18 +1039,17 @@ impl HashGrid {
             self.config.feature_dim(),
             "gradient size mismatch"
         );
-        let f = self.config.features as usize;
         let t = self.config.table_size();
         for (li, level) in self.levels.iter().enumerate() {
             let (base, frac) = level.cube_of(p);
-            let dslot = &d_features[li * f..(li + 1) * f];
+            let dslot = &d_features[li * F..(li + 1) * F];
             for c in 0..8u8 {
                 let w = GridLevel::corner_weight(frac, c);
                 if w == 0.0 {
                     continue;
                 }
                 let entry = level_index(self.config.hash, level, base.corner(c), t);
-                let off = ((li * t as usize) + entry as usize) * f;
+                let off = ((li * t as usize) + entry as usize) * F;
                 for (k, d) in dslot.iter().enumerate() {
                     self.gradients[off + k] += w * d;
                 }
@@ -1146,8 +1107,7 @@ mod tests {
         let mut lookups = Vec::new();
         g.cube_lookups_into(p, &mut lookups);
         let entry = lookups[0].entries[0];
-        let f = g.config().features as usize;
-        let off = entry as usize * f; // level 0 offset
+        let off = entry as usize * F; // level 0 offset
         g.store.set(off, 0.5);
         g.store.set(off + 1, -0.25);
         let feats = g.encode(p);
@@ -1268,11 +1228,10 @@ mod tests {
 
     #[test]
     fn tile_encode_matches_batched_encode_bitwise() {
-        // F = 2 gathers four levels per vector — a full group, a padded
-        // one, two and a padded third; F = 4 takes the generic loop.
-        for (features, levels) in [(2, 4), (2, 3), (2, 9), (4, 4)] {
+        // The gather takes four levels per vector — a full group, a padded
+        // one, two and a padded third.
+        for levels in [4, 3, 9] {
             let config = HashGridConfig {
-                features,
                 levels,
                 ..HashGridConfig::tiny(HashFunction::Morton)
             };
@@ -1475,7 +1434,6 @@ mod tests {
         let mut g = grid(HashFunction::Morton);
         g.enable_touch_tracking();
         let dim = g.config().feature_dim();
-        let f = g.config().features as usize;
         let points: Vec<Vec3> = (0..37)
             .map(|i| {
                 let t = i as f32 + 0.5;
@@ -1502,7 +1460,7 @@ mod tests {
         g.finalize_touched();
         for (i, &grad) in g.gradients().iter().enumerate() {
             if grad != 0.0 {
-                let gid = (i / f) as u32;
+                let gid = (i / F) as u32;
                 assert!(
                     seen.binary_search(&gid).is_ok(),
                     "gradient at scalar {i} outside the touched set"
@@ -1513,7 +1471,7 @@ mod tests {
         let entries = g.touched_entries().to_vec();
         assert!(entries.windows(2).all(|w| w[0] < w[1]));
         let (scalars, _, _) = g.touched_scalars_master_grads();
-        assert_eq!(scalars.len(), entries.len() * f);
+        assert_eq!(scalars.len(), entries.len() * F);
         assert!(scalars.windows(2).all(|w| w[0] < w[1]));
     }
 
@@ -1676,7 +1634,6 @@ mod tests {
             let config = HashGridConfig {
                 levels: 2,
                 table_size_log2: 20,
-                features: 2,
                 n_min: 1024,
                 n_max: 1025,
                 hash,
@@ -1723,7 +1680,6 @@ mod tests {
         let config = HashGridConfig {
             levels: 1,
             table_size_log2: 30,
-            features: 2,
             n_min: (1 << 23) - 1,
             n_max: (1 << 23) - 1,
             hash: HashFunction::Morton,
@@ -1756,7 +1712,6 @@ mod tests {
                     // second group, two full groups, a third group of one.
                     levels: [1, 3, 8, 9, 16, 17][levels_pick],
                     table_size_log2: log2,
-                    features: 2,
                     n_min,
                     // Up to 2^21 cells, the most `level_index` can cube in a
                     // `u64`: bases far past the ten spread bits.

@@ -324,7 +324,6 @@ impl ModelConfig {
             grid: HashGridConfig {
                 levels: 8,
                 table_size_log2: 14,
-                features: 2,
                 n_min: 4,
                 n_max: 96,
                 hash,
@@ -901,12 +900,11 @@ impl IngpModel {
     /// run reads exactly the parameter values the dense path would hold.
     /// No-op in dense mode and when nothing new was collected.
     fn sync_touched(grid: &mut HashGrid, grid_adam: &mut AdamState) {
-        let f = grid.config().features as usize;
         let (new_entries, master) = grid.unsynced_touched_and_master();
         if new_entries.is_empty() {
             return;
         }
-        grid_adam.sync_entries(master, new_entries, f);
+        grid_adam.sync_entries(master, new_entries, HashGridConfig::FEATURES as usize);
         grid.mark_touched_synced();
     }
 

@@ -25,6 +25,12 @@
 //! also excluded — training results are thread-count independent by
 //! construction, so a snapshot may be resumed at any parallelism.
 //!
+//! The file keeps fields for values the build fixes: the features per
+//! hash-grid entry ([`HashGridConfig::FEATURES`]) and Adam's `β₁`, `β₂`
+//! and `ε` ([`inerf_mlp::adam::BETA1`] and its siblings). They are written
+//! as those constants, and a file that stores any other value is refused
+//! as [`SnapshotError::Corrupt`].
+//!
 //! The resume-equivalence suite pins the headline property: train-2N
 //! straight is *bitwise* identical (losses, master and working parameter
 //! bits, DRAM request statistics) to train-N → snapshot → drop →
@@ -35,6 +41,7 @@ use super::{Engine, OccupancyState, TrainConfig, TrainReport, Trainer};
 use crate::model::{IngpModel, ModelConfig, OptPath, TrainableField};
 use crate::occupancy::OccupancyGrid;
 use inerf_encoding::{HashFunction, HashGridConfig};
+use inerf_mlp::adam::{BETA1, BETA2, EPSILON};
 use inerf_mlp::fp16::f32_to_f16_bits;
 use inerf_mlp::{AdamState, AdamStateSnapshot, Mlp, ParamStore, Precision};
 use inerf_scenes::Dataset;
@@ -137,6 +144,22 @@ fn hash_from(t: u8) -> Result<HashFunction, SnapshotError> {
     }
 }
 
+/// Checks a stored value that this build fixes: a file holding any other
+/// describes a model or optimizer the build cannot construct.
+fn fixed<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    stored: T,
+    want: T,
+) -> Result<(), SnapshotError> {
+    if stored == want {
+        Ok(())
+    } else {
+        Err(SnapshotError::Corrupt(format!(
+            "{what} is {stored:?}; this build fixes it at {want:?}"
+        )))
+    }
+}
+
 // ---------------------------------------------------------------------
 // Config fingerprint.
 
@@ -151,7 +174,7 @@ pub fn encode_configs(train: &TrainConfig, model: &ModelConfig) -> Vec<u8> {
         put_u8(out, opt_tag(train.opt));
         put_u32(out, model.grid.levels);
         put_u32(out, model.grid.table_size_log2);
-        put_u32(out, model.grid.features);
+        put_u32(out, HashGridConfig::FEATURES);
         put_u32(out, model.grid.n_min);
         put_u32(out, model.grid.n_max);
         put_u8(out, hash_tag(model.grid.hash));
@@ -172,11 +195,13 @@ pub fn decode_configs(bytes: &[u8]) -> Result<(TrainConfig, ModelConfig), Snapsh
         precision: precision_from(r.u8()?)?,
         opt: opt_from(r.u8()?)?,
     };
+    let levels = r.u32()?;
+    let table_size_log2 = r.u32()?;
+    fixed("hash-grid features", r.u32()?, HashGridConfig::FEATURES)?;
     let model = ModelConfig {
         grid: HashGridConfig {
-            levels: r.u32()?,
-            table_size_log2: r.u32()?,
-            features: r.u32()?,
+            levels,
+            table_size_log2,
             n_min: r.u32()?,
             n_max: r.u32()?,
             hash: hash_from(r.u8()?)?,
@@ -280,9 +305,9 @@ fn restore_mlp(mlp: &mut Mlp, bytes: &[u8], precision: Precision) -> Result<(), 
 fn encode_adam(adam: &AdamState) -> Vec<u8> {
     section(25 + 3 * (8 + 4 * adam.records().len()), |out| {
         put_f32(out, adam.learning_rate);
-        put_f32(out, adam.beta1);
-        put_f32(out, adam.beta2);
-        put_f32(out, adam.epsilon);
+        put_f32(out, BETA1);
+        put_f32(out, BETA2);
+        put_f32(out, EPSILON);
         put_u64(out, adam.steps());
         put_u8(out, u8::from(adam.is_lazy()));
         for column in 0..3 {
@@ -294,9 +319,9 @@ fn encode_adam(adam: &AdamState) -> Vec<u8> {
 fn decode_adam(bytes: &[u8], expected_n: usize) -> Result<AdamState, SnapshotError> {
     let mut r = Reader::new(bytes);
     let learning_rate = r.f32()?;
-    let beta1 = r.f32()?;
-    let beta2 = r.f32()?;
-    let epsilon = r.f32()?;
+    fixed("Adam beta1", r.f32()?, BETA1)?;
+    fixed("Adam beta2", r.f32()?, BETA2)?;
+    fixed("Adam epsilon", r.f32()?, EPSILON)?;
     let t = r.u64()?;
     let lazy = match r.u8()? {
         0 => false,
@@ -326,9 +351,6 @@ fn decode_adam(bytes: &[u8], expected_n: usize) -> Result<AdamState, SnapshotErr
         t,
         lazy,
         learning_rate,
-        beta1,
-        beta2,
-        epsilon,
     }))
 }
 

@@ -7,6 +7,7 @@
 //! Tab. II convention is [`Precision::Fp16`] (2 B) storage.
 
 use crate::model::ModelConfig;
+use inerf_encoding::HashGridConfig;
 use inerf_mlp::Precision;
 use serde::{Deserialize, Serialize};
 
@@ -69,13 +70,13 @@ const FP32: u64 = 4;
 /// Bytes of the hash table stored at `precision` (dense coarse levels
 /// stored compactly). Halves going from f32 to fp16.
 pub fn hash_table_bytes_at(cfg: &ModelConfig, precision: Precision) -> u64 {
-    let sb = precision.bytes_per_param() as u64;
+    let entry_bytes = u64::from(cfg.grid.entry_bytes(precision));
     cfg.grid
         .build_levels()
         .iter()
         .map(|l| {
             let entries = (l.dense_vertex_count()).min(cfg.grid.table_size() as u64);
-            entries * cfg.grid.features as u64 * sb
+            entries * entry_bytes
         })
         .sum()
 }
@@ -163,7 +164,7 @@ pub struct StepOps {
 pub fn step_ops_at(cfg: &ModelConfig, step: Step, precision: Precision) -> StepOps {
     let sb = precision.bytes_per_param() as u64;
     let levels = cfg.grid.levels as u64;
-    let feats = cfg.grid.features as u64;
+    let feats = u64::from(HashGridConfig::FEATURES);
     let feat_dim = cfg.grid.feature_dim() as u64;
     let dh = cfg.density_hidden as u64;
     let dout = cfg.density_out as u64;
@@ -284,7 +285,10 @@ mod tests {
     fn level_is_2mb_as_paper_states() {
         // Sec. II-B: "each individual level of the hash table is 2 MB".
         let cfg = paper_cfg();
-        assert_eq!(cfg.grid.level_bytes(4), 2 * 1024 * 1024);
+        assert_eq!(
+            cfg.grid.table_size() as usize * cfg.grid.entry_bytes(Precision::Fp16) as usize,
+            2 * 1024 * 1024
+        );
     }
 
     #[test]

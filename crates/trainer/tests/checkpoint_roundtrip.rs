@@ -1,11 +1,72 @@
 //! Property tests for the checkpoint payload codecs: arbitrary
 //! parameter contents at both precisions must round-trip bit-exactly,
 //! and truncated payloads must decode to typed errors, never panics.
+//! The config section's byte layout is pinned, and a snapshot storing a
+//! value the build fixes at another one is refused as corrupt.
 
+use inerf_encoding::HashFunction;
 use inerf_mlp::{ParamStore, Precision};
 use inerf_snapshot::codec::Reader;
-use inerf_trainer::train::checkpoint::{decode_param_store, encode_param_store};
+use inerf_snapshot::{Snapshot, SnapshotError};
+use inerf_trainer::train::checkpoint::{decode_param_store, encode_configs, encode_param_store};
+use inerf_trainer::{IngpModel, ModelConfig, TrainConfig, Trainer};
 use proptest::prelude::*;
+
+#[test]
+fn config_section_keeps_its_recorded_layout() {
+    // Files written while the features per entry were a config field must
+    // still load, so the field keeps its place (offset 35) and value (2).
+    #[rustfmt::skip]
+    let recorded: [u8; 72] = [
+        0, 1, 0, 0, 0, 0, 0, 0, 32, 0, 0, 0, 0, 0, 0, 0, 48, 0, 0, 0, 0, 0, 0, 0,
+        1, 0, 0, 8, 0, 0, 0, 14, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 96, 0, 0, 0, 1,
+        32, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 32, 0, 0, 0, 0, 0, 0, 0,
+    ];
+    let bytes = encode_configs(
+        &TrainConfig::small(),
+        &ModelConfig::small(HashFunction::Morton),
+    );
+    assert_eq!(bytes, recorded);
+}
+
+/// `snap` with the four bytes at `at` of section `tag` replaced by `word`.
+fn with_word(snap: &Snapshot, tag: &str, at: usize, word: [u8; 4]) -> Snapshot {
+    let mut out = Snapshot::new();
+    for t in snap.tags() {
+        let mut payload = snap.section(&t).unwrap().to_vec();
+        if t == tag {
+            payload[at..at + 4].copy_from_slice(&word);
+        }
+        out.push(&t, payload);
+    }
+    out
+}
+
+#[test]
+fn snapshots_storing_another_fixed_value_are_refused_as_corrupt() {
+    let cfg = TrainConfig::tiny();
+    let mut trainer = Trainer::new(IngpModel::for_config(ModelConfig::tiny(), &cfg, 8), cfg, 3);
+    let snap = trainer.capture_snapshot();
+    // Writing back the value already stored restores: the rewrite alone
+    // breaks nothing.
+    assert!(
+        Trainer::restore_snapshot(&with_word(&snap, "adamgrid", 4, 0.9f32.to_le_bytes()), cfg)
+            .is_ok()
+    );
+    // Config: F at offset 35. Adam sections: learning rate, β₁, β₂, ε.
+    let cases = [
+        ("config", 35, 4u32.to_le_bytes(), "hash-grid features"),
+        ("adamgrid", 4, 0.8f32.to_le_bytes(), "Adam beta1"),
+        ("adamden", 12, 0.0f32.to_le_bytes(), "Adam epsilon"),
+    ];
+    for (tag, at, word, what) in cases {
+        match Trainer::restore_snapshot(&with_word(&snap, tag, at, word), cfg) {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.starts_with(what), "{tag}: {msg}"),
+            Err(e) => panic!("{tag}: expected Corrupt, got {e:?}"),
+            Ok(_) => panic!("{tag}: a snapshot storing another {what} was restored"),
+        }
+    }
+}
 
 /// Builds a store whose contents mix ordinary weights with the
 /// fp16-quantization edge cases: signed zeros and sub-fp16-normal
