@@ -1,6 +1,6 @@
 //! Accelerator configuration (paper Tab. III and Sec. V-C constants).
 
-use inerf_dram::{DramConfig, Timing};
+use inerf_dram::DramConfig;
 use serde::{Deserialize, Serialize};
 
 /// Instant-NeRF per-bank microarchitecture and system parameters.
@@ -41,25 +41,11 @@ impl AccelConfig {
         }
     }
 
-    /// The near-bank DRAM view: one die (one channel of 16 banks), no
-    /// shared-bus crossing, column reads served from the open row through
-    /// the 128-bit (16 B/cycle) internal prefetch interface (Fig. 5).
-    ///
-    /// A 32 B cube-gather burst occupies the internal column path for just
-    /// 2 cycles — this is the ~10× bandwidth head-room bank-level NMP
-    /// unlocks relative to the 16-bit external channel I/O.
+    /// The die the accelerator computes in, with `subarrays` per bank:
+    /// [`DramConfig::paper`]. Library code calls that directly; this alias
+    /// stays for the benchmark's callers.
     pub fn nmp_dram(&self, subarrays: u32) -> DramConfig {
-        let base = DramConfig::paper(subarrays);
-        DramConfig {
-            channels: 1,
-            use_channel_bus: false,
-            burst_cycles: 2,
-            timing: Timing {
-                ccd: 2,
-                ..base.timing
-            },
-            ..base
-        }
+        DramConfig::paper(subarrays)
     }
 
     /// Total accelerator power in watts (all per-bank microarchitectures).
@@ -105,10 +91,9 @@ mod tests {
     fn nmp_dram_shape() {
         let c = AccelConfig::paper();
         let d = c.nmp_dram(8);
-        assert_eq!(d.channels, 1);
-        assert!(!d.use_channel_bus);
-        assert_eq!(d.burst_cycles, 2);
-        assert_eq!(d.timing.ccd, 2);
+        assert_eq!(d, DramConfig::paper(8));
+        assert_eq!(DramConfig::BURST_CYCLES, 2);
+        assert_eq!(DramConfig::TIMING.ccd, 2);
         assert_eq!(d.subarrays_per_bank, 8);
     }
 }

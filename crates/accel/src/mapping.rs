@@ -20,13 +20,17 @@ use serde::{Deserialize, Serialize};
 /// level's region of DRAM rows is sized for this many entries.
 const TABLE_ENTRIES: u32 = 1 << 19;
 
+// The mapping places entries in `inerf_encoding`'s rows (the rows Fig. 7b
+// counts); the simulator opens the die's. They must be one 1 KB row.
+const _: () = assert!(inerf_encoding::requests::ROW_BYTES == DramConfig::ROW_BYTES);
+
 /// Inter-level bank-assignment policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MappingScheme {
     /// The paper's scheme: coarse levels clustered ({0–4}, {5–8}, {9–10}),
     /// fine levels one bank each.
     Clustered,
-    /// Naive scheme for ablation: level `l` on bank `l % banks`.
+    /// Naive scheme for ablation: level `l` on bank `l`.
     OneLevelPerBank,
     /// Naive scheme for ablation: sequential rows stay sequential within a
     /// subarray (no intra-level spreading). Inter-level as `Clustered`.
@@ -51,38 +55,25 @@ pub struct HashTableMapping {
 }
 
 impl HashTableMapping {
-    /// Builds the mapping for the paper's 16-level table.
+    /// Builds the mapping for the paper's 16-level table on the die's 16
+    /// banks.
     ///
     /// # Panics
     ///
     /// Panics if `subarrays == 0`.
     pub fn paper(scheme: MappingScheme, subarrays: u32) -> Self {
-        Self::new(scheme, 16, 16, subarrays)
-    }
-
-    /// Builds a mapping for `levels` hash-table levels over `banks` banks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any parameter is zero.
-    pub fn new(scheme: MappingScheme, levels: u32, banks: u32, subarrays: u32) -> Self {
-        assert!(
-            levels > 0 && banks > 0 && subarrays > 0,
-            "mapping parameters must be positive"
-        );
+        assert!(subarrays > 0, "mapping needs at least one subarray");
+        let levels = 0..16u32;
         let assignment: Vec<u32> = match scheme {
-            MappingScheme::OneLevelPerBank => (0..levels).map(|l| l % banks).collect(),
+            MappingScheme::OneLevelPerBank => levels.collect(),
             MappingScheme::Clustered | MappingScheme::ClusteredNoSpread => {
                 // Groups: {0..=4} {5..=8} {9..=10}, then one bank per level.
-                (0..levels)
-                    .map(|l| {
-                        let group = match l {
-                            0..=4 => 0,
-                            5..=8 => 1,
-                            9..=10 => 2,
-                            _ => 3 + (l - 11),
-                        };
-                        group % banks
+                levels
+                    .map(|l| match l {
+                        0..=4 => 0,
+                        5..=8 => 1,
+                        9..=10 => 2,
+                        _ => 3 + (l - 11),
                     })
                     .collect()
             }
@@ -167,8 +158,7 @@ impl HashTableMapping {
             ),
         };
         PhysAddr {
-            channel: bank / dram.banks_per_channel % dram.channels,
-            bank: bank % dram.banks_per_channel,
+            bank,
             subarray: subarray % dram.subarrays_per_bank,
             row: row % dram.rows_per_subarray,
             col: (entry % entries_per_row) * self.layout.entry_bytes(),
@@ -214,7 +204,6 @@ impl Divisor {
 /// every call.
 #[derive(Debug, Clone, Copy)]
 struct LevelSlot {
-    channel: u32,
     bank: u32,
     /// First subarray of the level's share of its bank.
     sa_base: u32,
@@ -281,7 +270,7 @@ impl RequestStream {
     ///
     /// Panics if `dram` has no subarrays or no rows, or if the mapping
     /// folds two `(level, table row)` pairs of the mapped table onto one
-    /// `(channel, bank, subarray, row)` (the message names such a pair).
+    /// `(bank, subarray, row)` of the die (the message names such a pair).
     pub fn new(mapping: &HashTableMapping, dram: &DramConfig, write_back: bool) -> Self {
         let assignment = &mapping.assignment;
         let rows_per_level = TABLE_ENTRIES / mapping.layout.entries_per_row();
@@ -294,8 +283,7 @@ impl RequestStream {
                 let stack_index = on_bank(&assignment[..level]);
                 let share = (mapping.subarrays / on_bank(assignment)).max(1);
                 LevelSlot {
-                    channel: bank / dram.banks_per_channel % dram.channels,
-                    bank: bank % dram.banks_per_channel,
+                    bank,
                     sa_base: (stack_index * share) % mapping.subarrays,
                     share: Divisor::new(share),
                     row_base: stack_index * rows_per_level,
@@ -328,7 +316,7 @@ impl RequestStream {
         let per_subarray = self.dram.rows_per_subarray as usize;
         let bank_rows = self.dram.subarrays_per_bank as usize * per_subarray;
         let mut taken = vec![0u64; bank_rows.div_ceil(64)];
-        let mut banks: Vec<(u32, u32)> = self.levels.iter().map(|s| (s.channel, s.bank)).collect();
+        let mut banks: Vec<u32> = self.levels.iter().map(|s| s.bank).collect();
         banks.sort_unstable();
         banks.dedup();
         for bank in banks {
@@ -337,7 +325,7 @@ impl RequestStream {
                 self.levels
                     .iter()
                     .enumerate()
-                    .filter(move |(_, s)| (s.channel, s.bank) == bank)
+                    .filter(move |(_, s)| s.bank == bank)
             };
             for (level, &slot) in on_bank() {
                 for row in 0..self.rows_per_level {
@@ -381,7 +369,6 @@ impl RequestStream {
             }
         };
         PhysAddr {
-            channel: slot.channel,
             bank: slot.bank,
             subarray: self.subarrays_per_bank.div_rem(subarray).1,
             row: self.rows_per_subarray.div_rem(row).1,
@@ -447,7 +434,7 @@ impl RequestStream {
         if self.write_back {
             // Batched gradient drain; the rows are distinct, so the order is total.
             self.touched
-                .sort_unstable_by_key(|a| (a.channel, a.bank, a.row, a.subarray));
+                .sort_unstable_by_key(|a| (a.bank, a.row, a.subarray));
             self.touched
                 .iter()
                 .map(|&a| Request::new(a, AccessKind::Write))
@@ -762,8 +749,7 @@ mod tests {
     ];
 
     /// Every scheme × entry width × subarray count at the paper's 16
-    /// levels on the near-bank DRAM view, plus one mapping with more banks
-    /// than a channel holds on the eight-channel organization.
+    /// levels on the die.
     fn configurations() -> Vec<(HashTableMapping, DramConfig)> {
         let mut out = Vec::new();
         for scheme in SCHEMES {
@@ -771,14 +757,10 @@ mod tests {
                 for sa in [1, 8, 32] {
                     out.push((
                         HashTableMapping::paper(scheme, sa).with_entry_bytes(entry_bytes),
-                        crate::AccelConfig::paper().nmp_dram(sa),
+                        DramConfig::paper(sa),
                     ));
                 }
             }
-            out.push((
-                HashTableMapping::new(scheme, 20, 40, 4),
-                DramConfig::paper(4),
-            ));
         }
         out
     }
@@ -831,10 +813,9 @@ mod tests {
 
     #[test]
     fn paper_geometry_maps_table_rows_injectively() {
-        // Fig. 9's subarray sweep × scheme × entry width, plus the
-        // 20-level / 40-bank geometry. `map_entry` decides which layouts
-        // fold two table rows onto one DRAM row; the stream accepts exactly
-        // the others. The one that folds is the no-spread ablation at 8 B
+        // Fig. 9's subarray sweep × scheme × entry width. `map_entry`
+        // decides which layouts fold two table rows onto one DRAM row; the
+        // stream accepts exactly the others. The one that folds is the no-spread ablation at 8 B
         // entries and 64 subarrays: 4 096 rows per level, 2 048 per subarray.
         let mut geometries = Vec::new();
         for scheme in SCHEMES {
@@ -842,17 +823,12 @@ mod tests {
                 for sa in [1, 2, 4, 8, 16, 32, 64] {
                     geometries.push((
                         HashTableMapping::paper(scheme, sa).with_entry_bytes(entry_bytes),
-                        crate::AccelConfig::paper().nmp_dram(sa),
+                        DramConfig::paper(sa),
                     ));
                 }
             }
         }
-        geometries.extend(
-            configurations()
-                .into_iter()
-                .filter(|(m, _)| m.assignment.len() == 20),
-        );
-        assert_eq!(geometries.len(), 45);
+        assert_eq!(geometries.len(), 42);
         for (m, dram) in geometries {
             let per_row = m.layout().entries_per_row();
             let first_entry = |level, row_idx| m.map_entry(level, row_idx * per_row, &dram);
@@ -860,7 +836,7 @@ mod tests {
             for level in 0..m.assignment.len() as u32 {
                 for row_idx in 0..TABLE_ENTRIES / per_row {
                     let a = first_entry(level, row_idx);
-                    rows.push((a.channel, a.bank, a.subarray, a.row));
+                    rows.push((a.bank, a.subarray, a.row));
                 }
             }
             let table_rows = rows.len();
@@ -900,10 +876,10 @@ mod tests {
         }
     }
 
-    /// Four cubes on each of 20 levels, each cube's corners `c` at
+    /// Four cubes on each of 16 levels, each cube's corners `c` at
     /// `entries[(c + k) % len] + c` for its id `k`.
     fn hand_cubes(entries: &[u32]) -> Vec<CubeLookup> {
-        (0..20u32)
+        (0..16u32)
             .flat_map(|level| {
                 (0..4u64).map(move |k| CubeLookup {
                     level,
@@ -951,13 +927,13 @@ mod tests {
                     }
                     r0[li] = [Some(key), r0[li][0]];
                     out.push(Request::new(addr, AccessKind::Read));
-                    let key = (addr.channel, addr.bank, addr.subarray, addr.row);
+                    let key = (addr.bank, addr.subarray, addr.row);
                     if write_back && touched_keys.insert(key) {
                         touched.push(addr);
                     }
                 }
             }
-            touched.sort_unstable_by_key(|a| (a.channel, a.bank, a.row, a.subarray));
+            touched.sort_unstable_by_key(|a| (a.bank, a.row, a.subarray));
             out.extend(
                 touched
                     .into_iter()
@@ -1008,41 +984,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn drain_keeps_rows_of_different_channels_apart() {
-        // Levels 0 and 16 sit alone on banks 0 and 16 of the 40-bank
-        // mapping: bank 0 of channels 0 and 1, at the same subarrays and
-        // rows. Each physical row gets its own write.
-        let m = HashTableMapping::new(MappingScheme::OneLevelPerBank, 20, 40, 4);
-        let dram = DramConfig::paper(4);
-        let mut stream = RequestStream::new(&m, &dram, true);
-        let mut reads = Vec::new();
-        for level in [0, 16] {
-            let cube = CubeLookup {
-                level,
-                entries: std::array::from_fn(|c| c as u32 * 300),
-                cube_id: 0,
-            };
-            stream.push_cube(&cube, |r| reads.push(r.addr));
-        }
-        let mut writes = Vec::new();
-        stream.end_batch(|r| writes.push(r.addr));
-        let channels: Vec<u32> = reads.iter().map(|a| a.channel).collect();
-        assert!(
-            channels.contains(&0) && channels.contains(&1),
-            "{channels:?}"
-        );
-        let key = |a: &PhysAddr| (a.bank, a.subarray, a.row);
-        assert!(reads.iter().all(|a| reads
-            .iter()
-            .any(|b| b.channel != a.channel && key(b) == key(a))));
-        reads.sort_unstable_by_key(|a| (a.channel, a.bank, a.row, a.subarray));
-        assert_eq!(
-            writes, reads,
-            "one write per physical row, channel included"
-        );
     }
 
     #[test]

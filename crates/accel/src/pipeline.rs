@@ -14,7 +14,7 @@ use crate::config::AccelConfig;
 use crate::mapping::{HashTableMapping, RequestStream};
 use crate::microarch::{bank_compute_cycles_at, cycles_to_seconds};
 use crate::parallel::{bus_bytes_at, ParallelismPlan};
-use inerf_dram::{DramSim, SimStats};
+use inerf_dram::{DramConfig, DramSim, SimStats};
 use inerf_encoding::trace::CubeLookup;
 use inerf_encoding::{Precision, TraceSink};
 use inerf_trainer::workload::{mlp_combined_sizes_at, Step};
@@ -150,7 +150,7 @@ impl PipelineModel {
     /// [`PipelineModel::estimate_streamed`] — constant memory in the
     /// number of points, reusable across iterations.
     pub fn iteration_sink(&self) -> IterationSink {
-        let dram_cfg = self.accel.nmp_dram(self.subarrays);
+        let dram_cfg = DramConfig::paper(self.subarrays);
         IterationSink {
             stream: RequestStream::new(&self.mapping, &dram_cfg, true),
             ht: DramSim::new(dram_cfg),
@@ -192,11 +192,10 @@ impl PipelineModel {
     ) -> IterationEstimate {
         assert!(trace_points > 0, "need a non-empty trace sample");
         let scale = batch_points as f64 / trace_points as f64;
-        let dram_cfg = self.accel.nmp_dram(self.subarrays);
         let banks_used = self.mapping.banks_used().max(1) as u64;
 
         // --- HT forward: the mapped request stream's replay. ---
-        let ht_dram = ht_stats.seconds(dram_cfg.cycle_seconds()) * scale;
+        let ht_dram = ht_stats.seconds(DramConfig::cycle_seconds()) * scale;
         let ht_compute = cycles_to_seconds(
             &self.accel,
             bank_compute_cycles_at(
@@ -209,7 +208,7 @@ impl PipelineModel {
         );
 
         // --- HT backward: read-modify-write stream. ---
-        let htb_dram = htb_stats.seconds(dram_cfg.cycle_seconds()) * scale;
+        let htb_dram = htb_stats.seconds(DramConfig::cycle_seconds()) * scale;
         let htb_compute = cycles_to_seconds(
             &self.accel,
             bank_compute_cycles_at(
@@ -225,7 +224,7 @@ impl PipelineModel {
         // from the local bank at the 16 B/cycle internal width. ---
         let banks = self.accel.banks as u64;
         let per_bank_points = batch_points.div_ceil(banks);
-        let internal_bw = 16.0 * dram_cfg.clock_mhz as f64 * 1e6; // bytes/s per bank
+        let internal_bw = 16.0 * DramConfig::CLOCK_MHZ as f64 * 1e6; // bytes/s per bank
         let mlp_sizes = mlp_combined_sizes_at(&self.model, batch_points, self.precision);
         let mlp_local_bytes = (mlp_sizes.input_bytes
             + mlp_sizes.output_bytes
@@ -594,7 +593,7 @@ mod tests {
                     .with_mapping(mapping.clone(), subarrays)
                     .with_precision(precision);
                 let mapping = mapping.with_entry_bytes(model.grid.entry_bytes(precision));
-                let dram = pm.accel().nmp_dram(subarrays);
+                let dram = DramConfig::paper(subarrays);
                 let mut sink = pm.iteration_sink();
                 let mut pair = SinkPair {
                     sinks: (

@@ -1,10 +1,8 @@
 //! Fig. 9: normalized bank conflicts per hash-table level vs subarray count.
 
 use crate::report;
-use inerf_accel::{
-    AccelConfig, HashTableMapping, MappingScheme, RequestConsumer, RequestSink, RequestStream,
-};
-use inerf_dram::{DramSim, Request};
+use inerf_accel::{HashTableMapping, MappingScheme, RequestConsumer, RequestSink, RequestStream};
+use inerf_dram::{DramConfig, DramSim, Request};
 use inerf_encoding::trace::CubeLookup;
 use inerf_encoding::{HashFunction, HashGrid, HashGridConfig, TraceSink};
 use inerf_geom::Vec3;
@@ -78,13 +76,12 @@ impl TraceSink for SweepFan {
 /// memory.
 pub fn run(rays: usize, samples: usize, seed: u64) -> Fig9 {
     let grid = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), seed);
-    let accel = AccelConfig::paper();
     let levels = grid.config().levels;
     let mut fan = SweepFan {
         configs: SUBARRAY_SWEEP
             .iter()
             .map(|&sa| {
-                let dram = accel.nmp_dram(sa);
+                let dram = DramConfig::paper(sa);
                 let mapping = HashTableMapping::paper(MappingScheme::Clustered, sa);
                 LevelDemux {
                     lanes: (0..levels)

@@ -3,6 +3,7 @@
 
 use crate::report;
 use inerf_accel::AccelConfig;
+use inerf_dram::DramConfig;
 use inerf_encoding::HashFunction;
 use inerf_gpu::GpuSpec;
 use inerf_trainer::workload::{self, Step};
@@ -101,7 +102,7 @@ pub fn tab2() -> String {
 /// Renders Tab. III plus the Sec. V-C area/power results.
 pub fn tab3() -> String {
     let a = AccelConfig::paper();
-    let d = a.nmp_dram(32);
+    let t = DramConfig::TIMING;
     let mut out = String::from("Tab. III: Instant-NeRF accelerator parameters\n");
     let rows = vec![
         vec!["technology".into(), "28 nm".into()],
@@ -120,7 +121,7 @@ pub fn tab3() -> String {
             "timing".into(),
             format!(
                 "tCL-tRCD-tRP {}-{}-{}, tRAS {}, tRRD {}, tFAW {}",
-                d.timing.cl, d.timing.rcd, d.timing.rp, d.timing.ras, d.timing.rrd, d.timing.faw
+                t.cl, t.rcd, t.rp, t.ras, t.rrd, t.faw
             ),
         ],
         vec!["subarrays/bank".into(), "1-2-4-8-16-32-64 (swept)".into()],

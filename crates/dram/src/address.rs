@@ -2,16 +2,14 @@
 
 use serde::{Deserialize, Serialize};
 
-/// A decoded physical address: channel / bank / subarray / row / column.
+/// A decoded physical address in the die: bank / subarray / row / column.
 ///
 /// The mapping from application addresses (hash-table level + entry) to
 /// `PhysAddr` lives in the accelerator crate, because the paper's mapping
 /// scheme (Sec. IV-B) is part of the co-design, not of the DRAM itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PhysAddr {
-    /// Channel index.
-    pub channel: u32,
-    /// Bank index within the channel.
+    /// Bank index within the die.
     pub bank: u32,
     /// Subarray index within the bank.
     pub subarray: u32,
@@ -19,37 +17,4 @@ pub struct PhysAddr {
     pub row: u32,
     /// Byte column within the row.
     pub col: u32,
-}
-
-impl PhysAddr {
-    /// A flattened global bank identifier (`channel * banks + bank`); used
-    /// for per-bank bookkeeping.
-    pub fn global_bank(&self, banks_per_channel: u32) -> u32 {
-        self.channel * banks_per_channel + self.bank
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn global_bank_flattening() {
-        let a = PhysAddr {
-            channel: 2,
-            bank: 5,
-            subarray: 0,
-            row: 0,
-            col: 0,
-        };
-        assert_eq!(a.global_bank(16), 37);
-        let b = PhysAddr {
-            channel: 0,
-            bank: 0,
-            subarray: 0,
-            row: 0,
-            col: 0,
-        };
-        assert_eq!(b.global_bank(16), 0);
-    }
 }

@@ -1,6 +1,6 @@
 //! Per-subarray timing state machines and rank ACT bookkeeping.
 
-use crate::config::{DramConfig, Timing};
+use crate::config::DramConfig;
 use serde::{Deserialize, Serialize};
 
 /// The DRAM commands the simulator issues.
@@ -23,7 +23,7 @@ pub struct CommandRecord {
     pub cycle: u64,
     /// Command type.
     pub kind: CommandKind,
-    /// Global bank id.
+    /// Bank id.
     pub bank: u32,
     /// Subarray within the bank.
     pub subarray: u32,
@@ -84,7 +84,6 @@ impl SubarrayState {
     /// `earliest` is the first cycle any command may issue (request arrival);
     /// `rank_act_ok` is the earliest cycle an ACT may issue under the
     /// rank-level tRRD/tFAW constraints (computed by the caller).
-    #[allow(clippy::too_many_arguments)]
     pub fn serve(
         &mut self,
         col_ready: &mut u64,
@@ -92,9 +91,8 @@ impl SubarrayState {
         is_write: bool,
         earliest: u64,
         rank_act_ok: u64,
-        timing: &Timing,
-        config: &DramConfig,
     ) -> ServedRequest {
+        let timing = &DramConfig::TIMING;
         let outcome = self.classify(row);
         let mut pre_at = None;
         let mut act_at = None;
@@ -133,11 +131,11 @@ impl SubarrayState {
         }
         *col_ready = col_at + timing.ccd;
         let data_done = if is_write {
-            let done = col_at + timing.wa + config.burst_cycles;
+            let done = col_at + timing.wa + DramConfig::BURST_CYCLES;
             self.last_write_end = done;
             done
         } else {
-            col_at + timing.cl + config.burst_cycles
+            col_at + timing.cl + DramConfig::BURST_CYCLES
         };
         ServedRequest {
             outcome,
@@ -186,7 +184,8 @@ impl RankActTracker {
     }
 
     /// Earliest cycle a new ACT may issue.
-    pub fn earliest(&self, timing: &Timing) -> u64 {
+    pub fn earliest(&self) -> u64 {
+        let timing = &DramConfig::TIMING;
         if self.len == 0 {
             return 0;
         }
@@ -212,6 +211,7 @@ impl RankActTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Timing;
     use proptest::prelude::*;
 
     /// One bank as `DramSim` lays it out: its subarray slots side by side
@@ -229,7 +229,6 @@ mod tests {
             }
         }
 
-        #[allow(clippy::too_many_arguments)]
         fn serve(
             &mut self,
             subarray: u32,
@@ -237,8 +236,6 @@ mod tests {
             is_write: bool,
             earliest: u64,
             rank_act_ok: u64,
-            timing: &Timing,
-            config: &DramConfig,
         ) -> ServedRequest {
             self.subarrays[subarray as usize].serve(
                 &mut self.col_ready,
@@ -246,26 +243,23 @@ mod tests {
                 is_write,
                 earliest,
                 rank_act_ok,
-                timing,
-                config,
             )
         }
     }
 
-    fn setup() -> (Bank, Timing, DramConfig) {
-        let cfg = DramConfig::paper(4);
-        (Bank::new(4), cfg.timing, cfg)
+    fn setup() -> (Bank, Timing) {
+        (Bank::new(4), DramConfig::TIMING)
     }
 
     #[test]
     fn first_access_is_miss_then_hit() {
-        let (mut bank, t, cfg) = setup();
-        let r1 = bank.serve(0, 10, false, 0, 0, &t, &cfg);
+        let (mut bank, t) = setup();
+        let r1 = bank.serve(0, 10, false, 0, 0);
         assert_eq!(r1.outcome, RowOutcome::Miss);
         assert_eq!(r1.act_at, Some(0));
         assert_eq!(r1.col_at, t.rcd);
-        assert_eq!(r1.data_done, t.rcd + t.cl + cfg.burst_cycles);
-        let r2 = bank.serve(0, 10, false, 0, 0, &t, &cfg);
+        assert_eq!(r1.data_done, t.rcd + t.cl + DramConfig::BURST_CYCLES);
+        let r2 = bank.serve(0, 10, false, 0, 0);
         assert_eq!(r2.outcome, RowOutcome::Hit);
         assert!(r2.act_at.is_none());
         // Hit issues as soon as the column path frees (tCCD after the first).
@@ -274,9 +268,9 @@ mod tests {
 
     #[test]
     fn conflict_pays_pre_plus_act() {
-        let (mut bank, t, cfg) = setup();
-        bank.serve(0, 10, false, 0, 0, &t, &cfg);
-        let r = bank.serve(0, 20, false, 0, 0, &t, &cfg);
+        let (mut bank, t) = setup();
+        bank.serve(0, 10, false, 0, 0);
+        let r = bank.serve(0, 20, false, 0, 0);
         assert_eq!(r.outcome, RowOutcome::Conflict);
         let pre = r.pre_at.expect("conflict must precharge");
         let act = r.act_at.expect("conflict must activate");
@@ -287,10 +281,10 @@ mod tests {
 
     #[test]
     fn salp_different_subarray_avoids_conflict() {
-        let (mut bank, t, cfg) = setup();
-        bank.serve(0, 10, false, 0, 0, &t, &cfg);
+        let (mut bank, _) = setup();
+        bank.serve(0, 10, false, 0, 0);
         // Same bank, different subarray, different row: plain miss, no PRE.
-        let r = bank.serve(1, 20, false, 0, 0, &t, &cfg);
+        let r = bank.serve(1, 20, false, 0, 0);
         assert_eq!(r.outcome, RowOutcome::Miss);
         assert!(r.pre_at.is_none());
     }
@@ -299,17 +293,14 @@ mod tests {
     fn salp_conflict_faster_than_single_subarray() {
         // The quantitative SALP benefit: alternating rows hit PRE+ACT every
         // time with one subarray, but become independent misses with two.
-        let cfg1 = DramConfig::paper(1);
-        let cfg2 = DramConfig::paper(2);
-        let t = cfg1.timing;
         let mut one = Bank::new(1);
         let mut two = Bank::new(2);
         let mut done_one = 0;
         let mut done_two = 0;
         for i in 0..8u32 {
             let row = i % 2;
-            done_one = one.serve(0, row, false, 0, 0, &t, &cfg1).data_done;
-            done_two = two.serve(row % 2, row, false, 0, 0, &t, &cfg2).data_done;
+            done_one = one.serve(0, row, false, 0, 0).data_done;
+            done_two = two.serve(row % 2, row, false, 0, 0).data_done;
         }
         assert!(
             done_two < done_one,
@@ -319,9 +310,9 @@ mod tests {
 
     #[test]
     fn write_then_conflict_waits_for_twr() {
-        let (mut bank, t, cfg) = setup();
-        let w = bank.serve(0, 10, true, 0, 0, &t, &cfg);
-        let r = bank.serve(0, 20, false, 0, 0, &t, &cfg);
+        let (mut bank, t) = setup();
+        let w = bank.serve(0, 10, true, 0, 0);
+        let r = bank.serve(0, 20, false, 0, 0);
         assert!(
             r.pre_at.expect("conflict") >= w.data_done + t.wr,
             "PRE after write must respect tWR"
@@ -330,16 +321,16 @@ mod tests {
 
     #[test]
     fn rank_tracker_enforces_rrd_and_faw() {
-        let t = Timing::lpddr4_2400();
+        let t = DramConfig::TIMING;
         let mut tr = RankActTracker::new();
-        assert_eq!(tr.earliest(&t), 0);
+        assert_eq!(tr.earliest(), 0);
         tr.record(0);
-        assert_eq!(tr.earliest(&t), t.rrd);
+        assert_eq!(tr.earliest(), t.rrd);
         tr.record(t.rrd);
         tr.record(2 * t.rrd);
         tr.record(3 * t.rrd);
         // Four ACTs recorded: the fifth must wait for the FAW window.
-        assert!(tr.earliest(&t) >= t.faw);
+        assert!(tr.earliest() >= t.faw);
     }
 
     /// The tracker as a `Vec` window with `remove(0)`: the oracle the ring
@@ -379,21 +370,21 @@ mod tests {
         fn rank_tracker_ring_matches_vec_window(
             cycles in proptest::collection::vec(0u64..10_000, 0..24)
         ) {
-            let t = Timing::lpddr4_2400();
+            let t = DramConfig::TIMING;
             let (mut ring, mut window) = (RankActTracker::new(), VecTracker::default());
-            prop_assert_eq!(ring.earliest(&t), window.earliest(&t));
+            prop_assert_eq!(ring.earliest(), window.earliest(&t));
             for c in cycles {
                 ring.record(c);
                 window.record(c);
-                prop_assert_eq!(ring.earliest(&t), window.earliest(&t));
+                prop_assert_eq!(ring.earliest(), window.earliest(&t));
             }
         }
     }
 
     #[test]
     fn arrival_time_respected() {
-        let (mut bank, t, cfg) = setup();
-        let r = bank.serve(0, 5, false, 100, 0, &t, &cfg);
+        let (mut bank, t) = setup();
+        let r = bank.serve(0, 5, false, 100, 0);
         assert_eq!(r.act_at, Some(100));
         assert_eq!(r.col_at, 100 + t.rcd);
     }

@@ -5,9 +5,8 @@ use serde::{Deserialize, Serialize};
 
 /// Timing constraints in DRAM command-clock cycles.
 ///
-/// Values follow Tab. III of the paper (LPDDR4-2400):
-/// `tCL-tRCD-tRPpb = 4-4-6`, `tRAS = 9`, `tCCD = 8`, `tRRD = 2`, `tFAW = 9`,
-/// `tWR = 6`, `tRA = 2`, `tWA = 7`.
+/// [`DramConfig::TIMING`] is the one set the simulator uses: Tab. III's
+/// LPDDR4-2400 values at the near-bank column path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Timing {
     /// CAS (read) latency.
@@ -20,7 +19,7 @@ pub struct Timing {
     pub ras: u64,
     /// Column-to-column delay (back-to-back bursts on one bank).
     pub ccd: u64,
-    /// ACT → ACT to different banks of the same rank.
+    /// ACT → ACT to different banks of the die.
     pub rrd: u64,
     /// Four-activate window.
     pub faw: u64,
@@ -32,52 +31,54 @@ pub struct Timing {
     pub wa: u64,
 }
 
-impl Timing {
-    /// Tab. III LPDDR4-2400 timing set.
-    pub const fn lpddr4_2400() -> Self {
-        Timing {
-            cl: 4,
-            rcd: 4,
-            rp: 6,
-            ras: 9,
-            ccd: 8,
-            rrd: 2,
-            faw: 9,
-            wr: 6,
-            ra: 2,
-            wa: 7,
-        }
-    }
-}
-
-/// Full DRAM organization.
+/// The one LPDDR4 die the accelerator computes in (paper Fig. 5): 16 banks
+/// of 1 KB rows, each bank split into subarrays with local row buffers
+/// (subarray-level parallelism, SALP [Kim et al., ISCA'12]). The near-bank
+/// logic reads each bank's open row through the 128-bit internal interface,
+/// so no request crosses the external channel.
+///
+/// Only the subarray count varies (the Fig. 9 sweep); everything else is
+/// an associated constant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DramConfig {
-    /// Independent channels.
-    pub channels: u32,
-    /// Banks per chip (LPDDR4: 16 physical banks).
-    pub banks_per_channel: u32,
     /// Subarrays per bank (the Fig. 9 sweep parameter: 1–64).
     pub subarrays_per_bank: u32,
     /// Rows per subarray.
     pub rows_per_subarray: u32,
-    /// Row-buffer (page) size in bytes.
-    pub row_bytes: u32,
-    /// Timing constraints.
-    pub timing: Timing,
-    /// Command-clock frequency in MHz (LPDDR4-2400: 1200 MHz clock).
-    pub clock_mhz: u32,
-    /// Whether request data crosses the shared channel I/O bus (true for a
-    /// host processor; false for near-bank NMP compute, which consumes data
-    /// locally at the bank).
-    pub use_channel_bus: bool,
-    /// Data-bus burst occupancy in cycles (BL16 on a 16-bit channel).
-    pub burst_cycles: u64,
 }
 
 impl DramConfig {
-    /// The paper's configuration: 8 channels, 16 banks/channel, 1 KB rows,
-    /// LPDDR4-2400 timing, with `subarrays` per bank.
+    /// Banks of the die (LPDDR4: 16 physical banks, one rank).
+    pub const BANKS: u32 = 16;
+    /// Row-buffer (page) size in bytes.
+    pub const ROW_BYTES: u32 = 1024;
+    /// Command-clock frequency in MHz (LPDDR4-2400: 1200 MHz clock).
+    pub const CLOCK_MHZ: u32 = 1200;
+    /// Column-path occupancy of one 32 B burst in cycles: 2 at the 128-bit
+    /// (16 B/cycle) internal prefetch interface.
+    pub const BURST_CYCLES: u64 = 2;
+    /// Tab. III: `tCL-tRCD-tRPpb = 4-4-6`, `tRAS = 9`, `tRRD = 2`,
+    /// `tFAW = 9`, `tWR = 6`, `tRA = 2`, `tWA = 7`, and `tCCD = 2`.
+    ///
+    /// Tab. III's `tCCD = 8` spaces BL16 bursts on the 16-bit external
+    /// channel. The near-bank logic takes its bursts from the row buffer
+    /// through the internal interface, one burst every
+    /// [`DramConfig::BURST_CYCLES`], so back-to-back column commands on a
+    /// bank are 2 cycles apart.
+    pub const TIMING: Timing = Timing {
+        cl: 4,
+        rcd: 4,
+        rp: 6,
+        ras: 9,
+        ccd: 2,
+        rrd: 2,
+        faw: 9,
+        wr: 6,
+        ra: 2,
+        wa: 7,
+    };
+
+    /// The die with `subarrays` per bank and 128 MB per bank.
     ///
     /// # Panics
     ///
@@ -88,35 +89,14 @@ impl DramConfig {
             "subarrays must be a power of two"
         );
         DramConfig {
-            channels: 8,
-            banks_per_channel: 16,
             subarrays_per_bank: subarrays,
-            // 16 GB total / (8 ch × 16 banks) = 128 MB per bank.
             rows_per_subarray: (128 * 1024) / subarrays, // 128 MB / 1 KB rows
-            row_bytes: 1024,
-            timing: Timing::lpddr4_2400(),
-            clock_mhz: 1200,
-            use_channel_bus: false,
-            burst_cycles: 8,
         }
-    }
-
-    /// A host-style configuration where data crosses the channel bus.
-    pub fn paper_host(subarrays: u32) -> Self {
-        DramConfig {
-            use_channel_bus: true,
-            ..Self::paper(subarrays)
-        }
-    }
-
-    /// Total banks across all channels.
-    pub const fn total_banks(&self) -> u32 {
-        self.channels * self.banks_per_channel
     }
 
     /// Per-bank capacity in bytes.
     pub const fn bank_bytes(&self) -> u64 {
-        self.subarrays_per_bank as u64 * self.rows_per_subarray as u64 * self.row_bytes as u64
+        self.subarrays_per_bank as u64 * self.rows_per_subarray as u64 * Self::ROW_BYTES as u64
     }
 
     /// Builds a physical address from components.
@@ -124,17 +104,15 @@ impl DramConfig {
     /// # Panics
     ///
     /// Panics if any component exceeds the configured organization.
-    pub fn address(&self, channel: u32, bank: u32, subarray: u32, row: u32, col: u32) -> PhysAddr {
-        assert!(channel < self.channels, "channel {channel} out of range");
-        assert!(bank < self.banks_per_channel, "bank {bank} out of range");
+    pub fn address(&self, bank: u32, subarray: u32, row: u32, col: u32) -> PhysAddr {
+        assert!(bank < Self::BANKS, "bank {bank} out of range");
         assert!(
             subarray < self.subarrays_per_bank,
             "subarray {subarray} out of range"
         );
         assert!(row < self.rows_per_subarray, "row {row} out of range");
-        assert!(col < self.row_bytes, "column {col} out of range");
+        assert!(col < Self::ROW_BYTES, "column {col} out of range");
         PhysAddr {
-            channel,
             bank,
             subarray,
             row,
@@ -143,8 +121,8 @@ impl DramConfig {
     }
 
     /// Seconds per command-clock cycle.
-    pub fn cycle_seconds(&self) -> f64 {
-        1.0 / (self.clock_mhz as f64 * 1e6)
+    pub fn cycle_seconds() -> f64 {
+        1.0 / (Self::CLOCK_MHZ as f64 * 1e6)
     }
 }
 
@@ -154,18 +132,11 @@ mod tests {
 
     #[test]
     fn paper_timing_values() {
-        let t = Timing::lpddr4_2400();
+        let t = DramConfig::TIMING;
         assert_eq!((t.cl, t.rcd, t.rp), (4, 4, 6));
         assert_eq!(t.ras, 9);
-        assert_eq!(t.ccd, 8);
+        assert_eq!(t.ccd, 2);
         assert_eq!(t.faw, 9);
-    }
-
-    #[test]
-    fn paper_capacity_is_16gb() {
-        let c = DramConfig::paper(8);
-        let total = c.bank_bytes() * c.total_banks() as u64;
-        assert_eq!(total, 16 * 1024 * 1024 * 1024, "Tab. III says 16 GB total");
     }
 
     #[test]
@@ -189,8 +160,8 @@ mod tests {
     #[test]
     fn address_validation() {
         let c = DramConfig::paper(4);
-        let a = c.address(7, 15, 3, 100, 1023);
-        assert_eq!(a.channel, 7);
+        let a = c.address(15, 3, 100, 1023);
+        assert_eq!(a.bank, 15);
         assert_eq!(a.col, 1023);
     }
 
@@ -198,12 +169,11 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_address_panics() {
         let c = DramConfig::paper(4);
-        let _ = c.address(8, 0, 0, 0, 0);
+        let _ = c.address(16, 0, 0, 0);
     }
 
     #[test]
     fn cycle_time_matches_clock() {
-        let c = DramConfig::paper(1);
-        assert!((c.cycle_seconds() - 1.0 / 1.2e9).abs() < 1e-15);
+        assert!((DramConfig::cycle_seconds() - 1.0 / 1.2e9).abs() < 1e-15);
     }
 }

@@ -20,41 +20,28 @@ pub struct EnergyModel {
     pub read_pj: f64,
     /// One write burst.
     pub write_pj: f64,
-    /// Extra energy when data crosses the channel I/O bus, per burst.
-    pub io_pj: f64,
     /// Background power per bank in milliwatts (standby + refresh share).
     pub background_mw_per_bank: f64,
 }
 
 impl EnergyModel {
     /// Representative LPDDR4 energies.
-    pub const fn lpddr4() -> Self {
-        EnergyModel {
-            act_pj: 900.0,
-            pre_pj: 350.0,
-            read_pj: 150.0,
-            write_pj: 160.0,
-            io_pj: 250.0,
-            background_mw_per_bank: 1.5,
-        }
-    }
+    pub const LPDDR4: Self = EnergyModel {
+        act_pj: 900.0,
+        pre_pj: 350.0,
+        read_pj: 150.0,
+        write_pj: 160.0,
+        background_mw_per_bank: 1.5,
+    };
 
     /// Total energy of a finished simulation, in picojoules.
     ///
-    /// `banks` and `cycle_seconds` provide the background term;
-    /// `io_bursts` is the number of bursts that crossed the channel bus.
-    pub fn total_pj(
-        &self,
-        stats: &SimStats,
-        io_bursts: u64,
-        banks: u32,
-        cycle_seconds: f64,
-    ) -> f64 {
+    /// `banks` and `cycle_seconds` provide the background term.
+    pub fn total_pj(&self, stats: &SimStats, banks: u32, cycle_seconds: f64) -> f64 {
         let dynamic = stats.acts as f64 * self.act_pj
             + stats.pres as f64 * self.pre_pj
             + stats.reads as f64 * self.read_pj
-            + stats.writes as f64 * self.write_pj
-            + io_bursts as f64 * self.io_pj;
+            + stats.writes as f64 * self.write_pj;
         let seconds = stats.total_cycles as f64 * cycle_seconds;
         // mW * s = mJ = 1e9 pJ.
         let background = self.background_mw_per_bank * banks as f64 * seconds * 1e9;
@@ -68,7 +55,7 @@ mod tests {
 
     #[test]
     fn dynamic_energy_scales_with_commands() {
-        let e = EnergyModel::lpddr4();
+        let e = EnergyModel::LPDDR4;
         let s1 = SimStats {
             acts: 10,
             pres: 10,
@@ -81,33 +68,20 @@ mod tests {
             reads: 200,
             ..Default::default()
         };
-        let e1 = e.total_pj(&s1, 0, 1, 0.0);
-        let e2 = e.total_pj(&s2, 0, 1, 0.0);
+        let e1 = e.total_pj(&s1, 1, 0.0);
+        let e2 = e.total_pj(&s2, 1, 0.0);
         assert!((e2 - 2.0 * e1).abs() < 1e-6);
     }
 
     #[test]
-    fn io_crossing_costs_extra() {
-        let e = EnergyModel::lpddr4();
-        let s = SimStats {
-            reads: 100,
-            ..Default::default()
-        };
-        let local = e.total_pj(&s, 0, 1, 0.0);
-        let host = e.total_pj(&s, 100, 1, 0.0);
-        assert!(host > local);
-        assert!((host - local - 100.0 * e.io_pj).abs() < 1e-6);
-    }
-
-    #[test]
     fn background_scales_with_time_and_banks() {
-        let e = EnergyModel::lpddr4();
+        let e = EnergyModel::LPDDR4;
         let s = SimStats {
             total_cycles: 1_000_000,
             ..Default::default()
         };
-        let one = e.total_pj(&s, 0, 1, 1e-9);
-        let many = e.total_pj(&s, 0, 128, 1e-9);
+        let one = e.total_pj(&s, 1, 1e-9);
+        let many = e.total_pj(&s, 128, 1e-9);
         assert!((many / one - 128.0).abs() < 1e-9);
     }
 }

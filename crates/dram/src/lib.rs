@@ -1,10 +1,11 @@
 //! A cycle-level LPDDR4 DRAM timing simulator.
 //!
-//! Models the organization of paper Fig. 5 and the timing parameters of
-//! Tab. III: channels → ranks → chips of 16 banks, each bank split into
+//! Models the one LPDDR4 die of paper Fig. 5 that the accelerator computes
+//! in, with the timing parameters of Tab. III: 16 banks, each split into
 //! subarrays with local row buffers (subarray-level parallelism, SALP
-//! [Kim et al., ISCA'12]). The simulator replays a request stream and
-//! reports cycles, row-buffer outcomes, bank conflicts and energy.
+//! [Kim et al., ISCA'12]), read by the near-bank logic through the 128-bit
+//! internal interface. The simulator replays a request stream and reports
+//! cycles, row-buffer outcomes, bank conflicts and energy.
 //!
 //! The model is deliberately Ramulator-like in scope (per-command timing
 //! constraints enforced at the bank/rank level) while remaining deterministic
@@ -17,7 +18,7 @@
 //!
 //! let config = DramConfig::paper(8); // 8 subarrays per bank
 //! let mut sim = DramSim::new(config);
-//! let addr = config.address(0, 0, 0, 42, 0); // channel, bank, subarray, row, col
+//! let addr = config.address(0, 0, 42, 0); // bank, subarray, row, col
 //! let stats = sim.run(&[Request::new(addr, AccessKind::Read)]);
 //! assert_eq!(stats.row_misses, 1); // first touch always opens the row
 //! ```

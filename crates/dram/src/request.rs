@@ -50,7 +50,6 @@ mod tests {
     #[test]
     fn constructors() {
         let a = PhysAddr {
-            channel: 0,
             bank: 1,
             subarray: 2,
             row: 3,

@@ -51,16 +51,6 @@ impl SimStats {
     pub fn seconds(&self, cycle_seconds: f64) -> f64 {
         self.total_cycles as f64 * cycle_seconds
     }
-
-    /// Delivered bandwidth in bytes/second, given bytes actually transferred.
-    pub fn bandwidth(&self, bytes: u64, cycle_seconds: f64) -> f64 {
-        let s = self.seconds(cycle_seconds);
-        if s == 0.0 {
-            0.0
-        } else {
-            bytes as f64 / s
-        }
-    }
 }
 
 #[cfg(test)]
@@ -78,16 +68,5 @@ mod tests {
         assert!((s.hit_rate() - 0.6).abs() < 1e-12);
         assert!((s.conflict_rate() - 0.2).abs() < 1e-12);
         assert_eq!(SimStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn bandwidth_math() {
-        let s = SimStats {
-            total_cycles: 1000,
-            ..Default::default()
-        };
-        // 1000 cycles at 1 ns = 1 us; 1024 bytes → ~1 GB/s.
-        let bw = s.bandwidth(1024, 1e-9);
-        assert!((bw - 1.024e9).abs() < 1.0);
     }
 }

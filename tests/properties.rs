@@ -1,10 +1,8 @@
 //! Cross-crate property tests: invariants that must hold across the
 //! algorithm/hardware boundary for arbitrary inputs.
 
-use instant_nerf::accel::{
-    AccelConfig, HashTableMapping, MappingScheme, RequestSink, RequestStream,
-};
-use instant_nerf::dram::{DramSim, Request};
+use instant_nerf::accel::{HashTableMapping, MappingScheme, RequestSink, RequestStream};
+use instant_nerf::dram::{DramConfig, DramSim, Request};
 use instant_nerf::encoding::{CountingSink, HashFunction, HashGrid, HashGridConfig, TraceSink};
 use instant_nerf::geom::{GridCoord, GridLevel, Vec3};
 use instant_nerf::mlp::fp16::quantize_f16;
@@ -32,13 +30,12 @@ proptest! {
             MappingScheme::ClusteredNoSpread,
         ][scheme_idx];
         let mapping = HashTableMapping::paper(scheme, sa);
-        let dram = AccelConfig::paper().nmp_dram(sa);
+        let dram = DramConfig::paper(sa);
         let addr = mapping.map_entry(level, entry, &dram);
-        prop_assert!(addr.channel < dram.channels);
-        prop_assert!(addr.bank < dram.banks_per_channel);
+        prop_assert!(addr.bank < DramConfig::BANKS);
         prop_assert!(addr.subarray < dram.subarrays_per_bank);
         prop_assert!(addr.row < dram.rows_per_subarray);
-        prop_assert!(addr.col < dram.row_bytes);
+        prop_assert!(addr.col < DramConfig::ROW_BYTES);
     }
 
     /// The request stream never exceeds the un-filtered bound of eight rows
@@ -47,7 +44,7 @@ proptest! {
     fn request_stream_bounded(seed in 0u64..100, points in 1usize..64) {
         let grid = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), seed);
         let mapping = HashTableMapping::paper(MappingScheme::Clustered, 8);
-        let dram = AccelConfig::paper().nmp_dram(8);
+        let dram = DramConfig::paper(8);
         let requests = |write_back| {
             RequestSink::new(RequestStream::new(&mapping, &dram, write_back), Vec::new())
         };
@@ -77,7 +74,7 @@ proptest! {
     fn dram_makespan_monotone_in_prefix(seed in 0u64..50) {
         let grid = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), seed);
         let mapping = HashTableMapping::paper(MappingScheme::Clustered, 8);
-        let dram = AccelConfig::paper().nmp_dram(8);
+        let dram = DramConfig::paper(8);
         let mut sink = RequestSink::new(RequestStream::new(&mapping, &dram, false), Vec::new());
         for i in 0..48u32 {
             let x = (i as f32 + 0.5) / 48.0;
