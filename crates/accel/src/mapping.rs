@@ -96,7 +96,7 @@ impl HashTableMapping {
     ///
     /// # Panics
     ///
-    /// Panics if `entry_bytes` is zero or exceeds the row size.
+    /// Panics unless `entry_bytes` is a power of two no wider than a row.
     pub fn with_entry_bytes(mut self, entry_bytes: u32) -> Self {
         self.layout = EntryLayout::new(entry_bytes);
         self
@@ -142,8 +142,7 @@ impl HashTableMapping {
             .count() as u32;
         let share = (self.subarrays / co_resident).max(1);
         let sa_base = (stack_index * share) % self.subarrays;
-        let entries_per_row = self.layout.entries_per_row();
-        let rows_per_level = TABLE_ENTRIES / entries_per_row;
+        let rows_per_level = self.layout.row_of_entry(TABLE_ENTRIES);
         let row_idx = self.layout.row_of_entry(entry);
         let (subarray, row) = match self.scheme {
             MappingScheme::ClusteredNoSpread => {
@@ -161,56 +160,57 @@ impl HashTableMapping {
             bank,
             subarray: subarray % dram.subarrays_per_bank,
             row: row % dram.rows_per_subarray,
-            col: (entry % entries_per_row) * self.layout.entry_bytes(),
         }
     }
 }
 
-/// Division of a `u32` by a divisor fixed at construction, as one widening
-/// multiply (Lemire, Kaser & Kurz, "Faster remainder by direct computation",
-/// 2019): with `magic = floor((2^64 - 1) / d) + 1`, the high half of
-/// `magic * n` is `n / d` for every 32-bit `n`. The request generator
-/// divides by four run-time constants per mapped row, which as hardware
-/// divisions were about a sixth of its time.
-#[derive(Debug, Clone, Copy)]
-struct Divisor {
-    d: u32,
-    /// Zero stands for `d == 1`, whose magic would be 2^64.
-    magic: u64,
-}
-
-impl Divisor {
-    fn new(d: u32) -> Self {
-        assert!(d > 0, "division by zero");
-        Divisor {
-            d,
-            magic: (u64::MAX / d as u64).wrapping_add(1),
-        }
-    }
-
-    /// `(n / d, n % d)`.
-    #[inline]
-    fn div_rem(self, n: u32) -> (u32, u32) {
-        if self.magic == 0 {
-            return (n, 0);
-        }
-        let q = ((self.magic as u128 * n as u128) >> 64) as u32;
-        (q, n - q * self.d)
-    }
-}
-
-/// One level's share of the address map, derived once per stream: what
+/// One level's share of the address map: what
 /// [`HashTableMapping::map_entry`] recomputes from the bank assignment on
 /// every call.
 #[derive(Debug, Clone, Copy)]
 struct LevelSlot {
-    bank: u32,
     /// First subarray of the level's share of its bank.
     sa_base: u32,
     /// Subarrays in that share (the round-robin modulus of the spread).
-    share: Divisor,
+    share: u32,
     /// First row of the level's region (co-resident levels are stacked).
     row_base: u32,
+}
+
+impl LevelSlot {
+    /// Every level's slot under `mapping`.
+    fn all(mapping: &HashTableMapping) -> Vec<LevelSlot> {
+        let assignment = &mapping.assignment;
+        let rows_per_level = mapping.layout.row_of_entry(TABLE_ENTRIES);
+        (0..assignment.len())
+            .map(|level| {
+                let bank = assignment[level];
+                let on_bank = |levels: &[u32]| levels.iter().filter(|&&b| b == bank).count() as u32;
+                let stack_index = on_bank(&assignment[..level]);
+                let share = (mapping.subarrays / on_bank(assignment)).max(1);
+                LevelSlot {
+                    sa_base: (stack_index * share) % mapping.subarrays,
+                    share,
+                    row_base: stack_index * rows_per_level,
+                }
+            })
+            .collect()
+    }
+
+    /// `[subarray, row]` of table row `row_idx` of this level on `dram`.
+    fn address(self, scheme: MappingScheme, dram: &DramConfig, row_idx: u32) -> [u32; 2] {
+        let (subarray, row) = match scheme {
+            MappingScheme::ClusteredNoSpread => (self.sa_base, self.row_base + row_idx),
+            _ => (
+                self.sa_base + row_idx % self.share,
+                self.row_base + row_idx / self.share,
+            ),
+        };
+        [
+            subarray % dram.subarrays_per_bank,
+            row % dram.rows_per_subarray,
+        ]
+    }
 }
 
 /// Online DRAM-request generation from the streaming trace bus.
@@ -232,26 +232,29 @@ struct LevelSlot {
 /// The stream accepts only what its address map can place: construction
 /// refuses a layout that folds two table rows onto one DRAM row, and
 /// [`RequestStream::push_cube`] drops (and counts) a cube outside the
-/// mapped table. So a table row's first read in a batch is also its DRAM
-/// row's first read, and one bitmap over the table rows is the drain's
-/// whole deduplication.
+/// mapped table. So within a level a table row is its DRAM row: `r0` holds
+/// table rows, a table row's first read in a batch is also its DRAM row's
+/// first read, and one bitmap over the table rows is the drain's whole
+/// deduplication.
 ///
-/// Addresses come from a per-level table built at construction, equal to
-/// [`HashTableMapping::map_entry`] for every entry (checked on each request
-/// in debug builds).
+/// Addresses come from a table of every `(level, table row)`'s DRAM row,
+/// filled at construction and equal to [`HashTableMapping::map_entry`] for
+/// every entry (checked on each request in debug builds). Only an emitted
+/// request looks its row up.
 #[derive(Debug, Clone)]
 pub struct RequestStream {
     mapping: HashTableMapping,
     dram: DramConfig,
     write_back: bool,
-    levels: Vec<LevelSlot>,
-    entries_per_row: Divisor,
-    subarrays_per_bank: Divisor,
-    rows_per_subarray: Divisor,
+    /// `[subarray, row]` of table row `r` of level `l` at
+    /// `l * rows_per_level + r`.
+    addresses: Vec<[u32; 2]>,
+    rows_per_level: u32,
     /// Per-level register-cache state: the previous point's cube id.
     last_cube: Vec<Option<u64>>,
-    /// Two-entry LRU of (subarray, row) per level — the r0 register pair.
-    r0: Vec<[Option<(u32, u32)>; 2]>,
+    /// The r0 register pair per level: the two most recent table rows,
+    /// newest first, `u32::MAX` when empty.
+    r0: Vec<[u32; 2]>,
     /// Rows touched by the read sweep in first-read order (the write-back
     /// drain).
     touched: Vec<PhysAddr>,
@@ -259,7 +262,6 @@ pub struct RequestStream {
     /// the batch, which is the only read that adds a row to `touched`.
     /// Empty without `write_back`.
     table_rows: Vec<u64>,
-    rows_per_level: u32,
     dropped_cubes: u64,
 }
 
@@ -272,41 +274,40 @@ impl RequestStream {
     /// folds two `(level, table row)` pairs of the mapped table onto one
     /// `(bank, subarray, row)` of the die (the message names such a pair).
     pub fn new(mapping: &HashTableMapping, dram: &DramConfig, write_back: bool) -> Self {
-        let assignment = &mapping.assignment;
-        let rows_per_level = TABLE_ENTRIES / mapping.layout.entries_per_row();
-        let bitmap_bits = usize::from(write_back) * assignment.len() * rows_per_level as usize;
-        let levels = assignment
-            .iter()
-            .enumerate()
-            .map(|(level, &bank)| {
-                let on_bank = |levels: &[u32]| levels.iter().filter(|&&b| b == bank).count() as u32;
-                let stack_index = on_bank(&assignment[..level]);
-                let share = (mapping.subarrays / on_bank(assignment)).max(1);
-                LevelSlot {
-                    bank,
-                    sa_base: (stack_index * share) % mapping.subarrays,
-                    share: Divisor::new(share),
-                    row_base: stack_index * rows_per_level,
-                }
+        let levels = mapping.assignment.len();
+        let rows_per_level = mapping.layout.row_of_entry(TABLE_ENTRIES);
+        let addresses = LevelSlot::all(mapping)
+            .into_iter()
+            .flat_map(|slot| {
+                (0..rows_per_level).map(move |r| slot.address(mapping.scheme, dram, r))
             })
             .collect();
+        let bitmap_bits = usize::from(write_back) * levels * rows_per_level as usize;
         let stream = RequestStream {
             mapping: mapping.clone(),
             dram: *dram,
             write_back,
-            levels,
-            entries_per_row: Divisor::new(mapping.layout.entries_per_row()),
-            subarrays_per_bank: Divisor::new(dram.subarrays_per_bank),
-            rows_per_subarray: Divisor::new(dram.rows_per_subarray),
-            last_cube: vec![None; assignment.len()],
-            r0: vec![[None; 2]; assignment.len()],
+            addresses,
+            rows_per_level,
+            last_cube: vec![None; levels],
+            r0: vec![[u32::MAX; 2]; levels],
             touched: Vec::new(),
             table_rows: vec![0; bitmap_bits.div_ceil(64)],
-            rows_per_level,
             dropped_cubes: 0,
         };
         stream.assert_rows_injective();
         stream
+    }
+
+    /// The address of table row `row` of level `li`.
+    #[inline]
+    fn lookup(&self, li: usize, row: u32) -> PhysAddr {
+        let [subarray, row] = self.addresses[li * self.rows_per_level as usize + row as usize];
+        PhysAddr {
+            bank: self.mapping.assignment[li],
+            subarray,
+            row,
+        }
     }
 
     /// Panics unless every `(level, table row)` has a DRAM row of its own.
@@ -316,35 +317,31 @@ impl RequestStream {
         let per_subarray = self.dram.rows_per_subarray as usize;
         let bank_rows = self.dram.subarrays_per_bank as usize * per_subarray;
         let mut taken = vec![0u64; bank_rows.div_ceil(64)];
-        let mut banks: Vec<u32> = self.levels.iter().map(|s| s.bank).collect();
+        let mut banks = self.mapping.assignment.clone();
         banks.sort_unstable();
         banks.dedup();
         for bank in banks {
             taken.fill(0);
             let on_bank = || {
-                self.levels
-                    .iter()
-                    .enumerate()
-                    .filter(move |(_, s)| s.bank == bank)
+                (0..self.mapping.assignment.len())
+                    .filter(move |&l| self.mapping.assignment[l] == bank)
+                    .flat_map(|l| (0..self.rows_per_level).map(move |r| (l, r)))
             };
-            for (level, &slot) in on_bank() {
-                for row in 0..self.rows_per_level {
-                    let addr = self.address(slot, row, 0);
-                    let bit = addr.subarray as usize * per_subarray + addr.row as usize;
-                    let (word, mask) = (&mut taken[bit / 64], 1u64 << (bit % 64));
-                    if *word & mask != 0 {
-                        // The earlier row that set the bit.
-                        let (first_level, first_row) = on_bank()
-                            .flat_map(|(l, &s)| (0..self.rows_per_level).map(move |r| (l, r, s)))
-                            .find(|&(_, r, s)| self.address(s, r, 0) == addr)
-                            .map_or((level, row), |(l, r, _)| (l, r));
-                        panic!(
-                            "the mapping folds table rows onto one DRAM row: level {first_level} \
-                             row {first_row} and level {level} row {row} both map to {addr:?}"
-                        );
-                    }
-                    *word |= mask;
+            for (level, row) in on_bank() {
+                let addr = self.lookup(level, row);
+                let bit = addr.subarray as usize * per_subarray + addr.row as usize;
+                let (word, mask) = (&mut taken[bit / 64], 1u64 << (bit % 64));
+                if *word & mask != 0 {
+                    // The earlier row that set the bit.
+                    let (first_level, first_row) = on_bank()
+                        .find(|&(l, r)| self.lookup(l, r) == addr)
+                        .unwrap_or((level, row));
+                    panic!(
+                        "the mapping folds table rows onto one DRAM row: level {first_level} \
+                         row {first_row} and level {level} row {row} both map to {addr:?}"
+                    );
                 }
+                *word |= mask;
             }
         }
     }
@@ -357,57 +354,34 @@ impl RequestStream {
         self.dropped_cubes
     }
 
-    /// The address of the entry at column `col_idx` of table row `row_idx`
-    /// on `slot`'s level.
-    #[inline]
-    fn address(&self, slot: LevelSlot, row_idx: u32, col_idx: u32) -> PhysAddr {
-        let (subarray, row) = match self.mapping.scheme {
-            MappingScheme::ClusteredNoSpread => (slot.sa_base, slot.row_base + row_idx),
-            _ => {
-                let (q, r) = slot.share.div_rem(row_idx);
-                (slot.sa_base + r, slot.row_base + q)
-            }
-        };
-        PhysAddr {
-            bank: slot.bank,
-            subarray: self.subarrays_per_bank.div_rem(subarray).1,
-            row: self.rows_per_subarray.div_rem(row).1,
-            col: col_idx * self.mapping.layout.entry_bytes(),
-        }
-    }
-
     /// Processes one cube, emitting the DRAM read requests it causes.
     pub fn push_cube(&mut self, cube: &CubeLookup, mut emit: impl FnMut(Request)) {
         let li = cube.level as usize;
-        let slot = match self.levels.get(li) {
-            Some(&slot) if cube.entries.iter().all(|&e| e < TABLE_ENTRIES) => slot,
-            _ => {
-                self.dropped_cubes += 1;
-                return;
-            }
-        };
+        if li >= self.r0.len() || cube.entries.iter().any(|&e| e >= TABLE_ENTRIES) {
+            self.dropped_cubes += 1;
+            return;
+        }
         if self.last_cube[li] == Some(cube.cube_id) {
             return; // register-cache hit: embeddings already loaded
         }
         self.last_cube[li] = Some(cube.cube_id);
-        // Distinct rows of the cube, filtered through the r0 pair.
-        let mut seen = [u32::MAX; 8];
-        let mut n = 0usize;
-        for &e in &cube.entries {
-            let (r, col_idx) = self.entries_per_row.div_rem(e);
-            if seen[..n].contains(&r) {
-                continue;
-            }
-            seen[n] = r;
-            n += 1;
-            let addr = self.address(slot, r, col_idx);
-            debug_assert_eq!(addr, self.mapping.map_entry(cube.level, e, &self.dram));
-            let key = (addr.subarray, addr.row);
-            if self.r0[li].contains(&Some(key)) {
+        // The cube's distinct rows, in corner order, filtered through r0.
+        let (rows, mut distinct) = self.mapping.layout.cube_rows(cube);
+        while distinct != 0 {
+            let c = distinct.trailing_zeros() as usize;
+            distinct &= distinct - 1;
+            let r = rows[c];
+            let r0 = &mut self.r0[li];
+            if r0.contains(&r) {
                 continue; // already resident in a row register
             }
-            self.r0[li][1] = self.r0[li][0];
-            self.r0[li][0] = Some(key);
+            *r0 = [r, r0[0]];
+            let addr = self.lookup(li, r);
+            debug_assert_eq!(
+                addr,
+                self.mapping
+                    .map_entry(cube.level, cube.entries[c], &self.dram)
+            );
             emit(Request::new(addr, AccessKind::Read));
             if self.write_back && self.first_touch(li, r) {
                 self.touched.push(addr);
@@ -443,19 +417,17 @@ impl RequestStream {
             self.table_rows.fill(0);
         }
         self.last_cube.fill(None);
-        for r in &mut self.r0 {
-            *r = [None; 2];
-        }
+        self.r0.fill([u32::MAX; 2]);
     }
 
-    /// Approximate heap bytes of the stream's mutable state (constant in
-    /// the number of streamed points; the write-back set grows with the
-    /// touched *rows*, which the table size bounds).
+    /// Approximate heap bytes of the stream's state, its address table
+    /// included (constant in the number of streamed points; the write-back
+    /// set grows with the touched *rows*, which the table size bounds).
     pub fn state_bytes(&self) -> usize {
         self.mapping.assignment.capacity() * std::mem::size_of::<u32>()
-            + self.levels.capacity() * std::mem::size_of::<LevelSlot>()
+            + self.addresses.capacity() * std::mem::size_of::<[u32; 2]>()
             + self.last_cube.capacity() * std::mem::size_of::<Option<u64>>()
-            + self.r0.capacity() * std::mem::size_of::<[Option<(u32, u32)>; 2]>()
+            + self.r0.capacity() * std::mem::size_of::<[u32; 2]>()
             + self.touched.capacity() * std::mem::size_of::<PhysAddr>()
             + self.table_rows.capacity() * std::mem::size_of::<u64>()
     }
@@ -531,7 +503,6 @@ mod tests {
     use inerf_encoding::requests::ENTRIES_PER_ROW;
     use inerf_encoding::{BufferSink, HashFunction, HashGrid, HashGridConfig};
     use inerf_geom::Vec3;
-    use proptest::prelude::*;
 
     #[test]
     fn clustered_assignment_matches_paper_groups() {
@@ -707,10 +678,10 @@ mod tests {
         let f32m = HashTableMapping::paper(MappingScheme::Clustered, 8).with_entry_bytes(8);
         assert_eq!(fp16.layout().entry_bytes(), 4);
         assert_eq!(f32m.layout().entry_bytes(), 8);
-        // Same entry, twice the column offset and half the entries per row.
-        let a = fp16.map_entry(12, 100, &dram);
-        let b = f32m.map_entry(12, 100, &dram);
-        assert_eq!(b.col, 2 * a.col);
+        assert_eq!(
+            f32m.layout().entries_per_row(),
+            fp16.layout().entries_per_row() / 2
+        );
         // On the same lookup stream, wider entries scatter cubes over more
         // rows, so the request stream grows.
         let r16 = requests(&fp16, &dram, false, &grid, &points);
@@ -793,15 +764,34 @@ mod tests {
         for (m, dram) in configurations() {
             let stream = RequestStream::new(&m, &dram, false);
             let per_row = m.layout().entries_per_row();
+            let slots = LevelSlot::all(&m);
+            // Every table row, at a column that varies row by row.
+            for level in 0..slots.len() {
+                for row in 0..stream.rows_per_level {
+                    let entry = row * per_row + row * 7 % per_row;
+                    let expected = m.map_entry(level as u32, entry, &dram);
+                    assert_eq!(
+                        stream.lookup(level, row),
+                        expected,
+                        "level {level} row {row}"
+                    );
+                }
+            }
+            // The arithmetic the table is filled with, past the table too.
             let entries = (0..TABLE_ENTRIES)
                 .step_by(997)
                 .chain([0, 1, per_row - 1, per_row, 6 * per_row + 3])
                 .chain([TABLE_ENTRIES - 1, TABLE_ENTRIES, 2 * TABLE_ENTRIES + 77]);
             for entry in entries {
-                let (row_idx, col_idx) = (entry / per_row, entry % per_row);
-                for (level, &slot) in stream.levels.iter().enumerate() {
+                for (level, &slot) in slots.iter().enumerate() {
+                    let [subarray, row] = slot.address(m.scheme(), &dram, entry / per_row);
+                    let bank = m.bank_of_level(level as u32);
                     assert_eq!(
-                        stream.address(slot, row_idx, col_idx),
+                        PhysAddr {
+                            bank,
+                            subarray,
+                            row
+                        },
                         m.map_entry(level as u32, entry, &dram),
                         "{:?} level {level} entry {entry}",
                         m.scheme()
@@ -811,12 +801,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn paper_geometry_maps_table_rows_injectively() {
-        // Fig. 9's subarray sweep × scheme × entry width. `map_entry`
-        // decides which layouts fold two table rows onto one DRAM row; the
-        // stream accepts exactly the others. The one that folds is the no-spread ablation at 8 B
-        // entries and 64 subarrays: 4 096 rows per level, 2 048 per subarray.
+    /// Fig. 9's subarray sweep × scheme × entry width.
+    fn fig9_geometries() -> Vec<(HashTableMapping, DramConfig)> {
         let mut geometries = Vec::new();
         for scheme in SCHEMES {
             for entry_bytes in [4, 8] {
@@ -828,6 +814,23 @@ mod tests {
                 }
             }
         }
+        geometries
+    }
+
+    /// The one Fig. 9 geometry that folds two table rows onto one DRAM
+    /// row: the no-spread ablation at 8 B entries and 64 subarrays (4 096
+    /// rows per level, 2 048 per subarray).
+    fn folds(m: &HashTableMapping, dram: &DramConfig) -> bool {
+        m.scheme() == MappingScheme::ClusteredNoSpread
+            && m.layout().entry_bytes() == 8
+            && dram.subarrays_per_bank == 64
+    }
+
+    #[test]
+    fn paper_geometry_maps_table_rows_injectively() {
+        // `map_entry` decides which layouts fold two table rows onto one
+        // DRAM row; the stream accepts exactly the others.
+        let geometries = fig9_geometries();
         assert_eq!(geometries.len(), 42);
         for (m, dram) in geometries {
             let per_row = m.layout().entries_per_row();
@@ -842,9 +845,7 @@ mod tests {
             let table_rows = rows.len();
             rows.sort_unstable();
             rows.dedup();
-            let folds = m.scheme() == MappingScheme::ClusteredNoSpread
-                && m.layout().entry_bytes() == 8
-                && dram.subarrays_per_bank == 64;
+            let folds = folds(&m, &dram);
             let what = format!(
                 "{:?}, {} B entries, {} subarrays",
                 m.scheme(),
@@ -986,6 +987,101 @@ mod tests {
         }
     }
 
+    /// Three batches of random cubes on random levels whose corners draw
+    /// on eight table rows shared by every level and batch: rows repeat
+    /// within a cube, across cubes and levels, and across batches, and
+    /// cube ids repeat often enough to hit the register cache.
+    fn repeating_row_batches(seed: u64, per_row: u32) -> Vec<Vec<CubeLookup>> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut below = |n: u32| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (((s >> 32) * n as u64) >> 32) as u32
+        };
+        let last_row = TABLE_ENTRIES / per_row - 1;
+        let start = below(last_row - 2);
+        let pool = [
+            0,
+            1,
+            last_row,
+            start,
+            start + 1,
+            start + 2,
+            below(last_row + 1),
+            below(last_row + 1),
+        ];
+        (0..3)
+            .map(|_| {
+                (0..96)
+                    .map(|_| {
+                        let rows: Vec<u32> =
+                            (0..1 + below(4)).map(|_| pool[below(8) as usize]).collect();
+                        CubeLookup {
+                            level: below(16),
+                            entries: std::array::from_fn(|_| {
+                                let row = rows[below(rows.len() as u32) as usize];
+                                row * per_row + below(per_row)
+                            }),
+                            cube_id: below(3) as u64,
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Holds the stream, whose `r0` holds table rows, to
+    /// `reference_requests`, whose `r0` holds `map_entry`'s DRAM rows, on
+    /// `streams` seeded cube streams through every Fig. 9 geometry, with
+    /// and without write-back. The geometry that folds must be refused.
+    fn check_table_rows_filter_like_dram_rows(streams: u64) {
+        for (m, dram) in fig9_geometries() {
+            let what = format!(
+                "{:?}, {} B entries, {} subarrays",
+                m.scheme(),
+                m.layout().entry_bytes(),
+                dram.subarrays_per_bank
+            );
+            if folds(&m, &dram) {
+                let built = std::panic::catch_unwind(|| RequestStream::new(&m, &dram, false));
+                assert!(built.is_err(), "{what}: a folding layout was accepted");
+                continue;
+            }
+            for write_back in [false, true] {
+                // `end_batch` resets the per-batch state, so one stream
+                // serves every seed.
+                let mut stream = RequestStream::new(&m, &dram, write_back);
+                for seed in 0..streams {
+                    let batches = repeating_row_batches(seed, m.layout().entries_per_row());
+                    let mut out = Vec::new();
+                    for batch in &batches {
+                        for cube in batch {
+                            stream.push_cube(cube, |r| out.push(r));
+                        }
+                        stream.end_batch(|r| out.push(r));
+                    }
+                    assert_eq!(
+                        out,
+                        reference_requests(&m, &dram, &batches, write_back),
+                        "{what}, write_back={write_back}, seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_rows_filter_like_dram_rows() {
+        check_table_rows_filter_like_dram_rows(4);
+    }
+
+    #[test]
+    #[ignore = "many streams: run in release"]
+    fn table_rows_filter_like_dram_rows_many_streams() {
+        check_table_rows_filter_like_dram_rows(1_000);
+    }
+
     #[test]
     fn cubes_beyond_the_mapped_levels_are_counted() {
         // A 17-level grid on the 16-level paper mapping: the deepest
@@ -1045,28 +1141,6 @@ mod tests {
                 // entries, so each has one at or past the table's end.
                 assert_eq!(run(&outside), (Vec::new(), outside.len() as u64), "{what}");
             }
-        }
-    }
-
-    #[test]
-    fn divisor_edge_cases() {
-        for d in [1, 2, 3, 6, 255, 256, 257, 4096, u32::MAX - 1, u32::MAX] {
-            let div = Divisor::new(d);
-            for n in [0, 1, d - 1, d, d.saturating_add(1), u32::MAX - 1, u32::MAX] {
-                assert_eq!(div.div_rem(n), (n / d, n % d), "{n} / {d}");
-            }
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn divisor_matches_hardware_division(d in 1u32..=u32::MAX, n in 0u32..=u32::MAX) {
-            let div = Divisor::new(d);
-            prop_assert_eq!(div.div_rem(n), (n / d, n % d));
-            // Small divisors against large dividends: the request
-            // generator's shape.
-            let small = Divisor::new(d % 4097 + 1);
-            prop_assert_eq!(small.div_rem(n), (n / small.d, n % small.d));
         }
     }
 }

@@ -2,7 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// A decoded physical address in the die: bank / subarray / row / column.
+/// A decoded physical address in the die: bank / subarray / row. Requests
+/// are row-granular, so no column is kept.
 ///
 /// The mapping from application addresses (hash-table level + entry) to
 /// `PhysAddr` lives in the accelerator crate, because the paper's mapping
@@ -15,6 +16,4 @@ pub struct PhysAddr {
     pub subarray: u32,
     /// Row index within the subarray.
     pub row: u32,
-    /// Byte column within the row.
-    pub col: u32,
 }

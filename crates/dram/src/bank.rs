@@ -168,13 +168,13 @@ pub struct ServedRequest {
 }
 
 /// Rank-level ACT bookkeeping (tRRD spacing and the four-activate window):
-/// the last four ACT cycles in a ring, oldest at `head`. No heap, so a
-/// copy is the co-simulation fork and `Default` is idle.
+/// the last four ACT cycles oldest-first, and how many of them are real
+/// (saturating at four). No heap, so a copy is the co-simulation fork and
+/// `Default` is idle.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RankActTracker {
     window: [u64; 4],
     len: u8,
-    head: u8,
 }
 
 impl RankActTracker {
@@ -186,25 +186,18 @@ impl RankActTracker {
     /// Earliest cycle a new ACT may issue.
     pub fn earliest(&self) -> u64 {
         let timing = &DramConfig::TIMING;
-        if self.len == 0 {
-            return 0;
+        match self.len {
+            0 => 0,
+            4 => (self.window[3] + timing.rrd).max(self.window[0] + timing.faw),
+            _ => self.window[3] + timing.rrd,
         }
-        let last = self.window[(self.head + self.len - 1) as usize % 4];
-        let mut t = last + timing.rrd;
-        if self.len == 4 {
-            t = t.max(self.window[self.head as usize] + timing.faw);
-        }
-        t
     }
 
-    /// Records an issued ACT, dropping the oldest of a full window.
+    /// Records an issued ACT, dropping the oldest.
     pub fn record(&mut self, cycle: u64) {
-        self.window[(self.head + self.len) as usize % 4] = cycle;
-        if self.len == 4 {
-            self.head = (self.head + 1) % 4;
-        } else {
-            self.len += 1;
-        }
+        let [_, a, b, c] = self.window;
+        self.window = [a, b, c, cycle];
+        self.len = (self.len + 1).min(4);
     }
 }
 
@@ -333,8 +326,8 @@ mod tests {
         assert!(tr.earliest() >= t.faw);
     }
 
-    /// The tracker as a `Vec` window with `remove(0)`: the oracle the ring
-    /// replaces.
+    /// The tracker as a `Vec` window with `remove(0)`: the oracle the
+    /// fixed window is held to.
     #[derive(Default)]
     struct VecTracker {
         last_act: Option<u64>,

@@ -104,19 +104,17 @@ impl DramConfig {
     /// # Panics
     ///
     /// Panics if any component exceeds the configured organization.
-    pub fn address(&self, bank: u32, subarray: u32, row: u32, col: u32) -> PhysAddr {
+    pub fn address(&self, bank: u32, subarray: u32, row: u32) -> PhysAddr {
         assert!(bank < Self::BANKS, "bank {bank} out of range");
         assert!(
             subarray < self.subarrays_per_bank,
             "subarray {subarray} out of range"
         );
         assert!(row < self.rows_per_subarray, "row {row} out of range");
-        assert!(col < Self::ROW_BYTES, "column {col} out of range");
         PhysAddr {
             bank,
             subarray,
             row,
-            col,
         }
     }
 
@@ -160,16 +158,15 @@ mod tests {
     #[test]
     fn address_validation() {
         let c = DramConfig::paper(4);
-        let a = c.address(15, 3, 100, 1023);
-        assert_eq!(a.bank, 15);
-        assert_eq!(a.col, 1023);
+        let a = c.address(15, 3, 100);
+        assert_eq!((a.bank, a.subarray, a.row), (15, 3, 100));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_address_panics() {
         let c = DramConfig::paper(4);
-        let _ = c.address(16, 0, 0, 0);
+        let _ = c.address(16, 0, 0);
     }
 
     #[test]

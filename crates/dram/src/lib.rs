@@ -18,7 +18,7 @@
 //!
 //! let config = DramConfig::paper(8); // 8 subarrays per bank
 //! let mut sim = DramSim::new(config);
-//! let addr = config.address(0, 0, 42, 0); // bank, subarray, row, col
+//! let addr = config.address(0, 0, 42); // bank, subarray, row
 //! let stats = sim.run(&[Request::new(addr, AccessKind::Read)]);
 //! assert_eq!(stats.row_misses, 1); // first touch always opens the row
 //! ```

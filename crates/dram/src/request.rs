@@ -53,7 +53,6 @@ mod tests {
             bank: 1,
             subarray: 2,
             row: 3,
-            col: 4,
         };
         assert_eq!(Request::new(a, AccessKind::Read).arrival, 0);
         assert_eq!(Request::at(a, AccessKind::Write, 99).arrival, 99);

@@ -39,8 +39,8 @@ pub struct DramSim {
     rank_acts: RankActTracker,
     log: Vec<CommandRecord>,
     keep_log: bool,
-    /// Running statistics since the last drain.
-    stats: SimStats,
+    /// Request outcomes since the last drain.
+    counts: OutcomeCounts,
     /// Latest data-burst completion cycle since the last drain.
     makespan: u64,
     /// Arrival clock for streamed requests (advanced by [`DramSim::tick`]).
@@ -60,7 +60,7 @@ impl DramSim {
             config,
             log: Vec::new(),
             keep_log: false,
-            stats: SimStats::default(),
+            counts: OutcomeCounts::default(),
             makespan: 0,
             now: 0,
         }
@@ -104,7 +104,7 @@ impl DramSim {
         self.subarrays.fill(SubarrayState::IDLE);
         self.col_ready.fill(0);
         self.rank_acts = RankActTracker::new();
-        self.stats = SimStats::default();
+        self.counts = OutcomeCounts::default();
         self.makespan = 0;
         self.now = 0;
     }
@@ -129,7 +129,7 @@ impl DramSim {
         self.subarrays.copy_from_slice(&other.subarrays);
         self.col_ready.copy_from_slice(&other.col_ready);
         self.rank_acts = other.rank_acts;
-        self.stats.clone_from(&other.stats);
+        self.counts = other.counts;
         self.makespan = other.makespan;
         self.now = other.now;
     }
@@ -156,8 +156,6 @@ impl DramSim {
             a.subarray < self.config.subarrays_per_bank,
             "address subarray out of range"
         );
-        self.stats.requests += 1;
-        let rank_ok = self.rank_acts.earliest();
         let is_write = req.kind == AccessKind::Write;
         let slot = a.bank as usize * self.config.subarrays_per_bank as usize + a.subarray as usize;
         let served = self.subarrays[slot].serve(
@@ -165,31 +163,36 @@ impl DramSim {
             a.row,
             is_write,
             req.arrival.max(self.now),
-            rank_ok,
+            self.rank_acts.earliest(),
         );
-        match served.outcome {
-            RowOutcome::Hit => self.stats.row_hits += 1,
-            RowOutcome::Miss => self.stats.row_misses += 1,
-            // A conflict that did not stall behaves like a miss whose
-            // precharge was hidden in idle time; Fig. 9 counts stalls.
-            RowOutcome::Conflict if served.stalled => self.stats.bank_conflicts += 1,
-            RowOutcome::Conflict => self.stats.row_misses += 1,
-        }
-        if let Some(t) = served.pre_at {
-            self.stats.pres += 1;
-            self.record(t, CommandKind::Pre, a.bank, a.subarray, 0);
-        }
+        let c = &mut self.counts;
+        *match served.outcome {
+            RowOutcome::Hit => &mut c.hits,
+            RowOutcome::Miss => &mut c.idle_misses,
+            RowOutcome::Conflict if served.stalled => &mut c.stalled_conflicts,
+            RowOutcome::Conflict => &mut c.unstalled_conflicts,
+        } += 1;
+        c.writes += u64::from(is_write);
         if let Some(t) = served.act_at {
-            self.stats.acts += 1;
             self.rank_acts.record(t);
-            self.record(t, CommandKind::Act, a.bank, a.subarray, a.row);
         }
-        if is_write {
-            self.stats.writes += 1;
-            self.record(served.col_at, CommandKind::Write, a.bank, a.subarray, a.row);
-        } else {
-            self.stats.reads += 1;
-            self.record(served.col_at, CommandKind::Read, a.bank, a.subarray, a.row);
+        if self.keep_log {
+            let record = |cycle, kind, row| CommandRecord {
+                cycle,
+                kind,
+                bank: a.bank,
+                subarray: a.subarray,
+                row,
+            };
+            let col = if is_write {
+                CommandKind::Write
+            } else {
+                CommandKind::Read
+            };
+            let log = &mut self.log;
+            log.extend(served.pre_at.map(|t| record(t, CommandKind::Pre, 0)));
+            log.extend(served.act_at.map(|t| record(t, CommandKind::Act, a.row)));
+            log.push(record(served.col_at, col, a.row));
         }
         self.makespan = self.makespan.max(served.data_done);
     }
@@ -199,8 +202,22 @@ impl DramSim {
     /// command log is preserved). The simulator is immediately ready for
     /// the next stream — e.g. the next training iteration.
     pub fn drain_stats(&mut self) -> SimStats {
-        let mut stats = std::mem::take(&mut self.stats);
-        stats.total_cycles = self.makespan;
+        let c = std::mem::take(&mut self.counts);
+        let requests = c.hits + c.idle_misses + c.unstalled_conflicts + c.stalled_conflicts;
+        let mut stats = SimStats {
+            requests,
+            row_hits: c.hits,
+            // A conflict that did not stall behaves like a miss whose
+            // precharge was hidden in idle time; Fig. 9 counts stalls.
+            row_misses: c.idle_misses + c.unstalled_conflicts,
+            bank_conflicts: c.stalled_conflicts,
+            total_cycles: self.makespan,
+            acts: requests - c.hits,
+            pres: c.unstalled_conflicts + c.stalled_conflicts,
+            reads: requests - c.writes,
+            writes: c.writes,
+            energy_pj: 0.0,
+        };
         stats.energy_pj =
             EnergyModel::LPDDR4.total_pj(&stats, DramConfig::BANKS, DramConfig::cycle_seconds());
         self.reset_timing();
@@ -221,18 +238,17 @@ impl DramSim {
         }
         self.drain_stats()
     }
+}
 
-    fn record(&mut self, cycle: u64, kind: CommandKind, bank: u32, subarray: u32, row: u32) {
-        if self.keep_log {
-            self.log.push(CommandRecord {
-                cycle,
-                kind,
-                bank,
-                subarray,
-                row,
-            });
-        }
-    }
+/// Per-drain request counts: each request's row-buffer outcome, once, and
+/// the writes. [`DramSim::drain_stats`] derives the rest of [`SimStats`].
+#[derive(Debug, Clone, Copy, Default)]
+struct OutcomeCounts {
+    hits: u64,
+    idle_misses: u64,
+    unstalled_conflicts: u64,
+    stalled_conflicts: u64,
+    writes: u64,
 }
 
 #[cfg(test)]
@@ -243,7 +259,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn req(cfg: &DramConfig, bank: u32, sa: u32, row: u32) -> Request {
-        Request::new(cfg.address(bank, sa, row, 0), AccessKind::Read)
+        Request::new(cfg.address(bank, sa, row), AccessKind::Read)
     }
 
     #[test]
@@ -327,7 +343,6 @@ mod tests {
                         rng.gen_range(0..DramConfig::BANKS),
                         rng.gen_range(0..cfg.subarrays_per_bank),
                         rng.gen_range(0..32),
-                        0,
                     ),
                     kind,
                 )
@@ -358,7 +373,6 @@ mod tests {
                         rng.gen_range(0..DramConfig::BANKS),
                         rng.gen_range(0..cfg.subarrays_per_bank),
                         rng.gen_range(0..32),
-                        0,
                     ),
                     kind,
                 )
@@ -461,7 +475,7 @@ mod tests {
                     let sa = rng.gen_range(0..cfg.subarrays_per_bank);
                     let bank = rng.gen_range(0..8);
                     let row = rng.gen_range(0..8);
-                    Request::new(cfg.address(bank, sa, row, 0), kind)
+                    Request::new(cfg.address(bank, sa, row), kind)
                 })
                 .collect();
             let serve = |sim: &mut DramSim, reqs: &[Request]| {
@@ -485,6 +499,83 @@ mod tests {
             ]
         });
         assert_eq!(fingerprints, golden.map(|(_, expected)| expected));
+    }
+
+    #[test]
+    fn command_log_agrees_with_the_derived_statistics() {
+        // `drain_stats` derives ACT / PRE / RD counts and the energy from
+        // four outcome counters; the log records every command as issued.
+        // Random mixed streams with ticks, drained twice, and a fork that
+        // serves the second half beside its source.
+        let count = |log: &[CommandRecord], kind| log.iter().filter(|c| c.kind == kind).count();
+        let check = |stats: &SimStats, log: &[CommandRecord], what: &str| {
+            let counted = SimStats {
+                acts: count(log, CommandKind::Act) as u64,
+                pres: count(log, CommandKind::Pre) as u64,
+                reads: count(log, CommandKind::Read) as u64,
+                writes: count(log, CommandKind::Write) as u64,
+                total_cycles: stats.total_cycles,
+                ..SimStats::default()
+            };
+            let fields = |s: &SimStats| (s.acts, s.pres, s.reads, s.writes);
+            assert_eq!(fields(stats), fields(&counted), "{what}");
+            let energy = EnergyModel::LPDDR4.total_pj(
+                &counted,
+                DramConfig::BANKS,
+                DramConfig::cycle_seconds(),
+            );
+            assert_eq!(energy.to_bits(), stats.energy_pj.to_bits(), "{what}");
+        };
+        for seed in 0..32u64 {
+            let cfg = DramConfig::paper(1 << (seed % 5));
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Each request with the ticks that follow it.
+            let stream: Vec<(Request, u64)> = (0..240)
+                .map(|_| {
+                    let kind = if rng.gen_bool(0.3) {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    let addr = cfg.address(
+                        rng.gen_range(0..DramConfig::BANKS),
+                        rng.gen_range(0..cfg.subarrays_per_bank),
+                        rng.gen_range(0..12),
+                    );
+                    let tick = if rng.gen_bool(0.25) {
+                        rng.gen_range(1..12)
+                    } else {
+                        0
+                    };
+                    (Request::new(addr, kind), tick)
+                })
+                .collect();
+            let serve = |sim: &mut DramSim, part: &[(Request, u64)]| {
+                for (r, tick) in part {
+                    sim.push_request(r);
+                    sim.tick(*tick);
+                }
+            };
+            let (first, rest) = stream.split_at(80);
+            let (prefix, suffix) = rest.split_at(rng.gen_range(0..rest.len()));
+            let mut source = DramSim::new(cfg).with_command_log();
+            serve(&mut source, first);
+            check(&source.drain_stats(), source.command_log(), "first drain");
+            let drained = source.command_log().len();
+            serve(&mut source, prefix);
+            let forked = source.command_log().len();
+            let mut fork = DramSim::new(cfg).with_command_log();
+            fork.copy_state_from(&source);
+            serve(&mut source, suffix);
+            serve(&mut fork, suffix);
+            let stats = source.drain_stats();
+            let log = source.command_log();
+            check(&stats, &log[drained..], "source");
+            // The fork's statistics cover the prefix it copied, its log
+            // only the suffix.
+            let history = [&log[drained..forked], fork.command_log()].concat();
+            check(&fork.drain_stats(), &history, "fork");
+        }
     }
 
     #[test]
@@ -587,7 +678,6 @@ mod tests {
                             rng.gen_range(0..DramConfig::BANKS),
                             rng.gen_range(0..cfg.subarrays_per_bank),
                             rng.gen_range(0..64),
-                            0,
                         ),
                         kind,
                     )

@@ -30,10 +30,8 @@ pub const ENTRIES_PER_ROW: u32 = ROW_BYTES / ENTRY_BYTES;
 pub struct EntryLayout {
     /// Bytes per table entry (all `F` features of one vertex).
     entry_bytes: u32,
-    /// Cached `ROW_BYTES / entry_bytes`: [`EntryLayout::row_of_entry`]
-    /// sits in the per-entry request-generation hot path, where the old
-    /// code divided by a compile-time constant.
-    entries_per_row: u32,
+    /// `log2(ROW_BYTES / entry_bytes)`: an entry's row is one shift.
+    row_shift: u32,
 }
 
 impl Default for EntryLayout {
@@ -48,15 +46,15 @@ impl EntryLayout {
     ///
     /// # Panics
     ///
-    /// Panics if `entry_bytes` is zero or exceeds the row size.
+    /// Panics unless `entry_bytes` is a power of two no wider than a row.
     pub fn new(entry_bytes: u32) -> Self {
         assert!(
-            entry_bytes > 0 && entry_bytes <= ROW_BYTES,
-            "entry width must be in 1..={ROW_BYTES} bytes"
+            entry_bytes.is_power_of_two() && entry_bytes <= ROW_BYTES,
+            "entry width must be a power of two in 1..={ROW_BYTES} bytes"
         );
         EntryLayout {
             entry_bytes,
-            entries_per_row: ROW_BYTES / entry_bytes,
+            row_shift: (ROW_BYTES / entry_bytes).trailing_zeros(),
         }
     }
 
@@ -69,28 +67,34 @@ impl EntryLayout {
     /// Entries per DRAM row at this width.
     #[inline]
     pub const fn entries_per_row(self) -> u32 {
-        self.entries_per_row
+        1 << self.row_shift
     }
 
     /// The DRAM row holding a given table entry.
     #[inline]
     pub const fn row_of_entry(self, entry: u32) -> u32 {
-        entry / self.entries_per_row
+        entry >> self.row_shift
+    }
+
+    /// The row of each of `cube`'s eight vertices, and a mask of its
+    /// distinct rows: bit `c` is set iff no earlier vertex shares `c`'s row.
+    #[inline]
+    pub fn cube_rows(self, cube: &CubeLookup) -> ([u32; 8], u8) {
+        let rows = cube.entries.map(|e| self.row_of_entry(e));
+        let mut first = 0u8;
+        for c in 0..8 {
+            let seen = rows[..c]
+                .iter()
+                .fold(false, |seen, &r| seen | (r == rows[c]));
+            first |= u8::from(!seen) << c;
+        }
+        (rows, first)
     }
 
     /// Number of distinct DRAM rows the eight vertices of `cube` occupy —
     /// the row requests needed to gather one cube with no reuse.
     pub fn cube_row_requests(self, cube: &CubeLookup) -> u32 {
-        let mut rows = [u32::MAX; 8];
-        let mut n = 0usize;
-        for &e in &cube.entries {
-            let r = self.row_of_entry(e);
-            if !rows[..n].contains(&r) {
-                rows[n] = r;
-                n += 1;
-            }
-        }
-        n as u32
+        self.cube_rows(cube).1.count_ones()
     }
 
     /// Embedding payload bytes a cube's eight vertices carry at this

@@ -35,7 +35,6 @@ proptest! {
         prop_assert!(addr.bank < DramConfig::BANKS);
         prop_assert!(addr.subarray < dram.subarrays_per_bank);
         prop_assert!(addr.row < dram.rows_per_subarray);
-        prop_assert!(addr.col < DramConfig::ROW_BYTES);
     }
 
     /// The request stream never exceeds the un-filtered bound of eight rows
