@@ -126,6 +126,11 @@ impl HashTableMapping {
         self.banks_used as usize
     }
 
+    /// Subarrays per bank the intra-level spread assumes.
+    pub fn subarrays(&self) -> u32 {
+        self.subarrays
+    }
+
     /// Maps one table entry to its physical address.
     ///
     /// Levels sharing a bank partition its subarrays (each co-resident level
@@ -159,7 +164,7 @@ impl HashTableMapping {
         PhysAddr {
             bank,
             subarray: subarray % dram.subarrays_per_bank,
-            row: row % dram.rows_per_subarray,
+            row: row % dram.rows_per_subarray(),
         }
     }
 }
@@ -208,7 +213,7 @@ impl LevelSlot {
         };
         [
             subarray % dram.subarrays_per_bank,
-            row % dram.rows_per_subarray,
+            row % dram.rows_per_subarray(),
         ]
     }
 }
@@ -314,7 +319,7 @@ impl RequestStream {
     /// One bank at a time, with a bitmap over that bank's rows (16 KB at
     /// the paper's 128 K rows per bank).
     fn assert_rows_injective(&self) {
-        let per_subarray = self.dram.rows_per_subarray as usize;
+        let per_subarray = self.dram.rows_per_subarray() as usize;
         let bank_rows = self.dram.subarrays_per_bank as usize * per_subarray;
         let mut taken = vec![0u64; bank_rows.div_ceil(64)];
         let mut banks = self.mapping.assignment.clone();

@@ -19,17 +19,16 @@ use inerf_trainer::{ModelConfig, Precision};
 /// (computation runs in FP32/INT32 either way); only the weight-tile
 /// reload traffic scales with the storage width.
 pub fn bank_compute_cycles_at(
-    accel: &AccelConfig,
     model: &ModelConfig,
     step: Step,
     points: u64,
     precision: Precision,
 ) -> u64 {
     let ops = step_ops_at(model, step, precision);
-    let int_cycles = (ops.int_ops * points).div_ceil(accel.int_pes as u64);
-    let fp_cycles = (ops.fp_ops * points).div_ceil(2 * accel.fp_pes as u64);
+    let int_cycles = (ops.int_ops * points).div_ceil(AccelConfig::INT_PES as u64);
+    let fp_cycles = (ops.fp_ops * points).div_ceil(2 * AccelConfig::FP_PES as u64);
     let compute = int_cycles.max(fp_cycles);
-    compute + weight_reload_cycles(accel, model, step, precision)
+    compute + weight_reload_cycles(model, step, precision)
 }
 
 /// Extra cycles spent re-streaming MLP weight tiles that exceed the
@@ -41,27 +40,17 @@ pub fn bank_compute_cycles_at(
 /// traffic is accounted in the DRAM model), so the cost does not depend on
 /// the point count. The load streams at the 128-bit (16 B/cycle) internal
 /// width.
-fn weight_reload_cycles(
-    accel: &AccelConfig,
-    model: &ModelConfig,
-    step: Step,
-    precision: Precision,
-) -> u64 {
+fn weight_reload_cycles(model: &ModelConfig, step: Step, precision: Precision) -> u64 {
     let weight_bytes = match step {
         Step::MlpD | Step::MlpDB | Step::MlpC | Step::MlpCB => {
             mlp_param_bytes_at(model, precision) / 2
         }
         Step::Ht | Step::HtB => return 0,
     };
-    if weight_bytes <= accel.scratchpad_bytes as u64 {
+    if weight_bytes <= AccelConfig::SCRATCHPAD_BYTES as u64 {
         return 0;
     }
     weight_bytes.div_ceil(16)
-}
-
-/// Seconds for `cycles` accelerator cycles.
-pub fn cycles_to_seconds(accel: &AccelConfig, cycles: u64) -> f64 {
-    cycles as f64 * accel.cycle_seconds()
 }
 
 #[cfg(test)]
@@ -71,18 +60,15 @@ mod tests {
 
     const FP16: Precision = Precision::Fp16;
 
-    fn setup() -> (AccelConfig, ModelConfig) {
-        (
-            AccelConfig::paper(),
-            ModelConfig::paper(HashFunction::Morton),
-        )
+    fn setup() -> ModelConfig {
+        ModelConfig::paper(HashFunction::Morton)
     }
 
     #[test]
     fn compute_scales_linearly_with_points() {
-        let (a, m) = setup();
-        let one = bank_compute_cycles_at(&a, &m, Step::Ht, 1000, FP16);
-        let two = bank_compute_cycles_at(&a, &m, Step::Ht, 2000, FP16);
+        let m = setup();
+        let one = bank_compute_cycles_at(&m, Step::Ht, 1000, FP16);
+        let two = bank_compute_cycles_at(&m, Step::Ht, 2000, FP16);
         let ratio = two as f64 / one as f64;
         assert!((ratio - 2.0).abs() < 0.05, "ratio {ratio}");
     }
@@ -96,32 +82,33 @@ mod tests {
         // 8 960 (Morton) and 1 280 (Original). The FP side runs
         // 16 × (8·2·2 + 8·3) = 896 FLOPs a point, 896 × 512 / (2 × 256) =
         // 896 cycles, so both hashes are INT-bound and HT reloads no weights.
-        let a = AccelConfig::paper();
         for (hash, want) in [
             (HashFunction::Morton, 8_960),
             (HashFunction::Original, 1_280),
         ] {
             let m = ModelConfig::paper(hash);
-            assert_eq!(bank_compute_cycles_at(&a, &m, Step::Ht, 512, FP16), want);
+            assert_eq!(bank_compute_cycles_at(&m, Step::Ht, 512, FP16), want);
         }
     }
 
     #[test]
     fn ht_is_int_bound_mlp_is_fp_bound() {
-        let (a, m) = setup();
+        let m = setup();
         // HT with the Morton hash runs many INT ops per point; MLPs none.
         let ht = step_ops_at(&m, Step::Ht, FP16);
-        assert!(ht.int_ops * 2 * a.fp_pes as u64 > ht.fp_ops * a.int_pes as u64);
+        assert!(
+            ht.int_ops * 2 * AccelConfig::FP_PES as u64 > ht.fp_ops * AccelConfig::INT_PES as u64
+        );
         let mlp = step_ops_at(&m, Step::MlpD, FP16);
         assert_eq!(mlp.int_ops, 0);
     }
 
     #[test]
     fn mlp_pays_weight_reload() {
-        let (a, m) = setup();
+        let m = setup();
         let mlp_ops = step_ops_at(&m, Step::MlpD, FP16);
-        let raw = (mlp_ops.fp_ops * 1000).div_ceil(2 * a.fp_pes as u64);
-        let with_reload = bank_compute_cycles_at(&a, &m, Step::MlpD, 1000, FP16);
+        let raw = (mlp_ops.fp_ops * 1000).div_ceil(2 * AccelConfig::FP_PES as u64);
+        let with_reload = bank_compute_cycles_at(&m, Step::MlpD, 1000, FP16);
         assert!(
             with_reload > raw,
             "weights (~14 KB) exceed the 2 KB scratchpad"
@@ -130,19 +117,17 @@ mod tests {
 
     #[test]
     fn tiny_mlp_fits_scratchpad() {
-        let a = AccelConfig::paper();
         let m = ModelConfig::tiny();
         // Tiny config weights are small enough to fit in 2 KB.
-        if mlp_param_bytes_at(&m, FP16) / 2 <= a.scratchpad_bytes as u64 {
+        if mlp_param_bytes_at(&m, FP16) / 2 <= AccelConfig::SCRATCHPAD_BYTES as u64 {
             let ops = step_ops_at(&m, Step::MlpD, FP16);
-            let raw = (ops.fp_ops * 500).div_ceil(2 * a.fp_pes as u64);
-            assert_eq!(bank_compute_cycles_at(&a, &m, Step::MlpD, 500, FP16), raw);
+            let raw = (ops.fp_ops * 500).div_ceil(2 * AccelConfig::FP_PES as u64);
+            assert_eq!(bank_compute_cycles_at(&m, Step::MlpD, 500, FP16), raw);
         }
     }
 
     #[test]
     fn seconds_conversion() {
-        let a = AccelConfig::paper();
-        assert!((cycles_to_seconds(&a, 200_000_000) - 1.0).abs() < 1e-9);
+        assert!((200_000_000.0 * AccelConfig::cycle_seconds() - 1.0).abs() < 1e-9);
     }
 }

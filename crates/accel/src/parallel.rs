@@ -9,6 +9,7 @@
 //! (the 0.014 MB weights are duplicated; the 16 MB activations are split).
 
 use crate::config::AccelConfig;
+use inerf_dram::DramConfig;
 use inerf_trainer::workload::{mlp_combined_sizes_at, step_sizes_at, Step};
 use inerf_trainer::{ModelConfig, Precision};
 use serde::{Deserialize, Serialize};
@@ -89,14 +90,15 @@ impl MovementBreakdown {
     }
 
     /// Seconds to move this traffic over the inter-bank interconnect.
-    pub fn seconds(&self, accel: &AccelConfig) -> f64 {
-        self.total() as f64 / accel.interbank_bw_bytes_per_s
+    pub fn seconds(&self) -> f64 {
+        self.total() as f64 / AccelConfig::INTERBANK_BW_BYTES_PER_S
     }
 }
 
 /// The per-iteration inter-bank traffic of `plan` for a batch of `points`
-/// sampled points on `banks` banks, with parameters and activations stored
-/// at `precision` (f32 storage doubles the bytes crossing the shared I/O).
+/// sampled points on the die's [`DramConfig::BANKS`] banks, with parameters
+/// and activations stored at `precision` (f32 storage doubles the bytes
+/// crossing the shared I/O).
 ///
 /// Bytes are counted once per pass over the shared I/O: a duplication is a
 /// broadcast that reaches every bank in one pass, while a gradient
@@ -105,9 +107,9 @@ pub fn bus_bytes_at(
     model: &ModelConfig,
     plan: &ParallelismPlan,
     points: u64,
-    banks: u64,
     precision: Precision,
 ) -> MovementBreakdown {
+    let banks = DramConfig::BANKS as u64;
     let ht = step_sizes_at(model, Step::Ht, points, precision);
     let mlp = mlp_combined_sizes_at(model, points, precision);
     let ht_b = step_sizes_at(model, Step::HtB, points, precision);
@@ -162,14 +164,13 @@ mod tests {
     use inerf_encoding::HashFunction;
 
     const POINTS: u64 = 256 * 1024;
-    const BANKS: u64 = 16;
 
     fn model() -> ModelConfig {
         ModelConfig::paper(HashFunction::Morton)
     }
 
     fn bus(plan: ParallelismPlan, precision: Precision) -> MovementBreakdown {
-        bus_bytes_at(&model(), &plan, POINTS, BANKS, precision)
+        bus_bytes_at(&model(), &plan, POINTS, precision)
     }
 
     #[test]
@@ -186,7 +187,7 @@ mod tests {
         );
         // Category 4 covers only the tiny MLP weights, not the 25 MB table.
         let mlp_params = mlp_combined_sizes_at(&model(), POINTS, Precision::Fp16).param_bytes;
-        assert_eq!(m.cat4_gradients, mlp_params * BANKS);
+        assert_eq!(m.cat4_gradients, mlp_params * DramConfig::BANKS as u64);
     }
 
     #[test]
@@ -234,9 +235,8 @@ mod tests {
 
     #[test]
     fn movement_seconds_positive() {
-        let accel = AccelConfig::paper();
         let m = bus(ParallelismPlan::paper(), Precision::Fp16);
-        assert!(m.seconds(&accel) > 0.0);
+        assert!(m.seconds() > 0.0);
         assert_eq!(
             m.total(),
             m.cat1_duplication + m.cat2_sequential + m.cat4_gradients

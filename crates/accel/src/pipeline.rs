@@ -12,7 +12,7 @@
 
 use crate::config::AccelConfig;
 use crate::mapping::{HashTableMapping, RequestStream};
-use crate::microarch::{bank_compute_cycles_at, cycles_to_seconds};
+use crate::microarch::bank_compute_cycles_at;
 use crate::parallel::{bus_bytes_at, ParallelismPlan};
 use inerf_dram::{DramConfig, DramSim, SimStats};
 use inerf_encoding::trace::CubeLookup;
@@ -78,11 +78,9 @@ pub struct SceneEstimate {
 /// The assembled accelerator model.
 #[derive(Debug, Clone)]
 pub struct PipelineModel {
-    accel: AccelConfig,
     model: ModelConfig,
     mapping: HashTableMapping,
     plan: ParallelismPlan,
-    subarrays: u32,
     /// Storage precision of hash-table entries and activations — sets the
     /// entry width of the DRAM row model and the byte volumes of the MLP
     /// streaming model. The paper's datapath is fp16.
@@ -97,22 +95,20 @@ impl PipelineModel {
     pub fn paper(model: ModelConfig) -> Self {
         let precision = Precision::Fp16;
         PipelineModel {
-            accel: AccelConfig::paper(),
             mapping: HashTableMapping::paper(crate::mapping::MappingScheme::Clustered, 32)
                 .with_entry_bytes(model.grid.entry_bytes(precision)),
             model,
             plan: ParallelismPlan::paper(),
-            subarrays: 32,
             precision,
         }
     }
 
-    /// Replaces the mapping (ablations). The mapping's entry width is
-    /// normalized to this model's storage precision, so scheme ablations
-    /// and [`PipelineModel::with_precision`] compose in either order.
-    pub fn with_mapping(mut self, mapping: HashTableMapping, subarrays: u32) -> Self {
+    /// Replaces the mapping (ablations); the die gets the mapping's
+    /// subarray count. The mapping's entry width is normalized to this
+    /// model's storage precision, so scheme ablations and
+    /// [`PipelineModel::with_precision`] compose in either order.
+    pub fn with_mapping(mut self, mapping: HashTableMapping) -> Self {
         self.mapping = mapping.with_entry_bytes(self.model.grid.entry_bytes(self.precision));
-        self.subarrays = subarrays;
         self
     }
 
@@ -139,18 +135,13 @@ impl PipelineModel {
         self
     }
 
-    /// The accelerator configuration.
-    pub fn accel(&self) -> &AccelConfig {
-        &self.accel
-    }
-
     /// Builds the streaming sink that turns one iteration's cube events
     /// into the two DRAM replays the estimate needs (HT read sweep and
     /// HT_b read + write-back). Stream a batch through it, then call
     /// [`PipelineModel::estimate_streamed`] — constant memory in the
     /// number of points, reusable across iterations.
     pub fn iteration_sink(&self) -> IterationSink {
-        let dram_cfg = DramConfig::paper(self.subarrays);
+        let dram_cfg = DramConfig::paper(self.mapping.subarrays());
         IterationSink {
             stream: RequestStream::new(&self.mapping, &dram_cfg, true),
             ht: DramSim::new(dram_cfg),
@@ -193,36 +184,21 @@ impl PipelineModel {
         assert!(trace_points > 0, "need a non-empty trace sample");
         let scale = batch_points as f64 / trace_points as f64;
         let banks_used = self.mapping.banks_used().max(1) as u64;
+        let cycles =
+            |step, points| bank_compute_cycles_at(&self.model, step, points, self.precision);
+        let cycle_s = AccelConfig::cycle_seconds();
 
         // --- HT forward: the mapped request stream's replay. ---
         let ht_dram = ht_stats.seconds(DramConfig::cycle_seconds()) * scale;
-        let ht_compute = cycles_to_seconds(
-            &self.accel,
-            bank_compute_cycles_at(
-                &self.accel,
-                &self.model,
-                Step::Ht,
-                batch_points,
-                self.precision,
-            ) / banks_used,
-        );
+        let ht_compute = (cycles(Step::Ht, batch_points) / banks_used) as f64 * cycle_s;
 
         // --- HT backward: read-modify-write stream. ---
         let htb_dram = htb_stats.seconds(DramConfig::cycle_seconds()) * scale;
-        let htb_compute = cycles_to_seconds(
-            &self.accel,
-            bank_compute_cycles_at(
-                &self.accel,
-                &self.model,
-                Step::HtB,
-                batch_points,
-                self.precision,
-            ) / banks_used,
-        );
+        let htb_compute = (cycles(Step::HtB, batch_points) / banks_used) as f64 * cycle_s;
 
         // --- MLP steps: data-parallel across all banks; activations stream
         // from the local bank at the 16 B/cycle internal width. ---
-        let banks = self.accel.banks as u64;
+        let banks = DramConfig::BANKS as u64;
         let per_bank_points = batch_points.div_ceil(banks);
         let internal_bw = 16.0 * DramConfig::CLOCK_MHZ as f64 * 1e6; // bytes/s per bank
         let mlp_sizes = mlp_combined_sizes_at(&self.model, batch_points, self.precision);
@@ -237,20 +213,10 @@ impl PipelineModel {
             compute_seconds: ht_compute,
         }];
         for step in [Step::MlpD, Step::MlpC, Step::MlpCB, Step::MlpDB] {
-            let compute = cycles_to_seconds(
-                &self.accel,
-                bank_compute_cycles_at(
-                    &self.accel,
-                    &self.model,
-                    step,
-                    per_bank_points,
-                    self.precision,
-                ),
-            );
             steps.push(StepTime {
                 step,
                 dram_seconds: mlp_dram / 4.0, // split across the four MLP phases
-                compute_seconds: compute,
+                compute_seconds: cycles(step, per_bank_points) as f64 * cycle_s,
             });
         }
         steps.push(StepTime {
@@ -260,8 +226,7 @@ impl PipelineModel {
         });
 
         let bus_seconds =
-            bus_bytes_at(&self.model, &self.plan, batch_points, banks, self.precision)
-                .seconds(&self.accel);
+            bus_bytes_at(&self.model, &self.plan, batch_points, self.precision).seconds();
 
         // Resource occupancies: table banks (HT + HT_b), compute banks (the
         // four MLP phases), shared I/O (all transfers). Stage overlap is
@@ -290,7 +255,7 @@ impl PipelineModel {
     /// Scales an iteration estimate to a full training run (Fig. 11).
     pub fn scene_estimate(&self, iter: &IterationEstimate, iterations: u64) -> SceneEstimate {
         let seconds = iter.pipelined_seconds * iterations as f64;
-        let accel_joules = self.accel.total_power_w() * seconds;
+        let accel_joules = AccelConfig::total_power_w() * seconds;
         let dram_joules = iter.dram_energy_pj * 1e-12 * iterations as f64;
         SceneEstimate {
             training_seconds: seconds,
@@ -482,11 +447,9 @@ mod tests {
         let grid = HashGrid::new(model.grid, 7);
         let points = ray_points(4, 128, 0.45);
         let spread = PipelineModel::paper(model)
-            .with_mapping(HashTableMapping::paper(MappingScheme::Clustered, 8), 8);
-        let no_spread = PipelineModel::paper(model).with_mapping(
-            HashTableMapping::paper(MappingScheme::ClusteredNoSpread, 8),
-            8,
-        );
+            .with_mapping(HashTableMapping::paper(MappingScheme::Clustered, 8));
+        let no_spread = PipelineModel::paper(model)
+            .with_mapping(HashTableMapping::paper(MappingScheme::ClusteredNoSpread, 8));
         let cs = estimate(&spread, &grid, &points, 64 * 1024).ht_bank_conflicts;
         let cn = estimate(&no_spread, &grid, &points, 64 * 1024).ht_bank_conflicts;
         assert!(
@@ -546,6 +509,77 @@ mod tests {
         assert!(paper < all_data, "paper bus {paper} vs all-data {all_data}");
     }
 
+    #[test]
+    fn paper_estimates_match_the_recorded_golden() {
+        // Recorded while the Tab. III values were still `AccelConfig` and
+        // `EnergyModel` fields: a fresh `PipelineModel::paper` iteration
+        // sink fed one batch per hash (Morton: the 4-ray paper sample;
+        // Original: 512 seeded uniform points), scaled to 256 K points.
+        // Per hash, the bits of each step's `dram_seconds` and
+        // `compute_seconds`, then `bus_seconds`, `pipelined_seconds`,
+        // `serial_seconds`, `dram_energy_pj`, `ht_bank_conflicts`, and the
+        // 35 000-iteration scene's seconds and joules.
+        #[rustfmt::skip]
+        let golden: [(HashFunction, [u64; 19]); 2] = [
+            (HashFunction::Morton, [
+                0x3f59471584e9250f, 0x3f677cf44765195f, 0x3f123b32a2b1370c, 0x3f50271f53ad5132,
+                0x3f123b32a2b1370c, 0x3f5e94cb53a5ef69, 0x3f123b32a2b1370c, 0x3f6e8ed13ea17b65,
+                0x3f123b32a2b1370c, 0x3f6021253ea8dd2f, 0x3f6be7f657431639, 0x3f677cf44765195f,
+                0x3f7f94e9eace22f1, 0x3f81837af43cfe39, 0x3f97139548a70dcb, 0x41e6afd500000000,
+                0x41277c0000000000, 0x4072b4dfa43fe5ca, 0x40a7245be8bec5cf,
+            ]),
+            (HashFunction::Original, [
+                0x3fa0483e4ee1d712, 0x3f3ad7f29abcaf48, 0x3f123b32a2b1370c, 0x3f50271f53ad5132,
+                0x3f123b32a2b1370c, 0x3f5e94cb53a5ef69, 0x3f123b32a2b1370c, 0x3f6e8ed13ea17b65,
+                0x3f123b32a2b1370c, 0x3f6021253ea8dd2f, 0x3fa818330afd9855, 0x3f3ad7f29abcaf48,
+                0x3f7f94e9eace22f1, 0x3fb43038acefb7b4, 0x3fb859f6aa2439a9, 0x42268c37d0000000,
+                0x4168ee0000000000, 0x40a5904189374bc7, 0x40db5f23d41a9ee8,
+            ]),
+        ];
+        let mut s = 7u64.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut unit = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 40) as f32 / (1u64 << 24) as f32
+        };
+        let seeded: Vec<Vec3> = (0..512)
+            .map(|_| Vec3::new(unit(), unit(), unit()))
+            .collect();
+        for ((hash, want), points) in golden.into_iter().zip([ray_points(4, 128, 0.45), seeded]) {
+            let model = ModelConfig::paper(hash);
+            let pm = PipelineModel::paper(model);
+            let est = estimate(&pm, &HashGrid::new(model.grid, 7), &points, 256 * 1024);
+            let scene = pm.scene_estimate(&est, 35_000);
+            let steps = est
+                .steps
+                .iter()
+                .flat_map(|s| [s.dram_seconds, s.compute_seconds]);
+            let got: Vec<u64> = steps
+                .chain([
+                    est.bus_seconds,
+                    est.pipelined_seconds,
+                    est.serial_seconds,
+                    est.dram_energy_pj,
+                    est.ht_bank_conflicts,
+                    scene.training_seconds,
+                    scene.training_joules,
+                ])
+                .map(f64::to_bits)
+                .collect();
+            assert_eq!(got, want, "{hash:?}");
+        }
+        let accel = [
+            AccelConfig::total_power_w(),
+            AccelConfig::total_area_mm2(),
+            AccelConfig::cycle_seconds(),
+        ];
+        assert_eq!(
+            accel.map(f64::to_bits),
+            [0x402314e3bcd35a85, 0x404ccccccccccccd, 0x3e35798ee2308c3a]
+        );
+    }
+
     /// What [`IterationSink`] must equal for any event sequence: two
     /// independent request sinks, write-back off (HT) and on (HT_b), each
     /// with its own stream and simulator.
@@ -590,7 +624,7 @@ mod tests {
                 let grid = HashGrid::new(model.grid, seed);
                 let mapping = HashTableMapping::paper(scheme, subarrays);
                 let pm = PipelineModel::paper(model)
-                    .with_mapping(mapping.clone(), subarrays)
+                    .with_mapping(mapping.clone())
                     .with_precision(precision);
                 let mapping = mapping.with_entry_bytes(model.grid.entry_bytes(precision));
                 let dram = DramConfig::paper(subarrays);

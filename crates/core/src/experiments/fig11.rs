@@ -139,7 +139,7 @@ mod tests {
     fn energy_gains_exceed_speedups_on_xnx() {
         // P_xnx (20 W) > P_accel (~9.5 W + DRAM), so energy gains beat
         // speedups — the structure behind Fig. 11(b) > Fig. 11(a).
-        let pe_watts = inerf_accel::AccelConfig::paper().total_power_w();
+        let pe_watts = inerf_accel::AccelConfig::total_power_w();
         for r in rows() {
             // DRAM energy is positive, so the total exceeds PE power × time.
             assert!(

@@ -101,21 +101,27 @@ pub fn tab2() -> String {
 
 /// Renders Tab. III plus the Sec. V-C area/power results.
 pub fn tab3() -> String {
-    let a = AccelConfig::paper();
     let t = DramConfig::TIMING;
     let mut out = String::from("Tab. III: Instant-NeRF accelerator parameters\n");
     let rows = vec![
         vec!["technology".into(), "28 nm".into()],
-        vec!["frequency".into(), format!("{} MHz", a.frequency_mhz)],
+        vec![
+            "frequency".into(),
+            format!("{} MHz", AccelConfig::FREQUENCY_MHZ),
+        ],
         vec![
             "scratchpad".into(),
-            format!("{} KB", a.scratchpad_bytes / 1024),
+            format!("{} KB", AccelConfig::SCRATCHPAD_BYTES / 1024),
         ],
         vec![
             "compute".into(),
-            format!("{}x INT32 + {}x FP32 PEs", a.int_pes, a.fp_pes),
+            format!(
+                "{}x INT32 + {}x FP32 PEs",
+                AccelConfig::INT_PES,
+                AccelConfig::FP_PES
+            ),
         ],
-        vec!["banks".into(), format!("{}", a.banks)],
+        vec!["banks".into(), format!("{}", DramConfig::BANKS)],
         vec!["DRAM".into(), "LPDDR4-2400, 16 GB, 1 KB rows".into()],
         vec![
             "timing".into(),
@@ -129,16 +135,16 @@ pub fn tab3() -> String {
             "area".into(),
             format!(
                 "{:.1} mm²/bank ({:.1} mm² total)",
-                a.area_mm2_per_bank,
-                a.total_area_mm2()
+                AccelConfig::AREA_MM2_PER_BANK,
+                AccelConfig::total_area_mm2()
             ),
         ],
         vec![
             "power".into(),
             format!(
                 "{:.1} mW/bank ({:.2} W total)",
-                a.power_mw_per_bank,
-                a.total_power_w()
+                AccelConfig::POWER_MW_PER_BANK,
+                AccelConfig::total_power_w()
             ),
         ],
     ];

@@ -38,18 +38,18 @@ pub struct Timing {
 /// so no request crosses the external channel.
 ///
 /// Only the subarray count varies (the Fig. 9 sweep); everything else is
-/// an associated constant.
+/// an associated constant or follows from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DramConfig {
     /// Subarrays per bank (the Fig. 9 sweep parameter: 1–64).
     pub subarrays_per_bank: u32,
-    /// Rows per subarray.
-    pub rows_per_subarray: u32,
 }
 
 impl DramConfig {
     /// Banks of the die (LPDDR4: 16 physical banks, one rank).
     pub const BANKS: u32 = 16;
+    /// Per-bank capacity in bytes (128 MB).
+    pub const BANK_BYTES: u64 = 128 * 1024 * 1024;
     /// Row-buffer (page) size in bytes.
     pub const ROW_BYTES: u32 = 1024;
     /// Command-clock frequency in MHz (LPDDR4-2400: 1200 MHz clock).
@@ -78,7 +78,7 @@ impl DramConfig {
         wa: 7,
     };
 
-    /// The die with `subarrays` per bank and 128 MB per bank.
+    /// The die with `subarrays` per bank.
     ///
     /// # Panics
     ///
@@ -90,13 +90,13 @@ impl DramConfig {
         );
         DramConfig {
             subarrays_per_bank: subarrays,
-            rows_per_subarray: (128 * 1024) / subarrays, // 128 MB / 1 KB rows
         }
     }
 
-    /// Per-bank capacity in bytes.
-    pub const fn bank_bytes(&self) -> u64 {
-        self.subarrays_per_bank as u64 * self.rows_per_subarray as u64 * Self::ROW_BYTES as u64
+    /// Rows per subarray: the bank's 1 KB rows split evenly over its
+    /// subarrays.
+    pub const fn rows_per_subarray(&self) -> u32 {
+        (Self::BANK_BYTES / Self::ROW_BYTES as u64) as u32 / self.subarrays_per_bank
     }
 
     /// Builds a physical address from components.
@@ -110,7 +110,7 @@ impl DramConfig {
             subarray < self.subarrays_per_bank,
             "subarray {subarray} out of range"
         );
-        assert!(row < self.rows_per_subarray, "row {row} out of range");
+        assert!(row < self.rows_per_subarray(), "row {row} out of range");
         PhysAddr {
             bank,
             subarray,
@@ -141,11 +141,8 @@ mod tests {
     fn bank_capacity_independent_of_subarrays() {
         for s in [1u32, 2, 4, 8, 16, 32, 64] {
             let c = DramConfig::paper(s);
-            assert_eq!(
-                c.bank_bytes(),
-                128 * 1024 * 1024,
-                "128 MB per bank at {s} subarrays"
-            );
+            let bytes = s as u64 * c.rows_per_subarray() as u64 * DramConfig::ROW_BYTES as u64;
+            assert_eq!(bytes, 128 * 1024 * 1024, "128 MB per bank at {s} subarrays");
         }
     }
 

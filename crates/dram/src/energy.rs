@@ -6,45 +6,37 @@
 //! between the GPU baseline and the NMP design is — so representative
 //! constants suffice; see DESIGN.md.
 
+use crate::config::DramConfig;
 use crate::stats::SimStats;
-use serde::{Deserialize, Serialize};
 
-/// Energy cost per command type, in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EnergyModel {
-    /// One ACT (row open into local row buffer).
-    pub act_pj: f64,
-    /// One PRE.
-    pub pre_pj: f64,
-    /// One read burst (32 B at the bank).
-    pub read_pj: f64,
-    /// One write burst.
-    pub write_pj: f64,
-    /// Background power per bank in milliwatts (standby + refresh share).
-    pub background_mw_per_bank: f64,
-}
+/// Energy cost per command type, in picojoules, and the background power
+/// that every bank of the die draws.
+#[derive(Debug, Clone, Copy)]
+pub struct EnergyModel;
 
 impl EnergyModel {
-    /// Representative LPDDR4 energies.
-    pub const LPDDR4: Self = EnergyModel {
-        act_pj: 900.0,
-        pre_pj: 350.0,
-        read_pj: 150.0,
-        write_pj: 160.0,
-        background_mw_per_bank: 1.5,
-    };
+    /// One ACT (row open into local row buffer).
+    pub const ACT_PJ: f64 = 900.0;
+    /// One PRE.
+    pub const PRE_PJ: f64 = 350.0;
+    /// One read burst (32 B at the bank).
+    pub const READ_PJ: f64 = 150.0;
+    /// One write burst.
+    pub const WRITE_PJ: f64 = 160.0;
+    /// Background power per bank in milliwatts (standby + refresh share).
+    pub const BACKGROUND_MW_PER_BANK: f64 = 1.5;
 
-    /// Total energy of a finished simulation, in picojoules.
-    ///
-    /// `banks` and `cycle_seconds` provide the background term.
-    pub fn total_pj(&self, stats: &SimStats, banks: u32, cycle_seconds: f64) -> f64 {
-        let dynamic = stats.acts as f64 * self.act_pj
-            + stats.pres as f64 * self.pre_pj
-            + stats.reads as f64 * self.read_pj
-            + stats.writes as f64 * self.write_pj;
-        let seconds = stats.total_cycles as f64 * cycle_seconds;
+    /// Total energy of a finished simulation, in picojoules: the commands'
+    /// dynamic energy plus the background draw of the die's
+    /// [`DramConfig::BANKS`] banks over the run's cycles.
+    pub fn total_pj(stats: &SimStats) -> f64 {
+        let dynamic = stats.acts as f64 * Self::ACT_PJ
+            + stats.pres as f64 * Self::PRE_PJ
+            + stats.reads as f64 * Self::READ_PJ
+            + stats.writes as f64 * Self::WRITE_PJ;
+        let seconds = stats.total_cycles as f64 * DramConfig::cycle_seconds();
         // mW * s = mJ = 1e9 pJ.
-        let background = self.background_mw_per_bank * banks as f64 * seconds * 1e9;
+        let background = Self::BACKGROUND_MW_PER_BANK * DramConfig::BANKS as f64 * seconds * 1e9;
         dynamic + background
     }
 }
@@ -55,7 +47,6 @@ mod tests {
 
     #[test]
     fn dynamic_energy_scales_with_commands() {
-        let e = EnergyModel::LPDDR4;
         let s1 = SimStats {
             acts: 10,
             pres: 10,
@@ -68,20 +59,23 @@ mod tests {
             reads: 200,
             ..Default::default()
         };
-        let e1 = e.total_pj(&s1, 1, 0.0);
-        let e2 = e.total_pj(&s2, 1, 0.0);
+        let e1 = EnergyModel::total_pj(&s1);
+        let e2 = EnergyModel::total_pj(&s2);
         assert!((e2 - 2.0 * e1).abs() < 1e-6);
     }
 
     #[test]
     fn background_scales_with_time_and_banks() {
-        let e = EnergyModel::LPDDR4;
-        let s = SimStats {
-            total_cycles: 1_000_000,
-            ..Default::default()
+        // 1.2 M cycles are 1 ms at 1200 MHz: 1.5 mW on each of 16 banks
+        // draws 24 µJ.
+        let at = |total_cycles| {
+            EnergyModel::total_pj(&SimStats {
+                total_cycles,
+                ..Default::default()
+            })
         };
-        let one = e.total_pj(&s, 1, 1e-9);
-        let many = e.total_pj(&s, 128, 1e-9);
-        assert!((many / one - 128.0).abs() < 1e-9);
+        let per_bank_pj = EnergyModel::BACKGROUND_MW_PER_BANK * 1e-3 * 1e12 * 1e-3;
+        assert!((at(1_200_000) / (DramConfig::BANKS as f64 * per_bank_pj) - 1.0).abs() < 1e-9);
+        assert!((at(2_400_000) / at(1_200_000) - 2.0).abs() < 1e-9);
     }
 }

@@ -19,27 +19,12 @@ pub struct Request {
     pub addr: PhysAddr,
     /// Read or write.
     pub kind: AccessKind,
-    /// Earliest cycle the request may issue (0 = immediately).
-    pub arrival: u64,
 }
 
 impl Request {
-    /// Creates a request that may issue immediately.
+    /// Creates a request.
     pub fn new(addr: PhysAddr, kind: AccessKind) -> Self {
-        Request {
-            addr,
-            kind,
-            arrival: 0,
-        }
-    }
-
-    /// Creates a request arriving at `cycle`.
-    pub fn at(addr: PhysAddr, kind: AccessKind, cycle: u64) -> Self {
-        Request {
-            addr,
-            kind,
-            arrival: cycle,
-        }
+        Request { addr, kind }
     }
 }
 
@@ -54,7 +39,9 @@ mod tests {
             subarray: 2,
             row: 3,
         };
-        assert_eq!(Request::new(a, AccessKind::Read).arrival, 0);
-        assert_eq!(Request::at(a, AccessKind::Write, 99).arrival, 99);
+        let r = Request::new(a, AccessKind::Write);
+        assert_eq!((r.addr, r.kind), (a, AccessKind::Write));
+        // Address and kind only: the streaming clock times a request.
+        assert_eq!(std::mem::size_of::<Request>(), 16);
     }
 }

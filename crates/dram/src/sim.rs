@@ -85,7 +85,7 @@ impl DramSim {
     }
 
     /// Advances the arrival clock: requests subsequently pushed via
-    /// [`DramSim::push_request`] arrive no earlier than the clock. Models a
+    /// [`DramSim::push_request`] arrive at the clock. Models a
     /// request source with a known issue cadence (e.g. the 32-point-parallel
     /// front end's tFAW-limited ~3-cycle spacing).
     pub fn tick(&mut self, cycles: u64) {
@@ -143,8 +143,7 @@ impl DramSim {
     }
 
     /// Serves one request online, folding it into the running statistics.
-    /// The effective arrival is the later of the request's own arrival and
-    /// the streaming clock (see [`DramSim::tick`]).
+    /// The request arrives at the streaming clock (see [`DramSim::tick`]).
     ///
     /// # Panics
     ///
@@ -162,7 +161,7 @@ impl DramSim {
             &mut self.col_ready[a.bank as usize],
             a.row,
             is_write,
-            req.arrival.max(self.now),
+            self.now,
             self.rank_acts.earliest(),
         );
         let c = &mut self.counts;
@@ -218,8 +217,7 @@ impl DramSim {
             writes: c.writes,
             energy_pj: 0.0,
         };
-        stats.energy_pj =
-            EnergyModel::LPDDR4.total_pj(&stats, DramConfig::BANKS, DramConfig::cycle_seconds());
+        stats.energy_pj = EnergyModel::total_pj(&stats);
         self.reset_timing();
         stats
     }
@@ -519,11 +517,7 @@ mod tests {
             };
             let fields = |s: &SimStats| (s.acts, s.pres, s.reads, s.writes);
             assert_eq!(fields(stats), fields(&counted), "{what}");
-            let energy = EnergyModel::LPDDR4.total_pj(
-                &counted,
-                DramConfig::BANKS,
-                DramConfig::cycle_seconds(),
-            );
+            let energy = EnergyModel::total_pj(&counted);
             assert_eq!(energy.to_bits(), stats.energy_pj.to_bits(), "{what}");
         };
         for seed in 0..32u64 {
@@ -583,27 +577,6 @@ mod tests {
     fn copying_state_across_configurations_panics() {
         let mut a = DramSim::new(DramConfig::paper(4));
         a.copy_state_from(&DramSim::new(DramConfig::paper(8)));
-    }
-
-    #[test]
-    fn tick_cadence_matches_explicit_arrivals() {
-        let cfg = DramConfig::paper(2);
-        // Explicit arrivals at a 3-cycle cadence...
-        let explicit: Vec<Request> = (0..40)
-            .map(|i| {
-                let mut r = req(&cfg, (i % 4) as u32, 0, (i % 8) as u32);
-                r.arrival = 3 * i as u64;
-                r
-            })
-            .collect();
-        let reference = DramSim::new(cfg).run(&explicit);
-        // ...must equal ticking the streaming clock between pushes.
-        let mut sim = DramSim::new(cfg);
-        for i in 0..40 {
-            sim.push_request(&req(&cfg, (i % 4) as u32, 0, (i % 8) as u32));
-            sim.tick(3);
-        }
-        assert_eq!(reference, sim.drain_stats());
     }
 
     #[test]

@@ -107,26 +107,18 @@ impl EntryLayout {
 }
 
 /// Streaming accumulator of the mean-row-requests-per-cube statistic
-/// (the paper's 1.58-vs-4.02 number), fed by the trace bus.
+/// (the paper's 1.58-vs-4.02 number) at the paper's 4 B entries, fed by
+/// the trace bus.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MeanRequestSink {
-    layout: EntryLayout,
     cubes: u64,
     total_requests: u64,
 }
 
 impl MeanRequestSink {
-    /// Creates an empty accumulator at the default entry width.
+    /// Creates an empty accumulator.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty accumulator counting rows at `layout`'s width.
-    pub fn with_layout(layout: EntryLayout) -> Self {
-        MeanRequestSink {
-            layout,
-            ..Self::default()
-        }
     }
 
     /// Mean row requests per cube seen so far (0.0 before any cube).
@@ -142,7 +134,7 @@ impl MeanRequestSink {
 impl TraceSink for MeanRequestSink {
     fn push_cube(&mut self, cube: &CubeLookup) {
         self.cubes += 1;
-        self.total_requests += self.layout.cube_row_requests(cube) as u64;
+        self.total_requests += EntryLayout::default().cube_row_requests(cube) as u64;
     }
 }
 
@@ -190,25 +182,19 @@ impl StreamStats {
 /// maintains per-level hit and row-request statistics. If a point's cube
 /// at some level equals the previous point's cube at that level, its eight
 /// embeddings are already in registers and no DRAM request is issued;
-/// otherwise the cube's distinct rows are fetched (row-buffer granularity).
+/// otherwise the cube's distinct rows are fetched (row-buffer granularity,
+/// at the paper's 4 B entries).
 #[derive(Debug, Clone)]
 pub struct RegisterCacheSink {
-    layout: EntryLayout,
     stats: Vec<LevelStreamStats>,
     last_id: Vec<Option<u64>>,
 }
 
 impl RegisterCacheSink {
-    /// Creates a sink covering `levels` hash-table levels at the default
-    /// entry width (cubes at higher levels are ignored).
+    /// Creates a sink covering `levels` hash-table levels (cubes at higher
+    /// levels are ignored).
     pub fn new(levels: u32) -> Self {
-        Self::with_layout(levels, EntryLayout::default())
-    }
-
-    /// [`RegisterCacheSink::new`] counting rows at `layout`'s entry width.
-    pub fn with_layout(levels: u32, layout: EntryLayout) -> Self {
         RegisterCacheSink {
-            layout,
             stats: (0..levels)
                 .map(|level| LevelStreamStats {
                     level,
@@ -240,7 +226,7 @@ impl TraceSink for RegisterCacheSink {
         if self.last_id[li] == Some(cube.cube_id) {
             s.register_hits += 1;
         } else {
-            s.row_requests += self.layout.cube_row_requests(cube) as u64;
+            s.row_requests += EntryLayout::default().cube_row_requests(cube) as u64;
             self.last_id[li] = Some(cube.cube_id);
         }
     }
@@ -325,22 +311,6 @@ mod tests {
     #[should_panic(expected = "entry width")]
     fn zero_entry_width_rejected() {
         EntryLayout::new(0);
-    }
-
-    #[test]
-    fn layout_sinks_match_default_helpers() {
-        // `new` is `with_layout` at the default entry width, on both sinks.
-        let grid = HashGrid::new(HashGridConfig::paper(HashFunction::Morton), 5);
-        let levels = grid.config().levels;
-        let layout = EntryLayout::new(ENTRY_BYTES);
-        let mut def = (MeanRequestSink::new(), RegisterCacheSink::new(levels));
-        let mut lay = (
-            MeanRequestSink::with_layout(layout),
-            RegisterCacheSink::with_layout(levels, layout),
-        );
-        grid.stream_batch(&random_points(64, 3), &mut (&mut def, &mut lay));
-        assert_eq!(def.0.mean(), lay.0.mean());
-        assert_eq!(def.1.stats(), lay.1.stats());
     }
 
     #[test]

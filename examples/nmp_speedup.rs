@@ -31,14 +31,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     // The paper design point and its three mapping / parallelism
     // ablations, all fed by one pass over the scene's access stream.
     let pipeline = PipelineModel::paper(model);
-    let no_spread = PipelineModel::paper(model).with_mapping(
-        HashTableMapping::paper(MappingScheme::ClusteredNoSpread, 32),
+    let no_spread = PipelineModel::paper(model).with_mapping(HashTableMapping::paper(
+        MappingScheme::ClusteredNoSpread,
         32,
-    );
-    let one_level = PipelineModel::paper(model).with_mapping(
-        HashTableMapping::paper(MappingScheme::OneLevelPerBank, 32),
-        32,
-    );
+    ));
+    let one_level = PipelineModel::paper(model)
+        .with_mapping(HashTableMapping::paper(MappingScheme::OneLevelPerBank, 32));
     let all_data = PipelineModel::paper(model).with_plan(ParallelismPlan::all_data());
     let mut sinks = (
         (pipeline.iteration_sink(), no_spread.iteration_sink()),

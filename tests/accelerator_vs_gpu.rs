@@ -83,10 +83,10 @@ fn every_codesign_element_contributes() {
     let no_morton = estimate(&PipelineModel::paper(model_org), model_org).pipelined_seconds;
 
     // (2) Drop subarray spreading.
-    let no_spread = PipelineModel::paper(model).with_mapping(
-        HashTableMapping::paper(MappingScheme::ClusteredNoSpread, 32),
+    let no_spread = PipelineModel::paper(model).with_mapping(HashTableMapping::paper(
+        MappingScheme::ClusteredNoSpread,
         32,
-    );
+    ));
     let no_spread = estimate(&no_spread, model).pipelined_seconds;
 
     // (3) Homogeneous parallelism plans.

@@ -34,7 +34,7 @@ proptest! {
         let addr = mapping.map_entry(level, entry, &dram);
         prop_assert!(addr.bank < DramConfig::BANKS);
         prop_assert!(addr.subarray < dram.subarrays_per_bank);
-        prop_assert!(addr.row < dram.rows_per_subarray);
+        prop_assert!(addr.row < dram.rows_per_subarray());
     }
 
     /// The request stream never exceeds the un-filtered bound of eight rows
