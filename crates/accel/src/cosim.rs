@@ -64,8 +64,8 @@ impl CosimStats {
 ///
 /// Stream order of operations per iteration: the trainer pushes every
 /// sample point's cubes (`push_cube`/`end_point`), then signals
-/// `end_batch`; the sink forks the HT simulator off the shared read sweep,
-/// flushes the HT_b write-back drain, drains both incremental simulators,
+/// `end_batch`; the sink reads HT's statistics off the one replay of the
+/// read sweep, streams the HT_b write-back drain into it, drains it,
 /// computes the iteration estimate and accumulates it. Bank state and
 /// request-generation registers are reset in place — the run's memory
 /// footprint stays constant regardless of length.
@@ -217,9 +217,9 @@ mod tests {
     fn state_stays_constant_across_iterations() {
         // The constant-memory claim: after a warm-up iteration sizes the
         // buffers, further identical iterations must not grow the state —
-        // the request stream and its touched-row filter, and the two
-        // simulators the fork copies between, all counted by
-        // `state_bytes` — and must repeat the first estimate exactly.
+        // the request stream and its touched-row filter, and the
+        // simulator, all counted by `state_bytes` — and must repeat the
+        // first estimate exactly.
         let model_cfg = ModelConfig::paper(HashFunction::Morton);
         let grid = HashGrid::new(model_cfg.grid, 3);
         let mut cosim = CosimSink::new(PipelineModel::paper(model_cfg), 4096);

@@ -136,7 +136,7 @@ impl PipelineModel {
     }
 
     /// Builds the streaming sink that turns one iteration's cube events
-    /// into the two DRAM replays the estimate needs (HT read sweep and
+    /// into the DRAM statistics the estimate needs (HT read sweep and
     /// HT_b read + write-back). Stream a batch through it, then call
     /// [`PipelineModel::estimate_streamed`] — constant memory in the
     /// number of points, reusable across iterations.
@@ -144,9 +144,9 @@ impl PipelineModel {
         let dram_cfg = DramConfig::paper(self.mapping.subarrays());
         IterationSink {
             stream: RequestStream::new(&self.mapping, &dram_cfg, true),
-            ht: DramSim::new(dram_cfg),
-            htb: DramSim::new(dram_cfg),
-            forked: false,
+            sim: DramSim::new(dram_cfg),
+            ht: SimStats::default(),
+            htb: SimStats::default(),
             points: 0,
         }
     }
@@ -189,11 +189,11 @@ impl PipelineModel {
         let cycle_s = AccelConfig::cycle_seconds();
 
         // --- HT forward: the mapped request stream's replay. ---
-        let ht_dram = ht_stats.seconds(DramConfig::cycle_seconds()) * scale;
+        let ht_dram = ht_stats.seconds() * scale;
         let ht_compute = (cycles(Step::Ht, batch_points) / banks_used) as f64 * cycle_s;
 
         // --- HT backward: read-modify-write stream. ---
-        let htb_dram = htb_stats.seconds(DramConfig::cycle_seconds()) * scale;
+        let htb_dram = htb_stats.seconds() * scale;
         let htb_compute = (cycles(Step::HtB, batch_points) / banks_used) as f64 * cycle_s;
 
         // --- MLP steps: data-parallel across all banks; activations stream
@@ -265,36 +265,28 @@ impl PipelineModel {
 }
 
 /// The trace-bus sink behind [`PipelineModel::estimate_streamed`]: maps
-/// each cube event to DRAM requests once and replays them through the
-/// incremental [`DramSim`]s of the HT read sweep and the HT_b read +
-/// write-back sweep, counting the streamed points. Memory is constant in
-/// the number of points.
+/// each cube event to DRAM requests once and replays them through one
+/// incremental [`DramSim`], counting the streamed points. Memory is
+/// constant in the number of points.
 ///
-/// The two sweeps read the same rows in the same order — HT_b is HT's
-/// reads followed by the write drain at `end_batch` — and a drain leaves
-/// both simulators reset, so until the first `end_batch` after a drain
-/// their states are equal by construction. The reads therefore drive the
-/// HT_b simulator alone; at that `end_batch` the HT simulator takes a copy
-/// of its state ([`DramSim::copy_state_from`]) before the writes go to
-/// HT_b only. Batches pushed after that and before the next drain fan
-/// their reads out to both simulators, so for any event sequence the
-/// statistics equal those of two independent
-/// [`RequestSink`](crate::mapping::RequestSink)s.
-///
-/// `end_batch` flushes the HT_b write-back drain and resets the per-batch
-/// register state (per the bus protocol), but the simulator statistics
-/// keep accumulating until [`PipelineModel::estimate_streamed`] drains
-/// them — so a multi-batch stream yields one aggregate estimate. For
+/// HT_b reads the same rows in the same order as HT, then writes the
+/// gradients back, so one replay serves both sweeps: at `end_batch` the
+/// sink reads HT's statistics off the simulator ([`DramSim::stats`]),
+/// streams the HT_b write-back drain into it, and drains it for HT_b's.
+/// Every batch is thus replayed from an idle die, and the per-batch
+/// register state is reset (per the bus protocol). The statistics of the
+/// batches ended before [`PipelineModel::estimate_streamed`] drains the
+/// sink are summed ([`SimStats::add`]) into one aggregate estimate; for
 /// *per-iteration* estimates over a training run, use
 /// [`crate::cosim::CosimSink`], which drains at every batch boundary.
 #[derive(Debug, Clone)]
 pub struct IterationSink {
     stream: RequestStream,
-    ht: DramSim,
-    htb: DramSim,
-    /// Whether a write drain since the last statistics drain has set the
-    /// simulators apart; until then `ht` is idle and owed `htb`'s reads.
-    forked: bool,
+    sim: DramSim,
+    /// HT's statistics of the batches ended since the last drain.
+    ht: SimStats,
+    /// HT_b's statistics of the same batches.
+    htb: SimStats,
     points: u64,
 }
 
@@ -311,35 +303,25 @@ impl IterationSink {
     }
 
     /// Approximate heap bytes of the full co-simulation state (request
-    /// generation + both simulators).
+    /// generation + the simulator).
     pub fn state_bytes(&self) -> usize {
-        self.stream.state_bytes() + self.ht.state_bytes() + self.htb.state_bytes()
+        self.stream.state_bytes() + self.sim.state_bytes()
     }
 
-    /// Flushes the write-back drain and returns `(ht, htb, points)` since
-    /// the last drain, resetting the sink for the next iteration.
+    /// Ends the open batch and returns `(ht, htb, points)` since the last
+    /// drain, resetting the sink for the next iteration.
     pub(crate) fn drain(&mut self) -> (SimStats, SimStats, u64) {
         TraceSink::end_batch(self);
-        self.forked = false;
-        let ht = self.ht.drain_stats();
-        let htb = self.htb.drain_stats();
-        let points = self.points;
-        self.points = 0;
-        (ht, htb, points)
+        let ht = std::mem::take(&mut self.ht);
+        let htb = std::mem::take(&mut self.htb);
+        (ht, htb, std::mem::take(&mut self.points))
     }
 }
 
 impl TraceSink for IterationSink {
     fn push_cube(&mut self, cube: &CubeLookup) {
-        let (ht, htb) = (&mut self.ht, &mut self.htb);
-        if self.forked {
-            self.stream.push_cube(cube, |r| {
-                ht.push_request(&r);
-                htb.push_request(&r);
-            });
-        } else {
-            self.stream.push_cube(cube, |r| htb.push_request(&r));
-        }
+        let sim = &mut self.sim;
+        self.stream.push_cube(cube, |r| sim.push_request(&r));
     }
 
     fn end_point(&mut self) {
@@ -347,15 +329,12 @@ impl TraceSink for IterationSink {
     }
 
     fn end_batch(&mut self) {
-        // Flush the write-back drain and reset the register state at the
-        // batch boundary; idempotent, so the drain in estimate_streamed
-        // may follow immediately.
-        if !self.forked {
-            self.ht.copy_state_from(&self.htb);
-            self.forked = true;
-        }
-        let htb = &mut self.htb;
-        self.stream.end_batch(|r| htb.push_request(&r));
+        // A batch with nothing pushed adds all-zero statistics, so the
+        // drain in estimate_streamed may follow immediately.
+        self.ht.add(&self.sim.stats());
+        let sim = &mut self.sim;
+        self.stream.end_batch(|r| sim.push_request(&r));
+        self.htb.add(&self.sim.drain_stats());
     }
 }
 
@@ -582,20 +561,53 @@ mod tests {
 
     /// What [`IterationSink`] must equal for any event sequence: two
     /// independent request sinks, write-back off (HT) and on (HT_b), each
-    /// with its own stream and simulator.
+    /// with its own stream and simulator, drained at every batch end and
+    /// summed per drain. Beside them `whole`, the same pair drained only
+    /// when the sink is: over one batch per drain, both must agree.
     struct SinkPair {
         sinks: (RequestSink<DramSim>, RequestSink<DramSim>),
+        sums: (SimStats, SimStats),
+        whole: (RequestSink<DramSim>, RequestSink<DramSim>),
         points: u64,
     }
 
     impl SinkPair {
-        fn drain(&mut self) -> (SimStats, SimStats, u64) {
+        fn new(mapping: &HashTableMapping, dram: DramConfig) -> Self {
+            let pair = || {
+                (
+                    RequestSink::new(
+                        RequestStream::new(mapping, &dram, false),
+                        DramSim::new(dram),
+                    ),
+                    RequestSink::new(RequestStream::new(mapping, &dram, true), DramSim::new(dram)),
+                )
+            };
+            SinkPair {
+                sinks: pair(),
+                sums: Default::default(),
+                whole: pair(),
+                points: 0,
+            }
+        }
+
+        fn end_batch(&mut self) {
             self.sinks.end_batch();
-            (
-                self.sinks.0.consumer_mut().drain_stats(),
-                self.sinks.1.consumer_mut().drain_stats(),
-                std::mem::take(&mut self.points),
-            )
+            self.sums.0.add(&self.sinks.0.consumer_mut().drain_stats());
+            self.sums.1.add(&self.sinks.1.consumer_mut().drain_stats());
+            self.whole.end_batch();
+        }
+
+        /// The summed drain, and the whole pair's.
+        fn drain(&mut self) -> [(SimStats, SimStats, u64); 2] {
+            self.end_batch();
+            let (ht, htb) = std::mem::take(&mut self.sums);
+            let points = std::mem::take(&mut self.points);
+            let whole = (
+                self.whole.0.consumer_mut().drain_stats(),
+                self.whole.1.consumer_mut().drain_stats(),
+                points,
+            );
+            [(ht, htb, points), whole]
         }
     }
 
@@ -627,21 +639,16 @@ mod tests {
                     .with_mapping(mapping.clone())
                     .with_precision(precision);
                 let mapping = mapping.with_entry_bytes(model.grid.entry_bytes(precision));
-                let dram = DramConfig::paper(subarrays);
                 let mut sink = pm.iteration_sink();
-                let mut pair = SinkPair {
-                    sinks: (
-                        RequestSink::new(RequestStream::new(&mapping, &dram, false), DramSim::new(dram)),
-                        RequestSink::new(RequestStream::new(&mapping, &dram, true), DramSim::new(dram)),
-                    ),
-                    points: 0,
-                };
+                let mut pair = SinkPair::new(&mapping, DramConfig::paper(subarrays));
 
                 // Scripted first — two batches between drains, an empty batch,
                 // a drain with no `end_batch` — then the random tail. Codes
                 // below 80 stream that many points (0 included), 80..90 end
-                // the batch, 90.. drain.
+                // the batch, 90.. drain. `batches` counts the batches with
+                // points since the last drain, the open one included.
                 let script = [7, 85, 12, 85, 95, 85, 95, 9, 95, 85, 85, 5, 95, 95];
+                let (mut batches, mut open) = (0, false);
                 let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
                 let mut unit = || {
                     s ^= s << 13;
@@ -649,27 +656,39 @@ mod tests {
                     s ^= s << 17;
                     (s >> 40) as f32 / (1u64 << 24) as f32
                 };
+                let drain = |sink: &mut IterationSink, pair: &mut SinkPair, batches: u32| {
+                    let [summed, whole] = pair.drain();
+                    let drained = sink.drain();
+                    prop_assert_eq!(&drained, &summed, "case {}", case);
+                    if batches <= 1 {
+                        prop_assert_eq!(&drained, &whole, "case {}", case);
+                    }
+                    Ok(())
+                };
                 for op in script.into_iter().chain(ops.iter().copied()) {
                     match op {
                         0..=79 => {
                             for _ in 0..op {
                                 let p = Vec3::new(unit(), unit(), unit());
                                 grid.stream_point(p, &mut sink);
-                                grid.stream_point(p, &mut pair.sinks);
+                                grid.stream_point(p, &mut (&mut pair.sinks, &mut pair.whole));
                                 pair.points += 1;
                             }
+                            open |= op > 0;
                         }
                         80..=89 => {
                             sink.end_batch();
-                            pair.sinks.end_batch();
+                            pair.end_batch();
+                            batches += u32::from(std::mem::take(&mut open));
                         }
                         _ => {
                             prop_assert_eq!(sink.points(), pair.points);
-                            prop_assert_eq!(sink.drain(), pair.drain());
+                            drain(&mut sink, &mut pair, batches + u32::from(open))?;
+                            (batches, open) = (0, false);
                         }
                     }
                 }
-                prop_assert_eq!(sink.drain(), pair.drain(), "case {}", case);
+                drain(&mut sink, &mut pair, batches + u32::from(open))?;
             }
         }
     }

@@ -169,8 +169,7 @@ pub struct ServedRequest {
 
 /// Rank-level ACT bookkeeping (tRRD spacing and the four-activate window):
 /// the last four ACT cycles oldest-first, and how many of them are real
-/// (saturating at four). No heap, so a copy is the co-simulation fork and
-/// `Default` is idle.
+/// (saturating at four). No heap, and `Default` is idle.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RankActTracker {
     window: [u64; 4],

@@ -20,12 +20,13 @@ use crate::stats::SimStats;
 /// Besides the batch-replay [`DramSim::run`], the simulator exposes an
 /// online frontend for co-simulation: [`DramSim::push_request`] serves one
 /// request and folds it into the running statistics, [`DramSim::tick`]
-/// advances the arrival clock streamed requests inherit, and
-/// [`DramSim::drain_stats`] finalizes the accumulated statistics and
-/// returns the simulator to idle *in place* — bank state is cleared, never
-/// reallocated, so per-iteration co-simulation costs no allocation. `run`
-/// is literally `push_request` over the slice followed by `drain_stats`,
-/// which is what makes the streamed and batch paths bit-identical.
+/// advances the arrival clock streamed requests inherit, [`DramSim::stats`]
+/// reads the accumulated statistics mid-stream, and
+/// [`DramSim::drain_stats`] reads them and returns the simulator to idle
+/// *in place* — bank state is cleared, never reallocated, so
+/// per-iteration co-simulation costs no allocation. `run` is literally
+/// `push_request` over the slice followed by `drain_stats`, which is what
+/// makes the streamed and batch paths bit-identical.
 #[derive(Debug, Clone)]
 pub struct DramSim {
     config: DramConfig,
@@ -74,14 +75,9 @@ impl DramSim {
 
     /// The issued-command log (empty unless [`DramSim::with_command_log`]).
     /// Unlike the timing state, the log survives [`DramSim::drain_stats`]
-    /// (it is a diagnostic artifact); [`DramSim::reset`] clears it.
+    /// (it is a diagnostic artifact).
     pub fn command_log(&self) -> &[CommandRecord] {
         &self.log
-    }
-
-    /// The current arrival clock of the streaming frontend.
-    pub fn now(&self) -> u64 {
-        self.now
     }
 
     /// Advances the arrival clock: requests subsequently pushed via
@@ -90,48 +86,6 @@ impl DramSim {
     /// front end's tFAW-limited ~3-cycle spacing).
     pub fn tick(&mut self, cycles: u64) {
         self.now += cycles;
-    }
-
-    /// Resets all bank/statistics state *in place* (keeps configuration
-    /// and allocations; clears the command log).
-    pub fn reset(&mut self) {
-        self.reset_timing();
-        self.log.clear();
-    }
-
-    /// Clears timing/statistics state but preserves the command log.
-    fn reset_timing(&mut self) {
-        self.subarrays.fill(SubarrayState::IDLE);
-        self.col_ready.fill(0);
-        self.rank_acts = RankActTracker::new();
-        self.counts = OutcomeCounts::default();
-        self.makespan = 0;
-        self.now = 0;
-    }
-
-    /// Overwrites this simulator's timing and statistics state with
-    /// `other`'s, in place and without allocating (bank and rank state is
-    /// copied into the existing vectors): from here on the two simulators
-    /// serve any further request stream identically. This is the fork the
-    /// co-simulation uses to run a request prefix two replays share only
-    /// once. The command log is a per-simulator diagnostic and is left as
-    /// it is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two simulators were built from different
-    /// configurations.
-    pub fn copy_state_from(&mut self, other: &DramSim) {
-        assert!(
-            self.config == other.config,
-            "state can only be copied between identically configured simulators"
-        );
-        self.subarrays.copy_from_slice(&other.subarrays);
-        self.col_ready.copy_from_slice(&other.col_ready);
-        self.rank_acts = other.rank_acts;
-        self.counts = other.counts;
-        self.makespan = other.makespan;
-        self.now = other.now;
     }
 
     /// Approximate heap bytes of the simulator's mutable state — the
@@ -196,12 +150,10 @@ impl DramSim {
         self.makespan = self.makespan.max(served.data_done);
     }
 
-    /// Finalizes and returns the statistics accumulated since the last
-    /// drain, then resets the timing state in place (no reallocation; the
-    /// command log is preserved). The simulator is immediately ready for
-    /// the next stream — e.g. the next training iteration.
-    pub fn drain_stats(&mut self) -> SimStats {
-        let c = std::mem::take(&mut self.counts);
+    /// The statistics accumulated since the last drain. Reading them
+    /// changes nothing: the stream continues as if they were never read.
+    pub fn stats(&self) -> SimStats {
+        let c = &self.counts;
         let requests = c.hits + c.idle_misses + c.unstalled_conflicts + c.stalled_conflicts;
         let mut stats = SimStats {
             requests,
@@ -218,7 +170,21 @@ impl DramSim {
             energy_pj: 0.0,
         };
         stats.energy_pj = EnergyModel::total_pj(&stats);
-        self.reset_timing();
+        stats
+    }
+
+    /// Returns the statistics accumulated since the last drain, then
+    /// resets the timing state in place (no reallocation; the command log
+    /// is preserved). The simulator is immediately ready for the next
+    /// stream — e.g. the next training iteration.
+    pub fn drain_stats(&mut self) -> SimStats {
+        let stats = self.stats();
+        self.subarrays.fill(SubarrayState::IDLE);
+        self.col_ready.fill(0);
+        self.rank_acts = RankActTracker::new();
+        self.counts = OutcomeCounts::default();
+        self.makespan = 0;
+        self.now = 0;
         stats
     }
 
@@ -239,7 +205,7 @@ impl DramSim {
 }
 
 /// Per-drain request counts: each request's row-buffer outcome, once, and
-/// the writes. [`DramSim::drain_stats`] derives the rest of [`SimStats`].
+/// the writes. [`DramSim::stats`] derives the rest of [`SimStats`].
 #[derive(Debug, Clone, Copy, Default)]
 struct OutcomeCounts {
     hits: u64,
@@ -300,7 +266,6 @@ mod tests {
         // 64 requests all to one bank...
         let serial: Vec<Request> = (0..64).map(|i| req(&cfg, 0, 0, i)).collect();
         let t_serial = sim.run(&serial).total_cycles;
-        sim.reset();
         // ...vs spread over 16 banks.
         let parallel: Vec<Request> = (0..64).map(|i| req(&cfg, i % 16, 0, i)).collect();
         let t_parallel = sim.run(&parallel).total_cycles;
@@ -316,7 +281,6 @@ mod tests {
         let mut sim = DramSim::new(cfg);
         let hits: Vec<Request> = (0..32).map(|_| req(&cfg, 0, 0, 1)).collect();
         let e_hits = sim.run(&hits).energy_pj;
-        sim.reset();
         let conflicts: Vec<Request> = (0..32).map(|i| req(&cfg, 0, 0, i % 2)).collect();
         let e_conf = sim.run(&conflicts).energy_pj;
         assert!(
@@ -356,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn copied_state_continues_bitwise_like_the_source() {
+    fn peeking_at_the_statistics_leaves_the_stream_unchanged() {
         let cfg = DramConfig::paper(4);
         let mut rng = SmallRng::seed_from_u64(23);
         let reqs: Vec<Request> = (0..400)
@@ -377,34 +341,21 @@ mod tests {
             })
             .collect();
         let (prefix, suffix) = reqs.split_at(250);
-        let mut source = DramSim::new(cfg);
-        for r in prefix {
-            source.push_request(r);
-        }
-        source.tick(5);
-        // The target starts from unrelated, undrained state: the copy must
-        // overwrite all of it.
-        let mut fork = DramSim::new(cfg);
-        for r in suffix.iter().rev() {
-            fork.push_request(r);
-        }
-        fork.copy_state_from(&source);
-        assert_eq!(fork.now(), source.now());
-        for r in suffix {
-            source.push_request(r);
-            fork.push_request(r);
-        }
-        let mut straight = DramSim::new(cfg);
-        for r in prefix {
-            straight.push_request(r);
-        }
-        straight.tick(5);
-        for r in suffix {
-            straight.push_request(r);
-        }
-        let expected = straight.drain_stats();
-        assert_eq!(source.drain_stats(), expected);
-        assert_eq!(fork.drain_stats(), expected);
+        let serve = |sim: &mut DramSim, peek: bool| {
+            for r in prefix {
+                sim.push_request(r);
+            }
+            if peek {
+                assert_eq!(sim.stats(), DramSim::new(cfg).run(prefix));
+            }
+            sim.tick(5);
+            for r in suffix {
+                sim.push_request(r);
+            }
+            sim.drain_stats()
+        };
+        let peeked = serve(&mut DramSim::new(cfg), true);
+        assert_eq!(peeked, serve(&mut DramSim::new(cfg), false));
     }
 
     /// Every `SimStats` field (energy as bits), then the command log's
@@ -441,11 +392,11 @@ mod tests {
     fn seeded_streams_match_the_recorded_golden() {
         // Recorded on the die before its fixed parameters became constants
         // (then the one-channel, tCCD-2, 2-cycle-burst configuration of the
-        // eight-channel model): a mixed read/write stream on eight banks, a
-        // tick every fourth request, and a fork after the first half that
-        // serves the second half beside its source. Per subarray count, the
-        // source's fingerprint, then the fork's (the same statistics, and
-        // the log of the second half only).
+        // eight-channel model): a mixed read/write stream on eight banks and
+        // a tick every fourth request. Per subarray count, the stream's
+        // fingerprint, then the same statistics with the log of the second
+        // half only (first recorded from a copy of the simulator's state
+        // that served the second half beside it).
         #[rustfmt::skip]
         let golden: [(DramConfig, [[u64; 12]; 2]); 3] = [
             (DramConfig::paper(1), [
@@ -485,26 +436,23 @@ mod tests {
                 }
             };
             let (prefix, suffix) = reqs.split_at(reqs.len() / 2);
-            let mut source = DramSim::new(cfg).with_command_log();
-            serve(&mut source, prefix);
-            let mut fork = DramSim::new(cfg).with_command_log();
-            fork.copy_state_from(&source);
-            serve(&mut source, suffix);
-            serve(&mut fork, suffix);
-            [
-                fingerprint(&source.drain_stats(), source.command_log()),
-                fingerprint(&fork.drain_stats(), fork.command_log()),
-            ]
+            let mut sim = DramSim::new(cfg).with_command_log();
+            serve(&mut sim, prefix);
+            let half = sim.command_log().len();
+            serve(&mut sim, suffix);
+            let stats = sim.drain_stats();
+            let log = sim.command_log();
+            [fingerprint(&stats, log), fingerprint(&stats, &log[half..])]
         });
         assert_eq!(fingerprints, golden.map(|(_, expected)| expected));
     }
 
     #[test]
     fn command_log_agrees_with_the_derived_statistics() {
-        // `drain_stats` derives ACT / PRE / RD counts and the energy from
-        // four outcome counters; the log records every command as issued.
-        // Random mixed streams with ticks, drained twice, and a fork that
-        // serves the second half beside its source.
+        // `stats` derives ACT / PRE / RD counts and the energy from four
+        // outcome counters; the log records every command as issued.
+        // Random mixed streams with ticks, read mid-stream and drained
+        // twice.
         let count = |log: &[CommandRecord], kind| log.iter().filter(|c| c.kind == kind).count();
         let check = |stats: &SimStats, log: &[CommandRecord], what: &str| {
             let counted = SimStats {
@@ -557,26 +505,14 @@ mod tests {
             check(&source.drain_stats(), source.command_log(), "first drain");
             let drained = source.command_log().len();
             serve(&mut source, prefix);
-            let forked = source.command_log().len();
-            let mut fork = DramSim::new(cfg).with_command_log();
-            fork.copy_state_from(&source);
+            check(&source.stats(), &source.command_log()[drained..], "peek");
             serve(&mut source, suffix);
-            serve(&mut fork, suffix);
-            let stats = source.drain_stats();
-            let log = source.command_log();
-            check(&stats, &log[drained..], "source");
-            // The fork's statistics cover the prefix it copied, its log
-            // only the suffix.
-            let history = [&log[drained..forked], fork.command_log()].concat();
-            check(&fork.drain_stats(), &history, "fork");
+            check(
+                &source.drain_stats(),
+                &source.command_log()[drained..],
+                "second drain",
+            );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "identically configured")]
-    fn copying_state_across_configurations_panics() {
-        let mut a = DramSim::new(DramConfig::paper(4));
-        a.copy_state_from(&DramSim::new(DramConfig::paper(8)));
     }
 
     #[test]

@@ -256,11 +256,6 @@ pub fn scene(kind: SceneKind) -> Scene {
     Scene::new(kind.name(), bounds(), prims)
 }
 
-/// Builds all eight scenes in table order.
-pub fn all_scenes() -> Vec<Scene> {
-    SceneKind::ALL.iter().map(|k| scene(*k)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,7 +263,7 @@ mod tests {
 
     #[test]
     fn all_eight_scenes_build() {
-        let scenes = all_scenes();
+        let scenes = SceneKind::ALL.map(scene);
         assert_eq!(scenes.len(), 8);
         let names: Vec<&str> = scenes.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
@@ -288,7 +283,7 @@ mod tests {
 
     #[test]
     fn scenes_have_mass_inside_bounds() {
-        for s in all_scenes() {
+        for s in SceneKind::ALL.map(scene) {
             // Probe a coarse lattice: some density must exist inside bounds.
             let mut total = 0.0f64;
             let n = 12;
@@ -317,7 +312,7 @@ mod tests {
     fn scenes_differ_from_each_other() {
         // Any two scenes must disagree at some probe point — guards against
         // accidentally wiring two kinds to the same geometry.
-        let scenes = all_scenes();
+        let scenes = SceneKind::ALL.map(scene);
         let probes: Vec<Vec3> = (0..64)
             .map(|i| {
                 Vec3::new(

@@ -47,16 +47,6 @@ pub fn put_column<T, const N: usize>(
     }
 }
 
-/// Appends a length-prefixed `u16` slice.
-pub fn put_u16_slice(out: &mut Vec<u8>, xs: &[u16]) {
-    put_column(out, xs.iter().copied(), u16::to_le_bytes);
-}
-
-/// Appends a length-prefixed `u32` slice.
-pub fn put_u32_slice(out: &mut Vec<u8>, xs: &[u32]) {
-    put_column(out, xs.iter().copied(), u32::to_le_bytes);
-}
-
 /// Appends a length-prefixed `u64` slice.
 pub fn put_u64_slice(out: &mut Vec<u8>, xs: &[u64]) {
     put_column(out, xs.iter().copied(), u64::to_le_bytes);
@@ -197,8 +187,8 @@ mod tests {
         put_u64(&mut buf, u64::MAX - 3);
         put_f32(&mut buf, -0.0);
         put_f32_slice(&mut buf, &[f32::NAN, 1.5, -3.25]);
-        put_u16_slice(&mut buf, &[1, 2, 3]);
-        put_u32_slice(&mut buf, &[9, 8]);
+        put_column(&mut buf, [1u16, 2, 3].into_iter(), u16::to_le_bytes);
+        put_column(&mut buf, [9u32, 8].into_iter(), u32::to_le_bytes);
         put_u64_slice(&mut buf, &[u64::MAX]);
 
         let mut r = Reader::new(&buf);
@@ -292,13 +282,13 @@ mod tests {
             let f32s: Vec<f32> = f32_bits.iter().map(|&b| f32::from_bits(b)).collect();
 
             let mut out = Vec::new();
-            put_u16_slice(&mut out, &u16s);
+            put_column(&mut out, u16s.iter().copied(), u16::to_le_bytes);
             prop_assert_eq!(&out, &reference(&u16s, u16::to_le_bytes));
             prop_assert_eq!(Reader::new(&out).u16_vec().ok(), Some(u16s));
             every_truncation_is_corrupt(&out, Reader::u16_vec)?;
 
             let mut out = Vec::new();
-            put_u32_slice(&mut out, &u32s);
+            put_column(&mut out, u32s.iter().copied(), u32::to_le_bytes);
             prop_assert_eq!(&out, &reference(&u32s, u32::to_le_bytes));
             prop_assert_eq!(Reader::new(&out).u32_vec().ok(), Some(u32s));
             every_truncation_is_corrupt(&out, Reader::u32_vec)?;
@@ -322,8 +312,8 @@ mod tests {
     #[test]
     fn empty_slices_are_a_bare_zero_length() {
         let mut out = Vec::new();
-        put_u16_slice(&mut out, &[]);
-        put_u32_slice(&mut out, &[]);
+        put_column(&mut out, std::iter::empty(), u16::to_le_bytes);
+        put_column(&mut out, std::iter::empty(), u32::to_le_bytes);
         put_u64_slice(&mut out, &[]);
         put_f32_slice(&mut out, &[]);
         put_column(&mut out, std::iter::empty(), u32::to_le_bytes);

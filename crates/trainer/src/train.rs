@@ -151,15 +151,6 @@ struct OccupancyState {
     iteration: usize,
 }
 
-/// Where and how often [`Trainer::train_checkpointed`] writes snapshots.
-/// Plain data (no live IO handle), so the trainer stays `Clone`.
-#[derive(Debug, Clone)]
-struct CheckpointPolicy {
-    dir: std::path::PathBuf,
-    every_n: usize,
-    keep_last: usize,
-}
-
 /// Drives a [`TrainableField`] through the six-step NeRF training pipeline.
 ///
 /// Every per-iteration structure-of-arrays buffer (the gathered batch and
@@ -176,7 +167,6 @@ pub struct Trainer<M> {
     /// Completed training iterations — the step counter snapshots carry
     /// and checkpoint file names are keyed on.
     steps: u64,
-    checkpoint: Option<CheckpointPolicy>,
     pool: Arc<ThreadPool>,
     arena: engine::BatchArena,
     /// The no-gradient render engine (pure scratch — never checkpointed).
@@ -204,7 +194,6 @@ impl<M: TrainableField> Trainer<M> {
             occupancy: None,
             points_queried: 0,
             steps: 0,
-            checkpoint: None,
             pool: engine::default_pool(),
             arena: engine::BatchArena::default(),
             render: RenderEngine::default(),
@@ -238,24 +227,6 @@ impl<M: TrainableField> Trainer<M> {
             threshold,
             refresh_every: refresh_every.max(1),
             iteration: 0,
-        });
-        self
-    }
-
-    /// Enables periodic crash-safe checkpoints for
-    /// [`Trainer::train_checkpointed`]: every `every_n` completed
-    /// iterations a snapshot is written atomically under `dir`, keeping
-    /// the newest `keep_last` (see `inerf_snapshot` for the protocol).
-    pub fn checkpoint_every_n(
-        mut self,
-        dir: impl Into<std::path::PathBuf>,
-        every_n: usize,
-        keep_last: usize,
-    ) -> Self {
-        self.checkpoint = Some(CheckpointPolicy {
-            dir: dir.into(),
-            every_n: every_n.max(1),
-            keep_last: keep_last.max(1),
         });
         self
     }

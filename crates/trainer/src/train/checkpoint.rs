@@ -419,27 +419,25 @@ impl Trainer<IngpModel> {
         Ok(self.steps)
     }
 
-    /// [`Trainer::train`] with periodic crash-safe checkpoints, written
-    /// every `every_n` completed iterations per the policy configured
-    /// with [`Trainer::checkpoint_every_n`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no checkpoint policy was configured.
+    /// [`Trainer::train`] with periodic crash-safe checkpoints: every
+    /// `every_n` completed iterations a snapshot is written atomically
+    /// under `dir`, keeping the newest `keep_last` (see `inerf_snapshot`
+    /// for the protocol). Both counts are taken as at least 1.
     pub fn train_checkpointed(
         &mut self,
         dataset: &Dataset,
         iterations: usize,
+        dir: impl Into<std::path::PathBuf>,
+        every_n: usize,
+        keep_last: usize,
     ) -> Result<TrainReport, SnapshotError> {
-        let Some(policy) = self.checkpoint.clone() else {
-            panic!("train_checkpointed requires checkpoint_every_n to be configured first");
-        };
-        let mut io = StdIo::new(&policy.dir);
+        let mut io = StdIo::new(dir);
+        let (every_n, keep_last) = (every_n.max(1) as u64, keep_last.max(1));
         let mut losses = Vec::with_capacity(iterations);
         for _ in 0..iterations {
             losses.push(self.train_step(dataset));
-            if self.steps.is_multiple_of(policy.every_n as u64) {
-                self.save_checkpoint_to(&mut io, policy.keep_last)?;
+            if self.steps.is_multiple_of(every_n) {
+                self.save_checkpoint_to(&mut io, keep_last)?;
             }
         }
         Ok(TrainReport {

@@ -102,9 +102,8 @@ fn checkpointed_training_resumes_to_identical_psnr_bits() {
     straight.train(&dataset, 12);
     let want = straight.eval_psnr(&dataset);
 
-    let mut ckpt = Trainer::new(IngpModel::for_config(ModelConfig::tiny(), &cfg, 9), cfg, 4)
-        .checkpoint_every_n(&dir, 4, 2);
-    ckpt.train_checkpointed(&dataset, 8)
+    let mut ckpt = Trainer::new(IngpModel::for_config(ModelConfig::tiny(), &cfg, 9), cfg, 4);
+    ckpt.train_checkpointed(&dataset, 8, &dir, 4, 2)
         .expect("checkpointed training failed");
     drop(ckpt);
 
