@@ -14,10 +14,10 @@ use crate::pipeline::{IterationEstimate, PipelineModel, SceneEstimate};
 use inerf_dram::SimStats;
 use inerf_encoding::trace::CubeLookup;
 use inerf_encoding::TraceSink;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Running totals of an online co-simulated training run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct CosimStats {
     /// Training iterations co-simulated (one per `end_batch`).
     pub iterations: u64,

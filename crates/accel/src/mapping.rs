@@ -14,7 +14,6 @@
 use inerf_dram::{AccessKind, DramConfig, DramSim, PhysAddr, Request};
 use inerf_encoding::trace::CubeLookup;
 use inerf_encoding::{EntryLayout, TraceSink};
-use serde::{Deserialize, Serialize};
 
 /// Entries per level of the mapped table: the paper's `T = 2^19`. Each
 /// level's region of DRAM rows is sized for this many entries.
@@ -25,7 +24,7 @@ const TABLE_ENTRIES: u32 = 1 << 19;
 const _: () = assert!(inerf_encoding::requests::ROW_BYTES == DramConfig::ROW_BYTES);
 
 /// Inter-level bank-assignment policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MappingScheme {
     /// The paper's scheme: coarse levels clustered ({0–4}, {5–8}, {9–10}),
     /// fine levels one bank each.
@@ -39,7 +38,7 @@ pub enum MappingScheme {
 
 /// Maps `(level, entry)` hash-table coordinates to physical DRAM addresses
 /// (request streams are generated from it by [`RequestStream`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashTableMapping {
     scheme: MappingScheme,
     /// `assignment[level]` = bank holding that level.

@@ -12,10 +12,9 @@ use crate::config::AccelConfig;
 use inerf_dram::DramConfig;
 use inerf_trainer::workload::{mlp_combined_sizes_at, step_sizes_at, Step};
 use inerf_trainer::{ModelConfig, Precision};
-use serde::{Deserialize, Serialize};
 
 /// Inter-bank parallelization of one step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParallelismKind {
     /// Split inputs, duplicate parameters.
     Data,
@@ -24,7 +23,7 @@ pub enum ParallelismKind {
 }
 
 /// The per-step parallelism choices of a full design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelismPlan {
     /// HT forward.
     pub ht: ParallelismKind,
@@ -71,7 +70,7 @@ impl ParallelismPlan {
 
 /// Inter-bank traffic of one training iteration, split into the paper's
 /// four categories (Fig. 10), in bytes crossing the die's shared I/O.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MovementBreakdown {
     /// Category 1: parameter/data duplication for the chosen parallelism.
     pub cat1_duplication: u64,

@@ -19,10 +19,9 @@ use inerf_encoding::trace::CubeLookup;
 use inerf_encoding::{Precision, TraceSink};
 use inerf_trainer::workload::{mlp_combined_sizes_at, Step};
 use inerf_trainer::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Timing of one pipeline step for a full batch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepTime {
     /// Which step.
     pub step: Step,
@@ -40,7 +39,7 @@ impl StepTime {
 }
 
 /// A full iteration estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IterationEstimate {
     /// Per-step timings.
     pub steps: Vec<StepTime>,
@@ -67,7 +66,7 @@ impl IterationEstimate {
 }
 
 /// The Fig. 11 scene-level results.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneEstimate {
     /// Per-scene training time in seconds.
     pub training_seconds: f64,

@@ -24,10 +24,10 @@ use inerf_accel::{CosimSink, CosimStats, PipelineModel};
 use inerf_encoding::{BatchBufferSink, HashFunction};
 use inerf_scenes::{zoo, Dataset, DatasetConfig};
 use inerf_trainer::{Engine, IngpModel, ModelConfig, TrainConfig, Trainer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One path's measurements (streamed or buffered).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CosimPath {
     /// Peak bytes of trace state: the sink's constant co-simulation state
     /// (streamed) or the accumulated materialized traces (buffered).
@@ -43,7 +43,7 @@ pub struct CosimPath {
 }
 
 /// The full `cosim` experiment result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CosimResult {
     /// Which trainer engine ran ("scalar" or "batched").
     pub engine: String,

@@ -11,10 +11,10 @@ use crate::report;
 use inerf_encoding::HashFunction;
 use inerf_gpu::{GpuSpec, TrainingCost};
 use inerf_trainer::ModelConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The Quest Pro prediction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QuestProPrediction {
     /// Predicted iNGP training time per scene on the Quest Pro GPU (s).
     pub gpu_seconds: f64,

@@ -4,7 +4,7 @@ use crate::report;
 use inerf_encoding::HashFunction;
 use inerf_gpu::{GpuSpec, TrainingCost};
 use inerf_trainer::ModelConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The paper's training workload: 35 000 iterations of 256 K points.
 pub const PAPER_ITERATIONS: u64 = 35_000;
@@ -12,7 +12,7 @@ pub const PAPER_ITERATIONS: u64 = 35_000;
 pub const PAPER_BATCH: u64 = 256 * 1024;
 
 /// One Fig. 1(a) bar plus its Fig. 1(b) breakdown.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig1Row {
     /// Device name.
     pub device: String,

@@ -8,10 +8,10 @@ use inerf_encoding::{HashFunction, HashGrid};
 use inerf_gpu::{GpuSpec, TrainingCost};
 use inerf_scenes::zoo::{self, SceneKind};
 use inerf_trainer::ModelConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One scene's Fig. 11 bars.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig11Row {
     /// Scene name.
     pub scene: String,

@@ -5,10 +5,10 @@ use inerf_encoding::HashFunction;
 use inerf_gpu::{GpuSpec, TrainingCost};
 use inerf_trainer::workload::Step;
 use inerf_trainer::ModelConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One kernel bar group of Fig. 4.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig4Row {
     /// Step label.
     pub step: String,

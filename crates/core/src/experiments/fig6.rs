@@ -8,10 +8,10 @@ use inerf_encoding::{HashFunction, HashGrid, HashGridConfig};
 use inerf_geom::Vec3;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One hash function's Fig. 6 result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig6Row {
     /// "Ours" (Morton) or "Org." (original iNGP hash).
     pub label: String,

@@ -9,10 +9,10 @@ use inerf_geom::{Aabb, Ray, Vec3};
 use inerf_trainer::streaming::{build_point_batch, stream_batch, StreamingOrder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The Fig. 7 results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig7 {
     /// (a) mean number of consecutive points sharing one cube, per level.
     pub sharing_per_level: Vec<f64>,

@@ -8,13 +8,13 @@ use inerf_encoding::{HashFunction, HashGrid, HashGridConfig, TraceSink};
 use inerf_geom::Vec3;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The subarray counts swept in Tab. III / Fig. 9.
 pub const SUBARRAY_SWEEP: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// The Fig. 9 surface.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig9 {
     /// `conflicts[s][l]` = normalized bank conflicts at `SUBARRAY_SWEEP[s]`
     /// subarrays for level `l` (normalized to the global maximum = 1.0).

@@ -25,10 +25,10 @@ use inerf_accel::{CosimSink, PipelineModel};
 use inerf_encoding::{CountingSink, EntryLayout, HashFunction};
 use inerf_scenes::{zoo, Dataset, DatasetConfig};
 use inerf_trainer::{IngpModel, ModelConfig, Precision, TrainConfig, Trainer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One precision's measurements.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PrecisionPath {
     /// Storage precision label ("f32" or "fp16").
     pub precision: String,
@@ -60,7 +60,7 @@ pub struct PrecisionPath {
 }
 
 /// The full precision-sweep result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PrecisionResult {
     /// Training iterations per precision.
     pub iterations: usize,

@@ -13,10 +13,9 @@ use inerf_scenes::zoo::{self, SceneKind};
 use inerf_scenes::DatasetConfig;
 use inerf_trainer::baselines::{FastNerfLite, NerfLite, TensorfLite};
 use inerf_trainer::{IngpModel, ModelConfig, TrainConfig, TrainableField, Trainer};
-use serde::{Deserialize, Serialize};
 
 /// Compute budget of a Tab. IV run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PsnrBudget {
     /// Training iterations per method per scene.
     pub iterations: usize,
@@ -78,7 +77,7 @@ impl PsnrBudget {
 }
 
 /// One Tab. IV row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PsnrRow {
     /// Method name.
     pub method: String,

@@ -1,10 +1,9 @@
 //! Per-subarray timing state machines and rank ACT bookkeeping.
 
 use crate::config::DramConfig;
-use serde::{Deserialize, Serialize};
 
 /// The DRAM commands the simulator issues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandKind {
     /// Activate a row into a subarray's local row buffer.
     Act,
@@ -17,7 +16,7 @@ pub enum CommandKind {
 }
 
 /// One issued command, for legality checking and energy accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommandRecord {
     /// Issue cycle.
     pub cycle: u64,

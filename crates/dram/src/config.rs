@@ -1,13 +1,12 @@
 //! DRAM organization and timing configuration (paper Tab. III).
 
 use crate::address::PhysAddr;
-use serde::{Deserialize, Serialize};
 
 /// Timing constraints in DRAM command-clock cycles.
 ///
 /// [`DramConfig::TIMING`] is the one set the simulator uses: Tab. III's
 /// LPDDR4-2400 values at the near-bank column path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timing {
     /// CAS (read) latency.
     pub cl: u64,
@@ -39,7 +38,7 @@ pub struct Timing {
 ///
 /// Only the subarray count varies (the Fig. 9 sweep); everything else is
 /// an associated constant or follows from it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Subarrays per bank (the Fig. 9 sweep parameter: 1–64).
     pub subarrays_per_bank: u32,

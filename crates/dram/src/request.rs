@@ -1,10 +1,9 @@
 //! Memory requests.
 
 use crate::address::PhysAddr;
-use serde::{Deserialize, Serialize};
 
 /// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A read burst.
     Read,
@@ -13,7 +12,7 @@ pub enum AccessKind {
 }
 
 /// One row-granularity memory request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Target address.
     pub addr: PhysAddr,

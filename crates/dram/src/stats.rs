@@ -1,10 +1,9 @@
 //! Simulation statistics.
 
 use crate::config::DramConfig;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate results of replaying a request stream.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
     /// Requests served.
     pub requests: u64,

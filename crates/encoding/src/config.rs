@@ -3,7 +3,6 @@
 use crate::hash::HashFunction;
 use inerf_geom::grid::{build_levels, GridLevel};
 use inerf_mlp::Precision;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the multi-resolution hash grid.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// holds [`HashGridConfig::FEATURES`] = 2 features: the paper's table entry
 /// is one 32-bit word of two fp16 features, and the gather and scatter
 /// kernels are written for that pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashGridConfig {
     /// Number of resolution levels `L`.
     pub levels: u32,

@@ -2,14 +2,13 @@
 
 use inerf_geom::grid::{GridCoord, GridLevel};
 use inerf_geom::morton::morton_encode;
-use serde::{Deserialize, Serialize};
 
 /// iNGP's spatial-hash prime multipliers (Müller et al. 2022).
 const PRIME_Y: u32 = 2_654_435_761;
 const PRIME_Z: u32 = 805_459_861;
 
 /// The hash mapping function used to index the embedding table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HashFunction {
     /// The original iNGP spatial hash:
     /// `(x ⊕ y·2654435761 ⊕ z·805459861) mod T`.

@@ -11,7 +11,6 @@
 
 use crate::sink::TraceSink;
 use crate::trace::CubeLookup;
-use serde::{Deserialize, Serialize};
 
 /// Default bytes per hash-table entry (one 32-bit vector of two FP16
 /// features, paper Sec. I) — the paper's hardware storage width, kept as
@@ -26,7 +25,7 @@ pub const ENTRIES_PER_ROW: u32 = ROW_BYTES / ENTRY_BYTES;
 /// parameter the storage precision decision flows through: f32 entries
 /// are twice as wide as fp16 entries, so fewer fit a row and a cube's
 /// vertices scatter over more rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EntryLayout {
     /// Bytes per table entry (all `F` features of one vertex).
     entry_bytes: u32,
@@ -140,7 +139,7 @@ impl TraceSink for MeanRequestSink {
 
 /// Per-level statistics of streaming points through the local register
 /// cache (which holds the embeddings of the previously processed cube).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelStreamStats {
     /// Hash-table level.
     pub level: u32,
@@ -165,7 +164,7 @@ impl LevelStreamStats {
 }
 
 /// Whole-stream register-cache statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamStats {
     /// One entry per hash-table level.
     pub levels: Vec<LevelStreamStats>,

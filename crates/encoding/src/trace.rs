@@ -6,10 +6,9 @@
 //! and [`LookupTrace::replay`] feeds them to any other sink.
 
 use crate::sink::TraceSink;
-use serde::{Deserialize, Serialize};
 
 /// The eight vertex lookups of one point at one level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CubeLookup {
     /// Hash-table level.
     pub level: u32,
@@ -22,7 +21,7 @@ pub struct CubeLookup {
 }
 
 /// An ordered record of cube lookups produced while encoding a point stream.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LookupTrace {
     cubes: Vec<CubeLookup>,
     points: usize,

@@ -1,7 +1,6 @@
 //! Axis-aligned bounding boxes and ray/box intersection.
 
 use crate::{Ray, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// The entry/exit distances of a ray through an [`Aabb`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,7 +24,7 @@ pub struct RayHit {
 /// assert_eq!(b.normalize(Vec3::ZERO), Vec3::splat(0.5));
 /// assert!(b.contains(Vec3::new(0.9, -0.9, 0.0)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     /// Minimum corner.
     pub min: Vec3,

@@ -1,10 +1,9 @@
 //! Pinhole cameras and orbit poses for synthetic dataset generation.
 
 use crate::{Ray, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// A camera pose: position plus an orthonormal look frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pose {
     /// Camera position in world space.
     pub position: Vec3,
@@ -62,7 +61,7 @@ impl Pose {
 /// // The centre pixel looks (approximately) straight ahead.
 /// assert!(center_ray.direction.dot(pose.forward) > 0.99);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Camera {
     /// Extrinsic pose.
     pub pose: Pose,

@@ -1,10 +1,9 @@
 //! Integer lattice coordinates for the multi-resolution grids.
 
 use crate::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// An integer vertex coordinate on one resolution level's lattice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GridCoord {
     /// x lattice index.
     pub x: u32,
@@ -49,7 +48,7 @@ impl GridCoord {
 /// assert_eq!((base.x, base.y, base.z), (8, 4, 12));
 /// assert!(frac.x.abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridLevel {
     /// Level index `l` (0-based).
     pub index: u32,

@@ -1,7 +1,6 @@
 //! Rays: the fundamental sampling primitive of NeRF training.
 
 use crate::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A ray `r(t) = origin + t * direction` (paper notation: `r = o + t d`).
 ///
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// let r = Ray::new(Vec3::ZERO, Vec3::new(0.0, 0.0, 2.0));
 /// assert_eq!(r.at(3.0), Vec3::new(0.0, 0.0, 3.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ray {
     /// Camera/ray origin `o`.
     pub origin: Vec3,

@@ -1,6 +1,5 @@
 //! A minimal `f32` 3-vector.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Index, Mul, Neg, Sub};
 
 /// A 3-component `f32` vector used for positions, directions and RGB colors.
@@ -13,7 +12,7 @@ use std::ops::{Add, AddAssign, Div, Index, Mul, Neg, Sub};
 /// assert_eq!(v.length(), 5.0);
 /// assert_eq!(v.normalized().length(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// x component.
     pub x: f32,

@@ -3,7 +3,6 @@
 use crate::specs::GpuSpec;
 use inerf_trainer::workload::{step_ops_at, step_sizes_at, Step};
 use inerf_trainer::{ModelConfig, Precision};
-use serde::{Deserialize, Serialize};
 
 /// Fraction of total training time outside the six bottleneck steps
 /// (Fig. 1(b): the bottleneck steps cover 76.4%, "other" is the rest).
@@ -68,7 +67,7 @@ pub fn step_traffic_bytes(model: &ModelConfig, step: Step, points: u64) -> u64 {
 }
 
 /// Cost of one step for one iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepCost {
     /// Which step.
     pub step: Step,
@@ -85,7 +84,7 @@ pub struct StepCost {
 }
 
 /// Full training cost on one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingCost {
     /// Device name.
     pub device: String,

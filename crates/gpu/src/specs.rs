@@ -1,9 +1,7 @@
 //! GPU device specifications (paper Tab. I).
 
-use serde::{Deserialize, Serialize};
-
 /// One device row of Tab. I plus a calibrated efficiency factor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Device name.
     pub name: String,

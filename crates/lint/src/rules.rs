@@ -220,7 +220,7 @@ const SAFETY_LOOKBACK: u32 = 8;
 /// Documented API surface of each vendored stand-in (first path segment
 /// after the crate name) — the table in the vendored README, as code.
 const VENDOR_API: &[(&str, &[&str])] = &[
-    ("serde", &["Serialize", "Deserialize"]),
+    ("serde", &["Serialize"]),
     (
         "serde_json",
         &["to_string", "to_string_pretty", "Value", "Error", "Result"],

@@ -25,3 +25,5 @@ pub fn exempt_elsewhere(v: Option<u32>) -> u32 {
     // panic-path finding here.
     v.unwrap()
 }
+
+use serde::Deserialize;

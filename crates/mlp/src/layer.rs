@@ -4,10 +4,9 @@ use crate::store::{ParamStore, Precision};
 use inerf_simd::f32x8;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Activation function applied after a layer's affine transform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// No activation.
     Identity,
@@ -201,7 +200,7 @@ fn mac_units(
 /// output `o`. Both parameter groups live behind a [`ParamStore`], so the
 /// storage precision (f32, or fp16 with f32 master weights) is a
 /// constructor parameter; gradients always accumulate in f32.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DenseLayer {
     in_dim: usize,
     out_dim: usize,

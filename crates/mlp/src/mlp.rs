@@ -2,7 +2,6 @@
 
 use crate::layer::{transpose_tile, untranspose_tile, Activation, DenseLayer, FWD_BLOCK};
 use crate::store::Precision;
-use serde::{Deserialize, Serialize};
 
 /// The cached activations of one forward pass, needed for backprop.
 ///
@@ -158,7 +157,7 @@ impl MlpGradients {
 /// let acts = net.forward(&[0.5, -0.5]);
 /// assert!(acts.output()[0] > 0.0 && acts.output()[0] < 1.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<DenseLayer>,
     /// Widest layer interface, fixed at construction (see

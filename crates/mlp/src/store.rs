@@ -22,10 +22,9 @@
 //! fp16 — the quantity the DRAM traffic and table-size models consume.
 
 use crate::fp16::quantize_f16;
-use serde::{Deserialize, Serialize};
 
 /// Storage precision of a trainable parameter group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// Full single precision (4 bytes per parameter) — the software
     /// reference and the pre-refactor behavior.
@@ -62,12 +61,6 @@ impl Precision {
 /// *is* the working copy and `commit` is a no-op, so the f32 backend is
 /// bit-identical to a plain `Vec<f32>`.
 ///
-/// Serialization note: the serde derives carry both `master` and the
-/// derived `active` buffer (the vendored serde stand-in has no hook to
-/// rebuild one from the other); deserialized data must uphold
-/// `active[i] == quantize_f16(master[i])` — [`ParamStore::commit`]
-/// restores the invariant if in doubt.
-///
 /// # Example
 ///
 /// ```
@@ -81,7 +74,7 @@ impl Precision {
 /// assert!((store.master()[0] - (0.1 + 1e-5)).abs() < 1e-9);
 /// assert_eq!(store.storage_bytes(), 2 * 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamStore {
     precision: Precision,
     /// f32 master weights — what the optimizer updates.

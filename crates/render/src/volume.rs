@@ -2,10 +2,9 @@
 
 use inerf_geom::Vec3;
 use inerf_simd::f32x8;
-use serde::{Deserialize, Serialize};
 
 /// One queried sample along a ray: the model's density and color outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplePoint {
     /// Predicted density `σ_i ≥ 0`.
     pub sigma: f32,

@@ -1,7 +1,6 @@
 //! Image buffers and quality metrics (MSE, PSNR).
 
 use inerf_geom::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A row-major RGB image with `f32` channels in `[0, 1]`.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// img.set(3, 1, Vec3::new(1.0, 0.5, 0.0));
 /// assert_eq!(img.get(3, 1).x, 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Image {
     width: u32,
     height: u32,

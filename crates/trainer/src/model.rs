@@ -9,7 +9,6 @@ use inerf_mlp::{
     MlpGradients, MlpScratch, Precision, FWD_BLOCK,
 };
 use rayon::ThreadPool;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::slice::ChunksExactMut;
 
@@ -252,7 +251,7 @@ pub(crate) fn eval_density_batch<M: TrainableField>(
 /// parameters, DRAM/cosim statistics) — `Sparse` is the default and
 /// `Dense` is the pinned O(table) reference it is tested against. See
 /// DESIGN.md, "Sparse optimizer & lazy-replay Adam".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptPath {
     /// Full-table sweep every iteration: dense Adam step, full fp16
     /// re-quantize, full gradient memset.
@@ -283,7 +282,7 @@ impl OptPath {
 }
 
 /// Architecture hyper-parameters of [`IngpModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelConfig {
     /// Hash-grid configuration.
     pub grid: HashGridConfig,

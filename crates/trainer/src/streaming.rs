@@ -16,10 +16,9 @@ use inerf_geom::{Aabb, Ray, Vec3};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// The order sample points stream into the processing engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamingOrder {
     /// Points along one ray complete before the next ray starts.
     RayFirst,

@@ -19,12 +19,11 @@ use inerf_scenes::{Dataset, Image};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::ThreadPool;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Which implementation drives the training/inference hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// The per-point reference implementation: one `query`/`backward` call
     /// per sample. Kept as the equivalence baseline for the batched engine.
@@ -39,7 +38,7 @@ pub enum Engine {
 }
 
 /// Training hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Rays (pixels) per iteration batch — Step (a) of the pipeline.
     pub rays_per_batch: usize,
@@ -130,7 +129,7 @@ impl TrainConfig {
 }
 
 /// Summary of a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Iterations executed.
     pub iterations: usize,

@@ -9,10 +9,9 @@
 use crate::model::ModelConfig;
 use inerf_encoding::HashGridConfig;
 use inerf_mlp::Precision;
-use serde::{Deserialize, Serialize};
 
 /// The bottleneck pipeline steps the paper analyzes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Step {
     /// Hash-table encode: hashing, lookup, interpolation (Steps 1–3 of Fig. 3).
     Ht,
@@ -53,7 +52,7 @@ impl Step {
 }
 
 /// Byte sizes of one step's operands for a whole batch (one Tab. II row).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepSizes {
     /// Parameters read (and, for backward steps, written).
     pub param_bytes: u64,
@@ -148,7 +147,7 @@ pub fn mlp_combined_sizes_at(cfg: &ModelConfig, points: u64, precision: Precisio
 
 /// Per-point operation counts of one step, used by the GPU and NMP cost
 /// models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepOps {
     /// Floating-point operations (MACs count as 2).
     pub fp_ops: u64,

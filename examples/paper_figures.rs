@@ -12,6 +12,7 @@ use instant_nerf::experiments::{
     cosim, extension, fig1, fig11, fig4, fig6, fig7, fig9, precision, tables,
 };
 use instant_nerf::prelude::SceneKind;
+use serde::Serialize;
 use std::error::Error;
 
 const KNOWN: [&str; 13] = [
@@ -65,12 +66,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     if let Some(dir) = &json_dir {
         std::fs::create_dir_all(dir)?;
     }
-    let dump = |name: &str, value: &dyn erased::Dump| -> Result<(), Box<dyn Error>> {
-        if let Some(dir) = &json_dir {
-            std::fs::write(format!("{dir}/{name}.json"), value.to_json()?)?;
-        }
-        Ok(())
-    };
+    let dir = json_dir.as_deref();
 
     if all || which == "tab1" {
         println!("{}", tables::tab1());
@@ -83,37 +79,37 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
     if all || which == "fig1" {
         let rows = fig1::run();
-        dump("fig1", &rows)?;
+        dump(dir, "fig1", &rows)?;
         println!("{}", fig1::render(&rows));
     }
     if all || which == "fig4" {
         let rows = fig4::run();
-        dump("fig4", &rows)?;
+        dump(dir, "fig4", &rows)?;
         println!("{}", fig4::render(&rows));
     }
     if all || which == "fig6" {
         let rows = fig6::run(2048, 7);
-        dump("fig6", &rows)?;
+        dump(dir, "fig6", &rows)?;
         println!("{}", fig6::render(&rows));
     }
     if all || which == "fig7" {
         let result = fig7::run(64, 128, 7);
-        dump("fig7", &result)?;
+        dump(dir, "fig7", &result)?;
         println!("{}", fig7::render(&result));
     }
     if all || which == "fig9" {
         let result = fig9::run(16, 96, 7);
-        dump("fig9", &result)?;
+        dump(dir, "fig9", &result)?;
         println!("{}", fig9::render(&result));
     }
     if all || which == "cosim" {
         let result = cosim::run(instant_nerf::trainer::Engine::Batched, 8, 7);
-        dump("cosim", &result)?;
+        dump(dir, "cosim", &result)?;
         println!("{}", cosim::render(&result));
     }
     if all || which == "precision" {
         let result = precision::run(60, 7);
-        dump("precision", &result)?;
+        dump(dir, "precision", &result)?;
         println!("{}", precision::render(&result));
     }
     if all || which == "ext" {
@@ -122,13 +118,13 @@ fn main() -> Result<(), Box<dyn Error>> {
         let accel_s = rows.iter().map(|r| r.accel_seconds).sum::<f64>() / rows.len() as f64;
         let accel_j = rows.iter().map(|r| r.accel_joules).sum::<f64>() / rows.len() as f64;
         let prediction = extension::predict(accel_s, accel_j);
-        dump("ext", &prediction)?;
+        dump(dir, "ext", &prediction)?;
         println!("{}", extension::render(&prediction));
     }
     if all || which == "fig11" {
         println!("Running Fig. 11 over all eight scenes (a minute or two)...");
         let rows = fig11::run(&SceneKind::ALL, 2048, 128, 7);
-        dump("fig11", &rows)?;
+        dump(dir, "fig11", &rows)?;
         println!("{}", fig11::render(&rows));
         let min = rows.iter().map(|r| r.speedup_xnx).fold(f64::MAX, f64::min);
         let max = rows.iter().map(|r| r.speedup_xnx).fold(0.0f64, f64::max);
@@ -140,21 +136,16 @@ fn main() -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Minimal object-safe serialization shim so heterogeneous experiment
-/// results share one dump path.
-mod erased {
-    use serde::Serialize;
-    use std::error::Error;
-
-    pub trait Dump {
-        fn to_json(&self) -> Result<String, Box<dyn Error>>;
+/// Writes `value` as pretty JSON to `{dir}/{name}.json` when `--json`
+/// named a directory.
+fn dump(dir: Option<&str>, name: &str, value: &impl Serialize) -> Result<(), Box<dyn Error>> {
+    if let Some(dir) = dir {
+        std::fs::write(
+            format!("{dir}/{name}.json"),
+            serde_json::to_string_pretty(value)?,
+        )?;
     }
-
-    impl<T: Serialize> Dump for T {
-        fn to_json(&self) -> Result<String, Box<dyn Error>> {
-            Ok(serde_json::to_string_pretty(self)?)
-        }
-    }
+    Ok(())
 }
 
 #[cfg(test)]
