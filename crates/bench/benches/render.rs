@@ -23,10 +23,10 @@ use inerf_trainer::{
 };
 use serde::Serialize;
 
-/// Read-only wrapper that hides [`IngpModel`]'s batched entry points, so
-/// the engine takes the serial per-point dense fallback — the "scalar"
-/// axis of the matrix. Only the evaluation surface is live; the training
-/// hooks are inert.
+/// Read-only wrapper that hides [`IngpModel`]'s chunk phases: its
+/// `chunked_eval` is the default `None`, so the engine takes the serial
+/// per-point dense fallback — the "scalar" axis of the matrix. Only the
+/// evaluation surface is live; the training hooks are inert.
 struct ScalarRef<'a>(&'a IngpModel);
 
 impl TrainableField for ScalarRef<'_> {

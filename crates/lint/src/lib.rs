@@ -21,7 +21,9 @@
 //!   arithmetic in `encoding`/`accel`/`dram` outside the `EntryLayout`
 //!   definition site.
 //! - `panic-path`: no `.unwrap()`/`.expect()` in library code of the
-//!   hot-path crates (`encoding`, `mlp`, `dram`, `accel`, `render`).
+//!   hot-path crates (`encoding`, `mlp`, `dram`, `accel`, `render`,
+//!   `snapshot`) and of the trainer's hot-path files (model, training
+//!   step, occupancy grid, render engine).
 //! - `vendor-isolation`: first-party code touches only the documented
 //!   stand-in APIs of the vendored dependency tree.
 //!

@@ -138,9 +138,10 @@ the one allowed home for such literals.",
         id: PANIC_PATH,
         summary: "no unwrap()/expect() in library code of the hot-path and snapshot crates",
         explain: "The encoding, mlp, dram, accel and render crates sit on the training \
-hot path, as does the trainer's occupancy grid (crates/trainer/src/occupancy.rs), and \
-the trainer's inference render engine (crates/trainer/src/render.rs) on the evaluation \
-hot path; a panic there takes down a whole training, rendering or \
+hot path, as do the trainer's model (crates/trainer/src/model.rs), its training step \
+(crates/trainer/src/train.rs) and its occupancy grid (crates/trainer/src/occupancy.rs), \
+and the trainer's inference render engine (crates/trainer/src/render.rs) on the \
+evaluation hot path; a panic there takes down a whole training, rendering or \
 co-simulation run. The snapshot crate is in scope too: its contract is that corrupt \
 bytes, torn writes and failed I/O surface as typed SnapshotError values, which the \
 fault-injection sweep pins at every kill point and for every flipped bit. Library code \
@@ -200,13 +201,15 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
 /// hot path, and the snapshot crate, whose errors are typed values.
 const HOT_PATH_CRATES: &[&str] = &["encoding", "mlp", "dram", "accel", "render", "snapshot"];
 /// Individual hot-path files in crates that are otherwise exempt: the
-/// trainer's inference render engine sits on the evaluation hot path and
-/// its occupancy grid (per-sample filter, periodic refresh sweep) on the
-/// training one, even though the rest of the trainer crate (setup,
-/// checkpointing, reporting) does not.
+/// trainer's inference render engine sits on the evaluation hot path, and
+/// its model, training step and occupancy grid (per-sample filter,
+/// periodic refresh sweep) on the training one, even though the rest of
+/// the trainer crate (setup, checkpointing, reporting) does not.
 const HOT_PATH_FILES: &[&str] = &[
+    "crates/trainer/src/model.rs",
     "crates/trainer/src/occupancy.rs",
     "crates/trainer/src/render.rs",
+    "crates/trainer/src/train.rs",
 ];
 /// Crates the entry-width rule covers (where byte widths become addresses
 /// and traffic).

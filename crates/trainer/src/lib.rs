@@ -8,7 +8,8 @@
 //!
 //! Modules:
 //!
-//! * [`model`] — the [`TrainableField`] trait and [`model::IngpModel`], the
+//! * [`model`] — the per-point [`TrainableField`], the [`ChunkedField`]
+//!   phases and [`model::IngpModel`], which implements both: the
 //!   hash-grid + two-small-MLPs architecture of iNGP / Instant-NeRF.
 //! * [`train`] — generic training loop with two interchangeable hot-path
 //!   engines: the per-point scalar reference and the batched
@@ -55,7 +56,7 @@ pub mod streaming;
 pub mod train;
 pub mod workload;
 
-pub use model::{EvalScratch, IngpModel, ModelConfig, OptPath, TrainableField};
+pub use model::{ChunkedField, EvalScratch, IngpModel, ModelConfig, OptPath, TrainableField};
 pub use occupancy::OccupancyGrid;
 pub use render::{RenderEngine, RenderOpts, RenderStats};
 pub use streaming::StreamingOrder;

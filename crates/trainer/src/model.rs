@@ -12,32 +12,13 @@ use rayon::ThreadPool;
 use std::ops::Range;
 use std::slice::ChunksExactMut;
 
-/// A radiance-field model that can be trained by [`crate::train::Trainer`].
-///
-/// The trainer drives it per batch in one of two modes. *Per point*:
-/// `begin_batch` → `query` for every sample point, in streaming order →
-/// `backward` for every point, same indices → `apply_gradients`. *Chunk
-/// phased*: `begin_batch` → `begin_chunks` opens the batch, cut into fixed
-/// [`POINT_CHUNK`]-sample chunks, with a ring of in-flight chunk records →
-/// for each chunk, in chunk order and as the rays through it allow:
-/// `density_chunks` (prepass, fused gather and density MLP), the engine's
-/// transmittance scan into an ascending list of live sample indices,
-/// `color_chunks` over the chunk's live samples, and `backward_chunks`
-/// (MLP backward, then the in-order grid scatter and gradient fold, which
-/// frees the chunk's record) → `apply_gradients`. Evaluation has the same
-/// two phases without caching (`query_eval_batch_*`). Implementations
-/// cache whatever the backward pass needs during the forward queries.
-///
-/// The whole-batch `query_batch_density` / `query_batch_color_compacted`
-/// / `backward_batch_compacted` run the same chunk phases in phase order
-/// over one record per chunk: measurement code times each stage through
-/// them; the trainer streams.
-///
-/// `begin_chunks` defaults to returning `false`: a per-point model (the
-/// Tab. IV baselines) implements nothing batched, and under
-/// [`Engine::Batched`](crate::train::Engine) the trainer runs the
-/// per-point loop for it. [`IngpModel`] implements the phases chunked and
-/// thread-pool-parallel.
+/// A radiance-field model that can be trained by [`crate::train::Trainer`]
+/// point by point: `begin_batch` → `query` for every sample point, in
+/// streaming order → `backward` for every point, same indices →
+/// `apply_gradients`, caching what the backward needs during the queries.
+/// A model with chunk phases ([`IngpModel`]) also hands out its
+/// [`ChunkedField`] through `chunked` / `chunked_eval`; per-point models
+/// (the Tab. IV baselines) do not, and are driven point by point.
 pub trait TrainableField {
     /// Clears per-batch caches and accumulated gradients.
     fn begin_batch(&mut self);
@@ -81,130 +62,16 @@ pub trait TrainableField {
         inerf_mlp::Precision::F32
     }
 
-    /// Opens a chunk-phased batch of `n` samples: chunk `c` holds samples
-    /// [`chunk_samples`]`(c..c + 1, n)`, and at most `ring` consecutive
-    /// chunks are in flight (densities taken, backward not yet run) at a
-    /// time. Returns `false` — the default — when the model has no chunk
-    /// phases; the trainer then runs the per-point loop for it.
-    fn begin_chunks(&mut self, _n: usize, _ring: usize) -> bool {
-        false
+    /// This model's chunk phases, for training; `None` (the default) runs
+    /// the per-point step under either engine.
+    fn chunked(&mut self) -> Option<&mut dyn ChunkedField> {
+        None
     }
 
-    /// Prepass and density phase of `chunks`, the next chunks in order:
-    /// fills their samples' `sigmas` (caching what the color phase and
-    /// the backward need). `points` and `sigmas` span the whole batch.
-    /// Only called after [`TrainableField::begin_chunks`] returned `true`.
-    fn density_chunks(
-        &mut self,
-        _points: &[Vec3],
-        _chunks: Range<usize>,
-        _sigmas: &mut [f32],
-        _pool: &ThreadPool,
-    ) {
-        unimplemented!("begin_chunks returned false; the chunk phases are unsupported");
-    }
-
-    /// Color phase of `chunks`: computes `rgbs[i]` for the samples listed
-    /// (ascending, global indices) in `live` — every live sample of those
-    /// chunks — and `Vec3::ZERO` for their other samples. `dirs` and
-    /// `rgbs` span the whole batch.
-    fn color_chunks(
-        &mut self,
-        _dirs: &[Vec3],
-        _chunks: Range<usize>,
-        _live: &[u32],
-        _rgbs: &mut [Vec3],
-        _pool: &ThreadPool,
-    ) {
-        unimplemented!("begin_chunks returned false; the chunk phases are unsupported");
-    }
-
-    /// Backward of `chunks`, the oldest chunks in flight, given the loss
-    /// gradients of their samples (`d_sigmas` / `d_colors` span the whole
-    /// batch); accumulates their parameter gradients in chunk order and
-    /// frees their records.
-    fn backward_chunks(
-        &mut self,
-        _chunks: Range<usize>,
-        _d_sigmas: &[f32],
-        _d_colors: &[Vec3],
-        _pool: &ThreadPool,
-    ) {
-        unimplemented!("begin_chunks returned false; the chunk phases are unsupported");
-    }
-
-    /// Density phase of the whole-batch phased query: `begin_chunks` with
-    /// one record per chunk, then `density_chunks` over every chunk.
-    /// Returns `false` for a model without chunk phases.
-    fn query_batch_density(
-        &mut self,
-        points: &[Vec3],
-        sigmas: &mut [f32],
-        pool: &ThreadPool,
-    ) -> bool {
-        let chunks = points.len().div_ceil(POINT_CHUNK);
-        if !self.begin_chunks(points.len(), chunks) {
-            return false;
-        }
-        self.density_chunks(points, 0..chunks, sigmas, pool);
-        true
-    }
-
-    /// Color phase of the whole-batch query: `color_chunks` over every
-    /// chunk. Only called after `query_batch_density` returned `true`.
-    fn query_batch_color_compacted(
-        &mut self,
-        dirs: &[Vec3],
-        live: &[u32],
-        rgbs: &mut [Vec3],
-        pool: &ThreadPool,
-    ) {
-        let chunks = dirs.len().div_ceil(POINT_CHUNK);
-        self.color_chunks(dirs, 0..chunks, live, rgbs, pool);
-    }
-
-    /// Backward of the whole-batch query: `backward_chunks` over every
-    /// chunk. Only called after `query_batch_density` returned `true`.
-    fn backward_batch_compacted(&mut self, d_sigmas: &[f32], d_colors: &[Vec3], pool: &ThreadPool) {
-        let chunks = d_sigmas.len().div_ceil(POINT_CHUNK);
-        self.backward_chunks(0..chunks, d_sigmas, d_colors, pool);
-    }
-
-    /// Density phase of the phased *evaluation* query — the render
-    /// engine's no-gradient analogue of
-    /// [`TrainableField::query_batch_density`]. When a model supports
-    /// phased evaluation it fills `sigmas`, keeps whatever the color phase
-    /// needs in the caller-owned `scratch`, and returns `true`; the render
-    /// engine then scans ray transmittance and pays the color MLP only for
-    /// samples that still matter. The default returns `false`: per-point
-    /// models (the Tab. IV baselines) are evaluated through a
-    /// [`TrainableField::query_eval`] loop instead.
-    fn query_eval_batch_density(
-        &self,
-        _points: &[Vec3],
-        _sigmas: &mut [f32],
-        _scratch: &mut EvalScratch,
-        _pool: &ThreadPool,
-    ) -> bool {
-        false
-    }
-
-    /// Color phase of the phased evaluation query: computes `rgbs[i]` for
-    /// the samples listed (ascending, global indices) in `live` and
-    /// `Vec3::ZERO` for the rest. Only called after
-    /// [`TrainableField::query_eval_batch_density`] returned `true` with
-    /// the same `scratch`.
-    fn query_eval_batch_color_compacted(
-        &self,
-        _dirs: &[Vec3],
-        _live: &[u32],
-        _rgbs: &mut [Vec3],
-        _scratch: &mut EvalScratch,
-        _pool: &ThreadPool,
-    ) {
-        unimplemented!(
-            "query_eval_batch_density returned false; the phased evaluation query is unsupported"
-        );
+    /// This model's chunk phases, for evaluation; `None` (the default)
+    /// evaluates through a [`TrainableField::query_eval`] loop.
+    fn chunked_eval(&self) -> Option<&dyn ChunkedField> {
+        None
     }
 
     /// Streams the memory-access events this model would generate for a
@@ -218,23 +85,104 @@ pub trait TrainableField {
     fn stream_lookups(&self, _points: &[Vec3], _sink: &mut dyn TraceSink) {}
 }
 
+/// The chunk phases of a batched model. *Training*: `begin_batch` →
+/// `begin_chunks` opens the batch, cut into [`POINT_CHUNK`]-sample chunks
+/// with a ring of in-flight records → per chunk, in order and as its rays
+/// allow: `density_chunks` (prepass, fused gather and density MLP), the
+/// engine's transmittance scan into an ascending list of live samples,
+/// `color_chunks` over them and `backward_chunks` (MLP backward, in-order
+/// grid scatter and gradient fold; frees the record) → `apply_gradients`.
+/// *Evaluation*, uncached: `query_eval_batch_density`, then
+/// `query_eval_batch_color_compacted` with the same scratch. Per point,
+/// every phase matches the per-point surface bit for bit.
+pub trait ChunkedField {
+    /// Opens a chunk-phased batch of `n` samples: chunk `c` holds samples
+    /// [`chunk_samples`]`(c..c + 1, n)`, and at most `ring` consecutive
+    /// chunks are in flight (densities taken, backward not yet run) at a
+    /// time.
+    fn begin_chunks(&mut self, n: usize, ring: usize);
+
+    /// Prepass and density phase of `chunks`, the next chunks in order:
+    /// fills their samples' `sigmas` (caching what the color phase and
+    /// the backward need). `points` and `sigmas` span the whole batch.
+    fn density_chunks(
+        &mut self,
+        points: &[Vec3],
+        chunks: Range<usize>,
+        sigmas: &mut [f32],
+        pool: &ThreadPool,
+    );
+
+    /// Color phase of `chunks`: computes `rgbs[i]` for the samples listed
+    /// (ascending, global indices) in `live` — every live sample of those
+    /// chunks — and `Vec3::ZERO` for their other samples. `dirs` and
+    /// `rgbs` span the whole batch.
+    fn color_chunks(
+        &mut self,
+        dirs: &[Vec3],
+        chunks: Range<usize>,
+        live: &[u32],
+        rgbs: &mut [Vec3],
+        pool: &ThreadPool,
+    );
+
+    /// Backward of `chunks`, the oldest chunks in flight, given the loss
+    /// gradients of their samples (`d_sigmas` / `d_colors` span the whole
+    /// batch); accumulates their parameter gradients in chunk order and
+    /// frees their records.
+    fn backward_chunks(
+        &mut self,
+        chunks: Range<usize>,
+        d_sigmas: &[f32],
+        d_colors: &[Vec3],
+        pool: &ThreadPool,
+    );
+
+    /// Density phase of the evaluation query: fills `sigmas` and keeps
+    /// whatever the color phase needs in the caller-owned `scratch`, so
+    /// the render engine can scan ray transmittance and pay the color MLP
+    /// only for samples that still matter.
+    fn query_eval_batch_density(
+        &self,
+        points: &[Vec3],
+        sigmas: &mut [f32],
+        scratch: &mut EvalScratch,
+        pool: &ThreadPool,
+    );
+
+    /// Color phase of the evaluation query, after
+    /// [`ChunkedField::query_eval_batch_density`] with the same `scratch`:
+    /// computes `rgbs[i]` for the samples listed (ascending, global
+    /// indices) in `live` and `Vec3::ZERO` for the rest.
+    fn query_eval_batch_color_compacted(
+        &self,
+        dirs: &[Vec3],
+        live: &[u32],
+        rgbs: &mut [Vec3],
+        scratch: &mut EvalScratch,
+        pool: &ThreadPool,
+    );
+}
+
 /// No-gradient densities of `points`, by whichever evaluation path the
-/// model has: the phased density query into `scratch` (returns `true`; the
-/// colour phase may follow with the same scratch), or — for per-point
+/// model has: its chunk phases' density query into `scratch` (returned, so
+/// the colour phase can follow with the same scratch), or — for per-point
 /// models, the Tab. IV baselines — a [`TrainableField::query_eval`] loop,
-/// whose colours land in `rgbs` (returns `false`). The one dispatch the
+/// whose colours land in `rgbs` (returns `None`). The one dispatch the
 /// render engine and the occupancy refresh share.
-pub(crate) fn eval_density_batch<M: TrainableField>(
-    model: &M,
+pub(crate) fn eval_density_batch<'m, M: TrainableField>(
+    model: &'m M,
     points: &[Vec3],
     dirs: &[Vec3],
     sigmas: &mut [f32],
     rgbs: &mut Vec<Vec3>,
     scratch: &mut EvalScratch,
     pool: &ThreadPool,
-) -> bool {
-    let phased = model.query_eval_batch_density(points, sigmas, scratch, pool);
-    if !phased {
+) -> Option<&'m dyn ChunkedField> {
+    let phased = model.chunked_eval();
+    if let Some(chunked) = phased {
+        chunked.query_eval_batch_density(points, sigmas, scratch, pool);
+    } else {
         rgbs.clear();
         for ((&p, &d), sigma) in points.iter().zip(dirs).zip(sigmas) {
             let (s, rgb) = model.query_eval(p, d);
@@ -570,8 +518,8 @@ impl BatchCache {
 }
 
 /// Caller-owned scratch for the phased *evaluation* query
-/// ([`TrainableField::query_eval_batch_density`] /
-/// [`TrainableField::query_eval_batch_color_compacted`]). Opaque outside
+/// ([`ChunkedField::query_eval_batch_density`] /
+/// [`ChunkedField::query_eval_batch_color_compacted`]). Opaque outside
 /// this module: the render engine holds one per engine and hands it back on
 /// every call, so steady-state rendering allocates nothing.
 ///
@@ -865,6 +813,41 @@ impl IngpModel {
         (&mut self.density_mlp, &mut self.color_mlp)
     }
 
+    /// Density phase of the whole-batch query: `begin_chunks` with one
+    /// record per chunk, then `density_chunks` over every chunk. This and
+    /// the next two run the chunk phases in phase order, so measurement
+    /// code can time each stage; the trainer streams.
+    pub fn query_batch_density(&mut self, points: &[Vec3], sigmas: &mut [f32], pool: &ThreadPool) {
+        let chunks = points.len().div_ceil(POINT_CHUNK);
+        self.begin_chunks(points.len(), chunks);
+        self.density_chunks(points, 0..chunks, sigmas, pool);
+    }
+
+    /// Color phase of the whole-batch query: `color_chunks` over every
+    /// chunk, after [`IngpModel::query_batch_density`].
+    pub fn query_batch_color_compacted(
+        &mut self,
+        dirs: &[Vec3],
+        live: &[u32],
+        rgbs: &mut [Vec3],
+        pool: &ThreadPool,
+    ) {
+        let chunks = dirs.len().div_ceil(POINT_CHUNK);
+        self.color_chunks(dirs, 0..chunks, live, rgbs, pool);
+    }
+
+    /// Backward of the whole-batch query: `backward_chunks` over every
+    /// chunk, after [`IngpModel::query_batch_density`].
+    pub fn backward_batch_compacted(
+        &mut self,
+        d_sigmas: &[f32],
+        d_colors: &[Vec3],
+        pool: &ThreadPool,
+    ) {
+        let chunks = d_sigmas.len().div_ceil(POINT_CHUNK);
+        self.backward_chunks(0..chunks, d_sigmas, d_colors, pool);
+    }
+
     /// Values in one evaluation task's ping-pong tile pair: two tiles wide
     /// enough for either MLP.
     fn eval_tile_pair_len(&self) -> usize {
@@ -1071,8 +1054,25 @@ impl TrainableField for IngpModel {
         IngpModel::precision(self)
     }
 
+    fn chunked(&mut self) -> Option<&mut dyn ChunkedField> {
+        Some(self)
+    }
+
+    fn chunked_eval(&self) -> Option<&dyn ChunkedField> {
+        Some(self)
+    }
+
+    /// The hash-grid address stream of the batch, on the trace bus. Both
+    /// trainer engines call this with the same gathered point batch, so
+    /// the streamed events are engine-independent by construction.
+    fn stream_lookups(&self, points: &[Vec3], sink: &mut dyn TraceSink) {
+        self.grid.stream_batch(points, sink);
+    }
+}
+
+impl ChunkedField for IngpModel {
     /// Sizes the ring (it only grows) and empties it.
-    fn begin_chunks(&mut self, n: usize, ring: usize) -> bool {
+    fn begin_chunks(&mut self, n: usize, ring: usize) {
         let batch = &mut self.batch;
         batch.len = n;
         batch.ring = ring.max(1);
@@ -1082,7 +1082,6 @@ impl TrainableField for IngpModel {
         for chunk in &mut batch.chunks {
             chunk.held = None;
         }
-        true
     }
 
     /// Prepass, then the fused gather → density MLP of each chunk on a
@@ -1211,25 +1210,18 @@ impl TrainableField for IngpModel {
         }
     }
 
-    /// The hash-grid address stream of the batch, on the trace bus. Both
-    /// trainer engines call this with the same gathered point batch, so
-    /// the streamed events are engine-independent by construction.
-    fn stream_lookups(&self, points: &[Vec3], sink: &mut dyn TraceSink) {
-        self.grid.stream_batch(points, sink);
-    }
-
     /// Density phase of the phased evaluation query: one
     /// `eval_density_task` per fixed `POINT_CHUNK` of samples on the pool,
     /// leaving each sample's raw density row in the caller-owned scratch
     /// for the colour phase. `&self`: callers sync deferred optimizer
-    /// updates beforehand. Always supported.
+    /// updates beforehand.
     fn query_eval_batch_density(
         &self,
         points: &[Vec3],
         sigmas: &mut [f32],
         scratch: &mut EvalScratch,
         pool: &ThreadPool,
-    ) -> bool {
+    ) {
         let n = points.len();
         assert_eq!(n, sigmas.len(), "sigma buffer mismatch");
         let dout = self.density_mlp.out_dim();
@@ -1251,7 +1243,6 @@ impl TrainableField for IngpModel {
                 s.spawn(move |_| eval_density_task(grid, density_mlp, pts, sigma_c, raw_c, tiles));
             }
         });
-        true
     }
 
     /// Color phase of the phased evaluation query over the live samples
@@ -1397,12 +1388,12 @@ mod tests {
                         let mut sigmas = vec![f32::NAN; n];
                         let mut rgbs = vec![Vec3::splat(f32::NAN); n];
                         for live in &lives {
-                            assert!(model.query_eval_batch_density(
+                            model.query_eval_batch_density(
                                 &points,
                                 &mut sigmas,
                                 &mut scratch,
-                                pool
-                            ));
+                                pool,
+                            );
                             model.query_eval_batch_color_compacted(
                                 &dirs,
                                 live,
@@ -1475,13 +1466,13 @@ mod tests {
             let mut one = whole.clone();
             let (mut sigmas, mut rgbs) = (vec![0.0; n], vec![Vec3::ZERO; n]);
             whole.begin_batch();
-            assert!(whole.query_batch_density(&points, &mut sigmas, &pool));
+            whole.query_batch_density(&points, &mut sigmas, &pool);
             whole.query_batch_color_compacted(&dirs, &live, &mut rgbs, &pool);
             whole.backward_batch_compacted(&d_sigmas, &d_colors, &pool);
             let want = bits(&whole, &sigmas, &rgbs);
             let (mut sigmas, mut rgbs) = (vec![0.0; n], vec![Vec3::ZERO; n]);
             one.begin_batch();
-            assert!(one.begin_chunks(n, 1));
+            one.begin_chunks(n, 1);
             for c in 0..n.div_ceil(POINT_CHUNK) {
                 let samples = chunk_samples(c..c + 1, n);
                 let lo = live.partition_point(|&i| (i as usize) < samples.start);

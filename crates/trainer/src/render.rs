@@ -14,9 +14,9 @@
 //!    cells are dropped here and never reach the model — most of them a
 //!    clear run at a time, without being looked at.
 //! 2. **Density phase** — the fused encode→density-MLP eval path
-//!    ([`TrainableField::query_eval_batch_density`]) over every surviving
-//!    sample, into engine-owned [`EvalScratch`]. Models without phased
-//!    evaluation fall back to a [`TrainableField::query_eval`] loop.
+//!    (`query_eval_batch_density` of [`TrainableField::chunked_eval`]) over
+//!    every surviving sample, into engine-owned [`EvalScratch`]. Per-point
+//!    models fall back to a [`TrainableField::query_eval`] loop.
 //! 3. **Transmittance scan** — a scalar sweep replicating the composite
 //!    recurrence operation for operation (`σ.max(0)`, `α = 1 − e^{−σ·δ}`,
 //!    `w = T·α`, `T ← T·(1−α)`), recording each sample's blend weight and
@@ -25,7 +25,7 @@
 //!    [`RenderOpts::early_term_threshold`] (when
 //!    [`RenderOpts::early_term`] is set).
 //! 4. **Color phase** — the compacted color MLP
-//!    ([`TrainableField::query_eval_batch_color_compacted`]) over surviving
+//!    (`query_eval_batch_color_compacted`, same model) over surviving
 //!    samples only.
 //! 5. **Blend** — `color += rgb[i] · w[i]` per ray in sample order, then
 //!    one pixel write per ray.
@@ -510,7 +510,7 @@ impl RenderEngine {
 
         // inerf-lint: allow(wall-clock) -- stage telemetry only: feeds RenderStats/BENCH_render.json, never a simulated statistic
         let t_color = Instant::now();
-        if phased {
+        if let Some(model) = phased {
             arena.rgbs.resize(n, Vec3::ZERO);
             model.query_eval_batch_color_compacted(
                 &arena.dirs,

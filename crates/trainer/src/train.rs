@@ -465,7 +465,7 @@ impl<M: TrainableField> Trainer<M> {
     /// fold, loss value) still runs serially in chunk or ray order, so the
     /// bits are too — at any pool size.
     ///
-    /// A per-point model (`begin_chunks` returns `false`: the Tab. IV
+    /// A per-point model (no [`TrainableField::chunked`]: the Tab. IV
     /// baselines) takes [`Trainer::step_scalar`] instead — this engine over
     /// per-point `query`/`backward` loops would be that one bit for bit
     /// (`composite_spans` ≡ `composite_uniform` per ray, `l2_ray_gradient`
@@ -474,12 +474,13 @@ impl<M: TrainableField> Trainer<M> {
         let n = self.arena.batch.points.len();
         let wave = engine::wave_chunks(self.pool.current_num_threads());
         let ring = engine::ring_size(&self.arena.batch.spans, n, wave);
-        if !self.model.begin_chunks(n, ring) {
-            return self.step_scalar();
-        }
         let Trainer {
             model, arena, pool, ..
         } = self;
+        let Some(model) = model.chunked() else {
+            return self.step_scalar();
+        };
+        model.begin_chunks(n, ring);
         let m = arena.batch.spans.len();
         // Stage buffers come from the arena: `resize` reuses capacity, and
         // every stage fully overwrites its part of a buffer before reading
@@ -812,13 +813,15 @@ mod tests {
 #[cfg(test)]
 mod compaction_tests {
     use super::*;
+    use crate::model::{ChunkedField, EvalScratch};
 
     /// A deterministic analytic field dense enough that rays terminate
     /// (transmittance reaches exactly 0.0) partway through their samples.
-    /// It implements both the per-point and the phased entry points and
-    /// records the gradients the engine feeds back, so the test
-    /// below can prove occupancy-driven compaction is a bitwise no-op while
-    /// actually skipping color work.
+    /// It implements both the per-point surface and the training chunk
+    /// phases (handed out only when `phased` is set), and records the
+    /// gradients the engine feeds back, so the test below can prove
+    /// occupancy-driven compaction is a bitwise no-op while actually
+    /// skipping color work.
     #[derive(Debug, Clone, Default)]
     struct PhasedProbe {
         phased: bool,
@@ -871,9 +874,17 @@ mod compaction_tests {
             0
         }
 
-        fn begin_chunks(&mut self, _n: usize, _ring: usize) -> bool {
-            self.phased
+        fn chunked(&mut self) -> Option<&mut dyn ChunkedField> {
+            if self.phased {
+                Some(self)
+            } else {
+                None
+            }
         }
+    }
+
+    impl ChunkedField for PhasedProbe {
+        fn begin_chunks(&mut self, _n: usize, _ring: usize) {}
 
         fn density_chunks(
             &mut self,
@@ -914,6 +925,27 @@ mod compaction_tests {
             for i in chunk_samples(chunks, d_sigmas.len()) {
                 self.backward(i, d_sigmas[i], d_colors[i]);
             }
+        }
+
+        fn query_eval_batch_density(
+            &self,
+            _points: &[Vec3],
+            _sigmas: &mut [f32],
+            _scratch: &mut EvalScratch,
+            _pool: &ThreadPool,
+        ) {
+            unreachable!("the probe hands out no evaluation phases");
+        }
+
+        fn query_eval_batch_color_compacted(
+            &self,
+            _dirs: &[Vec3],
+            _live: &[u32],
+            _rgbs: &mut [Vec3],
+            _scratch: &mut EvalScratch,
+            _pool: &ThreadPool,
+        ) {
+            unreachable!("the probe hands out no evaluation phases");
         }
     }
 

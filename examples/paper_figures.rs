@@ -122,7 +122,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         println!("{}", extension::render(&prediction));
     }
     if all || which == "fig11" {
-        println!("Running Fig. 11 over all eight scenes (a minute or two)...");
+        println!("Running Fig. 11 over all eight scenes...");
         let rows = fig11::run(&SceneKind::ALL, 2048, 128, 7);
         dump(dir, "fig11", &rows)?;
         println!("{}", fig11::render(&rows));
