@@ -142,7 +142,9 @@ hot path, as do the trainer's model (crates/trainer/src/model.rs), its training 
 (crates/trainer/src/train.rs) and its occupancy grid (crates/trainer/src/occupancy.rs), \
 and the trainer's inference render engine (crates/trainer/src/render.rs) on the \
 evaluation hot path; a panic there takes down a whole training, rendering or \
-co-simulation run. The snapshot crate is in scope too: its contract is that corrupt \
+co-simulation run. The trainer's checkpoint codec (crates/trainer/src/train/checkpoint.rs) \
+is in scope for both reasons: every save streams from it, and a resume decodes \
+untrusted bytes through it. The snapshot crate is in scope too: its contract is that corrupt \
 bytes, torn writes and failed I/O surface as typed SnapshotError values, which the \
 fault-injection sweep pins at every kill point and for every flipped bit. Library code \
 in that scope must not call .unwrap() or .expect(): return a Result, restructure so \
@@ -203,13 +205,15 @@ const HOT_PATH_CRATES: &[&str] = &["encoding", "mlp", "dram", "accel", "render",
 /// Individual hot-path files in crates that are otherwise exempt: the
 /// trainer's inference render engine sits on the evaluation hot path, and
 /// its model, training step and occupancy grid (per-sample filter,
-/// periodic refresh sweep) on the training one, even though the rest of
-/// the trainer crate (setup, checkpointing, reporting) does not.
+/// periodic refresh sweep) on the training one; its checkpoint codec
+/// streams every save and decodes untrusted bytes on resume. The rest of
+/// the trainer crate (setup, reporting) does not.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/trainer/src/model.rs",
     "crates/trainer/src/occupancy.rs",
     "crates/trainer/src/render.rs",
     "crates/trainer/src/train.rs",
+    "crates/trainer/src/train/checkpoint.rs",
 ];
 /// Crates the entry-width rule covers (where byte widths become addresses
 /// and traffic).

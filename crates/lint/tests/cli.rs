@@ -42,7 +42,7 @@ fn seeded_tree_exits_one_and_lists_findings() {
     assert_eq!(code(&out), 1);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("crates/dram/src/order.rs:3: [hash-order]"));
-    assert!(text.contains("24 unwaived finding(s), 10 waived, 14 file(s) scanned"));
+    assert!(text.contains("25 unwaived finding(s), 11 waived, 15 file(s) scanned"));
     // Waived findings are only listed under --verbose.
     assert!(!text.contains("waived: fixture:"));
 }
@@ -67,8 +67,8 @@ fn json_format_reports_summary_and_waivers() {
     assert_eq!(code(&out), 1);
     let json = String::from_utf8_lossy(&out.stdout);
     assert!(json.contains(
-        "\"summary\": {\"files_scanned\": 14, \"findings\": 34, \"waived\": 10, \
-\"unwaived\": 24, \"unsafe_sites\": 2}"
+        "\"summary\": {\"files_scanned\": 15, \"findings\": 36, \"waived\": 11, \
+\"unwaived\": 25, \"unsafe_sites\": 2}"
     ));
     assert!(json.contains("\"rule\": \"unsafe-audit\""));
     assert!(json.contains("\"waived\": \"fixture: caller guarantees Some\""));

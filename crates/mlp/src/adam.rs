@@ -57,7 +57,7 @@ pub struct AdamState {
     lazy: bool,
     /// The per-step bias corrections through step `t`. Derived from `t`
     /// alone: never exported, rebuilt on first use after
-    /// [`AdamState::from_snapshot`], ignored by `==`.
+    /// [`AdamState::restore`], ignored by `==`.
     bias: BiasTable,
     /// Learning rate.
     pub learning_rate: f32,
@@ -70,31 +70,6 @@ impl PartialEq for AdamState {
             && self.lazy == other.lazy
             && self.learning_rate == other.learning_rate
     }
-}
-
-/// A plain-data image of an [`AdamState`] to restore from (see
-/// [`AdamState::from_snapshot`]): the packed `{m, v, stamp}` records
-/// flattened to bit patterns, the global step (the lazy-replay epoch),
-/// the mode flag and the learning rate (the other hyper-parameters are
-/// the fixed [`BETA1`], [`BETA2`] and [`EPSILON`]).
-///
-/// Moments travel as `u32` bit patterns, not values, because a resumed
-/// run must replay the *bits* of the original trajectory — a decimal
-/// round-trip would already diverge on the first post-resume step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdamStateSnapshot {
-    /// First-moment bit patterns, one per parameter.
-    pub m_bits: Vec<u32>,
-    /// Second-moment bit patterns, one per parameter.
-    pub v_bits: Vec<u32>,
-    /// Lazy-replay stamps, one per parameter (all 0 in dense mode).
-    pub step_stamps: Vec<u32>,
-    /// Global step count (the lazy-replay epoch).
-    pub t: u64,
-    /// Whether lazy sparse mode is on.
-    pub lazy: bool,
-    /// Learning rate.
-    pub learning_rate: f32,
 }
 
 /// `rows[s] = (1 − β₁ˢ, 1 − β₂ˢ)`, the bias corrections of step `s`: one
@@ -400,54 +375,55 @@ impl AdamState {
         self.t
     }
 
-    /// The packed records as `[m bits, v bits, stamp]`, borrowed: the
-    /// columns of an [`AdamStateSnapshot`] without building one.
+    /// The packed records as `[m bits, v bits, stamp]`, borrowed, in
+    /// memory order: what [`AdamState::restore`] takes back.
     pub fn records(&self) -> impl ExactSizeIterator<Item = [u32; 3]> + '_ {
         self.state
             .iter()
             .map(|s| [s.m.to_bits(), s.v.to_bits(), s.step])
     }
 
-    /// Rebuilds an [`AdamState`] from an exported snapshot, bit-exactly.
+    /// Overwrites this state in place, bit-exactly, with exported records
+    /// ([`AdamState::records`], one per parameter, in memory order), the
+    /// global step `t` (the lazy-replay epoch), the mode flag and the
+    /// learning rate; the other hyper-parameters are the fixed [`BETA1`],
+    /// [`BETA2`] and [`EPSILON`].
     ///
+    /// Moments travel as `u32` bit patterns, not values, because a resumed
+    /// run must replay the *bits* of the original trajectory — a decimal
+    /// round-trip would already diverge on the first post-resume step.
     /// Unlike [`AdamState::enable_lazy`], this may restore a lazy state
-    /// mid-trajectory (`t > 0`) — the stamps come from the snapshot, so
+    /// mid-trajectory (`t > 0`) — the stamps come from the records, so
     /// the replayed-through invariant is whatever the original run had.
     ///
     /// # Panics
     ///
-    /// Panics if the three per-parameter vectors differ in length;
-    /// callers deserializing untrusted bytes must validate lengths first
-    /// and surface a typed error.
-    pub fn from_snapshot(snap: &AdamStateSnapshot) -> Self {
+    /// Panics unless `records` holds exactly one record per parameter;
+    /// callers restoring untrusted bytes must check the count first and
+    /// surface a typed error.
+    pub fn restore(
+        &mut self,
+        records: impl ExactSizeIterator<Item = [u32; 3]>,
+        t: u64,
+        lazy: bool,
+        learning_rate: f32,
+    ) {
         assert_eq!(
-            snap.m_bits.len(),
-            snap.v_bits.len(),
-            "adam snapshot m/v length mismatch"
+            records.len(),
+            self.state.len(),
+            "adam restore: record count does not match the parameter count"
         );
-        assert_eq!(
-            snap.m_bits.len(),
-            snap.step_stamps.len(),
-            "adam snapshot m/stamp length mismatch"
-        );
-        let state = snap
-            .m_bits
-            .iter()
-            .zip(&snap.v_bits)
-            .zip(&snap.step_stamps)
-            .map(|((&m, &v), &step)| Moments {
+        for (s, [m, v, step]) in self.state.iter_mut().zip(records) {
+            *s = Moments {
                 m: f32::from_bits(m),
                 v: f32::from_bits(v),
                 step,
-            })
-            .collect();
-        AdamState {
-            state,
-            t: snap.t,
-            lazy: snap.lazy,
-            bias: BiasTable::default(),
-            learning_rate: snap.learning_rate,
+            };
         }
+        self.t = t;
+        self.lazy = lazy;
+        self.bias = BiasTable::default();
+        self.learning_rate = learning_rate;
     }
 
     /// Number of parameters this state covers.
@@ -959,18 +935,15 @@ mod tests {
             }
             adam.step_sparse(&mut p, &g, touched, 1.0);
         }
-        let column = |i: usize| adam.records().map(|r| r[i]).collect::<Vec<_>>();
-        let snap = AdamStateSnapshot {
-            m_bits: column(0),
-            v_bits: column(1),
-            step_stamps: column(2),
-            t: adam.steps(),
-            lazy: adam.is_lazy(),
-            learning_rate: adam.learning_rate,
-        };
-        assert_eq!(snap.t, 3);
-        assert!(snap.lazy);
-        let mut restored = AdamState::from_snapshot(&snap);
+        assert_eq!(adam.steps(), 3);
+        assert!(adam.is_lazy());
+        let mut restored = AdamState::new(n, 0.0);
+        restored.restore(
+            adam.records(),
+            adam.steps(),
+            adam.is_lazy(),
+            adam.learning_rate,
+        );
         assert_eq!(restored, adam);
         let mut p2 = p.clone();
         let g = vec![0.05f32; n];
@@ -1343,16 +1316,15 @@ mod tests {
                 v.push(vi.to_bits());
                 p.push(pi);
             }
-            let snap = |lazy: bool| AdamStateSnapshot {
-                m_bits: m.clone(),
-                v_bits: v.clone(),
-                step_stamps: vec![if lazy { start as u32 } else { 0 }; n],
-                t: start,
-                lazy,
-                learning_rate: lr,
+            let restore = |lazy: bool| {
+                let stamp = if lazy { start as u32 } else { 0 };
+                let records = m.iter().zip(&v).map(|(&m, &v)| [m, v, stamp]);
+                let mut adam = AdamState::new(n, lr);
+                adam.restore(records, start, lazy, lr);
+                adam
             };
-            let mut dense = AdamState::from_snapshot(&snap(false));
-            let mut lazy = AdamState::from_snapshot(&snap(true));
+            let mut dense = restore(false);
+            let mut lazy = restore(true);
             let (mut dense_p, mut lazy_p) = (p.clone(), p);
             let zeros = vec![0.0f32; n];
             let sync_every = rng.gen_range(1usize..400);

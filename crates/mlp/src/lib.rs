@@ -33,7 +33,7 @@ pub mod layer;
 pub mod mlp;
 pub mod store;
 
-pub use adam::{AdamState, AdamStateSnapshot};
+pub use adam::AdamState;
 pub use layer::{untranspose_tile, Activation, DenseLayer, FWD_BLOCK};
 pub use mlp::{Mlp, MlpActivations, MlpBatchActivations, MlpGradients, MlpScratch};
 pub use store::{ParamStore, Precision};

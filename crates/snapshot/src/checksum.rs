@@ -20,26 +20,80 @@ fn mix(h: u64, w: u64) -> u64 {
     x ^ (x >> 32)
 }
 
+/// Steps lane `i` by word `i` of a 32-byte block.
+#[inline(always)]
+fn step_block(lanes: &mut [u64; 4], block: &[u8]) {
+    for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+        let w = u64::from_le_bytes(word.try_into().unwrap_or_default());
+        *lane = mix(*lane, w);
+    }
+}
+
 /// The 64-bit checksum of `bytes`.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut lanes = [OFFSET_BASIS; 4];
-    let mut blocks = bytes.chunks_exact(32);
-    for block in &mut blocks {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            let w = u64::from_le_bytes(word.try_into().unwrap_or_default());
-            *lane = mix(*lane, w);
+    let mut sum = Checksum64::new();
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// [`checksum64`] fed in pieces: any split of the input gives the digest
+/// of the whole. Up to 31 bytes of an unfinished block wait in `pending`
+/// for the next piece.
+#[derive(Debug, Clone)]
+pub(crate) struct Checksum64 {
+    lanes: [u64; 4],
+    pending: [u8; 32],
+    pending_len: usize,
+}
+
+impl Checksum64 {
+    /// The state before any byte.
+    pub(crate) fn new() -> Self {
+        Checksum64 {
+            lanes: [OFFSET_BASIS; 4],
+            pending: [0; 32],
+            pending_len: 0,
         }
     }
-    let h = lanes.into_iter().fold(OFFSET_BASIS, mix);
-    blocks
-        .remainder()
-        .iter()
-        .fold(h, |h, &b| mix(h, u64::from(b)))
+
+    /// Feeds the next piece of the input.
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+        if self.pending_len > 0 {
+            let take = (32 - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < 32 {
+                return;
+            }
+            step_block(&mut self.lanes, &self.pending);
+            self.pending_len = 0;
+        }
+        // The lanes stay in registers across the blocks.
+        let mut lanes = self.lanes;
+        let mut blocks = bytes.chunks_exact(32);
+        for block in &mut blocks {
+            step_block(&mut lanes, block);
+        }
+        self.lanes = lanes;
+        let tail = blocks.remainder();
+        self.pending[..tail.len()].copy_from_slice(tail);
+        self.pending_len = tail.len();
+    }
+
+    /// The digest of everything fed so far.
+    pub(crate) fn finish(&self) -> u64 {
+        let h = self.lanes.into_iter().fold(OFFSET_BASIS, mix);
+        self.pending[..self.pending_len]
+            .iter()
+            .fold(h, |h, &b| mix(h, u64::from(b)))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pattern(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i * 131 + 7) as u8).collect()
@@ -85,5 +139,23 @@ mod tests {
         flipped[7] ^= 0x80;
         flipped[32 + 7] ^= 0x80;
         assert_ne!(checksum64(&flipped), checksum64(&base));
+    }
+
+    proptest! {
+        #[test]
+        fn pieces_in_any_split_digest_like_the_whole(
+            bytes in collection::vec(0u8..=255, 0..300),
+            cuts in collection::vec(0usize..300, 0..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut sum = Checksum64::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                sum.update(&bytes[at..cut]);
+                at = cut;
+            }
+            prop_assert_eq!(sum.finish(), checksum64(&bytes));
+        }
     }
 }

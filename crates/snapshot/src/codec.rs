@@ -1,60 +1,80 @@
 //! Little-endian byte codec used by the snapshot format and its payloads.
 //!
-//! Writers append to a plain `Vec<u8>`; readers consume through
-//! [`Reader`], which surfaces every overrun, length overflow or trailing
-//! garbage as [`SnapshotError::Corrupt`] instead of panicking — the
+//! Writers append to a [`Sink`]: a plain `Vec<u8>`, or the container
+//! writer ([`crate::format::SectionWriter`]) that streams a section
+//! straight into the file. Readers consume through [`Reader`], which
+//! surfaces every overrun, length overflow or trailing garbage as
+//! [`SnapshotError::Corrupt`] instead of panicking — the
 //! no-panic-on-any-input invariant the byte-flip sweep relies on.
 //!
-//! Slices are encoded as a `u64` element count followed by the raw
+//! Columns are encoded as a `u64` element count followed by the raw
 //! little-endian elements; floats travel as their IEEE 754 bit patterns
 //! so round-trips are bit-exact (including NaN payloads and signed
 //! zeros — a resume must reproduce *bits*, not values).
 
 use crate::error::SnapshotError;
 
-/// Appends a `u8`.
-pub fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
+/// A destination for little-endian encoded bytes.
+pub trait Sink {
+    /// Appends raw bytes.
+    fn put_bytes(&mut self, bytes: &[u8]);
 
-/// Appends a `u32`, little-endian.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+    /// Appends each element of `xs` as its `N` little-endian bytes, with
+    /// no length prefix, in bulk.
+    fn put_elems<T, const N: usize>(
+        &mut self,
+        xs: impl ExactSizeIterator<Item = T>,
+        to_le: impl Fn(T) -> [u8; N],
+    );
 
-/// Appends a `u64`, little-endian.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+    /// Appends a `u8`.
+    fn put_u8(&mut self, v: u8) {
+        self.put_bytes(&[v]);
+    }
 
-/// Appends an `f32` as its bit pattern, little-endian.
-pub fn put_f32(out: &mut Vec<u8>, v: f32) {
-    put_u32(out, v.to_bits());
-}
+    /// Appends a `u32`, little-endian.
+    fn put_u32(&mut self, v: u32) {
+        self.put_bytes(&v.to_le_bytes());
+    }
 
-/// Appends a length-prefixed column of `N`-byte little-endian elements,
-/// growing `out` once; an iterator needs no intermediate slice.
-pub fn put_column<T, const N: usize>(
-    out: &mut Vec<u8>,
-    xs: impl ExactSizeIterator<Item = T>,
-    to_le: impl Fn(T) -> [u8; N],
-) {
-    put_u64(out, xs.len() as u64);
-    let start = out.len();
-    out.resize(start + xs.len() * N, 0);
-    for (dst, x) in out[start..].chunks_exact_mut(N).zip(xs) {
-        dst.copy_from_slice(&to_le(x));
+    /// Appends a `u64`, little-endian.
+    fn put_u64(&mut self, v: u64) {
+        self.put_bytes(&v.to_le_bytes());
+    }
+
+    /// Appends an `f32` as its bit pattern, little-endian.
+    fn put_f32(&mut self, v: f32) {
+        self.put_u32(v.to_bits());
+    }
+
+    /// Appends a length-prefixed column of `N`-byte little-endian
+    /// elements; an iterator needs no intermediate slice.
+    fn put_column<T, const N: usize>(
+        &mut self,
+        xs: impl ExactSizeIterator<Item = T>,
+        to_le: impl Fn(T) -> [u8; N],
+    ) {
+        self.put_u64(xs.len() as u64);
+        self.put_elems(xs, to_le);
     }
 }
 
-/// Appends a length-prefixed `u64` slice.
-pub fn put_u64_slice(out: &mut Vec<u8>, xs: &[u64]) {
-    put_column(out, xs.iter().copied(), u64::to_le_bytes);
-}
+/// Reserves once per column, then appends each element's bytes.
+impl Sink for Vec<u8> {
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
 
-/// Appends a length-prefixed `f32` slice (bit patterns).
-pub fn put_f32_slice(out: &mut Vec<u8>, xs: &[f32]) {
-    put_column(out, xs.iter().map(|x| x.to_bits()), u32::to_le_bytes);
+    fn put_elems<T, const N: usize>(
+        &mut self,
+        xs: impl ExactSizeIterator<Item = T>,
+        to_le: impl Fn(T) -> [u8; N],
+    ) {
+        self.reserve(xs.len() * N);
+        for x in xs {
+            self.extend_from_slice(&to_le(x));
+        }
+    }
 }
 
 /// A bounds-checked cursor over an untrusted byte buffer.
@@ -128,36 +148,20 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a length-prefixed column of `N`-byte little-endian elements.
-    fn column<T, const N: usize>(
+    /// Reads a length-prefixed column of `N`-byte little-endian elements,
+    /// yielding each element's bytes straight from the buffer.
+    pub fn column<const N: usize>(
         &mut self,
-        from_le: impl Fn([u8; N]) -> T,
-    ) -> Result<Vec<T>, SnapshotError> {
+    ) -> Result<impl ExactSizeIterator<Item = [u8; N]> + 'a, SnapshotError> {
+        const { assert!(N > 0) };
         let n = self.len_prefix(N)?;
         let bytes = self.take(n * N)?.chunks_exact(N);
-        Ok(bytes
-            .map(|c| from_le(c.try_into().unwrap_or([0; N])))
-            .collect())
-    }
-
-    /// Reads a length-prefixed `u16` slice.
-    pub fn u16_vec(&mut self) -> Result<Vec<u16>, SnapshotError> {
-        self.column(u16::from_le_bytes)
-    }
-
-    /// Reads a length-prefixed `u32` slice.
-    pub fn u32_vec(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        self.column(u32::from_le_bytes)
+        Ok(bytes.map(|c| c.try_into().unwrap_or([0; N])))
     }
 
     /// Reads a length-prefixed `u64` slice.
     pub fn u64_vec(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        self.column(u64::from_le_bytes)
-    }
-
-    /// Reads a length-prefixed `f32` slice (bit patterns).
-    pub fn f32_vec(&mut self) -> Result<Vec<f32>, SnapshotError> {
-        self.column(|le| f32::from_bits(u32::from_le_bytes(le)))
+        Ok(self.column()?.map(u64::from_le_bytes).collect())
     }
 
     /// Consumes the reader, failing if any bytes were left unread —
@@ -177,31 +181,47 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::{Section, Snapshot};
     use proptest::prelude::*;
+
+    fn u16s(r: &mut Reader<'_>) -> Result<Vec<u16>, SnapshotError> {
+        Ok(r.column()?.map(u16::from_le_bytes).collect())
+    }
+
+    fn u32s(r: &mut Reader<'_>) -> Result<Vec<u32>, SnapshotError> {
+        Ok(r.column()?.map(u32::from_le_bytes).collect())
+    }
+
+    fn f32s(r: &mut Reader<'_>) -> Result<Vec<f32>, SnapshotError> {
+        Ok(u32s(r)?.into_iter().map(f32::from_bits).collect())
+    }
 
     #[test]
     fn scalar_and_slice_round_trip_bit_exact() {
         let mut buf = Vec::new();
-        put_u8(&mut buf, 7);
-        put_u32(&mut buf, 0xDEAD_BEEF);
-        put_u64(&mut buf, u64::MAX - 3);
-        put_f32(&mut buf, -0.0);
-        put_f32_slice(&mut buf, &[f32::NAN, 1.5, -3.25]);
-        put_column(&mut buf, [1u16, 2, 3].into_iter(), u16::to_le_bytes);
-        put_column(&mut buf, [9u32, 8].into_iter(), u32::to_le_bytes);
-        put_u64_slice(&mut buf, &[u64::MAX]);
+        buf.put_u8(7);
+        buf.put_u32(0xDEAD_BEEF);
+        buf.put_u64(u64::MAX - 3);
+        buf.put_f32(-0.0);
+        buf.put_column(
+            [f32::NAN, 1.5, -3.25].map(f32::to_bits).into_iter(),
+            u32::to_le_bytes,
+        );
+        buf.put_column([1u16, 2, 3].into_iter(), u16::to_le_bytes);
+        buf.put_column([9u32, 8].into_iter(), u32::to_le_bytes);
+        buf.put_column([u64::MAX].into_iter(), u64::to_le_bytes);
 
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.f32().unwrap().to_bits(), (-0.0f32).to_bits());
-        let fs = r.f32_vec().unwrap();
+        let fs = f32s(&mut r).unwrap();
         assert_eq!(fs.len(), 3);
         assert_eq!(fs[0].to_bits(), f32::NAN.to_bits());
         assert_eq!(fs[1], 1.5);
-        assert_eq!(r.u16_vec().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.u32_vec().unwrap(), vec![9, 8]);
+        assert_eq!(u16s(&mut r).unwrap(), vec![1, 2, 3]);
+        assert_eq!(u32s(&mut r).unwrap(), vec![9, 8]);
         assert_eq!(r.u64_vec().unwrap(), vec![u64::MAX]);
         r.finish().unwrap();
     }
@@ -215,9 +235,9 @@ mod tests {
     #[test]
     fn huge_length_prefix_is_rejected_before_allocation() {
         let mut buf = Vec::new();
-        put_u64(&mut buf, u64::MAX); // claims ~1.8e19 elements
+        buf.put_u64(u64::MAX); // claims ~1.8e19 elements
         let mut r = Reader::new(&buf);
-        assert!(matches!(r.f32_vec(), Err(SnapshotError::Corrupt(_))));
+        assert!(matches!(f32s(&mut r), Err(SnapshotError::Corrupt(_))));
     }
 
     #[test]
@@ -230,11 +250,29 @@ mod tests {
     /// for their bytes.
     fn reference<T: Copy, const N: usize>(xs: &[T], to_le: impl Fn(T) -> [u8; N]) -> Vec<u8> {
         let mut out = Vec::new();
-        put_u64(&mut out, xs.len() as u64);
+        out.extend_from_slice(&(xs.len() as u64).to_le_bytes());
         for &x in xs {
             out.extend_from_slice(&to_le(x));
         }
         out
+    }
+
+    /// A column written by both sinks: into a `Vec`, and by the container
+    /// writer as one section of a snapshot. Both must give `reference`.
+    fn both_sinks<T: Copy, const N: usize>(
+        xs: &[T],
+        to_le: impl Fn(T) -> [u8; N] + Copy,
+    ) -> Result<Vec<u8>, TestCaseError> {
+        let mut out = Vec::new();
+        out.put_column(xs.iter().copied(), to_le);
+        let want = reference(xs, to_le);
+        prop_assert_eq!(&out, &want);
+        let col = Section::new("col", want.len(), |w| {
+            w.put_column(xs.iter().copied(), to_le)
+        });
+        let snap = Snapshot::from_sections(&[col]);
+        prop_assert_eq!(snap.section("col").ok(), Some(&want[..]));
+        Ok(out)
     }
 
     /// Every strict prefix of an encoded slice must read as `Corrupt`.
@@ -273,57 +311,49 @@ mod tests {
             words in collection::vec(0u64..=u64::MAX, 0..40),
             with_specials in 0u8..2,
         ) {
-            let u16s: Vec<u16> = words.iter().map(|&w| w as u16).collect();
-            let u32s: Vec<u32> = words.iter().map(|&w| (w >> 16) as u32).collect();
-            let mut f32_bits = u32s.clone();
+            let u16s_in: Vec<u16> = words.iter().map(|&w| w as u16).collect();
+            let u32s_in: Vec<u32> = words.iter().map(|&w| (w >> 16) as u32).collect();
+            let mut f32_bits = u32s_in.clone();
             if with_specials == 1 {
                 f32_bits.extend(SPECIAL_F32_BITS);
             }
-            let f32s: Vec<f32> = f32_bits.iter().map(|&b| f32::from_bits(b)).collect();
+            let f32s_in: Vec<f32> = f32_bits.iter().map(|&b| f32::from_bits(b)).collect();
 
-            let mut out = Vec::new();
-            put_column(&mut out, u16s.iter().copied(), u16::to_le_bytes);
-            prop_assert_eq!(&out, &reference(&u16s, u16::to_le_bytes));
-            prop_assert_eq!(Reader::new(&out).u16_vec().ok(), Some(u16s));
-            every_truncation_is_corrupt(&out, Reader::u16_vec)?;
+            let out = both_sinks(&u16s_in, u16::to_le_bytes)?;
+            prop_assert_eq!(u16s(&mut Reader::new(&out)).ok(), Some(u16s_in));
+            every_truncation_is_corrupt(&out, u16s)?;
 
-            let mut out = Vec::new();
-            put_column(&mut out, u32s.iter().copied(), u32::to_le_bytes);
-            prop_assert_eq!(&out, &reference(&u32s, u32::to_le_bytes));
-            prop_assert_eq!(Reader::new(&out).u32_vec().ok(), Some(u32s));
-            every_truncation_is_corrupt(&out, Reader::u32_vec)?;
+            let out = both_sinks(&u32s_in, u32::to_le_bytes)?;
+            prop_assert_eq!(u32s(&mut Reader::new(&out)).ok(), Some(u32s_in));
+            every_truncation_is_corrupt(&out, u32s)?;
 
-            let mut out = Vec::new();
-            put_u64_slice(&mut out, &words);
-            prop_assert_eq!(&out, &reference(&words, u64::to_le_bytes));
+            let out = both_sinks(&words, u64::to_le_bytes)?;
             prop_assert_eq!(Reader::new(&out).u64_vec().ok(), Some(words));
             every_truncation_is_corrupt(&out, Reader::u64_vec)?;
 
-            let mut out = Vec::new();
-            put_f32_slice(&mut out, &f32s);
-            prop_assert_eq!(&out, &reference(&f32s, |x: f32| x.to_bits().to_le_bytes()));
-            let back = Reader::new(&out).f32_vec().unwrap_or_default();
+            let out = both_sinks(&f32s_in, |x: f32| x.to_bits().to_le_bytes())?;
+            let back = f32s(&mut Reader::new(&out)).unwrap_or_default();
             let back_bits: Vec<u32> = back.iter().map(|x| x.to_bits()).collect();
             prop_assert_eq!(back_bits, f32_bits);
-            every_truncation_is_corrupt(&out, Reader::f32_vec)?;
+            every_truncation_is_corrupt(&out, f32s)?;
         }
     }
 
     #[test]
     fn empty_slices_are_a_bare_zero_length() {
         let mut out = Vec::new();
-        put_column(&mut out, std::iter::empty(), u16::to_le_bytes);
-        put_column(&mut out, std::iter::empty(), u32::to_le_bytes);
-        put_u64_slice(&mut out, &[]);
-        put_f32_slice(&mut out, &[]);
-        put_column(&mut out, std::iter::empty(), u32::to_le_bytes);
+        out.put_column(std::iter::empty(), u16::to_le_bytes);
+        out.put_column(std::iter::empty(), u32::to_le_bytes);
+        out.put_column(std::iter::empty(), u64::to_le_bytes);
+        out.put_column(std::iter::empty(), |x: f32| x.to_bits().to_le_bytes());
+        out.put_column(std::iter::empty(), u32::to_le_bytes);
         assert_eq!(out, vec![0; 40]);
         let mut r = Reader::new(&out);
-        assert!(r.u16_vec().unwrap().is_empty());
-        assert!(r.u32_vec().unwrap().is_empty());
+        assert!(u16s(&mut r).unwrap().is_empty());
+        assert!(u32s(&mut r).unwrap().is_empty());
         assert!(r.u64_vec().unwrap().is_empty());
-        assert!(r.f32_vec().unwrap().is_empty());
-        assert!(r.u32_vec().unwrap().is_empty());
+        assert!(f32s(&mut r).unwrap().is_empty());
+        assert!(u32s(&mut r).unwrap().is_empty());
         r.finish().unwrap();
     }
 }

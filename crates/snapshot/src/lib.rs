@@ -11,8 +11,10 @@
 //!   anywhere in the file is *detected* and reported as a typed
 //!   [`SnapshotError`]; decoding never panics and never returns wrong data.
 //! * **An atomic write protocol** ([`rotate`]) — temp file → flush →
-//!   rename, with keep-last-K rotation and stale-temp cleanup, appending
-//!   payloads straight from the section buffers (no container copy). The
+//!   rename, with keep-last-K rotation and stale-temp cleanup. One
+//!   writer ([`write_sections`]) streams the file in a single pass: each
+//!   [`Section`] encodes straight from the caller's live state into
+//!   ≤ 64 KiB pieces that are checksummed and appended in turn. The
 //!   rename is the single commit point, so a crash leaves either the
 //!   previous checkpoint set or the new one, never a half-written
 //!   artifact under a live name.
@@ -23,8 +25,8 @@
 //!   protocol safe instead of asserting it.
 //!
 //! The trainer-facing state capture (parameter stores, Adam moments,
-//! RNG, config fingerprint) lives in `inerf_trainer::checkpoint`, which
-//! encodes through [`codec`] into this container.
+//! RNG, config fingerprint) lives in `inerf_trainer::checkpoint`, whose
+//! sections encode through [`codec`] into this container.
 //!
 //! # Example
 //!
@@ -53,9 +55,9 @@ pub mod rotate;
 
 pub use error::SnapshotError;
 pub use fault::FaultIo;
-pub use format::{Snapshot, MAGIC, VERSION};
+pub use format::{Section, SectionWriter, Snapshot, MAGIC, VERSION};
 pub use io::{atomic_write_file, MemIo, SnapshotIo, StdIo};
 pub use rotate::{
-    list_snapshots, load_latest, snapshot_name, snapshot_step, write_snapshot, SNAPSHOT_PREFIX,
-    SNAPSHOT_SUFFIX, TMP_SUFFIX,
+    list_snapshots, load_latest, snapshot_name, snapshot_step, write_sections, write_snapshot,
+    SNAPSHOT_PREFIX, SNAPSHOT_SUFFIX, TMP_SUFFIX,
 };

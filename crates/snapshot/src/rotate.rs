@@ -3,8 +3,10 @@
 //!
 //! A checkpoint for step `S` is written as:
 //!
-//! 1. `create  snap-<S>.inerf.tmp`
-//! 2. `append` the header, then each section's payload, in bounded chunks
+//! 1. `create  snap-<S>.inerf.tmp`, sized for the whole container
+//! 2. `append` the header, then each section's payload as it encodes
+//!    from live state, then the index trailer — one pass, in pieces of at
+//!    most 64 KiB, each checksummed as it is staged
 //! 3. `flush_sync` — the bytes are durable but the name is not live yet
 //! 4. `rename  snap-<S>.inerf.tmp → snap-<S>.inerf` — the commit point
 //! 5. prune: delete stale `.tmp` residue and snapshots beyond keep-last-K
@@ -18,7 +20,7 @@
 //! never to silently loading garbage.
 
 use crate::error::SnapshotError;
-use crate::format::Snapshot;
+use crate::format::{container_len, stream, Section, Snapshot};
 use crate::io::SnapshotIo;
 
 /// Prefix of every snapshot file name.
@@ -27,9 +29,6 @@ pub const SNAPSHOT_PREFIX: &str = "snap-";
 pub const SNAPSHOT_SUFFIX: &str = ".inerf";
 /// Suffix marking an uncommitted write in progress.
 pub const TMP_SUFFIX: &str = ".tmp";
-/// Appends are bounded so a kill-point sweep exercises torn multi-chunk
-/// writes on realistically sized snapshots.
-const WRITE_CHUNK: usize = 64 * 1024;
 
 /// File name of the snapshot for `step` (zero-padded so lexicographic
 /// and numeric order agree).
@@ -45,27 +44,43 @@ pub fn snapshot_step(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Writes `snap` for `step` through the atomic protocol, then prunes
-/// old snapshots and stale temp files down to `keep_last` (minimum 1).
+/// Writes the container of `sections` for `step` through the atomic
+/// protocol, then prunes old snapshots and stale temp files down to
+/// `keep_last` (minimum 1). This is the one writer: each section encodes
+/// once, straight into the pieces appended to the file.
+pub fn write_sections(
+    io: &mut dyn SnapshotIo,
+    step: u64,
+    sections: &[Section<'_>],
+    keep_last: usize,
+) -> Result<(), SnapshotError> {
+    let name = snapshot_name(step);
+    let tmp = format!("{name}{TMP_SUFFIX}");
+    io.create(&tmp, container_len(sections))?;
+    // After a failed append the rest of the stream is dropped: the
+    // process is as good as dead, and `tmp` is residue for recovery.
+    let mut failed = None;
+    stream(sections, &mut |piece| {
+        if failed.is_none() {
+            failed = io.append(&tmp, piece).err();
+        }
+    });
+    if let Some(e) = failed {
+        return Err(e);
+    }
+    io.flush_sync(&tmp)?;
+    io.rename(&tmp, &name)?;
+    prune(io, keep_last.max(1))
+}
+
+/// [`write_sections`] for the sections of an in-memory snapshot.
 pub fn write_snapshot(
     io: &mut dyn SnapshotIo,
     step: u64,
     snap: &Snapshot,
     keep_last: usize,
 ) -> Result<(), SnapshotError> {
-    let head = snap.head();
-    let name = snapshot_name(step);
-    let tmp = format!("{name}{TMP_SUFFIX}");
-    let len = head.len() + snap.payloads().map(<[u8]>::len).sum::<usize>();
-    io.create(&tmp, len)?;
-    for part in std::iter::once(head.as_slice()).chain(snap.payloads()) {
-        for chunk in part.chunks(WRITE_CHUNK) {
-            io.append(&tmp, chunk)?;
-        }
-    }
-    io.flush_sync(&tmp)?;
-    io.rename(&tmp, &name)?;
-    prune(io, keep_last.max(1))
+    write_sections(io, step, &snap.parts(), keep_last)
 }
 
 /// Deletes stale `.tmp` residue and all but the newest `keep` snapshots.
@@ -98,10 +113,7 @@ pub fn list_snapshots(io: &dyn SnapshotIo) -> Result<Vec<u64>, SnapshotError> {
 pub fn load_latest(io: &dyn SnapshotIo) -> Result<(u64, Snapshot), SnapshotError> {
     let mut last_err = SnapshotError::NoSnapshot;
     for s in list_snapshots(io)? {
-        match io
-            .read(&snapshot_name(s))
-            .and_then(|b| Snapshot::decode(&b))
-        {
+        match io.read(&snapshot_name(s)).and_then(Snapshot::decode_owned) {
             Ok(snap) => return Ok((s, snap)),
             Err(e) => last_err = e,
         }

@@ -43,12 +43,12 @@ use crate::occupancy::OccupancyGrid;
 use inerf_encoding::{HashFunction, HashGridConfig};
 use inerf_mlp::adam::{BETA1, BETA2, EPSILON};
 use inerf_mlp::fp16::f32_to_f16_bits;
-use inerf_mlp::{AdamState, AdamStateSnapshot, Mlp, ParamStore, Precision};
+use inerf_mlp::{AdamState, Mlp, ParamStore, Precision};
 use inerf_scenes::Dataset;
-use inerf_snapshot::codec::{
-    put_column, put_f32, put_f32_slice, put_u32, put_u64, put_u64_slice, put_u8, Reader,
+use inerf_snapshot::codec::{Reader, Sink};
+use inerf_snapshot::{
+    load_latest, write_sections, Section, Snapshot, SnapshotError, SnapshotIo, StdIo,
 };
-use inerf_snapshot::{load_latest, write_snapshot, Snapshot, SnapshotError, SnapshotIo, StdIo};
 use rand::rngs::SmallRng;
 
 /// Section tags of the trainer snapshot (all ≤ 8 bytes).
@@ -68,13 +68,8 @@ mod tag {
 /// overflow, and anything past this is corrupt data, not a real grid.
 const MAX_OCC_RESOLUTION: u32 = 1 << 12;
 
-/// A section buffer allocated once at its exact size `len`.
-fn section(len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut out = Vec::with_capacity(len);
-    fill(&mut out);
-    debug_assert_eq!(out.len(), len, "section size mispredicted");
-    out
-}
+/// Bytes of the config section.
+const CONFIG_BYTES: usize = 72;
 
 // ---------------------------------------------------------------------
 // Enum tags: explicit, stable bytes — `as u8` on `#[derive]`d enums
@@ -163,25 +158,31 @@ fn fixed<T: PartialEq + std::fmt::Debug>(
 // ---------------------------------------------------------------------
 // Config fingerprint.
 
+/// Writes the canonical bytes of the full (train, model) configuration
+/// pair.
+fn put_configs<S: Sink>(out: &mut S, train: &TrainConfig, model: &ModelConfig) {
+    out.put_u64(train.rays_per_batch as u64);
+    out.put_u64(train.samples_per_ray as u64);
+    out.put_u64(train.eval_samples_per_ray as u64);
+    out.put_u8(engine_tag(train.engine));
+    out.put_u8(precision_tag(train.precision));
+    out.put_u8(opt_tag(train.opt));
+    out.put_u32(model.grid.levels);
+    out.put_u32(model.grid.table_size_log2);
+    out.put_u32(HashGridConfig::FEATURES);
+    out.put_u32(model.grid.n_min);
+    out.put_u32(model.grid.n_max);
+    out.put_u8(hash_tag(model.grid.hash));
+    out.put_u64(model.density_hidden as u64);
+    out.put_u64(model.density_out as u64);
+    out.put_u64(model.color_hidden as u64);
+}
+
 /// Canonical bytes of the full (train, model) configuration pair.
 pub fn encode_configs(train: &TrainConfig, model: &ModelConfig) -> Vec<u8> {
-    section(72, |out| {
-        put_u64(out, train.rays_per_batch as u64);
-        put_u64(out, train.samples_per_ray as u64);
-        put_u64(out, train.eval_samples_per_ray as u64);
-        put_u8(out, engine_tag(train.engine));
-        put_u8(out, precision_tag(train.precision));
-        put_u8(out, opt_tag(train.opt));
-        put_u32(out, model.grid.levels);
-        put_u32(out, model.grid.table_size_log2);
-        put_u32(out, HashGridConfig::FEATURES);
-        put_u32(out, model.grid.n_min);
-        put_u32(out, model.grid.n_max);
-        put_u8(out, hash_tag(model.grid.hash));
-        put_u64(out, model.density_hidden as u64);
-        put_u64(out, model.density_out as u64);
-        put_u64(out, model.color_hidden as u64);
-    })
+    let mut out = Vec::with_capacity(CONFIG_BYTES);
+    put_configs(&mut out, train, model);
+    out
 }
 
 /// Decodes [`encode_configs`] output.
@@ -221,12 +222,12 @@ pub fn decode_configs(bytes: &[u8]) -> Result<(TrainConfig, ModelConfig), Snapsh
 /// fp16) the half-precision working copy. The fp16 payload is exact —
 /// working values are fp16-representable, so `f32→f16 bits` loses
 /// nothing — and doubles as an integrity cross-check on load.
-pub fn encode_param_store(out: &mut Vec<u8>, store: &ParamStore) {
-    put_u8(out, precision_tag(store.precision()));
-    put_f32_slice(out, store.master());
+pub fn encode_param_store<S: Sink>(out: &mut S, store: &ParamStore) {
+    out.put_u8(precision_tag(store.precision()));
+    out.put_column(store.master().iter().map(|v| v.to_bits()), u32::to_le_bytes);
     if store.precision() == Precision::Fp16 {
         let half = store.values().iter().map(|&v| f32_to_f16_bits(v));
-        put_column(out, half, u16::to_le_bytes);
+        out.put_column(half, u16::to_le_bytes);
     }
 }
 
@@ -236,7 +237,8 @@ fn param_store_bytes(store: &ParamStore) -> usize {
     1 + 8 + 4 * store.len() + half
 }
 
-/// Decodes [`encode_param_store`] output from `r`, validating the
+/// Decodes [`encode_param_store`] output from `r` into a fresh store of
+/// `expected_len` scalars at `expected_precision`, validating the
 /// precision, the length, and (at fp16) that the stored working copy
 /// matches re-quantization of the masters bit for bit.
 pub fn decode_param_store(
@@ -244,43 +246,61 @@ pub fn decode_param_store(
     expected_len: usize,
     expected_precision: Precision,
 ) -> Result<ParamStore, SnapshotError> {
+    let mut store = ParamStore::new(expected_precision, vec![0.0; expected_len]);
+    restore_param_store(r, &mut store)?;
+    Ok(store)
+}
+
+/// Decodes [`encode_param_store`] output from `r` straight into `store`,
+/// validating the precision and the length against the store's, and (at
+/// fp16) that the stored working copy matches re-quantization of the
+/// masters bit for bit. On an error `store` holds no usable state.
+fn restore_param_store(r: &mut Reader<'_>, store: &mut ParamStore) -> Result<(), SnapshotError> {
     let precision = precision_from(r.u8()?)?;
-    if precision != expected_precision {
+    if precision != store.precision() {
         return Err(SnapshotError::Corrupt(format!(
             "parameter store precision {} does not match configured {}",
             precision.label(),
-            expected_precision.label()
+            store.precision().label()
         )));
     }
-    let master = r.f32_vec()?;
-    if master.len() != expected_len {
+    let master = r.column()?;
+    if master.len() != store.len() {
         return Err(SnapshotError::Corrupt(format!(
-            "parameter store length {} does not match model layout {expected_len}",
-            master.len()
+            "parameter store length {} does not match model layout {}",
+            master.len(),
+            store.len()
         )));
     }
-    let store = ParamStore::new(precision, master);
+    store.update(|dst| {
+        for (d, le) in dst.iter_mut().zip(master) {
+            *d = f32::from_bits(u32::from_le_bytes(le));
+        }
+    });
     if precision == Precision::Fp16 {
-        let half = r.u16_vec()?;
-        let recomputed: Vec<u16> = store.values().iter().map(|&v| f32_to_f16_bits(v)).collect();
-        if half != recomputed {
+        let half = r.column()?;
+        let requantized = store.values().iter().map(|&v| f32_to_f16_bits(v));
+        if half.len() != store.len() || !half.map(u16::from_le_bytes).eq(requantized) {
             return Err(SnapshotError::Corrupt(
                 "fp16 working copy does not match re-quantized masters".to_string(),
             ));
         }
     }
-    Ok(store)
+    Ok(())
 }
 
-fn encode_mlp(mlp: &Mlp) -> Vec<u8> {
+/// The section of one MLP: its layer count, then each layer's weight
+/// and bias stores.
+fn mlp_section<'a>(tag: &str, mlp: &'a Mlp) -> Section<'a> {
     let stores = || mlp.layers().iter().flat_map(|l| [l.weights(), l.bias()]);
-    section(4 + stores().map(param_store_bytes).sum::<usize>(), |out| {
-        put_u32(out, mlp.layers().len() as u32);
+    let len = 4 + stores().map(param_store_bytes).sum::<usize>();
+    Section::new(tag, len, move |out| {
+        out.put_u32(mlp.layers().len() as u32);
         stores().for_each(|store| encode_param_store(out, store));
     })
 }
 
-fn restore_mlp(mlp: &mut Mlp, bytes: &[u8], precision: Precision) -> Result<(), SnapshotError> {
+fn restore_mlp(mlp: &mut Mlp, bytes: &[u8]) -> Result<(), SnapshotError> {
     let mut r = Reader::new(bytes);
     let count = r.u32()? as usize;
     if count != mlp.layers().len() {
@@ -290,10 +310,8 @@ fn restore_mlp(mlp: &mut Mlp, bytes: &[u8], precision: Precision) -> Result<(), 
         )));
     }
     for layer in mlp.layers_mut() {
-        let w_len = layer.weights().len();
-        let b_len = layer.bias().len();
-        *layer.weights_mut() = decode_param_store(&mut r, w_len, precision)?;
-        *layer.bias_mut() = decode_param_store(&mut r, b_len, precision)?;
+        restore_param_store(&mut r, layer.weights_mut())?;
+        restore_param_store(&mut r, layer.bias_mut())?;
     }
     r.finish()
 }
@@ -301,22 +319,36 @@ fn restore_mlp(mlp: &mut Mlp, bytes: &[u8], precision: Precision) -> Result<(), 
 // ---------------------------------------------------------------------
 // Adam payloads.
 
-/// Writes the `m`, `v` and stamp columns straight from the live records.
-fn encode_adam(adam: &AdamState) -> Vec<u8> {
-    section(25 + 3 * (8 + 4 * adam.records().len()), |out| {
-        put_f32(out, adam.learning_rate);
-        put_f32(out, BETA1);
-        put_f32(out, BETA2);
-        put_f32(out, EPSILON);
-        put_u64(out, adam.steps());
-        put_u8(out, u8::from(adam.is_lazy()));
-        for column in 0..3 {
-            put_column(out, adam.records().map(|r| r[column]), u32::to_le_bytes);
+/// Bytes of one Adam record: `m` and `v` bit patterns, then the stamp.
+const ADAM_RECORD_BYTES: usize = 12;
+
+/// Writes the hyper-parameters, the step and the mode, then the
+/// `[m, v, stamp]` records in memory order, straight from the live state.
+fn encode_adam<S: Sink>(out: &mut S, adam: &AdamState) {
+    out.put_f32(adam.learning_rate);
+    out.put_f32(BETA1);
+    out.put_f32(BETA2);
+    out.put_f32(EPSILON);
+    out.put_u64(adam.steps());
+    out.put_u8(u8::from(adam.is_lazy()));
+    out.put_column(adam.records(), |record| {
+        let mut le = [0u8; ADAM_RECORD_BYTES];
+        for (dst, word) in le.chunks_exact_mut(4).zip(record) {
+            dst.copy_from_slice(&word.to_le_bytes());
         }
-    })
+        le
+    });
 }
 
-fn decode_adam(bytes: &[u8], expected_n: usize) -> Result<AdamState, SnapshotError> {
+fn adam_section<'a>(tag: &str, adam: &'a AdamState) -> Section<'a> {
+    // lr, β₁, β₂, ε (16), t (8), mode (1), record count (8), records.
+    let len = 33 + ADAM_RECORD_BYTES * adam.records().len();
+    Section::new(tag, len, move |out| encode_adam(out, adam))
+}
+
+/// Decodes [`encode_adam`] output straight into `adam`, whose parameter
+/// count the records must match.
+fn restore_adam(adam: &mut AdamState, bytes: &[u8]) -> Result<(), SnapshotError> {
     let mut r = Reader::new(bytes);
     let learning_rate = r.f32()?;
     fixed("Adam beta1", r.f32()?, BETA1)?;
@@ -332,33 +364,69 @@ fn decode_adam(bytes: &[u8], expected_n: usize) -> Result<AdamState, SnapshotErr
             )))
         }
     };
-    let m_bits = r.u32_vec()?;
-    let v_bits = r.u32_vec()?;
-    let step_stamps = r.u32_vec()?;
+    let records = r.column::<ADAM_RECORD_BYTES>()?;
     r.finish()?;
-    if m_bits.len() != expected_n || v_bits.len() != expected_n || step_stamps.len() != expected_n {
+    let expected_n = adam.records().len();
+    if records.len() != expected_n {
         return Err(SnapshotError::Corrupt(format!(
-            "adam record count {}/{}/{} does not match model layout {expected_n}",
-            m_bits.len(),
-            v_bits.len(),
-            step_stamps.len()
+            "adam record count {} does not match model layout {expected_n}",
+            records.len()
         )));
     }
-    Ok(AdamState::from_snapshot(&AdamStateSnapshot {
-        m_bits,
-        v_bits,
-        step_stamps,
-        t,
-        lazy,
-        learning_rate,
-    }))
+    let words = records.map(|le| {
+        std::array::from_fn(|i| {
+            u32::from_le_bytes([le[4 * i], le[4 * i + 1], le[4 * i + 2], le[4 * i + 3]])
+        })
+    });
+    adam.restore(words, t, lazy, learning_rate);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
 // Trainer integration.
 
 impl Trainer<IngpModel> {
-    /// Captures the complete training state as an in-memory snapshot.
+    /// The sections of the complete training state, each encoding
+    /// straight from live memory when a writer pulls it. The model must
+    /// be synced first.
+    fn sections(&self) -> [Section<'_>; 9] {
+        let model = &self.model;
+        let occupancy = match &self.occupancy {
+            None => Section::new(tag::OCCUPANC, 1, |out| out.put_u8(0)),
+            Some(occ) => Section::new(tag::OCCUPANC, 33 + 8 * occ.grid.words().len(), move |out| {
+                out.put_u8(1);
+                out.put_u32(occ.grid.resolution());
+                out.put_f32(occ.threshold);
+                out.put_u64(occ.refresh_every as u64);
+                out.put_u64(occ.iteration as u64);
+                out.put_column(occ.grid.words().iter().copied(), u64::to_le_bytes);
+            }),
+        };
+        let grid = model.grid().parameter_store();
+        let [grid_adam, density_adam, color_adam] = model.adam_states();
+        [
+            Section::new(tag::CONFIG, CONFIG_BYTES, move |out| {
+                put_configs(out, &self.config, model.config());
+            }),
+            Section::new(tag::TRAINER, 48, move |out| {
+                let words = [self.steps, self.points_queried].into_iter();
+                words.chain(self.rng.state()).for_each(|w| out.put_u64(w));
+            }),
+            occupancy,
+            Section::new(tag::GRID, param_store_bytes(grid), move |out| {
+                encode_param_store(out, grid);
+            }),
+            mlp_section(tag::MLP_DENSITY, model.density_mlp()),
+            mlp_section(tag::MLP_COLOR, model.color_mlp()),
+            adam_section(tag::ADAM_GRID, grid_adam),
+            adam_section(tag::ADAM_DENSITY, density_adam),
+            adam_section(tag::ADAM_COLOR, color_adam),
+        ]
+    }
+
+    /// Captures the complete training state as an in-memory snapshot,
+    /// through the same writer [`Trainer::save_checkpoint_to`] streams a
+    /// file with: the bytes are the file's.
     ///
     /// Flushes lazily deferred optimizer updates first (trajectory-
     /// neutral — the same sync every render/eval already performs), so
@@ -366,56 +434,21 @@ impl Trainer<IngpModel> {
     /// sync every Adam stamp equals the global step.
     pub fn capture_snapshot(&mut self) -> Snapshot {
         self.model.sync_parameters();
-        let mut snap = Snapshot::new();
-        snap.push(
-            tag::CONFIG,
-            encode_configs(&self.config, self.model.config()),
-        );
-
-        let trainer_bytes = section(48, |out| {
-            let words = [self.steps, self.points_queried].into_iter();
-            words.chain(self.rng.state()).for_each(|w| put_u64(out, w));
-        });
-        snap.push(tag::TRAINER, trainer_bytes);
-
-        let occ_bytes = match &self.occupancy {
-            None => vec![0],
-            Some(occ) => section(33 + 8 * occ.grid.words().len(), |out| {
-                put_u8(out, 1);
-                put_u32(out, occ.grid.resolution());
-                put_f32(out, occ.threshold);
-                put_u64(out, occ.refresh_every as u64);
-                put_u64(out, occ.iteration as u64);
-                put_u64_slice(out, occ.grid.words());
-            }),
-        };
-        snap.push(tag::OCCUPANC, occ_bytes);
-
-        let grid = self.model.grid().parameter_store();
-        snap.push(
-            tag::GRID,
-            section(param_store_bytes(grid), |out| encode_param_store(out, grid)),
-        );
-        snap.push(tag::MLP_DENSITY, encode_mlp(self.model.density_mlp()));
-        snap.push(tag::MLP_COLOR, encode_mlp(self.model.color_mlp()));
-
-        let [grid_adam, density_adam, color_adam] = self.model.adam_states();
-        snap.push(tag::ADAM_GRID, encode_adam(grid_adam));
-        snap.push(tag::ADAM_DENSITY, encode_adam(density_adam));
-        snap.push(tag::ADAM_COLOR, encode_adam(color_adam));
-        snap
+        Snapshot::from_sections(&self.sections())
     }
 
     /// Writes a checkpoint of the current state through `io` using the
     /// atomic protocol, pruning to `keep_last` snapshots. Returns the
-    /// step the checkpoint is named after.
+    /// step the checkpoint is named after. Every section encodes from
+    /// the live state straight into the pieces appended to the file, so
+    /// the save reads the state once and writes the file once.
     pub fn save_checkpoint_to(
         &mut self,
         io: &mut dyn SnapshotIo,
         keep_last: usize,
     ) -> Result<u64, SnapshotError> {
-        let snap = self.capture_snapshot();
-        write_snapshot(io, self.steps, &snap, keep_last)?;
+        self.model.sync_parameters();
+        write_sections(io, self.steps, &self.sections(), keep_last)?;
         Ok(self.steps)
     }
 
@@ -483,27 +516,19 @@ impl Trainer<IngpModel> {
         // parameter and optimizer record with the snapshot bits.
         let mut model = IngpModel::with_options(model_config, 0, config.precision, config.opt);
 
-        let grid_len = model.grid().parameter_store().len();
         let mut grid_reader = Reader::new(snap.section(tag::GRID)?);
-        let grid_store = decode_param_store(&mut grid_reader, grid_len, config.precision)?;
+        restore_param_store(&mut grid_reader, model.grid_mut().parameter_store_mut())?;
         grid_reader.finish()?;
-        *model.grid_mut().parameter_store_mut() = grid_store;
 
         {
             let (density, color) = model.mlps_mut();
-            restore_mlp(density, snap.section(tag::MLP_DENSITY)?, config.precision)?;
-            restore_mlp(color, snap.section(tag::MLP_COLOR)?, config.precision)?;
+            restore_mlp(density, snap.section(tag::MLP_DENSITY)?)?;
+            restore_mlp(color, snap.section(tag::MLP_COLOR)?)?;
         }
 
-        let expected_ns = [
-            grid_len,
-            model.density_mlp().parameter_count(),
-            model.color_mlp().parameter_count(),
-        ];
         let sections = [tag::ADAM_GRID, tag::ADAM_DENSITY, tag::ADAM_COLOR];
-        let adams = model.adam_states_mut();
-        for ((adam, section), expected_n) in adams.into_iter().zip(sections).zip(expected_ns) {
-            *adam = decode_adam(snap.section(section)?, expected_n)?;
+        for (adam, section) in model.adam_states_mut().into_iter().zip(sections) {
+            restore_adam(adam, snap.section(section)?)?;
         }
 
         let mut r = Reader::new(snap.section(tag::TRAINER)?);
@@ -615,20 +640,54 @@ mod tests {
     }
 
     #[test]
+    fn a_save_writes_the_bytes_of_a_captured_snapshot() {
+        use inerf_scenes::{zoo, DatasetConfig};
+        use inerf_snapshot::{snapshot_name, write_snapshot, MemIo};
+        let ds = DatasetConfig::tiny().generate(&zoo::scene(zoo::SceneKind::Mic));
+        // f32 without and fp16 with the occupancy grid: every section
+        // kind, with and without its optional parts.
+        for (precision, occupancy) in [(Precision::F32, false), (Precision::Fp16, true)] {
+            let cfg = TrainConfig::tiny().with_precision(precision);
+            let model = IngpModel::for_config(ModelConfig::tiny(), &cfg, 8);
+            let mut trainer = Trainer::new(model, cfg, 3);
+            if occupancy {
+                trainer = trainer.with_occupancy_grid(8, 0.02, 2);
+            }
+            trainer.train(&ds, 3);
+            let (mut saved, mut captured) = (MemIo::new(), MemIo::new());
+            trainer.save_checkpoint_to(&mut saved, 1).unwrap();
+            let snap = trainer.capture_snapshot();
+            write_snapshot(&mut captured, trainer.global_step(), &snap, 1).unwrap();
+            assert_eq!(saved.files(), captured.files());
+            assert_eq!(snap.encode(), saved.files()[&snapshot_name(3)]);
+            assert_eq!(snap.tags().len(), 9);
+        }
+    }
+
+    #[test]
     fn adam_decode_rejects_wrong_counts_and_mode() {
-        let adam = AdamState::new(4, 0.01);
-        let bytes = encode_adam(&adam);
+        let mut adam = AdamState::new(4, 0.01);
+        adam.enable_lazy();
+        adam.step_sparse(
+            &mut [0.5, -0.25, 1.0, 2.0],
+            &[0.1, 0.0, -0.3, 0.0],
+            &[0, 2],
+            1.0,
+        );
+        let mut bytes = Vec::new();
+        encode_adam(&mut bytes, &adam);
         assert!(matches!(
-            decode_adam(&bytes, 5),
+            restore_adam(&mut AdamState::new(5, 0.01), &bytes),
             Err(SnapshotError::Corrupt(_))
         ));
-        let restored = decode_adam(&bytes, 4).unwrap();
+        let mut restored = AdamState::new(4, 0.5);
+        restore_adam(&mut restored, &bytes).unwrap();
         assert_eq!(restored, adam);
         // A mode byte that is neither 0 nor 1 is corruption.
         let mut bad = bytes.clone();
         bad[24] = 7; // lr,b1,b2,eps (16) + t (8) → mode byte at offset 24
         assert!(matches!(
-            decode_adam(&bad, 4),
+            restore_adam(&mut AdamState::new(4, 0.01), &bad),
             Err(SnapshotError::Corrupt(_))
         ));
     }

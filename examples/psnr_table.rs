@@ -4,8 +4,9 @@
 //! cargo run --release --example psnr_table [quick|full] [scene...]
 //! ```
 //!
-//! `quick` (default) takes a couple of minutes; `full` is the budget used
-//! for the numbers recorded in EXPERIMENTS.md.
+//! `quick` (default) takes about 20–25 s on a 2-vCPU machine (release
+//! build); `full` is the budget used for the numbers recorded in
+//! EXPERIMENTS.md.
 
 use instant_nerf::experiments::psnr::{self, PsnrBudget};
 use instant_nerf::prelude::SceneKind;
