@@ -504,7 +504,7 @@ impl<C: RequestConsumer> TraceSink for RequestSink<C> {
 mod tests {
     use super::*;
     use crate::testutil::ray_points;
-    use inerf_encoding::requests::ENTRIES_PER_ROW;
+    use inerf_encoding::requests::EntryLayout;
     use inerf_encoding::{BufferSink, HashFunction, HashGrid, HashGridConfig};
     use inerf_geom::Vec3;
 
@@ -548,7 +548,7 @@ mod tests {
         let dram = DramConfig::paper(8);
         // Entries 0 and 256 are in consecutive rows → different subarrays.
         let a = m.map_entry(12, 0, &dram);
-        let b = m.map_entry(12, ENTRIES_PER_ROW, &dram);
+        let b = m.map_entry(12, EntryLayout::default().entries_per_row(), &dram);
         assert_eq!(a.bank, b.bank);
         assert_ne!(
             (a.subarray, a.row),
@@ -563,7 +563,7 @@ mod tests {
         let m = HashTableMapping::paper(MappingScheme::ClusteredNoSpread, 8);
         let dram = DramConfig::paper(8);
         let a = m.map_entry(12, 0, &dram);
-        let b = m.map_entry(12, ENTRIES_PER_ROW, &dram);
+        let b = m.map_entry(12, EntryLayout::default().entries_per_row(), &dram);
         assert_eq!(a.subarray, b.subarray);
         assert_eq!(b.row, a.row + 1);
     }

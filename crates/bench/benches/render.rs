@@ -14,35 +14,13 @@
 
 use inerf_bench::{median_secs, quick_mode, write_record};
 use inerf_encoding::HashFunction;
-use inerf_geom::Vec3;
 use inerf_mlp::Precision;
 use inerf_scenes::{zoo, DatasetConfig};
 use inerf_trainer::render::{RenderEngine, RenderOpts};
 use inerf_trainer::{
-    engine, IngpModel, ModelConfig, OccupancyGrid, TrainConfig, TrainableField, Trainer,
+    engine, IngpModel, ModelConfig, OccupancyGrid, PerPoint, TrainConfig, Trainer,
 };
 use serde::Serialize;
-
-/// Read-only wrapper that hides [`IngpModel`]'s chunk phases: its
-/// `chunked_eval` is the default `None`, so the engine takes the serial
-/// per-point dense fallback — the "scalar" axis of the matrix. Only the
-/// evaluation surface is live; the training hooks are inert.
-struct ScalarRef<'a>(&'a IngpModel);
-
-impl TrainableField for ScalarRef<'_> {
-    fn begin_batch(&mut self) {}
-    fn query(&mut self, p: Vec3, d: Vec3) -> (f32, Vec3) {
-        self.0.query_eval(p, d)
-    }
-    fn backward(&mut self, _idx: usize, _d_sigma: f32, _d_color: Vec3) {}
-    fn apply_gradients(&mut self) {}
-    fn query_eval(&self, p: Vec3, d: Vec3) -> (f32, Vec3) {
-        self.0.query_eval(p, d)
-    }
-    fn parameter_count(&self) -> usize {
-        self.0.parameter_count()
-    }
-}
 
 /// Per-stage cost of one engine render, in nanoseconds per output pixel.
 #[derive(Debug, Serialize)]
@@ -191,6 +169,9 @@ fn main() {
             Precision::F32 => &f32_scene,
             Precision::Fp16 => &fp16_scene,
         };
+        // The "scalar" axis: `PerPoint` hides the model's chunk phases, so
+        // the engine takes the serial per-point dense fallback.
+        let per_point = PerPoint(trained.model.clone());
         for culling in [true, false] {
             let grid = culling.then_some(&trained.grid);
             let opts = RenderOpts {
@@ -200,15 +181,7 @@ fn main() {
             let mut engine = RenderEngine::default();
             let secs = median_secs(windows, &mut || match eval_path {
                 "scalar" => {
-                    let _ = engine.render_view(
-                        &ScalarRef(&trained.model),
-                        camera,
-                        bounds,
-                        spp,
-                        grid,
-                        &opts,
-                        &pool,
-                    );
+                    let _ = engine.render_view(&per_point, camera, bounds, spp, grid, &opts, &pool);
                 }
                 _ => {
                     let _ =

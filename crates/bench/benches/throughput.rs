@@ -1,5 +1,5 @@
-//! Training throughput benchmark: scalar reference vs batched SIMD engine,
-//! in sampled points per second, on the Tab. II "small" workload
+//! Training throughput benchmark: the per-point reference (`PerPoint`) vs
+//! the chunk phases on the SIMD kernels, in sampled points per second, on the Tab. II "small" workload
 //! (`TrainConfig::small`: 256 rays × 32 samples = 8 K points/iteration,
 //! `ModelConfig::small`). Each rate is the median of several timing
 //! windows after a warm-up, so a single noisy window cannot skew the
@@ -18,7 +18,9 @@ use inerf_encoding::{HashFunction, HashGrid, HashGridConfig};
 use inerf_geom::Vec3;
 use inerf_mlp::{AdamState, ParamStore};
 use inerf_scenes::{zoo, Dataset, DatasetConfig};
-use inerf_trainer::{engine, Engine, IngpModel, ModelConfig, Precision, TrainConfig, Trainer};
+use inerf_trainer::{
+    engine, IngpModel, ModelConfig, PerPoint, Precision, TrainConfig, TrainableField, Trainer,
+};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -98,35 +100,38 @@ struct ThroughputReport {
     optimizer_replay: OptimizerReplay,
 }
 
-/// Sampled points per second of one trainer per `(engine, threads)` entry,
-/// one rate per timing window of `iters` iterations, after a warm-up that
-/// fills every cache, the thread pool, and the engine's buffer arena. The
-/// trainers take turns window by window, so slow machine-wide drift
-/// (co-tenants, thermal throttling) hits every entry alike.
-fn window_rates(
-    dataset: &Dataset,
-    runs: &[(Engine, usize)],
-    iters: usize,
-    windows: usize,
-) -> Vec<Vec<f64>> {
-    let mut trainers: Vec<_> = runs
-        .iter()
-        .map(|&(engine_kind, threads)| {
-            let model = IngpModel::new(ModelConfig::small(HashFunction::Morton), 7);
-            let config = TrainConfig::small().with_engine(engine_kind);
-            let mut trainer = Trainer::new(model, config, 3).with_threads(threads);
-            trainer.train(dataset, 2);
-            trainer
-        })
-        .collect();
+/// A warmed trainer behind a timing entry: called with `iters`, it trains
+/// that many iterations and returns the points it sampled.
+type Timed<'a> = Box<dyn FnMut(usize) -> u64 + 'a>;
+
+/// The timed model: `ModelConfig::small` (Morton hash), seed 7.
+fn small_model() -> IngpModel {
+    IngpModel::new(ModelConfig::small(HashFunction::Morton), 7)
+}
+
+/// A trainer of `model` on `threads` workers, after a warm-up that fills
+/// every cache, the thread pool, and the engine's buffer arena.
+fn warmed<'a, M: TrainableField + 'a>(dataset: &'a Dataset, model: M, threads: usize) -> Timed<'a> {
+    let mut trainer = Trainer::new(model, TrainConfig::small(), 3).with_threads(threads);
+    trainer.train(dataset, 2);
+    Box::new(move |iters| {
+        let queried_before = trainer.points_queried();
+        trainer.train(dataset, iters);
+        trainer.points_queried() - queried_before
+    })
+}
+
+/// Sampled points per second of each warmed trainer in `runs`, one rate
+/// per timing window of `iters` iterations. The trainers take turns
+/// window by window, so slow machine-wide drift (co-tenants, thermal
+/// throttling) hits every entry alike.
+fn window_rates(mut runs: Vec<Timed<'_>>, iters: usize, windows: usize) -> Vec<Vec<f64>> {
     let mut rates = vec![Vec::with_capacity(windows); runs.len()];
     for _ in 0..windows {
-        for (trainer, rates) in trainers.iter_mut().zip(&mut rates) {
-            let queried_before = trainer.points_queried();
+        for (run, rates) in runs.iter_mut().zip(&mut rates) {
             let start = Instant::now();
-            trainer.train(dataset, iters);
-            let elapsed = start.elapsed().as_secs_f64();
-            rates.push((trainer.points_queried() - queried_before) as f64 / elapsed);
+            let points = run(iters);
+            rates.push(points as f64 / start.elapsed().as_secs_f64());
         }
     }
     rates
@@ -358,14 +363,12 @@ fn main() {
     let scene = zoo::scene(zoo::SceneKind::Lego);
     let dataset = DatasetConfig::tiny().generate(&scene);
 
-    // The gated ratio comes from paired windows: scalar and batched x1
-    // alternate, and each pair's ratio is taken before the median.
-    let paired = window_rates(
-        &dataset,
-        &[(Engine::Scalar, threads), (Engine::Batched, 1)],
-        iters,
-        windows,
-    );
+    // The gated ratio comes from paired windows: the per-point reference
+    // and the chunk phases on one thread alternate, and each pair's ratio
+    // is taken before the median.
+    let scalar_run = warmed(&dataset, PerPoint(small_model()), threads);
+    let batched_run = warmed(&dataset, small_model(), 1);
+    let paired = window_rates(vec![scalar_run, batched_run], iters, windows);
     let paired_speedup = median(
         paired[1]
             .iter()
@@ -374,8 +377,8 @@ fn main() {
             .collect(),
     );
     let (scalar, batched_1) = (median(paired[0].clone()), median(paired[1].clone()));
-    let batched =
-        median(window_rates(&dataset, &[(Engine::Batched, threads)], iters, windows).remove(0));
+    let batched_run = warmed(&dataset, small_model(), threads);
+    let batched = median(window_rates(vec![batched_run], iters, windows).remove(0));
     let (dense_iters, sparse_iters) = if quick_mode() { (3, 30) } else { (12, 240) };
     let paper_opt = optimizer_microbench(dense_iters, sparse_iters);
     let replay = optimizer_replay_microbench(if quick_mode() { 3 } else { 9 });

@@ -3,7 +3,7 @@
 //! streaming trace bus — the full-training-run co-simulation the offline
 //! trace-replay architecture could not afford.
 //!
-//! Two paths run the same training trajectory (same seeds, same engine):
+//! Two paths run the same training trajectory (same seeds):
 //!
 //! * **streamed** — the trainer's sink slot holds an
 //!   [`inerf_accel::CosimSink`]; every iteration's hash-table access
@@ -23,7 +23,7 @@ use crate::report;
 use inerf_accel::{CosimSink, CosimStats, PipelineModel};
 use inerf_encoding::{BatchBufferSink, HashFunction};
 use inerf_scenes::{zoo, Dataset, DatasetConfig};
-use inerf_trainer::{Engine, IngpModel, ModelConfig, TrainConfig, Trainer};
+use inerf_trainer::{IngpModel, ModelConfig, TrainConfig, Trainer};
 use serde::Serialize;
 
 /// One path's measurements (streamed or buffered).
@@ -45,8 +45,6 @@ pub struct CosimPath {
 /// The full `cosim` experiment result.
 #[derive(Debug, Clone, Serialize)]
 pub struct CosimResult {
-    /// Which trainer engine ran ("scalar" or "batched").
-    pub engine: String,
     /// Training iterations executed.
     pub iterations: usize,
     /// Nominal sampled points per iteration (Tab. II batch unit).
@@ -61,13 +59,6 @@ pub struct CosimResult {
     pub cosim: CosimStats,
 }
 
-fn engine_label(engine: Engine) -> &'static str {
-    match engine {
-        Engine::Scalar => "scalar",
-        Engine::Batched => "batched",
-    }
-}
-
 fn workload() -> (Dataset, TrainConfig, ModelConfig) {
     let scene = zoo::scene(zoo::SceneKind::Lego);
     let dataset = DatasetConfig::tiny().generate(&scene);
@@ -79,11 +70,10 @@ fn workload() -> (Dataset, TrainConfig, ModelConfig) {
 }
 
 /// Runs the co-simulation experiment: `iterations` training steps of the
-/// Tab. II "small" workload on `engine`, once with online co-simulation
-/// and once against the buffered reference.
-pub fn run(engine: Engine, iterations: usize, seed: u64) -> CosimResult {
+/// Tab. II "small" workload, once with online co-simulation and once
+/// against the buffered reference.
+pub fn run(iterations: usize, seed: u64) -> CosimResult {
     let (dataset, config, model_cfg) = workload();
-    let config = config.with_engine(engine);
     let batch_points = config.points_per_iteration() as u64;
     let pipeline = PipelineModel::paper(model_cfg);
 
@@ -139,7 +129,6 @@ pub fn run(engine: Engine, iterations: usize, seed: u64) -> CosimResult {
         && streamed_points == buffered_points;
 
     CosimResult {
-        engine: engine_label(engine).to_string(),
         iterations,
         points_per_iteration: config.points_per_iteration(),
         streamed,
@@ -152,8 +141,8 @@ pub fn run(engine: Engine, iterations: usize, seed: u64) -> CosimResult {
 /// Pretty-prints the experiment.
 pub fn render(r: &CosimResult) -> String {
     let mut out = format!(
-        "Cosim: online NMP co-simulation of a full training run ({} engine, {} iterations)\n",
-        r.engine, r.iterations
+        "Cosim: online NMP co-simulation of a full training run ({} iterations)\n",
+        r.iterations
     );
     let rows = vec![
         vec![
@@ -191,7 +180,7 @@ mod tests {
 
     #[test]
     fn streamed_and_buffered_stats_are_bit_identical() {
-        let r = run(Engine::Batched, 3, 9);
+        let r = run(3, 9);
         assert!(r.stats_match, "online co-sim diverged from the reference");
         assert_eq!(r.streamed.sim_iterations, 3);
         assert!(r.streamed.sim_pipelined_seconds > 0.0);
@@ -199,7 +188,7 @@ mod tests {
 
     #[test]
     fn streamed_path_uses_constant_small_state() {
-        let r = run(Engine::Batched, 4, 11);
+        let r = run(4, 11);
         // The buffered path's footprint grows with run length; the
         // streamed path's stays a small constant.
         assert!(
@@ -211,22 +200,8 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_cosimulate_identically() {
-        let a = run(Engine::Scalar, 2, 5);
-        let b = run(Engine::Batched, 2, 5);
-        // Same seed → same gathered points → identical simulated stats,
-        // regardless of the execution engine.
-        assert_eq!(
-            a.streamed.sim_pipelined_seconds,
-            b.streamed.sim_pipelined_seconds
-        );
-        assert_eq!(a.streamed.sim_dram_energy_pj, b.streamed.sim_dram_energy_pj);
-        assert!(a.stats_match && b.stats_match);
-    }
-
-    #[test]
     fn render_reports_both_paths() {
-        let r = run(Engine::Batched, 2, 3);
+        let r = run(2, 3);
         let s = render(&r);
         assert!(s.contains("streamed") && s.contains("buffered"));
         assert!(s.contains("bit-identical: yes"));

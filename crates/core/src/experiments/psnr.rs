@@ -69,7 +69,6 @@ impl PsnrBudget {
             rays_per_batch: self.rays_per_batch,
             samples_per_ray: self.samples_per_ray,
             eval_samples_per_ray: 2 * self.samples_per_ray,
-            engine: inerf_trainer::Engine::Batched,
             precision: inerf_trainer::Precision::F32,
             opt: inerf_trainer::OptPath::Sparse,
         }

@@ -18,8 +18,6 @@ use crate::trace::CubeLookup;
 pub const ENTRY_BYTES: u32 = 4;
 /// DRAM row-buffer size in bytes (LPDDR4, paper Sec. II-C).
 pub const ROW_BYTES: u32 = 1024;
-/// Entries per DRAM row at the default entry width.
-pub const ENTRIES_PER_ROW: u32 = ROW_BYTES / ENTRY_BYTES;
 
 /// Row geometry of the hash table in DRAM at a chosen entry width — the
 /// parameter the storage precision decision flows through: f32 entries
@@ -282,8 +280,8 @@ mod tests {
 
     #[test]
     fn row_math() {
-        assert_eq!(ENTRIES_PER_ROW, 256);
         let layout = EntryLayout::default();
+        assert_eq!(layout.entries_per_row(), 256);
         assert_eq!(layout.row_of_entry(0), 0);
         assert_eq!(layout.row_of_entry(255), 0);
         assert_eq!(layout.row_of_entry(256), 1);

@@ -213,94 +213,3 @@ mod tests {
         assert!((img.mean() - 0.5).abs() < 1e-6);
     }
 }
-
-/// Structural similarity (SSIM) between two images, averaged over RGB
-/// channels, using the standard global-statistics formulation of Hore &
-/// Ziou (the paper's reference \[6\] compares PSNR against this metric).
-///
-/// Returns a value in `[-1, 1]`; 1 means identical.
-///
-/// # Panics
-///
-/// Panics if the images have different dimensions.
-pub fn ssim(a: &Image, b: &Image) -> f64 {
-    assert_eq!(
-        (a.width, a.height),
-        (b.width, b.height),
-        "ssim requires equal image dimensions"
-    );
-    const C1: f64 = 0.01 * 0.01; // (k1 L)^2 with L = 1
-    const C2: f64 = 0.03 * 0.03;
-    let n = a.pixels.len() as f64;
-    let mut total = 0.0;
-    for ch in 0..3usize {
-        let va: Vec<f64> = a.pixels.iter().map(|p| p[ch] as f64).collect();
-        let vb: Vec<f64> = b.pixels.iter().map(|p| p[ch] as f64).collect();
-        let mu_a = va.iter().sum::<f64>() / n;
-        let mu_b = vb.iter().sum::<f64>() / n;
-        let var_a = va.iter().map(|x| (x - mu_a) * (x - mu_a)).sum::<f64>() / n;
-        let var_b = vb.iter().map(|x| (x - mu_b) * (x - mu_b)).sum::<f64>() / n;
-        let cov = va
-            .iter()
-            .zip(&vb)
-            .map(|(x, y)| (x - mu_a) * (y - mu_b))
-            .sum::<f64>()
-            / n;
-        total += ((2.0 * mu_a * mu_b + C1) * (2.0 * cov + C2))
-            / ((mu_a * mu_a + mu_b * mu_b + C1) * (var_a + var_b + C2));
-    }
-    total / 3.0
-}
-
-#[cfg(test)]
-mod ssim_tests {
-    use super::*;
-
-    fn noisy(img: &Image, amp: f32) -> Image {
-        let mut out = img.clone();
-        for (i, p) in out.pixels_mut().iter_mut().enumerate() {
-            let d = amp * if i % 2 == 0 { 1.0 } else { -1.0 };
-            *p = (*p + Vec3::splat(d)).clamp_scalar(0.0, 1.0);
-        }
-        out
-    }
-
-    fn gradient_image() -> Image {
-        let mut img = Image::new(16, 16);
-        for y in 0..16 {
-            for x in 0..16 {
-                img.set(x, y, Vec3::splat((x + y) as f32 / 30.0));
-            }
-        }
-        img
-    }
-
-    #[test]
-    fn identical_images_score_one() {
-        let img = gradient_image();
-        assert!((ssim(&img, &img) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ssim_decreases_with_noise() {
-        let img = gradient_image();
-        let small = ssim(&img, &noisy(&img, 0.05));
-        let large = ssim(&img, &noisy(&img, 0.3));
-        assert!(
-            small > large,
-            "more noise must lower SSIM: {small} vs {large}"
-        );
-        assert!(small < 1.0);
-    }
-
-    #[test]
-    fn ssim_bounded() {
-        let img = gradient_image();
-        let mut inverted = img.clone();
-        for p in inverted.pixels_mut() {
-            *p = Vec3::ONE - *p;
-        }
-        let v = ssim(&img, &inverted);
-        assert!((-1.0..=1.0).contains(&v));
-    }
-}

@@ -37,5 +37,5 @@ pub mod zoo;
 
 pub use dataset::{Dataset, DatasetConfig, View};
 pub use field::{RadianceField, RadianceSample, Scene};
-pub use image::{mse, psnr, psnr_from_mse, ssim, Image};
+pub use image::{mse, psnr, psnr_from_mse, Image};
 pub use zoo::SceneKind;

@@ -513,43 +513,51 @@ mod tests {
 
     #[test]
     fn per_point_model_trains_identically_under_either_engine() {
-        // `Engine::Batched` hands a per-point model to the scalar step, so
-        // Tab. IV must not depend on the engine: every loss bit and the
-        // trained field agree, with and without empty-space skipping. On
-        // the trace bus a model without a hash table streams no lookups,
-        // only the one `end_batch` per iteration, and trains the same.
-        use crate::train::Engine;
+        // A baseline has no chunk phases, so the trainer's one step runs
+        // it per point, and wrapping it in `PerPoint` changes nothing:
+        // every loss bit and the trained field agree, with and without
+        // empty-space skipping. On the trace bus a model without a hash
+        // table streams no lookups, only the one `end_batch` per
+        // iteration, and trains the same.
+        use crate::model::PerPoint;
         use inerf_encoding::CountingSink;
+        use inerf_scenes::Dataset;
+        fn bits(losses: &[f64]) -> Vec<u64> {
+            losses.iter().map(|l| l.to_bits()).collect()
+        }
+        fn run<M: TrainableField>(
+            model: impl Fn() -> M,
+            dataset: &Dataset,
+            with_grid: bool,
+        ) -> (Vec<f64>, M) {
+            let fresh = || {
+                let trainer = Trainer::new(model(), TrainConfig::tiny(), 2);
+                // Between the densities the untrained model predicts, so
+                // the refreshed grid culls some cells and keeps others.
+                if with_grid {
+                    trainer.with_occupancy_grid(8, 0.7, 2)
+                } else {
+                    trainer
+                }
+            };
+            let mut trainer = fresh();
+            let losses = trainer.train(dataset, 3).losses;
+            if with_grid {
+                let occupied = trainer.occupancy_grid().expect("enabled").occupancy();
+                assert!(occupied > 0.0 && occupied < 1.0, "grid is {occupied}");
+            }
+            let mut sink = CountingSink::default();
+            let sunk = fresh().train_with_sink(dataset, 3, &mut sink).losses;
+            assert_eq!(bits(&sunk), bits(&losses), "{with_grid}");
+            assert_eq!((sink.cubes, sink.points, sink.batches), (0, 0, 3));
+            (losses, trainer.into_model())
+        }
         let scene = zoo::scene(zoo::SceneKind::Chair);
         let dataset = DatasetConfig::tiny().generate(&scene);
-        let bits = |losses: &[f64]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
         for with_grid in [false, true] {
-            let run = |engine: Engine| {
-                let fresh = || {
-                    let cfg = TrainConfig::tiny().with_engine(engine);
-                    let trainer = Trainer::new(NerfLite::new(4, 16, 1), cfg, 2);
-                    // Between the densities the untrained model predicts, so
-                    // the refreshed grid culls some cells and keeps others.
-                    if with_grid {
-                        trainer.with_occupancy_grid(8, 0.7, 2)
-                    } else {
-                        trainer
-                    }
-                };
-                let mut trainer = fresh();
-                let losses = trainer.train(&dataset, 3).losses;
-                if with_grid {
-                    let occupied = trainer.occupancy_grid().expect("enabled").occupancy();
-                    assert!(occupied > 0.0 && occupied < 1.0, "grid is {occupied}");
-                }
-                let mut sink = CountingSink::default();
-                let sunk = fresh().train_with_sink(&dataset, 3, &mut sink).losses;
-                assert_eq!(bits(&sunk), bits(&losses), "{engine:?} {with_grid}");
-                assert_eq!((sink.cubes, sink.points, sink.batches), (0, 0, 3));
-                (losses, trainer.into_model())
-            };
-            let (batched_losses, batched) = run(Engine::Batched);
-            let (scalar_losses, scalar) = run(Engine::Scalar);
+            let nerf = || NerfLite::new(4, 16, 1);
+            let (batched_losses, batched) = run(nerf, &dataset, with_grid);
+            let (scalar_losses, PerPoint(scalar)) = run(|| PerPoint(nerf()), &dataset, with_grid);
             assert_eq!(bits(&batched_losses), bits(&scalar_losses), "{with_grid}");
             for i in 0..12 {
                 let t = i as f32 + 0.5;

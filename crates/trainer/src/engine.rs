@@ -110,7 +110,7 @@ pub fn default_pool() -> Arc<ThreadPool> {
 
 /// Pooled per-iteration buffers of the batched engine: the random pixel
 /// batch `train_step` draws, every structure-of-arrays buffer
-/// `gather_batch`/`step_batched` fills, and the occupancy refresh's block
+/// `gather_batch`/`step` fills, and the occupancy refresh's block
 /// scratch live here and are reused across iterations, so steady-state
 /// training performs no per-iteration heap allocation in the engine
 /// itself. (The remaining per-iteration allocations are the thread-pool

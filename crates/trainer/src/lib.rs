@@ -10,11 +10,12 @@
 //!
 //! * [`model`] — the per-point [`TrainableField`], the [`ChunkedField`]
 //!   phases and [`model::IngpModel`], which implements both: the
-//!   hash-grid + two-small-MLPs architecture of iNGP / Instant-NeRF.
-//! * [`train`] — generic training loop with two interchangeable hot-path
-//!   engines: the per-point scalar reference and the batched
-//!   structure-of-arrays engine (the default).
-//! * [`engine`] — thread-pool plumbing for the batched engine
+//!   hash-grid + two-small-MLPs architecture of iNGP / Instant-NeRF;
+//!   [`PerPoint`] drives any model through its per-point surface only.
+//! * [`train`] — generic training loop with one step: chunk-streamed
+//!   through a model's [`ChunkedField`] phases when it has them, per
+//!   point otherwise — the model's surface is the only selector.
+//! * [`engine`] — thread-pool plumbing for the chunk phases
 //!   (`INERF_THREADS`, fixed-chunk determinism helpers).
 //! * [`render`] — the no-gradient render engine: occupancy-culled,
 //!   early-terminating, allocation-free view rendering behind
@@ -56,11 +57,13 @@ pub mod streaming;
 pub mod train;
 pub mod workload;
 
-pub use model::{ChunkedField, EvalScratch, IngpModel, ModelConfig, OptPath, TrainableField};
+pub use model::{
+    ChunkedField, EvalScratch, IngpModel, ModelConfig, OptPath, PerPoint, TrainableField,
+};
 pub use occupancy::OccupancyGrid;
 pub use render::{RenderEngine, RenderOpts, RenderStats};
 pub use streaming::StreamingOrder;
-pub use train::{Engine, TrainConfig, TrainReport, Trainer};
+pub use train::{TrainConfig, TrainReport, Trainer};
 
 // The parameter-storage precision selector (see `TrainConfig::precision`),
 // re-exported so experiment drivers need no direct `inerf_mlp` import.

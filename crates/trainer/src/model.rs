@@ -9,6 +9,7 @@ use inerf_mlp::{
     MlpGradients, MlpScratch, Precision, FWD_BLOCK,
 };
 use rayon::ThreadPool;
+use std::borrow::Borrow;
 use std::ops::Range;
 use std::slice::ChunksExactMut;
 
@@ -18,7 +19,8 @@ use std::slice::ChunksExactMut;
 /// `apply_gradients`, caching what the backward needs during the queries.
 /// A model with chunk phases ([`IngpModel`]) also hands out its
 /// [`ChunkedField`] through `chunked` / `chunked_eval`; per-point models
-/// (the Tab. IV baselines) do not, and are driven point by point.
+/// (the Tab. IV baselines, [`PerPoint`]) do not, and are driven point by
+/// point. Which of the two a model is picks the trainer's step.
 pub trait TrainableField {
     /// Clears per-batch caches and accumulated gradients.
     fn begin_batch(&mut self);
@@ -63,7 +65,7 @@ pub trait TrainableField {
     }
 
     /// This model's chunk phases, for training; `None` (the default) runs
-    /// the per-point step under either engine.
+    /// the per-point step.
     fn chunked(&mut self) -> Option<&mut dyn ChunkedField> {
         None
     }
@@ -83,6 +85,62 @@ pub trait TrainableField {
     /// The default is a no-op: models without a hash-table access stream
     /// (the Tab. IV baselines) generate no trace events.
     fn stream_lookups(&self, _points: &[Vec3], _sink: &mut dyn TraceSink) {}
+}
+
+/// A model driven through its per-point surface only: every
+/// [`TrainableField`] method but `chunked`/`chunked_eval` is the wrapped
+/// model's, and those two keep their `None` default. `PerPoint(model)`
+/// therefore trains, renders and refreshes an occupancy grid through
+/// exactly the paths a Tab. IV baseline takes — the per-point reference
+/// the chunk phases of an [`IngpModel`] are checked against.
+#[derive(Debug, Clone)]
+pub struct PerPoint<M>(pub M);
+
+/// The wrapped model, so code generic over the two surfaces of one model
+/// can read it (`M: Borrow<IngpModel>` holds for both `IngpModel` and
+/// `PerPoint<IngpModel>`).
+impl<M> Borrow<M> for PerPoint<M> {
+    fn borrow(&self) -> &M {
+        &self.0
+    }
+}
+
+impl<M: TrainableField> TrainableField for PerPoint<M> {
+    fn begin_batch(&mut self) {
+        self.0.begin_batch();
+    }
+
+    fn query(&mut self, p: Vec3, d: Vec3) -> (f32, Vec3) {
+        self.0.query(p, d)
+    }
+
+    fn backward(&mut self, idx: usize, d_sigma: f32, d_color: Vec3) {
+        self.0.backward(idx, d_sigma, d_color);
+    }
+
+    fn apply_gradients(&mut self) {
+        self.0.apply_gradients();
+    }
+
+    fn sync_parameters(&mut self) {
+        self.0.sync_parameters();
+    }
+
+    fn query_eval(&self, p: Vec3, d: Vec3) -> (f32, Vec3) {
+        self.0.query_eval(p, d)
+    }
+
+    fn parameter_count(&self) -> usize {
+        self.0.parameter_count()
+    }
+
+    fn precision(&self) -> Precision {
+        self.0.precision()
+    }
+
+    fn stream_lookups(&self, points: &[Vec3], sink: &mut dyn TraceSink) {
+        self.0.stream_lookups(points, sink);
+    }
 }
 
 /// The chunk phases of a batched model. *Training*: `begin_batch` →
@@ -674,27 +732,20 @@ impl IngpModel {
     pub const GRAD_CLIP_NORM: f32 = 32.0;
 
     /// Creates a model with freshly initialized f32-stored parameters
-    /// (the pre-mixed-precision behavior, bit-identical).
+    /// (the pre-mixed-precision behavior, bit-identical) and the sparse
+    /// grid optimizer ([`OptPath::Sparse`]).
     pub fn new(config: ModelConfig, seed: u64) -> Self {
-        Self::with_precision(config, seed, Precision::F32)
+        Self::for_config(config, &TrainConfig::small(), seed)
     }
 
-    /// [`IngpModel::new`] with the hash table and both MLPs stored at
+    /// A model for a [`TrainConfig`]'s `precision` and `opt` fields — the
+    /// one explicit constructor, for precision- and optimizer-swept
+    /// experiments. The hash table and both MLPs are stored at
     /// `precision` (fp16 keeps f32 master weights for Adam and commits
-    /// RNE-rounded working copies after every optimizer step). The
-    /// initialization draws are identical to the f32 model. The grid
-    /// optimizer path is [`OptPath::Sparse`].
-    pub fn with_precision(config: ModelConfig, seed: u64, precision: Precision) -> Self {
-        Self::with_options(config, seed, precision, OptPath::Sparse)
-    }
-
-    /// Fully explicit constructor: precision *and* grid-optimizer path.
-    pub fn with_options(
-        config: ModelConfig,
-        seed: u64,
-        precision: Precision,
-        opt: OptPath,
-    ) -> Self {
+    /// RNE-rounded working copies after every optimizer step); the
+    /// initialization draws are identical at either precision.
+    pub fn for_config(config: ModelConfig, train: &TrainConfig, seed: u64) -> Self {
+        let (precision, opt) = (train.precision, train.opt);
         let mut grid = HashGrid::with_precision(config.grid, seed, precision);
         let feat = config.grid.feature_dim();
         let density_mlp = Mlp::with_precision(
@@ -734,13 +785,6 @@ impl IngpModel {
             dense_sweep: opt == OptPath::Dense,
             nonzero_grads: 0,
         }
-    }
-
-    /// [`IngpModel::with_options`] driven by a [`TrainConfig`]'s
-    /// `precision` and `opt` fields — the one-stop constructor for
-    /// precision- and optimizer-swept experiments.
-    pub fn for_config(config: ModelConfig, train: &TrainConfig, seed: u64) -> Self {
-        Self::with_options(config, seed, train.precision, train.opt)
     }
 
     /// The grid-optimizer execution path this model runs.
@@ -1062,9 +1106,10 @@ impl TrainableField for IngpModel {
         Some(self)
     }
 
-    /// The hash-grid address stream of the batch, on the trace bus. Both
-    /// trainer engines call this with the same gathered point batch, so
-    /// the streamed events are engine-independent by construction.
+    /// The hash-grid address stream of the batch, on the trace bus. The
+    /// trainer calls this with the gathered point batch before either
+    /// step runs, so the streamed events are the same whether the model
+    /// trains through its chunk phases or as [`PerPoint`].
     fn stream_lookups(&self, points: &[Vec3], sink: &mut dyn TraceSink) {
         self.grid.stream_batch(points, sink);
     }
@@ -1335,8 +1380,8 @@ mod tests {
         let pools = [1, 2, 8].map(engine::build_pool);
         let original = inerf_simd::backend();
         for precision in [Precision::F32, Precision::Fp16] {
-            let mut model =
-                IngpModel::with_options(ModelConfig::tiny(), 17, precision, OptPath::Sparse);
+            let config = TrainConfig::tiny().with_precision(precision);
+            let mut model = IngpModel::for_config(ModelConfig::tiny(), &config, 17);
             // Embeddings start within ±1e-4; a few steps spread the values.
             for step in 0..4 {
                 model.begin_batch();
@@ -1541,14 +1586,43 @@ mod tests {
     /// dense-sweep threshold both ways, twice, and every bit stays the
     /// `Dense` twin's: losses, master and working grid parameters, Adam
     /// moments after a whole-table sync (whose stamps then all read the
-    /// step count), for both engines, both precisions, one and two
-    /// threads.
+    /// step count), trained per point and through the chunk phases, both
+    /// precisions, one and two threads.
     #[test]
     fn sweep_switches_both_ways_bitwise_like_the_dense_twin() {
-        use crate::train::{Engine, Trainer};
+        use crate::train::Trainer;
         use inerf_geom::{Aabb, Ray};
-        let bounds = Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0));
-        let batch = |n: usize, salt: f32| -> (Vec<Ray>, Vec<Vec3>) {
+        type Batch = (Vec<Ray>, Vec<Vec3>);
+        type State = (Vec<u64>, Vec<u32>, Vec<u32>, Vec<[u32; 2]>);
+        const ITERS: usize = 8;
+        /// The run's final state, its sweep sequence and its Adam stamps.
+        fn train_sweep<M: TrainableField + Borrow<IngpModel>>(
+            mut trainer: Trainer<M>,
+            [small, large]: [&Batch; 2],
+        ) -> (State, Vec<bool>, Vec<u32>) {
+            let bounds = Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0));
+            let (mut losses, mut dense) = (Vec::new(), Vec::new());
+            for k in 0..ITERS {
+                let (rays, targets) = if k % 2 == 0 { small } else { large };
+                losses.push(trainer.train_on_rays(rays, targets, &bounds).to_bits());
+                dense.push(trainer.model().borrow().dense_sweep);
+            }
+            let model = trainer.into_model();
+            let model: &IngpModel = model.borrow();
+            let stamps: Vec<u32> = model.grid_adam.records().map(|r| r[2]).collect();
+            let state = (
+                losses,
+                f32_bits(model.grid.parameter_store().master()),
+                f32_bits(model.grid.parameters()),
+                model
+                    .grid_adam
+                    .records()
+                    .map(|r| [r[0], r[1]])
+                    .collect::<Vec<_>>(),
+            );
+            (state, dense, stamps)
+        }
+        let batch = |n: usize, salt: f32| -> Batch {
             (0..n)
                 .map(|i| {
                     let f = (i as f32 + 0.5) / n as f32;
@@ -1562,41 +1636,25 @@ mod tests {
                 .unzip()
         };
         let (small, large) = (batch(2, 0.3), batch(192, 1.1));
-        const ITERS: usize = 8;
-        for engine in [Engine::Scalar, Engine::Batched] {
+        for per_point in [true, false] {
             for precision in [Precision::F32, Precision::Fp16] {
                 for threads in [1, 2] {
                     let run = |opt: OptPath| {
                         let config = TrainConfig {
                             samples_per_ray: 24,
-                            ..TrainConfig::tiny()
-                                .with_engine(engine)
-                                .with_precision(precision)
-                                .with_opt(opt)
+                            ..TrainConfig::tiny().with_precision(precision).with_opt(opt)
                         };
                         let model = IngpModel::for_config(ModelConfig::tiny(), &config, 11);
-                        let mut trainer = Trainer::new(model, config, 5).with_threads(threads);
-                        let (mut losses, mut dense) = (Vec::new(), Vec::new());
-                        for k in 0..ITERS {
-                            let (rays, targets) = if k % 2 == 0 { &small } else { &large };
-                            losses.push(trainer.train_on_rays(rays, targets, &bounds).to_bits());
-                            dense.push(trainer.model().dense_sweep);
+                        let batches = [&small, &large];
+                        if per_point {
+                            let trainer = Trainer::new(PerPoint(model), config, 5);
+                            train_sweep(trainer.with_threads(threads), batches)
+                        } else {
+                            let trainer = Trainer::new(model, config, 5);
+                            train_sweep(trainer.with_threads(threads), batches)
                         }
-                        let model = trainer.into_model();
-                        let stamps: Vec<u32> = model.grid_adam.records().map(|r| r[2]).collect();
-                        let state = (
-                            losses,
-                            f32_bits(model.grid.parameter_store().master()),
-                            f32_bits(model.grid.parameters()),
-                            model
-                                .grid_adam
-                                .records()
-                                .map(|r| [r[0], r[1]])
-                                .collect::<Vec<_>>(),
-                        );
-                        (state, dense, stamps)
                     };
-                    let label = format!("{engine:?} {precision:?} x{threads}");
+                    let label = format!("per point {per_point} {precision:?} x{threads}");
                     let (want, _, _) = run(OptPath::Dense);
                     let (got, dense, stamps) = run(OptPath::Sparse);
                     // Lazy first; after that a large batch makes the next

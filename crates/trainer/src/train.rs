@@ -22,21 +22,6 @@ use rayon::ThreadPool;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Which implementation drives the training/inference hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// The per-point reference implementation: one `query`/`backward` call
-    /// per sample. Kept as the equivalence baseline for the batched engine.
-    Scalar,
-    /// The batched structure-of-arrays engine: all sample points are
-    /// gathered first, then each fixed 256-sample chunk is streamed through
-    /// encode → MLPs → composite → backward while its training record is
-    /// cache-hot, in parallel waves on a multi-thread pool. Deterministic for
-    /// a fixed seed at any thread count, and bitwise the whole-batch stage
-    /// order.
-    Batched,
-}
-
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
@@ -46,14 +31,12 @@ pub struct TrainConfig {
     pub samples_per_ray: usize,
     /// Samples per ray used when rendering evaluation images.
     pub eval_samples_per_ray: usize,
-    /// Hot-path implementation (batched SoA engine by default).
-    pub engine: Engine,
     /// Parameter-storage precision of the model this run trains (hash
     /// table and MLP weights). Selects the [`ParamStore`] backend when a
     /// model is built for this config (see
     /// [`crate::model::IngpModel::for_config`]) and the entry width the
-    /// hardware models assume; both engines read the same store, so the
-    /// choice applies to `Scalar` and `Batched` identically.
+    /// hardware models assume; the chunk phases and the per-point surface
+    /// read the same store, so the choice applies to both alike.
     ///
     /// [`ParamStore`]: inerf_mlp::ParamStore
     pub precision: Precision,
@@ -73,7 +56,6 @@ impl TrainConfig {
             rays_per_batch: 2048,
             samples_per_ray: 128,
             eval_samples_per_ray: 128,
-            engine: Engine::Batched,
             precision: Precision::F32,
             opt: OptPath::Sparse,
         }
@@ -85,7 +67,6 @@ impl TrainConfig {
             rays_per_batch: 32,
             samples_per_ray: 16,
             eval_samples_per_ray: 24,
-            engine: Engine::Batched,
             precision: Precision::F32,
             opt: OptPath::Sparse,
         }
@@ -97,16 +78,9 @@ impl TrainConfig {
             rays_per_batch: 256,
             samples_per_ray: 32,
             eval_samples_per_ray: 48,
-            engine: Engine::Batched,
             precision: Precision::F32,
             opt: OptPath::Sparse,
         }
-    }
-
-    /// The same configuration with a different [`Engine`].
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// The same configuration with a different parameter-storage
@@ -153,7 +127,7 @@ struct OccupancyState {
 /// Drives a [`TrainableField`] through the six-step NeRF training pipeline.
 ///
 /// Every per-iteration structure-of-arrays buffer (the gathered batch and
-/// all batched-engine stage buffers) lives in a pooled batch arena
+/// all chunk-step stage buffers) lives in a pooled batch arena
 /// (`engine::BatchArena`), so steady-state iterations reuse capacity
 /// instead of allocating; see [`Trainer::arena_growth_events`].
 #[derive(Debug, Clone)]
@@ -174,7 +148,7 @@ pub struct Trainer<M> {
 
 impl<M: TrainableField> Trainer<M> {
     /// Creates a trainer. `seed` drives batch selection and jitter. The
-    /// batched engine uses the process-wide thread pool (sized by the
+    /// chunk phases run on the process-wide thread pool (sized by the
     /// `INERF_THREADS` environment variable, default all cores); see
     /// [`Trainer::with_threads`].
     pub fn new(model: M, config: TrainConfig, seed: u64) -> Self {
@@ -207,7 +181,7 @@ impl<M: TrainableField> Trainer<M> {
         self
     }
 
-    /// Worker threads used by the batched engine.
+    /// Worker threads the chunk phases run on.
     pub fn threads(&self) -> usize {
         self.pool.current_num_threads()
     }
@@ -286,29 +260,14 @@ impl<M: TrainableField> Trainer<M> {
     /// iteration's hash-table access stream is pushed into `sink` (cube
     /// events in gathered point order, then one `end_batch`) while the
     /// iteration executes — the hook online hardware co-simulation plugs
-    /// into. Identical for both engines, which share the gathered batch.
+    /// into. The stream depends only on the gathered batch, so a model
+    /// trained per point emits the same events as its chunk phases.
     pub fn train_step_with_sink(
         &mut self,
         dataset: &Dataset,
         sink: Option<&mut (dyn TraceSink + '_)>,
     ) -> f64 {
         self.arena.begin_iteration();
-        if let Some(occ) = &mut self.occupancy {
-            if occ.iteration % occ.refresh_every == 0 {
-                // The refresh probes model densities outside the training
-                // read set — flush any lazily deferred parameter updates
-                // first (no-op for dense-optimizer models).
-                self.model.sync_parameters();
-                occ.grid.refresh_with(
-                    &self.model,
-                    occ.threshold,
-                    2,
-                    &mut self.arena.refresh,
-                    &self.pool,
-                );
-            }
-            occ.iteration += 1;
-        }
         let n_pixels = dataset.train_pixel_count();
         assert!(n_pixels > 0, "dataset has no training pixels");
         // Step (a): random pixel batch, into the arena's pooled buffers
@@ -330,12 +289,9 @@ impl<M: TrainableField> Trainer<M> {
         loss
     }
 
-    /// Runs one iteration on explicit rays/targets (used by tests).
-    ///
-    /// Both engines consume the same gathered sample batch: Step (b) is
-    /// shared, so the scalar reference and the batched SoA engine see
-    /// byte-identical sample points, and only Steps (c)–(f) differ in
-    /// execution strategy.
+    /// Runs one iteration on explicit rays/targets (used by tests),
+    /// refreshing an enabled occupancy grid on its schedule exactly as
+    /// [`Trainer::train_step`] does.
     pub fn train_on_rays(&mut self, rays: &[Ray], targets: &[Vec3], bounds: &Aabb) -> f64 {
         self.train_on_rays_with_sink(rays, targets, bounds, None)
     }
@@ -344,8 +300,9 @@ impl<M: TrainableField> Trainer<M> {
     /// the engine executes, the model streams the gathered batch's
     /// hash-table access events into `sink` (cubes per point, `end_point`
     /// per point), then the iteration is closed with one `end_batch`. The
-    /// stream depends only on the gathered points, so Scalar and Batched
-    /// engines emit byte-identical event sequences for the same seed.
+    /// stream depends only on the gathered points, so the chunk phases
+    /// and the per-point surface emit byte-identical event sequences for
+    /// the same seed.
     pub fn train_on_rays_with_sink(
         &mut self,
         rays: &[Ray],
@@ -359,8 +316,10 @@ impl<M: TrainableField> Trainer<M> {
         loss
     }
 
-    /// One iteration's Steps (b)–(f) plus the optimizer step; the callers
-    /// bracket it with the arena's growth accounting.
+    /// One iteration: the occupancy refresh when it is due, Steps (b)–(f)
+    /// and the optimizer step; the callers bracket it with the arena's
+    /// growth accounting. The refresh draws no random numbers, so where it
+    /// runs relative to Step (a) moves no bit.
     fn run_iteration(
         &mut self,
         rays: &[Ray],
@@ -368,6 +327,22 @@ impl<M: TrainableField> Trainer<M> {
         bounds: &Aabb,
         sink: Option<&mut (dyn TraceSink + '_)>,
     ) -> f64 {
+        if let Some(occ) = &mut self.occupancy {
+            if occ.iteration % occ.refresh_every == 0 {
+                // The refresh probes model densities outside the training
+                // read set — flush any lazily deferred parameter updates
+                // first (no-op for dense-optimizer models).
+                self.model.sync_parameters();
+                occ.grid.refresh_with(
+                    &self.model,
+                    occ.threshold,
+                    2,
+                    &mut self.arena.refresh,
+                    &self.pool,
+                );
+            }
+            occ.iteration += 1;
+        }
         self.steps += 1;
         self.model.begin_batch();
         self.gather_batch(rays, targets, bounds);
@@ -382,17 +357,14 @@ impl<M: TrainableField> Trainer<M> {
             self.model.stream_lookups(&self.arena.batch.points, sink);
             sink.end_batch();
         }
-        let loss = match self.config.engine {
-            Engine::Scalar => self.step_scalar(),
-            Engine::Batched => self.step_batched(),
-        };
+        let loss = self.step();
         self.model.apply_gradients();
         loss
     }
 
     /// Step (b): samples every ray's points into the arena's
-    /// structure-of-arrays batch. Consumes the rng identically regardless
-    /// of engine.
+    /// structure-of-arrays batch. Consumes the rng identically whatever
+    /// the model.
     fn gather_batch(&mut self, rays: &[Ray], targets: &[Vec3], bounds: &Aabb) {
         let s = self.config.samples_per_ray;
         let Trainer {
@@ -411,12 +383,12 @@ impl<M: TrainableField> Trainer<M> {
         }
     }
 
-    /// Steps (c)–(f), per-point reference implementation: one model
-    /// `query`/`backward` call per sample, one composite per ray. Keeps
-    /// its own local buffers (only the gathered batch comes from the
-    /// arena): this path is the untouched equivalence anchor for the
-    /// batched engine, not a throughput target.
-    fn step_scalar(&mut self) -> f64 {
+    /// Steps (c)–(f) of a per-point model: one model `query`/`backward`
+    /// call per sample, one composite per ray. Keeps its own local buffers
+    /// (only the gathered batch comes from the arena): this path trains
+    /// the Tab. IV baselines and is the equivalence anchor of the chunk
+    /// phases ([`crate::model::PerPoint`]), not a throughput target.
+    fn step_per_point(&mut self) -> f64 {
         let n = self.arena.batch.points.len();
         // Step (c): query the model point by point, in streaming order.
         let mut samples = Vec::with_capacity(n);
@@ -454,7 +426,7 @@ impl<M: TrainableField> Trainer<M> {
         loss.value
     }
 
-    /// Steps (c)–(f), batched SoA engine, chunk-streamed: each fixed
+    /// Steps (c)–(f), the one training step, chunk-streamed: each fixed
     /// [`POINT_CHUNK`]-sample chunk goes density → color → composite and
     /// composite backward of its rays → MLP backward and scatter as soon as
     /// the rays through it allow, while its training record is still in
@@ -466,11 +438,13 @@ impl<M: TrainableField> Trainer<M> {
     /// bits are too — at any pool size.
     ///
     /// A per-point model (no [`TrainableField::chunked`]: the Tab. IV
-    /// baselines) takes [`Trainer::step_scalar`] instead — this engine over
-    /// per-point `query`/`backward` loops would be that one bit for bit
+    /// baselines and [`crate::model::PerPoint`]) takes
+    /// [`Trainer::step_per_point`] instead — this step over per-point
+    /// `query`/`backward` loops would be that one bit for bit
     /// (`composite_spans` ≡ `composite_uniform` per ray, `l2_ray_gradient`
-    /// and `l2_loss_value` ≡ `l2_loss`).
-    fn step_batched(&mut self) -> f64 {
+    /// and `l2_loss_value` ≡ `l2_loss`). The model's surface is the only
+    /// step selector.
+    fn step(&mut self) -> f64 {
         let n = self.arena.batch.points.len();
         let wave = engine::wave_chunks(self.pool.current_num_threads());
         let ring = engine::ring_size(&self.arena.batch.spans, n, wave);
@@ -478,7 +452,7 @@ impl<M: TrainableField> Trainer<M> {
             model, arena, pool, ..
         } = self;
         let Some(model) = model.chunked() else {
-            return self.step_scalar();
+            return self.step_per_point();
         };
         model.begin_chunks(n, ring);
         let m = arena.batch.spans.len();

@@ -34,10 +34,13 @@
 //! The resume-equivalence suite pins the headline property: train-2N
 //! straight is *bitwise* identical (losses, master and working parameter
 //! bits, DRAM request statistics) to train-N → snapshot → drop →
-//! resume → train-N, across both engines, both precisions, both
-//! optimizer paths, at 1/2/8 threads.
+//! resume → train-N, across both precisions, both optimizer paths, at
+//! 1/2/8 threads. Checkpoints are an `IngpModel` trainer's: a model
+//! trained per point ([`crate::model::PerPoint`]) has no checkpoint
+//! path, and the step a model takes is not part of the fingerprint —
+//! the trajectory no more depends on it than on the thread count.
 
-use super::{Engine, OccupancyState, TrainConfig, TrainReport, Trainer};
+use super::{OccupancyState, TrainConfig, TrainReport, Trainer};
 use crate::model::{IngpModel, ModelConfig, OptPath, TrainableField};
 use crate::occupancy::OccupancyGrid;
 use inerf_encoding::{HashFunction, HashGridConfig};
@@ -69,26 +72,11 @@ mod tag {
 const MAX_OCC_RESOLUTION: u32 = 1 << 12;
 
 /// Bytes of the config section.
-const CONFIG_BYTES: usize = 72;
+const CONFIG_BYTES: usize = 71;
 
 // ---------------------------------------------------------------------
 // Enum tags: explicit, stable bytes — `as u8` on `#[derive]`d enums
 // would silently renumber if a variant were ever inserted.
-
-fn engine_tag(e: Engine) -> u8 {
-    match e {
-        Engine::Scalar => 0,
-        Engine::Batched => 1,
-    }
-}
-
-fn engine_from(t: u8) -> Result<Engine, SnapshotError> {
-    match t {
-        0 => Ok(Engine::Scalar),
-        1 => Ok(Engine::Batched),
-        _ => Err(SnapshotError::Corrupt(format!("unknown engine tag {t}"))),
-    }
-}
 
 fn precision_tag(p: Precision) -> u8 {
     match p {
@@ -164,7 +152,6 @@ fn put_configs<S: Sink>(out: &mut S, train: &TrainConfig, model: &ModelConfig) {
     out.put_u64(train.rays_per_batch as u64);
     out.put_u64(train.samples_per_ray as u64);
     out.put_u64(train.eval_samples_per_ray as u64);
-    out.put_u8(engine_tag(train.engine));
     out.put_u8(precision_tag(train.precision));
     out.put_u8(opt_tag(train.opt));
     out.put_u32(model.grid.levels);
@@ -192,7 +179,6 @@ pub fn decode_configs(bytes: &[u8]) -> Result<(TrainConfig, ModelConfig), Snapsh
         rays_per_batch: r.u64()? as usize,
         samples_per_ray: r.u64()? as usize,
         eval_samples_per_ray: r.u64()? as usize,
-        engine: engine_from(r.u8()?)?,
         precision: precision_from(r.u8()?)?,
         opt: opt_from(r.u8()?)?,
     };
@@ -514,7 +500,7 @@ impl Trainer<IngpModel> {
         // Rebuild the model skeleton (layout, scratch, touch tracking,
         // lazy mode) from the stored config, then overwrite every
         // parameter and optimizer record with the snapshot bits.
-        let mut model = IngpModel::with_options(model_config, 0, config.precision, config.opt);
+        let mut model = IngpModel::for_config(model_config, &config, 0);
 
         let mut grid_reader = Reader::new(snap.section(tag::GRID)?);
         restore_param_store(&mut grid_reader, model.grid_mut().parameter_store_mut())?;
@@ -589,7 +575,6 @@ mod tests {
     #[test]
     fn config_fingerprint_round_trips() {
         let train = TrainConfig::tiny()
-            .with_engine(Engine::Batched)
             .with_precision(Precision::Fp16)
             .with_opt(OptPath::Dense);
         let model = ModelConfig::tiny();
@@ -604,10 +589,27 @@ mod tests {
         // Older snapshots carried a one-byte streaming-order tag after
         // `samples_per_ray`: their 73-byte section must fail typed.
         let bytes = encode_configs(&TrainConfig::tiny(), &ModelConfig::tiny());
-        assert_eq!(bytes.len(), 72);
+        assert_eq!(bytes.len(), 71);
         for order_tag in [0u8, 1] {
             let mut old = bytes.clone();
             old.insert(16, order_tag);
+            assert!(matches!(
+                decode_configs(&old),
+                Err(SnapshotError::Corrupt(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn config_section_with_an_engine_byte_is_refused() {
+        // Older snapshots carried a one-byte engine tag after
+        // `eval_samples_per_ray`: their 72-byte section must fail typed,
+        // not be read with the engine byte as the precision.
+        let bytes = encode_configs(&TrainConfig::tiny(), &ModelConfig::tiny());
+        for engine_tag in [0u8, 1] {
+            let mut old = bytes.clone();
+            old.insert(24, engine_tag);
+            assert_eq!(old.len(), 72);
             assert!(matches!(
                 decode_configs(&old),
                 Err(SnapshotError::Corrupt(_))

@@ -14,12 +14,13 @@ use proptest::prelude::*;
 
 #[test]
 fn config_section_keeps_its_recorded_layout() {
-    // Files written while the features per entry were a config field must
-    // still load, so the field keeps its place (offset 35) and value (2).
+    // The features per entry keep the field they had as a config value
+    // (offset 34, value 2). The engine byte that sat at offset 24 left the
+    // section with the `Engine` knob.
     #[rustfmt::skip]
-    let recorded: [u8; 72] = [
+    let recorded: [u8; 71] = [
         0, 1, 0, 0, 0, 0, 0, 0, 32, 0, 0, 0, 0, 0, 0, 0, 48, 0, 0, 0, 0, 0, 0, 0,
-        1, 0, 0, 8, 0, 0, 0, 14, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 96, 0, 0, 0, 1,
+        0, 0, 8, 0, 0, 0, 14, 0, 0, 0, 2, 0, 0, 0, 4, 0, 0, 0, 96, 0, 0, 0, 1,
         32, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 32, 0, 0, 0, 0, 0, 0, 0,
     ];
     let bytes = encode_configs(
@@ -53,9 +54,9 @@ fn snapshots_storing_another_fixed_value_are_refused_as_corrupt() {
         Trainer::restore_snapshot(&with_word(&snap, "adamgrid", 4, 0.9f32.to_le_bytes()), cfg)
             .is_ok()
     );
-    // Config: F at offset 35. Adam sections: learning rate, β₁, β₂, ε.
+    // Config: F at offset 34. Adam sections: learning rate, β₁, β₂, ε.
     let cases = [
-        ("config", 35, 4u32.to_le_bytes(), "hash-grid features"),
+        ("config", 34, 4u32.to_le_bytes(), "hash-grid features"),
         ("adamgrid", 4, 0.8f32.to_le_bytes(), "Adam beta1"),
         ("adamden", 12, 0.0f32.to_le_bytes(), "Adam epsilon"),
     ];

@@ -1,16 +1,17 @@
-//! Batched-vs-scalar engine equivalence and thread-count determinism.
+//! Chunk-phases-vs-per-point equivalence and thread-count determinism.
 //!
-//! The batched SoA engine must be a pure *execution-strategy* change: same
-//! sampled points, same lookup traffic, losses and gradients within 1e-5 of
-//! the per-point reference, and bitwise-identical trajectories at any
-//! thread count.
+//! Training an `IngpModel` through its chunk phases must be a pure
+//! *execution-strategy* change against training it as `PerPoint(model)`:
+//! same sampled points, same lookup traffic, losses and gradients within
+//! 1e-5 of the per-point reference, and bitwise-identical trajectories at
+//! any thread count.
 
 use inerf_encoding::requests::{RegisterCacheSink, StreamStats};
 use inerf_encoding::CountingSink;
 use inerf_geom::{Aabb, Ray, Vec3};
 use inerf_scenes::{zoo, DatasetConfig};
 use inerf_simd::Backend;
-use inerf_trainer::{Engine, IngpModel, ModelConfig, TrainConfig, Trainer};
+use inerf_trainer::{IngpModel, ModelConfig, PerPoint, TrainConfig, Trainer};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -65,15 +66,18 @@ fn assert_close(label: &str, a: &[f32], b: &[f32]) {
     }
 }
 
-fn trainer_pair(model_seed: u64, trainer_seed: u64) -> (Trainer<IngpModel>, Trainer<IngpModel>) {
+fn trainer_pair(
+    model_seed: u64,
+    trainer_seed: u64,
+) -> (Trainer<PerPoint<IngpModel>>, Trainer<IngpModel>) {
     let scalar = Trainer::new(
-        IngpModel::new(ModelConfig::tiny(), model_seed),
-        TrainConfig::tiny().with_engine(Engine::Scalar),
+        PerPoint(IngpModel::new(ModelConfig::tiny(), model_seed)),
+        TrainConfig::tiny(),
         trainer_seed,
     );
     let batched = Trainer::new(
         IngpModel::new(ModelConfig::tiny(), model_seed),
-        TrainConfig::tiny().with_engine(Engine::Batched),
+        TrainConfig::tiny(),
         trainer_seed,
     )
     .with_threads(4);
@@ -83,7 +87,7 @@ fn trainer_pair(model_seed: u64, trainer_seed: u64) -> (Trainer<IngpModel>, Trai
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For random ray batches, the two engines must sample identical point
+    /// For random ray batches, the two surfaces must sample identical point
     /// streams (same model-query and lookup-trace counts) and agree on the
     /// loss and on every parameter gradient to 1e-5.
     #[test]
@@ -102,23 +106,23 @@ proptest! {
             (loss_s - loss_b).abs() <= 1e-5 * loss_s.abs().max(1.0),
             "loss diverged: scalar {loss_s} vs batched {loss_b}"
         );
-        // Identical sampled-point counts — and, because both engines encode
+        // Identical sampled-point counts — and, because both surfaces encode
         // the same points in the same order, identical hash-table lookup
         // (and therefore DRAM request) counts: one cube per level per point.
         prop_assert_eq!(scalar.points_queried(), batched.points_queried());
         assert_close(
             "grid gradients",
-            scalar.model().grid().gradients(),
+            scalar.model().0.grid().gradients(),
             batched.model().grid().gradients(),
         );
         assert_close(
             "density MLP gradients",
-            &scalar.model().density_mlp().gradient_vec(),
+            &scalar.model().0.density_mlp().gradient_vec(),
             &batched.model().density_mlp().gradient_vec(),
         );
         assert_close(
             "color MLP gradients",
-            &scalar.model().color_mlp().gradient_vec(),
+            &scalar.model().0.color_mlp().gradient_vec(),
             &batched.model().color_mlp().gradient_vec(),
         );
         // A second iteration exercises the post-optimizer-step state.
@@ -133,12 +137,21 @@ proptest! {
 
 #[test]
 fn engines_agree_under_occupancy_filtering() {
-    // The occupancy path exercises the per-sample-dt compositing variant.
+    // A grid that culls samples cuts rays into spans of different lengths.
+    // An untrained field is near-uniform (σ ≈ 0.693 everywhere), so no
+    // threshold splits its grid: both trainers first train gridless, then
+    // train with a grid `train_on_rays` refreshes every other round.
     let (rays, targets) = random_rays(77, 32);
-    let (scalar, batched) = trainer_pair(3, 9);
-    let mut scalar = scalar.with_occupancy_grid(8, 0.05, 4);
-    let mut batched = batched.with_occupancy_grid(8, 0.05, 4);
+    let (mut scalar, mut batched) = trainer_pair(3, 9);
+    for _ in 0..16 {
+        scalar.train_on_rays(&rays, &targets, &bounds());
+        batched.train_on_rays(&rays, &targets, &bounds());
+    }
+    let mut scalar = scalar.with_occupancy_grid(8, 0.7, 2);
+    let mut batched = batched.with_occupancy_grid(8, 0.7, 2);
+    let dense = (rays.len() * TrainConfig::tiny().samples_per_ray) as u64;
     for round in 0..3 {
+        let queried = scalar.points_queried();
         let loss_s = scalar.train_on_rays(&rays, &targets, &bounds());
         let loss_b = batched.train_on_rays(&rays, &targets, &bounds());
         assert!(
@@ -146,6 +159,8 @@ fn engines_agree_under_occupancy_filtering() {
             "round {round}: scalar {loss_s} vs batched {loss_b}"
         );
         assert_eq!(scalar.points_queried(), batched.points_queried());
+        let kept = scalar.points_queried() - queried;
+        assert!(kept < dense, "round {round}: the grid culled nothing");
     }
 }
 
@@ -283,10 +298,10 @@ fn trajectories_identical_across_threads_for_every_backend() {
 #[test]
 fn arena_allocation_free_in_steady_state() {
     // Warm the arena with a full-size batch (every ray hits the bounds, so
-    // every pooled buffer reaches its steady-state high-water mark) and one
-    // `train_step` (which fills the pooled pixel batch and, with a grid,
-    // runs the first refresh — its first probe visits every cell, so its
-    // blocks are full), then train on random dataset batches: no pooled
+    // every pooled buffer reaches its steady-state high-water mark; with a
+    // grid it runs the first refresh — its first probe visits every cell,
+    // so its blocks are full) and one `train_step` (which fills the pooled
+    // pixel batch), then train on random dataset batches: no pooled
     // buffer may grow again, through three more refreshes.
     let scene = zoo::scene(zoo::SceneKind::Mic);
     let dataset = DatasetConfig::tiny().generate(&scene);

@@ -4,7 +4,8 @@
 //!
 //! * With [`RenderOpts::reference`] its output is **bitwise-identical** to
 //!   the pre-engine naive renderer (replicated verbatim below), per pixel,
-//!   for both trainer engines × both parameter precisions × 1/2/8 threads,
+//!   for models trained per point and through their chunk phases × both
+//!   parameter precisions × 1/2/8 threads,
 //!   and for per-point models taking the `query_eval` fallback.
 //! * Early ray termination at the default threshold costs less than
 //!   0.1 dB of PSNR on a zoo scene.
@@ -14,10 +15,12 @@
 use inerf_geom::{Aabb, Camera, Vec3};
 use inerf_mlp::Precision;
 use inerf_render::volume::{composite_spans, RayBatch, RaySpan};
-use inerf_scenes::{zoo, DatasetConfig, Image};
+use inerf_scenes::{zoo, Dataset, DatasetConfig, Image};
 use inerf_trainer::baselines::NerfLite;
 use inerf_trainer::render::{RenderEngine, RenderOpts, EARLY_TERM_THRESHOLD};
-use inerf_trainer::{engine, Engine, IngpModel, ModelConfig, TrainConfig, TrainableField, Trainer};
+use inerf_trainer::{
+    engine, IngpModel, ModelConfig, PerPoint, TrainConfig, TrainableField, Trainer,
+};
 
 /// The pre-engine `render_view_with_pool`, replicated verbatim (2048
 /// *hit*-pixel blocks, per-block `vec!` allocations, serial ray
@@ -124,20 +127,27 @@ fn assert_images_bitwise_eq(label: &str, a: &Image, b: &Image) {
     }
 }
 
+/// `model` after four training iterations on `dataset`.
+fn trained<M: TrainableField>(model: M, cfg: TrainConfig, dataset: &Dataset) -> M {
+    let mut trainer = Trainer::new(model, cfg, 3);
+    trainer.train(dataset, 4);
+    trainer.into_model()
+}
+
 #[test]
 fn reference_opts_match_the_naive_renderer_bitwise() {
     let scene = zoo::scene(zoo::SceneKind::Mic);
     let dataset = DatasetConfig::tiny().generate(&scene);
     let spp = TrainConfig::tiny().eval_samples_per_ray;
-    for engine_kind in [Engine::Scalar, Engine::Batched] {
+    for per_point in [true, false] {
         for precision in [Precision::F32, Precision::Fp16] {
-            let cfg = TrainConfig::tiny()
-                .with_engine(engine_kind)
-                .with_precision(precision);
-            let mut trainer =
-                Trainer::new(IngpModel::for_config(ModelConfig::tiny(), &cfg, 8), cfg, 3);
-            trainer.train(&dataset, 4);
-            let model = trainer.into_model();
+            let cfg = TrainConfig::tiny().with_precision(precision);
+            let model = IngpModel::for_config(ModelConfig::tiny(), &cfg, 8);
+            let model = if per_point {
+                trained(PerPoint(model), cfg, &dataset).0
+            } else {
+                trained(model, cfg, &dataset)
+            };
             let camera = &dataset.test_views[0].camera;
             let golden = render_view_naive(&model, camera, &dataset.bounds, spp);
             for threads in [1usize, 2, 8] {
@@ -152,7 +162,7 @@ fn reference_opts_match_the_naive_renderer_bitwise() {
                     &pool,
                 );
                 assert_images_bitwise_eq(
-                    &format!("{engine_kind:?}/{precision:?}/{threads} threads"),
+                    &format!("per point {per_point}/{precision:?}/{threads} threads"),
                     &golden,
                     &fast,
                 );

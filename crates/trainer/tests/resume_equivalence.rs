@@ -6,16 +6,15 @@
 //! checkpoint bytes, and training N more — same loss bits, same
 //! evaluation render, same DRAM request statistics for the second half,
 //! same master and working parameter bits at the end. Pinned across
-//! both engines, both storage precisions, both optimizer paths, and at
-//! 1/2/8 threads (a snapshot written at any parallelism resumes at any
-//! other).
+//! both storage precisions, both optimizer paths, and at 1/2/8 threads (a
+//! snapshot written at any parallelism resumes at any other).
 
 use inerf_encoding::requests::{RegisterCacheSink, StreamStats};
 use inerf_encoding::CountingSink;
 use inerf_geom::{Aabb, Ray, Vec3};
 use inerf_scenes::{zoo, Dataset, DatasetConfig};
 use inerf_snapshot::{MemIo, SnapshotError};
-use inerf_trainer::{Engine, IngpModel, ModelConfig, OptPath, Precision, TrainConfig, Trainer};
+use inerf_trainer::{IngpModel, ModelConfig, OptPath, Precision, TrainConfig, Trainer};
 
 const N: usize = 4;
 
@@ -23,11 +22,8 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-fn tiny_config(engine: Engine, precision: Precision, opt: OptPath) -> TrainConfig {
-    TrainConfig::tiny()
-        .with_engine(engine)
-        .with_precision(precision)
-        .with_opt(opt)
+fn tiny_config(precision: Precision, opt: OptPath) -> TrainConfig {
+    TrainConfig::tiny().with_precision(precision).with_opt(opt)
 }
 
 fn fresh_trainer(cfg: TrainConfig, threads: usize) -> Trainer<IngpModel> {
@@ -90,23 +86,21 @@ fn resumed(ds: &Dataset, cfg: TrainConfig, threads: usize) -> SecondHalf {
 #[test]
 fn resume_matches_straight_bitwise_for_every_engine_precision_thread_count_and_opt() {
     let ds = DatasetConfig::tiny().generate(&zoo::scene(zoo::SceneKind::Mic));
-    for engine in [Engine::Scalar, Engine::Batched] {
-        for precision in [Precision::F32, Precision::Fp16] {
-            for opt in [OptPath::Sparse, OptPath::Dense] {
-                let cfg = tiny_config(engine, precision, opt);
-                let reference = straight(&ds, cfg);
-                assert!(reference.trace_points > 0, "workload must stream lookups");
-                assert_eq!(reference.steps, 2 * N as u64);
-                for threads in [1usize, 2, 8] {
-                    let restored = resumed(&ds, cfg, threads);
-                    assert_eq!(
-                        restored,
-                        reference,
-                        "{engine:?}/{}/{}/{threads}t: resume diverged bitwise from straight",
-                        precision.label(),
-                        opt.label()
-                    );
-                }
+    for precision in [Precision::F32, Precision::Fp16] {
+        for opt in [OptPath::Sparse, OptPath::Dense] {
+            let cfg = tiny_config(precision, opt);
+            let reference = straight(&ds, cfg);
+            assert!(reference.trace_points > 0, "workload must stream lookups");
+            assert_eq!(reference.steps, 2 * N as u64);
+            for threads in [1usize, 2, 8] {
+                let restored = resumed(&ds, cfg, threads);
+                assert_eq!(
+                    restored,
+                    reference,
+                    "{}/{}/{threads}t: resume diverged bitwise from straight",
+                    precision.label(),
+                    opt.label()
+                );
             }
         }
     }
@@ -141,36 +135,30 @@ fn resume_across_a_sweep_boundary_matches_straight_bitwise() {
         let current = trainer.model().grid_adam().records().all(|r| r[2] == t);
         (loss, current)
     };
-    for engine in [Engine::Scalar, Engine::Batched] {
-        for precision in [Precision::F32, Precision::Fp16] {
-            let cfg = TrainConfig {
-                samples_per_ray: 24,
-                ..tiny_config(engine, precision, OptPath::Sparse)
-            };
-            let mut reference = fresh_trainer(cfg, 1);
-            let straight: Vec<_> = (0..ITERS).map(|_| step(&mut reference)).collect();
-            let sweeps: Vec<bool> = straight.iter().map(|s| s.1).collect();
-            assert_eq!(
-                sweeps,
-                [false, true, true, true, true],
-                "{engine:?}/{precision:?}"
-            );
-            for save_after in [1, 2] {
-                let mut io = MemIo::default();
-                {
-                    let mut first = fresh_trainer(cfg, 1);
-                    for _ in 0..save_after {
-                        step(&mut first);
-                    }
-                    first.save_checkpoint_to(&mut io, 2).unwrap();
+    for precision in [Precision::F32, Precision::Fp16] {
+        let cfg = TrainConfig {
+            samples_per_ray: 24,
+            ..tiny_config(precision, OptPath::Sparse)
+        };
+        let mut reference = fresh_trainer(cfg, 1);
+        let straight: Vec<_> = (0..ITERS).map(|_| step(&mut reference)).collect();
+        let sweeps: Vec<bool> = straight.iter().map(|s| s.1).collect();
+        assert_eq!(sweeps, [false, true, true, true, true], "{precision:?}");
+        for save_after in [1, 2] {
+            let mut io = MemIo::default();
+            {
+                let mut first = fresh_trainer(cfg, 1);
+                for _ in 0..save_after {
+                    step(&mut first);
                 }
-                let mut restored = Trainer::resume_from_io(&io, cfg).unwrap();
-                let rest: Vec<_> = (save_after..ITERS).map(|_| step(&mut restored)).collect();
-                let label = format!("{engine:?}/{precision:?}: saved after {save_after}");
-                assert!(!rest[0].1, "{label}: the resumed trainer must start lazy");
-                let losses = |s: &[(u64, bool)]| s.iter().map(|s| s.0).collect::<Vec<_>>();
-                assert_eq!(losses(&rest), losses(&straight[save_after..]), "{label}");
+                first.save_checkpoint_to(&mut io, 2).unwrap();
             }
+            let mut restored = Trainer::resume_from_io(&io, cfg).unwrap();
+            let rest: Vec<_> = (save_after..ITERS).map(|_| step(&mut restored)).collect();
+            let label = format!("{precision:?}: saved after {save_after}");
+            assert!(!rest[0].1, "{label}: the resumed trainer must start lazy");
+            let losses = |s: &[(u64, bool)]| s.iter().map(|s| s.0).collect::<Vec<_>>();
+            assert_eq!(losses(&rest), losses(&straight[save_after..]), "{label}");
         }
     }
 }
@@ -181,7 +169,7 @@ fn resume_preserves_occupancy_grid_state_bitwise() {
     // iteration counter; a resume must restore the counter, the bitset,
     // and the refresh parameters or the filtered trajectory diverges.
     let ds = DatasetConfig::tiny().generate(&zoo::scene(zoo::SceneKind::Mic));
-    let cfg = tiny_config(Engine::Scalar, Precision::F32, OptPath::Sparse);
+    let cfg = tiny_config(Precision::F32, OptPath::Sparse);
 
     let mut reference = fresh_trainer(cfg, 1).with_occupancy_grid(8, 0.02, 2);
     let straight_report = reference.train(&ds, 2 * N);
@@ -216,7 +204,7 @@ fn resume_past_step_1000_rebuilds_the_bias_table_and_matches_straight() {
     // the subnormal boundary — must land on the straight run's bits.
     const FIRST: usize = 1_040;
     let ds = DatasetConfig::tiny().generate(&zoo::scene(zoo::SceneKind::Mic));
-    let cfg = tiny_config(Engine::Batched, Precision::Fp16, OptPath::Sparse);
+    let cfg = tiny_config(Precision::Fp16, OptPath::Sparse);
     let with_grid = |t: Trainer<IngpModel>| t.with_occupancy_grid(8, 0.02, 16);
     let fingerprint = |losses: &[f64], trainer: Trainer<IngpModel>| {
         let model = trainer.into_model();
@@ -255,14 +243,13 @@ fn resume_past_step_1000_rebuilds_the_bias_table_and_matches_straight() {
 #[test]
 fn resume_with_mismatched_config_is_a_typed_error() {
     let ds = DatasetConfig::tiny().generate(&zoo::scene(zoo::SceneKind::Mic));
-    let cfg = tiny_config(Engine::Scalar, Precision::F32, OptPath::Sparse);
+    let cfg = tiny_config(Precision::F32, OptPath::Sparse);
     let mut io = MemIo::default();
     let mut trainer = fresh_trainer(cfg, 1);
     trainer.train(&ds, 2);
     trainer.save_checkpoint_to(&mut io, 2).unwrap();
 
     for wrong in [
-        cfg.with_engine(Engine::Batched),
         cfg.with_precision(Precision::Fp16),
         cfg.with_opt(OptPath::Dense),
     ] {
@@ -277,7 +264,7 @@ fn resume_with_mismatched_config_is_a_typed_error() {
 
 #[test]
 fn resume_from_empty_store_is_no_snapshot() {
-    let cfg = tiny_config(Engine::Scalar, Precision::F32, OptPath::Sparse);
+    let cfg = tiny_config(Precision::F32, OptPath::Sparse);
     let io = MemIo::default();
     assert!(matches!(
         Trainer::<IngpModel>::resume_from_io(&io, cfg),
@@ -288,7 +275,7 @@ fn resume_from_empty_store_is_no_snapshot() {
 #[test]
 fn checkpoints_rotate_and_latest_wins() {
     let ds = DatasetConfig::tiny().generate(&zoo::scene(zoo::SceneKind::Mic));
-    let cfg = tiny_config(Engine::Scalar, Precision::F32, OptPath::Sparse);
+    let cfg = tiny_config(Precision::F32, OptPath::Sparse);
     let mut io = MemIo::default();
     let mut trainer = fresh_trainer(cfg, 1);
     for _ in 0..3 {

@@ -3,17 +3,21 @@
 //! The sparse gradient path (`OptPath::Sparse`, the default) promises
 //! *bitwise* equality with the dense reference sweep: same loss
 //! trajectory, same evaluation render, same DRAM request statistics, and
-//! — after a final sync — the same master and working parameter bits, on
-//! both engines, at both storage precisions, at any thread count.
+//! — after a final sync — the same master and working parameter bits,
+//! trained per point and through the chunk phases, at both storage
+//! precisions, at any thread count.
 
 use inerf_encoding::requests::{RegisterCacheSink, StreamStats};
 use inerf_encoding::CountingSink;
 use inerf_mlp::AdamState;
 use inerf_scenes::{zoo, Dataset, DatasetConfig};
-use inerf_trainer::{Engine, IngpModel, ModelConfig, OptPath, Precision, TrainConfig, Trainer};
+use inerf_trainer::{
+    IngpModel, ModelConfig, OptPath, PerPoint, Precision, TrainConfig, TrainableField, Trainer,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Borrow;
 
 fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
@@ -36,32 +40,44 @@ struct PathFingerprint {
 }
 
 /// A fixed training workload (plain + occupancy-filtered + eval render)
-/// executed under one (engine, precision, threads, opt) combination.
+/// executed under one (surface, precision, threads, opt) combination.
 fn path_fingerprint(
     ds: &Dataset,
-    engine: Engine,
+    per_point: bool,
     precision: Precision,
     threads: usize,
     opt: OptPath,
 ) -> PathFingerprint {
-    let cfg = TrainConfig::tiny()
-        .with_engine(engine)
-        .with_precision(precision)
-        .with_opt(opt);
+    let cfg = TrainConfig::tiny().with_precision(precision).with_opt(opt);
+    let model = || IngpModel::for_config(ModelConfig::tiny(), &cfg, 8);
+    if per_point {
+        surface_fingerprint(ds, || PerPoint(model()), cfg, threads)
+    } else {
+        surface_fingerprint(ds, model, cfg, threads)
+    }
+}
+
+/// [`path_fingerprint`] on the models `model` builds.
+fn surface_fingerprint<M: TrainableField + Borrow<IngpModel>>(
+    ds: &Dataset,
+    model: impl Fn() -> M,
+    cfg: TrainConfig,
+    threads: usize,
+) -> PathFingerprint {
     let levels = ModelConfig::tiny().grid.levels;
-    let mut plain = Trainer::new(IngpModel::for_config(ModelConfig::tiny(), &cfg, 8), cfg, 3)
-        .with_threads(threads);
+    let mut plain = Trainer::new(model(), cfg, 3).with_threads(threads);
     let mut sinks = (CountingSink::default(), RegisterCacheSink::new(levels));
     let report = plain.train_with_sink(ds, 4, &mut sinks);
     let psnr = plain.eval_psnr(ds);
     // The occupancy refresh reads the full grid mid-training — the one
     // consumer that forces a sync of entries the current batch never
     // touched.
-    let mut occ = Trainer::new(IngpModel::for_config(ModelConfig::tiny(), &cfg, 8), cfg, 3)
+    let mut occ = Trainer::new(model(), cfg, 3)
         .with_threads(threads)
         .with_occupancy_grid(8, 0.02, 2);
     let occ_report = occ.train(ds, 4);
     let model = plain.into_model();
+    let model: &IngpModel = model.borrow();
     PathFingerprint {
         losses: report.losses.iter().map(|l| l.to_bits()).collect(),
         occ_losses: occ_report.losses.iter().map(|l| l.to_bits()).collect(),
@@ -77,16 +93,16 @@ fn path_fingerprint(
 #[test]
 fn sparse_matches_dense_bitwise_for_every_engine_precision_and_thread_count() {
     let ds = DatasetConfig::tiny().generate(&zoo::scene(zoo::SceneKind::Mic));
-    for engine in [Engine::Scalar, Engine::Batched] {
+    for per_point in [true, false] {
         for precision in [Precision::F32, Precision::Fp16] {
-            let dense = path_fingerprint(&ds, engine, precision, 1, OptPath::Dense);
+            let dense = path_fingerprint(&ds, per_point, precision, 1, OptPath::Dense);
             assert!(dense.trace_points > 0, "workload must stream lookups");
             for threads in [1usize, 2, 8] {
-                let sparse = path_fingerprint(&ds, engine, precision, threads, OptPath::Sparse);
+                let sparse = path_fingerprint(&ds, per_point, precision, threads, OptPath::Sparse);
                 assert_eq!(
                     sparse,
                     dense,
-                    "{engine:?}/{}/{threads}t: sparse diverged bitwise from dense",
+                    "per point {per_point}/{}/{threads}t: sparse diverged bitwise from dense",
                     precision.label()
                 );
             }

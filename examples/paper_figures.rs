@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         println!("{}", fig9::render(&result));
     }
     if all || which == "cosim" {
-        let result = cosim::run(instant_nerf::trainer::Engine::Batched, 8, 7);
+        let result = cosim::run(8, 7);
         dump(dir, "cosim", &result)?;
         println!("{}", cosim::render(&result));
     }

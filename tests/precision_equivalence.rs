@@ -6,16 +6,18 @@
 //! The constants below were captured by running the pre-refactor seed
 //! (commit `bf30d7a`) on the Tab. II small workload — per-iteration loss
 //! bit patterns, a grid-gradient checksum, and the online co-simulation's
-//! DRAM statistics, for both trainer engines. Any drift in the f32 path
-//! fails this suite.
+//! DRAM statistics, for a model trained per point (`PerPoint`) and
+//! through its chunk phases. Any drift in the f32 path fails this suite.
 
 use instant_nerf::accel::{CosimSink, PipelineModel};
 use instant_nerf::encoding::HashFunction;
 use instant_nerf::prelude::*;
-use instant_nerf::trainer::{Engine, OptPath, Precision};
+use instant_nerf::trainer::{OptPath, PerPoint, Precision};
+use std::borrow::Borrow;
 
 struct GoldenRun {
-    engine: Engine,
+    /// Trained as `PerPoint(model)`, or through the chunk phases.
+    per_point: bool,
     /// Exact bit patterns of the three per-iteration losses.
     loss_bits: [u64; 3],
     /// Exact bit pattern of the summed (f64) grid gradients after the
@@ -28,18 +30,18 @@ struct GoldenRun {
 /// 3 iterations, online co-simulation via `CosimSink`.
 const GOLDEN: [GoldenRun; 2] = [
     GoldenRun {
-        engine: Engine::Scalar,
+        per_point: true,
         loss_bits: [0x3fd200f58c44cb24, 0x3fcdcecdc07e785a, 0x3fcb1532456269a7],
         grad_sum_bits: 0xbfa56af498e0eeac,
     },
     GoldenRun {
-        engine: Engine::Batched,
+        per_point: false,
         loss_bits: [0x3fd200f58c44cb24, 0x3fcdcecdbf38187a, 0x3fcb153246477df8],
         grad_sum_bits: 0xbfa56af4aa7a250b,
     },
 ];
 
-/// DRAM-side golden numbers (identical for both engines: the gathered
+/// DRAM-side golden numbers (identical for both surfaces: the gathered
 /// point stream depends only on the trainer rng).
 const GOLDEN_POINTS_QUERIED: u64 = 24000;
 const GOLDEN_DRAM_REQUESTS: u64 = 122162;
@@ -49,10 +51,10 @@ const GOLDEN_HT_BANK_CONFLICTS: u64 = 41198;
 const GOLDEN_PIPELINED_BITS: u64 = 0x3f3cfe22b02e3095;
 const GOLDEN_ENERGY_BITS: u64 = 0x419f0177fa97b0c8;
 
-/// One (engine, precision) pair of the occupancy-culled capture. Both
+/// One (surface, precision) pair of the occupancy-culled capture. Both
 /// optimizer paths must reproduce it: `Dense` is bitwise `Sparse`.
 struct CulledGolden {
-    engine: Engine,
+    per_point: bool,
     precision: Precision,
     /// Exact bit patterns of the four per-iteration losses.
     loss_bits: [u64; 4],
@@ -69,7 +71,7 @@ struct CulledGolden {
 /// 42 % of the 2 016 candidate samples are culled.
 const GOLDEN_CULLED: [CulledGolden; 4] = [
     CulledGolden {
-        engine: Engine::Scalar,
+        per_point: true,
         precision: Precision::F32,
         loss_bits: [
             0x3fc0469542360000,
@@ -81,7 +83,7 @@ const GOLDEN_CULLED: [CulledGolden; 4] = [
         master_checksum: 0x6a97a65d69a8f837,
     },
     CulledGolden {
-        engine: Engine::Batched,
+        per_point: false,
         precision: Precision::F32,
         loss_bits: [
             0x3fc046955180aaab,
@@ -93,7 +95,7 @@ const GOLDEN_CULLED: [CulledGolden; 4] = [
         master_checksum: 0x75b47adf6df5e427,
     },
     CulledGolden {
-        engine: Engine::Scalar,
+        per_point: true,
         precision: Precision::Fp16,
         loss_bits: [
             0x3fc0466430c95555,
@@ -105,7 +107,7 @@ const GOLDEN_CULLED: [CulledGolden; 4] = [
         master_checksum: 0xd5698e5f68e14780,
     },
     CulledGolden {
-        engine: Engine::Batched,
+        per_point: false,
         precision: Precision::Fp16,
         loss_bits: [
             0x3fc04664c1eeaaab,
@@ -128,28 +130,32 @@ fn master_checksum(weights: &[f32]) -> u64 {
     })
 }
 
-fn run_f32(engine: Engine) -> (Vec<f64>, f64, u64, instant_nerf::accel::CosimStats) {
+type F32Run = (Vec<f64>, f64, u64, instant_nerf::accel::CosimStats);
+
+fn run_f32(per_point: bool) -> F32Run {
+    let model_cfg = ModelConfig::small(HashFunction::Morton);
+    let config = TrainConfig::small().with_precision(Precision::F32);
+    let model = IngpModel::for_config(model_cfg, &config, 9 ^ 0xA1);
+    if per_point {
+        train_f32(PerPoint(model), config, model_cfg)
+    } else {
+        train_f32(model, config, model_cfg)
+    }
+}
+
+fn train_f32<M: TrainableField + Borrow<IngpModel>>(
+    model: M,
+    config: TrainConfig,
+    model_cfg: ModelConfig,
+) -> F32Run {
     let scene = zoo::scene(SceneKind::Lego);
     let dataset = DatasetConfig::tiny().generate(&scene);
-    let model_cfg = ModelConfig::small(HashFunction::Morton);
-    let config = TrainConfig::small()
-        .with_engine(engine)
-        .with_precision(Precision::F32);
     let batch_points = config.points_per_iteration() as u64;
     let mut cosim = CosimSink::new(PipelineModel::paper(model_cfg), batch_points);
-    let mut trainer = Trainer::new(
-        IngpModel::for_config(model_cfg, &config, 9 ^ 0xA1),
-        config,
-        9,
-    );
+    let mut trainer = Trainer::new(model, config, 9);
     let report = trainer.train_with_sink(&dataset, 3, &mut cosim);
-    let grad_sum: f64 = trainer
-        .model()
-        .grid()
-        .gradients()
-        .iter()
-        .map(|&g| g as f64)
-        .sum();
+    let model: &IngpModel = trainer.model().borrow();
+    let grad_sum: f64 = model.grid().gradients().iter().map(|&g| g as f64).sum();
     let points = trainer.points_queried();
     (report.losses, grad_sum, points, cosim.stats().clone())
 }
@@ -157,22 +163,22 @@ fn run_f32(engine: Engine) -> (Vec<f64>, f64, u64, instant_nerf::accel::CosimSta
 #[test]
 fn f32_store_reproduces_pre_refactor_losses_and_grads_bitwise() {
     for golden in &GOLDEN {
-        let (losses, grad_sum, points, _) = run_f32(golden.engine);
+        let (losses, grad_sum, points, _) = run_f32(golden.per_point);
         assert_eq!(losses.len(), 3);
         for (i, (&loss, &bits)) in losses.iter().zip(&golden.loss_bits).enumerate() {
             assert_eq!(
                 loss.to_bits(),
                 bits,
-                "{:?} engine, iteration {i}: loss {loss} drifted from the \
+                "per point {}, iteration {i}: loss {loss} drifted from the \
                  pre-refactor capture",
-                golden.engine
+                golden.per_point
             );
         }
         assert_eq!(
             grad_sum.to_bits(),
             golden.grad_sum_bits,
-            "{:?} engine: grid gradient checksum drifted",
-            golden.engine
+            "per point {}: grid gradient checksum drifted",
+            golden.per_point
         );
         assert_eq!(points, GOLDEN_POINTS_QUERIED);
     }
@@ -181,12 +187,12 @@ fn f32_store_reproduces_pre_refactor_losses_and_grads_bitwise() {
 #[test]
 fn f32_store_reproduces_pre_refactor_dram_stats_bitwise() {
     for golden in &GOLDEN {
-        let (_, _, _, stats) = run_f32(golden.engine);
+        let (_, _, _, stats) = run_f32(golden.per_point);
         assert_eq!(stats.iterations, 3);
         assert_eq!(
             stats.dram_requests, GOLDEN_DRAM_REQUESTS,
-            "{:?}",
-            golden.engine
+            "per point {}",
+            golden.per_point
         );
         assert_eq!(stats.ht_row_hits, GOLDEN_HT_ROW_HITS);
         assert_eq!(stats.ht_row_misses, GOLDEN_HT_ROW_MISSES);
@@ -194,14 +200,14 @@ fn f32_store_reproduces_pre_refactor_dram_stats_bitwise() {
         assert_eq!(
             stats.pipelined_seconds.to_bits(),
             GOLDEN_PIPELINED_BITS,
-            "{:?} engine: simulated iteration time drifted",
-            golden.engine
+            "per point {}: simulated iteration time drifted",
+            golden.per_point
         );
         assert_eq!(
             stats.dram_energy_pj.to_bits(),
             GOLDEN_ENERGY_BITS,
-            "{:?} engine: simulated DRAM energy drifted",
-            golden.engine
+            "per point {}: simulated DRAM energy drifted",
+            golden.per_point
         );
     }
 }
@@ -214,25 +220,18 @@ fn culled_training_reproduces_its_capture_bitwise() {
     for golden in &GOLDEN_CULLED {
         for opt in [OptPath::Sparse, OptPath::Dense] {
             let config = TrainConfig::tiny()
-                .with_engine(golden.engine)
                 .with_precision(golden.precision)
                 .with_opt(opt);
-            let case = format!("{:?} / {:?} / {:?}", golden.engine, golden.precision, opt);
-            // An untrained field is near-uniform, so no threshold splits
-            // its grid; warm it up first, then train with the grid on.
-            let mut warm = Trainer::new(
-                IngpModel::for_config(model_cfg, &config, 9 ^ 0xA1),
-                config,
-                9,
+            let case = format!(
+                "per point {} / {:?} / {:?}",
+                golden.per_point, golden.precision, opt
             );
-            warm.train(&dataset, CULLED_WARMUP);
-            let mut trainer =
-                Trainer::new(warm.into_model(), config, 9).with_occupancy_grid(8, 0.3, 2);
-            let losses = trainer.train(&dataset, 4).losses;
-            let loss_bits: Vec<u64> = losses.iter().map(|l| l.to_bits()).collect();
-            let points = trainer.points_queried();
-            let model = trainer.into_model();
-            let checksum = master_checksum(model.grid().parameter_store().master());
+            let model = IngpModel::for_config(model_cfg, &config, 9 ^ 0xA1);
+            let (loss_bits, points, checksum) = if golden.per_point {
+                train_culled(PerPoint(model), config, &dataset)
+            } else {
+                train_culled(model, config, &dataset)
+            };
             assert_eq!(loss_bits, golden.loss_bits, "{case}: losses drifted");
             assert_eq!(points, golden.points_queried, "{case}: culling drifted");
             assert_eq!(checksum, golden.master_checksum, "{case}: weights drifted");
@@ -240,11 +239,33 @@ fn culled_training_reproduces_its_capture_bitwise() {
     }
 }
 
+/// The culled capture's run of `model`: loss bits, points queried and
+/// the grid's [`master_checksum`].
+fn train_culled<M: TrainableField + Borrow<IngpModel>>(
+    model: M,
+    config: TrainConfig,
+    dataset: &Dataset,
+) -> (Vec<u64>, u64, u64) {
+    // An untrained field is near-uniform, so no threshold splits its
+    // grid; warm it up first, then train with the grid on.
+    let mut warm = Trainer::new(model, config, 9);
+    warm.train(dataset, CULLED_WARMUP);
+    let mut trainer = Trainer::new(warm.into_model(), config, 9).with_occupancy_grid(8, 0.3, 2);
+    let losses = trainer.train(dataset, 4).losses;
+    let loss_bits: Vec<u64> = losses.iter().map(|l| l.to_bits()).collect();
+    let points = trainer.points_queried();
+    let model = trainer.into_model();
+    let model: &IngpModel = model.borrow();
+    let checksum = master_checksum(model.grid().parameter_store().master());
+    (loss_bits, points, checksum)
+}
+
 #[test]
 fn fp16_model_halves_storage_against_the_f32_twin() {
     let model_cfg = ModelConfig::small(HashFunction::Morton);
     let full = IngpModel::new(model_cfg, 5);
-    let half = IngpModel::with_precision(model_cfg, 5, Precision::Fp16);
+    let fp16 = TrainConfig::small().with_precision(Precision::Fp16);
+    let half = IngpModel::for_config(model_cfg, &fp16, 5);
     assert_eq!(full.precision(), Precision::F32);
     assert_eq!(half.precision(), Precision::Fp16);
     assert_eq!(full.parameter_count(), half.parameter_count());
