@@ -34,9 +34,9 @@ pub struct SceneTraceStats {
 ///
 /// Points in empty space are skipped entirely — iNGP's occupancy grid
 /// prevents them from ever reaching the hash table — so the stream is the
-/// scene-conditioned access sequence the accelerator actually sees. Apart
-/// from the sink the function holds one reused cube buffer: memory is
-/// constant in the stream length.
+/// scene-conditioned access sequence the accelerator actually sees. Each
+/// kept point streams straight into the sink, so memory is constant in the
+/// stream length.
 pub fn scene_trace_into(
     scene: &Scene,
     grid: &HashGrid,
@@ -49,9 +49,11 @@ pub fn scene_trace_into(
     let mut kept = 0u64;
     let mut occupied = 0u64;
     let mut total = 0u64;
-    let mut last_fine: Option<u64> = None;
     let mut fine_changes = 0u64;
-    let mut cubes: Vec<CubeLookup> = Vec::new();
+    let mut sink = FinestCube {
+        inner: sink,
+        cube_id: None,
+    };
     let center = scene.bounds.center();
     let max_rays = 64 * target_points.div_ceil(samples).max(1);
     let mut r = 0usize;
@@ -74,17 +76,9 @@ pub fn scene_trace_into(
             }
             occupied += 1;
             kept += 1;
-            grid.cube_lookups_into(scene.bounds.normalize(p), &mut cubes);
-            if let Some(fine) = cubes.last() {
-                if last_fine != Some(fine.cube_id) {
-                    fine_changes += 1;
-                    last_fine = Some(fine.cube_id);
-                }
-            }
-            for cube in &cubes {
-                sink.push_cube(cube);
-            }
-            sink.end_point();
+            let previous = sink.cube_id;
+            grid.stream_point(scene.bounds.normalize(p), &mut sink);
+            fine_changes += u64::from(sink.cube_id != previous);
         }
     }
     SceneTraceStats {
@@ -99,6 +93,24 @@ pub fn scene_trace_into(
         } else {
             fine_changes as f64 / kept as f64
         },
+    }
+}
+
+/// Forwards a point stream to `inner`, keeping the `cube_id` of the last
+/// cube pushed: a point's finest level.
+struct FinestCube<'a, S: ?Sized> {
+    inner: &'a mut S,
+    cube_id: Option<u64>,
+}
+
+impl<S: TraceSink + ?Sized> TraceSink for FinestCube<'_, S> {
+    fn push_cube(&mut self, cube: &CubeLookup) {
+        self.cube_id = Some(cube.cube_id);
+        self.inner.push_cube(cube);
+    }
+
+    fn end_point(&mut self) {
+        self.inner.end_point();
     }
 }
 
@@ -133,6 +145,17 @@ mod tests {
         assert!(st.points >= 400, "kept {} points", st.points);
         assert_eq!(trace.point_count() as u64, st.points);
         assert!(st.occupancy > 0.0 && st.occupancy < 1.0);
+        // The spread counts the kept points whose finest cube differs from
+        // the previous point's, as read back from the streamed cubes.
+        let levels = grid().config().levels as usize;
+        let finest = trace
+            .cubes()
+            .chunks_exact(levels)
+            .map(|p| p[levels - 1].cube_id);
+        let changes = finest.fold((0u64, None), |(n, prev), id| {
+            (n + u64::from(prev != Some(id)), Some(id))
+        });
+        assert_eq!(st.fine_spread, changes.0 as f64 / st.points as f64);
         assert!((0.0..=1.0).contains(&st.fine_spread));
     }
 

@@ -1015,18 +1015,6 @@ impl HashGrid {
         );
     }
 
-    /// Computes the per-level cube lookups (entry indices) of a point without
-    /// touching the embedding data — the address stream of the HT step —
-    /// into a caller-owned buffer (cleared and refilled), so a point loop
-    /// reuses one allocation for its lifetime.
-    pub fn cube_lookups_into(&self, p: Vec3, out: &mut Vec<CubeLookup>) {
-        out.clear();
-        inerf_simd::vectorize(
-            #[inline(always)]
-            || self.trace_point(p, |cube| out.push(*cube)),
-        );
-    }
-
     /// Backward pass ("HT_b"): scatter-adds `d_features` (length `L*F`) into
     /// the embedding gradients at the entries that contributed to `p`.
     ///
@@ -1104,9 +1092,9 @@ mod tests {
         // Manually set a recognizable value at the level-0 entry of the cube
         // corner nearest to origin.
         let p = Vec3::new(0.0, 0.0, 0.0);
-        let mut lookups = Vec::new();
-        g.cube_lookups_into(p, &mut lookups);
-        let entry = lookups[0].entries[0];
+        let mut lookups = LookupTrace::new();
+        g.stream_point(p, &mut lookups);
+        let entry = lookups.cubes()[0].entries[0];
         let off = entry as usize * F; // level 0 offset
         g.store.set(off, 0.5);
         g.store.set(off + 1, -0.25);
@@ -1185,14 +1173,14 @@ mod tests {
         // Tiny config: coarsest level res 4 (cell 0.25), finest res 32
         // (cell ~0.031); a 0.05 step stays in the coarse cube but crosses a
         // fine cell boundary.
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        g.cube_lookups_into(Vec3::new(0.50, 0.50, 0.50), &mut a);
-        g.cube_lookups_into(Vec3::new(0.55, 0.50, 0.50), &mut b);
+        let (mut a, mut b) = (LookupTrace::new(), LookupTrace::new());
+        g.stream_point(Vec3::new(0.50, 0.50, 0.50), &mut a);
+        g.stream_point(Vec3::new(0.55, 0.50, 0.50), &mut b);
         // Coarsest level: same cube. Finest level: typically different.
-        assert_eq!(a[0].cube_id, b[0].cube_id);
+        assert_eq!(a.cubes()[0].cube_id, b.cubes()[0].cube_id);
         let (a_last, b_last) = (
-            a.last().expect("trace a is nonempty"),
-            b.last().expect("trace b is nonempty"),
+            a.cubes().last().expect("trace a is nonempty"),
+            b.cubes().last().expect("trace b is nonempty"),
         );
         assert_ne!(a_last.cube_id, b_last.cube_id);
     }
@@ -1318,9 +1306,9 @@ mod tests {
         // embedding at any other corner must not reach the features
         // (`0 * inf` is NaN), in the batched gather as in the reference.
         let mut g = grid(HashFunction::Morton);
-        let mut cubes = Vec::new();
-        g.cube_lookups_into(Vec3::ZERO, &mut cubes);
-        for (li, cube) in cubes.iter().enumerate() {
+        let mut cubes = LookupTrace::new();
+        g.stream_point(Vec3::ZERO, &mut cubes);
+        for (li, cube) in cubes.cubes().iter().enumerate() {
             let off = g.base_offset(li as u32, cube.entries[7]);
             g.store.set(off, f32::INFINITY);
         }
@@ -1555,10 +1543,10 @@ mod tests {
     /// table behind it, which [`HashGrid::fill_cache`] and the trace bus
     /// never read, so table sizes nobody would allocate in a test are
     /// covered — and streams the same points through
-    /// [`HashGrid::stream_batch`] and [`HashGrid::cube_lookups_into`], under
-    /// every backend. Returns the first slot or event that differs from the
-    /// per-level reference: [`cube_lookup_at`] and
-    /// [`GridLevel::corner_weight`].
+    /// [`HashGrid::stream_batch`] and point by point through
+    /// [`HashGrid::stream_point`], under every backend. Returns the first
+    /// slot or event that differs from the per-level reference:
+    /// [`cube_lookup_at`] and [`GridLevel::corner_weight`].
     fn point_kernel_mismatch(config: HashGridConfig, points: &[Vec3]) -> Option<String> {
         let levels = config.build_levels();
         let g = HashGrid {
@@ -1575,10 +1563,9 @@ mod tests {
             g.fill_cache(points, &mut cache);
             let mut streamed = LookupTrace::new();
             g.stream_batch(points, &mut streamed);
-            let (mut looked_up, mut cubes) = (Vec::new(), Vec::new());
+            let mut looked_up = LookupTrace::new();
             for &p in points {
-                g.cube_lookups_into(p, &mut cubes);
-                looked_up.extend_from_slice(&cubes);
+                g.stream_point(p, &mut looked_up);
             }
             inerf_simd::force_backend(prev);
             if streamed.point_count() != points.len() {
@@ -1593,7 +1580,7 @@ mod tests {
                 .entries
                 .chunks_exact(8)
                 .zip(cache.weights.chunks_exact(8));
-            let mut events = streamed.cubes().iter().zip(&looked_up);
+            let mut events = streamed.cubes().iter().zip(looked_up.cubes());
             for &p in points {
                 for (li, level) in g.levels().iter().enumerate() {
                     let want = cube_lookup_at(&g, li, p);
@@ -1741,9 +1728,9 @@ mod tests {
         ) {
             let g = grid(HashFunction::Original);
             let t = g.config().table_size();
-            let mut cubes = Vec::new();
-            g.cube_lookups_into(Vec3::new(px, py, pz), &mut cubes);
-            for cube in cubes {
+            let mut cubes = LookupTrace::new();
+            g.stream_point(Vec3::new(px, py, pz), &mut cubes);
+            for cube in cubes.cubes() {
                 for e in cube.entries {
                     prop_assert!(e < t);
                 }

@@ -384,10 +384,10 @@ impl AdamState {
     }
 
     /// Overwrites this state in place, bit-exactly, with exported records
-    /// ([`AdamState::records`], one per parameter, in memory order), the
-    /// global step `t` (the lazy-replay epoch), the mode flag and the
-    /// learning rate; the other hyper-parameters are the fixed [`BETA1`],
-    /// [`BETA2`] and [`EPSILON`].
+    /// ([`AdamState::records`], one per parameter, in memory order) and the
+    /// global step `t` (the lazy-replay epoch). The mode and the learning
+    /// rate stay this state's own: a restore writes into a state built for
+    /// the same optimizer.
     ///
     /// Moments travel as `u32` bit patterns, not values, because a resumed
     /// run must replay the *bits* of the original trajectory — a decimal
@@ -401,13 +401,7 @@ impl AdamState {
     /// Panics unless `records` holds exactly one record per parameter;
     /// callers restoring untrusted bytes must check the count first and
     /// surface a typed error.
-    pub fn restore(
-        &mut self,
-        records: impl ExactSizeIterator<Item = [u32; 3]>,
-        t: u64,
-        lazy: bool,
-        learning_rate: f32,
-    ) {
+    pub fn restore(&mut self, records: impl ExactSizeIterator<Item = [u32; 3]>, t: u64) {
         assert_eq!(
             records.len(),
             self.state.len(),
@@ -421,9 +415,7 @@ impl AdamState {
             };
         }
         self.t = t;
-        self.lazy = lazy;
         self.bias = BiasTable::default();
-        self.learning_rate = learning_rate;
     }
 
     /// Number of parameters this state covers.
@@ -937,13 +929,9 @@ mod tests {
         }
         assert_eq!(adam.steps(), 3);
         assert!(adam.is_lazy());
-        let mut restored = AdamState::new(n, 0.0);
-        restored.restore(
-            adam.records(),
-            adam.steps(),
-            adam.is_lazy(),
-            adam.learning_rate,
-        );
+        let mut restored = AdamState::new(n, 0.015);
+        restored.enable_lazy();
+        restored.restore(adam.records(), adam.steps());
         assert_eq!(restored, adam);
         let mut p2 = p.clone();
         let g = vec![0.05f32; n];
@@ -1320,7 +1308,10 @@ mod tests {
                 let stamp = if lazy { start as u32 } else { 0 };
                 let records = m.iter().zip(&v).map(|(&m, &v)| [m, v, stamp]);
                 let mut adam = AdamState::new(n, lr);
-                adam.restore(records, start, lazy, lr);
+                if lazy {
+                    adam.enable_lazy();
+                }
+                adam.restore(records, start);
                 adam
             };
             let mut dense = restore(false);

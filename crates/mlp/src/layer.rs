@@ -14,10 +14,6 @@ pub enum Activation {
     Relu,
     /// Logistic sigmoid (used for RGB outputs).
     Sigmoid,
-    /// `exp(x)` truncated to avoid overflow (used for density outputs).
-    Exp,
-    /// Softplus `ln(1 + e^x)` — a smooth non-negative alternative for density.
-    Softplus,
 }
 
 impl Activation {
@@ -28,14 +24,6 @@ impl Activation {
             Activation::Identity => x,
             Activation::Relu => x.max(0.0),
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Exp => x.clamp(-15.0, 15.0).exp(),
-            Activation::Softplus => {
-                if x > 15.0 {
-                    x
-                } else {
-                    (1.0 + x.exp()).ln()
-                }
-            }
         }
     }
 
@@ -48,14 +36,13 @@ impl Activation {
             Activation::Identity => {}
             // Split out so the compare-and-blend loop vectorizes (the
             // generic loop below costs the 16→32→8 tile forward 58 → 79
-            // ns/pt); the other activations are transcendental and stay
-            // lane-serial.
+            // ns/pt); the sigmoid is transcendental and stays lane-serial.
             Activation::Relu => {
                 for v in tile {
                     *v = v.max(0.0);
                 }
             }
-            _ => {
+            Activation::Sigmoid => {
                 for v in tile {
                     *v = self.apply(*v);
                 }
@@ -63,32 +50,22 @@ impl Activation {
         }
     }
 
-    /// Derivative of the activation expressed in terms of the
-    /// *pre-activation* `x` and the *post-activation* `y = apply(x)`.
+    /// Derivative of the activation in terms of its output `y = apply(x)`
+    /// alone (`Relu`: `y > 0 ⇔ x > 0`), so the training forward records
+    /// only the activated values.
     #[inline]
-    pub fn derivative(self, x: f32, y: f32) -> f32 {
+    pub fn derivative(self, y: f32) -> f32 {
         match self {
             Activation::Identity => 1.0,
             Activation::Relu => {
-                if x > 0.0 {
+                if y > 0.0 {
                     1.0
                 } else {
                     0.0
                 }
             }
             Activation::Sigmoid => y * (1.0 - y),
-            Activation::Exp => y, // d/dx e^x = e^x (clamp region has zero grad anyway)
-            Activation::Softplus => 1.0 / (1.0 + (-x).exp()),
         }
-    }
-
-    /// Whether [`Activation::derivative`] reads `x`, so the training forward
-    /// must record the tile *before* activating it. Every other derivative
-    /// is a function of `y` alone (`Relu`: `y > 0 ⇔ x > 0`) and records the
-    /// activated tile.
-    #[inline(always)]
-    fn derivative_reads_pre(self) -> bool {
-        self == Activation::Softplus
     }
 
     /// Turns a tile of upstream gradients into the masked `d_pre` tile in
@@ -106,10 +83,9 @@ impl Activation {
                     *d = mask_nonzero(*d * if y > 0.0 { 1.0 } else { 0.0 });
                 }
             }
-            // `recorded` is whichever of `x` and `y` the derivative reads.
             _ => {
-                for (d, &r) in d.iter_mut().zip(recorded) {
-                    *d = mask_nonzero(*d * self.derivative(r, r));
+                for (d, &y) in d.iter_mut().zip(recorded) {
+                    *d = mask_nonzero(*d * self.derivative(y));
                 }
             }
         }
@@ -381,15 +357,13 @@ impl DenseLayer {
         self.weights.storage_bytes() + self.bias.storage_bytes()
     }
 
-    /// Forward pass: writes pre-activations into `pre` and activated outputs
-    /// into `out`.
+    /// Forward pass: writes the activated outputs into `out`.
     ///
     /// # Panics
     ///
     /// Panics if buffer sizes disagree with the layer dimensions.
-    pub fn forward_into(&self, input: &[f32], pre: &mut [f32], out: &mut [f32]) {
+    pub fn forward_into(&self, input: &[f32], out: &mut [f32]) {
         assert_eq!(input.len(), self.in_dim, "input size mismatch");
-        assert_eq!(pre.len(), self.out_dim, "pre-activation buffer mismatch");
         assert_eq!(out.len(), self.out_dim, "output buffer mismatch");
         let weights = self.weights.values();
         let bias = self.bias.values();
@@ -399,19 +373,16 @@ impl DenseLayer {
             for (w, x) in row.iter().zip(input) {
                 acc += w * x;
             }
-            pre[o] = acc;
             out[o] = self.activation.apply(acc);
         }
     }
 
     /// Backward pass: given `d_out` (gradient w.r.t. activated output), the
-    /// cached `input`, `pre`-activations and `out`puts, accumulates weight
-    /// and bias gradients and writes the gradient w.r.t. the input into
-    /// `d_input`.
+    /// cached `input` and activated `out`puts, accumulates weight and bias
+    /// gradients and writes the gradient w.r.t. the input into `d_input`.
     pub fn backward_into(
         &mut self,
         input: &[f32],
-        pre: &[f32],
         out: &[f32],
         d_out: &[f32],
         d_input: &mut [f32],
@@ -421,7 +392,7 @@ impl DenseLayer {
         d_input.fill(0.0);
         let weights = self.weights.values();
         for o in 0..self.out_dim {
-            let d_pre = d_out[o] * self.activation.derivative(pre[o], out[o]);
+            let d_pre = d_out[o] * self.activation.derivative(out[o]);
             if d_pre == 0.0 {
                 continue;
             }
@@ -467,21 +438,15 @@ impl DenseLayer {
     /// Record epilogue of the training forward: `tile` holds this layer's
     /// pre-activations from [`DenseLayer::forward_tile`] and is left
     /// activated — the next layer's input. The block's `[out_dim][FWD_BLOCK]`
-    /// slot `recorded` takes a straight copy of it (activated, or as it
-    /// stands when the derivative reads `x`) for the backward `d_pre` step,
-    /// and `out_rows` (the block's `bn × out_dim` rows of the row-major
-    /// output matrix) the activated values the next layer's weight gradient
-    /// streams.
+    /// slot `recorded` takes a straight copy of the activated tile for the
+    /// backward `d_pre` step, and `out_rows` (the block's `bn × out_dim`
+    /// rows of the row-major output matrix) the activated values the next
+    /// layer's weight gradient streams.
     #[inline(always)]
     pub(crate) fn record_tile(&self, tile: &mut [f32], recorded: &mut [f32], out_rows: &mut [f32]) {
         let tile = &mut tile[..self.out_dim * FWD_BLOCK];
-        if self.activation.derivative_reads_pre() {
-            recorded.copy_from_slice(tile);
-            self.activation.apply_tile(tile);
-        } else {
-            self.activation.apply_tile(tile);
-            recorded.copy_from_slice(tile);
-        }
+        self.activation.apply_tile(tile);
+        recorded.copy_from_slice(tile);
         untranspose_tile(tile, out_rows, self.out_dim);
     }
 
@@ -627,18 +592,12 @@ mod tests {
 
     #[test]
     fn activations_and_derivatives() {
-        for act in [
-            Activation::Identity,
-            Activation::Relu,
-            Activation::Sigmoid,
-            Activation::Exp,
-            Activation::Softplus,
-        ] {
+        for act in [Activation::Identity, Activation::Relu, Activation::Sigmoid] {
             for &x in &[-2.0f32, -0.5, 0.3, 1.7] {
                 let y = act.apply(x);
                 let eps = 1e-3;
                 let numeric = (act.apply(x + eps) - act.apply(x - eps)) / (2.0 * eps);
-                let analytic = act.derivative(x, y);
+                let analytic = act.derivative(y);
                 assert!(
                     (numeric - analytic).abs() < 1e-2,
                     "{act:?} at {x}: numeric {numeric} vs analytic {analytic}"
@@ -653,7 +612,6 @@ mod tests {
         assert_eq!(Activation::Relu.apply(2.0), 2.0);
         let s = Activation::Sigmoid.apply(100.0);
         assert!(s <= 1.0 && s > 0.999);
-        assert!(Activation::Exp.apply(100.0).is_finite());
     }
 
     #[test]
@@ -661,11 +619,9 @@ mod tests {
         let mut layer = DenseLayer::new(2, 1, Activation::Identity, 0);
         layer.weights = ParamStore::f32(vec![2.0, -1.0]);
         layer.bias = ParamStore::f32(vec![0.5]);
-        let mut pre = [0.0];
         let mut out = [0.0];
-        layer.forward_into(&[3.0, 4.0], &mut pre, &mut out);
-        assert_eq!(pre[0], 2.0 * 3.0 - 4.0 + 0.5);
-        assert_eq!(out[0], pre[0]);
+        layer.forward_into(&[3.0, 4.0], &mut out);
+        assert_eq!(out[0], 2.0 * 3.0 - 4.0 + 0.5);
     }
 
     #[test]
@@ -673,18 +629,16 @@ mod tests {
         let mut layer = DenseLayer::new(3, 2, Activation::Relu, 9);
         let input = [0.5f32, -0.3, 0.8];
         let d_out = [1.0f32, -2.0];
-        let mut pre = [0.0; 2];
         let mut out = [0.0; 2];
-        layer.forward_into(&input, &mut pre, &mut out);
+        layer.forward_into(&input, &mut out);
         let mut d_input = [0.0; 3];
-        layer.backward_into(&input, &pre, &out, &d_out, &mut d_input);
+        layer.backward_into(&input, &out, &d_out, &mut d_input);
 
         // Finite difference on weight (0,1): perturb and measure the change
         // in loss = sum(d_out .* output).
         let loss = |l: &DenseLayer| {
-            let mut p = [0.0; 2];
             let mut o = [0.0; 2];
-            l.forward_into(&input, &mut p, &mut o);
+            l.forward_into(&input, &mut o);
             d_out.iter().zip(o).map(|(g, y)| g * y).sum::<f32>()
         };
         let eps = 1e-3;
@@ -706,12 +660,11 @@ mod tests {
         for ii in 0..3 {
             let mut in_pert = input;
             in_pert[ii] += eps;
-            let mut p = [0.0; 2];
             let mut o = [0.0; 2];
-            layer.forward_into(&in_pert, &mut p, &mut o);
+            layer.forward_into(&in_pert, &mut o);
             let up: f32 = d_out.iter().zip(o).map(|(g, y)| g * y).sum();
             in_pert[ii] -= 2.0 * eps;
-            layer.forward_into(&in_pert, &mut p, &mut o);
+            layer.forward_into(&in_pert, &mut o);
             let down: f32 = d_out.iter().zip(o).map(|(g, y)| g * y).sum();
             let numeric = (up - down) / (2.0 * eps);
             assert!(
@@ -726,11 +679,10 @@ mod tests {
     fn zero_grad_clears() {
         let mut layer = DenseLayer::new(2, 2, Activation::Identity, 1);
         let input = [1.0, 1.0];
-        let mut pre = [0.0; 2];
         let mut out = [0.0; 2];
-        layer.forward_into(&input, &mut pre, &mut out);
+        layer.forward_into(&input, &mut out);
         let mut d_in = [0.0; 2];
-        layer.backward_into(&input, &pre, &out, &[1.0, 1.0], &mut d_in);
+        layer.backward_into(&input, &out, &[1.0, 1.0], &mut d_in);
         assert!(layer.grad_weights.iter().any(|&g| g != 0.0));
         layer.zero_grad();
         assert!(layer.grad_weights.iter().all(|&g| g == 0.0));

@@ -11,8 +11,6 @@ use crate::store::Precision;
 pub struct MlpActivations {
     /// The network input.
     input: Vec<f32>,
-    /// Per-layer pre-activations.
-    pres: Vec<Vec<f32>>,
     /// Per-layer activated outputs; the last is the network output.
     outs: Vec<Vec<f32>>,
 }
@@ -45,11 +43,9 @@ pub struct MlpBatchActivations {
     /// output, and the rows the next layer's weight gradient streams.
     outs: Vec<Vec<f32>>,
     /// Per-layer recorded tiles, one `[out_dim][FWD_BLOCK]` slot per block
-    /// of points (the last one ragged): what the layer's `d_pre` step
-    /// differentiates from — the activated tile, or the pre-activation tile
-    /// instead for the one activation whose derivative reads it
-    /// (`Softplus`). Lanes past the last point hold whatever the forward
-    /// tile held.
+    /// of points (the last one ragged): the activated tile the layer's
+    /// `d_pre` step differentiates from. Lanes past the last point hold
+    /// whatever the forward tile held.
     tiles: Vec<Vec<f32>>,
 }
 
@@ -267,19 +263,15 @@ impl Mlp {
     ///
     /// Panics if `input.len() != in_dim()`.
     pub fn forward(&self, input: &[f32]) -> MlpActivations {
-        let mut pres = Vec::with_capacity(self.layers.len());
         let mut outs: Vec<Vec<f32>> = Vec::with_capacity(self.layers.len());
         for (l, layer) in self.layers.iter().enumerate() {
-            let mut pre = vec![0.0; layer.out_dim()];
             let mut out = vec![0.0; layer.out_dim()];
             let x = if l == 0 { input } else { &outs[l - 1] };
-            layer.forward_into(x, &mut pre, &mut out);
-            pres.push(pre);
+            layer.forward_into(x, &mut out);
             outs.push(out);
         }
         MlpActivations {
             input: input.to_vec(),
-            pres,
             outs,
         }
     }
@@ -558,13 +550,7 @@ impl Mlp {
         let mut grad = d_out.to_vec();
         for (l, layer) in self.layers.iter_mut().enumerate().rev() {
             let mut d_input = vec![0.0; layer.in_dim()];
-            layer.backward_into(
-                acts.layer_input(l),
-                &acts.pres[l],
-                &acts.outs[l],
-                &grad,
-                &mut d_input,
-            );
+            layer.backward_into(acts.layer_input(l), &acts.outs[l], &grad, &mut d_input);
             grad = d_input;
         }
         grad
@@ -783,13 +769,7 @@ mod tests {
 
     #[test]
     fn tile_forward_matches_scalar_forward_bitwise() {
-        let activations = [
-            Activation::Identity,
-            Activation::Relu,
-            Activation::Sigmoid,
-            Activation::Exp,
-            Activation::Softplus,
-        ];
+        let activations = [Activation::Identity, Activation::Relu, Activation::Sigmoid];
         let original = inerf_simd::backend();
         for backend in inerf_simd::available_backends() {
             inerf_simd::force_backend(backend);
@@ -870,19 +850,13 @@ mod tests {
 
     #[test]
     fn tile_backward_matches_scalar_backward_bitwise() {
-        let activations = [
-            Activation::Identity,
-            Activation::Relu,
-            Activation::Sigmoid,
-            Activation::Exp,
-            Activation::Softplus,
-        ];
+        let activations = [Activation::Identity, Activation::Relu, Activation::Sigmoid];
         let original = inerf_simd::backend();
         for (ai, &hidden) in activations.iter().enumerate() {
             let output = activations[(ai + 2) % activations.len()];
             // Layer 0 is `in_dim → out_dim` under the hidden activation
-            // (every column grouping × every unit grouping, `Softplus`
-            // recording `x`), layer 1 `out_dim → 3` under the output one.
+            // (every column grouping × every unit grouping), layer 1
+            // `out_dim → 3` under the output one.
             for in_dim in [5, 16, 17, 24, 32, 40, 64] {
                 for out_dim in [1, 3, 8, 16, 32, 64] {
                     let seed = (in_dim * 100 + out_dim) as u64;
@@ -1058,7 +1032,7 @@ mod tests {
         fn outputs_finite_for_bounded_inputs(
             a in -10.0f32..10.0, b in -10.0f32..10.0, c in -10.0f32..10.0
         ) {
-            let net = Mlp::new(&[3, 16, 4], Activation::Relu, Activation::Exp, 11);
+            let net = Mlp::new(&[3, 16, 4], Activation::Relu, Activation::Sigmoid, 11);
             let out = net.forward(&[a, b, c]);
             for &v in out.output() {
                 prop_assert!(v.is_finite());

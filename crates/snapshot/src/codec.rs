@@ -7,10 +7,11 @@
 //! [`SnapshotError::Corrupt`] instead of panicking — the
 //! no-panic-on-any-input invariant the byte-flip sweep relies on.
 //!
-//! Columns are encoded as a `u64` element count followed by the raw
-//! little-endian elements; floats travel as their IEEE 754 bit patterns
-//! so round-trips are bit-exact (including NaN payloads and signed
-//! zeros — a resume must reproduce *bits*, not values).
+//! Columns are the raw little-endian elements with no count: the reader
+//! names how many it expects, from a layout it knows without the file.
+//! Floats travel as their IEEE 754 bit patterns so round-trips are
+//! bit-exact (including NaN payloads and signed zeros — a resume must
+//! reproduce *bits*, not values).
 
 use crate::error::SnapshotError;
 
@@ -19,8 +20,8 @@ pub trait Sink {
     /// Appends raw bytes.
     fn put_bytes(&mut self, bytes: &[u8]);
 
-    /// Appends each element of `xs` as its `N` little-endian bytes, with
-    /// no length prefix, in bulk.
+    /// Appends each element of `xs` as its `N` little-endian bytes, in
+    /// bulk.
     fn put_elems<T, const N: usize>(
         &mut self,
         xs: impl ExactSizeIterator<Item = T>,
@@ -45,17 +46,6 @@ pub trait Sink {
     /// Appends an `f32` as its bit pattern, little-endian.
     fn put_f32(&mut self, v: f32) {
         self.put_u32(v.to_bits());
-    }
-
-    /// Appends a length-prefixed column of `N`-byte little-endian
-    /// elements; an iterator needs no intermediate slice.
-    fn put_column<T, const N: usize>(
-        &mut self,
-        xs: impl ExactSizeIterator<Item = T>,
-        to_le: impl Fn(T) -> [u8; N],
-    ) {
-        self.put_u64(xs.len() as u64);
-        self.put_elems(xs, to_le);
     }
 }
 
@@ -131,37 +121,21 @@ impl<'a> Reader<'a> {
         Ok(f32::from_bits(self.u32()?))
     }
 
-    /// Reads a length prefix, guarding against lengths that cannot fit
-    /// in the remaining bytes (a corrupted prefix must not trigger a
-    /// huge allocation before the bounds check catches it).
-    fn len_prefix(&mut self, elem_bytes: usize) -> Result<usize, SnapshotError> {
-        let raw = self.u64()?;
-        let n = usize::try_from(raw)
-            .ok()
-            .and_then(|n| n.checked_mul(elem_bytes).map(|total| (n, total)));
-        match n {
-            Some((n, total)) if total <= self.remaining() => Ok(n),
-            _ => Err(SnapshotError::Corrupt(format!(
-                "slice length {raw} overruns record ({} bytes remain)",
-                self.remaining()
-            ))),
-        }
-    }
-
-    /// Reads a length-prefixed column of `N`-byte little-endian elements,
-    /// yielding each element's bytes straight from the buffer.
-    pub fn column<const N: usize>(
+    /// Reads a column of `n` elements of `N` little-endian bytes each,
+    /// yielding each element's bytes straight from the buffer. A count
+    /// whose bytes overflow or overrun the record is refused before
+    /// anything is read, so a count from corrupt data cannot drive an
+    /// allocation.
+    pub fn elems<const N: usize>(
         &mut self,
+        n: usize,
     ) -> Result<impl ExactSizeIterator<Item = [u8; N]> + 'a, SnapshotError> {
         const { assert!(N > 0) };
-        let n = self.len_prefix(N)?;
-        let bytes = self.take(n * N)?.chunks_exact(N);
+        let total = n.checked_mul(N).ok_or_else(|| {
+            SnapshotError::Corrupt(format!("{n} elements of {N} bytes overflow a length"))
+        })?;
+        let bytes = self.take(total)?.chunks_exact(N);
         Ok(bytes.map(|c| c.try_into().unwrap_or([0; N])))
-    }
-
-    /// Reads a length-prefixed `u64` slice.
-    pub fn u64_vec(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        Ok(self.column()?.map(u64::from_le_bytes).collect())
     }
 
     /// Consumes the reader, failing if any bytes were left unread —
@@ -184,16 +158,20 @@ mod tests {
     use crate::format::{Section, Snapshot};
     use proptest::prelude::*;
 
-    fn u16s(r: &mut Reader<'_>) -> Result<Vec<u16>, SnapshotError> {
-        Ok(r.column()?.map(u16::from_le_bytes).collect())
+    fn u16s(r: &mut Reader<'_>, n: usize) -> Result<Vec<u16>, SnapshotError> {
+        Ok(r.elems(n)?.map(u16::from_le_bytes).collect())
     }
 
-    fn u32s(r: &mut Reader<'_>) -> Result<Vec<u32>, SnapshotError> {
-        Ok(r.column()?.map(u32::from_le_bytes).collect())
+    fn u32s(r: &mut Reader<'_>, n: usize) -> Result<Vec<u32>, SnapshotError> {
+        Ok(r.elems(n)?.map(u32::from_le_bytes).collect())
     }
 
-    fn f32s(r: &mut Reader<'_>) -> Result<Vec<f32>, SnapshotError> {
-        Ok(u32s(r)?.into_iter().map(f32::from_bits).collect())
+    fn u64s(r: &mut Reader<'_>, n: usize) -> Result<Vec<u64>, SnapshotError> {
+        Ok(r.elems(n)?.map(u64::from_le_bytes).collect())
+    }
+
+    fn f32s(r: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, SnapshotError> {
+        Ok(u32s(r, n)?.into_iter().map(f32::from_bits).collect())
     }
 
     #[test]
@@ -203,26 +181,26 @@ mod tests {
         buf.put_u32(0xDEAD_BEEF);
         buf.put_u64(u64::MAX - 3);
         buf.put_f32(-0.0);
-        buf.put_column(
+        buf.put_elems(
             [f32::NAN, 1.5, -3.25].map(f32::to_bits).into_iter(),
             u32::to_le_bytes,
         );
-        buf.put_column([1u16, 2, 3].into_iter(), u16::to_le_bytes);
-        buf.put_column([9u32, 8].into_iter(), u32::to_le_bytes);
-        buf.put_column([u64::MAX].into_iter(), u64::to_le_bytes);
+        buf.put_elems([1u16, 2, 3].into_iter(), u16::to_le_bytes);
+        buf.put_elems([9u32, 8].into_iter(), u32::to_le_bytes);
+        buf.put_elems([u64::MAX].into_iter(), u64::to_le_bytes);
+        assert_eq!(buf.len(), 17 + 12 + 6 + 8 + 8);
 
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.f32().unwrap().to_bits(), (-0.0f32).to_bits());
-        let fs = f32s(&mut r).unwrap();
-        assert_eq!(fs.len(), 3);
+        let fs = f32s(&mut r, 3).unwrap();
         assert_eq!(fs[0].to_bits(), f32::NAN.to_bits());
         assert_eq!(fs[1], 1.5);
-        assert_eq!(u16s(&mut r).unwrap(), vec![1, 2, 3]);
-        assert_eq!(u32s(&mut r).unwrap(), vec![9, 8]);
-        assert_eq!(r.u64_vec().unwrap(), vec![u64::MAX]);
+        assert_eq!(u16s(&mut r, 3).unwrap(), vec![1, 2, 3]);
+        assert_eq!(u32s(&mut r, 2).unwrap(), vec![9, 8]);
+        assert_eq!(u64s(&mut r, 1).unwrap(), vec![u64::MAX]);
         r.finish().unwrap();
     }
 
@@ -230,14 +208,22 @@ mod tests {
     fn overrun_is_corrupt_not_panic() {
         let mut r = Reader::new(&[1, 2]);
         assert!(matches!(r.u32(), Err(SnapshotError::Corrupt(_))));
+        let mut r = Reader::new(&[1, 2, 3]);
+        assert!(matches!(u16s(&mut r, 2), Err(SnapshotError::Corrupt(_))));
     }
 
     #[test]
     fn huge_length_prefix_is_rejected_before_allocation() {
-        let mut buf = Vec::new();
-        buf.put_u64(u64::MAX); // claims ~1.8e19 elements
-        let mut r = Reader::new(&buf);
-        assert!(matches!(f32s(&mut r), Err(SnapshotError::Corrupt(_))));
+        // A caller that reads a count from the record: one whose byte
+        // length overflows `usize`, one that merely overruns the record.
+        for n in [u64::MAX, u64::MAX / 4 + 1, 3] {
+            let mut buf = Vec::new();
+            buf.put_u64(n);
+            buf.put_u64(0);
+            let mut r = Reader::new(&buf);
+            let n = r.u64().unwrap() as usize;
+            assert!(matches!(u64s(&mut r, n), Err(SnapshotError::Corrupt(_))));
+        }
     }
 
     #[test]
@@ -249,12 +235,7 @@ mod tests {
     /// The per-element writer the bulk writers replaced: the reference
     /// for their bytes.
     fn reference<T: Copy, const N: usize>(xs: &[T], to_le: impl Fn(T) -> [u8; N]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(xs.len() as u64).to_le_bytes());
-        for &x in xs {
-            out.extend_from_slice(&to_le(x));
-        }
-        out
+        xs.iter().flat_map(|&x| to_le(x)).collect()
     }
 
     /// A column written by both sinks: into a `Vec`, and by the container
@@ -264,24 +245,26 @@ mod tests {
         to_le: impl Fn(T) -> [u8; N] + Copy,
     ) -> Result<Vec<u8>, TestCaseError> {
         let mut out = Vec::new();
-        out.put_column(xs.iter().copied(), to_le);
+        out.put_elems(xs.iter().copied(), to_le);
         let want = reference(xs, to_le);
         prop_assert_eq!(&out, &want);
         let col = Section::new("col", want.len(), |w| {
-            w.put_column(xs.iter().copied(), to_le)
+            w.put_elems(xs.iter().copied(), to_le)
         });
         let snap = Snapshot::from_sections(&[col]);
         prop_assert_eq!(snap.section("col").ok(), Some(&want[..]));
         Ok(out)
     }
 
-    /// Every strict prefix of an encoded slice must read as `Corrupt`.
+    /// Every strict prefix of an encoded column of `n` elements must read
+    /// as `Corrupt`.
     fn every_truncation_is_corrupt<'a, T>(
         bytes: &'a [u8],
-        read: impl Fn(&mut Reader<'a>) -> Result<T, SnapshotError>,
+        n: usize,
+        read: impl Fn(&mut Reader<'a>, usize) -> Result<T, SnapshotError>,
     ) -> Result<(), TestCaseError> {
         for cut in 0..bytes.len() {
-            let res = read(&mut Reader::new(&bytes[..cut]));
+            let res = read(&mut Reader::new(&bytes[..cut]), n);
             prop_assert!(
                 matches!(res, Err(SnapshotError::Corrupt(_))),
                 "prefix {cut} of {} not Corrupt",
@@ -318,42 +301,40 @@ mod tests {
                 f32_bits.extend(SPECIAL_F32_BITS);
             }
             let f32s_in: Vec<f32> = f32_bits.iter().map(|&b| f32::from_bits(b)).collect();
+            let n = words.len();
 
             let out = both_sinks(&u16s_in, u16::to_le_bytes)?;
-            prop_assert_eq!(u16s(&mut Reader::new(&out)).ok(), Some(u16s_in));
-            every_truncation_is_corrupt(&out, u16s)?;
+            prop_assert_eq!(u16s(&mut Reader::new(&out), n).ok(), Some(u16s_in));
+            every_truncation_is_corrupt(&out, n, u16s)?;
 
             let out = both_sinks(&u32s_in, u32::to_le_bytes)?;
-            prop_assert_eq!(u32s(&mut Reader::new(&out)).ok(), Some(u32s_in));
-            every_truncation_is_corrupt(&out, u32s)?;
+            prop_assert_eq!(u32s(&mut Reader::new(&out), n).ok(), Some(u32s_in));
+            every_truncation_is_corrupt(&out, n, u32s)?;
 
             let out = both_sinks(&words, u64::to_le_bytes)?;
-            prop_assert_eq!(Reader::new(&out).u64_vec().ok(), Some(words));
-            every_truncation_is_corrupt(&out, Reader::u64_vec)?;
+            prop_assert_eq!(u64s(&mut Reader::new(&out), n).ok(), Some(words));
+            every_truncation_is_corrupt(&out, n, u64s)?;
 
+            let n = f32_bits.len();
             let out = both_sinks(&f32s_in, |x: f32| x.to_bits().to_le_bytes())?;
-            let back = f32s(&mut Reader::new(&out)).unwrap_or_default();
+            let back = f32s(&mut Reader::new(&out), n).unwrap_or_default();
             let back_bits: Vec<u32> = back.iter().map(|x| x.to_bits()).collect();
             prop_assert_eq!(back_bits, f32_bits);
-            every_truncation_is_corrupt(&out, f32s)?;
+            every_truncation_is_corrupt(&out, n, f32s)?;
         }
     }
 
     #[test]
     fn empty_slices_are_a_bare_zero_length() {
         let mut out = Vec::new();
-        out.put_column(std::iter::empty(), u16::to_le_bytes);
-        out.put_column(std::iter::empty(), u32::to_le_bytes);
-        out.put_column(std::iter::empty(), u64::to_le_bytes);
-        out.put_column(std::iter::empty(), |x: f32| x.to_bits().to_le_bytes());
-        out.put_column(std::iter::empty(), u32::to_le_bytes);
-        assert_eq!(out, vec![0; 40]);
+        out.put_elems(std::iter::empty(), u16::to_le_bytes);
+        out.put_elems(std::iter::empty(), u64::to_le_bytes);
+        out.put_elems(std::iter::empty(), |x: f32| x.to_bits().to_le_bytes());
+        assert!(out.is_empty());
         let mut r = Reader::new(&out);
-        assert!(u16s(&mut r).unwrap().is_empty());
-        assert!(u32s(&mut r).unwrap().is_empty());
-        assert!(r.u64_vec().unwrap().is_empty());
-        assert!(f32s(&mut r).unwrap().is_empty());
-        assert!(u32s(&mut r).unwrap().is_empty());
+        assert!(u16s(&mut r, 0).unwrap().is_empty());
+        assert!(u64s(&mut r, 0).unwrap().is_empty());
+        assert!(f32s(&mut r, 0).unwrap().is_empty());
         r.finish().unwrap();
     }
 }

@@ -520,8 +520,8 @@ pub(crate) mod tests {
     /// boundaries, and 12-byte records do not divide a piece.
     fn columns<S: Sink>(out: &mut S, words: &[u64]) {
         out.put_u8(7);
-        out.put_column(words.iter().map(|&w| w as u16), u16::to_le_bytes);
-        out.put_column(
+        out.put_elems(words.iter().map(|&w| w as u16), u16::to_le_bytes);
+        out.put_elems(
             words
                 .iter()
                 .map(|&w| [w as u32, (w >> 32) as u32, !(w as u32)]),
@@ -534,7 +534,7 @@ pub(crate) mod tests {
             },
         );
         out.put_bytes(&[1, 2, 3]);
-        out.put_column(words.iter().copied(), u64::to_le_bytes);
+        out.put_elems(words.iter().copied(), u64::to_le_bytes);
     }
 
     #[test]

@@ -20,6 +20,13 @@ use inerf_mlp::{Activation, AdamState, Mlp, MlpActivations};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// The density of a raw baseline output: `exp(x)` with `x` clamped to
+/// `[-15, 15]` so it cannot overflow.
+#[inline]
+fn exp_density(x: f32) -> f32 {
+    x.clamp(-15.0, 15.0).exp()
+}
+
 /// Shared density/color MLP heads (the iNGP head structure) reused by the
 /// encoder-style baselines.
 #[derive(Debug, Clone)]
@@ -60,7 +67,7 @@ impl Heads {
     fn forward(&self, feats: &[f32], d: Vec3) -> (HeadsCache, f32, Vec3) {
         let density_acts = self.density_mlp.forward(feats);
         let raw = density_acts.output();
-        let sigma = Activation::Exp.apply(raw[0]);
+        let sigma = exp_density(raw[0]);
         let mut color_in = Vec::with_capacity(self.density_out - 1 + 9);
         color_in.extend_from_slice(&raw[1..]);
         color_in.extend_from_slice(&direction_encoding(d));
@@ -386,7 +393,7 @@ impl FastNerfLite {
         let dir_acts = self.dir_mlp.forward(&direction_encoding(d));
         let pos_out = pos_acts.output();
         let betas = dir_acts.output();
-        let sigma = Activation::Exp.apply(pos_out[0]);
+        let sigma = exp_density(pos_out[0]);
         let mut pre = Vec3::ZERO;
         for k in 0..self.components {
             let uvw = Vec3::new(

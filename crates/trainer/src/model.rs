@@ -340,6 +340,17 @@ impl ModelConfig {
     }
 }
 
+/// The density of a raw density-MLP output: softplus `ln(1 + e^x)`, read
+/// as `x` itself past 15 where the two agree in f32.
+#[inline]
+fn softplus(x: f32) -> f32 {
+    if x > 15.0 {
+        x
+    } else {
+        (1.0 + x.exp()).ln()
+    }
+}
+
 /// Spherical-harmonics-style direction encoding (degree 2, 9 coefficients),
 /// the view-direction featurization iNGP feeds its color MLP.
 pub fn direction_encoding(d: Vec3) -> [f32; 9] {
@@ -445,7 +456,7 @@ impl ChunkScratch {
         reset_buf(&mut self.sigmas, n);
         let raw = self.density.output();
         for i in 0..n {
-            let sigma = Activation::Softplus.apply(raw[i * dout]);
+            let sigma = softplus(raw[i * dout]);
             self.sigmas[i] = sigma;
             sigmas_out[i] = sigma;
         }
@@ -638,7 +649,7 @@ fn eval_density_task(
                 grid.encode_tile_bt(block, FWD_BLOCK, a);
                 untranspose_tile(density_mlp.forward_tile(a, b), raw, dout);
                 for (row, sigma) in raw.chunks_exact(dout).zip(sigmas) {
-                    *sigma = Activation::Softplus.apply(row[0]);
+                    *sigma = softplus(row[0]);
                 }
             }
         },
@@ -910,7 +921,7 @@ impl IngpModel {
         // but its gradient never vanishes at small raw values — the exp
         // head can collapse to zero density on thin-structure scenes and
         // never recover (dead-gradient local optimum).
-        let sigma = Activation::Softplus.apply(raw[0]);
+        let sigma = softplus(raw[0]);
         let dir = direction_encoding(d);
         let mut color_in = Vec::with_capacity(raw.len() - 1 + 9);
         color_in.extend_from_slice(&raw[1..]);

@@ -262,7 +262,7 @@ impl<M: TrainableField> Trainer<M> {
     /// iteration executes — the hook online hardware co-simulation plugs
     /// into. The stream depends only on the gathered batch, so a model
     /// trained per point emits the same events as its chunk phases.
-    pub fn train_step_with_sink(
+    fn train_step_with_sink(
         &mut self,
         dataset: &Dataset,
         sink: Option<&mut (dyn TraceSink + '_)>,

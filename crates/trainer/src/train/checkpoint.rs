@@ -9,8 +9,7 @@
 //!   doubles as an integrity cross-check and preserves the per-level
 //!   table layout, so DRAM address mapping stays valid on load),
 //! * the three Adam states: packed `{m, v, stamp}` records as bit
-//!   patterns, the global step `t` (the lazy-replay epoch) and the mode
-//!   flag,
+//!   patterns and the global step `t` (the lazy-replay epoch),
 //! * the trainer's RNG state (xoshiro256++ words), step counter,
 //!   query counter, and the occupancy-grid state if enabled,
 //! * a canonical encoding of `TrainConfig` + `ModelConfig` — the
@@ -25,11 +24,25 @@
 //! also excluded — training results are thread-count independent by
 //! construction, so a snapshot may be resumed at any parallelism.
 //!
-//! The file keeps fields for values the build fixes: the features per
-//! hash-grid entry ([`HashGridConfig::FEATURES`]) and Adam's `β₁`, `β₂`
-//! and `ε` ([`inerf_mlp::adam::BETA1`] and its siblings). They are written
-//! as those constants, and a file that stores any other value is refused
-//! as [`SnapshotError::Corrupt`].
+//! Sections hold state only; the config section is the one description
+//! of the layout. A restore builds the model that section describes and
+//! takes from it every store's length and precision, the optimizer mode
+//! and the learning rate. Every other section must then be exactly as
+//! long as the writer declares it for that model (the same `*_bytes`
+//! functions size both), and a section of any other length is refused as
+//! [`SnapshotError::Corrupt`] naming the section. Values the build fixes —
+//! the features per hash-grid entry, Adam's `β₁`, `β₂` and `ε` — are not
+//! stored at all. The payloads, all little-endian:
+//!
+//! * `config` (67 bytes): see [`encode_configs`];
+//! * `trainer` (48 bytes): steps, points queried, the four RNG words;
+//! * `occ`: a flag byte; with a grid, then its resolution, threshold,
+//!   refresh period, iteration and `⌈res³ / 64⌉` cell-bit words;
+//! * `grid`, `mlpd`, `mlpc`: each store's f32 master bits, followed at
+//!   fp16 by its half working copy; an MLP's stores in layer order, the
+//!   weights before the bias;
+//! * `adamgrid`, `adamden`, `adamcol`: `t`, then one 12-byte `{m, v,
+//!   stamp}` record per parameter.
 //!
 //! The resume-equivalence suite pins the headline property: train-2N
 //! straight is *bitwise* identical (losses, master and working parameter
@@ -44,7 +57,6 @@ use super::{OccupancyState, TrainConfig, TrainReport, Trainer};
 use crate::model::{IngpModel, ModelConfig, OptPath, TrainableField};
 use crate::occupancy::OccupancyGrid;
 use inerf_encoding::{HashFunction, HashGridConfig};
-use inerf_mlp::adam::{BETA1, BETA2, EPSILON};
 use inerf_mlp::fp16::f32_to_f16_bits;
 use inerf_mlp::{AdamState, Mlp, ParamStore, Precision};
 use inerf_scenes::Dataset;
@@ -72,7 +84,13 @@ mod tag {
 const MAX_OCC_RESOLUTION: u32 = 1 << 12;
 
 /// Bytes of the config section.
-const CONFIG_BYTES: usize = 71;
+const CONFIG_BYTES: usize = 67;
+
+/// Bytes of the trainer section: steps, points queried, four RNG words.
+const TRAINER_BYTES: usize = 48;
+
+/// Bytes of one Adam record: `m` and `v` bit patterns, then the stamp.
+const ADAM_RECORD_BYTES: usize = 12;
 
 // ---------------------------------------------------------------------
 // Enum tags: explicit, stable bytes — `as u8` on `#[derive]`d enums
@@ -127,22 +145,6 @@ fn hash_from(t: u8) -> Result<HashFunction, SnapshotError> {
     }
 }
 
-/// Checks a stored value that this build fixes: a file holding any other
-/// describes a model or optimizer the build cannot construct.
-fn fixed<T: PartialEq + std::fmt::Debug>(
-    what: &str,
-    stored: T,
-    want: T,
-) -> Result<(), SnapshotError> {
-    if stored == want {
-        Ok(())
-    } else {
-        Err(SnapshotError::Corrupt(format!(
-            "{what} is {stored:?}; this build fixes it at {want:?}"
-        )))
-    }
-}
-
 // ---------------------------------------------------------------------
 // Config fingerprint.
 
@@ -156,7 +158,6 @@ fn put_configs<S: Sink>(out: &mut S, train: &TrainConfig, model: &ModelConfig) {
     out.put_u8(opt_tag(train.opt));
     out.put_u32(model.grid.levels);
     out.put_u32(model.grid.table_size_log2);
-    out.put_u32(HashGridConfig::FEATURES);
     out.put_u32(model.grid.n_min);
     out.put_u32(model.grid.n_max);
     out.put_u8(hash_tag(model.grid.hash));
@@ -172,9 +173,8 @@ pub fn encode_configs(train: &TrainConfig, model: &ModelConfig) -> Vec<u8> {
     out
 }
 
-/// Decodes [`encode_configs`] output.
-pub fn decode_configs(bytes: &[u8]) -> Result<(TrainConfig, ModelConfig), SnapshotError> {
-    let mut r = Reader::new(bytes);
+/// Reads [`encode_configs`] output.
+fn decode_configs(r: &mut Reader<'_>) -> Result<(TrainConfig, ModelConfig), SnapshotError> {
     let train = TrainConfig {
         rays_per_batch: r.u64()? as usize,
         samples_per_ray: r.u64()? as usize,
@@ -182,13 +182,10 @@ pub fn decode_configs(bytes: &[u8]) -> Result<(TrainConfig, ModelConfig), Snapsh
         precision: precision_from(r.u8()?)?,
         opt: opt_from(r.u8()?)?,
     };
-    let levels = r.u32()?;
-    let table_size_log2 = r.u32()?;
-    fixed("hash-grid features", r.u32()?, HashGridConfig::FEATURES)?;
     let model = ModelConfig {
         grid: HashGridConfig {
-            levels,
-            table_size_log2,
+            levels: r.u32()?,
+            table_size_log2: r.u32()?,
             n_min: r.u32()?,
             n_max: r.u32()?,
             hash: hash_from(r.u8()?)?,
@@ -197,76 +194,49 @@ pub fn decode_configs(bytes: &[u8]) -> Result<(TrainConfig, ModelConfig), Snapsh
         density_out: r.u64()? as usize,
         color_hidden: r.u64()? as usize,
     };
-    r.finish()?;
     Ok((train, model))
 }
 
 // ---------------------------------------------------------------------
-// ParamStore payloads.
+// Payload layouts: one `*_bytes` function per section sizes both the
+// writer's `Section` and the length a restore demands.
 
-/// Encodes a [`ParamStore`]: precision tag, f32 master bits, and (at
-/// fp16) the half-precision working copy. The fp16 payload is exact —
-/// working values are fp16-representable, so `f32→f16 bits` loses
-/// nothing — and doubles as an integrity cross-check on load.
-pub fn encode_param_store<S: Sink>(out: &mut S, store: &ParamStore) {
-    out.put_u8(precision_tag(store.precision()));
-    out.put_column(store.master().iter().map(|v| v.to_bits()), u32::to_le_bytes);
+/// Writes a [`ParamStore`]: its f32 master bits, then (at fp16) the
+/// half-precision working copy. The fp16 payload is exact — working
+/// values are fp16-representable, so `f32→f16 bits` loses nothing — and
+/// doubles as an integrity cross-check on load.
+fn encode_param_store<S: Sink>(out: &mut S, store: &ParamStore) {
+    out.put_elems(store.master().iter().map(|v| v.to_bits()), u32::to_le_bytes);
     if store.precision() == Precision::Fp16 {
         let half = store.values().iter().map(|&v| f32_to_f16_bits(v));
-        out.put_column(half, u16::to_le_bytes);
+        out.put_elems(half, u16::to_le_bytes);
     }
 }
 
 /// Bytes [`encode_param_store`] writes for `store`.
 fn param_store_bytes(store: &ParamStore) -> usize {
-    let half = usize::from(store.precision() == Precision::Fp16) * (8 + 2 * store.len());
-    1 + 8 + 4 * store.len() + half
+    let half = if store.precision() == Precision::Fp16 {
+        2
+    } else {
+        0
+    };
+    (4 + half) * store.len()
 }
 
-/// Decodes [`encode_param_store`] output from `r` into a fresh store of
-/// `expected_len` scalars at `expected_precision`, validating the
-/// precision, the length, and (at fp16) that the stored working copy
-/// matches re-quantization of the masters bit for bit.
-pub fn decode_param_store(
-    r: &mut Reader<'_>,
-    expected_len: usize,
-    expected_precision: Precision,
-) -> Result<ParamStore, SnapshotError> {
-    let mut store = ParamStore::new(expected_precision, vec![0.0; expected_len]);
-    restore_param_store(r, &mut store)?;
-    Ok(store)
-}
-
-/// Decodes [`encode_param_store`] output from `r` straight into `store`,
-/// validating the precision and the length against the store's, and (at
-/// fp16) that the stored working copy matches re-quantization of the
-/// masters bit for bit. On an error `store` holds no usable state.
+/// Reads [`encode_param_store`] output from `r` straight into `store`,
+/// whose length and precision the payload takes, checking (at fp16) that
+/// the stored working copy matches re-quantization of the masters bit
+/// for bit. On an error `store` holds no usable state.
 fn restore_param_store(r: &mut Reader<'_>, store: &mut ParamStore) -> Result<(), SnapshotError> {
-    let precision = precision_from(r.u8()?)?;
-    if precision != store.precision() {
-        return Err(SnapshotError::Corrupt(format!(
-            "parameter store precision {} does not match configured {}",
-            precision.label(),
-            store.precision().label()
-        )));
-    }
-    let master = r.column()?;
-    if master.len() != store.len() {
-        return Err(SnapshotError::Corrupt(format!(
-            "parameter store length {} does not match model layout {}",
-            master.len(),
-            store.len()
-        )));
-    }
+    let master = r.elems(store.len())?;
     store.update(|dst| {
         for (d, le) in dst.iter_mut().zip(master) {
             *d = f32::from_bits(u32::from_le_bytes(le));
         }
     });
-    if precision == Precision::Fp16 {
-        let half = r.column()?;
-        let requantized = store.values().iter().map(|&v| f32_to_f16_bits(v));
-        if half.len() != store.len() || !half.map(u16::from_le_bytes).eq(requantized) {
+    if store.precision() == Precision::Fp16 {
+        let half = r.elems(store.len())?.map(u16::from_le_bytes);
+        if !half.eq(store.values().iter().map(|&v| f32_to_f16_bits(v))) {
             return Err(SnapshotError::Corrupt(
                 "fp16 working copy does not match re-quantized masters".to_string(),
             ));
@@ -275,49 +245,34 @@ fn restore_param_store(r: &mut Reader<'_>, store: &mut ParamStore) -> Result<(),
     Ok(())
 }
 
-/// The section of one MLP: its layer count, then each layer's weight
-/// and bias stores.
+/// An MLP's stores in layer order, each layer's weights before its bias.
+fn mlp_stores(mlp: &Mlp) -> impl Iterator<Item = &ParamStore> {
+    mlp.layers().iter().flat_map(|l| [l.weights(), l.bias()])
+}
+
+fn mlp_bytes(mlp: &Mlp) -> usize {
+    mlp_stores(mlp).map(param_store_bytes).sum()
+}
+
 fn mlp_section<'a>(tag: &str, mlp: &'a Mlp) -> Section<'a> {
-    let stores = || mlp.layers().iter().flat_map(|l| [l.weights(), l.bias()]);
-    let len = 4 + stores().map(param_store_bytes).sum::<usize>();
-    Section::new(tag, len, move |out| {
-        out.put_u32(mlp.layers().len() as u32);
-        stores().for_each(|store| encode_param_store(out, store));
+    Section::new(tag, mlp_bytes(mlp), move |out| {
+        mlp_stores(mlp).for_each(|store| encode_param_store(out, store));
     })
 }
 
-fn restore_mlp(mlp: &mut Mlp, bytes: &[u8]) -> Result<(), SnapshotError> {
-    let mut r = Reader::new(bytes);
-    let count = r.u32()? as usize;
-    if count != mlp.layers().len() {
-        return Err(SnapshotError::Corrupt(format!(
-            "MLP layer count {count} does not match model layout {}",
-            mlp.layers().len()
-        )));
-    }
+fn restore_mlp(r: &mut Reader<'_>, mlp: &mut Mlp) -> Result<(), SnapshotError> {
     for layer in mlp.layers_mut() {
-        restore_param_store(&mut r, layer.weights_mut())?;
-        restore_param_store(&mut r, layer.bias_mut())?;
+        restore_param_store(r, layer.weights_mut())?;
+        restore_param_store(r, layer.bias_mut())?;
     }
-    r.finish()
+    Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Adam payloads.
-
-/// Bytes of one Adam record: `m` and `v` bit patterns, then the stamp.
-const ADAM_RECORD_BYTES: usize = 12;
-
-/// Writes the hyper-parameters, the step and the mode, then the
-/// `[m, v, stamp]` records in memory order, straight from the live state.
+/// Writes the step, then the `[m, v, stamp]` records in memory order,
+/// straight from the live state.
 fn encode_adam<S: Sink>(out: &mut S, adam: &AdamState) {
-    out.put_f32(adam.learning_rate);
-    out.put_f32(BETA1);
-    out.put_f32(BETA2);
-    out.put_f32(EPSILON);
     out.put_u64(adam.steps());
-    out.put_u8(u8::from(adam.is_lazy()));
-    out.put_column(adam.records(), |record| {
+    out.put_elems(adam.records(), |record| {
         let mut le = [0u8; ADAM_RECORD_BYTES];
         for (dst, word) in le.chunks_exact_mut(4).zip(record) {
             dst.copy_from_slice(&word.to_le_bytes());
@@ -326,46 +281,104 @@ fn encode_adam<S: Sink>(out: &mut S, adam: &AdamState) {
     });
 }
 
-fn adam_section<'a>(tag: &str, adam: &'a AdamState) -> Section<'a> {
-    // lr, β₁, β₂, ε (16), t (8), mode (1), record count (8), records.
-    let len = 33 + ADAM_RECORD_BYTES * adam.records().len();
-    Section::new(tag, len, move |out| encode_adam(out, adam))
+fn adam_bytes(adam: &AdamState) -> usize {
+    8 + ADAM_RECORD_BYTES * adam.records().len()
 }
 
-/// Decodes [`encode_adam`] output straight into `adam`, whose parameter
-/// count the records must match.
-fn restore_adam(adam: &mut AdamState, bytes: &[u8]) -> Result<(), SnapshotError> {
-    let mut r = Reader::new(bytes);
-    let learning_rate = r.f32()?;
-    fixed("Adam beta1", r.f32()?, BETA1)?;
-    fixed("Adam beta2", r.f32()?, BETA2)?;
-    fixed("Adam epsilon", r.f32()?, EPSILON)?;
+fn adam_section<'a>(tag: &str, adam: &'a AdamState) -> Section<'a> {
+    Section::new(tag, adam_bytes(adam), move |out| encode_adam(out, adam))
+}
+
+/// Reads [`encode_adam`] output straight into `adam`, whose parameter
+/// count the payload takes; the mode and learning rate stay `adam`'s.
+fn restore_adam(r: &mut Reader<'_>, adam: &mut AdamState) -> Result<(), SnapshotError> {
     let t = r.u64()?;
-    let lazy = match r.u8()? {
-        0 => false,
-        1 => true,
-        other => {
-            return Err(SnapshotError::Corrupt(format!(
-                "unknown adam mode tag {other}"
-            )))
-        }
-    };
-    let records = r.column::<ADAM_RECORD_BYTES>()?;
-    r.finish()?;
-    let expected_n = adam.records().len();
-    if records.len() != expected_n {
-        return Err(SnapshotError::Corrupt(format!(
-            "adam record count {} does not match model layout {expected_n}",
-            records.len()
-        )));
-    }
+    let records = r.elems::<ADAM_RECORD_BYTES>(adam.records().len())?;
     let words = records.map(|le| {
         std::array::from_fn(|i| {
             u32::from_le_bytes([le[4 * i], le[4 * i + 1], le[4 * i + 2], le[4 * i + 3]])
         })
     });
-    adam.restore(words, t, lazy, learning_rate);
+    adam.restore(words, t);
     Ok(())
+}
+
+/// Cell-bit words of an occupancy grid of `resolution` cells per axis.
+fn occupancy_words(resolution: u32) -> usize {
+    (resolution as usize).pow(3).div_ceil(64)
+}
+
+/// Bytes of the occupancy section: the flag, and for a grid of
+/// `resolution` cells per axis its four scalars and cell-bit words.
+fn occupancy_bytes(resolution: Option<u32>) -> usize {
+    resolution.map_or(1, |res| 25 + 8 * occupancy_words(res))
+}
+
+/// Decodes the occupancy section, whose length its stored resolution
+/// fixes.
+fn restore_occupancy(bytes: &[u8]) -> Result<Option<OccupancyState>, SnapshotError> {
+    let mut r = Reader::new(bytes);
+    let resolution = match r.u8()? {
+        0 => None,
+        1 => Some(r.u32()?),
+        other => {
+            return Err(SnapshotError::Corrupt(format!(
+                "unknown occupancy flag {other}"
+            )))
+        }
+    };
+    if let Some(res) = resolution.filter(|&res| res == 0 || res > MAX_OCC_RESOLUTION) {
+        return Err(SnapshotError::Corrupt(format!(
+            "implausible occupancy resolution {res}"
+        )));
+    }
+    expect_len(bytes.len(), occupancy_bytes(resolution))?;
+    let Some(resolution) = resolution else {
+        return Ok(None);
+    };
+    let threshold = r.f32()?;
+    let refresh_every = r.u64()? as usize;
+    let iteration = r.u64()? as usize;
+    let words = r.elems(occupancy_words(resolution))?;
+    Ok(Some(OccupancyState {
+        grid: OccupancyGrid::from_words(resolution, words.map(u64::from_le_bytes).collect()),
+        threshold,
+        refresh_every: refresh_every.max(1),
+        iteration,
+    }))
+}
+
+/// Refuses a payload of `len` bytes where the layout declares `want`.
+fn expect_len(len: usize, want: usize) -> Result<(), SnapshotError> {
+    if len == want {
+        Ok(())
+    } else {
+        Err(SnapshotError::Corrupt(format!(
+            "{len} bytes where the configured layout declares {want}"
+        )))
+    }
+}
+
+/// Decodes section `tag` of `snap` with `decode`, once it has checked
+/// that the section holds the `len` bytes the writer declares; a
+/// `Corrupt` error names the section.
+fn restore_section<'a, T>(
+    snap: &'a Snapshot,
+    tag: &str,
+    len: usize,
+    decode: impl FnOnce(&mut Reader<'a>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let bytes = snap.section(tag)?;
+    let decoded = expect_len(bytes.len(), len).and_then(|()| decode(&mut Reader::new(bytes)));
+    decoded.map_err(|err| in_section(tag, err))
+}
+
+/// `err`, if it is corruption, with the section it was found in.
+fn in_section(tag: &str, err: SnapshotError) -> SnapshotError {
+    match err {
+        SnapshotError::Corrupt(msg) => SnapshotError::Corrupt(format!("section `{tag}`: {msg}")),
+        other => other,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -377,24 +390,25 @@ impl Trainer<IngpModel> {
     /// be synced first.
     fn sections(&self) -> [Section<'_>; 9] {
         let model = &self.model;
-        let occupancy = match &self.occupancy {
-            None => Section::new(tag::OCCUPANC, 1, |out| out.put_u8(0)),
-            Some(occ) => Section::new(tag::OCCUPANC, 33 + 8 * occ.grid.words().len(), move |out| {
-                out.put_u8(1);
-                out.put_u32(occ.grid.resolution());
-                out.put_f32(occ.threshold);
-                out.put_u64(occ.refresh_every as u64);
-                out.put_u64(occ.iteration as u64);
-                out.put_column(occ.grid.words().iter().copied(), u64::to_le_bytes);
-            }),
-        };
+        let resolution = self.occupancy.as_ref().map(|occ| occ.grid.resolution());
+        let occupancy = Section::new(tag::OCCUPANC, occupancy_bytes(resolution), move |out| {
+            let Some(occ) = &self.occupancy else {
+                return out.put_u8(0);
+            };
+            out.put_u8(1);
+            out.put_u32(occ.grid.resolution());
+            out.put_f32(occ.threshold);
+            out.put_u64(occ.refresh_every as u64);
+            out.put_u64(occ.iteration as u64);
+            out.put_elems(occ.grid.words().iter().copied(), u64::to_le_bytes);
+        });
         let grid = model.grid().parameter_store();
         let [grid_adam, density_adam, color_adam] = model.adam_states();
         [
             Section::new(tag::CONFIG, CONFIG_BYTES, move |out| {
                 put_configs(out, &self.config, model.config());
             }),
-            Section::new(tag::TRAINER, 48, move |out| {
+            Section::new(tag::TRAINER, TRAINER_BYTES, move |out| {
                 let words = [self.steps, self.points_queried].into_iter();
                 words.chain(self.rng.state()).for_each(|w| out.put_u64(w));
             }),
@@ -490,7 +504,8 @@ impl Trainer<IngpModel> {
 
     /// Rebuilds a trainer from a decoded snapshot, bit-exactly.
     pub fn restore_snapshot(snap: &Snapshot, config: TrainConfig) -> Result<Self, SnapshotError> {
-        let (stored_train, model_config) = decode_configs(snap.section(tag::CONFIG)?)?;
+        let (stored_train, model_config) =
+            restore_section(snap, tag::CONFIG, CONFIG_BYTES, decode_configs)?;
         if stored_train != config {
             return Err(SnapshotError::ConfigMismatch(format!(
                 "snapshot was trained with {stored_train:?}, resume requested {config:?}"
@@ -498,69 +513,37 @@ impl Trainer<IngpModel> {
         }
 
         // Rebuild the model skeleton (layout, scratch, touch tracking,
-        // lazy mode) from the stored config, then overwrite every
-        // parameter and optimizer record with the snapshot bits.
+        // lazy mode, learning rates) from the stored config, then
+        // overwrite every parameter and optimizer record with the
+        // snapshot bits, each section sized by that skeleton.
         let mut model = IngpModel::for_config(model_config, &config, 0);
 
-        let mut grid_reader = Reader::new(snap.section(tag::GRID)?);
-        restore_param_store(&mut grid_reader, model.grid_mut().parameter_store_mut())?;
-        grid_reader.finish()?;
-
-        {
-            let (density, color) = model.mlps_mut();
-            restore_mlp(density, snap.section(tag::MLP_DENSITY)?)?;
-            restore_mlp(color, snap.section(tag::MLP_COLOR)?)?;
+        let grid = model.grid_mut().parameter_store_mut();
+        restore_section(snap, tag::GRID, param_store_bytes(grid), |r| {
+            restore_param_store(r, grid)
+        })?;
+        let (density, color) = model.mlps_mut();
+        for (section, mlp) in [(tag::MLP_DENSITY, density), (tag::MLP_COLOR, color)] {
+            restore_section(snap, section, mlp_bytes(mlp), |r| restore_mlp(r, mlp))?;
         }
-
         let sections = [tag::ADAM_GRID, tag::ADAM_DENSITY, tag::ADAM_COLOR];
         for (adam, section) in model.adam_states_mut().into_iter().zip(sections) {
-            restore_adam(adam, snap.section(section)?)?;
+            restore_section(snap, section, adam_bytes(adam), |r| restore_adam(r, adam))?;
         }
 
-        let mut r = Reader::new(snap.section(tag::TRAINER)?);
-        let steps = r.u64()?;
-        let points_queried = r.u64()?;
-        let rng_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-        r.finish()?;
-
-        let mut occ_reader = Reader::new(snap.section(tag::OCCUPANC)?);
-        let occupancy = match occ_reader.u8()? {
-            0 => None,
-            1 => {
-                let resolution = occ_reader.u32()?;
-                if resolution == 0 || resolution > MAX_OCC_RESOLUTION {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "implausible occupancy resolution {resolution}"
-                    )));
+        let [steps, points_queried, rng @ ..] =
+            restore_section(snap, tag::TRAINER, TRAINER_BYTES, |r| {
+                let mut words = [0u64; TRAINER_BYTES / 8];
+                for w in &mut words {
+                    *w = r.u64()?;
                 }
-                let threshold = occ_reader.f32()?;
-                let refresh_every = occ_reader.u64()? as usize;
-                let iteration = occ_reader.u64()? as usize;
-                let words = occ_reader.u64_vec()?;
-                let expected_words = (resolution as usize).pow(3).div_ceil(64);
-                if words.len() != expected_words {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "occupancy word count {} does not match resolution {resolution}",
-                        words.len()
-                    )));
-                }
-                Some(OccupancyState {
-                    grid: OccupancyGrid::from_words(resolution, words),
-                    threshold,
-                    refresh_every: refresh_every.max(1),
-                    iteration,
-                })
-            }
-            other => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "unknown occupancy flag {other}"
-                )))
-            }
-        };
-        occ_reader.finish()?;
+                Ok(words)
+            })?;
+        let occupancy = restore_occupancy(snap.section(tag::OCCUPANC)?)
+            .map_err(|err| in_section(tag::OCCUPANC, err))?;
 
         let mut trainer = Trainer::new(model, config, 0);
-        trainer.rng = SmallRng::from_state(rng_state);
+        trainer.rng = SmallRng::from_state(rng);
         trainer.steps = steps;
         trainer.points_queried = points_queried;
         trainer.occupancy = occupancy;
@@ -579,42 +562,23 @@ mod tests {
             .with_opt(OptPath::Dense);
         let model = ModelConfig::tiny();
         let bytes = encode_configs(&train, &model);
-        let (t2, m2) = decode_configs(&bytes).unwrap();
+        assert_eq!(bytes.len(), CONFIG_BYTES);
+        let mut r = Reader::new(&bytes);
+        let (t2, m2) = decode_configs(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(t2, train);
         assert_eq!(m2, model);
     }
 
-    #[test]
-    fn config_section_with_a_streaming_order_byte_is_refused() {
-        // Older snapshots carried a one-byte streaming-order tag after
-        // `samples_per_ray`: their 73-byte section must fail typed.
-        let bytes = encode_configs(&TrainConfig::tiny(), &ModelConfig::tiny());
-        assert_eq!(bytes.len(), 71);
-        for order_tag in [0u8, 1] {
-            let mut old = bytes.clone();
-            old.insert(16, order_tag);
-            assert!(matches!(
-                decode_configs(&old),
-                Err(SnapshotError::Corrupt(_))
-            ));
-        }
+    /// `payload` as section `tag` of a one-section snapshot.
+    fn one_section(tag: &str, payload: Vec<u8>) -> Snapshot {
+        let mut snap = Snapshot::new();
+        snap.push(tag, payload);
+        snap
     }
 
-    #[test]
-    fn config_section_with_an_engine_byte_is_refused() {
-        // Older snapshots carried a one-byte engine tag after
-        // `eval_samples_per_ray`: their 72-byte section must fail typed,
-        // not be read with the engine byte as the precision.
-        let bytes = encode_configs(&TrainConfig::tiny(), &ModelConfig::tiny());
-        for engine_tag in [0u8, 1] {
-            let mut old = bytes.clone();
-            old.insert(24, engine_tag);
-            assert_eq!(old.len(), 72);
-            assert!(matches!(
-                decode_configs(&old),
-                Err(SnapshotError::Corrupt(_))
-            ));
-        }
+    fn is_corrupt_in(res: Result<(), SnapshotError>, tag: &str) -> bool {
+        matches!(res, Err(SnapshotError::Corrupt(msg)) if msg.contains(&format!("`{tag}`")))
     }
 
     #[test]
@@ -622,23 +586,25 @@ mod tests {
         let store = ParamStore::new(Precision::Fp16, vec![0.1, -0.2, 0.3]);
         let mut bytes = Vec::new();
         encode_param_store(&mut bytes, &store);
-        // Wrong expected length.
-        let mut r = Reader::new(&bytes);
-        assert!(matches!(
-            decode_param_store(&mut r, 4, Precision::Fp16),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        // Wrong expected precision.
-        let mut r = Reader::new(&bytes);
-        assert!(matches!(
-            decode_param_store(&mut r, 3, Precision::F32),
-            Err(SnapshotError::Corrupt(_))
-        ));
+        assert_eq!(bytes.len(), param_store_bytes(&store));
+        let restore = |bytes: &[u8], target: &mut ParamStore| {
+            let snap = one_section(tag::GRID, bytes.to_vec());
+            let len = param_store_bytes(target);
+            restore_section(&snap, tag::GRID, len, |r| restore_param_store(r, target))
+        };
+        // A store of another length or precision declares another layout.
+        let mut longer = ParamStore::new(Precision::Fp16, vec![0.0; 4]);
+        assert!(is_corrupt_in(restore(&bytes, &mut longer), tag::GRID));
+        let mut single = ParamStore::new(Precision::F32, vec![0.0; 3]);
+        assert!(is_corrupt_in(restore(&bytes, &mut single), tag::GRID));
+        // A working copy that is not the re-quantized masters is corrupt.
+        let mut flipped = bytes.clone();
+        flipped[12] ^= 1;
+        let mut target = ParamStore::new(Precision::Fp16, vec![0.0; 3]);
+        assert!(is_corrupt_in(restore(&flipped, &mut target), tag::GRID));
         // Matching expectations round-trip bit-exactly.
-        let mut r = Reader::new(&bytes);
-        let restored = decode_param_store(&mut r, 3, Precision::Fp16).unwrap();
-        r.finish().unwrap();
-        assert_eq!(restored, store);
+        restore(&bytes, &mut target).unwrap();
+        assert_eq!(target, store);
     }
 
     #[test]
@@ -678,19 +644,28 @@ mod tests {
         );
         let mut bytes = Vec::new();
         encode_adam(&mut bytes, &adam);
-        assert!(matches!(
-            restore_adam(&mut AdamState::new(5, 0.01), &bytes),
-            Err(SnapshotError::Corrupt(_))
+        let restore = |target: &mut AdamState| {
+            let snap = one_section(tag::ADAM_GRID, bytes.clone());
+            let len = adam_bytes(target);
+            restore_section(&snap, tag::ADAM_GRID, len, |r| restore_adam(r, target))
+        };
+        assert!(is_corrupt_in(
+            restore(&mut AdamState::new(5, 0.01)),
+            tag::ADAM_GRID
         ));
-        let mut restored = AdamState::new(4, 0.5);
-        restore_adam(&mut restored, &bytes).unwrap();
+        assert!(is_corrupt_in(
+            restore(&mut AdamState::new(3, 0.01)),
+            tag::ADAM_GRID
+        ));
+        let mut restored = AdamState::new(4, 0.01);
+        restored.enable_lazy();
+        restore(&mut restored).unwrap();
         assert_eq!(restored, adam);
-        // A mode byte that is neither 0 nor 1 is corruption.
-        let mut bad = bytes.clone();
-        bad[24] = 7; // lr,b1,b2,eps (16) + t (8) → mode byte at offset 24
-        assert!(matches!(
-            restore_adam(&mut AdamState::new(4, 0.01), &bad),
-            Err(SnapshotError::Corrupt(_))
-        ));
+        // The mode and the learning rate are the target's, not the file's.
+        let mut dense = AdamState::new(4, 0.5);
+        restore(&mut dense).unwrap();
+        assert!(!dense.is_lazy());
+        assert_eq!(dense.learning_rate, 0.5);
+        assert!(dense.records().eq(adam.records()));
     }
 }
