@@ -581,6 +581,37 @@ mod tests {
         matches!(res, Err(SnapshotError::Corrupt(msg)) if msg.contains(&format!("`{tag}`")))
     }
 
+    /// Restores `old` as the config section, as a resume does.
+    fn restore_config(old: Vec<u8>) -> Result<(), SnapshotError> {
+        let snap = one_section(tag::CONFIG, old);
+        restore_section(&snap, tag::CONFIG, CONFIG_BYTES, decode_configs).map(drop)
+    }
+
+    #[test]
+    fn config_section_with_a_streaming_order_byte_is_refused() {
+        // Older snapshots carried a one-byte streaming-order tag after
+        // `samples_per_ray`: a section with it must fail typed.
+        let bytes = encode_configs(&TrainConfig::tiny(), &ModelConfig::tiny());
+        for order_tag in [0u8, 1] {
+            let mut old = bytes.clone();
+            old.insert(16, order_tag);
+            assert!(is_corrupt_in(restore_config(old), tag::CONFIG));
+        }
+    }
+
+    #[test]
+    fn config_section_with_an_engine_byte_is_refused() {
+        // Older snapshots carried a one-byte engine tag after
+        // `eval_samples_per_ray`: a section with it must fail typed, not
+        // be read with the engine byte as the precision.
+        let bytes = encode_configs(&TrainConfig::tiny(), &ModelConfig::tiny());
+        for engine_tag in [0u8, 1] {
+            let mut old = bytes.clone();
+            old.insert(24, engine_tag);
+            assert!(is_corrupt_in(restore_config(old), tag::CONFIG));
+        }
+    }
+
     #[test]
     fn param_store_decode_rejects_layout_mismatches() {
         let store = ParamStore::new(Precision::Fp16, vec![0.1, -0.2, 0.3]);
