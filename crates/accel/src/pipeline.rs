@@ -14,7 +14,7 @@ use crate::config::AccelConfig;
 use crate::mapping::{HashTableMapping, RequestStream};
 use crate::microarch::bank_compute_cycles_at;
 use crate::parallel::{bus_bytes_at, ParallelismPlan};
-use inerf_dram::{DramConfig, DramSim, SimStats};
+use inerf_dram::{DramConfig, DramSim, Request, SimStats};
 use inerf_encoding::trace::CubeLookup;
 use inerf_encoding::{Precision, TraceSink};
 use inerf_trainer::workload::{mlp_combined_sizes_at, Step};
@@ -143,6 +143,7 @@ impl PipelineModel {
         let dram_cfg = DramConfig::paper(self.mapping.subarrays());
         IterationSink {
             stream: RequestStream::new(&self.mapping, &dram_cfg, true),
+            pending: Vec::with_capacity(IterationSink::PENDING_REQUESTS),
             sim: DramSim::new(dram_cfg),
             ht: SimStats::default(),
             htb: SimStats::default(),
@@ -268,6 +269,14 @@ impl PipelineModel {
 /// incremental [`DramSim`], counting the streamed points. Memory is
 /// constant in the number of points.
 ///
+/// The mapped requests collect in a buffer of 1 024, which the simulator
+/// serves as one slice ([`DramSim::push_requests`]) whenever it fills, and
+/// in full before any statistic is read. It fills on a request rather than
+/// at a point boundary because a producer need not mark points
+/// (`end_point` is optional), so the bound holds for any event stream. The
+/// simulator sees the same requests in the same order as when each is
+/// pushed on its own, so the statistics are bit-identical.
+///
 /// HT_b reads the same rows in the same order as HT, then writes the
 /// gradients back, so one replay serves both sweeps: at `end_batch` the
 /// sink reads HT's statistics off the simulator ([`DramSim::stats`]),
@@ -281,6 +290,9 @@ impl PipelineModel {
 #[derive(Debug, Clone)]
 pub struct IterationSink {
     stream: RequestStream,
+    /// Requests mapped but not yet served; never longer than
+    /// `PENDING_REQUESTS`, its capacity.
+    pending: Vec<Request>,
     sim: DramSim,
     /// HT's statistics of the batches ended since the last drain.
     ht: SimStats,
@@ -290,6 +302,11 @@ pub struct IterationSink {
 }
 
 impl IterationSink {
+    /// Requests the sink buffers before the simulator serves them as one
+    /// slice: enough that the per-slice cost vanishes, few enough that the
+    /// buffer stays small (16 KB) and its size constant.
+    const PENDING_REQUESTS: usize = 1024;
+
     /// Points streamed since the last drain.
     pub fn points(&self) -> u64 {
         self.points
@@ -302,9 +319,11 @@ impl IterationSink {
     }
 
     /// Approximate heap bytes of the full co-simulation state (request
-    /// generation + the simulator).
+    /// generation, the request buffer and the simulator).
     pub fn state_bytes(&self) -> usize {
-        self.stream.state_bytes() + self.sim.state_bytes()
+        self.stream.state_bytes()
+            + self.pending.capacity() * std::mem::size_of::<Request>()
+            + self.sim.state_bytes()
     }
 
     /// Ends the open batch and returns `(ht, htb, points)` since the last
@@ -317,10 +336,26 @@ impl IterationSink {
     }
 }
 
+/// Buffers `req`, first serving the buffer as one slice if it is full.
+#[inline(always)]
+fn enqueue(pending: &mut Vec<Request>, sim: &mut DramSim, req: Request) {
+    if pending.len() == IterationSink::PENDING_REQUESTS {
+        flush(pending, sim);
+    }
+    pending.push(req);
+}
+
+/// Serves the buffered requests as one slice and empties the buffer.
+#[inline(never)]
+fn flush(pending: &mut Vec<Request>, sim: &mut DramSim) {
+    sim.push_requests(pending);
+    pending.clear();
+}
+
 impl TraceSink for IterationSink {
     fn push_cube(&mut self, cube: &CubeLookup) {
-        let sim = &mut self.sim;
-        self.stream.push_cube(cube, |r| sim.push_request(&r));
+        let (pending, sim) = (&mut self.pending, &mut self.sim);
+        self.stream.push_cube(cube, |r| enqueue(pending, sim, r));
     }
 
     fn end_point(&mut self) {
@@ -330,10 +365,12 @@ impl TraceSink for IterationSink {
     fn end_batch(&mut self) {
         // A batch with nothing pushed adds all-zero statistics, so the
         // drain in estimate_streamed may follow immediately.
-        self.ht.add(&self.sim.stats());
-        let sim = &mut self.sim;
-        self.stream.end_batch(|r| sim.push_request(&r));
-        self.htb.add(&self.sim.drain_stats());
+        let (pending, sim) = (&mut self.pending, &mut self.sim);
+        flush(pending, sim);
+        self.ht.add(&sim.stats());
+        self.stream.end_batch(|r| enqueue(pending, sim, r));
+        flush(pending, sim);
+        self.htb.add(&sim.drain_stats());
     }
 }
 

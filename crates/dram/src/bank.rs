@@ -78,18 +78,18 @@ impl SubarrayState {
 
     /// Serves one request to `row` of this subarray. `col_ready` is its
     /// bank's column register: the earliest cycle the bank's column path
-    /// accepts the next RD/WR.
+    /// accepts the next RD/WR. `rank_acts` is the die's tRRD/tFAW window,
+    /// which an ACT the request issues waits for and is recorded in.
     ///
-    /// `earliest` is the first cycle any command may issue (request arrival);
-    /// `rank_act_ok` is the earliest cycle an ACT may issue under the
-    /// rank-level tRRD/tFAW constraints (computed by the caller).
+    /// `earliest` is the first cycle any command may issue (request arrival).
+    #[inline(always)]
     pub fn serve(
         &mut self,
         col_ready: &mut u64,
+        rank_acts: &mut RankActTracker,
         row: u32,
         is_write: bool,
         earliest: u64,
-        rank_act_ok: u64,
     ) -> ServedRequest {
         let timing = &DramConfig::TIMING;
         let outcome = self.classify(row);
@@ -102,7 +102,8 @@ impl SubarrayState {
                 col_at = earliest.max(*col_ready).max(self.act_at + timing.rcd);
             }
             RowOutcome::Miss => {
-                let t_act = earliest.max(self.ready_at).max(rank_act_ok);
+                let t_act = earliest.max(self.ready_at).max(rank_acts.earliest());
+                rank_acts.record(t_act);
                 act_at = Some(t_act);
                 self.act_at = t_act;
                 self.ready_at = t_act + timing.ras; // earliest PRE
@@ -120,7 +121,8 @@ impl SubarrayState {
                     .max(self.last_write_end + timing.wr);
                 stalled = t_pre > earliest;
                 pre_at = Some(t_pre);
-                let t_act = (t_pre + timing.rp).max(rank_act_ok);
+                let t_act = (t_pre + timing.rp).max(rank_acts.earliest());
+                rank_acts.record(t_act);
                 act_at = Some(t_act);
                 self.act_at = t_act;
                 self.ready_at = t_act + timing.ras;
@@ -166,13 +168,18 @@ pub struct ServedRequest {
     pub data_done: u64,
 }
 
-/// Rank-level ACT bookkeeping (tRRD spacing and the four-activate window):
-/// the last four ACT cycles oldest-first, and how many of them are real
-/// (saturating at four). No heap, and `Default` is idle.
+/// Rank-level ACT bookkeeping (tRRD spacing and the four-activate window),
+/// kept as the cycles the constraints end: the newest ACT's tRRD window,
+/// and the tFAW windows of the last four ACTs oldest-first, 0 where no ACT
+/// has been. No heap, and `Default` is idle.
+///
+/// In this form [`RankActTracker::earliest`] is one `max` without a
+/// branch, and the tracker holds no index, so a serving loop keeps it in
+/// registers.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RankActTracker {
-    window: [u64; 4],
-    len: u8,
+    rrd_end: u64,
+    faw_ends: [u64; 4],
 }
 
 impl RankActTracker {
@@ -182,20 +189,18 @@ impl RankActTracker {
     }
 
     /// Earliest cycle a new ACT may issue.
+    #[inline]
     pub fn earliest(&self) -> u64 {
-        let timing = &DramConfig::TIMING;
-        match self.len {
-            0 => 0,
-            4 => (self.window[3] + timing.rrd).max(self.window[0] + timing.faw),
-            _ => self.window[3] + timing.rrd,
-        }
+        self.rrd_end.max(self.faw_ends[0])
     }
 
     /// Records an issued ACT, dropping the oldest.
+    #[inline]
     pub fn record(&mut self, cycle: u64) {
-        let [_, a, b, c] = self.window;
-        self.window = [a, b, c, cycle];
-        self.len = (self.len + 1).min(4);
+        let timing = &DramConfig::TIMING;
+        let [_, a, b, c] = self.faw_ends;
+        self.faw_ends = [a, b, c, cycle + timing.faw];
+        self.rrd_end = cycle + timing.rrd;
     }
 }
 
@@ -226,14 +231,14 @@ mod tests {
             row: u32,
             is_write: bool,
             earliest: u64,
-            rank_act_ok: u64,
         ) -> ServedRequest {
+            // An idle die for every request: no tRRD/tFAW constraint.
             self.subarrays[subarray as usize].serve(
                 &mut self.col_ready,
+                &mut RankActTracker::new(),
                 row,
                 is_write,
                 earliest,
-                rank_act_ok,
             )
         }
     }
@@ -245,12 +250,12 @@ mod tests {
     #[test]
     fn first_access_is_miss_then_hit() {
         let (mut bank, t) = setup();
-        let r1 = bank.serve(0, 10, false, 0, 0);
+        let r1 = bank.serve(0, 10, false, 0);
         assert_eq!(r1.outcome, RowOutcome::Miss);
         assert_eq!(r1.act_at, Some(0));
         assert_eq!(r1.col_at, t.rcd);
         assert_eq!(r1.data_done, t.rcd + t.cl + DramConfig::BURST_CYCLES);
-        let r2 = bank.serve(0, 10, false, 0, 0);
+        let r2 = bank.serve(0, 10, false, 0);
         assert_eq!(r2.outcome, RowOutcome::Hit);
         assert!(r2.act_at.is_none());
         // Hit issues as soon as the column path frees (tCCD after the first).
@@ -260,8 +265,8 @@ mod tests {
     #[test]
     fn conflict_pays_pre_plus_act() {
         let (mut bank, t) = setup();
-        bank.serve(0, 10, false, 0, 0);
-        let r = bank.serve(0, 20, false, 0, 0);
+        bank.serve(0, 10, false, 0);
+        let r = bank.serve(0, 20, false, 0);
         assert_eq!(r.outcome, RowOutcome::Conflict);
         let pre = r.pre_at.expect("conflict must precharge");
         let act = r.act_at.expect("conflict must activate");
@@ -273,9 +278,9 @@ mod tests {
     #[test]
     fn salp_different_subarray_avoids_conflict() {
         let (mut bank, _) = setup();
-        bank.serve(0, 10, false, 0, 0);
+        bank.serve(0, 10, false, 0);
         // Same bank, different subarray, different row: plain miss, no PRE.
-        let r = bank.serve(1, 20, false, 0, 0);
+        let r = bank.serve(1, 20, false, 0);
         assert_eq!(r.outcome, RowOutcome::Miss);
         assert!(r.pre_at.is_none());
     }
@@ -290,8 +295,8 @@ mod tests {
         let mut done_two = 0;
         for i in 0..8u32 {
             let row = i % 2;
-            done_one = one.serve(0, row, false, 0, 0).data_done;
-            done_two = two.serve(row % 2, row, false, 0, 0).data_done;
+            done_one = one.serve(0, row, false, 0).data_done;
+            done_two = two.serve(row % 2, row, false, 0).data_done;
         }
         assert!(
             done_two < done_one,
@@ -302,8 +307,8 @@ mod tests {
     #[test]
     fn write_then_conflict_waits_for_twr() {
         let (mut bank, t) = setup();
-        let w = bank.serve(0, 10, true, 0, 0);
-        let r = bank.serve(0, 20, false, 0, 0);
+        let w = bank.serve(0, 10, true, 0);
+        let r = bank.serve(0, 20, false, 0);
         assert!(
             r.pre_at.expect("conflict") >= w.data_done + t.wr,
             "PRE after write must respect tWR"
@@ -375,7 +380,7 @@ mod tests {
     #[test]
     fn arrival_time_respected() {
         let (mut bank, t) = setup();
-        let r = bank.serve(0, 5, false, 100, 0);
+        let r = bank.serve(0, 5, false, 100);
         assert_eq!(r.act_at, Some(100));
         assert_eq!(r.col_at, 100 + t.rcd);
     }

@@ -24,7 +24,15 @@ pub struct Timing {
     pub faw: u64,
     /// Write recovery (last write data → PRE).
     pub wr: u64,
-    /// Read-to-any-command turnaround.
+    /// Read-to-any-command turnaround (Tab. III's `tRA`). Declared and not
+    /// read. A near-bank read is timed by `cl` plus
+    /// [`DramConfig::BURST_CYCLES`] to its data, and the next column
+    /// command on its bank already waits `ccd`, which at 2 cycles equals
+    /// `tRA`. A PRE is timed only by `ras` after its row's ACT and `wr`
+    /// after its last write, never by the reads before it, so no command
+    /// the simulator issues waits on a read's turnaround. Reading `ra`
+    /// would change modeled cycles; it waits for an independent check of
+    /// the command log.
     pub ra: u64,
     /// Write-to-any-command turnaround.
     pub wa: u64,

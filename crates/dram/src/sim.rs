@@ -1,6 +1,6 @@
 //! The request-stream simulator.
 
-use crate::bank::{CommandKind, CommandRecord, RankActTracker, RowOutcome, SubarrayState};
+use crate::bank::{CommandKind, CommandRecord, RankActTracker, SubarrayState};
 use crate::config::DramConfig;
 use crate::energy::EnergyModel;
 use crate::request::{AccessKind, Request};
@@ -18,15 +18,22 @@ use crate::stats::SimStats;
 /// # Incremental frontend
 ///
 /// Besides the batch-replay [`DramSim::run`], the simulator exposes an
-/// online frontend for co-simulation: [`DramSim::push_request`] serves one
-/// request and folds it into the running statistics, [`DramSim::tick`]
-/// advances the arrival clock streamed requests inherit, [`DramSim::stats`]
-/// reads the accumulated statistics mid-stream, and
-/// [`DramSim::drain_stats`] reads them and returns the simulator to idle
-/// *in place* — bank state is cleared, never reallocated, so
-/// per-iteration co-simulation costs no allocation. `run` is literally
-/// `push_request` over the slice followed by `drain_stats`, which is what
-/// makes the streamed and batch paths bit-identical.
+/// online frontend for co-simulation. [`DramSim::push_requests`] is the
+/// serving loop: it serves a slice of requests in order and folds them
+/// into the running statistics, with the simulator's scalar state (the
+/// rank's tRRD/tFAW window, the banks' column registers, the outcome
+/// counters and the makespan) held in locals for the whole slice and
+/// written back once. [`DramSim::push_request`] is its one-request case,
+/// the same step run on that state in place, for a caller that does
+/// something between requests. [`DramSim::tick`] advances the arrival
+/// clock streamed requests inherit, [`DramSim::stats`] reads the
+/// accumulated statistics mid-stream, and [`DramSim::drain_stats`] reads
+/// them and returns the simulator to idle *in place* — bank state is
+/// cleared, never reallocated, so per-iteration co-simulation costs no
+/// allocation. Both frontends run one step function, so how a stream is
+/// cut into slices changes no statistic and no logged command; `run` is
+/// literally `push_requests` over the slice followed by `drain_stats`,
+/// which is what makes the streamed and batch paths bit-identical.
 #[derive(Debug, Clone)]
 pub struct DramSim {
     config: DramConfig,
@@ -34,18 +41,112 @@ pub struct DramSim {
     /// `b * subarrays_per_bank + sa`.
     subarrays: Vec<SubarrayState>,
     /// Per bank, the earliest cycle its column path accepts the next RD/WR
-    /// (shared by the bank's subarrays).
-    col_ready: Vec<u64>,
-    /// The die is one rank: one tRRD/tFAW window over all its banks.
-    rank_acts: RankActTracker,
+    /// (shared by the bank's subarrays). Indexed by bank, so kept apart
+    /// from the registers below.
+    col_ready: [u64; DramConfig::BANKS as usize],
+    regs: Registers,
     log: Vec<CommandRecord>,
     keep_log: bool,
+    /// Arrival clock for streamed requests (advanced by [`DramSim::tick`]).
+    now: u64,
+}
+
+/// The simulator's scalar state, which every request reads and writes.
+/// Small, `Copy` and never indexed, so a serving loop over a local copy
+/// keeps it in CPU registers instead of storing and reloading it through
+/// the simulator at every request.
+#[derive(Debug, Clone, Copy, Default)]
+struct Registers {
+    /// The die is one rank: one tRRD/tFAW window over all its banks.
+    rank_acts: RankActTracker,
     /// Request outcomes since the last drain.
     counts: OutcomeCounts,
     /// Latest data-burst completion cycle since the last drain.
     makespan: u64,
-    /// Arrival clock for streamed requests (advanced by [`DramSim::tick`]).
-    now: u64,
+}
+
+impl Registers {
+    /// Serves `req`, arriving at `now`, against these registers, the
+    /// banks' column registers and the die's subarray slots, appending its
+    /// commands to `log` if one is kept. The one step of both frontends.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address lies outside the configured organization.
+    #[inline(always)]
+    fn step(
+        &mut self,
+        col_ready: &mut [u64; DramConfig::BANKS as usize],
+        subarrays: &mut [SubarrayState],
+        subarrays_per_bank: u32,
+        now: u64,
+        log: Option<&mut Vec<CommandRecord>>,
+        req: &Request,
+    ) {
+        let a = req.addr;
+        assert!(a.bank < DramConfig::BANKS, "address bank out of range");
+        assert!(
+            a.subarray < subarrays_per_bank,
+            "address subarray out of range"
+        );
+        let is_write = req.kind == AccessKind::Write;
+        let slot = a.bank as usize * subarrays_per_bank as usize + a.subarray as usize;
+        let served = subarrays[slot].serve(
+            &mut col_ready[a.bank as usize],
+            &mut self.rank_acts,
+            a.row,
+            is_write,
+            now,
+        );
+        let c = &mut self.counts;
+        c.requests += 1;
+        c.acts += u64::from(served.act_at.is_some());
+        c.pres += u64::from(served.pre_at.is_some());
+        c.stalled_conflicts += u64::from(served.stalled);
+        c.writes += u64::from(is_write);
+        if let Some(log) = log {
+            let record = |cycle, kind, row| CommandRecord {
+                cycle,
+                kind,
+                bank: a.bank,
+                subarray: a.subarray,
+                row,
+            };
+            let col = if is_write {
+                CommandKind::Write
+            } else {
+                CommandKind::Read
+            };
+            log.extend(served.pre_at.map(|t| record(t, CommandKind::Pre, 0)));
+            log.extend(served.act_at.map(|t| record(t, CommandKind::Act, a.row)));
+            log.push(record(served.col_at, col, a.row));
+        }
+        self.makespan = self.makespan.max(served.data_done);
+    }
+
+    /// Serves `requests` in order, each arriving at `now`:
+    /// [`Registers::step`] over the slice.
+    #[inline(always)]
+    fn serve_slice(
+        &mut self,
+        col_ready: &mut [u64; DramConfig::BANKS as usize],
+        subarrays: &mut [SubarrayState],
+        subarrays_per_bank: u32,
+        now: u64,
+        mut log: Option<&mut Vec<CommandRecord>>,
+        requests: &[Request],
+    ) {
+        for req in requests {
+            self.step(
+                col_ready,
+                subarrays,
+                subarrays_per_bank,
+                now,
+                log.as_deref_mut(),
+                req,
+            );
+        }
+    }
 }
 
 impl DramSim {
@@ -56,13 +157,11 @@ impl DramSim {
                 SubarrayState::IDLE;
                 DramConfig::BANKS as usize * config.subarrays_per_bank as usize
             ],
-            col_ready: vec![0; DramConfig::BANKS as usize],
-            rank_acts: RankActTracker::new(),
+            col_ready: [0; DramConfig::BANKS as usize],
+            regs: Registers::default(),
             config,
             log: Vec::new(),
             keep_log: false,
-            counts: OutcomeCounts::default(),
-            makespan: 0,
             now: 0,
         }
     }
@@ -81,91 +180,90 @@ impl DramSim {
     }
 
     /// Advances the arrival clock: requests subsequently pushed via
-    /// [`DramSim::push_request`] arrive at the clock. Models a
-    /// request source with a known issue cadence (e.g. the 32-point-parallel
-    /// front end's tFAW-limited ~3-cycle spacing).
+    /// [`DramSim::push_requests`] or [`DramSim::push_request`] arrive at
+    /// the clock. Models a request source with a known issue cadence (e.g.
+    /// the 32-point-parallel front end's tFAW-limited ~3-cycle spacing).
     pub fn tick(&mut self, cycles: u64) {
         self.now += cycles;
     }
 
-    /// Approximate heap bytes of the simulator's mutable state — the
-    /// constant-memory footprint of the online co-simulation path.
+    /// Approximate bytes of the simulator's mutable state — the
+    /// constant-memory footprint of the online co-simulation path: the
+    /// subarray slots, the column registers and the command log.
     pub fn state_bytes(&self) -> usize {
         self.subarrays.capacity() * std::mem::size_of::<SubarrayState>()
-            + self.col_ready.capacity() * std::mem::size_of::<u64>()
+            + std::mem::size_of_val(&self.col_ready)
             + self.log.capacity() * std::mem::size_of::<CommandRecord>()
     }
 
-    /// Serves one request online, folding it into the running statistics.
-    /// The request arrives at the streaming clock (see [`DramSim::tick`]).
+    /// Serves `requests` online, in order, folding them into the running
+    /// statistics; every request arrives at the streaming clock (see
+    /// [`DramSim::tick`]). The simulator's registers and column registers
+    /// stay in locals for the whole slice and are written back once, so a
+    /// long slice serves faster than the same requests pushed one at a
+    /// time, with bit-identical results.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any address lies outside the configured organization.
+    pub fn push_requests(&mut self, requests: &[Request]) {
+        let (mut regs, mut col_ready) = (self.regs, self.col_ready);
+        let (subarrays, per_bank, now) = (
+            &mut self.subarrays[..],
+            self.config.subarrays_per_bank,
+            self.now,
+        );
+        // The loop compiled twice: with the command log, and without it,
+        // where the step's log branch folds away and frees the registers
+        // its operands would hold.
+        if self.keep_log {
+            regs.serve_slice(
+                &mut col_ready,
+                subarrays,
+                per_bank,
+                now,
+                Some(&mut self.log),
+                requests,
+            );
+        } else {
+            regs.serve_slice(&mut col_ready, subarrays, per_bank, now, None, requests);
+        }
+        (self.regs, self.col_ready) = (regs, col_ready);
+    }
+
+    /// Serves one request online, folding it into the running statistics:
+    /// [`DramSim::push_requests`] of one request, for a caller that
+    /// advances the clock or reads the statistics between requests.
     ///
     /// # Panics
     ///
     /// Panics if the address lies outside the configured organization.
     pub fn push_request(&mut self, req: &Request) {
-        let a = req.addr;
-        assert!(a.bank < DramConfig::BANKS, "address bank out of range");
-        assert!(
-            a.subarray < self.config.subarrays_per_bank,
-            "address subarray out of range"
-        );
-        let is_write = req.kind == AccessKind::Write;
-        let slot = a.bank as usize * self.config.subarrays_per_bank as usize + a.subarray as usize;
-        let served = self.subarrays[slot].serve(
-            &mut self.col_ready[a.bank as usize],
-            a.row,
-            is_write,
+        self.regs.step(
+            &mut self.col_ready,
+            &mut self.subarrays,
+            self.config.subarrays_per_bank,
             self.now,
-            self.rank_acts.earliest(),
+            self.keep_log.then_some(&mut self.log),
+            req,
         );
-        let c = &mut self.counts;
-        *match served.outcome {
-            RowOutcome::Hit => &mut c.hits,
-            RowOutcome::Miss => &mut c.idle_misses,
-            RowOutcome::Conflict if served.stalled => &mut c.stalled_conflicts,
-            RowOutcome::Conflict => &mut c.unstalled_conflicts,
-        } += 1;
-        c.writes += u64::from(is_write);
-        if let Some(t) = served.act_at {
-            self.rank_acts.record(t);
-        }
-        if self.keep_log {
-            let record = |cycle, kind, row| CommandRecord {
-                cycle,
-                kind,
-                bank: a.bank,
-                subarray: a.subarray,
-                row,
-            };
-            let col = if is_write {
-                CommandKind::Write
-            } else {
-                CommandKind::Read
-            };
-            let log = &mut self.log;
-            log.extend(served.pre_at.map(|t| record(t, CommandKind::Pre, 0)));
-            log.extend(served.act_at.map(|t| record(t, CommandKind::Act, a.row)));
-            log.push(record(served.col_at, col, a.row));
-        }
-        self.makespan = self.makespan.max(served.data_done);
     }
 
     /// The statistics accumulated since the last drain. Reading them
     /// changes nothing: the stream continues as if they were never read.
     pub fn stats(&self) -> SimStats {
-        let c = &self.counts;
-        let requests = c.hits + c.idle_misses + c.unstalled_conflicts + c.stalled_conflicts;
+        let c = &self.regs.counts;
         let mut stats = SimStats {
-            requests,
-            row_hits: c.hits,
+            requests: c.requests,
+            row_hits: c.requests - c.acts,
             // A conflict that did not stall behaves like a miss whose
             // precharge was hidden in idle time; Fig. 9 counts stalls.
-            row_misses: c.idle_misses + c.unstalled_conflicts,
+            row_misses: c.acts - c.stalled_conflicts,
             bank_conflicts: c.stalled_conflicts,
-            total_cycles: self.makespan,
-            acts: requests - c.hits,
-            pres: c.unstalled_conflicts + c.stalled_conflicts,
-            reads: requests - c.writes,
+            total_cycles: self.regs.makespan,
+            acts: c.acts,
+            pres: c.pres,
+            reads: c.requests - c.writes,
             writes: c.writes,
             energy_pj: 0.0,
         };
@@ -181,36 +279,36 @@ impl DramSim {
         let stats = self.stats();
         self.subarrays.fill(SubarrayState::IDLE);
         self.col_ready.fill(0);
-        self.rank_acts = RankActTracker::new();
-        self.counts = OutcomeCounts::default();
-        self.makespan = 0;
+        self.regs = Registers::default();
         self.now = 0;
         stats
     }
 
-    /// Replays `requests` and returns aggregate statistics. Equivalent to
-    /// [`DramSim::push_request`] over the slice followed by
-    /// [`DramSim::drain_stats`]; the simulator is left reset, ready for the
-    /// next stream.
+    /// Replays `requests` and returns aggregate statistics:
+    /// [`DramSim::push_requests`] over the slice followed by
+    /// [`DramSim::drain_stats`]; the simulator is left reset, ready for
+    /// the next stream.
     ///
     /// # Panics
     ///
     /// Panics if any address lies outside the configured organization.
     pub fn run(&mut self, requests: &[Request]) -> SimStats {
-        for req in requests {
-            self.push_request(req);
-        }
+        self.push_requests(requests);
         self.drain_stats()
     }
 }
 
-/// Per-drain request counts: each request's row-buffer outcome, once, and
-/// the writes. [`DramSim::stats`] derives the rest of [`SimStats`].
+/// Per-drain counts of the requests and their outcomes: the ACTs and PREs
+/// they issued, the conflicts that stalled, and the writes. A request
+/// without an ACT hit its row, and one with an ACT but no PRE found its
+/// subarray idle. [`DramSim::stats`] derives the rest of [`SimStats`].
+/// Each count is a flag added per request, so serving one takes no branch
+/// on its outcome.
 #[derive(Debug, Clone, Copy, Default)]
 struct OutcomeCounts {
-    hits: u64,
-    idle_misses: u64,
-    unstalled_conflicts: u64,
+    requests: u64,
+    acts: u64,
+    pres: u64,
     stalled_conflicts: u64,
     writes: u64,
 }
@@ -593,6 +691,56 @@ mod tests {
                 })
                 .collect();
             check_protocol(cfg, &reqs);
+        }
+
+        #[test]
+        fn slices_serve_like_one_request_at_a_time(
+            seed in 0u64..1000,
+            subarrays_log2 in 0u32..7,
+            logged in 0u32..2,
+        ) {
+            // Random slices through `push_requests` against the same
+            // stream one `push_request` at a time, with ticks between
+            // slices and a drain halfway: the statistics after every slice,
+            // both drains and the command log must agree.
+            let cfg = DramConfig::paper(1 << subarrays_log2);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let reqs: Vec<Request> = (0..400)
+                .map(|_| {
+                    let kind = if rng.gen_bool(0.3) { AccessKind::Write } else { AccessKind::Read };
+                    Request::new(
+                        cfg.address(
+                            rng.gen_range(0..DramConfig::BANKS),
+                            rng.gen_range(0..cfg.subarrays_per_bank),
+                            rng.gen_range(0..16),
+                        ),
+                        kind,
+                    )
+                })
+                .collect();
+            let new = || {
+                let sim = DramSim::new(cfg);
+                if logged == 1 { sim.with_command_log() } else { sim }
+            };
+            let (mut sliced, mut single) = (new(), new());
+            for half in reqs.chunks(reqs.len() / 2) {
+                let mut rest = half;
+                while !rest.is_empty() {
+                    let (slice, tail) = rest.split_at(rng.gen_range(0..rest.len().min(48) + 1));
+                    sliced.push_requests(slice);
+                    for r in slice {
+                        single.push_request(r);
+                    }
+                    prop_assert_eq!(sliced.stats(), single.stats());
+                    let tick = rng.gen_range(0..4);
+                    sliced.tick(tick);
+                    single.tick(tick);
+                    rest = tail;
+                }
+                prop_assert_eq!(sliced.drain_stats(), single.drain_stats());
+            }
+            prop_assert_eq!(sliced.command_log(), single.command_log());
+            prop_assert_eq!(sliced.command_log().is_empty(), logged == 0);
         }
 
         #[test]
