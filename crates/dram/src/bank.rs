@@ -50,8 +50,6 @@ pub struct SubarrayState {
     open_row: Option<u32>,
     /// Cycle of the last ACT (for tRAS).
     act_at: u64,
-    /// Earliest cycle the subarray may accept its next ACT.
-    ready_at: u64,
     /// Completion time of the last write burst into this subarray's row
     /// buffer (for tWR before its PRE).
     last_write_end: u64,
@@ -62,7 +60,6 @@ impl SubarrayState {
     pub const IDLE: Self = SubarrayState {
         open_row: None,
         act_at: 0,
-        ready_at: 0,
         last_write_end: 0,
     };
 
@@ -102,11 +99,12 @@ impl SubarrayState {
                 col_at = earliest.max(*col_ready).max(self.act_at + timing.rcd);
             }
             RowOutcome::Miss => {
-                let t_act = earliest.max(self.ready_at).max(rank_acts.earliest());
+                // Only an idle subarray misses, and nothing times its
+                // first ACT but the die's tRRD/tFAW window.
+                let t_act = earliest.max(rank_acts.earliest());
                 rank_acts.record(t_act);
                 act_at = Some(t_act);
                 self.act_at = t_act;
-                self.ready_at = t_act + timing.ras; // earliest PRE
                 self.open_row = Some(row);
                 col_at = (t_act + timing.rcd).max(*col_ready);
             }
@@ -125,7 +123,6 @@ impl SubarrayState {
                 rank_acts.record(t_act);
                 act_at = Some(t_act);
                 self.act_at = t_act;
-                self.ready_at = t_act + timing.ras;
                 self.open_row = Some(row);
                 col_at = (t_act + timing.rcd).max(*col_ready);
             }

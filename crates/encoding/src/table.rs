@@ -195,6 +195,41 @@ impl HashGrid {
     /// Panics if `table_size_log2 > 30`, if `levels × T` exceeds `u32::MAX`,
     /// or if a level has `2^23` or more cells per axis.
     pub fn with_precision(config: HashGridConfig, seed: u64, precision: Precision) -> Self {
+        let levels = Self::checked_levels(&config);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = config.parameter_count();
+        let embeddings = (0..n).map(|_| rng.gen_range(-1e-4f32..1e-4)).collect();
+        Self::with_levels(config, levels, ParamStore::new(precision, embeddings))
+    }
+
+    /// A grid of `config` over an embedding table already in `store`, such
+    /// as a checkpoint's: nothing is drawn, and the table keeps `store`'s
+    /// precision.
+    ///
+    /// # Panics
+    ///
+    /// As [`HashGrid::with_precision`], and if `store` does not hold
+    /// `config`'s parameter count.
+    pub fn from_store(config: HashGridConfig, store: ParamStore) -> Self {
+        Self::with_levels(config, Self::checked_levels(&config), store)
+    }
+
+    /// The grid of `config`, its `levels` and its table `store`.
+    fn with_levels(config: HashGridConfig, levels: Vec<GridLevel>, store: ParamStore) -> Self {
+        let n = config.parameter_count();
+        assert_eq!(store.len(), n, "the table store does not fit the grid");
+        HashGrid {
+            config,
+            groups: levels.chunks(8).map(LevelGroup::new).collect(),
+            levels,
+            store,
+            gradients: vec![0.0; n],
+            touch: None,
+        }
+    }
+
+    /// `config`'s levels, once the index math is known to cover it.
+    fn checked_levels(config: &HashGridConfig) -> Vec<GridLevel> {
         // Checked here, once, because the hot path rests on all three:
         // `derive_group` spreads only the low ten bits of each coordinate,
         // which is every bit a mask of at most 2^30 - 1 keeps; touched
@@ -219,17 +254,7 @@ impl HashGrid {
             config.n_min,
             config.n_max
         );
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let n = config.parameter_count();
-        let embeddings = (0..n).map(|_| rng.gen_range(-1e-4f32..1e-4)).collect();
-        HashGrid {
-            config,
-            groups: levels.chunks(8).map(LevelGroup::new).collect(),
-            levels,
-            store: ParamStore::new(precision, embeddings),
-            gradients: vec![0.0; n],
-            touch: None,
-        }
+        levels
     }
 
     /// The configuration this grid was built with.

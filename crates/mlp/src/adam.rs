@@ -57,7 +57,7 @@ pub struct AdamState {
     lazy: bool,
     /// The per-step bias corrections through step `t`. Derived from `t`
     /// alone: never exported, rebuilt on first use after
-    /// [`AdamState::restore`], ignored by `==`.
+    /// [`AdamState::from_records`], ignored by `==`.
     bias: BiasTable,
     /// Learning rate.
     pub learning_rate: f32,
@@ -376,46 +376,44 @@ impl AdamState {
     }
 
     /// The packed records as `[m bits, v bits, stamp]`, borrowed, in
-    /// memory order: what [`AdamState::restore`] takes back.
+    /// memory order: what [`AdamState::from_records`] takes back.
     pub fn records(&self) -> impl ExactSizeIterator<Item = [u32; 3]> + '_ {
         self.state
             .iter()
             .map(|s| [s.m.to_bits(), s.v.to_bits(), s.step])
     }
 
-    /// Overwrites this state in place, bit-exactly, with exported records
-    /// ([`AdamState::records`], one per parameter, in memory order) and the
-    /// global step `t` (the lazy-replay epoch). The mode and the learning
-    /// rate stay this state's own: a restore writes into a state built for
-    /// the same optimizer.
+    /// Builds a state, bit-exactly, from exported records
+    /// ([`AdamState::records`], one per parameter, in memory order), the
+    /// global step `t` (the lazy-replay epoch), the learning rate and the
+    /// mode: what a restore builds, writing each record once.
     ///
     /// Moments travel as `u32` bit patterns, not values, because a resumed
     /// run must replay the *bits* of the original trajectory — a decimal
     /// round-trip would already diverge on the first post-resume step.
-    /// Unlike [`AdamState::enable_lazy`], this may restore a lazy state
+    /// Unlike [`AdamState::enable_lazy`], this may build a lazy state
     /// mid-trajectory (`t > 0`) — the stamps come from the records, so
     /// the replayed-through invariant is whatever the original run had.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `records` holds exactly one record per parameter;
-    /// callers restoring untrusted bytes must check the count first and
-    /// surface a typed error.
-    pub fn restore(&mut self, records: impl ExactSizeIterator<Item = [u32; 3]>, t: u64) {
-        assert_eq!(
-            records.len(),
-            self.state.len(),
-            "adam restore: record count does not match the parameter count"
-        );
-        for (s, [m, v, step]) in self.state.iter_mut().zip(records) {
-            *s = Moments {
+    pub fn from_records(
+        records: impl ExactSizeIterator<Item = [u32; 3]>,
+        t: u64,
+        learning_rate: f32,
+        lazy: bool,
+    ) -> Self {
+        let state = records
+            .map(|[m, v, step]| Moments {
                 m: f32::from_bits(m),
                 v: f32::from_bits(v),
                 step,
-            };
+            })
+            .collect();
+        AdamState {
+            state,
+            t,
+            lazy,
+            bias: BiasTable::default(),
+            learning_rate,
         }
-        self.t = t;
-        self.bias = BiasTable::default();
     }
 
     /// Number of parameters this state covers.
@@ -929,9 +927,7 @@ mod tests {
         }
         assert_eq!(adam.steps(), 3);
         assert!(adam.is_lazy());
-        let mut restored = AdamState::new(n, 0.015);
-        restored.enable_lazy();
-        restored.restore(adam.records(), adam.steps());
+        let mut restored = AdamState::from_records(adam.records(), adam.steps(), 0.015, true);
         assert_eq!(restored, adam);
         let mut p2 = p.clone();
         let g = vec![0.05f32; n];
@@ -1307,12 +1303,7 @@ mod tests {
             let restore = |lazy: bool| {
                 let stamp = if lazy { start as u32 } else { 0 };
                 let records = m.iter().zip(&v).map(|(&m, &v)| [m, v, stamp]);
-                let mut adam = AdamState::new(n, lr);
-                if lazy {
-                    adam.enable_lazy();
-                }
-                adam.restore(records, start);
-                adam
+                AdamState::from_records(records, start, lr, lazy)
             };
             let mut dense = restore(false);
             let mut lazy = restore(true);

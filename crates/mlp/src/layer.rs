@@ -307,21 +307,49 @@ impl DenseLayer {
         seed: u64,
         precision: Precision,
     ) -> Self {
-        assert!(
-            in_dim > 0 && out_dim > 0,
-            "layer dimensions must be positive"
-        );
         let mut rng = SmallRng::seed_from_u64(seed);
         let bound = (6.0 / (in_dim + out_dim) as f32).sqrt();
         let weights = (0..in_dim * out_dim)
             .map(|_| rng.gen_range(-bound..bound))
             .collect();
+        Self::from_stores(
+            in_dim,
+            out_dim,
+            activation,
+            ParamStore::new(precision, weights),
+            ParamStore::new(precision, vec![0.0; out_dim]),
+        )
+    }
+
+    /// A layer over parameters already in `weights` (`out_dim × in_dim`,
+    /// row-major) and `bias` (`out_dim`), such as a checkpoint's: nothing
+    /// is drawn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero or a store's length does not
+    /// match the dimensions.
+    pub(crate) fn from_stores(
+        in_dim: usize,
+        out_dim: usize,
+        activation: Activation,
+        weights: ParamStore,
+        bias: ParamStore,
+    ) -> Self {
+        assert!(
+            in_dim > 0 && out_dim > 0,
+            "layer dimensions must be positive"
+        );
+        assert!(
+            weights.len() == in_dim * out_dim && bias.len() == out_dim,
+            "layer stores do not match {in_dim} -> {out_dim}"
+        );
         DenseLayer {
             in_dim,
             out_dim,
             activation,
-            weights: ParamStore::new(precision, weights),
-            bias: ParamStore::new(precision, vec![0.0; out_dim]),
+            weights,
+            bias,
             grad_weights: vec![0.0; in_dim * out_dim],
             grad_bias: vec![0.0; out_dim],
         }

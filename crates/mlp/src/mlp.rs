@@ -1,7 +1,7 @@
 //! Multi-layer perceptrons built from [`DenseLayer`]s.
 
 use crate::layer::{transpose_tile, untranspose_tile, Activation, DenseLayer, FWD_BLOCK};
-use crate::store::Precision;
+use crate::store::{ParamStore, Precision};
 
 /// The cached activations of one forward pass, needed for backprop.
 ///
@@ -185,26 +185,72 @@ impl Mlp {
         seed: u64,
         precision: Precision,
     ) -> Self {
+        let seeds = (0u64..).map(|i| seed.wrapping_add(i * 0x9E37));
+        Self::from_layers(
+            widths,
+            hidden,
+            output,
+            seeds,
+            |seed, in_dim, out_dim, act| {
+                DenseLayer::with_precision(in_dim, out_dim, act, seed, precision)
+            },
+        )
+    }
+
+    /// [`Mlp::new`]'s network over parameters already in `stores`, such as
+    /// a checkpoint's: each layer's weight and bias store, in layer order
+    /// (the order of [`Mlp::layers`]). Nothing is drawn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than two widths are given, or if `stores` does not
+    /// hold one `[weights, bias]` pair per layer of `widths`, each store
+    /// as long as that layer's.
+    pub fn from_stores(
+        widths: &[usize],
+        hidden: Activation,
+        output: Activation,
+        stores: Vec<[ParamStore; 2]>,
+    ) -> Self {
+        assert_eq!(
+            stores.len() + 1,
+            widths.len(),
+            "an MLP takes one weight and one bias store per layer"
+        );
+        Self::from_layers(
+            widths,
+            hidden,
+            output,
+            stores,
+            |[w, b], in_dim, out_dim, act| DenseLayer::from_stores(in_dim, out_dim, act, w, b),
+        )
+    }
+
+    /// The network of layer `widths`, with `hidden` on every layer but the
+    /// last and `output` on that: `layer(item, in_dim, out_dim,
+    /// activation)` builds each layer from the next of `per_layer`.
+    fn from_layers<T>(
+        widths: &[usize],
+        hidden: Activation,
+        output: Activation,
+        per_layer: impl IntoIterator<Item = T>,
+        layer: impl Fn(T, usize, usize, Activation) -> DenseLayer,
+    ) -> Self {
         assert!(
             widths.len() >= 2,
             "an MLP needs at least input and output widths"
         );
         let layers: Vec<DenseLayer> = widths
             .windows(2)
+            .zip(per_layer)
             .enumerate()
-            .map(|(i, w)| {
+            .map(|(i, (w, item))| {
                 let act = if i + 2 == widths.len() {
                     output
                 } else {
                     hidden
                 };
-                DenseLayer::with_precision(
-                    w[0],
-                    w[1],
-                    act,
-                    seed.wrapping_add(i as u64 * 0x9E37),
-                    precision,
-                )
+                layer(item, w[0], w[1], act)
             })
             .collect();
         let tile_width = widths.iter().copied().fold(0, usize::max);
@@ -216,9 +262,9 @@ impl Mlp {
         &self.layers
     }
 
-    /// Mutable layer access — the checkpoint-restore hook. Callers must
-    /// preserve each layer's dimensions and precision; only the
-    /// parameter *values* are meant to change.
+    /// Mutable layer access, for direct parameter edits (tests, tooling).
+    /// Callers must preserve each layer's dimensions and precision; only
+    /// the parameter *values* are meant to change.
     pub fn layers_mut(&mut self) -> &mut [DenseLayer] {
         &mut self.layers
     }

@@ -9,7 +9,11 @@
 //! recovery never sees silent corruption and never panics.
 //!
 //! Read-side operations (`list`, `read`) are passed through un-gated:
-//! they model the *recovery* process, which runs after the crash.
+//! they model the *recovery* process, which runs after the crash. A read
+//! hands out what the wrapped backend does: [`crate::MemIo`]'s buffer,
+//! borrowed.
+
+use std::borrow::Cow;
 
 use crate::error::SnapshotError;
 use crate::io::SnapshotIo;
@@ -124,7 +128,7 @@ impl<I: SnapshotIo> SnapshotIo for FaultIo<I> {
         self.inner.list()
     }
 
-    fn read(&self, name: &str) -> Result<Vec<u8>, SnapshotError> {
+    fn read(&self, name: &str) -> Result<Cow<'_, [u8]>, SnapshotError> {
         self.inner.read(name)
     }
 }

@@ -33,7 +33,12 @@
 //! header, index, checksum field or payload — is detected (the checksum
 //! step is injective in its word, see [`crate::checksum`]), which the
 //! byte-flip sweep in `tests/corruption.rs` verifies exhaustively.
+//!
+//! A decoded [`Snapshot`] validates the file where it lies and keeps it,
+//! borrowed or owned as the reader handed it over: its sections are
+//! slices of that one buffer, and decoding copies no payload.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use crate::checksum::{checksum64, Checksum64};
@@ -240,25 +245,26 @@ pub(crate) fn stream(sections: &[Section<'_>], out: &mut dyn FnMut(&[u8])) -> Ta
 }
 
 /// A snapshot: an ordered list of tagged, independently checksummed
-/// byte sections, held in one buffer.
+/// byte sections, held in one buffer — its own, or the file it was
+/// decoded from, borrowed.
 #[derive(Debug, Clone, Default)]
-pub struct Snapshot {
+pub struct Snapshot<'a> {
     /// The container this snapshot was captured or decoded as, or the
     /// pushed payloads back to back.
-    bytes: Vec<u8>,
+    bytes: Cow<'a, [u8]>,
     sections: Table,
 }
 
-impl PartialEq for Snapshot {
+impl PartialEq for Snapshot<'_> {
     /// Equal tags and payloads in the same order, wherever they sit.
     fn eq(&self, other: &Self) -> bool {
         self.payloads().eq(other.payloads())
     }
 }
 
-impl Eq for Snapshot {}
+impl Eq for Snapshot<'_> {}
 
-impl Snapshot {
+impl Snapshot<'static> {
     /// An empty snapshot.
     pub fn new() -> Self {
         Self::default()
@@ -269,14 +275,20 @@ impl Snapshot {
     pub fn from_sections(sections: &[Section<'_>]) -> Self {
         let mut bytes = Vec::with_capacity(container_len(sections));
         let sections = stream(sections, &mut |piece| bytes.extend_from_slice(piece));
-        Snapshot { bytes, sections }
+        Snapshot {
+            bytes: Cow::Owned(bytes),
+            sections,
+        }
     }
+}
 
+impl<'a> Snapshot<'a> {
     /// Appends a section. Tags are at most 8 bytes, zero-padded.
     pub fn push(&mut self, tag: &str, payload: Vec<u8>) {
-        let start = self.bytes.len();
-        self.bytes.extend_from_slice(&payload);
-        self.sections.push((tag8(tag), start..self.bytes.len()));
+        let bytes = self.bytes.to_mut();
+        let start = bytes.len();
+        bytes.extend_from_slice(&payload);
+        self.sections.push((tag8(tag), start..bytes.len()));
     }
 
     /// Tags and payloads in file order, borrowed.
@@ -309,20 +321,16 @@ impl Snapshot {
 
     /// Serializes the container.
     pub fn encode(&self) -> Vec<u8> {
-        Self::from_sections(&self.parts()).bytes
+        Snapshot::from_sections(&self.parts()).bytes.into_owned()
     }
 
-    /// Parses and fully validates a copy of a container. Any structural
-    /// damage — truncation, trailing bytes, or a flipped bit anywhere in
-    /// the file — yields a typed error, never a panic and never wrong
-    /// data.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        Self::decode_owned(bytes.to_vec())
-    }
-
-    /// [`Snapshot::decode`] keeping `bytes` as the snapshot's buffer:
-    /// sections are handed out as slices of the file as it was read.
-    pub(crate) fn decode_owned(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
+    /// Parses and fully validates a container and keeps it as it came: a
+    /// borrowed `&[u8]` stays borrowed, an owned buffer is taken over, and
+    /// sections are handed out as slices of it. Any structural damage —
+    /// truncation, trailing bytes, or a flipped bit anywhere in the file —
+    /// yields a typed error, never a panic and never wrong data.
+    pub fn decode(bytes: impl Into<Cow<'a, [u8]>>) -> Result<Self, SnapshotError> {
+        let bytes = bytes.into();
         let sections = validate(&bytes)?;
         Ok(Snapshot { bytes, sections })
     }
@@ -407,7 +415,7 @@ fn validate(bytes: &[u8]) -> Result<Table, SnapshotError> {
 pub(crate) mod tests {
     use super::*;
 
-    fn sample() -> Snapshot {
+    fn sample() -> Snapshot<'static> {
         let mut s = Snapshot::new();
         s.push("alpha", vec![1, 2, 3, 4]);
         s.push("beta", vec![]);
@@ -418,7 +426,7 @@ pub(crate) mod tests {
     #[test]
     fn round_trip_preserves_sections_and_order() {
         let s = sample();
-        let decoded = Snapshot::decode(&s.encode()).unwrap();
+        let decoded = Snapshot::decode(s.encode()).unwrap();
         assert_eq!(decoded, s);
         assert_eq!(decoded.tags(), vec!["alpha", "beta", "gamma"]);
         assert_eq!(decoded.section("gamma").unwrap().len(), 256);
@@ -429,9 +437,21 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn decode_borrows_the_bytes_it_validates() {
+        let bytes = sample().encode();
+        let decoded = Snapshot::decode(&bytes).unwrap();
+        assert!(matches!(decoded.bytes, Cow::Borrowed(_)));
+        let file = bytes.as_ptr_range();
+        for tag in decoded.tags() {
+            let payload = decoded.section(&tag).unwrap().as_ptr_range();
+            assert!(file.start <= payload.start && payload.end <= file.end);
+        }
+    }
+
+    #[test]
     fn empty_snapshot_round_trips() {
         let s = Snapshot::new();
-        assert_eq!(Snapshot::decode(&s.encode()).unwrap(), s);
+        assert_eq!(Snapshot::decode(s.encode()).unwrap(), s);
     }
 
     #[test]
@@ -451,7 +471,7 @@ pub(crate) mod tests {
     }
 
     /// `params` = `[1, 2, 3]`, the one section of the pinned old files.
-    fn params_123() -> Snapshot {
+    fn params_123() -> Snapshot<'static> {
         let mut s = Snapshot::new();
         s.push("params", vec![1, 2, 3]);
         s
@@ -563,10 +583,10 @@ pub(crate) mod tests {
         // Re-encoding the stored payloads, whole pieces straight from the
         // buffer, gives the same file.
         let bytes = snap.encode();
-        assert_eq!(bytes, snap.bytes);
+        assert_eq!(bytes, *snap.bytes);
         assert_eq!(pieces.iter().sum::<usize>(), bytes.len());
         assert_eq!(bytes.len(), container_len(&sections));
-        assert_eq!(Snapshot::decode_owned(bytes).unwrap(), snap);
+        assert_eq!(Snapshot::decode(&bytes).unwrap(), snap);
     }
 
     #[test]

@@ -8,7 +8,12 @@
 //! [`MemIo`] is the in-memory backend the tests drive (its state after a
 //! simulated crash is exactly what a kill at that boundary would leave
 //! on disk: partially appended temp files stay visible).
+//!
+//! A read hands the file over without a copy where the backend can:
+//! [`MemIo`] lends its buffer, and [`StdIo`] gives up the one it read the
+//! file into. Either way a resume holds the file's bytes once.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
@@ -35,8 +40,9 @@ pub trait SnapshotIo {
     fn remove(&mut self, name: &str) -> Result<(), SnapshotError>;
     /// All file names currently present, sorted.
     fn list(&self) -> Result<Vec<String>, SnapshotError>;
-    /// The full contents of `name`.
-    fn read(&self, name: &str) -> Result<Vec<u8>, SnapshotError>;
+    /// The full contents of `name`: borrowed from the backend if it holds
+    /// them in memory, owned if it had to read them.
+    fn read(&self, name: &str) -> Result<Cow<'_, [u8]>, SnapshotError>;
 }
 
 /// Real-filesystem backend: every name lives under one root directory.
@@ -125,8 +131,10 @@ impl SnapshotIo for StdIo {
         Ok(names)
     }
 
-    fn read(&self, name: &str) -> Result<Vec<u8>, SnapshotError> {
-        fs::read(self.path(name)).map_err(|e| SnapshotError::io("read", name, &e))
+    fn read(&self, name: &str) -> Result<Cow<'_, [u8]>, SnapshotError> {
+        fs::read(self.path(name))
+            .map(Cow::Owned)
+            .map_err(|e| SnapshotError::io("read", name, &e))
     }
 }
 
@@ -206,10 +214,10 @@ impl SnapshotIo for MemIo {
         Ok(self.files.keys().cloned().collect())
     }
 
-    fn read(&self, name: &str) -> Result<Vec<u8>, SnapshotError> {
+    fn read(&self, name: &str) -> Result<Cow<'_, [u8]>, SnapshotError> {
         self.files
             .get(name)
-            .cloned()
+            .map(|bytes| Cow::Borrowed(bytes.as_slice()))
             .ok_or_else(|| SnapshotError::Io {
                 op: "read",
                 name: name.to_string(),
@@ -261,6 +269,15 @@ mod tests {
     }
 
     #[test]
+    fn memio_lends_its_buffer_to_a_read() {
+        let mut io = MemIo::new();
+        io.insert("a", vec![1, 2, 3]);
+        let read = io.read("a").unwrap();
+        assert!(matches!(read, Cow::Borrowed(_)));
+        assert_eq!(read.as_ptr(), io.files()["a"].as_ptr());
+    }
+
+    #[test]
     fn stdio_round_trips_on_disk() {
         let root = std::env::temp_dir().join(format!("inerf-snap-io-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
@@ -270,7 +287,9 @@ mod tests {
         io.append("x.tmp", b"world").unwrap();
         io.flush_sync("x.tmp").unwrap();
         io.rename("x.tmp", "x").unwrap();
-        assert_eq!(io.read("x").unwrap(), b"hello world");
+        let read = io.read("x").unwrap();
+        assert!(matches!(read, Cow::Owned(_)));
+        assert_eq!(read, &b"hello world"[..]);
         assert_eq!(io.list().unwrap(), vec!["x"]);
         io.remove("x").unwrap();
         assert!(io.list().unwrap().is_empty());

@@ -10,6 +10,8 @@
 //!   ([`checksum`]). Any flipped bit, truncation or trailing garbage
 //!   anywhere in the file is *detected* and reported as a typed
 //!   [`SnapshotError`]; decoding never panics and never returns wrong data.
+//!   It validates the file where it lies and copies nothing: a snapshot
+//!   holds the bytes as the reader handed them over, borrowed or owned.
 //! * **An atomic write protocol** ([`rotate`]) — temp file → flush →
 //!   rename, with keep-last-K rotation and stale-temp cleanup. One
 //!   writer ([`write_sections`]) streams the file in a single pass: each

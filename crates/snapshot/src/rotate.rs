@@ -17,7 +17,9 @@
 //! Recovery ([`load_latest`]) walks the surviving names newest-first and
 //! returns the first container that passes *full* validation, so even a
 //! non-atomic rename (torn metadata) degrades to "detected and skipped",
-//! never to silently loading garbage.
+//! never to silently loading garbage. It reads each candidate once and
+//! validates it where it lies: the snapshot it returns borrows the file
+//! from an in-memory backend and owns the one buffer a disk read fills.
 
 use crate::error::SnapshotError;
 use crate::format::{container_len, stream, Section, Snapshot};
@@ -77,7 +79,7 @@ pub fn write_sections(
 pub fn write_snapshot(
     io: &mut dyn SnapshotIo,
     step: u64,
-    snap: &Snapshot,
+    snap: &Snapshot<'_>,
     keep_last: usize,
 ) -> Result<(), SnapshotError> {
     write_sections(io, step, &snap.parts(), keep_last)
@@ -110,10 +112,13 @@ pub fn list_snapshots(io: &dyn SnapshotIo) -> Result<Vec<u64>, SnapshotError> {
 /// that passes full validation; torn or corrupted files (crash residue)
 /// are skipped. Returns [`SnapshotError::NoSnapshot`] if none exist, or
 /// the last validation error if snapshots exist but none load.
-pub fn load_latest(io: &dyn SnapshotIo) -> Result<(u64, Snapshot), SnapshotError> {
+///
+/// The snapshot holds the file as [`SnapshotIo::read`] hands it over, so
+/// its sections are slices of that buffer: nothing is copied.
+pub fn load_latest(io: &dyn SnapshotIo) -> Result<(u64, Snapshot<'_>), SnapshotError> {
     let mut last_err = SnapshotError::NoSnapshot;
     for s in list_snapshots(io)? {
-        match io.read(&snapshot_name(s)).and_then(Snapshot::decode_owned) {
+        match io.read(&snapshot_name(s)).and_then(Snapshot::decode) {
             Ok(snap) => return Ok((s, snap)),
             Err(e) => last_err = e,
         }
@@ -126,7 +131,7 @@ mod tests {
     use super::*;
     use crate::io::MemIo;
 
-    fn snap(marker: u8) -> Snapshot {
+    fn snap(marker: u8) -> Snapshot<'static> {
         let mut s = Snapshot::new();
         s.push("payload", vec![marker; 100]);
         s
@@ -159,13 +164,23 @@ mod tests {
     }
 
     #[test]
+    fn a_loaded_snapshot_borrows_the_file() {
+        let mut io = MemIo::new();
+        write_snapshot(&mut io, 1, &snap(1), 1).unwrap();
+        let (_, loaded) = load_latest(&io).unwrap();
+        let file = io.files()[&snapshot_name(1)].as_ptr_range();
+        let payload = loaded.section("payload").unwrap().as_ptr_range();
+        assert!(file.start <= payload.start && payload.end <= file.end);
+    }
+
+    #[test]
     fn recovery_skips_a_corrupted_newest_snapshot() {
         let mut io = MemIo::new();
         write_snapshot(&mut io, 1, &snap(1), 3).unwrap();
         write_snapshot(&mut io, 2, &snap(2), 3).unwrap();
         // Corrupt the newest committed file in place.
         let name = snapshot_name(2);
-        let mut bytes = io.read(&name).unwrap();
+        let mut bytes = io.read(&name).unwrap().into_owned();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         io.insert(&name, bytes);

@@ -6,7 +6,7 @@
 
 use inerf_snapshot::Snapshot;
 
-fn small_snapshot() -> Snapshot {
+fn small_snapshot() -> Snapshot<'static> {
     let mut s = Snapshot::new();
     s.push("config", vec![0x5A; 24]);
     s.push("rng", vec![1, 2, 3, 4, 5, 6, 7, 8]);

@@ -11,7 +11,7 @@ use inerf_snapshot::{
     load_latest, snapshot_name, write_snapshot, FaultIo, MemIo, Snapshot, SnapshotError,
 };
 
-fn snapshot_with(tag_byte: u8, len: usize) -> Snapshot {
+fn snapshot_with(tag_byte: u8, len: usize) -> Snapshot<'static> {
     let mut s = Snapshot::new();
     s.push("config", vec![tag_byte; 32]);
     s.push(
@@ -22,7 +22,7 @@ fn snapshot_with(tag_byte: u8, len: usize) -> Snapshot {
 }
 
 /// Number of mutating IO operations one checkpoint write performs.
-fn count_write_ops(base: &MemIo, step: u64, snap: &Snapshot, keep: usize) -> u64 {
+fn count_write_ops(base: &MemIo, step: u64, snap: &Snapshot<'_>, keep: usize) -> u64 {
     let mut io = FaultIo::counting(base.clone());
     write_snapshot(&mut io, step, snap, keep).expect("dry run must succeed");
     io.ops()
@@ -145,6 +145,6 @@ trait ReadFile {
 impl ReadFile for MemIo {
     fn read_file(&self, name: &str) -> Vec<u8> {
         use inerf_snapshot::SnapshotIo as _;
-        self.read(name).expect("file present")
+        self.read(name).expect("file present").into_owned()
     }
 }

@@ -10,6 +10,7 @@ use inerf_mlp::{
 };
 use rayon::ThreadPool;
 use std::borrow::Borrow;
+use std::convert::Infallible;
 use std::ops::Range;
 use std::slice::ChunksExactMut;
 
@@ -701,6 +702,70 @@ fn eval_color_task(
     );
 }
 
+/// A parameter group of [`IngpModel`]: its stores and their optimizer state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Group {
+    Grid,
+    Density,
+    Color,
+}
+
+/// What fills the stores and optimizer records [`IngpModel::assemble`]
+/// lays out: seeded draws for a new model ([`Draws`]), a checkpoint's
+/// sections for a restored one. Each part is built once, from its source.
+pub(crate) trait ModelSource {
+    /// Why a part could not be built.
+    type Error;
+
+    /// The hash grid of `config`, its table stored at `precision`.
+    fn grid(&self, config: HashGridConfig, precision: Precision) -> Result<HashGrid, Self::Error>;
+
+    /// The MLP of `group` with layer `widths` and `(hidden, output)`
+    /// activations, stored at `precision`.
+    fn mlp(
+        &self,
+        group: Group,
+        widths: &[usize],
+        activations: (Activation, Activation),
+        precision: Precision,
+    ) -> Result<Mlp, Self::Error>;
+
+    /// The optimizer state of `group`'s `n` parameters at learning rate
+    /// `lr`, lazy or dense.
+    fn adam(&self, group: Group, n: usize, lr: f32, lazy: bool) -> Result<AdamState, Self::Error>;
+}
+
+/// A new model's source: iNGP's initial draws, each group from its own
+/// stream of the seed, and optimizer state at step 0.
+struct Draws(u64);
+
+impl ModelSource for Draws {
+    type Error = Infallible;
+
+    fn grid(&self, config: HashGridConfig, precision: Precision) -> Result<HashGrid, Infallible> {
+        Ok(HashGrid::with_precision(config, self.0, precision))
+    }
+
+    fn mlp(
+        &self,
+        group: Group,
+        widths: &[usize],
+        (hidden, output): (Activation, Activation),
+        precision: Precision,
+    ) -> Result<Mlp, Infallible> {
+        let seed = self.0 ^ if group == Group::Density { 0xD5 } else { 0xC0 };
+        Ok(Mlp::with_precision(widths, hidden, output, seed, precision))
+    }
+
+    fn adam(&self, _: Group, n: usize, lr: f32, lazy: bool) -> Result<AdamState, Infallible> {
+        let mut adam = AdamState::new(n, lr);
+        if lazy {
+            adam.enable_lazy();
+        }
+        Ok(adam)
+    }
+}
+
 /// The iNGP / Instant-NeRF model: multi-resolution hash grid → density MLP →
 /// color MLP.
 ///
@@ -756,32 +821,45 @@ impl IngpModel {
     /// RNE-rounded working copies after every optimizer step); the
     /// initialization draws are identical at either precision.
     pub fn for_config(config: ModelConfig, train: &TrainConfig, seed: u64) -> Self {
+        let Ok(model) = Self::assemble(config, train, &Draws(seed));
+        model
+    }
+
+    /// Lays out the model `config` describes for `train`'s precision and
+    /// optimizer path, and has `source` fill it: the one way a model is
+    /// put together, from seeded draws ([`IngpModel::for_config`]) or from
+    /// a checkpoint's sections (the restore). The source is asked for the
+    /// grid, the density and color MLPs, then their three optimizer
+    /// states, in that order.
+    pub(crate) fn assemble<S: ModelSource>(
+        config: ModelConfig,
+        train: &TrainConfig,
+        source: &S,
+    ) -> Result<Self, S::Error> {
         let (precision, opt) = (train.precision, train.opt);
-        let mut grid = HashGrid::with_precision(config.grid, seed, precision);
+        let mut grid = source.grid(config.grid, precision)?;
         let feat = config.grid.feature_dim();
-        let density_mlp = Mlp::with_precision(
+        let density_mlp = source.mlp(
+            Group::Density,
             &[feat, config.density_hidden, config.density_out],
-            Activation::Relu,
-            Activation::Identity,
-            seed ^ 0xD5,
+            (Activation::Relu, Activation::Identity),
             precision,
-        );
+        )?;
         let color_in = (config.density_out - 1) + 9;
-        let color_mlp = Mlp::with_precision(
+        let color_mlp = source.mlp(
+            Group::Color,
             &[color_in, config.color_hidden, config.color_hidden, 3],
-            Activation::Relu,
-            Activation::Sigmoid,
-            seed ^ 0xC0,
+            (Activation::Relu, Activation::Sigmoid),
             precision,
-        );
-        let mut grid_adam = AdamState::new(grid.parameters().len(), Self::LEARNING_RATE);
-        if opt == OptPath::Sparse {
+        )?;
+        let (lr, sparse) = (Self::LEARNING_RATE, opt == OptPath::Sparse);
+        let grid_adam = source.adam(Group::Grid, grid.parameters().len(), lr, sparse)?;
+        if sparse {
             grid.enable_touch_tracking();
-            grid_adam.enable_lazy();
         }
-        let density_adam = AdamState::new(density_mlp.parameter_count(), Self::LEARNING_RATE);
-        let color_adam = AdamState::new(color_mlp.parameter_count(), Self::LEARNING_RATE);
-        IngpModel {
+        let density_adam = source.adam(Group::Density, density_mlp.parameter_count(), lr, false)?;
+        let color_adam = source.adam(Group::Color, color_mlp.parameter_count(), lr, false)?;
+        Ok(IngpModel {
             config,
             grid,
             density_mlp,
@@ -795,7 +873,7 @@ impl IngpModel {
             touched_grads: Vec::new(),
             dense_sweep: opt == OptPath::Dense,
             nonzero_grads: 0,
-        }
+        })
     }
 
     /// The grid-optimizer execution path this model runs.
@@ -848,22 +926,9 @@ impl IngpModel {
         [&self.grid_adam, &self.density_adam, &self.color_adam]
     }
 
-    /// Checkpoint-restore hooks, same order as
-    /// [`IngpModel::adam_states`].
-    pub(crate) fn adam_states_mut(&mut self) -> [&mut AdamState; 3] {
-        [
-            &mut self.grid_adam,
-            &mut self.density_adam,
-            &mut self.color_adam,
-        ]
-    }
-
-    /// Mutable grid access for checkpoint restore.
-    pub(crate) fn grid_mut(&mut self) -> &mut HashGrid {
-        &mut self.grid
-    }
-
-    /// Mutable MLP access for checkpoint restore (density, color).
+    /// Mutable MLP access for direct parameter edits in tests (density,
+    /// color).
+    #[cfg(test)]
     pub(crate) fn mlps_mut(&mut self) -> (&mut Mlp, &mut Mlp) {
         (&mut self.density_mlp, &mut self.color_mlp)
     }

@@ -25,12 +25,17 @@
 //! construction, so a snapshot may be resumed at any parallelism.
 //!
 //! Sections hold state only; the config section is the one description
-//! of the layout. A restore builds the model that section describes and
-//! takes from it every store's length and precision, the optimizer mode
-//! and the learning rate. Every other section must then be exactly as
-//! long as the writer declares it for that model (the same `*_bytes`
+//! of the layout. A restore lays out the model that section describes
+//! through `IngpModel::assemble`, the constructor a new model is drawn
+//! through, and takes from the layout every store's length and precision,
+//! the optimizer mode and the learning rate. Each section must be exactly
+//! as long as the writer declares it for that layout (the same `*_bytes`
 //! functions size both), and a section of any other length is refused as
-//! [`SnapshotError::Corrupt`] naming the section. Values the build fixes —
+//! [`SnapshotError::Corrupt`] naming the section. A section that passes is
+//! decoded straight into the store or optimizer state it holds: the
+//! restore draws no random numbers and writes no part twice. It decodes
+//! the file where [`load_latest`] left it (an in-memory backend's buffer,
+//! borrowed), so a resume holds the file once. Values the build fixes —
 //! the features per hash-grid entry, Adam's `β₁`, `β₂` and `ε` — are not
 //! stored at all. The payloads, all little-endian:
 //!
@@ -54,11 +59,11 @@
 //! the trajectory no more depends on it than on the thread count.
 
 use super::{OccupancyState, TrainConfig, TrainReport, Trainer};
-use crate::model::{IngpModel, ModelConfig, OptPath, TrainableField};
+use crate::model::{Group, IngpModel, ModelConfig, ModelSource, OptPath, TrainableField};
 use crate::occupancy::OccupancyGrid;
-use inerf_encoding::{HashFunction, HashGridConfig};
+use inerf_encoding::{HashFunction, HashGrid, HashGridConfig};
 use inerf_mlp::fp16::f32_to_f16_bits;
-use inerf_mlp::{AdamState, Mlp, ParamStore, Precision};
+use inerf_mlp::{Activation, AdamState, Mlp, ParamStore, Precision};
 use inerf_scenes::Dataset;
 use inerf_snapshot::codec::{Reader, Sink};
 use inerf_snapshot::{
@@ -213,36 +218,33 @@ fn encode_param_store<S: Sink>(out: &mut S, store: &ParamStore) {
     }
 }
 
-/// Bytes [`encode_param_store`] writes for `store`.
-fn param_store_bytes(store: &ParamStore) -> usize {
-    let half = if store.precision() == Precision::Fp16 {
-        2
-    } else {
-        0
-    };
-    (4 + half) * store.len()
+/// Bytes [`encode_param_store`] writes for a store of `len` scalars at
+/// `precision`.
+fn param_store_bytes(len: usize, precision: Precision) -> usize {
+    let half = if precision == Precision::Fp16 { 2 } else { 0 };
+    (4 + half) * len
 }
 
-/// Reads [`encode_param_store`] output from `r` straight into `store`,
-/// whose length and precision the payload takes, checking (at fp16) that
-/// the stored working copy matches re-quantization of the masters bit
-/// for bit. On an error `store` holds no usable state.
-fn restore_param_store(r: &mut Reader<'_>, store: &mut ParamStore) -> Result<(), SnapshotError> {
-    let master = r.elems(store.len())?;
-    store.update(|dst| {
-        for (d, le) in dst.iter_mut().zip(master) {
-            *d = f32::from_bits(u32::from_le_bytes(le));
-        }
-    });
-    if store.precision() == Precision::Fp16 {
-        let half = r.elems(store.len())?.map(u16::from_le_bytes);
+/// Reads [`encode_param_store`] output for a store of `len` scalars at
+/// `precision` from `r`, checking (at fp16) that the stored working copy
+/// matches re-quantization of the masters bit for bit.
+fn decode_param_store(
+    r: &mut Reader<'_>,
+    len: usize,
+    precision: Precision,
+) -> Result<ParamStore, SnapshotError> {
+    let master = r.elems(len)?;
+    let master = master.map(|le| f32::from_bits(u32::from_le_bytes(le)));
+    let store = ParamStore::new(precision, master.collect());
+    if precision == Precision::Fp16 {
+        let half = r.elems(len)?.map(u16::from_le_bytes);
         if !half.eq(store.values().iter().map(|&v| f32_to_f16_bits(v))) {
             return Err(SnapshotError::Corrupt(
                 "fp16 working copy does not match re-quantized masters".to_string(),
             ));
         }
     }
-    Ok(())
+    Ok(store)
 }
 
 /// An MLP's stores in layer order, each layer's weights before its bias.
@@ -250,22 +252,17 @@ fn mlp_stores(mlp: &Mlp) -> impl Iterator<Item = &ParamStore> {
     mlp.layers().iter().flat_map(|l| [l.weights(), l.bias()])
 }
 
-fn mlp_bytes(mlp: &Mlp) -> usize {
-    mlp_stores(mlp).map(param_store_bytes).sum()
+/// Scalars of each layer's weight and bias store in an MLP of layer
+/// `widths`, in the order of [`mlp_stores`].
+fn layer_lens(widths: &[usize]) -> impl Iterator<Item = [usize; 2]> + '_ {
+    widths.windows(2).map(|w| [w[0] * w[1], w[1]])
 }
 
 fn mlp_section<'a>(tag: &str, mlp: &'a Mlp) -> Section<'a> {
-    Section::new(tag, mlp_bytes(mlp), move |out| {
+    let store_bytes = |store: &ParamStore| param_store_bytes(store.len(), store.precision());
+    Section::new(tag, mlp_stores(mlp).map(store_bytes).sum(), move |out| {
         mlp_stores(mlp).for_each(|store| encode_param_store(out, store));
     })
-}
-
-fn restore_mlp(r: &mut Reader<'_>, mlp: &mut Mlp) -> Result<(), SnapshotError> {
-    for layer in mlp.layers_mut() {
-        restore_param_store(r, layer.weights_mut())?;
-        restore_param_store(r, layer.bias_mut())?;
-    }
-    Ok(())
 }
 
 /// Writes the step, then the `[m, v, stamp]` records in memory order,
@@ -281,26 +278,33 @@ fn encode_adam<S: Sink>(out: &mut S, adam: &AdamState) {
     });
 }
 
-fn adam_bytes(adam: &AdamState) -> usize {
-    8 + ADAM_RECORD_BYTES * adam.records().len()
+/// Bytes [`encode_adam`] writes for `n` parameters.
+fn adam_bytes(n: usize) -> usize {
+    8 + ADAM_RECORD_BYTES * n
 }
 
 fn adam_section<'a>(tag: &str, adam: &'a AdamState) -> Section<'a> {
-    Section::new(tag, adam_bytes(adam), move |out| encode_adam(out, adam))
+    let len = adam_bytes(adam.records().len());
+    Section::new(tag, len, move |out| encode_adam(out, adam))
 }
 
-/// Reads [`encode_adam`] output straight into `adam`, whose parameter
-/// count the payload takes; the mode and learning rate stay `adam`'s.
-fn restore_adam(r: &mut Reader<'_>, adam: &mut AdamState) -> Result<(), SnapshotError> {
+/// Reads [`encode_adam`] output for `n` parameters into a state at
+/// `learning_rate`, lazy or dense: the mode and the rate are the
+/// layout's, not the file's.
+fn decode_adam(
+    r: &mut Reader<'_>,
+    n: usize,
+    learning_rate: f32,
+    lazy: bool,
+) -> Result<AdamState, SnapshotError> {
     let t = r.u64()?;
-    let records = r.elems::<ADAM_RECORD_BYTES>(adam.records().len())?;
+    let records = r.elems::<ADAM_RECORD_BYTES>(n)?;
     let words = records.map(|le| {
         std::array::from_fn(|i| {
             u32::from_le_bytes([le[4 * i], le[4 * i + 1], le[4 * i + 2], le[4 * i + 3]])
         })
     });
-    adam.restore(words, t);
-    Ok(())
+    Ok(AdamState::from_records(words, t, learning_rate, lazy))
 }
 
 /// Cell-bit words of an occupancy grid of `resolution` cells per axis.
@@ -363,7 +367,7 @@ fn expect_len(len: usize, want: usize) -> Result<(), SnapshotError> {
 /// that the section holds the `len` bytes the writer declares; a
 /// `Corrupt` error names the section.
 fn restore_section<'a, T>(
-    snap: &'a Snapshot,
+    snap: &'a Snapshot<'_>,
     tag: &str,
     len: usize,
     decode: impl FnOnce(&mut Reader<'a>) -> Result<T, SnapshotError>,
@@ -378,6 +382,67 @@ fn in_section(tag: &str, err: SnapshotError) -> SnapshotError {
     match err {
         SnapshotError::Corrupt(msg) => SnapshotError::Corrupt(format!("section `{tag}`: {msg}")),
         other => other,
+    }
+}
+
+/// A restored model's source: a checkpoint's sections, each refused
+/// unless it is exactly as long as the layout declares, then decoded
+/// straight into the part it holds.
+struct Sections<'s, 'a>(&'s Snapshot<'a>);
+
+/// Sections of `group`: its stores' and its optimizer state's.
+fn group_tags(group: Group) -> [&'static str; 2] {
+    match group {
+        Group::Grid => [tag::GRID, tag::ADAM_GRID],
+        Group::Density => [tag::MLP_DENSITY, tag::ADAM_DENSITY],
+        Group::Color => [tag::MLP_COLOR, tag::ADAM_COLOR],
+    }
+}
+
+impl ModelSource for Sections<'_, '_> {
+    type Error = SnapshotError;
+
+    fn grid(
+        &self,
+        config: HashGridConfig,
+        precision: Precision,
+    ) -> Result<HashGrid, SnapshotError> {
+        let n = config.parameter_count();
+        let len = param_store_bytes(n, precision);
+        let store = restore_section(self.0, tag::GRID, len, |r| {
+            decode_param_store(r, n, precision)
+        })?;
+        Ok(HashGrid::from_store(config, store))
+    }
+
+    fn mlp(
+        &self,
+        group: Group,
+        widths: &[usize],
+        (hidden, output): (Activation, Activation),
+        precision: Precision,
+    ) -> Result<Mlp, SnapshotError> {
+        let store_bytes = |n| param_store_bytes(n, precision);
+        let len = layer_lens(widths).flatten().map(store_bytes).sum();
+        let stores = restore_section(self.0, group_tags(group)[0], len, |r| {
+            let mut decode = |n| decode_param_store(r, n, precision);
+            layer_lens(widths)
+                .map(|[weights, bias]| Ok([decode(weights)?, decode(bias)?]))
+                .collect()
+        })?;
+        Ok(Mlp::from_stores(widths, hidden, output, stores))
+    }
+
+    fn adam(
+        &self,
+        group: Group,
+        n: usize,
+        lr: f32,
+        lazy: bool,
+    ) -> Result<AdamState, SnapshotError> {
+        restore_section(self.0, group_tags(group)[1], adam_bytes(n), |r| {
+            decode_adam(r, n, lr, lazy)
+        })
     }
 }
 
@@ -413,9 +478,13 @@ impl Trainer<IngpModel> {
                 words.chain(self.rng.state()).for_each(|w| out.put_u64(w));
             }),
             occupancy,
-            Section::new(tag::GRID, param_store_bytes(grid), move |out| {
-                encode_param_store(out, grid);
-            }),
+            Section::new(
+                tag::GRID,
+                param_store_bytes(grid.len(), grid.precision()),
+                move |out| {
+                    encode_param_store(out, grid);
+                },
+            ),
             mlp_section(tag::MLP_DENSITY, model.density_mlp()),
             mlp_section(tag::MLP_COLOR, model.color_mlp()),
             adam_section(tag::ADAM_GRID, grid_adam),
@@ -432,7 +501,7 @@ impl Trainer<IngpModel> {
     /// neutral — the same sync every render/eval already performs), so
     /// the captured state needs no touch-stamp bookkeeping: after the
     /// sync every Adam stamp equals the global step.
-    pub fn capture_snapshot(&mut self) -> Snapshot {
+    pub fn capture_snapshot(&mut self) -> Snapshot<'static> {
         self.model.sync_parameters();
         Snapshot::from_sections(&self.sections())
     }
@@ -496,14 +565,19 @@ impl Trainer<IngpModel> {
         Self::resume_from_io(&StdIo::new(dir.into()), config)
     }
 
-    /// [`Trainer::resume_from`] over any [`SnapshotIo`] backend.
+    /// [`Trainer::resume_from`] over any [`SnapshotIo`] backend. The
+    /// newest file is read once and restored from where the backend holds
+    /// it, with no copy of its bytes.
     pub fn resume_from_io(io: &dyn SnapshotIo, config: TrainConfig) -> Result<Self, SnapshotError> {
         let (_, snap) = load_latest(io)?;
         Self::restore_snapshot(&snap, config)
     }
 
     /// Rebuilds a trainer from a decoded snapshot, bit-exactly.
-    pub fn restore_snapshot(snap: &Snapshot, config: TrainConfig) -> Result<Self, SnapshotError> {
+    pub fn restore_snapshot(
+        snap: &Snapshot<'_>,
+        config: TrainConfig,
+    ) -> Result<Self, SnapshotError> {
         let (stored_train, model_config) =
             restore_section(snap, tag::CONFIG, CONFIG_BYTES, decode_configs)?;
         if stored_train != config {
@@ -512,24 +586,9 @@ impl Trainer<IngpModel> {
             )));
         }
 
-        // Rebuild the model skeleton (layout, scratch, touch tracking,
-        // lazy mode, learning rates) from the stored config, then
-        // overwrite every parameter and optimizer record with the
-        // snapshot bits, each section sized by that skeleton.
-        let mut model = IngpModel::for_config(model_config, &config, 0);
-
-        let grid = model.grid_mut().parameter_store_mut();
-        restore_section(snap, tag::GRID, param_store_bytes(grid), |r| {
-            restore_param_store(r, grid)
-        })?;
-        let (density, color) = model.mlps_mut();
-        for (section, mlp) in [(tag::MLP_DENSITY, density), (tag::MLP_COLOR, color)] {
-            restore_section(snap, section, mlp_bytes(mlp), |r| restore_mlp(r, mlp))?;
-        }
-        let sections = [tag::ADAM_GRID, tag::ADAM_DENSITY, tag::ADAM_COLOR];
-        for (adam, section) in model.adam_states_mut().into_iter().zip(sections) {
-            restore_section(snap, section, adam_bytes(adam), |r| restore_adam(r, adam))?;
-        }
+        // The model the config section describes, each part built once
+        // from its section.
+        let model = IngpModel::assemble(model_config, &config, &Sections(snap))?;
 
         let [steps, points_queried, rng @ ..] =
             restore_section(snap, tag::TRAINER, TRAINER_BYTES, |r| {
@@ -571,13 +630,13 @@ mod tests {
     }
 
     /// `payload` as section `tag` of a one-section snapshot.
-    fn one_section(tag: &str, payload: Vec<u8>) -> Snapshot {
+    fn one_section(tag: &str, payload: Vec<u8>) -> Snapshot<'static> {
         let mut snap = Snapshot::new();
         snap.push(tag, payload);
         snap
     }
 
-    fn is_corrupt_in(res: Result<(), SnapshotError>, tag: &str) -> bool {
+    fn is_corrupt_in<T>(res: Result<T, SnapshotError>, tag: &str) -> bool {
         matches!(res, Err(SnapshotError::Corrupt(msg)) if msg.contains(&format!("`{tag}`")))
     }
 
@@ -617,25 +676,32 @@ mod tests {
         let store = ParamStore::new(Precision::Fp16, vec![0.1, -0.2, 0.3]);
         let mut bytes = Vec::new();
         encode_param_store(&mut bytes, &store);
-        assert_eq!(bytes.len(), param_store_bytes(&store));
-        let restore = |bytes: &[u8], target: &mut ParamStore| {
+        assert_eq!(
+            bytes.len(),
+            param_store_bytes(store.len(), store.precision())
+        );
+        let restore = |bytes: &[u8], n: usize, precision: Precision| {
             let snap = one_section(tag::GRID, bytes.to_vec());
-            let len = param_store_bytes(target);
-            restore_section(&snap, tag::GRID, len, |r| restore_param_store(r, target))
+            let len = param_store_bytes(n, precision);
+            restore_section(&snap, tag::GRID, len, |r| {
+                decode_param_store(r, n, precision)
+            })
         };
         // A store of another length or precision declares another layout.
-        let mut longer = ParamStore::new(Precision::Fp16, vec![0.0; 4]);
-        assert!(is_corrupt_in(restore(&bytes, &mut longer), tag::GRID));
-        let mut single = ParamStore::new(Precision::F32, vec![0.0; 3]);
-        assert!(is_corrupt_in(restore(&bytes, &mut single), tag::GRID));
+        assert!(is_corrupt_in(
+            restore(&bytes, 4, Precision::Fp16),
+            tag::GRID
+        ));
+        assert!(is_corrupt_in(restore(&bytes, 3, Precision::F32), tag::GRID));
         // A working copy that is not the re-quantized masters is corrupt.
         let mut flipped = bytes.clone();
         flipped[12] ^= 1;
-        let mut target = ParamStore::new(Precision::Fp16, vec![0.0; 3]);
-        assert!(is_corrupt_in(restore(&flipped, &mut target), tag::GRID));
+        assert!(is_corrupt_in(
+            restore(&flipped, 3, Precision::Fp16),
+            tag::GRID
+        ));
         // Matching expectations round-trip bit-exactly.
-        restore(&bytes, &mut target).unwrap();
-        assert_eq!(target, store);
+        assert_eq!(restore(&bytes, 3, Precision::Fp16).unwrap(), store);
     }
 
     #[test]
@@ -675,26 +741,18 @@ mod tests {
         );
         let mut bytes = Vec::new();
         encode_adam(&mut bytes, &adam);
-        let restore = |target: &mut AdamState| {
+        let restore = |n: usize, learning_rate: f32, lazy: bool| {
             let snap = one_section(tag::ADAM_GRID, bytes.clone());
-            let len = adam_bytes(target);
-            restore_section(&snap, tag::ADAM_GRID, len, |r| restore_adam(r, target))
+            restore_section(&snap, tag::ADAM_GRID, adam_bytes(n), |r| {
+                decode_adam(r, n, learning_rate, lazy)
+            })
         };
-        assert!(is_corrupt_in(
-            restore(&mut AdamState::new(5, 0.01)),
-            tag::ADAM_GRID
-        ));
-        assert!(is_corrupt_in(
-            restore(&mut AdamState::new(3, 0.01)),
-            tag::ADAM_GRID
-        ));
-        let mut restored = AdamState::new(4, 0.01);
-        restored.enable_lazy();
-        restore(&mut restored).unwrap();
+        assert!(is_corrupt_in(restore(5, 0.01, true), tag::ADAM_GRID));
+        assert!(is_corrupt_in(restore(3, 0.01, true), tag::ADAM_GRID));
+        let restored = restore(4, 0.01, true).unwrap();
         assert_eq!(restored, adam);
-        // The mode and the learning rate are the target's, not the file's.
-        let mut dense = AdamState::new(4, 0.5);
-        restore(&mut dense).unwrap();
+        // The mode and the learning rate are the layout's, not the file's.
+        let dense = restore(4, 0.5, false).unwrap();
         assert!(!dense.is_lazy());
         assert_eq!(dense.learning_rate, 0.5);
         assert!(dense.records().eq(adam.records()));

@@ -49,7 +49,7 @@ fn tiny_trainer(precision: Precision, occupancy: bool) -> Trainer<IngpModel> {
 }
 
 /// `snap` with section `tag`'s payload passed through `edit`.
-fn with_section(snap: &Snapshot, tag: &str, edit: impl Fn(&mut Vec<u8>)) -> Snapshot {
+fn with_section(snap: &Snapshot, tag: &str, edit: impl Fn(&mut Vec<u8>)) -> Snapshot<'static> {
     let mut out = Snapshot::new();
     for t in snap.tags() {
         let mut payload = snap.section(&t).unwrap().to_vec();
@@ -144,7 +144,7 @@ fn grid_payload(store: &ParamStore) -> Vec<u8> {
 }
 
 /// A fresh tiny trainer's config, grid store and snapshot.
-fn grid_and_snapshot(fp16: bool) -> (TrainConfig, ParamStore, Snapshot) {
+fn grid_and_snapshot(fp16: bool) -> (TrainConfig, ParamStore, Snapshot<'static>) {
     let precision = if fp16 {
         Precision::Fp16
     } else {

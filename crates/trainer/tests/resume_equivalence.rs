@@ -13,7 +13,7 @@ use inerf_encoding::requests::{RegisterCacheSink, StreamStats};
 use inerf_encoding::CountingSink;
 use inerf_geom::{Aabb, Ray, Vec3};
 use inerf_scenes::{zoo, Dataset, DatasetConfig};
-use inerf_snapshot::{MemIo, SnapshotError};
+use inerf_snapshot::{list_snapshots, snapshot_name, MemIo, SnapshotError, SnapshotIo, StdIo};
 use inerf_trainer::{IngpModel, ModelConfig, OptPath, Precision, TrainConfig, Trainer};
 
 const N: usize = 4;
@@ -103,6 +103,66 @@ fn resume_matches_straight_bitwise_for_every_engine_precision_thread_count_and_o
                 );
             }
         }
+    }
+}
+
+/// Trains N iterations and checkpoints after each of the last three into
+/// `io`, keeping all three.
+fn save_three(ds: &Dataset, cfg: TrainConfig, io: &mut dyn SnapshotIo) {
+    let mut trainer = fresh_trainer(cfg, 1);
+    trainer.train(ds, N - 2);
+    trainer.save_checkpoint_to(io, 3).unwrap();
+    for _ in 0..2 {
+        trainer.train(ds, 1);
+        trainer.save_checkpoint_to(io, 3).unwrap();
+    }
+    let steps: Vec<u64> = (N as u64 - 2..=N as u64).rev().collect();
+    assert_eq!(list_snapshots(io).unwrap(), steps);
+}
+
+/// `file` torn: cut short by a byte (`flip` false), or with one byte
+/// flipped in the middle.
+fn torn(file: &[u8], flip: bool) -> Vec<u8> {
+    let mut bytes = file.to_vec();
+    match flip {
+        true => bytes[file.len() / 2] ^= 0x10,
+        false => drop(bytes.pop()),
+    }
+    bytes
+}
+
+/// Resumes from `io`, whose newest checkpoint (step N) is torn: the resume
+/// falls back to step N - 1, and one iteration brings it to step N.
+fn resume_past_a_torn_file(ds: &Dataset, cfg: TrainConfig, io: &dyn SnapshotIo) -> SecondHalf {
+    let mut trainer = Trainer::resume_from_io(io, cfg).unwrap();
+    assert_eq!(trainer.global_step(), N as u64 - 1);
+    trainer.train(ds, 1);
+    second_half(&mut trainer, ds)
+}
+
+#[test]
+fn a_torn_newest_checkpoint_resumes_from_the_previous_one_bitwise() {
+    let ds = DatasetConfig::tiny().generate(&zoo::scene(zoo::SceneKind::Mic));
+    let cfg = tiny_config(Precision::Fp16, OptPath::Sparse);
+    let reference = straight(&ds, cfg);
+    let name = snapshot_name(N as u64);
+    let dir = std::env::temp_dir().join(format!("inerf-torn-resume-{}", std::process::id()));
+    for flip in [false, true] {
+        // In memory the resume reads the surviving file where it lies.
+        let mut mem = MemIo::default();
+        save_three(&ds, cfg, &mut mem);
+        let file = torn(&mem.files()[&name], flip);
+        mem.insert(&name, file);
+        assert_eq!(resume_past_a_torn_file(&ds, cfg, &mem), reference);
+
+        // On disk it owns the buffer it read the file into.
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut disk = StdIo::new(&dir);
+        save_three(&ds, cfg, &mut disk);
+        let path = dir.join(&name);
+        std::fs::write(&path, torn(&std::fs::read(&path).unwrap(), flip)).unwrap();
+        assert_eq!(resume_past_a_torn_file(&ds, cfg, &disk), reference);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
