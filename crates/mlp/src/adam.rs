@@ -354,20 +354,7 @@ impl AdamState {
     /// Creates Adam state for `n` parameters at `learning_rate`, with the
     /// fixed [`BETA1`], [`BETA2`] and [`EPSILON`].
     pub fn new(n: usize, learning_rate: f32) -> Self {
-        AdamState {
-            state: vec![
-                Moments {
-                    m: 0.0,
-                    v: 0.0,
-                    step: 0
-                };
-                n
-            ],
-            t: 0,
-            lazy: false,
-            bias: BiasTable::default(),
-            learning_rate,
-        }
+        Self::from_records(std::iter::repeat_n([0; 3], n), 0, learning_rate, false)
     }
 
     /// Number of steps taken so far.
