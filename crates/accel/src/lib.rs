@@ -29,10 +29,11 @@
 //!
 //! let mapping = HashTableMapping::paper(MappingScheme::Clustered, 8);
 //! assert_eq!(AccelConfig::FREQUENCY_MHZ, 200);
-//! assert!(mapping.bank_of_level(0) == mapping.bank_of_level(4)); // clustered coarse levels
+//! assert!(mapping.banks_used() < 16); // coarse levels share a bank
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod config;

@@ -116,7 +116,7 @@ impl HashTableMapping {
     /// # Panics
     ///
     /// Panics if `level` exceeds the configured level count.
-    pub fn bank_of_level(&self, level: u32) -> u32 {
+    fn bank_of_level(&self, level: u32) -> u32 {
         self.assignment[level as usize]
     }
 
@@ -137,6 +137,7 @@ impl HashTableMapping {
     /// streams never fight over a subarray. Within a level's share, the
     /// spread policy places sequential rows round-robin across its
     /// subarrays; the no-spread ablation packs them sequentially instead.
+    // inerf-lint: allow(pub-reach) -- test support: the root tests/properties.rs::mapping_addresses_always_legal checks every address it computes
     pub fn map_entry(&self, level: u32, entry: u32, dram: &DramConfig) -> PhysAddr {
         let bank = self.bank_of_level(level);
         let co_resident = self.assignment.iter().filter(|&&b| b == bank).count() as u32;
@@ -504,9 +505,13 @@ impl<C: RequestConsumer> TraceSink for RequestSink<C> {
 mod tests {
     use super::*;
     use crate::testutil::ray_points;
-    use inerf_encoding::requests::EntryLayout;
+    use inerf_encoding::requests::{EntryLayout, ROW_BYTES};
     use inerf_encoding::{BufferSink, HashFunction, HashGrid, HashGridConfig};
     use inerf_geom::Vec3;
+
+    fn entries_per_row(layout: EntryLayout) -> u32 {
+        ROW_BYTES / layout.entry_bytes()
+    }
 
     #[test]
     fn clustered_assignment_matches_paper_groups() {
@@ -548,7 +553,7 @@ mod tests {
         let dram = DramConfig::paper(8);
         // Entries 0 and 256 are in consecutive rows → different subarrays.
         let a = m.map_entry(12, 0, &dram);
-        let b = m.map_entry(12, EntryLayout::default().entries_per_row(), &dram);
+        let b = m.map_entry(12, entries_per_row(EntryLayout::default()), &dram);
         assert_eq!(a.bank, b.bank);
         assert_ne!(
             (a.subarray, a.row),
@@ -563,7 +568,7 @@ mod tests {
         let m = HashTableMapping::paper(MappingScheme::ClusteredNoSpread, 8);
         let dram = DramConfig::paper(8);
         let a = m.map_entry(12, 0, &dram);
-        let b = m.map_entry(12, EntryLayout::default().entries_per_row(), &dram);
+        let b = m.map_entry(12, entries_per_row(EntryLayout::default()), &dram);
         assert_eq!(a.subarray, b.subarray);
         assert_eq!(b.row, a.row + 1);
     }
@@ -683,8 +688,8 @@ mod tests {
         assert_eq!(fp16.layout().entry_bytes(), 4);
         assert_eq!(f32m.layout().entry_bytes(), 8);
         assert_eq!(
-            f32m.layout().entries_per_row(),
-            fp16.layout().entries_per_row() / 2
+            entries_per_row(f32m.layout()),
+            entries_per_row(fp16.layout()) / 2
         );
         // On the same lookup stream, wider entries scatter cubes over more
         // rows, so the request stream grows.
@@ -767,7 +772,7 @@ mod tests {
     fn table_driven_address_equals_map_entry() {
         for (m, dram) in configurations() {
             let stream = RequestStream::new(&m, &dram, false);
-            let per_row = m.layout().entries_per_row();
+            let per_row = entries_per_row(m.layout());
             let slots = LevelSlot::all(&m);
             // Every table row, at a column that varies row by row.
             for level in 0..slots.len() {
@@ -837,7 +842,7 @@ mod tests {
         let geometries = fig9_geometries();
         assert_eq!(geometries.len(), 42);
         for (m, dram) in geometries {
-            let per_row = m.layout().entries_per_row();
+            let per_row = entries_per_row(m.layout());
             let first_entry = |level, row_idx| m.map_entry(level, row_idx * per_row, &dram);
             let mut rows = Vec::new();
             for level in 0..m.assignment.len() as u32 {
@@ -1057,7 +1062,7 @@ mod tests {
                 // serves every seed.
                 let mut stream = RequestStream::new(&m, &dram, write_back);
                 for seed in 0..streams {
-                    let batches = repeating_row_batches(seed, m.layout().entries_per_row());
+                    let batches = repeating_row_batches(seed, entries_per_row(m.layout()));
                     let mut out = Vec::new();
                     for batch in &batches {
                         for cube in batch {

@@ -58,7 +58,8 @@ impl ParallelismPlan {
 
     /// Ablation: parameter parallelism everywhere (activations shuttle
     /// between banks inside the MLP).
-    pub const fn all_parameter() -> Self {
+    #[cfg(test)]
+    const fn all_parameter() -> Self {
         ParallelismPlan {
             ht: ParallelismKind::Parameter,
             mlp: ParallelismKind::Parameter,

@@ -4,7 +4,7 @@ use inerf_geom::Vec3;
 
 /// `rays × samples` points walking along straight rays at depth `z` —
 /// the ray-first streaming order.
-pub fn ray_points(rays: usize, samples: usize, z: f32) -> Vec<Vec3> {
+pub(crate) fn ray_points(rays: usize, samples: usize, z: f32) -> Vec<Vec3> {
     let mut points = Vec::with_capacity(rays * samples);
     for r in 0..rays {
         let y = 0.05 + 0.9 * r as f32 / rays as f32;

@@ -32,7 +32,7 @@ pub struct QuestProPrediction {
 }
 
 /// Quest Pro battery capacity in joules (20.58 Wh).
-pub const QUEST_PRO_BATTERY_J: f64 = 20.58 * 3600.0;
+const QUEST_PRO_BATTERY_J: f64 = 20.58 * 3600.0;
 
 /// Predicts per-scene training cost on the Quest Pro and compares it with
 /// the NMP accelerator (`accel_seconds`/`accel_joules` from a Fig. 11 run;

@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 /// The subarray counts swept in Tab. III / Fig. 9.
-pub const SUBARRAY_SWEEP: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
+const SUBARRAY_SWEEP: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// The Fig. 9 surface.
 #[derive(Debug, Clone, Serialize)]

@@ -35,21 +35,21 @@ pub fn tab1() -> String {
 
 /// One Tab. II row in MB.
 #[derive(Debug, Clone)]
-pub struct Tab2Row {
+struct Tab2Row {
     /// Step label ("MLP" aggregates MLPd→MLPc as in the paper).
-    pub step: String,
+    step: String,
     /// Parameter megabytes.
-    pub param_mb: f64,
+    param_mb: f64,
     /// Input megabytes.
-    pub input_mb: f64,
+    input_mb: f64,
     /// Output megabytes.
-    pub output_mb: f64,
+    output_mb: f64,
     /// Peak intermediate megabytes.
-    pub intermediate_mb: f64,
+    intermediate_mb: f64,
 }
 
 /// Computes Tab. II for the paper batch size.
-pub fn tab2_rows() -> Vec<Tab2Row> {
+fn tab2_rows() -> Vec<Tab2Row> {
     let model = ModelConfig::paper(HashFunction::Morton);
     let points = super::fig1::PAPER_BATCH;
     // Tab. II stores entries and activations as fp16.

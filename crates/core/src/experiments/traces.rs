@@ -7,7 +7,6 @@
 //! probes, as the occupancy grid itself must be maintained). The result is
 //! the scene-specific access stream behind the per-scene spread in Fig. 11.
 
-use inerf_encoding::trace::CubeLookup;
 use inerf_encoding::{HashGrid, TraceSink};
 use inerf_geom::{Camera, Pose};
 use inerf_scenes::{RadianceField, Scene};
@@ -21,9 +20,6 @@ pub struct SceneTraceStats {
     pub points: u64,
     /// Fraction of sampled points that were in occupied space.
     pub occupancy: f64,
-    /// Fraction of consecutive kept points landing in distinct finest-level
-    /// cubes — a spatial-spread measure in `[0, 1]`.
-    pub fine_spread: f64,
 }
 
 /// Streams the scene's access stream into `sink`, sampling orbit rays
@@ -49,11 +45,6 @@ pub fn scene_trace_into(
     let mut kept = 0u64;
     let mut occupied = 0u64;
     let mut total = 0u64;
-    let mut fine_changes = 0u64;
-    let mut sink = FinestCube {
-        inner: sink,
-        cube_id: None,
-    };
     let center = scene.bounds.center();
     let max_rays = 64 * target_points.div_ceil(samples).max(1);
     let mut r = 0usize;
@@ -76,9 +67,7 @@ pub fn scene_trace_into(
             }
             occupied += 1;
             kept += 1;
-            let previous = sink.cube_id;
-            grid.stream_point(scene.bounds.normalize(p), &mut sink);
-            fine_changes += u64::from(sink.cube_id != previous);
+            grid.stream_point(scene.bounds.normalize(p), sink);
         }
     }
     SceneTraceStats {
@@ -88,29 +77,6 @@ pub fn scene_trace_into(
         } else {
             occupied as f64 / total as f64
         },
-        fine_spread: if kept == 0 {
-            0.0
-        } else {
-            fine_changes as f64 / kept as f64
-        },
-    }
-}
-
-/// Forwards a point stream to `inner`, keeping the `cube_id` of the last
-/// cube pushed: a point's finest level.
-struct FinestCube<'a, S: ?Sized> {
-    inner: &'a mut S,
-    cube_id: Option<u64>,
-}
-
-impl<S: TraceSink + ?Sized> TraceSink for FinestCube<'_, S> {
-    fn push_cube(&mut self, cube: &CubeLookup) {
-        self.cube_id = Some(cube.cube_id);
-        self.inner.push_cube(cube);
-    }
-
-    fn end_point(&mut self) {
-        self.inner.end_point();
     }
 }
 
@@ -145,18 +111,6 @@ mod tests {
         assert!(st.points >= 400, "kept {} points", st.points);
         assert_eq!(trace.point_count() as u64, st.points);
         assert!(st.occupancy > 0.0 && st.occupancy < 1.0);
-        // The spread counts the kept points whose finest cube differs from
-        // the previous point's, as read back from the streamed cubes.
-        let levels = grid().config().levels as usize;
-        let finest = trace
-            .cubes()
-            .chunks_exact(levels)
-            .map(|p| p[levels - 1].cube_id);
-        let changes = finest.fold((0u64, None), |(n, prev), id| {
-            (n + u64::from(prev != Some(id)), Some(id))
-        });
-        assert_eq!(st.fine_spread, changes.0 as f64 / st.points as f64);
-        assert!((0.0..=1.0).contains(&st.fine_spread));
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl SubarrayState {
 
     /// Classifies how serving `row` will interact with the row buffer,
     /// without mutating state.
-    pub fn classify(&self, row: u32) -> RowOutcome {
+    fn classify(&self, row: u32) -> RowOutcome {
         match self.open_row {
             Some(open) if open == row => RowOutcome::Hit,
             Some(_) => RowOutcome::Conflict,

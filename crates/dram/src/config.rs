@@ -56,7 +56,7 @@ impl DramConfig {
     /// Banks of the die (LPDDR4: 16 physical banks, one rank).
     pub const BANKS: u32 = 16;
     /// Per-bank capacity in bytes (128 MB).
-    pub const BANK_BYTES: u64 = 128 * 1024 * 1024;
+    const BANK_BYTES: u64 = 128 * 1024 * 1024;
     /// Row-buffer (page) size in bytes.
     pub const ROW_BYTES: u32 = 1024;
     /// Command-clock frequency in MHz (LPDDR4-2400: 1200 MHz clock).

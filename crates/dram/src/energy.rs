@@ -16,15 +16,15 @@ pub struct EnergyModel;
 
 impl EnergyModel {
     /// One ACT (row open into local row buffer).
-    pub const ACT_PJ: f64 = 900.0;
+    const ACT_PJ: f64 = 900.0;
     /// One PRE.
-    pub const PRE_PJ: f64 = 350.0;
+    const PRE_PJ: f64 = 350.0;
     /// One read burst (32 B at the bank).
-    pub const READ_PJ: f64 = 150.0;
+    const READ_PJ: f64 = 150.0;
     /// One write burst.
-    pub const WRITE_PJ: f64 = 160.0;
+    const WRITE_PJ: f64 = 160.0;
     /// Background power per bank in milliwatts (standby + refresh share).
-    pub const BACKGROUND_MW_PER_BANK: f64 = 1.5;
+    const BACKGROUND_MW_PER_BANK: f64 = 1.5;
 
     /// Total energy of a finished simulation, in picojoules: the commands'
     /// dynamic energy plus the background draw of the die's

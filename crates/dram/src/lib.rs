@@ -24,6 +24,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod address;

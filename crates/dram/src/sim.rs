@@ -167,7 +167,8 @@ impl DramSim {
     }
 
     /// Enables the per-command log (used by protocol-legality tests).
-    pub fn with_command_log(mut self) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_command_log(mut self) -> Self {
         self.keep_log = true;
         self
     }
@@ -175,7 +176,8 @@ impl DramSim {
     /// The issued-command log (empty unless [`DramSim::with_command_log`]).
     /// Unlike the timing state, the log survives [`DramSim::drain_stats`]
     /// (it is a diagnostic artifact).
-    pub fn command_log(&self) -> &[CommandRecord] {
+    #[cfg(test)]
+    pub(crate) fn command_log(&self) -> &[CommandRecord] {
         &self.log
     }
 

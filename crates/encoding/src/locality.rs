@@ -15,7 +15,7 @@ const DISTANCE_BUCKET_BOUNDS: [u32; 4] = [4, 16, 256, 5000];
 
 /// Buckets a single index distance per Fig. 6.
 #[inline]
-pub fn distance_bucket(dist: u32) -> usize {
+fn distance_bucket(dist: u32) -> usize {
     DISTANCE_BUCKET_BOUNDS
         .iter()
         .position(|&b| dist <= b)
@@ -24,7 +24,7 @@ pub fn distance_bucket(dist: u32) -> usize {
 
 /// The 12 edges of a cube expressed as corner-index pairs (corners that
 /// differ in exactly one coordinate bit).
-pub fn cube_edges() -> impl Iterator<Item = (usize, usize)> {
+fn cube_edges() -> impl Iterator<Item = (usize, usize)> {
     (0..8usize).flat_map(|c| {
         [1usize, 2, 4].into_iter().filter_map(move |bit| {
             if c & bit == 0 {

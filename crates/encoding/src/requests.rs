@@ -15,7 +15,7 @@ use crate::trace::CubeLookup;
 /// Default bytes per hash-table entry (one 32-bit vector of two FP16
 /// features, paper Sec. I) — the paper's hardware storage width, kept as
 /// the `const` default so precision-agnostic call sites stay unchanged.
-pub const ENTRY_BYTES: u32 = 4;
+const ENTRY_BYTES: u32 = 4;
 /// DRAM row-buffer size in bytes (LPDDR4, paper Sec. II-C).
 pub const ROW_BYTES: u32 = 1024;
 
@@ -62,8 +62,8 @@ impl EntryLayout {
     }
 
     /// Entries per DRAM row at this width.
-    #[inline]
-    pub const fn entries_per_row(self) -> u32 {
+    #[cfg(test)]
+    const fn entries_per_row(self) -> u32 {
         1 << self.row_shift
     }
 
@@ -90,7 +90,7 @@ impl EntryLayout {
 
     /// Number of distinct DRAM rows the eight vertices of `cube` occupy —
     /// the row requests needed to gather one cube with no reuse.
-    pub fn cube_row_requests(self, cube: &CubeLookup) -> u32 {
+    fn cube_row_requests(self, cube: &CubeLookup) -> u32 {
         self.cube_rows(cube).1.count_ones()
     }
 
@@ -166,13 +166,6 @@ impl LevelStreamStats {
 pub struct StreamStats {
     /// One entry per hash-table level.
     pub levels: Vec<LevelStreamStats>,
-}
-
-impl StreamStats {
-    /// Total row requests over all levels.
-    pub fn total_row_requests(&self) -> u64 {
-        self.levels.iter().map(|l| l.row_requests).sum()
-    }
 }
 
 /// Streaming register-cache replay: consumes the trace bus online and

@@ -379,7 +379,7 @@ impl HashGrid {
 
     /// Records the eight corner entries of every level of `p` into the
     /// touched set (deduplicated). This is exactly the read set of
-    /// [`HashGrid::encode_into`] for `p` — a superset of the backward
+    /// `HashGrid::encode_into` for `p` — a superset of the backward
     /// scatter's write set, which skips zero-weight corners. No-op when
     /// tracking is disabled.
     pub fn collect_touched_point(&mut self, p: Vec3) {
@@ -533,7 +533,8 @@ impl HashGrid {
 
     /// This iteration's touched entry ids (sorted after
     /// [`HashGrid::finalize_touched`], collection order before).
-    pub fn touched_entries(&self) -> &[u32] {
+    #[cfg(test)]
+    fn touched_entries(&self) -> &[u32] {
         match &self.touch {
             Some(tr) => &tr.entries,
             None => &[],
@@ -601,7 +602,7 @@ impl HashGrid {
     /// # Panics
     ///
     /// Panics if `out.len() != feature_dim()`.
-    pub fn encode_into(&self, p: Vec3, out: &mut [f32]) {
+    fn encode_into(&self, p: Vec3, out: &mut [f32]) {
         assert_eq!(
             out.len(),
             self.config.feature_dim(),
@@ -648,7 +649,7 @@ impl HashGrid {
     ///
     /// `cache` must have been sized with [`HashGrid::prepare_cache`] for
     /// the whole batch. Rows are bitwise-identical to
-    /// [`HashGrid::encode_into`]. Callers are expected to run this inside
+    /// `HashGrid::encode_into`. Callers are expected to run this inside
     /// an [`inerf_simd::vectorize`] frame (the fused MLP driver does); it
     /// is dispatch-free itself.
     ///
@@ -686,7 +687,7 @@ impl HashGrid {
     /// lane_stride` GEMM tile and keeps nothing else — no row-major feature
     /// matrix and no [`LookupCache`], which only the backward pass reads.
     /// Lane `p` of row `i` is bitwise feature `i` of
-    /// [`HashGrid::encode_into`] on `points[p]`; lanes past `points.len()`
+    /// `HashGrid::encode_into` on `points[p]`; lanes past `points.len()`
     /// are left as they were. Dispatch-free like
     /// [`HashGrid::encode_tile_bt_cached`].
     ///
@@ -871,7 +872,7 @@ impl HashGrid {
     /// [`LookupCache`]) bottoms out here, so their values are
     /// bitwise-identical by construction — and, every sum being
     /// corner-ordered with the reference's zero-weight skip, bitwise
-    /// [`HashGrid::encode_into`]. Feature `k` of level `l0 + l` lands at
+    /// `HashGrid::encode_into`. Feature `k` of level `l0 + l` lands at
     /// `dst[(l * F + k) * stride]` — stride 1 for a row, the lane stride to
     /// write straight into a GEMM tile.
     #[inline(always)]
@@ -1082,7 +1083,7 @@ mod tests {
         HashGrid::new(HashGridConfig::tiny(hash), 7)
     }
 
-    /// The scalar reference rows: [`HashGrid::encode_into`] point by point.
+    /// The scalar reference rows: `HashGrid::encode_into` point by point.
     fn encode_rows(g: &HashGrid, points: &[Vec3]) -> Vec<f32> {
         let dim = g.config().feature_dim();
         let mut rows = vec![0.0; points.len() * dim];

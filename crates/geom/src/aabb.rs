@@ -88,12 +88,6 @@ impl Aabb {
         )
     }
 
-    /// Inverse of [`Aabb::normalize`].
-    #[inline]
-    pub fn denormalize(&self, u: Vec3) -> Vec3 {
-        self.min + u.mul_elem(self.extent())
-    }
-
     /// Slab-test ray intersection.
     ///
     /// Returns `None` if the ray misses the box or the box is entirely behind
@@ -148,7 +142,7 @@ mod tests {
         let b = Aabb::new(Vec3::splat(-2.0), Vec3::new(2.0, 4.0, 6.0));
         let p = Vec3::new(0.0, 1.0, 2.0);
         let u = b.normalize(p);
-        let q = b.denormalize(u);
+        let q = b.min + u.mul_elem(b.extent());
         assert!((p - q).length() < 1e-5);
     }
 

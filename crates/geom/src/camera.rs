@@ -23,7 +23,7 @@ impl Pose {
     ///
     /// Panics in debug builds if `eye == target` or `up` is parallel to the
     /// view direction.
-    pub fn look_at(eye: Vec3, target: Vec3, up_hint: Vec3) -> Self {
+    fn look_at(eye: Vec3, target: Vec3, up_hint: Vec3) -> Self {
         let forward = (target - eye).normalized();
         let right = forward.cross(up_hint).normalized();
         let up = right.cross(forward);
@@ -55,7 +55,8 @@ impl Pose {
 ///
 /// ```
 /// use inerf_geom::{Camera, Pose, Vec3};
-/// let pose = Pose::look_at(Vec3::new(0.0, 0.0, -4.0), Vec3::ZERO, Vec3::new(0.0, 1.0, 0.0));
+/// // Four units down -z, looking at the origin.
+/// let pose = Pose::orbit(Vec3::ZERO, 4.0, -std::f32::consts::FRAC_PI_2, 0.0);
 /// let cam = Camera::new(pose, 64, 64, 50.0_f32.to_radians());
 /// let center_ray = cam.ray_for_pixel(32, 32);
 /// // The centre pixel looks (approximately) straight ahead.

@@ -123,7 +123,7 @@ impl GridLevel {
 /// # Panics
 ///
 /// Panics if `levels < 2` or `n_max < n_min`.
-pub fn growth_factor(n_min: u32, n_max: u32, levels: u32) -> f64 {
+fn growth_factor(n_min: u32, n_max: u32, levels: u32) -> f64 {
     assert!(levels >= 2, "growth factor needs at least two levels");
     assert!(n_max >= n_min, "n_max must be >= n_min");
     (((n_max as f64).ln() - (n_min as f64).ln()) / (levels - 1) as f64).exp()

@@ -36,8 +36,8 @@ pub const fn spread_bits(v: u32) -> u64 {
 }
 
 /// Inverse of [`spread_bits`]: gathers every third bit back together.
-#[inline]
-pub const fn compact_bits(v: u64) -> u32 {
+#[cfg(test)]
+const fn compact_bits(v: u64) -> u32 {
     let mut x = v & 0x1249249249249249;
     x = (x | (x >> 2)) & 0x10c30c30c30c30c3;
     x = (x | (x >> 4)) & 0x100f00f00f00f00f;
@@ -56,9 +56,9 @@ pub const fn compact_bits(v: u64) -> u32 {
 /// # Example
 ///
 /// ```
-/// use inerf_geom::morton::{morton_encode, morton_decode};
-/// let code = morton_encode(3, 5, 9);
-/// assert_eq!(morton_decode(code), (3, 5, 9));
+/// use inerf_geom::morton::morton_encode;
+/// // x = 0b11 -> bits 0, 3; y = 0b101 -> bits 1, 7; z = 0b1001 -> bits 2, 11.
+/// assert_eq!(morton_encode(3, 5, 9), 0b1000_1000_1111);
 /// ```
 #[inline]
 pub const fn morton_encode(x: u32, y: u32, z: u32) -> u64 {
@@ -66,8 +66,8 @@ pub const fn morton_encode(x: u32, y: u32, z: u32) -> u64 {
 }
 
 /// Decodes a 3D Morton code back into `(x, y, z)`.
-#[inline]
-pub const fn morton_decode(code: u64) -> (u32, u32, u32) {
+#[cfg(test)]
+const fn morton_decode(code: u64) -> (u32, u32, u32) {
     (
         compact_bits(code),
         compact_bits(code >> 1),

@@ -9,8 +9,8 @@ use std::ops::{Add, AddAssign, Div, Index, Mul, Neg, Sub};
 /// ```
 /// use inerf_geom::Vec3;
 /// let v = Vec3::new(3.0, 0.0, 4.0);
-/// assert_eq!(v.length(), 5.0);
-/// assert_eq!(v.normalized().length(), 1.0);
+/// assert_eq!(v.length_squared(), 25.0);
+/// assert_eq!(v.normalized(), Vec3::new(0.6, 0.0, 0.8));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
@@ -66,7 +66,7 @@ impl Vec3 {
 
     /// Euclidean length.
     #[inline]
-    pub fn length(self) -> f32 {
+    pub(crate) fn length(self) -> f32 {
         self.dot(self).sqrt()
     }
 
@@ -89,8 +89,8 @@ impl Vec3 {
     }
 
     /// Component-wise product.
-    #[inline]
-    pub fn mul_elem(self, rhs: Vec3) -> Vec3 {
+    #[cfg(test)]
+    pub(crate) fn mul_elem(self, rhs: Vec3) -> Vec3 {
         Vec3::new(self.x * rhs.x, self.y * rhs.y, self.z * rhs.z)
     }
 

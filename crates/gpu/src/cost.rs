@@ -6,7 +6,7 @@ use inerf_trainer::{ModelConfig, Precision};
 
 /// Fraction of total training time outside the six bottleneck steps
 /// (Fig. 1(b): the bottleneck steps cover 76.4%, "other" is the rest).
-pub const OTHER_FRACTION: f64 = 0.236;
+const OTHER_FRACTION: f64 = 0.236;
 
 /// GPU cache-transaction size for scattered gathers (one L2 line per
 /// hash-table entry touched on a miss).
@@ -27,7 +27,7 @@ const ISSUE_SLOT_OVERHEAD: f64 = 4.0;
 /// Paper-measured achieved DRAM utilization per step on the edge GPU
 /// (Sec. II-B: HT 61.3%, MLPd/MLPc 47.5%, MLPd_b/MLPc_b 73.7%; HT_b is
 /// reported "relatively low" from write-after-read idleness).
-pub fn measured_dram_utilization(step: Step) -> f64 {
+fn measured_dram_utilization(step: Step) -> f64 {
     match step {
         Step::Ht => 0.613,
         Step::MlpD | Step::MlpC => 0.475,
@@ -42,7 +42,7 @@ pub fn measured_dram_utilization(step: Step) -> f64 {
 /// mismatch the paper highlights manifests on GPUs as a 64 B line per 4 B
 /// entry); MLP steps spill activations through DRAM because the working set
 /// exceeds the edge L2 (Tab. II vs Tab. I).
-pub fn step_traffic_bytes(model: &ModelConfig, step: Step, points: u64) -> u64 {
+fn step_traffic_bytes(model: &ModelConfig, step: Step, points: u64) -> u64 {
     let sizes = step_sizes_at(model, step, points, INGP_STORAGE);
     let entry_touches = points * model.grid.levels as u64 * 8;
     match step {

@@ -4,8 +4,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::context::FileContext;
-use crate::rules::{self, FileClass, UNUSED_WAIVER, WAIVER_SYNTAX};
-use crate::waiver;
+use crate::rules::{self, FileClass, RawFinding, UNUSED_WAIVER, WAIVER_SYNTAX};
+use crate::{reach, waiver};
 
 /// One reported finding, after waiver matching.
 #[derive(Debug, Clone)]
@@ -60,15 +60,25 @@ impl Report {
 /// Skipped subtrees: `target`, `.git`, and any directory named `fixtures`
 /// (the linter's own test corpus is made of seeded violations).
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
-    let mut report = Report::default();
-    for rel in &files {
+    let mut rels = Vec::new();
+    collect_rs_files(root, root, &mut rels)?;
+    rels.sort();
+    let mut files = Vec::with_capacity(rels.len());
+    for rel in &rels {
         let src =
             fs::read_to_string(root.join(rel)).map_err(|e| format!("{}: {e}", rel.display()))?;
-        let rel_str = rel_to_slash(rel);
-        lint_source(&rel_str, &src, &mut report);
+        files.push((
+            FileClass::from_rel(&rel_to_slash(rel)),
+            FileContext::new(&src),
+        ));
+    }
+    let mut raw: Vec<Vec<RawFinding>> = vec![Vec::new(); files.len()];
+    for (fi, f) in reach::pub_reach(&files) {
+        raw[fi].push(f);
+    }
+    let mut report = Report::default();
+    for ((class, ctx), extra) in files.iter().zip(raw) {
+        lint_file(class, ctx, extra, &mut report);
     }
     report
         .findings
@@ -79,12 +89,24 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     Ok(report)
 }
 
-/// Lints one in-memory file, appending to `report`. Exposed for tests.
+/// Lints one in-memory file with the per-file rules, appending to
+/// `report`. Exposed for tests; `pub-reach` needs the whole workspace.
 pub fn lint_source(rel: &str, src: &str, report: &mut Report) {
-    let class = FileClass::from_rel(rel);
-    let ctx = FileContext::new(src);
-    let (raw, sites) = rules::check_file(&class, &ctx);
-    let (waivers, malformed) = waiver::parse_waivers(&ctx);
+    lint_file(
+        &FileClass::from_rel(rel),
+        &FileContext::new(src),
+        Vec::new(),
+        report,
+    );
+}
+
+/// Runs the per-file rules, then matches every finding of the file (the
+/// workspace pass's `extra` ones too) against its waivers.
+fn lint_file(class: &FileClass, ctx: &FileContext, extra: Vec<RawFinding>, report: &mut Report) {
+    let rel = class.rel.as_str();
+    let (mut raw, sites) = rules::check_file(class, ctx);
+    raw.extend(extra);
+    let (waivers, malformed) = waiver::parse_waivers(ctx);
 
     let mut used = vec![false; waivers.len()];
     for f in raw {

@@ -26,6 +26,9 @@
 //!   step, occupancy grid, render engine).
 //! - `vendor-isolation`: first-party code touches only the documented
 //!   stand-in APIs of the vendored dependency tree.
+//! - `simd-lane`: no raw `std::arch` lane code outside `crates/simd`.
+//! - `pub-reach`: every `pub` item of a library crate is named by
+//!   non-test code outside its own file (the one workspace-level rule).
 //!
 //! A finding is suppressed by an inline waiver with a mandatory,
 //! recorded justification (see [`waiver`]); malformed and stale waivers
@@ -37,6 +40,7 @@
 pub mod context;
 pub mod engine;
 pub mod lexer;
+mod reach;
 pub mod report;
 pub mod rules;
 pub mod waiver;

@@ -83,6 +83,7 @@ pub const ENTRY_WIDTH: &str = "entry-width";
 pub const PANIC_PATH: &str = "panic-path";
 pub const VENDOR_ISOLATION: &str = "vendor-isolation";
 pub const SIMD_LANE: &str = "simd-lane";
+pub const PUB_REACH: &str = "pub-reach";
 pub const WAIVER_SYNTAX: &str = "waiver-syntax";
 pub const UNUSED_WAIVER: &str = "unused-waiver";
 
@@ -174,6 +175,26 @@ a #[target_feature] attribute, or an is_x86_feature_detected! probe anywhere els
 creates lane code with no such pin — its results can drift between machines without \
 any test noticing. Write kernels against inerf_simd::f32x8 and vectorize(); if an \
 operation is missing, add it to crates/simd together with its lane tests.",
+    },
+    RuleInfo {
+        id: PUB_REACH,
+        summary: "every pub item of a library crate is named by non-test code in another file",
+        explain: "rustc's dead_code lint never fires on a pub item, so public surface that \
+no program calls survives every build and every review. This rule indexes the identifiers \
+that non-test code names: library and binary sources under crates/*/src, examples/ and \
+benches/. It does not count tests/ directories, #[cfg(test)] items, comments (so \
+doc-tests and intra-doc links neither), or `pub use` re-export statements. A plain-pub \
+fn, struct, enum, trait, const, static or type alias in a library crate (every crate \
+but bench, whose library the record benches retire, and this linter) is a finding when \
+no other file names it. A type named in the signature of a reached item of the same file \
+(a fn's parameters, return type and bounds; a type's fields or variants) counts as \
+reached with it. Matching is by name, not by resolved path: a name defined or used \
+anywhere else in the workspace, such as `new` or `len`, counts as a reference, so the \
+rule under-reports and never sees a method only its own file calls if another type \
+shares its name. Fix a finding by deleting the item, narrowing it to pub(crate) or \
+private (then delete what dead_code reports), or moving it under #[cfg(test)] when only \
+the crate's unit tests use it. Waive only test support that another crate's tests \
+need, naming that test.",
     },
     RuleInfo {
         id: WAIVER_SYNTAX,

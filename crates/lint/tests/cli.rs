@@ -92,6 +92,8 @@ fn explain_documents_each_rule() {
         "entry-width",
         "panic-path",
         "vendor-isolation",
+        "simd-lane",
+        "pub-reach",
         "waiver-syntax",
         "unused-waiver",
     ] {
@@ -111,7 +113,13 @@ fn list_rules_covers_the_catalogue() {
     let out = run(&["--list-rules"]);
     assert_eq!(code(&out), 0);
     let text = String::from_utf8_lossy(&out.stdout);
-    for rule in ["hash-order", "wall-clock", "unsafe-audit", "entry-width"] {
+    for rule in [
+        "hash-order",
+        "wall-clock",
+        "unsafe-audit",
+        "entry-width",
+        "pub-reach",
+    ] {
         assert!(text.contains(rule), "missing {rule} in --list-rules");
     }
 }

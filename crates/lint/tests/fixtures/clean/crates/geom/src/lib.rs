@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-pub fn deterministic() -> BTreeMap<u32, u32> {
+pub(crate) fn deterministic() -> BTreeMap<u32, u32> {
     let mut m = BTreeMap::new();
     m.insert(1, 2);
     m

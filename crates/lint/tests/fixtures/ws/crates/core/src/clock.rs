@@ -2,12 +2,12 @@
 
 use std::time::Instant;
 
-pub fn elapsed_ms() -> u64 {
+pub(crate) fn elapsed_ms() -> u64 {
     let t0 = Instant::now();
     t0.elapsed().as_millis() as u64
 }
 
-pub fn stamp_is_waived() -> u64 {
+pub(crate) fn stamp_is_waived() -> u64 {
     // inerf-lint: allow(wall-clock) -- fixture: host timestamp for a log line only
     let t = std::time::SystemTime::now();
     t.duration_since(std::time::UNIX_EPOCH)

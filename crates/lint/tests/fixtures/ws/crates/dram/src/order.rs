@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 /// Doc prose may mention HashMap without tripping the rule.
-pub fn names() -> Vec<String> {
+pub(crate) fn names() -> Vec<String> {
     vec!["HashMap".to_string()]
 }
 

@@ -1,35 +1,35 @@
 //! Seeded entry-width and panic-path violations (lint fixture).
 
-pub struct EntryLayout(pub u32);
+pub(crate) struct EntryLayout(pub u32);
 
 impl EntryLayout {
-    pub fn new(b: u32) -> Self {
+    pub(crate) fn new(b: u32) -> Self {
         EntryLayout(b)
     }
 
-    pub fn with_entry_bytes(self, b: u32) -> Self {
+    pub(crate) fn with_entry_bytes(self, b: u32) -> Self {
         EntryLayout(b)
     }
 }
 
-pub fn row_bytes(entries: u64) -> u64 {
+pub(crate) fn row_bytes(entries: u64) -> u64 {
     entries * 4
 }
 
-pub fn padded_bytes(n: u64) -> u64 {
+pub(crate) fn padded_bytes(n: u64) -> u64 {
     // inerf-lint: allow(entry-width) -- fixture: literal is a register count, not a width
     8 * n
 }
 
-pub fn default_layout() -> EntryLayout {
+pub(crate) fn default_layout() -> EntryLayout {
     EntryLayout::new(16)
 }
 
-pub fn half_layout(l: EntryLayout) -> EntryLayout {
+pub(crate) fn half_layout(l: EntryLayout) -> EntryLayout {
     l.with_entry_bytes(2)
 }
 
-pub fn corners(points: u64) -> u64 {
+pub(crate) fn corners(points: u64) -> u64 {
     points * 8
 }
 
@@ -37,7 +37,7 @@ pub fn first(v: &[u32]) -> u32 {
     *v.first().unwrap()
 }
 
-pub fn checked(v: Option<u32>) -> u32 {
+pub(crate) fn checked(v: Option<u32>) -> u32 {
     // inerf-lint: allow(panic-path) -- fixture: caller guarantees Some
     v.expect("always Some in the fixture")
 }

@@ -6,7 +6,7 @@
 /// Docs may mention `HashMap`, `unsafe` or `Instant::now()`, and may show
 /// the waiver syntax — `// inerf-lint: allow(hash-order) -- why` — without
 /// creating a waiver.
-pub fn strings() -> Vec<String> {
+pub(crate) fn strings() -> Vec<String> {
     vec![
         "unsafe { HashMap::new() }".to_string(),
         r#"SystemTime::now() in a raw "string""#.to_string(),
@@ -17,7 +17,7 @@ pub fn strings() -> Vec<String> {
 /* Block comments are inert too: unsafe HashMap SystemTime
    /* nested block comments close correctly: unsafe */
    still inside the outer comment: Instant::now() */
-pub fn lifetimes<'a>(x: &'a [u8]) -> &'a [u8] {
+pub(crate) fn lifetimes<'a>(x: &'a [u8]) -> &'a [u8] {
     let _marker: char = 'u';
     let _bytes: &[u8] = b"unsafe bytes";
     let _range = 0..x.len();

@@ -1,16 +1,16 @@
 //! Seeded waiver-protocol violations (lint fixture).
 
 // inerf-lint: allow(hash-order)
-pub fn missing_justification() -> u32 {
+pub(crate) fn missing_justification() -> u32 {
     1
 }
 
 // inerf-lint: allow(wall-clock) -- fixture: nothing here to waive
-pub fn stale_waiver() -> u32 {
+pub(crate) fn stale_waiver() -> u32 {
     2
 }
 
 // TODO inerf-lint: allow(panic-path) -- buried tag is a likely typo
-pub fn buried_tag() -> u32 {
+pub(crate) fn buried_tag() -> u32 {
     3
 }

@@ -2,11 +2,11 @@
 //! fixture): rule 4 covers this file by name even though the rest of the
 //! trainer crate is exempt.
 
-pub fn first_weight(weights: &[f32]) -> f32 {
+pub(crate) fn first_weight(weights: &[f32]) -> f32 {
     *weights.first().unwrap()
 }
 
-pub fn cut_of(cuts: Option<u32>) -> u32 {
+pub(crate) fn cut_of(cuts: Option<u32>) -> u32 {
     // inerf-lint: allow(panic-path) -- fixture: the engine pushes one cut per span
     cuts.expect("one cut per span")
 }

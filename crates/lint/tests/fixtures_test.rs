@@ -2,9 +2,11 @@
 //! exactly the planted violations, honour exactly the planted waivers, and
 //! inventory exactly the planted `unsafe` sites.
 //!
-//! The corpus lives in `tests/fixtures/ws` (a miniature workspace layout);
-//! the real workspace walk skips any directory named `fixtures`, so these
-//! seeded violations never leak into the self-scan.
+//! The corpus lives in `tests/fixtures/ws` (a miniature workspace layout;
+//! its items are `pub(crate)` so that each file's seeded violation is its
+//! only finding), with `tests/fixtures/reach` for the workspace-level
+//! `pub-reach` rule; the real workspace walk skips any directory named
+//! `fixtures`, so these seeded violations never leak into the self-scan.
 
 use std::path::PathBuf;
 
@@ -179,6 +181,42 @@ fn unsafe_inventory_lists_both_seeded_sites() {
     )));
     assert!(audit.contains(&format!("`{FAKE_VENDOR_FILE}:20` | `fn checked_read` |")));
     assert!(audit.contains("2 `unsafe` site(s) in the workspace."));
+}
+
+/// `reach` is a two-crate workspace with an example and an integration
+/// test. Reached: an item `beta` calls, one only the example calls, a
+/// type only a reached fn's signature names, an iterator's `Item` type, and
+/// a `new` whose name another crate uses for something else. Findings: an
+/// item only tests name, a const only its own file names, and a type only a
+/// `pub use` names elsewhere; plus one waived finding.
+#[test]
+fn pub_reach_corpus_flags_exactly_the_unreached_items() {
+    let report = lint_fixture("reach");
+    let want: Vec<(String, u32, String, bool)> = [
+        ("crates/alpha/src/lib.rs", 13, false),
+        ("crates/alpha/src/lib.rs", 23, false),
+        ("crates/alpha/src/lib.rs", 37, true),
+        ("crates/alpha/src/shapes.rs", 14, false),
+    ]
+    .into_iter()
+    .map(|(f, l, w)| (f.to_string(), l, "pub-reach".to_string(), w))
+    .collect();
+    assert_eq!(tuples(&report), want);
+    let named: Vec<&str> = report
+        .findings
+        .iter()
+        .map(|f| f.message.split('`').nth(1).unwrap_or(""))
+        .collect();
+    assert_eq!(
+        named,
+        [
+            "pub fn only_tested",
+            "pub const LOCAL_ONLY",
+            "pub fn waived_support",
+            "pub struct Reexported"
+        ]
+    );
+    assert_eq!(report.files_scanned, 5);
 }
 
 #[test]

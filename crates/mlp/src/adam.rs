@@ -5,9 +5,9 @@ use crate::store::ParamStore;
 use inerf_simd::f32x8;
 
 /// First-moment decay `β₁`.
-pub const BETA1: f32 = 0.9;
+const BETA1: f32 = 0.9;
 /// Second-moment decay `β₂`.
-pub const BETA2: f32 = 0.99;
+const BETA2: f32 = 0.99;
 /// Numerical-stability epsilon (iNGP's `1e-10`, scaled to `1e-8` for f32).
 pub const EPSILON: f32 = 1e-8;
 
@@ -27,7 +27,7 @@ struct Moments {
 ///
 /// iNGP trains both the hash-table embeddings and the MLP weights with Adam;
 /// the trainer crate instantiates one `AdamState` per parameter group. The
-/// decay rates and epsilon are the fixed [`BETA1`], [`BETA2`] and
+/// decay rates and epsilon are the fixed `BETA1` (0.9), `BETA2` (0.99) and
 /// [`EPSILON`]; the learning rate is the one setting.
 ///
 /// # Example
@@ -352,7 +352,7 @@ impl Replay<'_> {
 
 impl AdamState {
     /// Creates Adam state for `n` parameters at `learning_rate`, with the
-    /// fixed [`BETA1`], [`BETA2`] and [`EPSILON`].
+    /// fixed `BETA1` (0.9), `BETA2` (0.99) and [`EPSILON`].
     pub fn new(n: usize, learning_rate: f32) -> Self {
         Self::from_records(std::iter::repeat_n([0; 3], n), 0, learning_rate, false)
     }
@@ -523,7 +523,7 @@ impl AdamState {
     }
 
     /// Whether the state is in lazy sparse mode.
-    pub fn is_lazy(&self) -> bool {
+    fn is_lazy(&self) -> bool {
         self.lazy
     }
 
@@ -616,6 +616,7 @@ impl AdamState {
     ///
     /// Panics if the state is not in lazy mode, `params` mismatches it, or
     /// the step counter overflows the `u32` stamps.
+    // inerf-lint: allow(pub-reach) -- test support: the reference that inerf_trainer's tests/sparse_dense_equivalence.rs pins step_sparse_gathered against
     pub fn step_sparse(&mut self, params: &mut [f32], grads: &[f32], indices: &[u32], scale: f32) {
         assert!(self.is_lazy(), "step_sparse requires lazy mode");
         assert_eq!(params.len(), grads.len(), "params/grads length mismatch");

@@ -54,7 +54,7 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
 }
 
 /// Converts an IEEE 754 binary16 bit pattern to `f32` (exact).
-pub fn f16_bits_to_f32(h: u16) -> f32 {
+fn f16_bits_to_f32(h: u16) -> f32 {
     let sign = ((h & 0x8000) as u32) << 16;
     let exp = ((h >> 10) & 0x1f) as u32;
     let frac = (h & 0x3ff) as u32;

@@ -54,7 +54,7 @@ impl Activation {
     /// alone (`Relu`: `y > 0 ⇔ x > 0`), so the training forward records
     /// only the activated values.
     #[inline]
-    pub fn derivative(self, y: f32) -> f32 {
+    fn derivative(self, y: f32) -> f32 {
         match self {
             Activation::Identity => 1.0,
             Activation::Relu => {
@@ -603,12 +603,14 @@ impl DenseLayer {
         &self.bias
     }
 
-    /// The weight store (test/tooling hook for direct parameter edits).
-    pub fn weights_mut(&mut self) -> &mut ParamStore {
+    /// The weight store (test hook for direct parameter edits).
+    #[cfg(test)]
+    pub(crate) fn weights_mut(&mut self) -> &mut ParamStore {
         &mut self.weights
     }
 
-    /// The bias store (test/tooling hook for direct parameter edits).
+    /// The bias store (test hook for direct parameter edits).
+    // inerf-lint: allow(pub-reach) -- test support: inerf_trainer's train::tests::batched_engine_reproduces_its_pinned_bits_at_every_chunk_edge sets a dense field's density bias through it
     pub fn bias_mut(&mut self) -> &mut ParamStore {
         &mut self.bias
     }

@@ -262,9 +262,10 @@ impl Mlp {
         &self.layers
     }
 
-    /// Mutable layer access, for direct parameter edits (tests, tooling).
+    /// Mutable layer access, for direct parameter edits in tests.
     /// Callers must preserve each layer's dimensions and precision; only
     /// the parameter *values* are meant to change.
+    // inerf-lint: allow(pub-reach) -- test support: inerf_trainer's train::tests::batched_engine_reproduces_its_pinned_bits_at_every_chunk_edge sets a dense field's density bias through it
     pub fn layers_mut(&mut self) -> &mut [DenseLayer] {
         &mut self.layers
     }
@@ -573,6 +574,7 @@ impl Mlp {
     /// Flattened copy of the accumulated gradients, parallel to the
     /// parameter order of [`Mlp::for_each_param_mut`] (per layer: weights,
     /// then biases). Used by equivalence tests.
+    // inerf-lint: allow(pub-reach) -- test support: inerf_trainer's tests/engine_equivalence.rs compares the per-point and chunked gradients through it
     pub fn gradient_vec(&self) -> Vec<f32> {
         self.layers
             .iter()

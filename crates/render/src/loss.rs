@@ -21,31 +21,16 @@ pub struct L2Loss {
 ///
 /// Panics if the slices differ in length or are empty.
 pub fn l2_loss(predictions: &[Vec3], targets: &[Vec3]) -> L2Loss {
-    let mut d_predictions = Vec::with_capacity(predictions.len());
-    let value = l2_loss_into(predictions, targets, &mut d_predictions);
+    let value = l2_loss_value(predictions, targets);
+    let d_predictions = predictions
+        .iter()
+        .zip(targets)
+        .map(|(&p, &t)| l2_ray_gradient(p, t, predictions.len()))
+        .collect();
     L2Loss {
         value,
         d_predictions,
     }
-}
-
-/// Allocation-free variant of [`l2_loss`]: writes the per-ray gradient into
-/// a caller-pooled buffer (cleared and refilled, so its capacity is reused
-/// across training iterations) and returns the loss value.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn l2_loss_into(predictions: &[Vec3], targets: &[Vec3], d_predictions: &mut Vec<Vec3>) -> f64 {
-    let value = l2_loss_value(predictions, targets);
-    d_predictions.clear();
-    d_predictions.extend(
-        predictions
-            .iter()
-            .zip(targets)
-            .map(|(&p, &t)| l2_ray_gradient(p, t, predictions.len())),
-    );
-    value
 }
 
 /// The value of [`l2_loss`] alone: squared errors summed over rays in

@@ -25,22 +25,10 @@ pub struct CompositeOutput {
     pub background_weight: f32,
 }
 
-/// Composites samples along a ray (paper Eq. 1).
-///
-/// `dts[i]` is the segment length `δ_i = t_{i+1} - t_i` attributed to sample
-/// `i`. Negative densities are clamped to zero (the density head normally
-/// guarantees non-negativity; the clamp keeps the renderer total).
-///
-/// # Panics
-///
-/// Panics if `samples` and `dts` differ in length.
-pub fn composite(samples: &[SamplePoint], dts: &[f32]) -> CompositeOutput {
-    assert_eq!(samples.len(), dts.len(), "samples/dts length mismatch");
-    composite_with(samples, |i| dts[i])
-}
-
-/// [`composite`] for the common uniform-step case (`δ_i = dt` for all
-/// samples), avoiding the per-ray `dts` allocation.
+/// Composites samples along a ray (paper Eq. 1) at a uniform segment
+/// length `δ_i = dt`. Negative densities are clamped to zero (the density
+/// head normally guarantees non-negativity; the clamp keeps the renderer
+/// total).
 pub fn composite_uniform(samples: &[SamplePoint], dt: f32) -> CompositeOutput {
     composite_with(samples, |_| dt)
 }
@@ -99,8 +87,8 @@ pub struct CompositeGradients {
     pub d_color: Vec<Vec3>,
 }
 
-/// Backward pass of [`composite`]: given `d_color_out = ∂L/∂Ĉ`, returns the
-/// gradients w.r.t. every sample's density and color.
+/// Backward pass of [`composite_uniform`]: given `d_color_out = ∂L/∂Ĉ`,
+/// returns the gradients w.r.t. every sample's density and color.
 ///
 /// Derivation: with `w_i = T_i α_i` and `T_{i+1} = T_i (1 - α_i)`,
 ///
@@ -111,22 +99,6 @@ pub struct CompositeGradients {
 ///
 /// The suffix sum is accumulated in a single reverse sweep, so the whole
 /// backward is `O(n)`.
-///
-/// # Panics
-///
-/// Panics if the argument lengths disagree with `out`.
-pub fn composite_backward(
-    samples: &[SamplePoint],
-    dts: &[f32],
-    out: &CompositeOutput,
-    d_color_out: Vec3,
-) -> CompositeGradients {
-    assert_eq!(dts.len(), samples.len(), "samples/dts length mismatch");
-    composite_backward_with(samples, |i| dts[i], out, d_color_out)
-}
-
-/// [`composite_backward`] for a uniform step size, pairing with
-/// [`composite_uniform`].
 pub fn composite_backward_uniform(
     samples: &[SamplePoint],
     dt: f32,
@@ -230,7 +202,7 @@ pub struct RayBatch<'a> {
 
 impl RayBatch<'_> {
     /// Total samples covered by `spans`.
-    pub fn sample_count(&self) -> usize {
+    fn sample_count(&self) -> usize {
         self.spans.iter().map(|s| s.len).sum()
     }
 }
@@ -239,7 +211,7 @@ impl RayBatch<'_> {
 /// `ray_colors`/`backgrounds` and per-sample blend weights/transmittances
 /// into `weights`/`trans_after` (indexed relative to `batch.sample_base`).
 ///
-/// Each span is composited with exactly the [`composite`] recurrence, so
+/// Each span is composited with exactly the [`composite_uniform`] recurrence, so
 /// per-ray results are bitwise-identical to the scalar reference. Spans are
 /// independent: disjoint chunks of a batch can run concurrently.
 ///
@@ -431,6 +403,24 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// The composite with a per-sample segment length: `dts[i]` is the
+    /// `δ_i = t_{i+1} - t_i` attributed to sample `i`.
+    fn composite(samples: &[SamplePoint], dts: &[f32]) -> CompositeOutput {
+        assert_eq!(samples.len(), dts.len(), "samples/dts length mismatch");
+        composite_with(samples, |i| dts[i])
+    }
+
+    /// Backward pass of `composite`.
+    fn composite_backward(
+        samples: &[SamplePoint],
+        dts: &[f32],
+        out: &CompositeOutput,
+        d_color_out: Vec3,
+    ) -> CompositeGradients {
+        assert_eq!(dts.len(), samples.len(), "samples/dts length mismatch");
+        composite_backward_with(samples, |i| dts[i], out, d_color_out)
+    }
 
     fn sp(sigma: f32, r: f32, g: f32, b: f32) -> SamplePoint {
         SamplePoint {

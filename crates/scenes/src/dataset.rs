@@ -195,7 +195,7 @@ mod tests {
         for (i, a) in ds.train_views.iter().enumerate() {
             for b in &ds.train_views[i + 1..] {
                 assert!(
-                    (a.camera.pose.position - b.camera.pose.position).length() > 1e-3,
+                    (a.camera.pose.position - b.camera.pose.position).length_squared() > 1e-6,
                     "duplicate poses in dataset"
                 );
             }

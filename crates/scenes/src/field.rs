@@ -19,7 +19,7 @@ pub struct RadianceSample {
 
 impl RadianceSample {
     /// A fully transparent sample.
-    pub const EMPTY: RadianceSample = RadianceSample {
+    const EMPTY: RadianceSample = RadianceSample {
         sigma: 0.0,
         color: Vec3::ZERO,
     };

@@ -295,7 +295,8 @@ mod tests {
                             (iy as f32 + 0.5) / n as f32,
                             (iz as f32 + 0.5) / n as f32,
                         );
-                        let p = s.bounds.denormalize(u);
+                        let e = s.bounds.extent();
+                        let p = s.bounds.min + Vec3::new(u.x * e.x, u.y * e.y, u.z * e.z);
                         total += s.sample(p, Vec3::new(0.0, 0.0, 1.0)).sigma as f64;
                     }
                 }
@@ -327,7 +328,7 @@ mod tests {
                 let differs = probes.iter().any(|&p| {
                     let a = scenes[i].sample(p, Vec3::new(0.0, 0.0, 1.0));
                     let b = scenes[j].sample(p, Vec3::new(0.0, 0.0, 1.0));
-                    (a.sigma - b.sigma).abs() > 1e-3 || (a.color - b.color).length() > 1e-3
+                    (a.sigma - b.sigma).abs() > 1e-3 || (a.color - b.color).length_squared() > 1e-6
                 });
                 assert!(
                     differs,
@@ -345,7 +346,7 @@ mod tests {
         let a = s.sample(p, Vec3::new(-1.0, 0.0, 0.0));
         let b = s.sample(p, Vec3::new(0.0, 1.0, 0.0));
         assert!(
-            (a.color - b.color).length() > 1e-3,
+            (a.color - b.color).length_squared() > 1e-6,
             "expected sheen to vary with view"
         );
     }

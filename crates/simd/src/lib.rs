@@ -46,6 +46,7 @@
 //! raw `std::arch` usage anywhere else in the workspace).
 
 #![deny(unsafe_op_in_unsafe_fn)]
+#![warn(unreachable_pub)]
 
 mod vec8;
 
@@ -78,7 +79,7 @@ impl Backend {
     }
 
     /// Whether the running CPU can execute this backend.
-    pub fn is_available(self) -> bool {
+    fn is_available(self) -> bool {
         match self {
             Backend::Scalar => true,
             #[cfg(target_arch = "x86_64")]
@@ -98,6 +99,7 @@ impl Backend {
 
 /// All backends the running CPU supports, `Scalar` first. Equivalence tests
 /// sweep this list and pin every entry against the scalar engine.
+// inerf-lint: allow(pub-reach) -- test support: the backend sweeps of other crates' tests (inerf_trainer's tests/engine_equivalence.rs, inerf_mlp's mlp::tests) iterate it
 pub fn available_backends() -> Vec<Backend> {
     [Backend::Scalar, Backend::Avx2]
         .into_iter()
@@ -109,7 +111,7 @@ const BACKEND_UNSET: u8 = u8::MAX;
 static ACTIVE: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
 
 /// Best backend the running CPU supports.
-pub fn native_backend() -> Backend {
+fn native_backend() -> Backend {
     if Backend::Avx2.is_available() {
         Backend::Avx2
     } else {
@@ -179,6 +181,7 @@ pub fn backend() -> Backend {
 /// backend selects `Scalar`. Callers that sweep backends should serialize
 /// on a lock; a race is still *safe* (all backends are bitwise identical by
 /// contract), it just muddies which backend a concurrent kernel used.
+// inerf-lint: allow(pub-reach) -- test support: other crates' backend sweeps (inerf_trainer's tests/engine_equivalence.rs, inerf_mlp's mlp::tests) select each backend through it
 pub fn force_backend(requested: Backend) -> Backend {
     let previous = backend();
     let clamped = if requested.is_available() {

@@ -135,8 +135,8 @@ impl f32x8 {
     /// stay bitwise identical to a scalar `if` *without* a data-dependent
     /// branch — the pattern the batched backward kernels use to skip
     /// zero-gradient terms at full speed.
-    #[inline(always)]
-    pub fn select(cond: bool, on: Self, off: Self) -> Self {
+    #[cfg(test)]
+    fn select(cond: bool, on: Self, off: Self) -> Self {
         let m = (cond as u32).wrapping_neg();
         let mut o = [0.0f32; 8];
         for (i, lane) in o.iter_mut().enumerate() {

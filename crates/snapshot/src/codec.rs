@@ -81,7 +81,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes left to consume.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 

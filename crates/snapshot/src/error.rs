@@ -50,6 +50,7 @@ impl SnapshotError {
     /// True for the variants that mean "the artifact itself is bad"
     /// (as opposed to IO failures or a missing file). The fault sweeps
     /// assert that corruption is reported through these and only these.
+    // inerf-lint: allow(pub-reach) -- test support: this crate's tests/corruption.rs sorts every flipped-byte load through it
     pub fn is_detected_corruption(&self) -> bool {
         matches!(
             self,

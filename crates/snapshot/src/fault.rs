@@ -21,6 +21,7 @@ use crate::io::SnapshotIo;
 /// A `SnapshotIo` wrapper that injects one failure at a chosen
 /// operation index.
 #[derive(Debug)]
+// inerf-lint: allow(pub-reach) -- test support: the kill-point sweep of this crate's tests/fault_injection.rs runs every save through it
 pub struct FaultIo<I> {
     inner: I,
     ops: u64,
@@ -30,6 +31,7 @@ pub struct FaultIo<I> {
 
 impl<I: SnapshotIo> FaultIo<I> {
     /// Never fails; counts mutating operations (the dry-run mode).
+    // inerf-lint: allow(pub-reach) -- test support: tests/fault_injection.rs counts a save's mutating operations with it
     pub fn counting(inner: I) -> Self {
         FaultIo {
             inner,
@@ -41,6 +43,7 @@ impl<I: SnapshotIo> FaultIo<I> {
 
     /// Fails the `op`-th mutating operation (0-based) and every
     /// operation after it — a crashed process does not come back.
+    // inerf-lint: allow(pub-reach) -- test support: tests/fault_injection.rs kills a save at each operation with it
     pub fn failing_at(inner: I, op: u64) -> Self {
         FaultIo {
             inner,
@@ -52,6 +55,7 @@ impl<I: SnapshotIo> FaultIo<I> {
 
     /// If the failing operation is an append, land the first `keep`
     /// bytes before failing (a torn write).
+    // inerf-lint: allow(pub-reach) -- test support: tests/fault_injection.rs tears the failing append with it
     pub fn with_torn_prefix(mut self, keep: usize) -> Self {
         self.torn_prefix = Some(keep);
         self
@@ -63,6 +67,7 @@ impl<I: SnapshotIo> FaultIo<I> {
     }
 
     /// The wrapped backend — i.e. the storage state "after the crash".
+    // inerf-lint: allow(pub-reach) -- test support: tests/fault_injection.rs loads what survived the crash through it
     pub fn into_inner(self) -> I {
         self.inner
     }

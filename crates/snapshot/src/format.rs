@@ -46,9 +46,9 @@ use crate::codec::Sink;
 use crate::error::SnapshotError;
 
 /// First eight bytes of every snapshot file.
-pub const MAGIC: [u8; 8] = *b"INERFSNP";
+const MAGIC: [u8; 8] = *b"INERFSNP";
 /// Current container format version.
-pub const VERSION: u32 = 3;
+const VERSION: u32 = 3;
 /// Upper bound on the section count — a corrupted count must not drive
 /// a huge index allocation before checksum verification can run.
 const MAX_SECTIONS: u32 = 1024;
@@ -315,6 +315,7 @@ impl<'a> Snapshot<'a> {
     }
 
     /// Section tags in file order (diagnostics and tests).
+    // inerf-lint: allow(pub-reach) -- test support: inerf_trainer's tests/checkpoint_roundtrip.rs walks a checkpoint's sections by tag
     pub fn tags(&self) -> Vec<String> {
         self.sections.iter().map(|(t, _)| tag_str(t)).collect()
     }

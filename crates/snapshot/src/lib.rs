@@ -45,6 +45,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod checksum;
@@ -57,9 +58,6 @@ pub mod rotate;
 
 pub use error::SnapshotError;
 pub use fault::FaultIo;
-pub use format::{Section, SectionWriter, Snapshot, MAGIC, VERSION};
+pub use format::{Section, SectionWriter, Snapshot};
 pub use io::{atomic_write_file, MemIo, SnapshotIo, StdIo};
-pub use rotate::{
-    list_snapshots, load_latest, snapshot_name, snapshot_step, write_sections, write_snapshot,
-    SNAPSHOT_PREFIX, SNAPSHOT_SUFFIX, TMP_SUFFIX,
-};
+pub use rotate::{list_snapshots, load_latest, snapshot_name, write_sections, write_snapshot};

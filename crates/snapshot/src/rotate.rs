@@ -26,20 +26,21 @@ use crate::format::{container_len, stream, Section, Snapshot};
 use crate::io::SnapshotIo;
 
 /// Prefix of every snapshot file name.
-pub const SNAPSHOT_PREFIX: &str = "snap-";
+const SNAPSHOT_PREFIX: &str = "snap-";
 /// Suffix of every committed snapshot file name.
-pub const SNAPSHOT_SUFFIX: &str = ".inerf";
+const SNAPSHOT_SUFFIX: &str = ".inerf";
 /// Suffix marking an uncommitted write in progress.
-pub const TMP_SUFFIX: &str = ".tmp";
+const TMP_SUFFIX: &str = ".tmp";
 
 /// File name of the snapshot for `step` (zero-padded so lexicographic
 /// and numeric order agree).
+// inerf-lint: allow(pub-reach) -- test support: inerf_trainer's tests/resume_equivalence.rs and this crate's tests/fault_injection.rs damage one snapshot file by its name
 pub fn snapshot_name(step: u64) -> String {
     format!("{SNAPSHOT_PREFIX}{step:020}{SNAPSHOT_SUFFIX}")
 }
 
 /// Parses a committed snapshot name back to its step, if it is one.
-pub fn snapshot_step(name: &str) -> Option<u64> {
+fn snapshot_step(name: &str) -> Option<u64> {
     name.strip_prefix(SNAPSHOT_PREFIX)?
         .strip_suffix(SNAPSHOT_SUFFIX)?
         .parse()
@@ -100,6 +101,7 @@ fn prune(io: &mut dyn SnapshotIo, keep: usize) -> Result<(), SnapshotError> {
 }
 
 /// Steps of all committed snapshots, newest first.
+// inerf-lint: allow(pub-reach) -- test support: inerf_trainer's tests/resume_equivalence.rs and this crate's tests/fault_injection.rs check which snapshots survive
 pub fn list_snapshots(io: &dyn SnapshotIo) -> Result<Vec<u64>, SnapshotError> {
     let mut steps: Vec<u64> = io.list()?.iter().filter_map(|n| snapshot_step(n)).collect();
     steps.sort_unstable_by(|a, b| b.cmp(a));

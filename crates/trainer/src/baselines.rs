@@ -121,7 +121,7 @@ fn step_mlp(mlp: &mut Mlp, adam: &mut AdamState) {
 }
 
 /// Frequency positional encoding: `[sin(2^k π x), cos(2^k π x)]` per axis.
-pub fn positional_encoding(p: Vec3, bands: usize) -> Vec<f32> {
+fn positional_encoding(p: Vec3, bands: usize) -> Vec<f32> {
     let mut out = Vec::with_capacity(3 + 6 * bands);
     out.extend_from_slice(&[p.x, p.y, p.z]);
     for k in 0..bands {

@@ -60,7 +60,7 @@ pub(crate) fn run_tasks<T: Send>(
 /// Parses an `INERF_THREADS` value: a positive integer. Anything else is
 /// a hard error naming the value — a typo must not silently run on all
 /// cores under a benchmark that claims a fixed thread count.
-pub fn parse_threads(raw: &str) -> Result<usize, String> {
+fn parse_threads(raw: &str) -> Result<usize, String> {
     match raw.trim().parse::<usize>() {
         Ok(n) if n > 0 => Ok(n),
         _ => Err(format!(
@@ -75,7 +75,7 @@ pub fn parse_threads(raw: &str) -> Result<usize, String> {
 /// # Panics
 ///
 /// Panics if `INERF_THREADS` is set to anything but a positive integer
-/// (see [`parse_threads`]) — configuration typos fail loudly.
+/// (see `parse_threads`) — configuration typos fail loudly.
 pub fn default_threads() -> usize {
     match std::env::var("INERF_THREADS") {
         Ok(v) => match parse_threads(&v) {
@@ -169,13 +169,13 @@ impl BatchArena {
     }
 
     /// Marks the start of an iteration for growth accounting.
-    pub fn begin_iteration(&mut self) {
+    pub(crate) fn begin_iteration(&mut self) {
         self.cap_mark = self.capacity_sum();
     }
 
     /// Closes an iteration: if any pooled buffer grew its capacity since
     /// [`BatchArena::begin_iteration`], records one growth event.
-    pub fn end_iteration(&mut self) {
+    pub(crate) fn end_iteration(&mut self) {
         if self.capacity_sum() > self.cap_mark {
             self.growth_events += 1;
         }
@@ -183,12 +183,12 @@ impl BatchArena {
 
     /// Iterations (since construction) that grew some pooled buffer. Flat
     /// across steady-state iterations — the zero-allocation test hook.
-    pub fn growth_events(&self) -> u64 {
+    pub(crate) fn growth_events(&self) -> u64 {
         self.growth_events
     }
 
     /// Clears the gather-stage buffers for refilling (capacity retained).
-    pub fn clear_gather(&mut self) {
+    pub(crate) fn clear_gather(&mut self) {
         self.batch.clear();
         self.targets.clear();
     }

@@ -264,7 +264,7 @@ pub enum OptPath {
     /// re-quantize, full gradient memset.
     Dense,
     /// Lazy or dense by measured density, per iteration: below
-    /// [`DENSE_SWEEP_FROM`] of the table nonzero in the last step, O(touched
+    /// `DENSE_SWEEP_FROM` (25 %) of the table nonzero in the last step, O(touched
     /// entries) — touched-set collection during the forward prepass,
     /// lazy-replay Adam, sparse fp16 commit; from there on the `Dense` sweep.
     Sparse,
@@ -276,7 +276,7 @@ pub enum OptPath {
 /// `ModelConfig::small`: the dense iteration overtakes the lazy one near
 /// 20 % touched at fp16 (its commit re-quantizes the whole table) and
 /// below 5 % at f32 (EXPERIMENTS.md, "Sweep choice by touch density").
-pub const DENSE_SWEEP_FROM: f64 = 0.25;
+const DENSE_SWEEP_FROM: f64 = 0.25;
 
 impl OptPath {
     /// Lower-case label for reports and JSON dumps.
@@ -805,7 +805,7 @@ impl IngpModel {
     /// Global-norm gradient clip applied per parameter group each step.
     /// The exp density activation can otherwise blow a batch's gradients
     /// up and collapse training (a known iNGP instability).
-    pub const GRAD_CLIP_NORM: f32 = 32.0;
+    const GRAD_CLIP_NORM: f32 = 32.0;
 
     /// Creates a model with freshly initialized f32-stored parameters
     /// (the pre-mixed-precision behavior, bit-identical) and the sparse
@@ -1648,12 +1648,12 @@ mod tests {
         for threads in [1usize, 2] {
             let model = IngpModel::new(ModelConfig::tiny(), 3);
             let mut trainer = Trainer::new(model, config, 1).with_threads(threads);
-            trainer.train_on_rays(&rays, &targets, &bounds);
+            trainer.train_on_rays(&rays, &targets, &bounds, None);
             assert_eq!(trainer.points_queried(), (rays.len() * samples) as u64);
             let first = footprint(&trainer);
             let bound = engine::wave_chunks(threads) + samples.div_ceil(POINT_CHUNK) + 1;
             assert!(first.0 <= bound, "x{threads}: {} records", first.0);
-            trainer.train_on_rays(&rays, &targets, &bounds);
+            trainer.train_on_rays(&rays, &targets, &bounds, None);
             assert_eq!(footprint(&trainer), first, "x{threads}: the repeat grew");
         }
     }
@@ -1680,7 +1680,11 @@ mod tests {
             let (mut losses, mut dense) = (Vec::new(), Vec::new());
             for k in 0..ITERS {
                 let (rays, targets) = if k % 2 == 0 { small } else { large };
-                losses.push(trainer.train_on_rays(rays, targets, &bounds).to_bits());
+                losses.push(
+                    trainer
+                        .train_on_rays(rays, targets, &bounds, None)
+                        .to_bits(),
+                );
                 dense.push(trainer.model().borrow().dense_sweep);
             }
             let model = trainer.into_model();

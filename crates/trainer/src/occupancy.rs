@@ -118,7 +118,7 @@ impl OccupancyGrid {
     }
 
     /// Total cell count.
-    pub fn cell_count(&self) -> usize {
+    fn cell_count(&self) -> usize {
         (self.resolution as usize).pow(3)
     }
 
@@ -188,7 +188,7 @@ impl OccupancyGrid {
 
     /// Whether the cell containing normalized point `p` is marked occupied.
     #[inline]
-    pub fn is_occupied(&self, p: Vec3) -> bool {
+    fn is_occupied(&self, p: Vec3) -> bool {
         let i = cell_index(self.resolution, p);
         self.bits[i / 64] >> (i % 64) & 1 == 1
     }
@@ -778,7 +778,9 @@ mod tests {
                 rng.gen_range(0.0..1.0),
                 rng.gen_range(0.0..1.0),
             );
-            bounds.denormalize((u - Vec3::splat(0.5)) * stretch + Vec3::splat(0.5))
+            let u = (u - Vec3::splat(0.5)) * stretch + Vec3::splat(0.5);
+            let e = bounds.extent();
+            bounds.min + Vec3::new(u.x * e.x, u.y * e.y, u.z * e.z)
         };
         let (mode, a, b) = (
             rng.gen_range(0..6),
@@ -787,7 +789,7 @@ mod tests {
         );
         let stretch = if rng.gen_bool(0.3) { 1.0 } else { 3.0 };
         let free = inside(stretch, rng);
-        let face = bounds.denormalize(Vec3::splat(rng.gen_range(0..9) as f32 / 8.0));
+        let face = bounds.min + bounds.extent() * (rng.gen_range(0..9) as f32 / 8.0);
         let origin = |i: usize| if mode < 2 && i == a { face[i] } else { free[i] };
         let origin = Vec3::new(origin(0), origin(1), origin(2));
         let d = (inside(1.0, rng) - origin).to_array();
@@ -798,13 +800,13 @@ mod tests {
             _ => d[i],
         };
         let d = Vec3::new(shaped(0), shaped(1), shaped(2));
-        if d.length() < 1e-6 {
+        if d.length_squared() < 1e-12 {
             return Ray::new(origin, Vec3::ONE);
         }
         // Built by hand: `Ray::new` would renormalize `1e-13` away or up.
         Ray {
             origin,
-            direction: d / d.length(),
+            direction: d / d.length_squared().sqrt(),
         }
     }
 

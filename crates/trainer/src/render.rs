@@ -83,7 +83,7 @@ const GEN_CHUNK: usize = 256;
 /// remaining transmittance falls below this, every further sample could
 /// contribute less than `1e-4` per channel — under half a quantization
 /// step of 8-bit output — so the ray stops sampling.
-pub const EARLY_TERM_THRESHOLD: f32 = 1e-4;
+const EARLY_TERM_THRESHOLD: f32 = 1e-4;
 
 /// Inference fast-path switches. The default enables everything; use
 /// [`RenderOpts::reference`] for the pinned bitwise-exact semantics.
@@ -96,7 +96,7 @@ pub struct RenderOpts {
     /// `early_term_threshold`.
     pub early_term: bool,
     /// Transmittance floor for `early_term`
-    /// (default [`EARLY_TERM_THRESHOLD`]).
+    /// (default `1e-4`).
     pub early_term_threshold: f32,
 }
 
@@ -112,8 +112,8 @@ impl RenderOpts {
         }
     }
 
-    /// The full fast path: occupancy culling plus early termination at
-    /// [`EARLY_TERM_THRESHOLD`].
+    /// The full fast path: occupancy culling plus early termination at a
+    /// transmittance of `1e-4`.
     pub fn fast() -> Self {
         RenderOpts {
             culling: true,
@@ -614,7 +614,7 @@ mod tests {
         for i in 0..16u32.pow(3) {
             let c = [i % 16, i / 16 % 16, i / 256].map(|c| (c as f32 + 0.5) / 16.0);
             let p = Vec3::new(c[0], c[1], c[2]);
-            grid.set(p, (p - Vec3::splat(0.5)).length() < 0.2);
+            grid.set(p, (p - Vec3::splat(0.5)).length_squared() < 0.04);
         }
         let grid = OccupancyGrid::from_words(16, grid.words().to_vec());
         let (lo, hi) = (37, 441);

@@ -165,7 +165,8 @@ mod tests {
             let mut sink = RegisterCacheSink::new(grid.config().levels);
             let batch = build_point_batch(&rays, &bounds(), 64, order, 2);
             stream_batch(&grid, &batch, &mut sink);
-            sink.stats().total_row_requests()
+            let stats = sink.stats();
+            stats.levels.iter().map(|l| l.row_requests).sum::<u64>()
         };
         let rf = row_requests(StreamingOrder::RayFirst);
         let rnd = row_requests(StreamingOrder::Random);

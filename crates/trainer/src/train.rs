@@ -91,6 +91,7 @@ impl TrainConfig {
     }
 
     /// The same configuration with a different grid-optimizer [`OptPath`].
+    // inerf-lint: allow(pub-reach) -- test support: the dense reference sweep of this crate's tests/sparse_dense_equivalence.rs and the root tests/precision_equivalence.rs
     pub fn with_opt(mut self, opt: OptPath) -> Self {
         self.opt = opt;
         self
@@ -113,6 +114,18 @@ pub struct TrainReport {
     pub last_loss: f64,
     /// Per-iteration losses.
     pub losses: Vec<f64>,
+}
+
+impl TrainReport {
+    /// The report of a run that took `losses`, one per iteration.
+    fn from_losses(losses: Vec<f64>) -> Self {
+        TrainReport {
+            iterations: losses.len(),
+            first_loss: losses.first().copied().unwrap_or(0.0),
+            last_loss: losses.last().copied().unwrap_or(0.0),
+            losses,
+        }
+    }
 }
 
 /// Optional empty-space skipping state.
@@ -292,18 +305,15 @@ impl<M: TrainableField> Trainer<M> {
     /// Runs one iteration on explicit rays/targets (used by tests),
     /// refreshing an enabled occupancy grid on its schedule exactly as
     /// [`Trainer::train_step`] does.
-    pub fn train_on_rays(&mut self, rays: &[Ray], targets: &[Vec3], bounds: &Aabb) -> f64 {
-        self.train_on_rays_with_sink(rays, targets, bounds, None)
-    }
-
-    /// [`Trainer::train_on_rays`] with the trace-bus slot filled: before
-    /// the engine executes, the model streams the gathered batch's
-    /// hash-table access events into `sink` (cubes per point, `end_point`
-    /// per point), then the iteration is closed with one `end_batch`. The
-    /// stream depends only on the gathered points, so the chunk phases
-    /// and the per-point surface emit byte-identical event sequences for
-    /// the same seed.
-    pub fn train_on_rays_with_sink(
+    ///
+    /// With a `sink`, before the engine executes, the model streams the
+    /// gathered batch's hash-table access events into it (cubes per
+    /// point, `end_point` per point), then the iteration is closed with
+    /// one `end_batch`. The stream depends only on the gathered points, so
+    /// the chunk phases and the per-point surface emit byte-identical
+    /// event sequences for the same seed.
+    // inerf-lint: allow(pub-reach) -- test support: this crate's tests/engine_equivalence.rs and tests/resume_equivalence.rs train on hand-built rays through it
+    pub fn train_on_rays(
         &mut self,
         rays: &[Ray],
         targets: &[Vec3],
@@ -541,16 +551,10 @@ impl<M: TrainableField> Trainer<M> {
         iterations: usize,
         mut sink: Option<&mut dyn TraceSink>,
     ) -> TrainReport {
-        let mut losses = Vec::with_capacity(iterations);
-        for _ in 0..iterations {
-            losses.push(self.train_step_with_sink(dataset, sink.as_deref_mut()));
-        }
-        TrainReport {
-            iterations,
-            first_loss: losses.first().copied().unwrap_or(0.0),
-            last_loss: losses.last().copied().unwrap_or(0.0),
-            losses,
-        }
+        let losses = (0..iterations)
+            .map(|_| self.train_step_with_sink(dataset, sink.as_deref_mut()))
+            .collect();
+        TrainReport::from_losses(losses)
     }
 
     /// Renders an image from the trained model (no gradient tracking)
@@ -565,6 +569,7 @@ impl<M: TrainableField> Trainer<M> {
     }
 
     /// [`Trainer::render_view`] with explicit fast-path switches.
+    // inerf-lint: allow(pub-reach) -- test support: this crate's tests/render_equivalence.rs renders the reference path through it
     pub fn render_view_opts(&mut self, camera: &Camera, bounds: &Aabb, opts: &RenderOpts) -> Image {
         self.model.sync_parameters();
         self.render.render_view(
@@ -586,6 +591,7 @@ impl<M: TrainableField> Trainer<M> {
     }
 
     /// [`Trainer::eval_psnr`] with explicit fast-path switches.
+    // inerf-lint: allow(pub-reach) -- test support: this crate's tests/render_equivalence.rs compares the fast path's PSNR with the reference's through it
     pub fn eval_psnr_opts(&mut self, dataset: &Dataset, opts: &RenderOpts) -> f64 {
         self.model.sync_parameters();
         self.render.eval_psnr(
@@ -600,6 +606,7 @@ impl<M: TrainableField> Trainer<M> {
 
     /// Work and stage-time accounting of the most recent render (or of
     /// the last view of the most recent [`Trainer::eval_psnr`]).
+    // inerf-lint: allow(pub-reach) -- test support: this crate's tests/render_equivalence.rs checks the render's work accounting through it
     pub fn render_stats(&self) -> &crate::render::RenderStats {
         self.render.last_stats()
     }
@@ -607,6 +614,7 @@ impl<M: TrainableField> Trainer<M> {
     /// Render blocks (since construction) that grew some pooled render
     /// buffer's capacity — the render-side analogue of
     /// [`Trainer::arena_growth_events`].
+    // inerf-lint: allow(pub-reach) -- test support: this crate's tests/render_equivalence.rs pins the render arena's steady state through it
     pub fn render_growth_events(&self) -> u64 {
         self.render.growth_events()
     }
@@ -737,6 +745,7 @@ mod tests {
             &rays,
             &[Vec3::ZERO],
             &Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0)),
+            None,
         );
         assert_eq!(loss, 0.0);
     }
@@ -949,7 +958,7 @@ mod compaction_tests {
                 ..PhasedProbe::default()
             };
             let mut trainer = Trainer::new(probe, TrainConfig::tiny(), 7).with_threads(2);
-            let loss = trainer.train_on_rays(&rays, &targets, &bounds);
+            let loss = trainer.train_on_rays(&rays, &targets, &bounds, None);
             let queried = trainer.points_queried();
             (loss, queried, trainer.into_model())
         };
@@ -1156,7 +1165,11 @@ mod schedule_pins {
         let (rays, targets) = rays(shape.rays);
         let bounds = Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0));
         let losses = (0..ITERS)
-            .map(|_| trainer.train_on_rays(&rays, &targets, &bounds).to_bits())
+            .map(|_| {
+                trainer
+                    .train_on_rays(&rays, &targets, &bounds, None)
+                    .to_bits()
+            })
             .collect();
         let spans = trainer.arena.batch.spans.iter().map(|s| s.len).collect();
         let queried = trainer.points_queried();

@@ -68,7 +68,7 @@ const FP32: u64 = 4;
 
 /// Bytes of the hash table stored at `precision` (dense coarse levels
 /// stored compactly). Halves going from f32 to fp16.
-pub fn hash_table_bytes_at(cfg: &ModelConfig, precision: Precision) -> u64 {
+fn hash_table_bytes_at(cfg: &ModelConfig, precision: Precision) -> u64 {
     let entry_bytes = u64::from(cfg.grid.entry_bytes(precision));
     cfg.grid
         .build_levels()

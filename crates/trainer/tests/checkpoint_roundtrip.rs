@@ -78,12 +78,12 @@ fn config_sections_of_earlier_layouts_are_refused_as_corrupt() {
     // The 71-byte section with the features word, the 72-byte one that
     // also carried an engine byte at offset 24, and the 73-byte one with a
     // streaming-order byte after `samples_per_ray` as well.
-    let mut with_engine = WITH_FEATURES.to_vec();
-    with_engine.insert(24, 1);
-    let mut with_order = with_engine.clone();
+    let mut engine_byte = WITH_FEATURES.to_vec();
+    engine_byte.insert(24, 1);
+    let mut with_order = engine_byte.clone();
     with_order.insert(16, 0);
     let snap = tiny_trainer(Precision::F32, false).capture_snapshot();
-    for old in [WITH_FEATURES.to_vec(), with_engine, with_order] {
+    for old in [WITH_FEATURES.to_vec(), engine_byte, with_order] {
         let case = format!("{}-byte config", old.len());
         let old_snap = with_section(&snap, "config", |payload| payload.clone_from(&old));
         assert_corrupt_in(&old_snap, TrainConfig::small(), "config", &case);

@@ -96,8 +96,8 @@ proptest! {
         let (mut scalar, mut batched) = trainer_pair(seed ^ 0xAB, seed ^ 0x5150);
         let mut sink_s = CountingSink::default();
         let mut sink_b = CountingSink::default();
-        let loss_s = scalar.train_on_rays_with_sink(&rays, &targets, &bounds(), Some(&mut sink_s));
-        let loss_b = batched.train_on_rays_with_sink(&rays, &targets, &bounds(), Some(&mut sink_b));
+        let loss_s = scalar.train_on_rays(&rays, &targets, &bounds(), Some(&mut sink_s));
+        let loss_b = batched.train_on_rays(&rays, &targets, &bounds(), Some(&mut sink_b));
         // The fused batched pipeline must put exactly the same lookup (and
         // therefore DRAM request) stream on the cosim bus as the unfused
         // per-point reference.
@@ -126,8 +126,8 @@ proptest! {
             &batched.model().color_mlp().gradient_vec(),
         );
         // A second iteration exercises the post-optimizer-step state.
-        let loss_s2 = scalar.train_on_rays(&rays, &targets, &bounds());
-        let loss_b2 = batched.train_on_rays(&rays, &targets, &bounds());
+        let loss_s2 = scalar.train_on_rays(&rays, &targets, &bounds(), None);
+        let loss_b2 = batched.train_on_rays(&rays, &targets, &bounds(), None);
         prop_assert!(
             (loss_s2 - loss_b2).abs() <= 1e-4 * loss_s2.abs().max(1.0),
             "second-iteration loss diverged: {loss_s2} vs {loss_b2}"
@@ -144,16 +144,16 @@ fn engines_agree_under_occupancy_filtering() {
     let (rays, targets) = random_rays(77, 32);
     let (mut scalar, mut batched) = trainer_pair(3, 9);
     for _ in 0..16 {
-        scalar.train_on_rays(&rays, &targets, &bounds());
-        batched.train_on_rays(&rays, &targets, &bounds());
+        scalar.train_on_rays(&rays, &targets, &bounds(), None);
+        batched.train_on_rays(&rays, &targets, &bounds(), None);
     }
     let mut scalar = scalar.with_occupancy_grid(8, 0.7, 2);
     let mut batched = batched.with_occupancy_grid(8, 0.7, 2);
     let dense = (rays.len() * TrainConfig::tiny().samples_per_ray) as u64;
     for round in 0..3 {
         let queried = scalar.points_queried();
-        let loss_s = scalar.train_on_rays(&rays, &targets, &bounds());
-        let loss_b = batched.train_on_rays(&rays, &targets, &bounds());
+        let loss_s = scalar.train_on_rays(&rays, &targets, &bounds(), None);
+        let loss_b = batched.train_on_rays(&rays, &targets, &bounds(), None);
         assert!(
             (loss_s - loss_b).abs() <= 1e-4 * loss_s.abs().max(1.0),
             "round {round}: scalar {loss_s} vs batched {loss_b}"
@@ -312,7 +312,7 @@ fn arena_allocation_free_in_steady_state() {
         if with_grid {
             trainer = trainer.with_occupancy_grid(16, 0.05, 2);
         }
-        trainer.train_on_rays(&rays, &targets, &bounds());
+        trainer.train_on_rays(&rays, &targets, &bounds(), None);
         let cold = trainer.arena_growth_events();
         assert!(cold >= 1, "the first iteration must populate the arena");
         trainer.train_step(&dataset);

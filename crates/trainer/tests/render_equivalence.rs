@@ -17,7 +17,7 @@ use inerf_mlp::Precision;
 use inerf_render::volume::{composite_spans, RayBatch, RaySpan};
 use inerf_scenes::{zoo, Dataset, DatasetConfig, Image};
 use inerf_trainer::baselines::NerfLite;
-use inerf_trainer::render::{RenderEngine, RenderOpts, EARLY_TERM_THRESHOLD};
+use inerf_trainer::render::{RenderEngine, RenderOpts};
 use inerf_trainer::{
     engine, IngpModel, ModelConfig, PerPoint, TrainConfig, TrainableField, Trainer,
 };
@@ -213,8 +213,7 @@ fn early_termination_costs_under_a_tenth_db() {
     );
     let early = RenderOpts {
         culling: false,
-        early_term: true,
-        early_term_threshold: EARLY_TERM_THRESHOLD,
+        ..RenderOpts::fast()
     };
     let psnr_early = RenderEngine::default().eval_psnr(&model, &dataset, spp, None, &early, &pool);
     assert!(

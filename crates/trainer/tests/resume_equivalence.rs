@@ -190,7 +190,9 @@ fn resume_across_a_sweep_boundary_matches_straight_bitwise() {
     // Loss bits, and whether every Adam record stood at the step count
     // afterwards — true right after a dense sweep, false after a lazy one.
     let step = |trainer: &mut Trainer<IngpModel>| {
-        let loss = trainer.train_on_rays(&rays, &targets, &bounds).to_bits();
+        let loss = trainer
+            .train_on_rays(&rays, &targets, &bounds, None)
+            .to_bits();
         let t = trainer.global_step() as u32;
         let current = trainer.model().grid_adam().records().all(|r| r[2] == t);
         (loss, current)

@@ -46,10 +46,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     let st = scene_trace_into(&scene, &grid, 4096, 128, 7, &mut sinks);
     let ((mut paper_sink, mut no_spread_sink), (mut one_level_sink, mut all_data_sink)) = sinks;
     println!(
-        "  {} points, occupancy {:.1}%, fine-spread {:.2}",
+        "  {} points, occupancy {:.1}%",
         st.points,
-        100.0 * st.occupancy,
-        st.fine_spread
+        100.0 * st.occupancy
     );
 
     let est = pipeline.estimate_streamed(&mut paper_sink, BATCH);

@@ -127,7 +127,8 @@ fn gpu_and_accelerator_agree_on_workload_shape() {
     // entry traffic the accelerator sees.
     let model = ModelConfig::paper(HashFunction::Original);
     let entry_touches = BATCH * model.grid.levels as u64 * 8;
-    let gpu_ht = instant_nerf::gpu::cost::step_traffic_bytes(&model, Step::Ht, BATCH);
+    let xnx = TrainingCost::estimate(&GpuSpec::xnx(), &model, BATCH, 1, 1.0);
+    let gpu_ht = xnx.step(Step::Ht).traffic_bytes;
     assert!(
         gpu_ht as f64 > entry_touches as f64 * 32.0,
         "gather amplification missing"

@@ -6,7 +6,7 @@ use instant_nerf::dram::{DramConfig, DramSim, Request};
 use instant_nerf::encoding::{CountingSink, HashFunction, HashGrid, HashGridConfig, TraceSink};
 use instant_nerf::geom::{GridCoord, GridLevel, Vec3};
 use instant_nerf::mlp::fp16::quantize_f16;
-use instant_nerf::render::volume::{composite, composite_backward, SamplePoint};
+use instant_nerf::render::volume::{composite_backward_uniform, composite_uniform, SamplePoint};
 use instant_nerf::trainer::workload::{step_sizes_at, Step};
 use instant_nerf::trainer::{ModelConfig, Precision};
 use proptest::prelude::*;
@@ -98,9 +98,8 @@ proptest! {
             .iter()
             .map(|&s| SamplePoint { sigma: s, color: Vec3::new(0.3, 0.6, 0.9) })
             .collect();
-        let dts = vec![0.05f32; samples.len()];
-        let out = composite(&samples, &dts);
-        let grads = composite_backward(&samples, &dts, &out, Vec3::new(gx, -gx, 0.5));
+        let out = composite_uniform(&samples, 0.05);
+        let grads = composite_backward_uniform(&samples, 0.05, &out, Vec3::new(gx, -gx, 0.5));
         for g in &grads.d_sigma {
             prop_assert!(g.is_finite());
         }
@@ -230,7 +229,7 @@ fn renderer_survives_degenerate_samples() {
             color: Vec3::new(1.0, 0.0, 0.0),
         },
     ];
-    let out = composite(&samples, &[0.1, 0.1]);
+    let out = composite_uniform(&samples, 0.1);
     // Infinite density saturates alpha to 1 — a fully opaque first sample.
     assert!((out.weights[0] - 1.0).abs() < 1e-6);
     assert!(out.color.is_finite());
