@@ -85,6 +85,47 @@ impl FileContext {
             .map(|s| s.as_str())
             .unwrap_or("")
     }
+
+    /// Every module this file declares at its top level without a body
+    /// (`mod name;`, the module's own file), with whether the declaration
+    /// is test code (`#[cfg(test)] mod name;`).
+    pub(crate) fn module_decls(&self) -> Vec<(&str, bool)> {
+        let mut out = Vec::new();
+        let mut depth = 0usize;
+        for (i, t) in self.code.iter().enumerate() {
+            if t.is_punct('{') {
+                depth += 1;
+            } else if t.is_punct('}') {
+                depth = depth.saturating_sub(1);
+            } else if depth == 0 && t.is_ident("mod") {
+                if let [name, semi, ..] = &self.code[i + 1..] {
+                    if name.kind == TokKind::Ident && semi.is_punct(';') {
+                        out.push((name.text.as_str(), self.is_test_line(t.line)));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Marks every line as test code: the file is a module its parent
+    /// declares `#[cfg(test)] mod name;`.
+    pub(crate) fn mark_test_file(&mut self) {
+        self.test_lines.iter_mut().for_each(|t| *t = true);
+    }
+
+    /// Per line (index 0 = line 1): covered by a code token, a multi-line
+    /// string's inner lines included.
+    pub(crate) fn code_coverage(&self) -> Vec<bool> {
+        let mut covered = vec![false; self.lines.len()];
+        for t in &self.code {
+            let last = t.line as usize + t.text.matches('\n').count();
+            for slot in covered.iter_mut().take(last).skip(t.line as usize - 1) {
+                *slot = true;
+            }
+        }
+        covered
+    }
 }
 
 /// Marks every line belonging to an item annotated `#[cfg(test)]` (or any
@@ -262,6 +303,25 @@ mod tests {
         let src = "#[cfg(unix)]\nmod t { fn f() {} }\n";
         let ctx = FileContext::new(src);
         assert!(!ctx.is_test_line(2));
+    }
+
+    #[test]
+    fn module_decls_carry_their_test_flag() {
+        // `d` is declared inside an inline module: its file is not a
+        // sibling of this one, so it is not listed.
+        let src = "mod a;\n#[cfg(test)]\nmod b;\nmod c {}\n#[cfg(test)]\nmod tests { mod d; }\npub mod e;\n";
+        let ctx = FileContext::new(src);
+        assert_eq!(
+            ctx.module_decls(),
+            [("a", false), ("b", true), ("e", false)]
+        );
+    }
+
+    #[test]
+    fn code_coverage_spans_multi_line_strings_and_skips_comments() {
+        let src = "let s = \"a\n\nb\";\n// note\n/* block\n */\nfn f() {}\n";
+        let cov = FileContext::new(src).code_coverage();
+        assert_eq!(cov, [true, true, true, false, false, false, true]);
     }
 
     #[test]

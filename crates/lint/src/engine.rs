@@ -1,5 +1,6 @@
 //! Workspace walking, waiver matching, and report assembly.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -72,6 +73,7 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
             FileContext::new(&src),
         ));
     }
+    mark_test_modules(&mut files);
     let mut raw: Vec<Vec<RawFinding>> = vec![Vec::new(); files.len()];
     for (fi, f) in reach::pub_reach(&files) {
         raw[fi].push(f);
@@ -158,6 +160,96 @@ fn lint_file(class: &FileClass, ctx: &FileContext, extra: Vec<RawFinding>, repor
         });
     }
     report.files_scanned += 1;
+}
+
+/// Marks as test code, whole, every file of `files` that its parent
+/// declares `#[cfg(test)] mod name;`, and every module file below one:
+/// `#[cfg(test)]` on a body-less `mod` covers only that line of the parent.
+fn mark_test_modules(files: &mut [(FileClass, FileContext)]) {
+    let index: BTreeMap<&str, usize> = files
+        .iter()
+        .enumerate()
+        .map(|(i, (class, _))| (class.rel.as_str(), i))
+        .collect();
+    let children = |fi: usize, tests_only: bool| -> Vec<usize> {
+        let (class, ctx) = &files[fi];
+        ctx.module_decls()
+            .into_iter()
+            .filter(|&(_, test)| test || !tests_only)
+            .filter_map(|(name, _)| module_file(&index, &class.rel, name))
+            .collect()
+    };
+    let mut stack: Vec<usize> = (0..files.len()).flat_map(|fi| children(fi, true)).collect();
+    let mut test_files = BTreeSet::new();
+    while let Some(fi) = stack.pop() {
+        if test_files.insert(fi) {
+            stack.extend(children(fi, false));
+        }
+    }
+    for fi in test_files {
+        files[fi].1.mark_test_file();
+    }
+}
+
+/// The file of module `name` declared in `parent` (both `/`-separated):
+/// `<dir>/name.rs` or `<dir>/name/mod.rs`, where `<dir>` is the parent's
+/// directory for a `mod.rs` or a crate root (`lib.rs`, `main.rs`, a file
+/// directly under `bin/`, `tests/`, `examples/` or `benches/`) and the
+/// parent's path without `.rs` otherwise.
+fn module_file(index: &BTreeMap<&str, usize>, parent: &str, name: &str) -> Option<usize> {
+    let (dir, file) = parent.rsplit_once('/').unwrap_or(("", parent));
+    let owns_dir = matches!(file, "lib.rs" | "main.rs" | "mod.rs")
+        || matches!(
+            dir.rsplit('/').next(),
+            Some("bin" | "tests" | "examples" | "benches")
+        );
+    let base = if owns_dir {
+        dir
+    } else {
+        parent.strip_suffix(".rs")?
+    };
+    let prefix = if base.is_empty() {
+        String::new()
+    } else {
+        format!("{base}/")
+    };
+    [
+        format!("{prefix}{name}.rs"),
+        format!("{prefix}{name}/mod.rs"),
+    ]
+    .iter()
+    .find_map(|rel| index.get(rel.as_str()).copied())
+}
+
+/// The source-size census of the `.rs` files under `dirs`: the lines
+/// outside test code, and how many of those carry code (neither blank nor
+/// only comment). Test code is what the rules see as such: `#[cfg(test)]`
+/// items, and the files declared `#[cfg(test)] mod name;`.
+pub fn census(dirs: &[PathBuf]) -> Result<(usize, usize), String> {
+    let mut files = Vec::new();
+    for dir in dirs {
+        let mut rels = Vec::new();
+        collect_rs_files(dir, dir, &mut rels)?;
+        for rel in rels {
+            let path = dir.join(rel);
+            let src = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+            files.push((
+                FileClass::from_rel(&rel_to_slash(&path)),
+                FileContext::new(&src),
+            ));
+        }
+    }
+    mark_test_modules(&mut files);
+    let (mut lines, mut code) = (0, 0);
+    for (_, ctx) in &files {
+        for (i, covered) in ctx.code_coverage().into_iter().enumerate() {
+            if !ctx.is_test_line(i as u32 + 1) {
+                lines += 1;
+                code += usize::from(covered);
+            }
+        }
+    }
+    Ok((lines, code))
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -279,6 +371,47 @@ use std::collections::HashSet;
         lint_source("crates/dram/src/x.rs", src, &mut report);
         assert_eq!(report.unwaived_count(), 1);
         assert_eq!(report.findings[0].rule, UNUSED_WAIVER);
+    }
+
+    #[test]
+    fn module_files_follow_the_crate_root_and_submodule_layouts() {
+        let rels = [
+            "crates/a/src/lib.rs",
+            "crates/a/src/util.rs",
+            "crates/a/src/util/deep.rs",
+            "crates/a/src/net/mod.rs",
+            "crates/a/src/bin/tool/main.rs",
+            "crates/a/src/bin/tool/args.rs",
+            "crates/a/src/bin/flags.rs",
+        ];
+        let index: BTreeMap<&str, usize> = rels.iter().enumerate().map(|(i, r)| (*r, i)).collect();
+        let find = |parent: &str, name: &str| module_file(&index, parent, name);
+        assert_eq!(find("crates/a/src/lib.rs", "util"), Some(1));
+        assert_eq!(find("crates/a/src/util.rs", "deep"), Some(2));
+        assert_eq!(find("crates/a/src/lib.rs", "net"), Some(3));
+        assert_eq!(find("crates/a/src/bin/tool/main.rs", "args"), Some(5));
+        assert_eq!(find("crates/a/src/bin/single.rs", "flags"), Some(6));
+        assert_eq!(find("crates/a/src/lib.rs", "deep"), None);
+        assert_eq!(find("crates/a/src/net/mod.rs", "util"), None);
+    }
+
+    #[test]
+    fn a_test_module_file_and_its_own_modules_are_test_code() {
+        let mut files: Vec<(FileClass, FileContext)> = [
+            (
+                "crates/a/src/lib.rs",
+                "mod lib_code;\n#[cfg(test)]\nmod support;\n",
+            ),
+            ("crates/a/src/lib_code.rs", "pub fn f() {}\n"),
+            ("crates/a/src/support.rs", "mod inner;\npub fn g() {}\n"),
+            ("crates/a/src/support/inner.rs", "pub fn h() {}\n"),
+        ]
+        .into_iter()
+        .map(|(rel, src)| (FileClass::from_rel(rel), FileContext::new(src)))
+        .collect();
+        mark_test_modules(&mut files);
+        let test: Vec<bool> = files.iter().map(|(_, ctx)| ctx.is_test_line(1)).collect();
+        assert_eq!(test, [false, false, true, true]);
     }
 
     #[test]

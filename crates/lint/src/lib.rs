@@ -45,7 +45,7 @@ pub mod report;
 pub mod rules;
 pub mod waiver;
 
-pub use engine::{lint_workspace, render_unsafe_audit, AuditEntry, Finding, Report};
+pub use engine::{census, lint_workspace, render_unsafe_audit, AuditEntry, Finding, Report};
 pub use report::{render_json, render_text};
 pub use rules::{rule_info, RuleInfo, RULES};
 

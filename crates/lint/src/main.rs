@@ -6,6 +6,7 @@
 //! inerf-lint --list-rules
 //! inerf-lint --write-unsafe-audit [--root <dir>]
 //! inerf-lint --check-unsafe-audit [--root <dir>]
+//! inerf-lint --census <dir>...
 //! ```
 //!
 //! Exit codes: 0 = clean, 1 = unwaived findings (or stale audit),
@@ -14,7 +15,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use inerf_lint::{lint_and_audit, render_json, render_text, rule_info, RULES, UNSAFE_AUDIT_FILE};
+use inerf_lint::{
+    census, lint_and_audit, render_json, render_text, rule_info, RULES, UNSAFE_AUDIT_FILE,
+};
 
 struct Args {
     root: PathBuf,
@@ -36,12 +39,14 @@ enum Mode {
     ListRules,
     WriteAudit,
     CheckAudit,
+    Census(Vec<PathBuf>),
 }
 
 fn usage() -> String {
     "usage: inerf-lint [--root <dir>] [--format=text|json] [--verbose]\n\
      \x20      inerf-lint --explain <rule> | --list-rules\n\
-     \x20      inerf-lint --write-unsafe-audit | --check-unsafe-audit [--root <dir>]\n"
+     \x20      inerf-lint --write-unsafe-audit | --check-unsafe-audit [--root <dir>]\n\
+     \x20      inerf-lint --census <dir>...\n"
         .to_string()
 }
 
@@ -76,6 +81,13 @@ fn parse_args() -> Result<Args, String> {
             "--list-rules" => args.mode = Mode::ListRules,
             "--write-unsafe-audit" => args.mode = Mode::WriteAudit,
             "--check-unsafe-audit" => args.mode = Mode::CheckAudit,
+            "--census" => {
+                let dirs: Vec<PathBuf> = it.by_ref().map(PathBuf::from).collect();
+                if dirs.is_empty() {
+                    return Err("--census needs at least one directory".to_string());
+                }
+                args.mode = Mode::Census(dirs);
+            }
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument `{other}`\n{}", usage())),
         }
@@ -147,6 +159,11 @@ fn run(args: Args) -> Result<ExitCode, String> {
                 "unknown rule `{rule}`; try --list-rules for the catalogue"
             )),
         },
+        Mode::Census(dirs) => {
+            let (lines, code) = census(dirs)?;
+            emit(&format!("{lines} {code}\n"));
+            Ok(ExitCode::SUCCESS)
+        }
         Mode::Lint => {
             let (report, _) = lint_and_audit(&args.root)?;
             match args.format {

@@ -129,11 +129,30 @@ fn usage_errors_exit_two() {
     assert_eq!(code(&run(&["--explain", "no-such-rule"])), 2);
     assert_eq!(code(&run(&["--frobnicate"])), 2);
     assert_eq!(code(&run(&["--root"])), 2);
+    assert_eq!(code(&run(&["--census"])), 2);
     let missing = fixture_root("does-not-exist");
     assert_eq!(
         code(&run(&["--root", missing.to_str().expect("utf-8 path")])),
         2
     );
+}
+
+/// The `reach` corpus's two crates: 82 lines outside test code, 44 of them
+/// code. `alpha`'s lib.rs stops at its `#[cfg(test)] mod tests` (40 / 21);
+/// shapes.rs is all library (33 / 18); `beta`'s lib.rs loses the two lines
+/// of its `#[cfg(test)] mod support;` (9 / 5), and support.rs, test code as
+/// a whole, counts nothing (a line-based cut would count it 7 / 3).
+#[test]
+fn census_counts_library_lines_only() {
+    let crates = fixture_root("reach").join("crates");
+    let [alpha, beta] = ["alpha/src", "beta/src"].map(|d| crates.join(d));
+    let out = run(&[
+        "--census",
+        alpha.to_str().expect("utf-8 path"),
+        beta.to_str().expect("utf-8 path"),
+    ]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "82 44\n");
 }
 
 #[test]

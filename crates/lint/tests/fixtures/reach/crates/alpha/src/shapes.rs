@@ -26,3 +26,8 @@ impl Iterator for Walk {
         None
     }
 }
+
+/// Called only from `beta`'s test-only module file: a finding.
+pub fn only_test_support_calls() -> u32 {
+    7
+}

@@ -6,3 +6,6 @@ pub fn run() -> u32 {
     let walked = alpha::shapes::Walk.count() as u32;
     alpha::called_from_beta() + alpha::shapes::make().value + walked + steps.len() as u32
 }
+
+#[cfg(test)]
+mod support;

@@ -187,8 +187,10 @@ fn unsafe_inventory_lists_both_seeded_sites() {
 /// test. Reached: an item `beta` calls, one only the example calls, a
 /// type only a reached fn's signature names, an iterator's `Item` type, and
 /// a `new` whose name another crate uses for something else. Findings: an
-/// item only tests name, a const only its own file names, and a type only a
-/// `pub use` names elsewhere; plus one waived finding.
+/// item only tests name, a const only its own file names, a type only a
+/// `pub use` names elsewhere, and a fn only a file that `beta` declares
+/// `#[cfg(test)] mod support;` calls (that file's own `pub fn` is not
+/// checked); plus one waived finding.
 #[test]
 fn pub_reach_corpus_flags_exactly_the_unreached_items() {
     let report = lint_fixture("reach");
@@ -197,6 +199,7 @@ fn pub_reach_corpus_flags_exactly_the_unreached_items() {
         ("crates/alpha/src/lib.rs", 23, false),
         ("crates/alpha/src/lib.rs", 37, true),
         ("crates/alpha/src/shapes.rs", 14, false),
+        ("crates/alpha/src/shapes.rs", 31, false),
     ]
     .into_iter()
     .map(|(f, l, w)| (f.to_string(), l, "pub-reach".to_string(), w))
@@ -213,10 +216,11 @@ fn pub_reach_corpus_flags_exactly_the_unreached_items() {
             "pub fn only_tested",
             "pub const LOCAL_ONLY",
             "pub fn waived_support",
-            "pub struct Reexported"
+            "pub struct Reexported",
+            "pub fn only_test_support_calls"
         ]
     );
-    assert_eq!(report.files_scanned, 5);
+    assert_eq!(report.files_scanned, 6);
 }
 
 #[test]

@@ -5,8 +5,51 @@
 //! color. The procedural scenes are built from smooth primitives so that a
 //! small neural model can actually fit them — mirroring how the Blender
 //! scenes are fit by iNGP.
+//!
+//! Every primitive's density has an analytic support: a blob's vanishes
+//! past three radii, a box's past three softnesses beyond its faces, a
+//! torus's past three tube radii from its ring. [`Scene::new`] bounds each
+//! support with an axis-aligned box, widened by a relative margin for the
+//! primitive's rounding and an absolute one for the ray's (`SUPPORT_REL`,
+//! `SUPPORT_ABS`), outside which the primitive returns the empty sample
+//! exactly. The oracle intersects each ray with those boxes once and asks
+//! a sample point only for the primitives whose t-span holds it
+//! (`Scene::sample_spans`). A primitive left out would have added `+0.0`
+//! to both accumulators of [`RadianceField::sample`], and a sum that
+//! starts at `+0.0` is never `-0.0` (round-to-nearest gives `-0.0` only
+//! for `-0.0 + -0.0`), so adding `+0.0` to it changes no bit and leaves a
+//! NaN a NaN: the twin returns `sample`'s result bit for bit.
 
-use inerf_geom::{Aabb, Vec3};
+use inerf_geom::{Aabb, Ray, Vec3};
+
+/// Relative widening of a support box along each axis, in units of that
+/// axis's coordinate scale `|center| + |extent|`: the primitive's side of
+/// the rounding.
+///
+/// Three roundings separate a point `eval` accepts from the exact support,
+/// each relative to that scale: `eval`'s own arithmetic (differences,
+/// squares, sums, a square root and a quotient, under 8 ulp), the extent
+/// and the box corners `center ± reach` (an ulp and a half) and the sum
+/// `origin + direction * t` of a sample position (half an ulp of a point
+/// inside the box). That is under `16ε` with `ε = 2^-24`; `2^-18 = 64ε`
+/// keeps a factor of four in hand, and a box 1 % short of the support
+/// leaves density outside it.
+const SUPPORT_REL: f32 = 1.0 / 262_144.0;
+
+/// Absolute widening of a support box along each axis: the ray's side of
+/// the rounding, taken as a distance.
+///
+/// A sample's product `direction * t` moves it by up to `ε|t|` along an
+/// axis, and `Aabb::intersect` rounds each slab end three times (a
+/// difference, a reciprocal, a product: `3ε|t|`). Growing a box by `δ`
+/// grows every span of a unit-direction ray through it by at least `δ` at
+/// both ends, so `2^-12 = 8ε·512` absorbs both, with a factor of two in
+/// hand, for every `|t| ≤ 512`: far beyond the rays of a scene whose
+/// cameras orbit a few units out. The margin sits on the box, not on the
+/// span, because `intersect` reports a ray whose rounded span came out
+/// empty as a miss before a span margin could widen it. It also covers the
+/// squares in `eval` that underflow below about `1e-19`.
+const SUPPORT_ABS: f32 = 1.0 / 4096.0;
 
 /// One sample of a radiance field: density and color at a point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -19,7 +62,7 @@ pub struct RadianceSample {
 
 impl RadianceSample {
     /// A fully transparent sample.
-    const EMPTY: RadianceSample = RadianceSample {
+    pub(crate) const EMPTY: RadianceSample = RadianceSample {
         sigma: 0.0,
         color: Vec3::ZERO,
     };
@@ -146,13 +189,60 @@ pub enum Primitive {
 }
 
 impl Primitive {
-    fn eval(&self, p: Vec3, d: Vec3) -> RadianceSample {
+    pub(crate) fn eval(&self, p: Vec3, d: Vec3) -> RadianceSample {
         match self {
             Primitive::Blob(b) => b.eval(p, d),
             Primitive::Box(b) => b.eval(p),
             Primitive::Torus(t) => t.eval(p),
         }
     }
+
+    /// A box outside which [`Primitive::eval`] returns
+    /// [`RadianceSample::EMPTY`].
+    ///
+    /// The extents are where `eval`'s cut-off tests fire: a blob's
+    /// `r² > 9` at `3·|radius|`, a box's `outside > 3·softness` at
+    /// `half + 3·|softness|` (a negative softness cuts everything off), a
+    /// torus's `d² > 9` at `major + 3·|minor|` in its plane and `3·|minor|`
+    /// across it. A negative half-extent or major radius only shrinks the
+    /// support, and a box whose extent is negative holds no support at
+    /// all; such a box may come out inverted, so it is built by hand, not
+    /// through the asserting [`Aabb::new`].
+    pub(crate) fn support(&self) -> Aabb {
+        let (center, extent, scale) = match self {
+            Primitive::Blob(b) => {
+                let r = 3.0 * b.radius.abs();
+                (b.center, [r; 3], [r; 3])
+            }
+            Primitive::Box(b) => {
+                let s = 3.0 * b.softness.abs();
+                let half: [f32; 3] = b.half.into();
+                (b.center, half.map(|h| h + s), half.map(|h| h.abs() + s))
+            }
+            Primitive::Torus(t) => {
+                let tube = 3.0 * t.minor.abs();
+                let ring = t.major + tube;
+                let scale = t.major.abs() + tube;
+                (t.center, [ring, tube, ring], [scale, tube, scale])
+            }
+        };
+        let c: [f32; 3] = center.into();
+        let reach: [f32; 3] = std::array::from_fn(|i| {
+            extent[i] + SUPPORT_REL * (c[i].abs() + scale[i]) + SUPPORT_ABS
+        });
+        Aabb {
+            min: Vec3::new(c[0] - reach[0], c[1] - reach[1], c[2] - reach[2]),
+            max: Vec3::new(c[0] + reach[0], c[1] + reach[1], c[2] + reach[2]),
+        }
+    }
+}
+
+/// The stretch `[t0, t1]` of one ray through one primitive's support box.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Span {
+    prim: usize,
+    pub(crate) t0: f32,
+    pub(crate) t1: f32,
 }
 
 /// A named procedural scene: a set of primitives plus a bounding box.
@@ -167,6 +257,8 @@ pub struct Scene {
     /// coordinates into this box.
     pub bounds: Aabb,
     primitives: Vec<Primitive>,
+    /// Per primitive, in scene order: its [`Primitive::support`].
+    supports: Vec<Aabb>,
 }
 
 impl Scene {
@@ -180,16 +272,61 @@ impl Scene {
             !primitives.is_empty(),
             "a scene needs at least one primitive"
         );
+        let supports = primitives.iter().map(Primitive::support).collect();
         Scene {
             name: name.into(),
             bounds,
             primitives,
+            supports,
         }
     }
 
     /// The primitives composing the scene.
     pub fn primitives(&self) -> &[Primitive] {
         &self.primitives
+    }
+
+    /// Refills `spans`, in scene order, with the t-span of `ray` through
+    /// each support box it meets. A sample of the ray at `0 ≤ t ≤ 512`
+    /// outside a primitive's span lies outside its support (`intersect`
+    /// clamps a span at 0, which no sample precedes).
+    pub(crate) fn spans_into(&self, ray: &Ray, spans: &mut Vec<Span>) {
+        spans.clear();
+        for (prim, support) in self.supports.iter().enumerate() {
+            if let Some(hit) = support.intersect(ray) {
+                spans.push(Span {
+                    prim,
+                    t0: hit.t_near,
+                    t1: hit.t_far,
+                });
+            }
+        }
+    }
+
+    /// [`RadianceField::sample`] at `p = ray.at(t)` of the ray `spans` was
+    /// filled for, evaluating only the primitives whose span holds `t`, in
+    /// the same order: bit for bit the same sample (module doc).
+    pub(crate) fn sample_spans(&self, spans: &[Span], t: f32, p: Vec3, d: Vec3) -> RadianceSample {
+        let mut sigma = 0.0f32;
+        let mut color_acc = Vec3::ZERO;
+        for span in spans.iter().filter(|s| s.t0 <= t && t <= s.t1) {
+            let s = self.primitives[span.prim].eval(p, d);
+            sigma += s.sigma;
+            color_acc += s.color * s.sigma;
+        }
+        mix(sigma, color_acc)
+    }
+}
+
+/// The composed sample of summed density `sigma` and density-weighted
+/// color `color_acc`.
+fn mix(sigma: f32, color_acc: Vec3) -> RadianceSample {
+    if sigma <= 1e-9 {
+        return RadianceSample::EMPTY;
+    }
+    RadianceSample {
+        sigma,
+        color: color_acc / sigma,
     }
 }
 
@@ -202,13 +339,7 @@ impl RadianceField for Scene {
             sigma += s.sigma;
             color_acc += s.color * s.sigma;
         }
-        if sigma <= 1e-9 {
-            return RadianceSample::EMPTY;
-        }
-        RadianceSample {
-            sigma,
-            color: color_acc / sigma,
-        }
+        mix(sigma, color_acc)
     }
 }
 
